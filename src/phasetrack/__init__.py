@@ -39,6 +39,7 @@ from .phase_process import (
     ChainTrajectory,
     PhaseModel,
     autocovariance,
+    chain_stages,
     integrate_chain,
     sample_trajectory,
     spectrum,

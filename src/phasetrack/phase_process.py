@@ -10,6 +10,7 @@ and makes the process stationary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,6 +24,7 @@ __all__ = [
     "ChainTrajectory",
     "spectrum",
     "autocovariance",
+    "chain_stages",
     "integrate_chain",
     "sample_trajectory",
 ]
@@ -183,12 +185,37 @@ def autocovariance(model: PhaseModel, tau) -> float | np.ndarray:
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def integrate_chain(model: PhaseModel, dt: float, increments: np.ndarray) -> ChainTrajectory:
-    """Drive the integrator chain with explicit noise increments.
+def chain_stages(
+    model: PhaseModel, dt: float, increments: np.ndarray, state: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """Yield the chain stages x_0, ..., x_n driven by explicit noise increments.
 
     Explicit Euler update: dx_0 = -lambda_0 x_0 dt + dW,
-    dx_{k+1} = (x_k - lambda_{k+1} x_{k+1}) dt, all starting from zero.
-    Each stage is a first-order linear recurrence, evaluated with lfilter.
+    dx_{k+1} = (x_k - lambda_{k+1} x_{k+1}) dt. Time runs along the last
+    axis of ``increments``; any leading axes (trials) are carried along.
+    Each yielded stage has the shape of ``increments`` and holds at entry i
+    the value before increment i. Each stage is a first-order linear
+    recurrence in the one before it, evaluated with lfilter, so at most two
+    stages are live at a time. ``state`` of shape (n+1, ..., 1) holds the
+    stage values at entry 0 (zeros if omitted) and is advanced in place to
+    the values after the last increment, so consecutive blocks of one
+    noise stream chain exactly.
+    """
+    decay = 1.0 - model.damping_rates() * dt
+    stage = np.asarray(increments, dtype=float)
+    if state is None:
+        state = np.zeros((len(decay),) + stage.shape[:-1] + (1,))
+    for k, c in enumerate(decay):
+        # x_k[i+1] = (1 - lambda_k dt) x_k[i] + g x_{k-1}[i], g = 1 (dW) or dt
+        stage, state[k] = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1, zi=state[k])
+        yield stage
+
+
+def integrate_chain(model: PhaseModel, dt: float, increments: np.ndarray) -> ChainTrajectory:
+    """Drive the integrator chain with explicit noise increments, from zero.
+
+    See ``chain_stages`` for the update; the trajectory has one more sample
+    than there are increments.
     """
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -201,13 +228,11 @@ def integrate_chain(model: PhaseModel, dt: float, increments: np.ndarray) -> Cha
     if dw.ndim != 1:
         raise ValidationError("increments must be a 1-d array")
     n_steps = dw.shape[0]
-    n_stages = model.n + 1
-    x = np.zeros((n_steps + 1, n_stages))
-    # x_0[i+1] = (1 - lambda_0 dt) x_0[i] + dW[i]
-    x[1:, 0] = lfilter([1.0], [1.0, -(1.0 - lam[0] * dt)], dw)
-    for k in range(1, n_stages):
-        # x_k[i+1] = (1 - lambda_k dt) x_k[i] + dt * x_{k-1}[i]
-        x[1:, k] = lfilter([dt], [1.0, -(1.0 - lam[k] * dt)], x[:-1, k - 1])
+    x = np.empty((n_steps + 1, model.n + 1))
+    state = np.zeros((model.n + 1, 1))
+    for k, stage in enumerate(chain_stages(model, dt, dw, state)):
+        x[:-1, k] = stage
+    x[-1] = state[:, 0]
     t = np.arange(n_steps + 1) * dt
     return ChainTrajectory(model=model, dt=dt, t=t, x=x, dw=dw)
 

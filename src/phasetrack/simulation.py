@@ -13,6 +13,12 @@ mirrored recursion backward over the stored y, and the two combine into the
 smoothed estimate through the information sum. Phase is tracked on the real
 line throughout; nothing is wrapped mod 2 pi.
 
+The phase path never depends on the estimate, so each ensemble's chain is
+integrated open-loop before its feedback loop runs. Ensembles store only
+(trials, steps) scalar paths: the smoother needs just the last row of the
+combination weights, so it keeps y and the projection w_f[-1] . xf and the
+backward pass returns w_r[-1] . xr. Single records keep the full states.
+
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
 noise never correlates with the phase increments.
@@ -25,10 +31,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import ValidationError
-from .lg import LgSystem, covariance_set
-from .phase_process import PhaseModel
+from .lg import LgSystem, covariance_set, smoother_covariance
+from .phase_process import PhaseModel, chain_stages
 
 __all__ = [
     "HomodyneConfig",
@@ -50,6 +57,8 @@ __all__ = [
 ]
 
 _ABC_HOLD_THRESHOLD = 1e-12
+_PARAM_RTOL = 1e-12  # model, system and config parameters must agree to this
+_TRUTH_BLOCK = 1024  # steps per block of true chain states (full-state statistics)
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,9 @@ def default_config(
 def _validate_against_system(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> None:
     if model.n != system.n:
         raise ValidationError(f"model p={model.p} does not match system p={system.p}")
-    if model.kappa != system.kappa:
+    if not math.isclose(model.kappa, system.kappa, rel_tol=_PARAM_RTOL):
         raise ValidationError("model and system kappa differ")
-    if config.photon_flux != system.photon_flux:
+    if not math.isclose(config.photon_flux, system.photon_flux, rel_tol=_PARAM_RTOL):
         raise ValidationError("config and system photon flux differ")
     if system.mu > 0:
         tau = system.time_scale
@@ -178,13 +187,24 @@ def _trial_noise(seed: int, n_trials: int, n_steps: int, dt: float):
     return dw, db
 
 
-def _chain_step(x: np.ndarray, lam: np.ndarray, dt: float, dw_i: np.ndarray) -> np.ndarray:
-    """One explicit Euler step of the integrator chain, batched over trials."""
-    out = np.empty_like(x)
-    out[:, 0] = x[:, 0] * (1.0 - lam[0] * dt) + dw_i
-    if x.shape[1] > 1:
-        out[:, 1:] = x[:, 1:] + (x[:, :-1] - lam[1:] * x[:, 1:]) * dt
-    return out
+def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray:
+    """True phase path of every trial, (n_trials, T) with entry i at t_i.
+
+    The phase never depends on the estimate, so the chain is integrated
+    open-loop, stage by stage along the trial axis, before any feedback loop.
+    """
+    for stage in chain_stages(model, dt, dw):
+        pass
+    return model.phase_scale * stage
+
+
+def _chain_state_blocks(model: PhaseModel, dt: float, dw: np.ndarray):
+    """True chain states of every trial in consecutive blocks of time,
+    each (n_trials, block, n+1), so the full state path is never stored."""
+    state = np.zeros((model.n + 1, dw.shape[0], 1))
+    for i0 in range(0, dw.shape[1], _TRUTH_BLOCK):
+        block = dw[:, i0 : i0 + _TRUTH_BLOCK]
+        yield np.stack(list(chain_stages(model, dt, block, state)), axis=-1)
 
 
 def _filter_matrices(system: LgSystem, vf: np.ndarray):
@@ -194,61 +214,98 @@ def _filter_matrices(system: LgSystem, vf: np.ndarray):
     return closed, gain
 
 
+def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
+    """(w_f, w_r, vs) of the information sum xs = w_f xf + w_r xr."""
+    vs = smoother_covariance(vf, vr)
+    return vs @ np.linalg.inv(vf), vs @ np.linalg.inv(vr), vs
+
+
 @dataclass(eq=False)
 class _Ensemble:
-    """Batched trajectories, one row per trial (internal)."""
+    """Batched (n_trials, T) trajectories, one row per trial (internal).
+
+    A feedback loop fills only the optional fields its caller asks for:
+    ensembles keep the scalar paths their reductions read, single records
+    keep everything (including the (1, T, n+1) causal states ``xf``).
+    """
 
     t: np.ndarray
     phi: np.ndarray
-    theta: np.ndarray
-    current: np.ndarray
-    y: np.ndarray
+    theta: Optional[np.ndarray] = None
+    current: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
     xf: Optional[np.ndarray] = None
+    xf_proj: Optional[np.ndarray] = None  # proj . xf at each step
+    error_moment: Optional[np.ndarray] = None  # per-trial interior sum of (xf - x)(xf - x)^T
     phi_abc: Optional[np.ndarray] = None
     abc_indeterminate_steps: int = 0
 
 
 def _run_filter_feedback(
-    model: PhaseModel, system: LgSystem, config: HomodyneConfig, n_trials: int, vf: np.ndarray
+    model: PhaseModel,
+    system: LgSystem,
+    config: HomodyneConfig,
+    n_trials: int,
+    vf: np.ndarray,
+    record: bool = False,
+    proj: Optional[np.ndarray] = None,
+    state_stats: bool = False,
 ) -> _Ensemble:
+    """Causal estimator in the feedback loop, batched over trials.
+
+    Always keeps phi and theta. ``proj`` keeps what smoothing reads: the
+    rescaled signal y and the projection proj . xf at each step. ``record``
+    keeps y, the photocurrent and the full causal states, and
+    ``state_stats`` accumulates the interior error moment against the true
+    chain states.
+    """
     n_steps = config.n_steps
     dt = config.dt
-    m = system.n_states
-    lam = model.damping_rates()
     scale = system.phase_scale
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     closed, gain = _filter_matrices(system, vf)
     closed_t = closed.T * dt
 
     dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
-    x = np.zeros((n_trials, m))
-    xf = np.zeros((n_trials, m))
+    ens = _Ensemble(t=np.arange(n_steps) * dt, phi=_open_loop_phase(model, dt, dw))
+    phi_a = ens.phi
+    theta_a = ens.theta = np.empty_like(phi_a)
+    y_a = ens.y = np.empty_like(phi_a) if record or proj is not None else None
+    proj_a = ens.xf_proj = np.empty_like(phi_a) if proj is not None else None
+    if record:
+        ens.current = np.empty_like(phi_a)
+        ens.xf = np.empty((n_trials, n_steps, system.n_states))
+    if state_stats:
+        win = interior_slice(n_steps, dt, config.burn_in)
+        truth = _chain_state_blocks(model, dt, dw)
+        ens.error_moment = np.zeros((n_trials, system.n_states, system.n_states))
+    del dw
 
-    phi_a = np.empty((n_trials, n_steps))
-    theta_a = np.empty((n_trials, n_steps))
-    cur_a = np.empty((n_trials, n_steps))
-    y_a = np.empty((n_trials, n_steps))
-    xf_a = np.empty((n_trials, n_steps, m))
-
+    xf = np.zeros((n_trials, system.n_states))
     for i in range(n_steps):
-        phi = scale * x[:, -1]
         theta = scale * xf[:, -1]
-        delta = phi - theta
+        delta = phi_a[:, i] - theta
         resp = delta if config.linearized else np.sin(delta)
         idt = two_sqrt_n * resp * dt + db[:, i]
         y = idt / dt + two_sqrt_n * theta
 
-        phi_a[:, i] = phi
         theta_a[:, i] = theta
-        cur_a[:, i] = idt
-        y_a[:, i] = y
-        xf_a[:, i] = xf
+        if y_a is not None:
+            y_a[:, i] = y
+        if proj_a is not None:
+            proj_a[:, i] = xf @ proj
+        if record:
+            ens.current[:, i] = idt
+            ens.xf[:, i] = xf
+        if state_stats:
+            if i % _TRUTH_BLOCK == 0:
+                x_block = next(truth)
+            if win.start <= i < win.stop:
+                err = xf - x_block[:, i % _TRUTH_BLOCK]
+                ens.error_moment += err[:, :, None] * err[:, None, :]
 
         xf = xf + xf @ closed_t + (y * dt)[:, None] * gain
-        x = _chain_step(x, lam, dt, dw[:, i])
-
-    t = np.arange(n_steps) * dt
-    return _Ensemble(t=t, phi=phi_a, theta=theta_a, current=cur_a, y=y_a, xf=xf_a)
+    return ens
 
 
 def _abc_phase_update(
@@ -282,40 +339,45 @@ def _abc_phase_update(
 
 
 def _run_abc_feedback(
-    model: PhaseModel, system: LgSystem, config: HomodyneConfig, n_trials: int, chi: float
+    model: PhaseModel,
+    system: LgSystem,
+    config: HomodyneConfig,
+    n_trials: int,
+    chi: float,
+    record: bool = False,
 ) -> _Ensemble:
+    """Exponential-window estimator in the feedback loop, batched over trials.
+
+    Keeps phi and the estimate after each step; ``record`` additionally keeps
+    the fed-back theta, the photocurrent and the rescaled signal.
+    """
     if not chi > 0:
         raise ValidationError(f"chi must be positive, got {chi}")
     n_steps = config.n_steps
     dt = config.dt
-    lam = model.damping_rates()
-    scale = system.phase_scale
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     decay = math.exp(-chi * dt)
 
     dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
-    x = np.zeros((n_trials, system.n_states))
+    ens = _Ensemble(t=np.arange(n_steps) * dt, phi=_open_loop_phase(model, dt, dw))
+    del dw
+    phi_a = ens.phi
+    est_a = ens.phi_abc = np.empty_like(phi_a)
+    if record:
+        ens.current = np.empty_like(phi_a)
+        ens.y = np.empty_like(phi_a)
     a = np.zeros(n_trials, dtype=complex)
     b = np.zeros(n_trials, dtype=complex)
     theta = np.zeros(n_trials)
-
-    phi_a = np.empty((n_trials, n_steps))
-    theta_a = np.empty((n_trials, n_steps))
-    cur_a = np.empty((n_trials, n_steps))
-    y_a = np.empty((n_trials, n_steps))
-    est_a = np.empty((n_trials, n_steps))
     held = 0
 
     for i in range(n_steps):
-        phi = scale * x[:, -1]
-        delta = phi - theta
+        delta = phi_a[:, i] - theta
         resp = delta if config.linearized else np.sin(delta)
         idt = two_sqrt_n * resp * dt + db[:, i]
-
-        phi_a[:, i] = phi
-        theta_a[:, i] = theta
-        cur_a[:, i] = idt
-        y_a[:, i] = idt / dt + two_sqrt_n * theta
+        if record:
+            ens.current[:, i] = idt
+            ens.y[:, i] = idt / dt + two_sqrt_n * theta
 
         # Discounted functionals, phasors taken at the physical oscillator
         # phase theta + pi/2 (the sin() photocurrent is that quadrature).
@@ -327,18 +389,11 @@ def _run_abc_feedback(
         theta = np.where(hold, theta, cand)
         est_a[:, i] = theta
 
-        x = _chain_step(x, lam, dt, dw[:, i])
-
-    t = np.arange(n_steps) * dt
-    return _Ensemble(
-        t=t,
-        phi=phi_a,
-        theta=theta_a,
-        current=cur_a,
-        y=y_a,
-        phi_abc=est_a,
-        abc_indeterminate_steps=held,
-    )
+    if record:
+        # theta fed back at step i is the estimate after step i-1
+        ens.theta = np.concatenate([np.zeros((n_trials, 1)), est_a[:, :-1]], axis=1)
+    ens.abc_indeterminate_steps = held
+    return ens
 
 
 def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
@@ -348,7 +403,7 @@ def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig)
         vf = covariance_set(system).vf
     else:
         vf = np.zeros((system.n_states, system.n_states))  # no measurement: zero gain
-    ens = _run_filter_feedback(model, system, config, 1, vf)
+    ens = _run_filter_feedback(model, system, config, 1, vf, record=True)
     return SimulationRecord(
         config=config,
         t=ens.t,
@@ -381,12 +436,16 @@ def run_filter_pass(y: np.ndarray, system: LgSystem, vf: np.ndarray, dt: float) 
     return out if orig_ndim > 1 else out[0]
 
 
-def run_retrofilter_pass(y: np.ndarray, system: LgSystem, vr: np.ndarray, dt: float) -> np.ndarray:
+def run_retrofilter_pass(
+    y: np.ndarray, system: LgSystem, vr: np.ndarray, dt: float, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Apply the anticausal estimator to a stored rescaled signal.
 
     Runs the mirrored recursion dz = (-A - V_R C^T C) z dtau + V_R C^T y dtau
     in reversed time with a positive step, starting from zero at the final
     sample. Entry [..., i, :] is the state at t_i built from samples after i.
+    With ``weights`` (length n+1) only the projection weights . z is kept,
+    and the result has the shape of y.
     """
     orig_ndim = np.asarray(y).ndim
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -395,9 +454,9 @@ def run_retrofilter_pass(y: np.ndarray, system: LgSystem, vr: np.ndarray, dt: fl
     gain = vr @ system.c
     n_trials, n_steps = y.shape
     z = np.zeros((n_trials, system.n_states))
-    out = np.empty((n_trials, n_steps, system.n_states))
+    out = np.empty(y.shape if weights is not None else y.shape + (system.n_states,))
     for i in range(n_steps - 1, -1, -1):
-        out[:, i] = z
+        out[:, i] = z if weights is None else z @ weights
         z = z + z @ closed_t + (y[:, i] * dt)[:, None] * gain
     return out if orig_ndim > 1 else out[0]
 
@@ -410,11 +469,7 @@ def combine_smoothed(
     Accepts state arrays of shape (..., n+1); returns (xs, vs) with
     vs = (V_F^-1 + V_R^-1)^-1.
     """
-    from .lg import smoother_covariance  # local import to avoid cycle at module load
-
-    vs = smoother_covariance(vf, vr)
-    w_f = vs @ np.linalg.inv(vf)
-    w_r = vs @ np.linalg.inv(vr)
+    w_f, w_r, vs = _smoothing_weights(vf, vr)
     xs = np.asarray(xf) @ w_f.T + np.asarray(xr) @ w_r.T
     return xs, vs
 
@@ -451,7 +506,7 @@ def run_abc(
     are counted in abc_indeterminate_steps.
     """
     _validate_against_system(model, system, config)
-    ens = _run_abc_feedback(model, system, config, 1, chi)
+    ens = _run_abc_feedback(model, system, config, 1, chi, record=True)
     return SimulationRecord(
         config=config,
         t=ens.t,
@@ -462,6 +517,17 @@ def run_abc(
         phi_abc=ens.phi_abc[0],
         abc_indeterminate_steps=ens.abc_indeterminate_steps,
     )
+
+
+def _squared_error(truth: np.ndarray, estimate: np.ndarray, wrap: bool) -> np.ndarray:
+    """(estimate - truth)^2 in one new array; with ``wrap`` the error is
+    first reduced to (-pi, pi]."""
+    sq = estimate - truth
+    if wrap:
+        sq += math.pi
+        np.mod(sq, 2.0 * math.pi, out=sq)
+        sq -= math.pi
+    return np.square(sq, out=sq)
 
 
 def mse_statistics(
@@ -484,23 +550,26 @@ def mse_statistics(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
     win = interior_slice(truth.shape[1], dt, burn_in)
-    diff = estimate[:, win] - truth[:, win]
-    if wrap:
-        diff = np.mod(diff + math.pi, 2.0 * math.pi) - math.pi
-    per_trial = np.mean(diff**2, axis=1)
+    per_trial = np.mean(_squared_error(truth[:, win], estimate[:, win], wrap), axis=1)
     mse = float(np.mean(per_trial))
     stderr = float(np.std(per_trial, ddof=1) / math.sqrt(n_trials))
     return mse, stderr
 
 
 def windowed_mse(
-    truth: np.ndarray, estimate: np.ndarray, dt: float, start: float, n_windows: int = 4
+    truth: np.ndarray,
+    estimate: np.ndarray,
+    dt: float,
+    start: float,
+    n_windows: int = 4,
+    wrap: bool = False,
 ) -> np.ndarray:
     """Ensemble-mean squared error over logarithmically spaced time windows.
 
     Splits [start, T] into n_windows log-spaced segments and averages the
     squared error of all trials within each; a strictly increasing result
-    is the signature of an estimator with no stationary error.
+    is the signature of an estimator with no stationary error. ``wrap``
+    reduces the error to (-pi, pi] first, as in mse_statistics.
     """
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
@@ -509,7 +578,7 @@ def windowed_mse(
     if not 0 < start < t_end:
         raise ValidationError(f"window start {start} outside (0, {t_end})")
     edges = np.exp(np.linspace(math.log(start), math.log(t_end), n_windows + 1))
-    sq = (estimate - truth) ** 2
+    sq = _squared_error(truth, estimate, wrap)
     out = np.empty(n_windows)
     for k in range(n_windows):
         i0 = int(edges[k] / dt)
@@ -549,40 +618,34 @@ def simulate_filter_trials(
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
     cov = covariance_set(system)
-    ens = _run_filter_feedback(model, system, config, n_trials, cov.vf)
+    proj_f = proj_r = None
+    if smoother:
+        # Only the last row of the combination weights enters phi_s, so the
+        # smoother keeps y and the scalar projections of xf and xr, not the states.
+        w_f, w_r, _ = _smoothing_weights(cov.vf, cov.vr)
+        proj_f, proj_r = w_f[-1], w_r[-1]
+    ens = _run_filter_feedback(
+        model, system, config, n_trials, cov.vf, proj=proj_f, state_stats=full_state_stats
+    )
     mse, se = mse_statistics(ens.phi, ens.theta, config.dt, config.burn_in, wrap=wrap_errors)
     result = FilterTrialResult(n_trials=n_trials, filter_mse=mse, filter_stderr=se)
+    ens.theta = None  # paths no later reduction reads are dropped to lower the peak
 
     if full_state_stats:
         win = interior_slice(config.n_steps, config.dt, config.burn_in)
-        x_true = _reconstruct_truth(model, config, n_trials)
-        err = ens.xf[:, win] - x_true[:, win]
-        per_trial = np.einsum("bti,btj->bij", err, err) / err.shape[1]
+        per_trial = ens.error_moment / (win.stop - win.start)
         result.error_cov = per_trial.mean(axis=0)
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
 
     if smoother:
-        xr = run_retrofilter_pass(ens.y, system, cov.vr, config.dt)
-        xs, _ = combine_smoothed(ens.xf, xr, cov.vf, cov.vr)
-        phi_s = system.phase_scale * xs[:, :, -1]
+        phi_s = run_retrofilter_pass(ens.y, system, cov.vr, config.dt, weights=proj_r)
+        ens.y = None
+        phi_s += ens.xf_proj
+        phi_s *= system.phase_scale
         s_mse, s_se = mse_statistics(ens.phi, phi_s, config.dt, config.burn_in, wrap=wrap_errors)
         result.smoother_mse = s_mse
         result.smoother_stderr = s_se
     return result
-
-
-def _reconstruct_truth(model: PhaseModel, config: HomodyneConfig, n_trials: int) -> np.ndarray:
-    """Re-derive the true chain states of an ensemble from its noise streams."""
-    n_steps = config.n_steps
-    dt = config.dt
-    lam = model.damping_rates()
-    dw, _ = _trial_noise(config.seed, n_trials, n_steps, dt)
-    x = np.zeros((n_trials, model.n + 1))
-    out = np.empty((n_trials, n_steps, model.n + 1))
-    for i in range(n_steps):
-        out[:, i] = x
-        x = _chain_step(x, lam, dt, dw[:, i])
-    return out
 
 
 @dataclass(eq=False)
@@ -607,14 +670,15 @@ def run_abc_trials(
     """Ensemble of exponential-window feedback trials with divergence check.
 
     ``diverged`` is set when the ensemble windowed MSE increases strictly
-    across all log-spaced windows after burn-in.
+    across all log-spaced windows after burn-in; with ``wrap_errors`` the
+    windows square wrapped errors, like the MSE itself.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
     ens = _run_abc_feedback(model, system, config, n_trials, chi)
     mse, se = mse_statistics(ens.phi, ens.phi_abc, config.dt, config.burn_in, wrap=wrap_errors)
-    wins = windowed_mse(ens.phi, ens.phi_abc, config.dt, config.burn_in, n_windows)
+    wins = windowed_mse(ens.phi, ens.phi_abc, config.dt, config.burn_in, n_windows, wrap=wrap_errors)
     return AbcTrialResult(
         n_trials=n_trials,
         mse=mse,
@@ -645,19 +709,16 @@ def run_abc_linearized(
 def _abc_linearized_batch(
     model: PhaseModel, chi: float, dt: float, n_steps: int, seed: int, n_trials: int
 ) -> np.ndarray:
-    lam = model.damping_rates()
-    scale = model.phase_scale
     dw, db = _trial_noise(seed, n_trials, n_steps, dt)
-    x = np.zeros((n_trials, model.n + 1))
-    g = np.zeros(n_trials)  # int e^(chi(u-t)) phi(u) du
-    h = np.zeros(n_trials)  # OU noise term, stationary variance 1/(2 chi)
-    err = np.empty((n_trials, n_steps))
-    for i in range(n_steps):
-        phi = scale * x[:, -1]
-        err[:, i] = g - phi / chi + h
-        g = g + (phi - chi * g) * dt
-        h = h * (1.0 - chi * dt) + db[:, i]
-        x = _chain_step(x, lam, dt, dw[:, i])
+    phi = _open_loop_phase(model, dt, dw)
+    del dw
+    # Both terms are first-order recurrences in time, value before step i at i:
+    # g <- (1 - chi dt) g + phi dt is int e^(chi(u-t)) phi(u) du, and
+    # h <- (1 - chi dt) h + dB an OU noise of stationary variance 1/(2 chi).
+    decay = [1.0, -(1.0 - chi * dt)]
+    err = lfilter([0.0, dt], decay, phi, axis=-1)
+    err -= phi / chi
+    err += lfilter([0.0, 1.0], decay, db, axis=-1)
     return err
 
 

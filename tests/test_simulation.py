@@ -1,9 +1,11 @@
 """Feedback-loop simulation, offline passes, smoothing, and MSE statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetrack.errors import ValidationError
 from phasetrack.lg import build_lg_system, covariance_set
@@ -49,6 +51,28 @@ class TestConfig:
     def test_rejects_empty_interior(self):
         with pytest.raises(ValidationError, match="interior"):
             HomodyneConfig(photon_flux=1.0, dt=0.1, duration=10.0, burn_in=5.0, seed=0)
+
+    def test_parameter_rounding_accepted(self):
+        model, system, config = _setup(kappa=0.7, flux=100.0, duration_factor=30.0)
+        nudged = PhaseModel(2, math.nextafter(0.7, 1.0))  # 1 ulp off: the same kappa
+        rec = simulate_record(nudged, system, config)
+        assert len(rec.t) == config.n_steps
+
+    @pytest.mark.parametrize("field", ["kappa", "flux"])
+    def test_parameter_mismatch_rejected(self, field):
+        model, system, config = _setup(kappa=0.7, flux=100.0, duration_factor=30.0)
+        if field == "kappa":
+            model = PhaseModel(2, 0.7 * (1 + 1e-6))
+        else:
+            config = HomodyneConfig(
+                photon_flux=100.0 * (1 + 1e-6),
+                dt=config.dt,
+                duration=config.duration,
+                burn_in=config.burn_in,
+                seed=config.seed,
+            )
+        with pytest.raises(ValidationError, match=field):
+            simulate_record(model, system, config)
 
     def test_default_config_satisfies_invariants(self):
         _, system, config = _setup()
@@ -165,16 +189,28 @@ class TestRetrofilterPass:
         forward = run_filter_pass(((-1.0) ** n) * y[::-1], system, cov.vf, dt)
         assert np.max(np.abs(xr - parity * forward[::-1])) < 1e-10
 
+    def test_projection_matches_full_states(self):
+        system = build_lg_system(6, 1.0, 5.0)
+        cov = covariance_set(system)
+        y = np.random.default_rng(5).normal(size=(3, 400))
+        w = np.random.default_rng(6).normal(size=3)
+        dt = 0.01 * system.time_scale
+        full = run_retrofilter_pass(y, system, cov.vr, dt)
+        proj = run_retrofilter_pass(y, system, cov.vr, dt, weights=w)
+        assert proj.shape == y.shape
+        assert np.allclose(proj, full @ w, rtol=1e-12, atol=0.0)
+
     def test_retro_error_variance_p2(self):
         """Stationary anticausal phase error variance matches the predicted
         V_R (which equals V_F for p=2)."""
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=31)
         cov = covariance_set(system)
-        ens = sim._run_filter_feedback(model, system, config, 24, cov.vf)
-        xr = run_retrofilter_pass(ens.y, system, cov.vr, config.dt)
-        truth = sim._reconstruct_truth(model, config, 24)
+        # p = 2 has the single state x_0 = phi / kappa^(1/2)
+        ens = sim._run_filter_feedback(model, system, config, 24, cov.vf, proj=np.ones(1))
+        xr = run_retrofilter_pass(ens.y, system, cov.vr, config.dt, weights=np.ones(1))
+        truth = ens.phi / system.phase_scale
         win = sim.interior_slice(config.n_steps, config.dt, config.burn_in)
-        err = xr[:, win, 0] - truth[:, win, 0]
+        err = xr[:, win] - truth[:, win]
         per_trial = np.mean(err**2, axis=1)
         est = per_trial.mean()
         se = per_trial.std(ddof=1) / math.sqrt(24)
@@ -302,9 +338,119 @@ class TestWindowedMse:
         wins = windowed_mse(truth, est, dt=0.01, start=0.5, n_windows=4)
         assert np.all(np.diff(wins) > 0)
 
+    def test_wrap_option(self):
+        truth = np.zeros((2, 400))
+        est = np.full((2, 400), 0.1)
+        est[:, 200:] += 2 * math.pi  # a slip half way: the wrapped error is unchanged
+        wins = windowed_mse(truth, est, dt=0.01, start=0.5, n_windows=4, wrap=True)
+        assert wins == pytest.approx(np.full(4, 0.01), rel=1e-9)
+        assert windowed_mse(truth, est, dt=0.01, start=0.5, n_windows=4)[-1] > 39.0
+
     def test_stationary_error_not_flagged(self):
         rng = np.random.default_rng(2)
         truth = np.zeros((4, 4000))
         est = rng.normal(size=(4, 4000))
         wins = windowed_mse(truth, est, dt=0.01, start=1.0, n_windows=4)
         assert not np.all(np.diff(wins) > 0)
+
+
+class TestAbcWrappedWindows:
+    def test_windows_match_wrapped_mse_at_low_flux(self):
+        """At grid 3 cycle slips inflate unwrapped squares; with wrap_errors
+        the divergence windows see the same wrapped errors as the MSE."""
+        model, system, config = _setup(p=2, flux=9.0, duration_factor=20.0, linearized=False, seed=8)
+        res = sim.run_abc_trials(model, system, config, 6, math.sqrt(system.mu), wrap_errors=True)
+        assert np.all(res.window_mse < 4 * res.mse)
+        assert not res.diverged
+
+
+def _golden_system(p, grid, dampings=()):
+    return PhaseModel(p, 1.0, dampings), build_lg_system(p, 1.0, grid ** (p / (p - 1.0)))
+
+
+class TestGoldenValues:
+    """Ensemble statistics at fixed seeds, captured before the feedback loops
+    stopped storing state trajectories. Filter and exponential-window MSEs
+    must repeat bit for bit; the smoother and the state covariance only
+    reorder floating-point sums (projections instead of full combinations)."""
+
+    FILTER = {
+        # (p, grid, linearized, wrap, seed): (filter mse, stderr, smoother mse, stderr, error_cov diagonal)
+        (4, 30.0, False, False, 5): (
+            0.020609963629765915, 0.0025439650068320397, 0.003803981149175339, 0.0005871140890054469,
+            (0.40181317999885574, 0.020609963629765915),
+        ),
+        (2, 3.0, False, True, 6): (
+            0.18911765357531785, 0.026324053903938816, 0.08093454913114705, 0.012173578169019988,
+            (0.18911765357531782,),
+        ),
+        (6, 100.0, True, False, 7): (
+            0.0074157125331247775, 0.0007533531926806594, 0.0011455934549743324, 0.00020837920021649217,
+            (0.6494526284546391, 0.10505557844124551, 0.007415712533124774),
+        ),
+    }
+    ABC = {
+        # (grid, wrap, seed, cutoff): (mse, stderr, indeterminate steps)
+        (3.0, True, 8, None): (0.3671253784517272, 0.10009497769759486, 0),
+        (30.0, False, 9, None): (0.014174982579802287, 0.0020932054638856936, 0),
+        (30.0, True, 10, 0.5): (0.016762315821272186, 0.0013962204138629182, 0),
+    }
+
+    @pytest.mark.parametrize("key", list(FILTER))
+    def test_filter_and_smoother(self, key):
+        p, grid, linearized, wrap, seed = key
+        f_mse, f_se, s_mse, s_se, cov_diag = self.FILTER[key]
+        model, system = _golden_system(p, grid)
+        config = default_config(system, seed=seed, duration_factor=20.0, linearized=linearized)
+        res = simulate_filter_trials(
+            model, system, config, 6, smoother=True, full_state_stats=True, wrap_errors=wrap
+        )
+        assert (res.filter_mse, res.filter_stderr) == (f_mse, f_se)
+        assert res.smoother_mse == pytest.approx(s_mse, rel=1e-12)
+        assert res.smoother_stderr == pytest.approx(s_se, rel=1e-12)
+        assert np.diag(res.error_cov) == pytest.approx(cov_diag, rel=1e-12)
+
+    @pytest.mark.parametrize("key", list(ABC))
+    def test_abc(self, key):
+        grid, wrap, seed, cutoff = key
+        model, system = _golden_system(2, grid, (cutoff,) if cutoff else ())
+        config = default_config(system, seed=seed, duration_factor=20.0)
+        res = sim.run_abc_trials(model, system, config, 6, math.sqrt(system.mu), wrap_errors=wrap)
+        assert (res.mse, res.stderr, res.indeterminate_steps) == self.ABC[key]
+
+    def test_unwrapped_abc_windows(self):
+        model, system = _golden_system(2, 30.0)
+        config = default_config(system, seed=9, duration_factor=20.0)
+        res = sim.run_abc_trials(model, system, config, 6, math.sqrt(system.mu))
+        assert res.window_mse.tolist() == [
+            0.011136557804413767, 0.017023538812433084, 0.016579618060963936, 0.017125094625108327
+        ]
+
+    def test_abc_linearized(self):
+        model = PhaseModel(4, 1.0, (0.3, 0.0))
+        mse, se = sim.run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 6)
+        assert mse == pytest.approx(0.32676991895226487, rel=1e-12)
+        assert se == pytest.approx(0.017071769821753353, rel=1e-12)
+
+
+def _smoother_alloc_peak(p: int) -> int:
+    """tracemalloc peak of an 8-trial, 6000-step sin() smoother ensemble."""
+    model, system = PhaseModel(p, 1.0), build_lg_system(p, 1.0, 30.0 ** (p / (p - 1.0)))
+    dt = 0.01 * system.time_scale
+    config = HomodyneConfig(
+        photon_flux=system.photon_flux, dt=dt, duration=6000 * dt, burn_in=2000 * dt, seed=p
+    )
+    tracemalloc.start()
+    try:
+        simulate_filter_trials(model, system, config, 8, smoother=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=4, deadline=None)
+@given(p=st.sampled_from([4, 8, 12, 16, 20]))
+def test_smoother_memory_does_not_grow_with_p(p):
+    """Only (trials, steps) scalar paths are stored, so at fixed trials x
+    steps the allocation peak is the same for every chain length."""
+    assert _smoother_alloc_peak(p) <= 1.15 * _smoother_alloc_peak(2)
