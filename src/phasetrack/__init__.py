@@ -35,7 +35,6 @@ from .lg import (
     solve_filter_covariance_ode,
 )
 from .phase_process import (
-    ChainState,
     ChainTrajectory,
     PhaseModel,
     autocovariance,
@@ -47,11 +46,9 @@ from .phase_process import (
 from .simulation import (
     HomodyneConfig,
     SimulationRecord,
-    combine_smoothed,
     default_config,
     mse_statistics,
     run_abc,
-    run_abc_linearized,
     run_abc_linearized_trials,
     run_abc_trials,
     run_filter_pass,
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundQuery",
-    "ChainState",
     "ChainTrajectory",
     "CovarianceSet",
     "HomodyneConfig",
@@ -80,7 +76,6 @@ __all__ = [
     "abc_linearized_mse",
     "autocovariance",
     "build_lg_system",
-    "combine_smoothed",
     "covariance_set",
     "default_config",
     "filter_mse_power_law",
@@ -95,7 +90,6 @@ __all__ = [
     "retro_covariance",
     "riccati_residual",
     "run_abc",
-    "run_abc_linearized",
     "run_abc_linearized_trials",
     "run_abc_trials",
     "run_filter_pass",

@@ -20,7 +20,6 @@ from .errors import NumericalError, ValidationError
 
 __all__ = [
     "PhaseModel",
-    "ChainState",
     "ChainTrajectory",
     "spectrum",
     "autocovariance",
@@ -97,14 +96,6 @@ class PhaseModel:
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """Chain state vector (x_0 ... x_n) at one instant."""
-
-    x: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
 class ChainTrajectory:
     """Sampled chain path.
 
@@ -123,16 +114,6 @@ class ChainTrajectory:
     @property
     def phi(self) -> np.ndarray:
         return self.model.phase_scale * self.x[:, -1]
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> ChainState:
-        return ChainState(x=self.x[i], t=float(self.t[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def spectrum(model: PhaseModel, omega):

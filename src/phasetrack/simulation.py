@@ -8,16 +8,17 @@ Per step of size dt, with theta the controller's current phase estimate:
     y    = I + 2 sqrt(N) theta                       (rescaled signal)
 
 The causal estimator integrates dxf = (A - V_F C^T C) xf dt + V_F C^T y dt
-and feeds back theta = kappa^(n+1/2) xf[n]. The anticausal pass runs the
-mirrored recursion backward over the stored y, and the two combine into the
-smoothed estimate through the information sum. Phase is tracked on the real
-line throughout; nothing is wrapped mod 2 pi.
+and feeds back theta = kappa^(n+1/2) xf[n]. The anticausal pass is the same
+linear recurrence run backward over the stored y with the mirrored matrices,
+and the two combine into the smoothed estimate through the information sum.
+Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
 
 The phase path never depends on the estimate, so each ensemble's chain is
 integrated open-loop before its feedback loop runs. Ensembles store only
-(trials, steps) scalar paths: the smoother needs just the last row of the
-combination weights, so it keeps y and the projection w_f[-1] . xf and the
-backward pass returns w_r[-1] . xr. Single records keep the full states.
+(trials, steps) scalar paths. The smoothed phase needs just the last row of
+the combination weights, so the smoother keeps y and the projection
+w_f[-1] . xf, and the backward pass returns w_r[-1] . xr. Single records
+also keep the causal states xf.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -45,11 +46,9 @@ __all__ = [
     "simulate_filter_trials",
     "run_filter_pass",
     "run_retrofilter_pass",
-    "combine_smoothed",
     "smooth_record",
     "run_abc",
     "run_abc_trials",
-    "run_abc_linearized",
     "run_abc_linearized_trials",
     "mse_statistics",
     "windowed_mse",
@@ -146,8 +145,8 @@ class SimulationRecord:
     ``current`` holds the photocurrent increments I dt; ``y`` is the
     rescaled signal I + 2 sqrt(N) theta as a rate. ``theta`` is the causal
     estimate fed back at each step, so phi_f (filter mode) equals theta.
-    Smoothing fills xr, xs, phi_s later; phi_s is NaN outside the interior
-    window. ABC-mode records carry phi_abc instead of the filter fields.
+    Smoothing fills phi_s later; it is NaN outside the interior window.
+    ABC-mode records carry phi_abc instead of the filter fields.
     """
 
     config: HomodyneConfig
@@ -158,8 +157,6 @@ class SimulationRecord:
     y: np.ndarray
     xf: Optional[np.ndarray] = None
     phi_f: Optional[np.ndarray] = None
-    xr: Optional[np.ndarray] = None
-    xs: Optional[np.ndarray] = None
     phi_s: Optional[np.ndarray] = None
     phi_abc: Optional[np.ndarray] = None
     abc_indeterminate_steps: int = 0
@@ -215,9 +212,37 @@ def _filter_matrices(system: LgSystem, vf: np.ndarray):
 
 
 def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
-    """(w_f, w_r, vs) of the information sum xs = w_f xf + w_r xr."""
+    """Last rows (w_f[-1], w_r[-1]) of the information sum xs = w_f xf + w_r xr,
+    with w_f = V_S V_F^-1 and w_r = V_S V_R^-1: the rows that give phi_s."""
     vs = smoother_covariance(vf, vr)
-    return vs @ np.linalg.inv(vf), vs @ np.linalg.inv(vr), vs
+    return (vs @ np.linalg.inv(vf))[-1], (vs @ np.linalg.inv(vr))[-1]
+
+
+def _linear_pass(
+    y: np.ndarray,
+    closed: np.ndarray,
+    gain: np.ndarray,
+    dt: float,
+    weights: Optional[np.ndarray] = None,
+    reverse: bool = False,
+) -> np.ndarray:
+    """Euler recurrence x <- x + closed x dt + gain y dt over a stored signal.
+
+    y has shape (..., T) as a rate; x starts from zero at the first sample
+    (the last with ``reverse``) and entry [..., i, :] is the state before
+    sample i is taken in. Returns states of shape (..., T, n+1), or with
+    ``weights`` only the projection weights . x in the shape of y.
+    """
+    orig_ndim = np.asarray(y).ndim
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    closed_t = closed.T * dt
+    n_trials, n_steps = y.shape
+    x = np.zeros((n_trials, len(gain)))
+    out = np.empty(y.shape if weights is not None else y.shape + (len(gain),))
+    for i in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
+        out[:, i] = x if weights is None else x @ weights
+        x = x + x @ closed_t + (y[:, i] * dt)[:, None] * gain
+    return out if orig_ndim > 1 else out[0]
 
 
 @dataclass(eq=False)
@@ -423,17 +448,8 @@ def run_filter_pass(y: np.ndarray, system: LgSystem, vf: np.ndarray, dt: float) 
     starting from zero, where entry [..., i, :] is the state at t_i (built
     from samples before i).
     """
-    orig_ndim = np.asarray(y).ndim
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     closed, gain = _filter_matrices(system, vf)
-    closed_t = closed.T * dt
-    n_trials, n_steps = y.shape
-    xf = np.zeros((n_trials, system.n_states))
-    out = np.empty((n_trials, n_steps, system.n_states))
-    for i in range(n_steps):
-        out[:, i] = xf
-        xf = xf + xf @ closed_t + (y[:, i] * dt)[:, None] * gain
-    return out if orig_ndim > 1 else out[0]
+    return _linear_pass(y, closed, gain, dt)
 
 
 def run_retrofilter_pass(
@@ -447,48 +463,26 @@ def run_retrofilter_pass(
     With ``weights`` (length n+1) only the projection weights . z is kept,
     and the result has the shape of y.
     """
-    orig_ndim = np.asarray(y).ndim
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     ctc = np.outer(system.c, system.c)
-    closed_t = (-system.a - vr @ ctc).T * dt
-    gain = vr @ system.c
-    n_trials, n_steps = y.shape
-    z = np.zeros((n_trials, system.n_states))
-    out = np.empty(y.shape if weights is not None else y.shape + (system.n_states,))
-    for i in range(n_steps - 1, -1, -1):
-        out[:, i] = z if weights is None else z @ weights
-        z = z + z @ closed_t + (y[:, i] * dt)[:, None] * gain
-    return out if orig_ndim > 1 else out[0]
-
-
-def combine_smoothed(
-    xf: np.ndarray, xr: np.ndarray, vf: np.ndarray, vr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise optimal combination xs = V_S (V_F^-1 xf + V_R^-1 xr).
-
-    Accepts state arrays of shape (..., n+1); returns (xs, vs) with
-    vs = (V_F^-1 + V_R^-1)^-1.
-    """
-    w_f, w_r, vs = _smoothing_weights(vf, vr)
-    xs = np.asarray(xf) @ w_f.T + np.asarray(xr) @ w_r.T
-    return xs, vs
+    return _linear_pass(y, -system.a - vr @ ctc, vr @ system.c, dt, weights, reverse=True)
 
 
 def smooth_record(record: SimulationRecord, system: LgSystem) -> SimulationRecord:
-    """Fill the anticausal and smoothed trajectories of a filter-mode record.
+    """Fill the smoothed phase phi_s of a filter-mode record.
 
-    phi_s is defined only on the interior window (burn-in trimmed from both
+    phi_s is the information sum of the causal states and the anticausal
+    pass, defined only on the interior window (burn-in trimmed from both
     ends); outside it is NaN.
     """
     if record.xf is None:
         raise ValidationError("record has no causal pass to combine with")
     cov = covariance_set(system)
-    record.xr = run_retrofilter_pass(record.y, system, cov.vr, record.config.dt)
-    xs, _ = combine_smoothed(record.xf, record.xr, cov.vf, cov.vr)
-    record.xs = xs
+    proj_f, proj_r = _smoothing_weights(cov.vf, cov.vr)
+    xs_last = run_retrofilter_pass(record.y, system, cov.vr, record.config.dt, weights=proj_r)
+    xs_last += record.xf @ proj_f
     phi_s = np.full(record.t.shape, np.nan)
     win = interior_slice(len(record.t), record.config.dt, record.config.burn_in)
-    phi_s[win] = system.phase_scale * xs[win, -1]
+    phi_s[win] = system.phase_scale * xs_last[win]
     record.phi_s = phi_s
     return record
 
@@ -622,8 +616,7 @@ def simulate_filter_trials(
     if smoother:
         # Only the last row of the combination weights enters phi_s, so the
         # smoother keeps y and the scalar projections of xf and xr, not the states.
-        w_f, w_r, _ = _smoothing_weights(cov.vf, cov.vr)
-        proj_f, proj_r = w_f[-1], w_r[-1]
+        proj_f, proj_r = _smoothing_weights(cov.vf, cov.vr)
     ens = _run_filter_feedback(
         model, system, config, n_trials, cov.vf, proj=proj_f, state_stats=full_state_stats
     )
@@ -689,27 +682,23 @@ def run_abc_trials(
     )
 
 
-def run_abc_linearized(
-    model: PhaseModel, chi: float, dt: float, n_steps: int, seed: int
-) -> np.ndarray:
-    """Error path of the linearized exponential-window estimator.
+def run_abc_linearized_trials(
+    model: PhaseModel, chi: float, dt: float, duration: float, burn_in: float, seed: int, n_trials: int
+) -> tuple[float, float]:
+    """Ensemble stationary MSE of the linearized exponential-window estimator.
 
-    Simulates e(t) = int e^(chi(u-t)) [phi(u) - phi(t)] du + h(t) with h an
-    independent Ornstein-Uhlenbeck noise of stationary variance 1/(2 chi),
-    the decomposition whose stationary second moment the closed form
-    abc_linearized_mse gives. Returns the error at each grid point.
+    Simulates the error e(t) = int e^(chi(u-t)) [phi(u) - phi(t)] du + h(t)
+    with h an independent Ornstein-Uhlenbeck noise of stationary variance
+    1/(2 chi), the decomposition whose stationary second moment the closed
+    form abc_linearized_mse gives.
     """
     if not chi > 0:
         raise ValidationError(f"chi must be positive, got {chi}")
     if dt * chi >= 0.1:
         raise ValidationError(f"dt={dt} too coarse for chi={chi}")
-    return _abc_linearized_batch(model, chi, dt, n_steps, seed, 1)[0]
-
-
-def _abc_linearized_batch(
-    model: PhaseModel, chi: float, dt: float, n_steps: int, seed: int, n_trials: int
-) -> np.ndarray:
-    dw, db = _trial_noise(seed, n_trials, n_steps, dt)
+    if n_trials < 2:
+        raise ValidationError("need at least 2 trials")
+    dw, db = _trial_noise(seed, n_trials, int(round(duration / dt)), dt)
     phi = _open_loop_phase(model, dt, dw)
     del dw
     # Both terms are first-order recurrences in time, value before step i at i:
@@ -719,15 +708,4 @@ def _abc_linearized_batch(
     err = lfilter([0.0, dt], decay, phi, axis=-1)
     err -= phi / chi
     err += lfilter([0.0, 1.0], decay, db, axis=-1)
-    return err
-
-
-def run_abc_linearized_trials(
-    model: PhaseModel, chi: float, dt: float, duration: float, burn_in: float, seed: int, n_trials: int
-) -> tuple[float, float]:
-    """Ensemble stationary MSE of the linearized exponential-window estimator."""
-    if n_trials < 2:
-        raise ValidationError("need at least 2 trials")
-    n_steps = int(round(duration / dt))
-    err = _abc_linearized_batch(model, chi, dt, n_steps, seed, n_trials)
     return mse_statistics(np.zeros_like(err), err, dt, burn_in)

@@ -9,8 +9,10 @@ exponent's asymptotic MSE is the same power of the grid value.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -245,26 +247,27 @@ def _point_task(args):
 def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
     """Execute every (p, grid) point and stream rows to CSV.
 
-    Points are dispatched to a process pool when workers > 1; rows are
-    written in deterministic point order and flushed per point, so an
-    interrupted sweep leaves a valid prefix of the full file.
+    Points are dispatched to a process pool of min(workers, points, CPUs)
+    processes when that exceeds 1; rows are written in deterministic point
+    order and flushed per point, so an interrupted sweep leaves a valid
+    prefix of the full file.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     points = [(spec, pi, gi) for pi in range(len(spec.p_values)) for gi in range(len(spec.grid))]
+    workers = min(workers, len(points), os.cpu_count() or 1)
     all_rows: list[dict] = []
-    with open(output_path, "w", newline="", encoding="utf-8") as fh:
+    with open(output_path, "w", newline="", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
         fh.flush()
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rows in pool.map(_point_task, points, chunksize=1):
-                    writer.writerows(rows)
-                    fh.flush()
-                    all_rows.extend(rows)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_point_task, points, chunksize=1)
         else:
-            for task in points:
-                rows = _point_task(task)
-                writer.writerows(rows)
-                fh.flush()
-                all_rows.extend(rows)
+            results = map(_point_task, points)
+        for rows in results:
+            writer.writerows(rows)
+            fh.flush()
+            all_rows.extend(rows)
     return all_rows

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasetrack.cli import main
-from phasetrack.sweep import CSV_HEADER, parse_sweep_spec
+from phasetrack.sweep import CSV_HEADER, parse_sweep_spec, run_sweep
 from phasetrack.errors import ValidationError
 
 
@@ -233,6 +233,22 @@ class TestSweep:
         run_cli(capsys, "sweep", str(spec), "-o", str(out1))
         run_cli(capsys, "sweep", str(spec), "-o", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, workers):
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10", estimators="filter", trials="4", duration_factor="100")
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(out), "--workers", workers)
+        assert code == 2
+        assert "workers" in err
+        assert not out.exists()
+
+    def test_run_sweep_rejects_zero_workers(self, tmp_path):
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10", estimators="filter", trials="4", duration_factor="100")
+        with pytest.raises(ValidationError, match="workers"):
+            run_sweep(parse_sweep_spec(spec), tmp_path / "o.csv", workers=0)
 
     def test_worker_pool_matches_serial(self, capsys, tmp_path):
         spec = tmp_path / "sweep.ini"

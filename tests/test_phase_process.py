@@ -157,10 +157,10 @@ class TestTrajectories:
 
     def test_states_iterable(self):
         traj = sample_trajectory(PhaseModel(2, 1.0), 0.1, 10, 0)
-        states = list(traj)
-        assert len(states) == 11
-        assert states[3].t == pytest.approx(0.3)
-        assert states[0].x.shape == (1,)
+        assert traj.t.shape == (11,)
+        assert traj.t[3] == pytest.approx(0.3)
+        assert traj.x.shape == (11, 1)
+        assert np.all(traj.x[0] == 0.0)
 
     def test_input_validation(self):
         model = PhaseModel(2, 1.0)

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasetrack.errors import ValidationError
-from phasetrack.lg import build_lg_system, covariance_set
+from phasetrack.lg import build_lg_system, covariance_set, smoother_covariance
 from phasetrack.phase_process import PhaseModel
 from phasetrack import simulation as sim
 from phasetrack.simulation import (
     HomodyneConfig,
-    combine_smoothed,
     default_config,
     mse_statistics,
     run_abc,
@@ -174,7 +173,7 @@ class TestRetrofilterPass:
         xr = run_retrofilter_pass(np.zeros(100), system, cov.vr, 1e-4)
         assert np.all(xr == 0.0)
 
-    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("p", [2, 4, 6, 8, 12, 20])
     def test_time_reversal_structure(self, p):
         """The anticausal pass equals a causal pass run on the reversed,
         sign-adjusted record, with alternating state signs."""
@@ -219,22 +218,31 @@ class TestRetrofilterPass:
 
 class TestCombineSmoothed:
     def test_equal_covariances_average(self):
+        """With V_F = V_R the information sum is the plain average, so phi_s
+        reads half of each pass's last state component."""
         v = np.array([[2.0, 0.1], [0.1, 1.0]])
-        xf = np.random.default_rng(0).normal(size=(50, 2))
-        xr = np.random.default_rng(1).normal(size=(50, 2))
-        xs, vs = combine_smoothed(xf, xr, v, v)
-        assert xs == pytest.approx((xf + xr) / 2, abs=1e-12)
-        assert vs == pytest.approx(v / 2, abs=1e-12)
+        w_f, w_r = sim._smoothing_weights(v, v)
+        assert w_f == pytest.approx([0.0, 0.5], abs=1e-12)
+        assert w_r == pytest.approx([0.0, 0.5], abs=1e-12)
 
     def test_smooth_record_interior_window(self):
-        model, system, config = _setup(duration_factor=60.0)
-        rec = smooth_record(simulate_record(model, system, config), system)
-        k = int(round(config.burn_in / config.dt))
-        assert np.all(np.isnan(rec.phi_s[:k]))
-        assert np.all(np.isnan(rec.phi_s[-k:]))
-        inner = rec.phi_s[k : len(rec.t) - k]
-        assert not np.any(np.isnan(inner))
-        assert rec.xs is not None and rec.xr is not None
+        """phi_s is the full-state information sum V_S (V_F^-1 xf + V_R^-1 xr),
+        read off at the phase component, on the interior window only."""
+        for p in (2, 4, 6):
+            model, system, config = _setup(p=p, duration_factor=60.0)
+            rec = smooth_record(simulate_record(model, system, config), system)
+            k = int(round(config.burn_in / config.dt))
+            assert np.all(np.isnan(rec.phi_s[:k]))
+            assert np.all(np.isnan(rec.phi_s[-k:]))
+            inner = rec.phi_s[k : len(rec.t) - k]
+            assert not np.any(np.isnan(inner))
+
+            cov = covariance_set(system)
+            xr = run_retrofilter_pass(rec.y, system, cov.vr, config.dt)
+            vs = smoother_covariance(cov.vf, cov.vr)
+            xs = (rec.xf @ np.linalg.inv(cov.vf).T + xr @ np.linalg.inv(cov.vr).T) @ vs.T
+            reference = system.phase_scale * xs[k : len(rec.t) - k, -1]
+            assert np.max(np.abs(inner - reference)) <= 1e-14 * np.max(np.abs(inner)), p
 
     def test_smoothing_beats_filtering(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=41)
@@ -292,6 +300,13 @@ class TestAbc:
         model, system, config = _setup(duration_factor=30.0)
         with pytest.raises(ValidationError):
             run_abc(model, system, config, chi=0.0)
+
+    @pytest.mark.parametrize("chi, match", [(0.0, "chi"), (-1.0, "chi"), (50.0, "too coarse")])
+    def test_linearized_trials_reject_bad_chi(self, chi, match):
+        """chi must be positive and resolved by the grid (dt chi < 0.1)."""
+        model = PhaseModel(4, 1.0, (0.3, 0.0))
+        with pytest.raises(ValidationError, match=match):
+            sim.run_abc_linearized_trials(model, chi, 0.005, 60.0, 10.0, 11, 6)
 
 
 class TestMseStatistics:
