@@ -1,8 +1,8 @@
 """Command-line front end: bound tables, steady-state covariances, single
 simulation records, and flux sweeps with CSV output.
 
-Exit codes: 0 success, 2 invalid parameters or spec, 3 numerical failure
-(divergent bound, stalled iteration).
+Exit codes: 0 success, 2 invalid parameters or spec, or a run too large
+for memory, 3 numerical failure (divergent bound, stalled iteration).
 """
 
 from __future__ import annotations
@@ -98,21 +98,12 @@ def cmd_riccati(args) -> int:
 
 
 def _record_csv_rows(record):
-    def col(arr, i):
-        if arr is None:
-            return float("nan")
-        return float(arr[i])
-
-    for i in range(len(record.t)):
-        yield [
-            repr(float(record.t[i])),
-            repr(float(record.phi[i])),
-            repr(float(record.theta[i])),
-            repr(float(record.y[i])),
-            repr(col(record.phi_f, i)),
-            repr(col(record.phi_s, i)),
-            repr(col(record.phi_abc, i)),
-        ]
+    """CSV rows of the record's first trial; absent paths read nan."""
+    nan = np.full(len(record.t), np.nan)
+    paths = (record.phi, record.theta, record.y, record.phi_f, record.phi_s, record.phi_abc)
+    columns = [record.t] + [nan if a is None else a[0] for a in paths]
+    for values in zip(*columns):
+        yield [repr(float(v)) for v in values]
 
 
 def cmd_simulate(args) -> int:
@@ -213,6 +204,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -14,11 +14,11 @@ and the two combine into the smoothed estimate through the information sum.
 Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
 
 The phase path never depends on the estimate, so each ensemble's chain is
-integrated open-loop before its feedback loop runs. Ensembles store only
-(trials, steps) scalar paths. The smoothed phase needs just the last row of
-the combination weights, so the smoother keeps y and the projection
-w_f[-1] . xf, and the backward pass returns w_r[-1] . xr. Single records
-also keep the causal states xf.
+integrated open-loop before its feedback loop runs. Both feedback loops build
+a SimulationRecord of (trials, steps) scalar paths; a single record is the
+one-row case. The smoothed phase needs just the last row of the combination
+weights, so the filter loop keeps the projection w_f[-1] . xf instead of the
+states, and the backward pass returns w_r[-1] . xr.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ValidationError
-from .lg import LgSystem, covariance_set, smoother_covariance
+from .lg import CovarianceSet, LgSystem, covariance_set, smoother_covariance
 from .phase_process import PhaseModel, chain_stages
 
 __all__ = [
@@ -133,29 +133,34 @@ def _validate_against_system(model: PhaseModel, system: LgSystem, config: Homody
             raise ValidationError(
                 f"burn_in={config.burn_in:.3g} too short: must be >= 20 mu^(-1/p) = {20 * tau:.3g}"
             )
+    _check_damping(model, config.dt)
+
+
+def _check_damping(model: PhaseModel, dt: float) -> None:
     lam = model.damping_rates()
-    if np.max(lam) * config.dt >= 0.1:
-        raise ValidationError(f"dt={config.dt} too coarse for damping rates {tuple(lam)}")
+    if np.max(lam) * dt >= 0.1:
+        raise ValidationError(f"dt={dt} too coarse for damping rates {tuple(lam)}")
 
 
 @dataclass(eq=False)
 class SimulationRecord:
-    """One trial's trajectories on a shared time grid.
+    """Trajectories of one or more trials on a shared 1-D time grid ``t``.
 
-    ``current`` holds the photocurrent increments I dt; ``y`` is the
-    rescaled signal I + 2 sqrt(N) theta as a rate. ``theta`` is the causal
-    estimate fed back at each step, so phi_f (filter mode) equals theta.
-    Smoothing fills phi_s later; it is NaN outside the interior window.
-    ABC-mode records carry phi_abc instead of the filter fields.
+    Every path is (n_trials, T), one row per trial; a single record is the
+    one-row case. ``y`` is the rescaled signal I + 2 sqrt(N) theta as a
+    rate, and ``theta`` is the estimate fed back at each step. Filter-mode
+    records set phi_f to theta and may keep ``xf_proj``, the causal
+    projection w_f[-1] . xf that smoothing combines with the backward pass;
+    phi_s is NaN outside the interior window. ABC-mode records carry
+    phi_abc instead of the filter fields.
     """
 
     config: HomodyneConfig
     t: np.ndarray
     phi: np.ndarray
-    theta: np.ndarray
-    current: np.ndarray
-    y: np.ndarray
-    xf: Optional[np.ndarray] = None
+    theta: Optional[np.ndarray]
+    y: Optional[np.ndarray]
+    xf_proj: Optional[np.ndarray] = None
     phi_f: Optional[np.ndarray] = None
     phi_s: Optional[np.ndarray] = None
     phi_abc: Optional[np.ndarray] = None
@@ -245,43 +250,20 @@ def _linear_pass(
     return out if orig_ndim > 1 else out[0]
 
 
-@dataclass(eq=False)
-class _Ensemble:
-    """Batched (n_trials, T) trajectories, one row per trial (internal).
-
-    A feedback loop fills only the optional fields its caller asks for:
-    ensembles keep the scalar paths their reductions read, single records
-    keep everything (including the (1, T, n+1) causal states ``xf``).
-    """
-
-    t: np.ndarray
-    phi: np.ndarray
-    theta: Optional[np.ndarray] = None
-    current: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    xf: Optional[np.ndarray] = None
-    xf_proj: Optional[np.ndarray] = None  # proj . xf at each step
-    error_moment: Optional[np.ndarray] = None  # per-trial interior sum of (xf - x)(xf - x)^T
-    phi_abc: Optional[np.ndarray] = None
-    abc_indeterminate_steps: int = 0
-
-
 def _run_filter_feedback(
     model: PhaseModel,
     system: LgSystem,
     config: HomodyneConfig,
     n_trials: int,
     vf: np.ndarray,
-    record: bool = False,
     proj: Optional[np.ndarray] = None,
-    state_stats: bool = False,
-) -> _Ensemble:
+    error_moment: Optional[np.ndarray] = None,
+) -> SimulationRecord:
     """Causal estimator in the feedback loop, batched over trials.
 
-    Always keeps phi and theta. ``proj`` keeps what smoothing reads: the
-    rescaled signal y and the projection proj . xf at each step. ``record``
-    keeps y, the photocurrent and the full causal states, and
-    ``state_stats`` accumulates the interior error moment against the true
+    Keeps phi, theta and the rescaled signal y. ``proj`` also keeps the
+    projection proj . xf at each step, and ``error_moment`` (n_trials, n+1,
+    n+1) accumulates the interior sum of (xf - x)(xf - x)^T against the true
     chain states.
     """
     n_steps = config.n_steps
@@ -292,18 +274,13 @@ def _run_filter_feedback(
     closed_t = closed.T * dt
 
     dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
-    ens = _Ensemble(t=np.arange(n_steps) * dt, phi=_open_loop_phase(model, dt, dw))
-    phi_a = ens.phi
-    theta_a = ens.theta = np.empty_like(phi_a)
-    y_a = ens.y = np.empty_like(phi_a) if record or proj is not None else None
-    proj_a = ens.xf_proj = np.empty_like(phi_a) if proj is not None else None
-    if record:
-        ens.current = np.empty_like(phi_a)
-        ens.xf = np.empty((n_trials, n_steps, system.n_states))
-    if state_stats:
+    phi_a = _open_loop_phase(model, dt, dw)
+    theta_a = np.empty_like(phi_a)
+    y_a = np.empty_like(phi_a)
+    proj_a = np.empty_like(phi_a) if proj is not None else None
+    if error_moment is not None:
         win = interior_slice(n_steps, dt, config.burn_in)
         truth = _chain_state_blocks(model, dt, dw)
-        ens.error_moment = np.zeros((n_trials, system.n_states, system.n_states))
     del dw
 
     xf = np.zeros((n_trials, system.n_states))
@@ -315,22 +292,20 @@ def _run_filter_feedback(
         y = idt / dt + two_sqrt_n * theta
 
         theta_a[:, i] = theta
-        if y_a is not None:
-            y_a[:, i] = y
+        y_a[:, i] = y
         if proj_a is not None:
-            proj_a[:, i] = xf @ proj
-        if record:
-            ens.current[:, i] = idt
-            ens.xf[:, i] = xf
-        if state_stats:
+            proj_a[:, i] = xf.dot(proj)  # the bits of xf @ proj, with less call overhead
+        if error_moment is not None:
             if i % _TRUTH_BLOCK == 0:
                 x_block = next(truth)
             if win.start <= i < win.stop:
                 err = xf - x_block[:, i % _TRUTH_BLOCK]
-                ens.error_moment += err[:, :, None] * err[:, None, :]
+                error_moment += err[:, :, None] * err[:, None, :]
 
         xf = xf + xf @ closed_t + (y * dt)[:, None] * gain
-    return ens
+    return SimulationRecord(
+        config, np.arange(n_steps) * dt, phi_a, theta_a, y_a, xf_proj=proj_a, phi_f=theta_a
+    )
 
 
 def _abc_phase_update(
@@ -369,12 +344,11 @@ def _run_abc_feedback(
     config: HomodyneConfig,
     n_trials: int,
     chi: float,
-    record: bool = False,
-) -> _Ensemble:
+) -> SimulationRecord:
     """Exponential-window estimator in the feedback loop, batched over trials.
 
-    Keeps phi and the estimate after each step; ``record`` additionally keeps
-    the fed-back theta, the photocurrent and the rescaled signal.
+    Keeps phi, the estimate after each step (phi_abc), the theta fed back
+    at each step (the estimate one step earlier) and the rescaled signal y.
     """
     if not chi > 0:
         raise ValidationError(f"chi must be positive, got {chi}")
@@ -384,13 +358,12 @@ def _run_abc_feedback(
     decay = math.exp(-chi * dt)
 
     dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
-    ens = _Ensemble(t=np.arange(n_steps) * dt, phi=_open_loop_phase(model, dt, dw))
+    phi_a = _open_loop_phase(model, dt, dw)
     del dw
-    phi_a = ens.phi
-    est_a = ens.phi_abc = np.empty_like(phi_a)
-    if record:
-        ens.current = np.empty_like(phi_a)
-        ens.y = np.empty_like(phi_a)
+    # est[:, i] is the theta fed back at step i, est[:, i + 1] the estimate after it
+    est = np.empty((n_trials, n_steps + 1))
+    est[:, 0] = 0.0
+    y_a = np.empty_like(phi_a)  # photocurrent I dt until the loop ends
     a = np.zeros(n_trials, dtype=complex)
     b = np.zeros(n_trials, dtype=complex)
     theta = np.zeros(n_trials)
@@ -400,9 +373,7 @@ def _run_abc_feedback(
         delta = phi_a[:, i] - theta
         resp = delta if config.linearized else np.sin(delta)
         idt = two_sqrt_n * resp * dt + db[:, i]
-        if record:
-            ens.current[:, i] = idt
-            ens.y[:, i] = idt / dt + two_sqrt_n * theta
+        y_a[:, i] = idt
 
         # Discounted functionals, phasors taken at the physical oscillator
         # phase theta + pi/2 (the sin() photocurrent is that quadrature).
@@ -412,33 +383,33 @@ def _run_abc_feedback(
         cand, hold = _abc_phase_update(a, b, theta, config.photon_flux)
         held += int(np.count_nonzero(hold))
         theta = np.where(hold, theta, cand)
-        est_a[:, i] = theta
+        est[:, i + 1] = theta
 
-    if record:
-        # theta fed back at step i is the estimate after step i-1
-        ens.theta = np.concatenate([np.zeros((n_trials, 1)), est_a[:, :-1]], axis=1)
-    ens.abc_indeterminate_steps = held
-    return ens
+    theta_a = est[:, :-1]
+    y_a /= dt
+    y_a += two_sqrt_n * theta_a
+    return SimulationRecord(
+        config,
+        np.arange(n_steps) * dt,
+        phi_a,
+        theta_a,
+        y_a,
+        phi_abc=est[:, 1:],
+        abc_indeterminate_steps=held,
+    )
 
 
 def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
-    """One trial with the causal estimator in the feedback loop."""
+    """One trial with the causal estimator in the feedback loop, as a one-row
+    record. With a measurement (mu > 0) it keeps the causal projection that
+    smooth_record combines with the backward pass."""
     _validate_against_system(model, system, config)
     if system.mu > 0:
-        vf = covariance_set(system).vf
-    else:
-        vf = np.zeros((system.n_states, system.n_states))  # no measurement: zero gain
-    ens = _run_filter_feedback(model, system, config, 1, vf, record=True)
-    return SimulationRecord(
-        config=config,
-        t=ens.t,
-        phi=ens.phi[0],
-        theta=ens.theta[0],
-        current=ens.current[0],
-        y=ens.y[0],
-        xf=ens.xf[0],
-        phi_f=ens.theta[0].copy(),
-    )
+        cov = covariance_set(system)
+        proj_f = _smoothing_weights(cov.vf, cov.vr)[0]
+        return _run_filter_feedback(model, system, config, 1, cov.vf, proj=proj_f)
+    vf = np.zeros((system.n_states, system.n_states))  # no measurement: zero gain
+    return _run_filter_feedback(model, system, config, 1, vf)
 
 
 def run_filter_pass(y: np.ndarray, system: LgSystem, vf: np.ndarray, dt: float) -> np.ndarray:
@@ -467,30 +438,39 @@ def run_retrofilter_pass(
     return _linear_pass(y, -system.a - vr @ ctc, vr @ system.c, dt, weights, reverse=True)
 
 
-def smooth_record(record: SimulationRecord, system: LgSystem) -> SimulationRecord:
-    """Fill the smoothed phase phi_s of a filter-mode record.
+def _smoothed_phase(record: SimulationRecord, system: LgSystem, cov: CovarianceSet) -> np.ndarray:
+    """phi_s of every trial of a filter-mode record, (n_trials, T).
 
-    phi_s is the information sum of the causal states and the anticausal
-    pass, defined only on the interior window (burn-in trimmed from both
-    ends); outside it is NaN.
+    The backward pass projected with w_r[-1], plus the stored w_f[-1] . xf,
+    scaled to the phase: the information sum read off at the phase
+    component. NaN outside the interior window (burn-in trimmed from both
+    ends).
     """
-    if record.xf is None:
-        raise ValidationError("record has no causal pass to combine with")
-    cov = covariance_set(system)
-    proj_f, proj_r = _smoothing_weights(cov.vf, cov.vr)
-    xs_last = run_retrofilter_pass(record.y, system, cov.vr, record.config.dt, weights=proj_r)
-    xs_last += record.xf @ proj_f
-    phi_s = np.full(record.t.shape, np.nan)
-    win = interior_slice(len(record.t), record.config.dt, record.config.burn_in)
-    phi_s[win] = system.phase_scale * xs_last[win]
-    record.phi_s = phi_s
+    config = record.config
+    proj_r = _smoothing_weights(cov.vf, cov.vr)[1]
+    phi_s = run_retrofilter_pass(record.y, system, cov.vr, config.dt, weights=proj_r)
+    phi_s += record.xf_proj
+    phi_s *= system.phase_scale
+    win = interior_slice(config.n_steps, config.dt, config.burn_in)
+    phi_s[:, : win.start] = np.nan
+    phi_s[:, win.stop :] = np.nan
+    return phi_s
+
+
+def smooth_record(record: SimulationRecord, system: LgSystem) -> SimulationRecord:
+    """Fill the smoothed phase phi_s of a filter-mode record (NaN outside
+    the interior window)."""
+    if record.xf_proj is None:
+        raise ValidationError("record has no causal projection to combine with")
+    record.phi_s = _smoothed_phase(record, system, covariance_set(system))
     return record
 
 
 def run_abc(
     model: PhaseModel, system: LgSystem, config: HomodyneConfig, chi: float
 ) -> SimulationRecord:
-    """One trial with the exponential-window estimator in the feedback loop.
+    """One trial with the exponential-window estimator in the feedback loop,
+    as a one-row record.
 
     Per step the two discounted photocurrent functionals update as
     a <- a e^(-chi dt) + e^(i Phi) I dt and b <- b e^(-chi dt) - e^(2 i Phi) dt
@@ -500,17 +480,7 @@ def run_abc(
     are counted in abc_indeterminate_steps.
     """
     _validate_against_system(model, system, config)
-    ens = _run_abc_feedback(model, system, config, 1, chi, record=True)
-    return SimulationRecord(
-        config=config,
-        t=ens.t,
-        phi=ens.phi[0],
-        theta=ens.theta[0],
-        current=ens.current[0],
-        y=ens.y[0],
-        phi_abc=ens.phi_abc[0],
-        abc_indeterminate_steps=ens.abc_indeterminate_steps,
-    )
+    return _run_abc_feedback(model, system, config, 1, chi)
 
 
 def _squared_error(truth: np.ndarray, estimate: np.ndarray, wrap: bool) -> np.ndarray:
@@ -612,30 +582,26 @@ def simulate_filter_trials(
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
     cov = covariance_set(system)
-    proj_f = proj_r = None
-    if smoother:
-        # Only the last row of the combination weights enters phi_s, so the
-        # smoother keeps y and the scalar projections of xf and xr, not the states.
-        proj_f, proj_r = _smoothing_weights(cov.vf, cov.vr)
-    ens = _run_filter_feedback(
-        model, system, config, n_trials, cov.vf, proj=proj_f, state_stats=full_state_stats
-    )
-    mse, se = mse_statistics(ens.phi, ens.theta, config.dt, config.burn_in, wrap=wrap_errors)
+    # Only the last row of the combination weights enters phi_s, so the
+    # smoother keeps y and the scalar projection of xf, not the states.
+    proj_f = _smoothing_weights(cov.vf, cov.vr)[0] if smoother else None
+    moment = np.zeros((n_trials, system.n_states, system.n_states)) if full_state_stats else None
+    rec = _run_filter_feedback(model, system, config, n_trials, cov.vf, proj=proj_f, error_moment=moment)
+    mse, se = mse_statistics(rec.phi, rec.theta, config.dt, config.burn_in, wrap=wrap_errors)
     result = FilterTrialResult(n_trials=n_trials, filter_mse=mse, filter_stderr=se)
-    ens.theta = None  # paths no later reduction reads are dropped to lower the peak
+    # paths no later reduction reads are dropped to lower the peak
+    rec.theta = rec.phi_f = None
 
     if full_state_stats:
         win = interior_slice(config.n_steps, config.dt, config.burn_in)
-        per_trial = ens.error_moment / (win.stop - win.start)
+        per_trial = moment / (win.stop - win.start)
         result.error_cov = per_trial.mean(axis=0)
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
 
     if smoother:
-        phi_s = run_retrofilter_pass(ens.y, system, cov.vr, config.dt, weights=proj_r)
-        ens.y = None
-        phi_s += ens.xf_proj
-        phi_s *= system.phase_scale
-        s_mse, s_se = mse_statistics(ens.phi, phi_s, config.dt, config.burn_in, wrap=wrap_errors)
+        phi_s = _smoothed_phase(rec, system, cov)
+        rec.y = rec.xf_proj = None
+        s_mse, s_se = mse_statistics(rec.phi, phi_s, config.dt, config.burn_in, wrap=wrap_errors)
         result.smoother_mse = s_mse
         result.smoother_stderr = s_se
     return result
@@ -669,16 +635,16 @@ def run_abc_trials(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
-    ens = _run_abc_feedback(model, system, config, n_trials, chi)
-    mse, se = mse_statistics(ens.phi, ens.phi_abc, config.dt, config.burn_in, wrap=wrap_errors)
-    wins = windowed_mse(ens.phi, ens.phi_abc, config.dt, config.burn_in, n_windows, wrap=wrap_errors)
+    rec = _run_abc_feedback(model, system, config, n_trials, chi)
+    mse, se = mse_statistics(rec.phi, rec.phi_abc, config.dt, config.burn_in, wrap=wrap_errors)
+    wins = windowed_mse(rec.phi, rec.phi_abc, config.dt, config.burn_in, n_windows, wrap=wrap_errors)
     return AbcTrialResult(
         n_trials=n_trials,
         mse=mse,
         stderr=se,
         window_mse=wins,
         diverged=bool(np.all(np.diff(wins) > 0)),
-        indeterminate_steps=ens.abc_indeterminate_steps,
+        indeterminate_steps=rec.abc_indeterminate_steps,
     )
 
 
@@ -696,6 +662,7 @@ def run_abc_linearized_trials(
         raise ValidationError(f"chi must be positive, got {chi}")
     if dt * chi >= 0.1:
         raise ValidationError(f"dt={dt} too coarse for chi={chi}")
+    _check_damping(model, dt)
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     dw, db = _trial_noise(seed, n_trials, int(round(duration / dt)), dt)

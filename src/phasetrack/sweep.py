@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import csv
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -192,19 +193,22 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
             **analytic,
         }
 
-    rows = []
-    want_filter = "filter" in spec.estimators
-    want_smoother = "smoother" in spec.estimators
-    if want_filter or want_smoother:
-        model = PhaseModel(p, spec.kappa)
-        config = default_config(
+    def point_config(kind: int):
+        return default_config(
             system,
-            seed=derive_seed(spec.seed, p_idx, g_idx, 0),
+            seed=derive_seed(spec.seed, p_idx, g_idx, kind),
             duration_factor=spec.duration_factor,
             dt_factor=spec.dt_factor,
             burn_in_factor=spec.burn_in_factor,
             linearized=spec.linearized,
         )
+
+    rows = []
+    want_filter = "filter" in spec.estimators
+    want_smoother = "smoother" in spec.estimators
+    if want_filter or want_smoother:
+        model = PhaseModel(p, spec.kappa)
+        config = point_config(0)
         res = simulate_filter_trials(
             model, system, config, spec.trials, smoother=want_smoother, wrap_errors=spec.wrap_errors
         )
@@ -225,23 +229,11 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
             model = PhaseModel(p, spec.kappa, dampings)
         else:
             model = PhaseModel(p, spec.kappa)
-        config = default_config(
-            system,
-            seed=derive_seed(spec.seed, p_idx, g_idx, 1),
-            duration_factor=spec.duration_factor,
-            dt_factor=spec.dt_factor,
-            burn_in_factor=spec.burn_in_factor,
-            linearized=spec.linearized,
-        )
+        config = point_config(1)
         res = run_abc_trials(model, system, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
         name = "abc:diverged" if res.diverged else "abc"
         rows.append(base_row(name, res.mse, res.stderr, config))
     return rows
-
-
-def _point_task(args):
-    spec, p_idx, g_idx = args
-    return _point_rows(spec, p_idx, g_idx)
 
 
 def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
@@ -254,8 +246,9 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    points = [(spec, pi, gi) for pi in range(len(spec.p_values)) for gi in range(len(spec.grid))]
-    workers = min(workers, len(points), os.cpu_count() or 1)
+    p_idx, g_idx = zip(*itertools.product(range(len(spec.p_values)), range(len(spec.grid))))
+    points = ([spec] * len(p_idx), p_idx, g_idx)
+    workers = min(workers, len(p_idx), os.cpu_count() or 1)
     all_rows: list[dict] = []
     with open(output_path, "w", newline="", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
@@ -263,9 +256,9 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
         fh.flush()
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_point_task, points, chunksize=1)
+            results = pool.map(_point_rows, *points, chunksize=1)
         else:
-            results = map(_point_task, points)
+            results = map(_point_rows, *points)
         for rows in results:
             writer.writerows(rows)
             fh.flush()

@@ -139,6 +139,16 @@ class TestSimulate:
         assert code == 2
         assert "chi" in err
 
+    def test_oversized_record_exits_2(self, capsys, tmp_path):
+        # 1e15 steps: the first noise array asks for 8e15 bytes, beyond any
+        # 47-bit address space, so the allocation fails at once
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "2", "--flux", "100", "--duration-factor", "1e13",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "memory" in err
+
     def test_zero_flux_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--p", "2", "--flux", "0", "--seed", "1",
@@ -180,6 +190,13 @@ class TestSweep:
         s_ratio = float(at_100["smoother"]["mse"]) / float(at_100["smoother"]["lg_filter_mse"])
         assert 0.9 < f_ratio < 1.1
         assert 0.4 < s_ratio < 0.6
+
+    def test_oversized_sweep_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10", estimators="filter", trials="2", duration_factor="1e13")
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("error:") and "memory" in err
 
     def test_analytic_columns_recomputable(self, capsys, tmp_path):
         from phasetrack.bounds import filter_mse_power_law, qcrb_power_law

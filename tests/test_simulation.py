@@ -86,14 +86,22 @@ class TestSimulateRecord:
         a = simulate_record(model, system, config)
         b = simulate_record(model, system, config)
         assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.xf, b.xf)
+        assert np.array_equal(a.xf_proj, b.xf_proj)
+
+    def test_single_record_is_one_row(self):
+        model, system, config = _setup(duration_factor=30.0)
+        rec = simulate_record(model, system, config)
+        assert rec.t.shape == (config.n_steps,)
+        for path in (rec.phi, rec.theta, rec.y, rec.xf_proj, rec.phi_f):
+            assert path.shape == (1, config.n_steps)
 
     def test_feedback_is_the_causal_estimate(self):
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, system, config)
         assert np.array_equal(rec.theta, rec.phi_f)
-        assert rec.phi_f[0] == 0.0
+        assert rec.phi_f[0, 0] == 0.0
 
     def test_zero_flux_keeps_estimate_at_prior_mean(self):
         model = PhaseModel(2, 1.0)
@@ -107,7 +115,9 @@ class TestSimulateRecord:
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, system, config)
         two_rn = 2 * math.sqrt(config.photon_flux)
-        assert rec.y == pytest.approx(rec.current / config.dt + two_rn * rec.theta, rel=1e-12)
+        db = sim._trial_noise(config.seed, 1, config.n_steps, config.dt)[1]
+        current = two_rn * (rec.phi - rec.theta) * config.dt + db  # I dt of the linearized loop
+        assert rec.y == pytest.approx(current / config.dt + two_rn * rec.theta, rel=1e-12)
 
     def test_causal_prefix_invariant_to_future(self):
         # extending the run (more future noise) must not change the past
@@ -124,8 +134,8 @@ class TestSimulateRecord:
         short = simulate_record(model, system, config)
         full = simulate_record(model, system, longer)
         n = len(short.t)
-        assert np.array_equal(full.theta[:n], short.theta)
-        assert np.array_equal(full.phi[:n], short.phi)
+        assert np.array_equal(full.theta[:, :n], short.theta)
+        assert np.array_equal(full.phi[:, :n], short.phi)
 
 
 class TestFilterPass:
@@ -134,7 +144,9 @@ class TestFilterPass:
         rec = simulate_record(model, system, config)
         cov = covariance_set(system)
         xf = run_filter_pass(rec.y, system, cov.vf, config.dt)
-        assert np.max(np.abs(xf - rec.xf)) < 1e-10
+        proj_f = sim._smoothing_weights(cov.vf, cov.vr)[0]
+        assert np.max(np.abs(system.phase_scale * xf[..., -1] - rec.theta)) < 1e-10
+        assert np.max(np.abs(xf @ proj_f - rec.xf_proj)) < 1e-10
 
     def test_zero_signal_stays_at_zero(self):
         system = build_lg_system(4, 1.0, 10.0)
@@ -231,18 +243,26 @@ class TestCombineSmoothed:
         for p in (2, 4, 6):
             model, system, config = _setup(p=p, duration_factor=60.0)
             rec = smooth_record(simulate_record(model, system, config), system)
+            phi_s = rec.phi_s[0]
             k = int(round(config.burn_in / config.dt))
-            assert np.all(np.isnan(rec.phi_s[:k]))
-            assert np.all(np.isnan(rec.phi_s[-k:]))
-            inner = rec.phi_s[k : len(rec.t) - k]
+            assert np.all(np.isnan(phi_s[:k]))
+            assert np.all(np.isnan(phi_s[-k:]))
+            inner = phi_s[k : len(rec.t) - k]
             assert not np.any(np.isnan(inner))
 
             cov = covariance_set(system)
-            xr = run_retrofilter_pass(rec.y, system, cov.vr, config.dt)
+            xf = run_filter_pass(rec.y[0], system, cov.vf, config.dt)
+            xr = run_retrofilter_pass(rec.y[0], system, cov.vr, config.dt)
             vs = smoother_covariance(cov.vf, cov.vr)
-            xs = (rec.xf @ np.linalg.inv(cov.vf).T + xr @ np.linalg.inv(cov.vr).T) @ vs.T
+            xs = (xf @ np.linalg.inv(cov.vf).T + xr @ np.linalg.inv(cov.vr).T) @ vs.T
             reference = system.phase_scale * xs[k : len(rec.t) - k, -1]
             assert np.max(np.abs(inner - reference)) <= 1e-14 * np.max(np.abs(inner)), p
+
+    def test_smooth_record_rejects_abc_record(self):
+        model, system, config = _setup(p=2, duration_factor=30.0)
+        rec = run_abc(model, system, config, math.sqrt(system.mu))
+        with pytest.raises(ValidationError, match="projection"):
+            smooth_record(rec, system)
 
     def test_smoothing_beats_filtering(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=41)
@@ -307,6 +327,20 @@ class TestAbc:
         model = PhaseModel(4, 1.0, (0.3, 0.0))
         with pytest.raises(ValidationError, match=match):
             sim.run_abc_linearized_trials(model, chi, 0.005, 60.0, 10.0, 11, 6)
+
+    def test_linearized_trials_reject_unresolved_damping(self):
+        """The chain's damping rates must be resolved too (dt lambda < 0.1),
+        as in integrate_chain: lambda = 30 at dt 0.005 gives 0.15."""
+        model = PhaseModel(4, 1.0, (30.0, 0.0))
+        with pytest.raises(ValidationError, match="damping"):
+            sim.run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 4)
+
+    def test_record_theta_is_previous_estimate(self):
+        model, system, config = _setup(p=2, flux=100.0, duration_factor=30.0, linearized=False)
+        rec = run_abc(model, system, config, math.sqrt(system.mu))
+        assert rec.theta[0, 0] == 0.0
+        assert np.array_equal(rec.theta[:, 1:], rec.phi_abc[:, :-1])
+        assert rec.phi_f is None and rec.xf_proj is None
 
 
 class TestMseStatistics:
@@ -446,6 +480,79 @@ class TestGoldenValues:
         mse, se = sim.run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 6)
         assert mse == pytest.approx(0.32676991895226487, rel=1e-12)
         assert se == pytest.approx(0.017071769821753353, rel=1e-12)
+
+
+class TestGoldenRecords:
+    """Single records at fixed seeds, captured before the records became
+    one-row ensembles: the loop paths repeat bit for bit, phi_s (whose
+    causal projection is now taken inside the loop) to 1e-14 of its peak."""
+
+    IDX = [0, 1, 999, 3500, 6999]
+
+    def test_filter_record(self):
+        model, system = _golden_system(4, 30.0)
+        config = default_config(system, seed=12, duration_factor=30.0)
+        rec = simulate_record(model, system, config)
+        assert rec.phi[0, self.IDX].tolist() == [
+            0.0, 0.0, 0.40334874302367, 14.452083736328422, 25.93784052828132
+        ]
+        assert rec.theta[0, self.IDX].tolist() == [
+            0.0, -0.00825177773570956, 0.43778110871708653, 14.455603627441477, 25.943367283045372
+        ]
+        assert rec.y[0, self.IDX].tolist() == [
+            -11.267044836684741, -22.463563655072928, 3.07695583996301, 283.2274324278396, 503.0951133778633
+        ]
+        phi_s = smooth_record(rec, system).phi_s[0]
+        peak = 21.649764352451207
+        assert np.nanmax(np.abs(phi_s)) == pytest.approx(peak, abs=1e-14 * peak)
+        expected = [4.016862919930715, 14.493465368620228, 21.64863436628837]
+        assert np.max(np.abs(phi_s[[2000, 3500, 4999]] - expected)) <= 1e-14 * peak
+
+    def test_abc_record(self):
+        model, system = _golden_system(2, 30.0)
+        config = default_config(system, seed=13, duration_factor=30.0)
+        rec = run_abc(model, system, config, math.sqrt(system.mu))
+        assert rec.phi_abc[0, self.IDX].tolist() == [
+            -1.5567445703423068, -1.7857285721236371, -0.410366412488103, -0.8468997000137604,
+            -1.251418581706102,
+        ]
+        assert rec.theta[0, self.IDX].tolist() == [
+            0.0, -1.5567445703423068, -0.4105273206702482, -0.8574740168916337, -1.25712633434016
+        ]
+        assert rec.y[0, self.IDX].tolist() == [
+            -81.41052507597831, -111.96549169660658, -23.658267117720595, 11.578312793809673,
+            -41.23183609900512,
+        ]
+        assert rec.abc_indeterminate_steps == 0
+
+
+def _close_to_peak(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
+    return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=st.sampled_from([2, 4, 6, 8]), linearized=st.booleans(), seed=st.integers(0, 2**16))
+def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
+    """A trial's noise depends only on (seed, trial index), so simulate_record
+    and run_abc are row 0 of a 3-trial run of the same loop. Elementwise paths
+    match exactly; the filter's matmul at batch width 3 may reorder sums."""
+    model, system = _golden_system(p, 30.0)
+    config = default_config(system, seed=seed, duration_factor=3.0, linearized=linearized)
+    cov = covariance_set(system)
+    rec = simulate_record(model, system, config)
+    ens = sim._run_filter_feedback(
+        model, system, config, 3, cov.vf, proj=sim._smoothing_weights(cov.vf, cov.vr)[0]
+    )
+    assert ens.phi.shape == (3, config.n_steps)
+    assert np.array_equal(rec.phi[0], ens.phi[0])
+    for name in ("theta", "y", "xf_proj"):
+        assert _close_to_peak(getattr(rec, name)[0], getattr(ens, name)[0], 1e-12), name
+
+    chi = 1.0 / system.time_scale
+    rec = run_abc(model, system, config, chi)
+    ens = sim._run_abc_feedback(model, system, config, 3, chi)
+    for name in ("phi", "theta", "y", "phi_abc"):
+        assert np.array_equal(getattr(rec, name)[0], getattr(ens, name)[0]), name
 
 
 def _smoother_alloc_peak(p: int) -> int:
