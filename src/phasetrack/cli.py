@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
@@ -34,7 +33,7 @@ from .lg import (
 )
 from .phase_process import PhaseModel
 from .simulation import default_config, run_abc, simulate_record, smooth_record
-from .sweep import parse_sweep_spec, run_sweep
+from .sweep import _abc_setup, parse_sweep_spec, run_sweep
 
 __all__ = ["main"]
 
@@ -110,11 +109,6 @@ def cmd_simulate(args) -> int:
     if not args.flux > 0:
         raise ValidationError("simulate needs --flux > 0")
     system = build_lg_system(args.p, args.kappa, args.flux)
-    if args.estimator == "abc" and args.cutoff is not None:
-        dampings = (args.cutoff,) + (0.0,) * (args.p // 2 - 1)
-        model = PhaseModel(args.p, args.kappa, dampings)
-    else:
-        model = PhaseModel(args.p, args.kappa)
     config = default_config(
         system,
         seed=args.seed,
@@ -123,15 +117,10 @@ def cmd_simulate(args) -> int:
         linearized=args.linearized,
     )
     if args.estimator == "abc":
-        if args.chi is not None:
-            chi = args.chi
-        elif args.p == 2:
-            chi = math.sqrt(system.mu)  # known optimum for the random-walk phase
-        else:
-            raise ValidationError(f"--chi is required for estimator=abc with p={args.p}")
+        model, chi = _abc_setup(args.p, args.kappa, system.mu, args.chi, args.cutoff)
         record = run_abc(model, system, config, chi)
     else:
-        record = simulate_record(model, system, config)
+        record = simulate_record(PhaseModel(args.p, args.kappa), system, config)
         if args.estimator == "smoother":
             record = smooth_record(record, system)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:

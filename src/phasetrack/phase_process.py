@@ -192,6 +192,15 @@ def chain_stages(
         yield stage
 
 
+def _check_damping(model: PhaseModel, dt: float) -> None:
+    """Reject a step that does not resolve the fastest stage decay."""
+    lam = model.damping_rates()
+    if np.max(lam) * dt >= 0.1:
+        raise ValidationError(
+            f"dt={dt} too coarse for damping rates {tuple(lam)} (need dt*max < 0.1)"
+        )
+
+
 def integrate_chain(model: PhaseModel, dt: float, increments: np.ndarray) -> ChainTrajectory:
     """Drive the integrator chain with explicit noise increments, from zero.
 
@@ -200,11 +209,7 @@ def integrate_chain(model: PhaseModel, dt: float, increments: np.ndarray) -> Cha
     """
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    lam = model.damping_rates()
-    if np.max(lam) * dt >= 0.1:
-        raise ValidationError(
-            f"dt={dt} too coarse for damping rates {tuple(lam)} (need dt*max < 0.1)"
-        )
+    _check_damping(model, dt)
     dw = np.asarray(increments, dtype=float)
     if dw.ndim != 1:
         raise ValidationError("increments must be a 1-d array")

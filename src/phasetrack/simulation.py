@@ -36,7 +36,7 @@ from scipy.signal import lfilter
 
 from .errors import ValidationError
 from .lg import CovarianceSet, LgSystem, covariance_set, smoother_covariance
-from .phase_process import PhaseModel, chain_stages
+from .phase_process import PhaseModel, _check_damping, chain_stages
 
 __all__ = [
     "HomodyneConfig",
@@ -136,12 +136,6 @@ def _validate_against_system(model: PhaseModel, system: LgSystem, config: Homody
     _check_damping(model, config.dt)
 
 
-def _check_damping(model: PhaseModel, dt: float) -> None:
-    lam = model.damping_rates()
-    if np.max(lam) * dt >= 0.1:
-        raise ValidationError(f"dt={dt} too coarse for damping rates {tuple(lam)}")
-
-
 @dataclass(eq=False)
 class SimulationRecord:
     """Trajectories of one or more trials on a shared 1-D time grid ``t``.
@@ -149,10 +143,11 @@ class SimulationRecord:
     Every path is (n_trials, T), one row per trial; a single record is the
     one-row case. ``y`` is the rescaled signal I + 2 sqrt(N) theta as a
     rate, and ``theta`` is the estimate fed back at each step. Filter-mode
-    records set phi_f to theta and may keep ``xf_proj``, the causal
-    projection w_f[-1] . xf that smoothing combines with the backward pass;
-    phi_s is NaN outside the interior window. ABC-mode records carry
-    phi_abc instead of the filter fields.
+    records set phi_f to theta and, when kept for smoothing, hold y and
+    ``xf_proj``, the causal projection w_f[-1] . xf that smoothing combines
+    with the backward pass; phi_s is NaN outside the interior window.
+    ABC-mode records always hold y and carry phi_abc instead of the filter
+    fields.
     """
 
     config: HomodyneConfig
@@ -261,10 +256,10 @@ def _run_filter_feedback(
 ) -> SimulationRecord:
     """Causal estimator in the feedback loop, batched over trials.
 
-    Keeps phi, theta and the rescaled signal y. ``proj`` also keeps the
-    projection proj . xf at each step, and ``error_moment`` (n_trials, n+1,
-    n+1) accumulates the interior sum of (xf - x)(xf - x)^T against the true
-    chain states.
+    Keeps phi and theta. ``proj`` also keeps the rescaled signal y and the
+    projection proj . xf at each step, the two paths smoothing reads.
+    ``error_moment`` (n_trials, n+1, n+1) accumulates the interior sum of
+    (xf - x)(xf - x)^T against the true chain states.
     """
     n_steps = config.n_steps
     dt = config.dt
@@ -276,8 +271,10 @@ def _run_filter_feedback(
     dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
     phi_a = _open_loop_phase(model, dt, dw)
     theta_a = np.empty_like(phi_a)
-    y_a = np.empty_like(phi_a)
-    proj_a = np.empty_like(phi_a) if proj is not None else None
+    y_a = proj_a = None
+    if proj is not None:
+        y_a = np.empty_like(phi_a)
+        proj_a = np.empty_like(phi_a)
     if error_moment is not None:
         win = interior_slice(n_steps, dt, config.burn_in)
         truth = _chain_state_blocks(model, dt, dw)
@@ -292,8 +289,8 @@ def _run_filter_feedback(
         y = idt / dt + two_sqrt_n * theta
 
         theta_a[:, i] = theta
-        y_a[:, i] = y
-        if proj_a is not None:
+        if proj is not None:
+            y_a[:, i] = y
             proj_a[:, i] = xf.dot(proj)  # the bits of xf @ proj, with less call overhead
         if error_moment is not None:
             if i % _TRUTH_BLOCK == 0:
@@ -401,8 +398,8 @@ def _run_abc_feedback(
 
 def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
-    record. With a measurement (mu > 0) it keeps the causal projection that
-    smooth_record combines with the backward pass."""
+    record. With a measurement (mu > 0) it keeps y and the causal projection
+    that smooth_record combines with the backward pass."""
     _validate_against_system(model, system, config)
     if system.mu > 0:
         cov = covariance_set(system)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import filter_mse_power_law, qcrb_power_law
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .lg import build_lg_system, lg_filter_mse
 from .phase_process import PhaseModel
 from .simulation import default_config, run_abc_trials, simulate_filter_trials
@@ -44,6 +44,7 @@ CSV_HEADER = [
 ]
 
 _KNOWN_ESTIMATORS = ("filter", "smoother", "abc")
+_FINITE_COLUMNS = ("mse", "stderr", "lg_filter_mse", "qcrb", "wiener_filter_mse")
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,26 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
+def _abc_setup(
+    p: int, kappa: float, mu: float, chi: Optional[float], cutoff: Optional[float]
+) -> tuple[PhaseModel, float]:
+    """Phase model and window rate of the exponential-window (ABC) estimator.
+
+    A cutoff damps the first chain stage; without chi, p = 2 takes
+    sqrt(mu), the known optimum for the random-walk phase, and any other p
+    is rejected.
+    """
+    if chi is None:
+        if p != 2:
+            raise ValidationError(
+                f"the ABC window rate is required for p={p}: "
+                "set sweep spec field 'abc_chi' or simulate option --chi"
+            )
+        chi = math.sqrt(mu)
+    dampings = () if cutoff is None else (cutoff,) + (0.0,) * (p // 2 - 1)
+    return PhaseModel(p, kappa, dampings), chi
+
+
 def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     """All estimator rows for one (p, grid) sweep point."""
     p = spec.p_values[p_idx]
@@ -218,17 +239,7 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
             rows.append(base_row("smoother", res.smoother_mse, res.smoother_stderr, config))
 
     if "abc" in spec.estimators:
-        if spec.abc_chi is not None:
-            chi = spec.abc_chi
-        elif p == 2:
-            chi = math.sqrt(system.mu)  # known optimum for the random-walk phase
-        else:
-            raise ValidationError(f"sweep spec field 'abc_chi' is required for p={p}")
-        if spec.abc_cutoff is not None:
-            dampings = (spec.abc_cutoff,) + (0.0,) * (p // 2 - 1)
-            model = PhaseModel(p, spec.kappa, dampings)
-        else:
-            model = PhaseModel(p, spec.kappa)
+        model, chi = _abc_setup(p, spec.kappa, system.mu, spec.abc_chi, spec.abc_cutoff)
         config = point_config(1)
         res = run_abc_trials(model, system, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
         name = "abc:diverged" if res.diverged else "abc"
@@ -242,7 +253,8 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
     Points are dispatched to a process pool of min(workers, points, CPUs)
     processes when that exceeds 1; rows are written in deterministic point
     order and flushed per point, so an interrupted sweep leaves a valid
-    prefix of the full file.
+    prefix of the full file. A row with a non-finite MSE, standard error or
+    analytic value raises NumericalError before it is written.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -256,11 +268,19 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
         fh.flush()
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            stack.callback(pool.shutdown, cancel_futures=True)  # a failure skips the points not started
             results = pool.map(_point_rows, *points, chunksize=1)
         else:
             results = map(_point_rows, *points)
         for rows in results:
-            writer.writerows(rows)
+            for row in rows:
+                bad = [key for key in _FINITE_COLUMNS if not math.isfinite(row[key])]
+                if bad:
+                    raise NumericalError(
+                        f"non-finite {', '.join(bad)} at p={row['p']}, "
+                        f"N/kappa={row['N_over_kappa']:.6g}, estimator {row['estimator']}"
+                    )
+                writer.writerow(row)
             fh.flush()
             all_rows.extend(rows)
     return all_rows

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from phasetrack import sweep
 from phasetrack.cli import main
 from phasetrack.sweep import CSV_HEADER, parse_sweep_spec, run_sweep
 from phasetrack.errors import ValidationError
@@ -137,7 +138,7 @@ class TestSimulate:
             "--seed", "2", "--duration-factor", "60", "--output", str(tmp_path / "x.csv"),
         )
         assert code == 2
-        assert "chi" in err
+        assert "--chi" in err
 
     def test_oversized_record_exits_2(self, capsys, tmp_path):
         # 1e15 steps: the first noise array asks for 8e15 bytes, beyond any
@@ -307,3 +308,26 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
         assert code == 2
         assert "abc_chi" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_row_exits_3(self, capsys, tmp_path, monkeypatch, workers):
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10 30", estimators="filter abc", trials="4", duration_factor="100")
+        clean = tmp_path / "clean.csv"
+        assert run_cli(capsys, "sweep", str(spec), "-o", str(clean))[0] == 0
+
+        real = sweep.run_abc_trials
+
+        def nan_at_grid_30(model, system, *args, **kwargs):
+            res = real(model, system, *args, **kwargs)
+            if system.photon_flux > 500:  # N = 900 at grid 30, 100 at grid 10
+                res.mse = math.nan
+            return res
+
+        monkeypatch.setattr(sweep, "run_abc_trials", nan_at_grid_30)
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(out), "--workers", workers)
+        assert code == 3
+        assert "non-finite mse" in err and "abc" in err
+        # header, both rows of the first point, the filter row of the second
+        assert out.read_text().splitlines() == clean.read_text().splitlines()[:4]

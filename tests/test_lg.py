@@ -95,6 +95,35 @@ class TestFilterCovariance:
         with pytest.raises(ValidationError, match="conditioning-limit"):
             solve_filter_covariance(22)
 
+    @pytest.mark.parametrize("p", EVEN_P)
+    def test_exact_and_correctly_rounded(self, p):
+        # The Butterworth-coefficient formula at 50 digits solves the
+        # normalized recurrence exactly, and the float result is that
+        # solution rounded entry by entry.
+        mp = pytest.importorskip("mpmath")
+        m = p // 2
+        with mp.workdps(50):
+            a = [mp.mpf(1)]
+            for k in range(1, m + 1):
+                a.append(a[-1] * mp.cos((k - 1) * mp.pi / p) / mp.sin(k * mp.pi / p))
+            v = [[None] * m for _ in range(m)]
+            for k in range(m):
+                for l in range(k, m):
+                    js = range(min(k, m - 1 - l) + 1)
+                    v[k][l] = v[l][k] = mp.fsum((-1) ** j * a[k - j] * a[l + 1 + j] for j in js)
+
+            def entry(k, l):
+                return v[k][l] if k >= 0 and l >= 0 else 0
+
+            resid = max(
+                abs(entry(k - 1, l) + entry(k, l - 1) + (k == l == 0) - v[k][m - 1] * v[m - 1][l])
+                for k in range(m)
+                for l in range(m)
+            )
+            assert resid < mp.mpf("1e-40")
+            expected = np.array([[float(x) for x in row] for row in v])
+        np.testing.assert_array_equal(solve_filter_covariance(p), expected)
+
 
 class TestRiccatiResidual:
     def test_known_solution_satisfies(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from phasetrack.errors import ValidationError
 from phasetrack.lg import build_lg_system, covariance_set, smoother_covariance
-from phasetrack.phase_process import PhaseModel
+from phasetrack.phase_process import PhaseModel, integrate_chain
 from phasetrack import simulation as sim
 from phasetrack.simulation import (
     HomodyneConfig,
@@ -73,6 +73,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match=field):
             simulate_record(model, system, config)
 
+    def test_unresolved_damping_rejected_like_integrate_chain(self):
+        model, system, config = _setup(duration_factor=30.0)
+        damped = PhaseModel(2, 1.0, (0.2 / config.dt,))
+        with pytest.raises(ValidationError, match="damping") as sim_err:
+            simulate_record(damped, system, config)
+        with pytest.raises(ValidationError, match="damping") as chain_err:
+            integrate_chain(damped, config.dt, np.zeros(3))
+        assert str(sim_err.value) == str(chain_err.value)
+
     def test_default_config_satisfies_invariants(self):
         _, system, config = _setup()
         tau = system.time_scale
@@ -96,6 +105,15 @@ class TestSimulateRecord:
         assert rec.t.shape == (config.n_steps,)
         for path in (rec.phi, rec.theta, rec.y, rec.xf_proj, rec.phi_f):
             assert path.shape == (1, config.n_steps)
+
+    def test_signal_kept_only_with_projection(self):
+        model, system, config = _setup(duration_factor=30.0)
+        vf = covariance_set(system).vf
+        bare = sim._run_filter_feedback(model, system, config, 2, vf)
+        assert bare.y is None and bare.xf_proj is None
+        kept = sim._run_filter_feedback(model, system, config, 2, vf, proj=np.ones(1))
+        assert kept.y.shape == kept.xf_proj.shape == (2, config.n_steps)
+        assert np.array_equal(kept.theta, bare.theta)
 
     def test_feedback_is_the_causal_estimate(self):
         model, system, config = _setup(duration_factor=30.0)
