@@ -35,12 +35,9 @@ from .lg import (
     solve_filter_covariance_ode,
 )
 from .phase_process import (
-    ChainTrajectory,
     PhaseModel,
     autocovariance,
     chain_stages,
-    integrate_chain,
-    sample_trajectory,
     spectrum,
 )
 from .simulation import (
@@ -51,11 +48,8 @@ from .simulation import (
     run_abc,
     run_abc_linearized_trials,
     run_abc_trials,
-    run_filter_pass,
-    run_retrofilter_pass,
     simulate_filter_trials,
     simulate_record,
-    smooth_record,
     windowed_mse,
 )
 from .sweep import SweepSpec, parse_sweep_spec, run_sweep
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundQuery",
-    "ChainTrajectory",
     "CovarianceSet",
     "HomodyneConfig",
     "LgSystem",
@@ -80,7 +73,6 @@ __all__ = [
     "default_config",
     "filter_mse_power_law",
     "filter_mse_quadrature",
-    "integrate_chain",
     "lg_filter_mse",
     "lg_smoother_mse",
     "mse_statistics",
@@ -92,14 +84,10 @@ __all__ = [
     "run_abc",
     "run_abc_linearized_trials",
     "run_abc_trials",
-    "run_filter_pass",
-    "run_retrofilter_pass",
     "run_sweep",
-    "sample_trajectory",
     "scale_covariance",
     "simulate_filter_trials",
     "simulate_record",
-    "smooth_record",
     "smoother_covariance",
     "smoother_covariance_closed_form",
     "smoother_mse_quadrature",

@@ -32,7 +32,7 @@ from .lg import (
     solve_filter_covariance,
 )
 from .phase_process import PhaseModel
-from .simulation import default_config, run_abc, simulate_record, smooth_record
+from .simulation import default_config, run_abc, simulate_record
 from .sweep import _abc_setup, parse_sweep_spec, run_sweep
 
 __all__ = ["main"]
@@ -121,8 +121,8 @@ def cmd_simulate(args) -> int:
         record = run_abc(model, system, config, chi)
     else:
         record = simulate_record(PhaseModel(args.p, args.kappa), system, config)
-        if args.estimator == "smoother":
-            record = smooth_record(record, system)
+        if args.estimator == "filter":
+            record.phi_s = None
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "phi", "theta", "y", "phi_f", "phi_s", "phi_abc"])

@@ -10,7 +10,7 @@ and makes the process stationary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import quad
@@ -20,12 +20,9 @@ from .errors import NumericalError, ValidationError
 
 __all__ = [
     "PhaseModel",
-    "ChainTrajectory",
     "spectrum",
     "autocovariance",
     "chain_stages",
-    "integrate_chain",
-    "sample_trajectory",
 ]
 
 
@@ -95,27 +92,6 @@ class PhaseModel:
         return self.kappa ** (self.n + 0.5)
 
 
-@dataclass(frozen=True)
-class ChainTrajectory:
-    """Sampled chain path.
-
-    ``x`` has shape (n_steps+1, n+1) with x[0] = 0; ``dw`` holds the
-    n_steps Wiener increments that drove it, exposed so a measurement
-    simulator can reuse the identical noise stream. ``phi`` is the phase
-    kappa^(n+1/2) x_n on the same grid.
-    """
-
-    model: PhaseModel
-    dt: float
-    t: np.ndarray
-    x: np.ndarray
-    dw: np.ndarray
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.model.phase_scale * self.x[:, -1]
-
-
 def spectrum(model: PhaseModel, omega):
     """Two-sided power spectral density of the phase at angular frequency omega.
 
@@ -166,29 +142,22 @@ def autocovariance(model: PhaseModel, tau) -> float | np.ndarray:
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def chain_stages(
-    model: PhaseModel, dt: float, increments: np.ndarray, state: Optional[np.ndarray] = None
-) -> Iterator[np.ndarray]:
+def chain_stages(model: PhaseModel, dt: float, increments: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the chain stages x_0, ..., x_n driven by explicit noise increments.
 
-    Explicit Euler update: dx_0 = -lambda_0 x_0 dt + dW,
+    Explicit Euler update from zero: dx_0 = -lambda_0 x_0 dt + dW,
     dx_{k+1} = (x_k - lambda_{k+1} x_{k+1}) dt. Time runs along the last
     axis of ``increments``; any leading axes (trials) are carried along.
     Each yielded stage has the shape of ``increments`` and holds at entry i
     the value before increment i. Each stage is a first-order linear
     recurrence in the one before it, evaluated with lfilter, so at most two
-    stages are live at a time. ``state`` of shape (n+1, ..., 1) holds the
-    stage values at entry 0 (zeros if omitted) and is advanced in place to
-    the values after the last increment, so consecutive blocks of one
-    noise stream chain exactly.
+    stages are live at a time.
     """
     decay = 1.0 - model.damping_rates() * dt
     stage = np.asarray(increments, dtype=float)
-    if state is None:
-        state = np.zeros((len(decay),) + stage.shape[:-1] + (1,))
     for k, c in enumerate(decay):
         # x_k[i+1] = (1 - lambda_k dt) x_k[i] + g x_{k-1}[i], g = 1 (dW) or dt
-        stage, state[k] = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1, zi=state[k])
+        stage = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1)
         yield stage
 
 
@@ -199,36 +168,3 @@ def _check_damping(model: PhaseModel, dt: float) -> None:
         raise ValidationError(
             f"dt={dt} too coarse for damping rates {tuple(lam)} (need dt*max < 0.1)"
         )
-
-
-def integrate_chain(model: PhaseModel, dt: float, increments: np.ndarray) -> ChainTrajectory:
-    """Drive the integrator chain with explicit noise increments, from zero.
-
-    See ``chain_stages`` for the update; the trajectory has one more sample
-    than there are increments.
-    """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    _check_damping(model, dt)
-    dw = np.asarray(increments, dtype=float)
-    if dw.ndim != 1:
-        raise ValidationError("increments must be a 1-d array")
-    n_steps = dw.shape[0]
-    x = np.empty((n_steps + 1, model.n + 1))
-    state = np.zeros((model.n + 1, 1))
-    for k, stage in enumerate(chain_stages(model, dt, dw, state)):
-        x[:-1, k] = stage
-    x[-1] = state[:, 0]
-    t = np.arange(n_steps + 1) * dt
-    return ChainTrajectory(model=model, dt=dt, t=t, x=x, dw=dw)
-
-
-def sample_trajectory(model: PhaseModel, dt: float, n_steps: int, seed: int) -> ChainTrajectory:
-    """Sample one chain path of n_steps Euler steps, deterministic in the seed."""
-    if not model.is_even_integer:
-        raise ValidationError(f"chain-requires-even-p: got p={model.p}")
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dw = rng.normal(0.0, np.sqrt(dt), size=n_steps)
-    return integrate_chain(model, dt, dw)

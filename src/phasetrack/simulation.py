@@ -7,18 +7,24 @@ Per step of size dt, with theta the controller's current phase estimate:
                                                       the loop is linearized)
     y    = I + 2 sqrt(N) theta                       (rescaled signal)
 
-The causal estimator integrates dxf = (A - V_F C^T C) xf dt + V_F C^T y dt
-and feeds back theta = kappa^(n+1/2) xf[n]. The anticausal pass is the same
-linear recurrence run backward over the stored y with the mirrored matrices,
-and the two combine into the smoothed estimate through the information sum.
-Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
+The causal estimator integrates dxf = A xf dt + V_F C^T I dt and feeds back
+theta = kappa^(n+1/2) xf[n]. Since C xf = 2 sqrt(N) theta, the loop needs
+only the chain error e = xf - x,
 
-The phase path never depends on the estimate, so each ensemble's chain is
-integrated open-loop before its feedback loop runs. Both feedback loops build
-a SimulationRecord of (trials, steps) scalar paths; a single record is the
-one-row case. The smoothed phase needs just the last row of the combination
-weights, so the filter loop keeps the projection w_f[-1] . xf instead of the
-states, and the backward pass returns w_r[-1] . xr.
+    de = (A - V_F C^T C) e dt + V_F C^T r - e_0 dW,
+    r  = I dt - 2 sqrt(N) (phi - theta) dt           (= dB when linearized),
+
+with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
+t^(n+1/2), is never formed. The anticausal pass runs backward over the
+stored residuals in the same coordinates, seeded with the forward error at
+the end of the record, and the two combine into the smoothed error through
+the information sum (the two-filter form). Only records add the open-loop
+phase back, to write phi, theta, y and phi_s. Phase is tracked on the real
+line throughout; nothing is wrapped mod 2 pi.
+
+The exponential-window loop is not linear in the state and runs on the
+phase itself, integrated open-loop before the loop. Both feedback loops
+return (trials, steps) scalar paths; a single record is the one-row case.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -35,7 +41,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ValidationError
-from .lg import CovarianceSet, LgSystem, covariance_set, smoother_covariance
+from .lg import LgSystem, covariance_set, smoother_covariance
 from .phase_process import PhaseModel, _check_damping, chain_stages
 
 __all__ = [
@@ -44,9 +50,6 @@ __all__ = [
     "default_config",
     "simulate_record",
     "simulate_filter_trials",
-    "run_filter_pass",
-    "run_retrofilter_pass",
-    "smooth_record",
     "run_abc",
     "run_abc_trials",
     "run_abc_linearized_trials",
@@ -57,7 +60,6 @@ __all__ = [
 
 _ABC_HOLD_THRESHOLD = 1e-12
 _PARAM_RTOL = 1e-12  # model, system and config parameters must agree to this
-_TRUTH_BLOCK = 1024  # steps per block of true chain states (full-state statistics)
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,14 @@ class HomodyneConfig:
     def __post_init__(self):
         if self.photon_flux < 0:
             raise ValidationError(f"photon_flux must be >= 0, got {self.photon_flux}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if not self.duration > 0:
-            raise ValidationError(f"duration must be positive, got {self.duration}")
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.duration < math.inf:
+            raise ValidationError(f"duration must be positive and finite, got {self.duration}")
+        if not 0 <= self.burn_in < math.inf:
+            raise ValidationError(f"burn_in must be >= 0 and finite, got {self.burn_in}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.duration <= 2 * self.burn_in:
             raise ValidationError(
                 f"duration {self.duration} leaves no interior window after "
@@ -143,19 +147,17 @@ class SimulationRecord:
     Every path is (n_trials, T), one row per trial; a single record is the
     one-row case. ``y`` is the rescaled signal I + 2 sqrt(N) theta as a
     rate, and ``theta`` is the estimate fed back at each step. Filter-mode
-    records set phi_f to theta and, when kept for smoothing, hold y and
-    ``xf_proj``, the causal projection w_f[-1] . xf that smoothing combines
-    with the backward pass; phi_s is NaN outside the interior window.
-    ABC-mode records always hold y and carry phi_abc instead of the filter
-    fields.
+    records are built from the loop's errors: theta = phi + (theta - phi),
+    phi_f is theta, and phi_s = phi + (phi_s - phi) is NaN outside the
+    interior window (None without a measurement). ABC-mode records carry
+    phi_abc instead of the filter fields.
     """
 
     config: HomodyneConfig
     t: np.ndarray
     phi: np.ndarray
-    theta: Optional[np.ndarray]
-    y: Optional[np.ndarray]
-    xf_proj: Optional[np.ndarray] = None
+    theta: np.ndarray
+    y: np.ndarray
     phi_f: Optional[np.ndarray] = None
     phi_s: Optional[np.ndarray] = None
     phi_abc: Optional[np.ndarray] = None
@@ -188,27 +190,12 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray
     """True phase path of every trial, (n_trials, T) with entry i at t_i.
 
     The phase never depends on the estimate, so the chain is integrated
-    open-loop, stage by stage along the trial axis, before any feedback loop.
+    open-loop, stage by stage along the trial axis, apart from any feedback
+    loop.
     """
     for stage in chain_stages(model, dt, dw):
         pass
     return model.phase_scale * stage
-
-
-def _chain_state_blocks(model: PhaseModel, dt: float, dw: np.ndarray):
-    """True chain states of every trial in consecutive blocks of time,
-    each (n_trials, block, n+1), so the full state path is never stored."""
-    state = np.zeros((model.n + 1, dw.shape[0], 1))
-    for i0 in range(0, dw.shape[1], _TRUTH_BLOCK):
-        block = dw[:, i0 : i0 + _TRUTH_BLOCK]
-        yield np.stack(list(chain_stages(model, dt, block, state)), axis=-1)
-
-
-def _filter_matrices(system: LgSystem, vf: np.ndarray):
-    ctc = np.outer(system.c, system.c)
-    closed = system.a - vf @ ctc
-    gain = vf @ system.c
-    return closed, gain
 
 
 def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
@@ -218,91 +205,71 @@ def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
     return (vs @ np.linalg.inv(vf))[-1], (vs @ np.linalg.inv(vr))[-1]
 
 
-def _linear_pass(
-    y: np.ndarray,
-    closed: np.ndarray,
-    gain: np.ndarray,
-    dt: float,
-    weights: Optional[np.ndarray] = None,
-    reverse: bool = False,
-) -> np.ndarray:
-    """Euler recurrence x <- x + closed x dt + gain y dt over a stored signal.
-
-    y has shape (..., T) as a rate; x starts from zero at the first sample
-    (the last with ``reverse``) and entry [..., i, :] is the state before
-    sample i is taken in. Returns states of shape (..., T, n+1), or with
-    ``weights`` only the projection weights . x in the shape of y.
-    """
-    orig_ndim = np.asarray(y).ndim
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    closed_t = closed.T * dt
-    n_trials, n_steps = y.shape
-    x = np.zeros((n_trials, len(gain)))
-    out = np.empty(y.shape if weights is not None else y.shape + (len(gain),))
-    for i in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
-        out[:, i] = x if weights is None else x @ weights
-        x = x + x @ closed_t + (y[:, i] * dt)[:, None] * gain
-    return out if orig_ndim > 1 else out[0]
-
-
-def _run_filter_feedback(
+def _error_passes(
     model: PhaseModel,
     system: LgSystem,
     config: HomodyneConfig,
-    n_trials: int,
+    dw: np.ndarray,
+    db: np.ndarray,
     vf: np.ndarray,
-    proj: Optional[np.ndarray] = None,
+    smoothing: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     error_moment: Optional[np.ndarray] = None,
-) -> SimulationRecord:
-    """Causal estimator in the feedback loop, batched over trials.
+):
+    """Causal estimator in the feedback loop and, with ``smoothing``, the
+    backward pass, both on the chain error e = x_hat - x, batched over trials.
 
-    Keeps phi and theta. ``proj`` also keeps the rescaled signal y and the
-    projection proj . xf at each step, the two paths smoothing reads.
-    ``error_moment`` (n_trials, n+1, n+1) accumulates the interior sum of
-    (xf - x)(xf - x)^T against the true chain states.
+    dw and db are the (n_trials, T) phase and shot-noise increments; db is
+    overwritten in place with the residual r = I dt - 2 sqrt(N) (phi - theta) dt,
+    which the linearized loop leaves equal to dB. Returns theta - phi and,
+    with ``smoothing = (V_R, w_f[-1], w_r[-1])``, phi_s - phi (NaN outside
+    the interior window), else None. ``error_moment`` (n_trials, n+1, n+1)
+    accumulates the interior sum of e e^T.
     """
-    n_steps = config.n_steps
+    if model.is_damped:
+        raise ValidationError("the filter loop needs an undamped phase model")
+    n_trials, n_steps = dw.shape
     dt = config.dt
     scale = system.phase_scale
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
-    closed, gain = _filter_matrices(system, vf)
-    closed_t = closed.T * dt
+    gain = vf @ system.c
+    closed_t = (system.a - np.outer(gain, system.c)).T * dt
+    win = interior_slice(n_steps, dt, config.burn_in)
 
-    dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
-    phi_a = _open_loop_phase(model, dt, dw)
-    theta_a = np.empty_like(phi_a)
-    y_a = proj_a = None
-    if proj is not None:
-        y_a = np.empty_like(phi_a)
-        proj_a = np.empty_like(phi_a)
-    if error_moment is not None:
-        win = interior_slice(n_steps, dt, config.burn_in)
-        truth = _chain_state_blocks(model, dt, dw)
-    del dw
-
-    xf = np.zeros((n_trials, system.n_states))
+    err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
+    proj = None
+    if smoothing is not None:
+        vr, w_f, w_r = smoothing
+        proj = np.empty_like(dw)  # w_f . e, later plus w_r . e_r
+    e = np.zeros((n_trials, system.n_states))
     for i in range(n_steps):
-        theta = scale * xf[:, -1]
-        delta = phi_a[:, i] - theta
-        resp = delta if config.linearized else np.sin(delta)
-        idt = two_sqrt_n * resp * dt + db[:, i]
-        y = idt / dt + two_sqrt_n * theta
-
-        theta_a[:, i] = theta
+        d = scale * e[:, -1]
+        err[:, i] = d
+        if not config.linearized:  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
+            db[:, i] += two_sqrt_n * dt * (d - np.sin(d))
         if proj is not None:
-            y_a[:, i] = y
-            proj_a[:, i] = xf.dot(proj)  # the bits of xf @ proj, with less call overhead
-        if error_moment is not None:
-            if i % _TRUTH_BLOCK == 0:
-                x_block = next(truth)
-            if win.start <= i < win.stop:
-                err = xf - x_block[:, i % _TRUTH_BLOCK]
-                error_moment += err[:, :, None] * err[:, None, :]
+            proj[:, i] = e.dot(w_f)  # the bits of e @ w_f, with less call overhead
+        if error_moment is not None and win.start <= i < win.stop:
+            error_moment += e[:, :, None] * e[:, None, :]
+        e = e + e @ closed_t + db[:, i, None] * gain
+        e[:, 0] -= dw[:, i]
+    if smoothing is None:
+        return err, None
 
-        xf = xf + xf @ closed_t + (y * dt)[:, None] * gain
-    return SimulationRecord(
-        config, np.arange(n_steps) * dt, phi_a, theta_a, y_a, xf_proj=proj_a, phi_f=theta_a
-    )
+    # Backward: x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1, and the
+    # anticausal estimate takes in the residual r_i = y_i dt - C x_i dt of
+    # each sample, seeded with the forward error at the end of the record.
+    back = np.linalg.inv(np.eye(system.n_states) + system.a * dt)
+    back_t = (back - np.outer(vr @ system.c, system.c) * dt).T
+    drive = back[:, 0]
+    gain = vr @ system.c
+    for i in range(n_steps - 1, -1, -1):
+        e += dw[:, i, None] * drive
+        proj[:, i] += e.dot(w_r)
+        e = e @ back_t + db[:, i, None] * gain
+    proj *= scale  # w_f + w_r = I, so the sum is the smoothed error
+    proj[:, : win.start] = np.nan
+    proj[:, win.stop :] = np.nan
+    return err, proj
 
 
 def _abc_phase_update(
@@ -398,69 +365,30 @@ def _run_abc_feedback(
 
 def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
-    record. With a measurement (mu > 0) it keeps y and the causal projection
-    that smooth_record combines with the backward pass."""
+    record. With a measurement (mu > 0) the backward pass runs too and
+    phi_s is filled on the interior window."""
     _validate_against_system(model, system, config)
+    dw, db = _trial_noise(config.seed, 1, config.n_steps, config.dt)
     if system.mu > 0:
         cov = covariance_set(system)
-        proj_f = _smoothing_weights(cov.vf, cov.vr)[0]
-        return _run_filter_feedback(model, system, config, 1, cov.vf, proj=proj_f)
-    vf = np.zeros((system.n_states, system.n_states))  # no measurement: zero gain
-    return _run_filter_feedback(model, system, config, 1, vf)
-
-
-def run_filter_pass(y: np.ndarray, system: LgSystem, vf: np.ndarray, dt: float) -> np.ndarray:
-    """Apply the causal estimator offline to a stored rescaled signal.
-
-    y has shape (..., T) as a rate; returns states of shape (..., T, n+1),
-    starting from zero, where entry [..., i, :] is the state at t_i (built
-    from samples before i).
-    """
-    closed, gain = _filter_matrices(system, vf)
-    return _linear_pass(y, closed, gain, dt)
-
-
-def run_retrofilter_pass(
-    y: np.ndarray, system: LgSystem, vr: np.ndarray, dt: float, weights: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Apply the anticausal estimator to a stored rescaled signal.
-
-    Runs the mirrored recursion dz = (-A - V_R C^T C) z dtau + V_R C^T y dtau
-    in reversed time with a positive step, starting from zero at the final
-    sample. Entry [..., i, :] is the state at t_i built from samples after i.
-    With ``weights`` (length n+1) only the projection weights . z is kept,
-    and the result has the shape of y.
-    """
-    ctc = np.outer(system.c, system.c)
-    return _linear_pass(y, -system.a - vr @ ctc, vr @ system.c, dt, weights, reverse=True)
-
-
-def _smoothed_phase(record: SimulationRecord, system: LgSystem, cov: CovarianceSet) -> np.ndarray:
-    """phi_s of every trial of a filter-mode record, (n_trials, T).
-
-    The backward pass projected with w_r[-1], plus the stored w_f[-1] . xf,
-    scaled to the phase: the information sum read off at the phase
-    component. NaN outside the interior window (burn-in trimmed from both
-    ends).
-    """
-    config = record.config
-    proj_r = _smoothing_weights(cov.vf, cov.vr)[1]
-    phi_s = run_retrofilter_pass(record.y, system, cov.vr, config.dt, weights=proj_r)
-    phi_s += record.xf_proj
-    phi_s *= system.phase_scale
-    win = interior_slice(config.n_steps, config.dt, config.burn_in)
-    phi_s[:, : win.start] = np.nan
-    phi_s[:, win.stop :] = np.nan
-    return phi_s
-
-
-def smooth_record(record: SimulationRecord, system: LgSystem) -> SimulationRecord:
-    """Fill the smoothed phase phi_s of a filter-mode record (NaN outside
-    the interior window)."""
-    if record.xf_proj is None:
-        raise ValidationError("record has no causal projection to combine with")
-    record.phi_s = _smoothed_phase(record, system, covariance_set(system))
-    return record
+        smoothing = (cov.vr, *_smoothing_weights(cov.vf, cov.vr))
+        err, s_err = _error_passes(model, system, config, dw, db, cov.vf, smoothing)
+    else:  # no measurement: zero gain, nothing to smooth
+        vf = np.zeros((system.n_states, system.n_states))
+        err, s_err = _error_passes(model, system, config, dw, db, vf)
+    phi = _open_loop_phase(model, config.dt, dw)
+    y = db / config.dt  # y dt = C x dt + r
+    y += 2.0 * math.sqrt(config.photon_flux) * phi
+    theta = phi + err
+    return SimulationRecord(
+        config,
+        np.arange(config.n_steps) * config.dt,
+        phi,
+        theta,
+        y,
+        phi_f=theta,
+        phi_s=None if s_err is None else phi + s_err,
+    )
 
 
 def run_abc(
@@ -579,15 +507,15 @@ def simulate_filter_trials(
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
     cov = covariance_set(system)
-    # Only the last row of the combination weights enters phi_s, so the
-    # smoother keeps y and the scalar projection of xf, not the states.
-    proj_f = _smoothing_weights(cov.vf, cov.vr)[0] if smoother else None
+    smoothing = (cov.vr, *_smoothing_weights(cov.vf, cov.vr)) if smoother else None
     moment = np.zeros((n_trials, system.n_states, system.n_states)) if full_state_stats else None
-    rec = _run_filter_feedback(model, system, config, n_trials, cov.vf, proj=proj_f, error_moment=moment)
-    mse, se = mse_statistics(rec.phi, rec.theta, config.dt, config.burn_in, wrap=wrap_errors)
+    dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
+    err, s_err = _error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)
+    del dw, db
+    zero = np.zeros_like(err)
+    mse, se = mse_statistics(zero, err, config.dt, config.burn_in, wrap=wrap_errors)
     result = FilterTrialResult(n_trials=n_trials, filter_mse=mse, filter_stderr=se)
-    # paths no later reduction reads are dropped to lower the peak
-    rec.theta = rec.phi_f = None
+    del err
 
     if full_state_stats:
         win = interior_slice(config.n_steps, config.dt, config.burn_in)
@@ -596,9 +524,7 @@ def simulate_filter_trials(
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
 
     if smoother:
-        phi_s = _smoothed_phase(rec, system, cov)
-        rec.y = rec.xf_proj = None
-        s_mse, s_se = mse_statistics(rec.phi, phi_s, config.dt, config.burn_in, wrap=wrap_errors)
+        s_mse, s_se = mse_statistics(zero, s_err, config.dt, config.burn_in, wrap=wrap_errors)
         result.smoother_mse = s_mse
         result.smoother_stderr = s_se
     return result

@@ -85,6 +85,8 @@ class SweepSpec:
                 )
         if self.trials < 2:
             raise ValidationError("sweep spec field 'trials' must be >= 2")
+        if self.seed < 0:
+            raise ValidationError("sweep spec field 'seed' must be >= 0")
         if self.abc_chi is not None and not self.abc_chi > 0:
             raise ValidationError("sweep spec field 'abc_chi' must be positive")
         if self.abc_cutoff is not None and not self.abc_cutoff > 0:

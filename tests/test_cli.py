@@ -119,6 +119,8 @@ class TestSimulate:
         )
         header = out.read_text().splitlines()[0]
         assert header == "t,phi,theta,y,phi_f,phi_s,phi_abc"
+        with open(out) as fh:
+            assert {row["phi_s"] for row in csv.DictReader(fh)} == {"nan"}  # estimator filter
 
     def test_abc_default_chi_for_p2(self, capsys, tmp_path):
         out = tmp_path / "abc.csv"
@@ -149,6 +151,18 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:") and "memory" in err
+
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--seed", "-1", "seed"), ("--duration-factor", "inf", "duration")],
+    )
+    def test_bad_seed_or_duration_exits_2(self, capsys, tmp_path, option, value, field):
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "2", "--flux", "100", option, value,
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and field in err
 
     def test_zero_flux_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -231,6 +245,16 @@ class TestSweep:
         _write_spec(spec, seed=None)
         with pytest.raises(ValidationError, match="seed"):
             parse_sweep_spec(spec)
+
+    @pytest.mark.parametrize(
+        "key, value, field", [("seed", "-5", "'seed'"), ("duration_factor", "inf", "duration")]
+    )
+    def test_bad_seed_or_duration_exits_2(self, capsys, tmp_path, key, value, field):
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10", estimators="filter", trials="2", **{key: value})
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("error:") and field in err
 
     def test_log_grid_form(self, tmp_path):
         spec = tmp_path / "sweep.ini"

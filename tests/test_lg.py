@@ -289,6 +289,23 @@ class TestClosedLoopSpectrum:
         assert ratio == pytest.approx((sys_b.mu / sys_a.mu) ** (1.0 / p), rel=1e-6)
 
 
+    @pytest.mark.parametrize("p", EVEN_P)
+    def test_closed_loop_poles_are_scaled_butterworth(self, p):
+        """The filter's closed-loop matrix A - V_F C^T C has eigenvalues
+        mu^(1/p) i e^(i pi (2k-1)/p), k = 1..p/2 (at p = 2 the decay rate
+        sqrt(mu)). Each eigenvalue is paired with its nearest pole: the poles
+        come in conjugate pairs with equal real parts, so sorting both lists
+        can pair them crosswise."""
+        system = build_lg_system(p, 1.0, 25.0)  # mu = 100
+        vf = covariance_set(system).vf
+        eig = np.linalg.eigvals(system.a - vf @ np.outer(system.c, system.c))
+        k = np.arange(1, p // 2 + 1)
+        poles = system.mu ** (1.0 / p) * 1j * np.exp(1j * math.pi * (2 * k - 1) / p)
+        nearest = np.argmin(np.abs(eig[:, None] - poles[None, :]), axis=1)
+        assert sorted(nearest) == list(range(p // 2))
+        assert np.max(np.abs(eig - poles[nearest])) <= 1e-9 * system.mu ** (1.0 / p)
+
+
 class TestCovarianceSet:
     def test_consistent_fields(self):
         sys4 = build_lg_system(4, 1.0, 25.0)

@@ -5,13 +5,20 @@ import pytest
 from scipy.signal import welch
 
 from phasetrack.errors import NumericalError, ValidationError
-from phasetrack.phase_process import (
-    PhaseModel,
-    autocovariance,
-    integrate_chain,
-    sample_trajectory,
-    spectrum,
-)
+from phasetrack.phase_process import PhaseModel, autocovariance, chain_stages, spectrum
+from phasetrack.simulation import _open_loop_phase
+
+
+def _chain_path(model, dt, n_steps, seed):
+    """Stages of one chain path driven by n_steps Wiener increments drawn
+    from the seed: (n_steps, n+1), row i the state before increment i."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    dw = rng.normal(0.0, np.sqrt(dt), size=n_steps)
+    return np.stack(list(chain_stages(model, dt, dw)), axis=-1), dw
+
+
+def _phase_path(model, dt, n_steps, seed):
+    return model.phase_scale * _chain_path(model, dt, n_steps, seed)[0][:, -1]
 
 
 class TestPhaseModel:
@@ -60,8 +67,8 @@ class TestSpectrum:
         vals = []
         freq = None
         for seed in range(8):
-            traj = sample_trajectory(model, dt, 2**19, seed)
-            f, pxx = welch(traj.phi, fs=1.0 / dt, nperseg=2**14, detrend="linear")
+            phi = _phase_path(model, dt, 2**19, seed)
+            f, pxx = welch(phi, fs=1.0 / dt, nperseg=2**14, detrend="linear")
             k = np.argmin(np.abs(f - 1.0 / (2 * np.pi)))
             freq = 2 * np.pi * f[k]
             vals.append(pxx[k] / 2.0)
@@ -114,25 +121,26 @@ class TestSpectrum:
 class TestTrajectories:
     def test_zero_noise_stays_at_zero(self):
         model = PhaseModel(4, 1.0, (0.3, 0.1))
-        traj = integrate_chain(model, 0.01, np.zeros(500))
-        assert np.all(traj.x == 0.0)
-        assert np.all(traj.phi == 0.0)
+        stages = list(chain_stages(model, 0.01, np.zeros(500)))
+        assert len(stages) == 2
+        assert all(np.all(x == 0.0) for x in stages)
+        assert np.all(_open_loop_phase(model, 0.01, np.zeros((1, 500))) == 0.0)
 
     def test_determinism(self):
         model = PhaseModel(4, 2.0)
-        a = sample_trajectory(model, 0.01, 2000, 123)
-        b = sample_trajectory(model, 0.01, 2000, 123)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.dw, b.dw)
-        c = sample_trajectory(model, 0.01, 2000, 124)
-        assert not np.array_equal(a.x, c.x)
+        a_x, a_dw = _chain_path(model, 0.01, 2000, 123)
+        b_x, b_dw = _chain_path(model, 0.01, 2000, 123)
+        assert np.array_equal(a_x, b_x)
+        assert np.array_equal(a_dw, b_dw)
+        c_x, _ = _chain_path(model, 0.01, 2000, 124)
+        assert not np.array_equal(a_x, c_x)
 
     def test_wiener_increment_variance(self):
         """Oracle: increments of the driving stage over windows tau have
         variance tau."""
-        traj = sample_trajectory(PhaseModel(2, 1.0), 0.01, 200_000, 3)
+        x, _ = _chain_path(PhaseModel(2, 1.0), 0.01, 200_000, 3)
         tau_steps = 500
-        inc = np.diff(traj.x[::tau_steps, 0])
+        inc = np.diff(x[::tau_steps, 0])
         var = np.var(inc, ddof=1)
         se = var * np.sqrt(2.0 / (len(inc) - 1))
         assert abs(var - tau_steps * 0.01) < 3 * se
@@ -143,8 +151,8 @@ class TestTrajectories:
         dt = 0.005
         per_traj = []
         for seed in range(16):
-            traj = sample_trajectory(model, dt, 100_000, seed + 7)
-            per_traj.append(np.mean(traj.x[int(10 / dt):, 0] ** 2))
+            x, _ = _chain_path(model, dt, 100_000, seed + 7)
+            per_traj.append(np.mean(x[int(10 / dt):, 0] ** 2))
         per_traj = np.asarray(per_traj)
         est = per_traj.mean()
         se = per_traj.std(ddof=1) / 4.0
@@ -152,24 +160,20 @@ class TestTrajectories:
 
     def test_phase_scaling_invariant(self):
         model = PhaseModel(4, 3.0)
-        traj = sample_trajectory(model, 0.01, 100, 5)
-        assert np.allclose(traj.phi, 3.0**1.5 * traj.x[:, -1])
+        x, dw = _chain_path(model, 0.01, 100, 5)
+        assert np.allclose(_open_loop_phase(model, 0.01, dw[None]), 3.0**1.5 * x[:, -1])
 
     def test_states_iterable(self):
-        traj = sample_trajectory(PhaseModel(2, 1.0), 0.1, 10, 0)
-        assert traj.t.shape == (11,)
-        assert traj.t[3] == pytest.approx(0.3)
-        assert traj.x.shape == (11, 1)
-        assert np.all(traj.x[0] == 0.0)
+        x, _ = _chain_path(PhaseModel(2, 1.0), 0.1, 10, 0)
+        assert x.shape == (10, 1)
+        assert np.all(x[0] == 0.0)
+        trials = list(chain_stages(PhaseModel(4, 1.0), 0.1, np.ones((3, 10))))
+        assert [s.shape for s in trials] == [(3, 10), (3, 10)]
+        assert trials[0][:, 3] == pytest.approx(3.0)  # x_0 before increment 3
 
     def test_input_validation(self):
-        model = PhaseModel(2, 1.0)
-        with pytest.raises(ValidationError):
-            sample_trajectory(model, 0.0, 100, 1)
         with pytest.raises(ValidationError, match="chain-requires-even-p"):
-            sample_trajectory(PhaseModel(3, 1.0), 0.01, 100, 1)
-        with pytest.raises(ValidationError):
-            integrate_chain(PhaseModel(2, 1.0, (30.0,)), 0.01, np.zeros(10))  # dt*lam too big
+            next(chain_stages(PhaseModel(3, 1.0), 0.01, np.zeros(100)))
 
 
 class TestAutocovariance:
@@ -190,8 +194,7 @@ class TestAutocovariance:
         n_keep = 3000
         acfs = []
         for seed in range(32):
-            traj = sample_trajectory(model, dt, n_steps, seed + 100)
-            phi = traj.phi[burn:]
+            phi = _phase_path(model, dt, n_steps, seed + 100)[burn:]
             phi = phi - phi.mean()
             n = len(phi)
             fx = np.fft.rfft(phi, 2 * n)

@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasetrack.errors import ValidationError
-from phasetrack.lg import build_lg_system, covariance_set, smoother_covariance
-from phasetrack.phase_process import PhaseModel, integrate_chain
+from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse
+from phasetrack.phase_process import PhaseModel, chain_stages
 from phasetrack import simulation as sim
 from phasetrack.simulation import (
     HomodyneConfig,
     default_config,
     mse_statistics,
     run_abc,
-    run_filter_pass,
-    run_retrofilter_pass,
     simulate_filter_trials,
     simulate_record,
-    smooth_record,
     windowed_mse,
 )
 
@@ -74,13 +71,24 @@ class TestConfig:
             simulate_record(model, system, config)
 
     def test_unresolved_damping_rejected_like_integrate_chain(self):
+        """Both loops that integrate the chain, the filter's and the linearized
+        exponential window's, reject an unresolved damping rate alike."""
         model, system, config = _setup(duration_factor=30.0)
         damped = PhaseModel(2, 1.0, (0.2 / config.dt,))
         with pytest.raises(ValidationError, match="damping") as sim_err:
             simulate_record(damped, system, config)
-        with pytest.raises(ValidationError, match="damping") as chain_err:
-            integrate_chain(damped, config.dt, np.zeros(3))
-        assert str(sim_err.value) == str(chain_err.value)
+        with pytest.raises(ValidationError, match="damping") as abc_err:
+            sim.run_abc_linearized_trials(damped, 1.0, config.dt, 10.0, 1.0, 0, 2)
+        assert str(sim_err.value) == str(abc_err.value)
+
+    def test_damped_model_rejected_by_filter_loops(self):
+        """The error-coordinate loop and its gain are for the undamped chain."""
+        model, system, config = _setup(duration_factor=30.0)
+        damped = PhaseModel(2, 1.0, (0.5,))
+        with pytest.raises(ValidationError, match="undamped"):
+            simulate_record(damped, system, config)
+        with pytest.raises(ValidationError, match="undamped"):
+            simulate_filter_trials(damped, system, config, 2, smoother=True)
 
     def test_default_config_satisfies_invariants(self):
         _, system, config = _setup()
@@ -97,23 +105,26 @@ class TestSimulateRecord:
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.xf_proj, b.xf_proj)
+        assert np.array_equal(a.phi_s, b.phi_s, equal_nan=True)
 
     def test_single_record_is_one_row(self):
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, system, config)
         assert rec.t.shape == (config.n_steps,)
-        for path in (rec.phi, rec.theta, rec.y, rec.xf_proj, rec.phi_f):
+        for path in (rec.phi, rec.theta, rec.y, rec.phi_s, rec.phi_f):
             assert path.shape == (1, config.n_steps)
 
-    def test_signal_kept_only_with_projection(self):
+    def test_backward_pass_leaves_causal_path_unchanged(self):
         model, system, config = _setup(duration_factor=30.0)
-        vf = covariance_set(system).vf
-        bare = sim._run_filter_feedback(model, system, config, 2, vf)
-        assert bare.y is None and bare.xf_proj is None
-        kept = sim._run_filter_feedback(model, system, config, 2, vf, proj=np.ones(1))
-        assert kept.y.shape == kept.xf_proj.shape == (2, config.n_steps)
-        assert np.array_equal(kept.theta, bare.theta)
+        cov = covariance_set(system)
+        runs = []
+        for smoothing in (None, (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))):
+            dw, db = sim._trial_noise(config.seed, 2, config.n_steps, config.dt)
+            runs.append((db,) + sim._error_passes(model, system, config, dw, db, cov.vf, smoothing))
+        (db_bare, err_bare, s_bare), (db_kept, err_kept, s_kept) = runs
+        assert s_bare is None and s_kept.shape == (2, config.n_steps)
+        assert np.array_equal(err_kept, err_bare)
+        assert np.array_equal(db_kept, db_bare)
 
     def test_feedback_is_the_causal_estimate(self):
         model, system, config = _setup(duration_factor=30.0)
@@ -156,34 +167,79 @@ class TestSimulateRecord:
         assert np.array_equal(full.phi[:, :n], short.phi)
 
 
+def _euler_filter(y: np.ndarray, system, vf: np.ndarray, dt: float) -> np.ndarray:
+    """Causal Euler filter over a stored rescaled signal y (T,), in absolute
+    states from zero: row i is the state before sample i is taken in."""
+    closed = system.a - vf @ np.outer(system.c, system.c)
+    gain = vf @ system.c
+    xf = np.zeros((len(y) + 1, system.n_states))
+    for i, y_i in enumerate(y):
+        xf[i + 1] = xf[i] + closed @ xf[i] * dt + gain * y_i * dt
+    return xf
+
+
+def _bare_config(system, n_steps: int, dt: float, linearized: bool = True) -> HomodyneConfig:
+    """Config of n_steps samples with no burn-in, so every sample is interior."""
+    return HomodyneConfig(
+        photon_flux=system.photon_flux,
+        dt=dt,
+        duration=n_steps * dt,
+        burn_in=0.0,
+        seed=0,
+        linearized=linearized,
+    )
+
+
+def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray, vr: np.ndarray):
+    """Full forward and backward error states of _error_passes, one state
+    component per run through unit weights. Entry i of the forward states is
+    e before step i; entry i of the backward ones is the backward error that
+    sample i adds to the smoothed error."""
+    m = system.n_states
+    vf = covariance_set(system).vf
+    fwd = np.empty(r.shape + (m,))
+    back = np.empty_like(fwd)
+    zero = np.zeros(m)
+    for k, unit in enumerate(np.eye(m)):
+        for states, weights in ((fwd, (unit, zero)), (back, (zero, unit))):
+            smoothing = (vr, *weights)
+            s_err = sim._error_passes(model, system, config, dw.copy(), r.copy(), vf, smoothing)[1]
+            states[..., k] = s_err / system.phase_scale
+    return fwd, back
+
+
 class TestFilterPass:
     def test_offline_pass_reproduces_inline_filter(self):
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, system, config)
-        cov = covariance_set(system)
-        xf = run_filter_pass(rec.y, system, cov.vf, config.dt)
-        proj_f = sim._smoothing_weights(cov.vf, cov.vr)[0]
-        assert np.max(np.abs(system.phase_scale * xf[..., -1] - rec.theta)) < 1e-10
-        assert np.max(np.abs(xf @ proj_f - rec.xf_proj)) < 1e-10
+        xf = _euler_filter(rec.y[0], system, covariance_set(system).vf, config.dt)
+        assert np.max(np.abs(system.phase_scale * xf[:-1, -1] - rec.theta[0])) < 1e-10
 
     def test_zero_signal_stays_at_zero(self):
+        """Without phase or shot noise the error loop never leaves zero."""
+        model = PhaseModel(4, 1.0)
         system = build_lg_system(4, 1.0, 10.0)
         cov = covariance_set(system)
-        xf = run_filter_pass(np.zeros(100), system, cov.vf, 1e-4)
-        assert np.all(xf == 0.0)
+        for linearized in (True, False):
+            config = _bare_config(system, 100, 1e-4, linearized)
+            quiet = np.zeros((1, 100))
+            err = sim._error_passes(model, system, config, quiet, quiet.copy(), cov.vf)[0]
+            assert np.all(err == 0.0)
 
     def test_impulse_decay_rate_p2(self):
         """Closed-loop pole for p=2 is -sqrt(mu): A=0, V=1/sqrt(mu), C^2=mu."""
+        model = PhaseModel(2, 1.0)
         system = build_lg_system(2, 1.0, 25.0)  # mu = 100
         cov = covariance_set(system)
         dt = 1e-4
-        y = np.zeros(4000)
-        y[0] = 1.0 / dt
-        xf = run_filter_pass(y, system, cov.vf, dt)[:, 0]
+        r = np.zeros((1, 4000))
+        r[0, 0] = 1.0  # a unit impulse in the residual y dt
+        config = _bare_config(system, 4000, dt)
+        err = sim._error_passes(model, system, config, np.zeros_like(r), r, cov.vf)[0][0]
         # log-linear fit over a window clear of the impulse itself
         i0, i1 = 100, 3000
-        t = np.arange(len(y)) * dt
-        slope = np.polyfit(t[i0:i1], np.log(np.abs(xf[i0:i1])), 1)[0]
+        t = np.arange(r.shape[1]) * dt
+        slope = np.polyfit(t[i0:i1], np.log(np.abs(err[i0:i1])), 1)[0]
         assert -slope == pytest.approx(math.sqrt(system.mu), rel=1e-2)
 
     def test_error_covariance_matches_prediction(self):
@@ -198,48 +254,66 @@ class TestFilterPass:
 
 class TestRetrofilterPass:
     def test_zero_signal_stays_at_zero(self):
+        model = PhaseModel(4, 1.0)
         system = build_lg_system(4, 1.0, 10.0)
         cov = covariance_set(system)
-        xr = run_retrofilter_pass(np.zeros(100), system, cov.vr, 1e-4)
-        assert np.all(xr == 0.0)
+        config = _bare_config(system, 100, 1e-4)
+        smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
+        quiet = np.zeros((1, 100))
+        s_err = sim._error_passes(model, system, config, quiet, quiet.copy(), cov.vf, smoothing)[1]
+        assert np.all(s_err == 0.0)
 
     @pytest.mark.parametrize("p", [2, 4, 6, 8, 12, 20])
     def test_time_reversal_structure(self, p):
-        """The anticausal pass equals a causal pass run on the reversed,
-        sign-adjusted record, with alternating state signs."""
+        """The backward pass equals a causal pass, with the drift step
+        (I - A dt)^-1 in place of I + A dt, run on the reversed, sign-adjusted
+        residuals from the forward error at the end of the record, with
+        alternating state signs."""
+        model = PhaseModel(p, 1.0)
         system = build_lg_system(p, 1.0, 5.0)
         cov = covariance_set(system)
-        rng = np.random.default_rng(4)
         dt = 0.2 * system.time_scale * 0.01
-        y = rng.normal(size=300)
-        xr = run_retrofilter_pass(y, system, cov.vr, dt)
-        n = system.n
-        parity = (-1.0) ** np.arange(n + 1)
-        forward = run_filter_pass(((-1.0) ** n) * y[::-1], system, cov.vf, dt)
-        assert np.max(np.abs(xr - parity * forward[::-1])) < 1e-10
+        n_steps, n, m = 300, system.n, system.n_states
+        r = np.random.default_rng(4).normal(size=(1, n_steps)) * dt
+        config = _bare_config(system, n_steps, dt)
+        fwd, back = _pass_states(model, system, config, np.zeros_like(r), r, cov.vr)
+        gain = cov.vf @ system.c
+        closed = system.a - np.outer(gain, system.c)
+        e_end = fwd[0, -1] + closed @ fwd[0, -1] * dt + gain * r[0, -1]
+        causal = np.linalg.inv(np.eye(m) - system.a * dt) - np.outer(gain, system.c) * dt
+        parity = (-1.0) ** np.arange(m)
+        forward = np.empty((n_steps, m))
+        forward[0] = parity * e_end
+        for k in range(n_steps - 1):
+            forward[k + 1] = causal @ forward[k] + gain * ((-1.0) ** n) * r[0, n_steps - 1 - k]
+        assert np.max(np.abs(back[0] - parity * forward[::-1])) < 1e-10
 
     def test_projection_matches_full_states(self):
+        """The stored smoothed error is w_f . e_f + w_r . e_r of the full
+        forward and backward error states, for any weights."""
+        model = PhaseModel(6, 1.0)
         system = build_lg_system(6, 1.0, 5.0)
         cov = covariance_set(system)
-        y = np.random.default_rng(5).normal(size=(3, 400))
-        w = np.random.default_rng(6).normal(size=3)
         dt = 0.01 * system.time_scale
-        full = run_retrofilter_pass(y, system, cov.vr, dt)
-        proj = run_retrofilter_pass(y, system, cov.vr, dt, weights=w)
-        assert proj.shape == y.shape
-        assert np.allclose(proj, full @ w, rtol=1e-12, atol=0.0)
+        noise = np.random.default_rng(5).normal(0.0, math.sqrt(dt), size=(2, 3, 400))
+        w_f, w_r = np.random.default_rng(6).normal(size=(2, system.n_states))
+        config = _bare_config(system, 400, dt)
+        fwd, back = _pass_states(model, system, config, noise[0], noise[1], cov.vr)
+        proj = sim._error_passes(model, system, config, noise[0], noise[1], cov.vf, (cov.vr, w_f, w_r))[1]
+        assert proj.shape == noise[1].shape
+        assert np.allclose(proj / system.phase_scale, fwd @ w_f + back @ w_r, rtol=1e-12, atol=0.0)
 
     def test_retro_error_variance_p2(self):
         """Stationary anticausal phase error variance matches the predicted
         V_R (which equals V_F for p=2)."""
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=31)
         cov = covariance_set(system)
-        # p = 2 has the single state x_0 = phi / kappa^(1/2)
-        ens = sim._run_filter_feedback(model, system, config, 24, cov.vf, proj=np.ones(1))
-        xr = run_retrofilter_pass(ens.y, system, cov.vr, config.dt, weights=np.ones(1))
-        truth = ens.phi / system.phase_scale
+        # weights (0, 1) keep the backward error alone; p = 2 has one state
+        dw, db = sim._trial_noise(config.seed, 24, config.n_steps, config.dt)
+        smoothing = (cov.vr, np.zeros(1), np.ones(1))
+        s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)[1]
         win = sim.interior_slice(config.n_steps, config.dt, config.burn_in)
-        err = xr[:, win] - truth[:, win]
+        err = s_err[:, win] / system.phase_scale
         per_trial = np.mean(err**2, axis=1)
         est = per_trial.mean()
         se = per_trial.std(ddof=1) / math.sqrt(24)
@@ -256,11 +330,14 @@ class TestCombineSmoothed:
         assert w_r == pytest.approx([0.0, 0.5], abs=1e-12)
 
     def test_smooth_record_interior_window(self):
-        """phi_s is the full-state information sum V_S (V_F^-1 xf + V_R^-1 xr),
-        read off at the phase component, on the interior window only."""
+        """phi_s is NaN outside the interior window and, inside it, the
+        information sum w_f . xf + w_r . xr of an absolute-state forward
+        filter and backward pass over rec.y, read off at the phase. The
+        backward pass is seeded like the error-coordinate one: its error at
+        the end of the record is the forward filter's."""
         for p in (2, 4, 6):
             model, system, config = _setup(p=p, duration_factor=60.0)
-            rec = smooth_record(simulate_record(model, system, config), system)
+            rec = simulate_record(model, system, config)
             phi_s = rec.phi_s[0]
             k = int(round(config.burn_in / config.dt))
             assert np.all(np.isnan(phi_s[:k]))
@@ -269,18 +346,19 @@ class TestCombineSmoothed:
             assert not np.any(np.isnan(inner))
 
             cov = covariance_set(system)
-            xf = run_filter_pass(rec.y[0], system, cov.vf, config.dt)
-            xr = run_retrofilter_pass(rec.y[0], system, cov.vr, config.dt)
-            vs = smoother_covariance(cov.vf, cov.vr)
-            xs = (xf @ np.linalg.inv(cov.vf).T + xr @ np.linalg.inv(cov.vr).T) @ vs.T
-            reference = system.phase_scale * xs[k : len(rec.t) - k, -1]
-            assert np.max(np.abs(inner - reference)) <= 1e-14 * np.max(np.abs(inner)), p
-
-    def test_smooth_record_rejects_abc_record(self):
-        model, system, config = _setup(p=2, duration_factor=30.0)
-        rec = run_abc(model, system, config, math.sqrt(system.mu))
-        with pytest.raises(ValidationError, match="projection"):
-            smooth_record(rec, system)
+            dt, n, m = config.dt, config.n_steps, system.n_states
+            xf = _euler_filter(rec.y[0], system, cov.vf, dt)
+            dw = sim._trial_noise(config.seed, 1, n, dt)[0][0]
+            x_end = np.array([s[-1] for s in chain_stages(model, dt, np.append(dw, 0.0))])
+            back = np.linalg.inv(np.eye(m) + system.a * dt)
+            closed_r = back - np.outer(cov.vr @ system.c, system.c) * dt
+            xr = np.empty((n, m))
+            xr[-1] = back @ x_end + xf[-1] - x_end
+            for i in range(n - 1, 0, -1):
+                xr[i - 1] = closed_r @ xr[i] + cov.vr @ system.c * rec.y[0, i] * dt
+            w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+            reference = system.phase_scale * (xf[:-1] @ w_f + xr @ w_r)[k : n - k]
+            assert np.max(np.abs(inner - reference)) <= 1e-13 * np.max(np.abs(inner)), p
 
     def test_smoothing_beats_filtering(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=41)
@@ -358,7 +436,7 @@ class TestAbc:
         rec = run_abc(model, system, config, math.sqrt(system.mu))
         assert rec.theta[0, 0] == 0.0
         assert np.array_equal(rec.theta[:, 1:], rec.phi_abc[:, :-1])
-        assert rec.phi_f is None and rec.xf_proj is None
+        assert rec.phi_f is None
 
 
 class TestMseStatistics:
@@ -436,24 +514,24 @@ def _golden_system(p, grid, dampings=()):
 
 
 class TestGoldenValues:
-    """Ensemble statistics at fixed seeds, captured before the feedback loops
-    stopped storing state trajectories. Filter and exponential-window MSEs
-    must repeat bit for bit; the smoother and the state covariance only
-    reorder floating-point sums (projections instead of full combinations)."""
+    """Ensemble statistics at fixed seeds. Filter and exponential-window MSEs
+    must repeat bit for bit; the smoother and the state covariance may only
+    reorder floating-point sums. The filter and smoother values were
+    re-captured when the filter loop moved to error coordinates."""
 
     FILTER = {
         # (p, grid, linearized, wrap, seed): (filter mse, stderr, smoother mse, stderr, error_cov diagonal)
         (4, 30.0, False, False, 5): (
-            0.020609963629765915, 0.0025439650068320397, 0.003803981149175339, 0.0005871140890054469,
-            (0.40181317999885574, 0.020609963629765915),
+            0.020609963629765967, 0.0025439650068320215, 0.003804005410285655, 0.0005871294568978777,
+            (0.40181317999885596, 0.02060996362976596),
         ),
         (2, 3.0, False, True, 6): (
-            0.18911765357531785, 0.026324053903938816, 0.08093454913114705, 0.012173578169019988,
-            (0.18911765357531782,),
+            0.1891176535753177, 0.026324053903938785, 0.08093454912555417, 0.012173578159771159,
+            (0.1891176535753177,),
         ),
         (6, 100.0, True, False, 7): (
-            0.0074157125331247775, 0.0007533531926806594, 0.0011455934549743324, 0.00020837920021649217,
-            (0.6494526284546391, 0.10505557844124551, 0.007415712533124774),
+            0.007415712533124494, 0.0007533531926805919, 0.0011317735141486652, 0.00020476212895835267,
+            (0.6494526284546277, 0.10505557844124445, 0.007415712533124494),
         ),
     }
     ABC = {
@@ -501,9 +579,9 @@ class TestGoldenValues:
 
 
 class TestGoldenRecords:
-    """Single records at fixed seeds, captured before the records became
-    one-row ensembles: the loop paths repeat bit for bit, phi_s (whose
-    causal projection is now taken inside the loop) to 1e-14 of its peak."""
+    """Single records at fixed seeds: the loop paths repeat bit for bit,
+    phi_s to 1e-14 of its peak. The filter record was re-captured when the
+    filter loop moved to error coordinates."""
 
     IDX = [0, 1, 999, 3500, 6999]
 
@@ -515,15 +593,15 @@ class TestGoldenRecords:
             0.0, 0.0, 0.40334874302367, 14.452083736328422, 25.93784052828132
         ]
         assert rec.theta[0, self.IDX].tolist() == [
-            0.0, -0.00825177773570956, 0.43778110871708653, 14.455603627441477, 25.943367283045372
+            0.0, -0.00825177773570956, 0.43778110871708636, 14.45560362744147, 25.943367283045347
         ]
         assert rec.y[0, self.IDX].tolist() == [
-            -11.267044836684741, -22.463563655072928, 3.07695583996301, 283.2274324278396, 503.0951133778633
+            -11.267044836684741, -22.463563655072928, 3.0769558399630093, 283.2274324278396, 503.0951133778633
         ]
-        phi_s = smooth_record(rec, system).phi_s[0]
-        peak = 21.649764352451207
+        phi_s = rec.phi_s[0]
+        peak = 21.64976327098816
         assert np.nanmax(np.abs(phi_s)) == pytest.approx(peak, abs=1e-14 * peak)
-        expected = [4.016862919930715, 14.493465368620228, 21.64863436628837]
+        expected = [4.016862919930709, 14.493465368849296, 21.648633343639403]
         assert np.max(np.abs(phi_s[[2000, 3500, 4999]] - expected)) <= 1e-14 * peak
 
     def test_abc_record(self):
@@ -553,18 +631,20 @@ def _close_to_peak(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
 def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     """A trial's noise depends only on (seed, trial index), so simulate_record
     and run_abc are row 0 of a 3-trial run of the same loop. Elementwise paths
-    match exactly; the filter's matmul at batch width 3 may reorder sums."""
+    match exactly; the filter's matmul at batch width 3 may reorder sums. The
+    record adds the phase to the loop's errors, so they are compared in its
+    terms: theta = phi + (theta - phi), and the same for phi_s."""
     model, system = _golden_system(p, 30.0)
     config = default_config(system, seed=seed, duration_factor=3.0, linearized=linearized)
     cov = covariance_set(system)
     rec = simulate_record(model, system, config)
-    ens = sim._run_filter_feedback(
-        model, system, config, 3, cov.vf, proj=sim._smoothing_weights(cov.vf, cov.vr)[0]
-    )
-    assert ens.phi.shape == (3, config.n_steps)
-    assert np.array_equal(rec.phi[0], ens.phi[0])
-    for name in ("theta", "y", "xf_proj"):
-        assert _close_to_peak(getattr(rec, name)[0], getattr(ens, name)[0], 1e-12), name
+    dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
+    smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
+    err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)
+    assert err.shape == (3, config.n_steps)
+    assert _close_to_peak(rec.phi[0] + err[0], rec.theta[0], 1e-12)
+    win = sim.interior_slice(config.n_steps, config.dt, config.burn_in)
+    assert _close_to_peak((rec.phi + s_err)[0, win], rec.phi_s[0, win], 1e-12)
 
     chi = 1.0 / system.time_scale
     rec = run_abc(model, system, config, chi)
@@ -594,3 +674,40 @@ def test_smoother_memory_does_not_grow_with_p(p):
     """Only (trials, steps) scalar paths are stored, so at fixed trials x
     steps the allocation peak is the same for every chain length."""
     assert _smoother_alloc_peak(p) <= 1.15 * _smoother_alloc_peak(2)
+
+
+def _accuracy_ratios(p: int, duration_factor: float, n_trials: int) -> tuple[float, float]:
+    """filter_mse / lg_filter_mse and p * smoother_mse / lg_filter_mse of a
+    linearized ensemble at grid 30, seed 1; both tend to 1."""
+    model, system = _golden_system(p, 30.0)
+    config = default_config(system, seed=1, duration_factor=duration_factor, linearized=True)
+    res = simulate_filter_trials(model, system, config, n_trials, smoother=True)
+    lg = lg_filter_mse(system)
+    return res.filter_mse / lg, p * res.smoother_mse / lg
+
+
+class TestErrorCoordinates:
+    """The loops carry only the estimation error, so the filter and the
+    smoother reach their stationary MSEs for every even p <= 20, even when
+    the chain state itself outgrows float64's resolution of that error."""
+
+    @pytest.mark.parametrize("p", range(2, 21, 2))
+    def test_ratios_near_one(self, p):
+        ratios = _accuracy_ratios(p, 50.0, 16)
+        assert ratios == pytest.approx((1.0, 1.0), abs=0.15)
+
+    @pytest.mark.parametrize("p", [6, 20])
+    def test_ratios_near_one_in_long_runs(self, p):
+        ratios = _accuracy_ratios(p, 1000.0, 4)
+        assert ratios == pytest.approx((1.0, 1.0), abs=0.15)
+
+    @pytest.mark.parametrize("p", range(2, 21, 2))
+    def test_smoothing_weights_sum_to_phase_row(self, p):
+        """w_f[-1] + w_r[-1] = e_n, which turns the information sum of the
+        two estimates into the same sum of their errors."""
+        _, system = _golden_system(p, 30.0)
+        cov = covariance_set(system)
+        w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+        unit = np.zeros(system.n_states)
+        unit[-1] = 1.0
+        assert np.max(np.abs(w_f + w_r - unit)) <= 1e-9
