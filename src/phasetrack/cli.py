@@ -37,6 +37,8 @@ from .sweep import _abc_setup, parse_sweep_spec, run_sweep
 
 __all__ = ["main"]
 
+_CSV_BLOCK_ROWS = 1024  # record rows converted to Python floats at a time
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -97,12 +99,16 @@ def cmd_riccati(args) -> int:
 
 
 def _record_csv_rows(record):
-    """CSV rows of the record's first trial; absent paths read nan."""
+    """CSV rows of the record's first trial; absent paths read nan.
+
+    The csv writer formats each Python float as its repr. Columns become
+    floats a block of rows at a time, so the rows never exist all at once.
+    """
     nan = np.full(len(record.t), np.nan)
     paths = (record.phi, record.theta, record.y, record.phi_f, record.phi_s, record.phi_abc)
     columns = [record.t] + [nan if a is None else a[0] for a in paths]
-    for values in zip(*columns):
-        yield [repr(float(v)) for v in values]
+    for start in range(0, len(record.t), _CSV_BLOCK_ROWS):
+        yield from zip(*(c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns))
 
 
 def cmd_simulate(args) -> int:

@@ -15,12 +15,14 @@ only the chain error e = xf - x,
     r  = I dt - 2 sqrt(N) (phi - theta) dt           (= dB when linearized),
 
 with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
-t^(n+1/2), is never formed. The anticausal pass runs backward over the
-stored residuals in the same coordinates, seeded with the forward error at
-the end of the record, and the two combine into the smoothed error through
-the information sum (the two-filter form). Only records add the open-loop
-phase back, to write phi, theta, y and phi_s. Phase is tracked on the real
-line throughout; nothing is wrapped mod 2 pi.
+t^(n+1/2), is never formed. The feedback loop steps only what feeds back:
+theta - phi and, in the sin() loop, the residual r. Given the stored dW and
+r, the forward readout and the anticausal pass (seeded with the forward
+error at the end of the record) are linear recurrences, run as blocked
+scans, and combine into the smoothed error through the information sum
+(the two-filter form). Only records add the open-loop phase back, to write
+phi, theta, y and phi_s. Phase is tracked on the real line throughout;
+nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
 phase itself, integrated open-loop before the loop. Both feedback loops
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from .errors import ValidationError
@@ -60,6 +63,7 @@ __all__ = [
 
 _ABC_HOLD_THRESHOLD = 1e-12
 _PARAM_RTOL = 1e-12  # model, system and config parameters must agree to this
+_SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,53 @@ def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
     return (vs @ np.linalg.inv(vf))[-1], (vs @ np.linalg.inv(vr))[-1]
 
 
+def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
+    """(n + 2k, k + n) map from [x_0, dW_0..k-1, r_0..k-1] to
+    [out_0..k-1, x_k] over k steps of the recurrence in _block_scan.
+
+    Built from O(k) matrix-vector products: P = [m^j w] carries x_0 to the
+    readouts, and each input g reaches them through the upper-triangular
+    Toeplitz matrix of its impulse response (the direct term, then the
+    Markov parameters g m^j w) and reaches x_k through the rows g m^(k-1-j).
+    """
+    n = m.shape[0]
+    out = np.empty((n + 2 * k, k + n))
+    out[:n, 0] = w
+    for j in range(1, k):
+        out[:n, j] = m @ out[:n, j - 1]
+    out[:n, k:] = np.linalg.matrix_power(m, k)
+    for g, direct, rows in ((g_dw, h_dw, slice(n, n + k)), (g_db, 0.0, slice(n + k, None))):
+        powers = np.empty((k, n))  # g m^j
+        powers[0] = g
+        for j in range(1, k):
+            powers[j] = powers[j - 1] @ m
+        out[rows, :k] = np.triu(toeplitz(np.r_[direct, powers[:-1] @ w]))
+        out[rows, k:] = powers[::-1]
+    return out
+
+
+def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out):
+    """Add x_i . w + dW_i h_dw into out[:, i] along the affine recurrence
+    x_(i+1) = x_i m + dW_i g_dw + r_i g_db, with r = db; return the final x.
+
+    x is (rows, n) and dw, db, out are (rows, T), possibly reversed views.
+    The scan advances _SCAN_BLOCK steps per matrix product (a chunked form of
+    the parallel prefix scan over the affine recurrence); the last partial
+    block uses its own, shorter map.
+    """
+    n_steps = dw.shape[1]
+    block = _scan_matrix(m, g_dw, g_db, w, h_dw, _SCAN_BLOCK)
+    for start in range(0, n_steps, _SCAN_BLOCK):
+        k = min(_SCAN_BLOCK, n_steps - start)
+        if k < _SCAN_BLOCK:
+            block = _scan_matrix(m, g_dw, g_db, w, h_dw, k)
+        span = slice(start, start + k)
+        step = np.concatenate((x, dw[:, span], db[:, span]), axis=1) @ block
+        out[:, span] += step[:, :k]
+        x = step[:, k:]
+    return x
+
+
 def _error_passes(
     model: PhaseModel,
     system: LgSystem,
@@ -236,18 +287,12 @@ def _error_passes(
     win = interior_slice(n_steps, dt, config.burn_in)
 
     err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
-    proj = None
-    if smoothing is not None:
-        vr, w_f, w_r = smoothing
-        proj = np.empty_like(dw)  # w_f . e, later plus w_r . e_r
     e = np.zeros((n_trials, system.n_states))
     for i in range(n_steps):
         d = scale * e[:, -1]
         err[:, i] = d
         if not config.linearized:  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
             db[:, i] += two_sqrt_n * dt * (d - np.sin(d))
-        if proj is not None:
-            proj[:, i] = e.dot(w_f)  # the bits of e @ w_f, with less call overhead
         if error_moment is not None and win.start <= i < win.stop:
             error_moment += e[:, :, None] * e[:, None, :]
         e = e + e @ closed_t + db[:, i, None] * gain
@@ -255,17 +300,23 @@ def _error_passes(
     if smoothing is None:
         return err, None
 
-    # Backward: x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1, and the
-    # anticausal estimate takes in the residual r_i = y_i dt - C x_i dt of
-    # each sample, seeded with the forward error at the end of the record.
-    back = np.linalg.inv(np.eye(system.n_states) + system.a * dt)
+    # With dW and r known, both readouts are linear recurrences, run as
+    # blocked scans: the forward error above, replayed from zero and read out
+    # as w_f . e; then the backward pass, x_i = B (x_(i+1) - e_0 dW_i) with
+    # B = (I + A dt)^-1, whose anticausal estimate takes in the residual
+    # r_i = y_i dt - C x_i dt of each sample. It is seeded with the forward
+    # error at the end of the record and runs on reversed views.
+    vr, w_f, w_r = smoothing
+    n = system.n_states
+    proj = np.zeros_like(dw)
+    _block_scan(np.zeros_like(e), np.eye(n) + closed_t, -np.eye(n)[0], gain, w_f, 0.0, dw, db, proj)
+    back = np.linalg.inv(np.eye(n) + system.a * dt)
     back_t = (back - np.outer(vr @ system.c, system.c) * dt).T
     drive = back[:, 0]
-    gain = vr @ system.c
-    for i in range(n_steps - 1, -1, -1):
-        e += dw[:, i, None] * drive
-        proj[:, i] += e.dot(w_r)
-        e = e @ back_t + db[:, i, None] * gain
+    _block_scan(
+        e, back_t, drive @ back_t, vr @ system.c, w_r, drive @ w_r,
+        dw[:, ::-1], db[:, ::-1], proj[:, ::-1],
+    )
     proj *= scale  # w_f + w_r = I, so the sum is the smoothed error
     proj[:, : win.start] = np.nan
     proj[:, win.stop :] = np.nan
@@ -273,7 +324,7 @@ def _error_passes(
 
 
 def _abc_phase_update(
-    a: np.ndarray, b: np.ndarray, theta: np.ndarray, flux: float
+    a: np.ndarray, b: np.ndarray, theta: np.ndarray, phasor: np.ndarray, flux: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """New phase estimate from the discounted functionals a and b.
 
@@ -283,21 +334,23 @@ def _abc_phase_update(
         ln L(v) = 2 sqrt(N) Re[a* e^(iv)] + N Re[b* e^(2iv)] + const.
 
     The estimate is the maximizer nearest the previous theta (Newton steps
-    seeded there, then continued to the closest 2 pi branch). Returns the
-    candidate angles and a mask of trials whose statistics are too small to
-    define one (those hold the previous theta).
+    seeded there, then continued to the closest 2 pi branch). ``phasor`` is
+    e^(i theta), the first iterate's rotation. Returns the candidate angles
+    and a mask of trials whose statistics are too small to define one (those
+    hold the previous theta).
     """
     two_sqrt_n = 2.0 * math.sqrt(flux)
     hold = two_sqrt_n * np.abs(a) + 2.0 * flux * np.abs(b) < _ABC_HOLD_THRESHOLD
-    new = theta.copy()
-    for _ in range(3):
-        z1 = np.conj(a) * np.exp(1j * new)
-        z2 = np.conj(b) * np.exp(2j * new)
+    conj_a, conj_b = np.conj(a), np.conj(b)
+    new = theta
+    for k in range(3):
+        z1 = conj_a * (np.exp(1j * new) if k else phasor)
+        z2 = conj_b * np.exp(2j * new)
         slope = -two_sqrt_n * z1.imag - 2.0 * flux * z2.imag
         curv = -two_sqrt_n * z1.real - 4.0 * flux * z2.real
         ok = curv < 0.0  # only step toward a maximum
         step = np.where(ok, -slope / np.where(ok, curv, 1.0), 0.0)
-        new = new + np.clip(step, -1.0, 1.0)
+        new = new + np.minimum(np.maximum(step, -1.0), 1.0)  # np.clip, less overhead
     cand = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
     return cand, hold
 
@@ -344,7 +397,7 @@ def _run_abc_feedback(
         phasor = np.exp(1j * theta)
         a = a * decay + (1j * phasor) * idt
         b = b * decay + (phasor * phasor) * dt
-        cand, hold = _abc_phase_update(a, b, theta, config.photon_flux)
+        cand, hold = _abc_phase_update(a, b, theta, phasor, config.photon_flux)
         held += int(np.count_nonzero(hold))
         theta = np.where(hold, theta, cand)
         est[:, i + 1] = theta

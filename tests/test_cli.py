@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phasetrack import sweep
+from phasetrack import cli, sweep
 from phasetrack.cli import main
 from phasetrack.sweep import CSV_HEADER, parse_sweep_spec, run_sweep
 from phasetrack.errors import ValidationError
@@ -95,6 +95,34 @@ class TestSimulate:
         assert main(args + ["--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("estimator", ["smoother", "abc"])
+    def test_record_bytes_are_repr_of_each_value(self, capsys, tmp_path, monkeypatch, estimator):
+        """The CSV holds repr(float) of every value, nan for absent paths and
+        for phi_s outside the interior window."""
+        records = []
+
+        def keep(fn):
+            def wrapped(*args):
+                records.append(fn(*args))
+                return records[-1]
+            return wrapped
+
+        for name in ("simulate_record", "run_abc"):
+            monkeypatch.setattr(cli, name, keep(getattr(cli, name)))
+        out = tmp_path / "rec.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--p", "2", "--flux", "100", "--estimator", estimator,
+            "--seed", "4", "--duration-factor", "45", "--output", str(out),
+        )
+        assert code == 0
+        (rec,) = records
+        paths = [rec.phi, rec.theta, rec.y, rec.phi_f, rec.phi_s, rec.phi_abc]
+        columns = [rec.t] + [np.full(len(rec.t), np.nan) if a is None else a[0] for a in paths]
+        lines = ["t,phi,theta,y,phi_f,phi_s,phi_abc"]
+        lines += [",".join(repr(float(v)) for v in values) for values in zip(*columns)]
+        assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+        assert b",nan," in out.read_bytes()
 
     def test_smoother_column_interior_only(self, capsys, tmp_path):
         out = tmp_path / "rec.csv"

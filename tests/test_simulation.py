@@ -377,8 +377,9 @@ class TestAbc:
         assert rec.abc_indeterminate_steps == len(rec.t)
 
     def test_phase_update_holds_on_empty_statistics(self):
+        theta = np.array([0.3, -1.0, 2.0])
         cand, hold = sim._abc_phase_update(
-            np.zeros(3, complex), np.zeros(3, complex), np.array([0.3, -1.0, 2.0]), 10.0
+            np.zeros(3, complex), np.zeros(3, complex), theta, np.exp(1j * theta), 10.0
         )
         assert np.all(hold)
 
@@ -387,7 +388,7 @@ class TestAbc:
         # likelihood maximum sits exactly at that angle
         theta = np.array([0.7])
         b = 0.5 * np.exp(2j * theta)
-        cand, hold = sim._abc_phase_update(np.zeros(1, complex), b, theta, 10.0)
+        cand, hold = sim._abc_phase_update(np.zeros(1, complex), b, theta, np.exp(1j * theta), 10.0)
         assert not hold[0]
         assert cand[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -651,6 +652,55 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     ens = sim._run_abc_feedback(model, system, config, 3, chi)
     for name in ("phi", "theta", "y", "phi_abc"):
         assert np.array_equal(getattr(rec, name)[0], getattr(ens, name)[0]), name
+
+
+def _step_scan(x, m, g_dw, g_db, w, h_dw, dw, db):
+    """The recurrence of _block_scan one step at a time: its readout and
+    final state."""
+    out = np.empty(dw.shape)
+    for i in range(dw.shape[1]):
+        out[:, i] = x @ w + dw[:, i] * h_dw
+        x = x @ m + dw[:, i, None] * g_dw + db[:, i, None] * g_db
+    return out, x
+
+
+_K = sim._SCAN_BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    n_steps=st.sampled_from([1, _K - 1, _K, _K + 1, 3 * _K + 5]),
+    width=st.sampled_from([1, 3]),
+    backward=st.booleans(),
+    reversed_views=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_block_scan_matches_step_loop(p, n_steps, width, backward, reversed_views, seed):
+    """Blocks, the partial last block and reversed views all give the
+    step-by-step recurrence, on the matrices of both error passes."""
+    _, system = _golden_system(p, 30.0)
+    cov = covariance_set(system)
+    w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+    n, dt = system.n_states, 0.01 * system.time_scale
+    if backward:
+        back = np.linalg.inv(np.eye(n) + system.a * dt)
+        m = (back - np.outer(cov.vr @ system.c, system.c) * dt).T
+        args = (m, back[:, 0] @ m, cov.vr @ system.c, w_r, back[:, 0] @ w_r)
+    else:
+        gain = cov.vf @ system.c
+        m = np.eye(n) + (system.a - np.outer(gain, system.c)).T * dt
+        args = (m, -np.eye(n)[0], gain, w_f, 0.0)
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(width, n))
+    dw, db, out = rng.normal(0.0, math.sqrt(dt), size=(3, width, n_steps))
+    start = out.copy()
+    if reversed_views:
+        dw, db, out, start = dw[:, ::-1], db[:, ::-1], out[:, ::-1], start[:, ::-1]
+    x = sim._block_scan(x0, *args, dw, db, out)
+    ref_out, ref_x = _step_scan(x0, *args, dw, db)
+    assert _close_to_peak(out - start, ref_out, 1e-12)
+    assert _close_to_peak(x, ref_x, 1e-12)
 
 
 def _smoother_alloc_peak(p: int) -> int:
