@@ -94,10 +94,10 @@ def build_lg_system(p, kappa: float, flux: float) -> LgSystem:
     flux = 0 is allowed and yields C = 0 (measurement carries no signal).
     """
     p_int = _require_even_p(p)
-    if not kappa > 0:
-        raise ValidationError(f"kappa must be positive, got {kappa}")
-    if flux < 0:
-        raise ValidationError(f"photon_flux must be >= 0, got {flux}")
+    if not 0 < kappa < math.inf:
+        raise ValidationError(f"kappa must be positive and finite, got {kappa}")
+    if not 0 <= flux < math.inf:
+        raise ValidationError(f"photon_flux must be >= 0 and finite, got {flux}")
     n = p_int // 2 - 1
     m = n + 1
     a = np.zeros((m, m))

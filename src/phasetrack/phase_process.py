@@ -9,6 +9,7 @@ and makes the process stationary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,13 +46,13 @@ class PhaseModel:
     dampings: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValidationError(f"exponent-out-of-range: need p > 1, got p={self.p}")
-        if not self.kappa > 0:
-            raise ValidationError(f"kappa must be positive, got {self.kappa}")
+        if not 1 < self.p < math.inf:
+            raise ValidationError(f"exponent-out-of-range: need finite p > 1, got p={self.p}")
+        if not 0 < self.kappa < math.inf:
+            raise ValidationError(f"kappa must be positive and finite, got {self.kappa}")
         object.__setattr__(self, "dampings", tuple(float(d) for d in self.dampings))
-        if any(d < 0 for d in self.dampings):
-            raise ValidationError(f"dampings must be nonnegative, got {self.dampings}")
+        if not all(0 <= d < math.inf for d in self.dampings):
+            raise ValidationError(f"dampings must be nonnegative and finite, got {self.dampings}")
         if self.dampings:
             if not _is_even_integer(self.p):
                 raise ValidationError(

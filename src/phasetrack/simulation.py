@@ -25,8 +25,14 @@ phi, theta, y and phi_s. Phase is tracked on the real line throughout;
 nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
-phase itself, integrated open-loop before the loop. Both feedback loops
-return (trials, steps) scalar paths; a single record is the one-row case.
+phase itself, integrated open-loop before the loop.
+
+Both feedback loops keep one contract: a loop writes what it measured over
+the shot-noise buffer (the residual r, or the photocurrent I dt) and returns
+(trials, steps) paths. Only simulate_record and run_abc assemble a
+SimulationRecord, whose single row is the one-trial case; ensembles reduce
+an error path directly, and mse_statistics and windowed_mse take that one
+error array.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -199,7 +205,8 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray
     """
     for stage in chain_stages(model, dt, dw):
         pass
-    return model.phase_scale * stage
+    stage *= model.phase_scale
+    return stage
 
 
 def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
@@ -355,65 +362,47 @@ def _abc_phase_update(
     return cand, hold
 
 
-def _run_abc_feedback(
-    model: PhaseModel,
-    system: LgSystem,
-    config: HomodyneConfig,
-    n_trials: int,
-    chi: float,
-) -> SimulationRecord:
+def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
     """Exponential-window estimator in the feedback loop, batched over trials.
 
-    Keeps phi, the estimate after each step (phi_abc), the theta fed back
-    at each step (the estimate one step earlier) and the rescaled signal y.
+    Returns (phi, est, idt, held): the (n_trials, T) phase; est, one column
+    longer, with est[:, i] the theta fed back at step i and est[:, i + 1]
+    the estimate after it; the photocurrent I dt, written over the shot
+    noise dB; and the number of trial-steps that held theta.
     """
-    if not chi > 0:
-        raise ValidationError(f"chi must be positive, got {chi}")
+    if not 0 < chi < math.inf:
+        raise ValidationError(f"chi must be positive and finite, got {chi}")
     n_steps = config.n_steps
     dt = config.dt
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     decay = math.exp(-chi * dt)
 
-    dw, db = _trial_noise(config.seed, n_trials, n_steps, dt)
-    phi_a = _open_loop_phase(model, dt, dw)
+    dw, idt = _trial_noise(config.seed, n_trials, n_steps, dt)
+    phi = _open_loop_phase(model, dt, dw)
     del dw
-    # est[:, i] is the theta fed back at step i, est[:, i + 1] the estimate after it
     est = np.empty((n_trials, n_steps + 1))
     est[:, 0] = 0.0
-    y_a = np.empty_like(phi_a)  # photocurrent I dt until the loop ends
     a = np.zeros(n_trials, dtype=complex)
     b = np.zeros(n_trials, dtype=complex)
     theta = np.zeros(n_trials)
     held = 0
 
     for i in range(n_steps):
-        delta = phi_a[:, i] - theta
+        delta = phi[:, i] - theta
         resp = delta if config.linearized else np.sin(delta)
-        idt = two_sqrt_n * resp * dt + db[:, i]
-        y_a[:, i] = idt
+        meas = two_sqrt_n * resp * dt + idt[:, i]
+        idt[:, i] = meas  # I dt, written over dB
 
         # Discounted functionals, phasors taken at the physical oscillator
         # phase theta + pi/2 (the sin() photocurrent is that quadrature).
         phasor = np.exp(1j * theta)
-        a = a * decay + (1j * phasor) * idt
+        a = a * decay + (1j * phasor) * meas
         b = b * decay + (phasor * phasor) * dt
         cand, hold = _abc_phase_update(a, b, theta, phasor, config.photon_flux)
         held += int(np.count_nonzero(hold))
         theta = np.where(hold, theta, cand)
         est[:, i + 1] = theta
-
-    theta_a = est[:, :-1]
-    y_a /= dt
-    y_a += two_sqrt_n * theta_a
-    return SimulationRecord(
-        config,
-        np.arange(n_steps) * dt,
-        phi_a,
-        theta_a,
-        y_a,
-        phi_abc=est[:, 1:],
-        abc_indeterminate_steps=held,
-    )
+    return phi, est, idt, held
 
 
 def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
@@ -458,69 +447,75 @@ def run_abc(
     are counted in abc_indeterminate_steps.
     """
     _validate_against_system(model, system, config)
-    return _run_abc_feedback(model, system, config, 1, chi)
+    phi, est, y, held = _run_abc_feedback(model, config, 1, chi)
+    theta = est[:, :-1]
+    y /= config.dt  # y dt = I dt + 2 sqrt(N) theta dt
+    y += 2.0 * math.sqrt(config.photon_flux) * theta
+    return SimulationRecord(
+        config,
+        np.arange(config.n_steps) * config.dt,
+        phi,
+        theta,
+        y,
+        phi_abc=est[:, 1:],
+        abc_indeterminate_steps=held,
+    )
 
 
-def _squared_error(truth: np.ndarray, estimate: np.ndarray, wrap: bool) -> np.ndarray:
-    """(estimate - truth)^2 in one new array; with ``wrap`` the error is
-    first reduced to (-pi, pi]."""
-    sq = estimate - truth
-    if wrap:
-        sq += math.pi
-        np.mod(sq, 2.0 * math.pi, out=sq)
-        sq -= math.pi
+def _squared_error(err: np.ndarray, wrap: bool) -> np.ndarray:
+    """err^2 in one new array; with ``wrap`` the error is first reduced to
+    (-pi, pi]."""
+    if not wrap:
+        return np.square(err)
+    sq = err + math.pi
+    np.mod(sq, 2.0 * math.pi, out=sq)
+    sq -= math.pi
     return np.square(sq, out=sq)
 
 
-def mse_statistics(
-    truth: np.ndarray, estimate: np.ndarray, dt: float, burn_in: float, wrap: bool = False
-) -> tuple[float, float]:
-    """Ensemble MSE of an estimate: time average per trial over the interior
-    window, mean across trials, standard error from inter-trial scatter.
+def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = False) -> tuple[float, float]:
+    """Ensemble MSE of an estimation error: time average of err^2 per trial
+    over the interior window, mean across trials, standard error from
+    inter-trial scatter.
 
-    truth and estimate are (n_trials, T) with n_trials >= 2. With
-    ``wrap=True`` the error is reduced to (-pi, pi] before squaring, the
-    slip-insensitive metric for low-flux runs where the feedback loop hops
-    between physically equivalent lock points 2 pi apart (on the real line
-    those hops make the long-run average grow without bound).
+    err is (n_trials, T) with n_trials >= 2. With ``wrap=True`` the error is
+    reduced to (-pi, pi] before squaring, the slip-insensitive metric for
+    low-flux runs where the feedback loop hops between physically equivalent
+    lock points 2 pi apart (on the real line those hops make the long-run
+    average grow without bound).
     """
-    truth = np.asarray(truth, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if truth.shape != estimate.shape or truth.ndim != 2:
-        raise ValidationError(f"need matching (n_trials, T) arrays, got {truth.shape} and {estimate.shape}")
-    n_trials = truth.shape[0]
+    err = np.asarray(err, dtype=float)
+    if err.ndim != 2:
+        raise ValidationError(f"need an (n_trials, T) error array, got shape {err.shape}")
+    n_trials = err.shape[0]
     if n_trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    win = interior_slice(truth.shape[1], dt, burn_in)
-    per_trial = np.mean(_squared_error(truth[:, win], estimate[:, win], wrap), axis=1)
+    win = interior_slice(err.shape[1], dt, burn_in)
+    per_trial = np.mean(_squared_error(err[:, win], wrap), axis=1)
     mse = float(np.mean(per_trial))
     stderr = float(np.std(per_trial, ddof=1) / math.sqrt(n_trials))
     return mse, stderr
 
 
 def windowed_mse(
-    truth: np.ndarray,
-    estimate: np.ndarray,
-    dt: float,
-    start: float,
-    n_windows: int = 4,
-    wrap: bool = False,
+    err: np.ndarray, dt: float, start: float, n_windows: int = 4, wrap: bool = False
 ) -> np.ndarray:
     """Ensemble-mean squared error over logarithmically spaced time windows.
 
-    Splits [start, T] into n_windows log-spaced segments and averages the
-    squared error of all trials within each; a strictly increasing result
-    is the signature of an estimator with no stationary error. ``wrap``
-    reduces the error to (-pi, pi] first, as in mse_statistics.
+    Splits [start, T] into n_windows >= 2 log-spaced segments and averages
+    err^2 of all trials within each; a strictly increasing result is the
+    signature of an estimator with no stationary error. ``wrap`` reduces
+    the error to (-pi, pi] first, as in mse_statistics.
     """
-    truth = np.asarray(truth, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    n_steps = truth.shape[-1]
+    if n_windows < 2:
+        raise ValidationError(f"n_windows must be >= 2 to show a trend, got {n_windows}")
+    err = np.asarray(err, dtype=float)
+    n_steps = err.shape[-1]
     t_end = n_steps * dt
     if not 0 < start < t_end:
         raise ValidationError(f"window start {start} outside (0, {t_end})")
     edges = np.exp(np.linspace(math.log(start), math.log(t_end), n_windows + 1))
-    sq = _squared_error(truth, estimate, wrap)
+    sq = _squared_error(err, wrap)
     out = np.empty(n_windows)
     for k in range(n_windows):
         i0 = int(edges[k] / dt)
@@ -565,8 +560,7 @@ def simulate_filter_trials(
     dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
     err, s_err = _error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)
     del dw, db
-    zero = np.zeros_like(err)
-    mse, se = mse_statistics(zero, err, config.dt, config.burn_in, wrap=wrap_errors)
+    mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
     result = FilterTrialResult(n_trials=n_trials, filter_mse=mse, filter_stderr=se)
     del err
 
@@ -577,7 +571,7 @@ def simulate_filter_trials(
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
 
     if smoother:
-        s_mse, s_se = mse_statistics(zero, s_err, config.dt, config.burn_in, wrap=wrap_errors)
+        s_mse, s_se = mse_statistics(s_err, config.dt, config.burn_in, wrap=wrap_errors)
         result.smoother_mse = s_mse
         result.smoother_stderr = s_se
     return result
@@ -611,16 +605,19 @@ def run_abc_trials(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
-    rec = _run_abc_feedback(model, system, config, n_trials, chi)
-    mse, se = mse_statistics(rec.phi, rec.phi_abc, config.dt, config.burn_in, wrap=wrap_errors)
-    wins = windowed_mse(rec.phi, rec.phi_abc, config.dt, config.burn_in, n_windows, wrap=wrap_errors)
+    phi, est, idt, held = _run_abc_feedback(model, config, n_trials, chi)
+    del idt
+    err = np.subtract(est[:, 1:], phi, out=phi)  # phi_abc - phi, written over phi
+    del est
+    mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
+    wins = windowed_mse(err, config.dt, config.burn_in, n_windows, wrap=wrap_errors)
     return AbcTrialResult(
         n_trials=n_trials,
         mse=mse,
         stderr=se,
         window_mse=wins,
         diverged=bool(np.all(np.diff(wins) > 0)),
-        indeterminate_steps=rec.abc_indeterminate_steps,
+        indeterminate_steps=held,
     )
 
 
@@ -651,4 +648,4 @@ def run_abc_linearized_trials(
     err = lfilter([0.0, dt], decay, phi, axis=-1)
     err -= phi / chi
     err += lfilter([0.0, 1.0], decay, db, axis=-1)
-    return mse_statistics(np.zeros_like(err), err, dt, burn_in)
+    return mse_statistics(err, dt, burn_in)

@@ -73,8 +73,8 @@ class SweepSpec:
                 raise ValidationError(f"sweep spec field 'p' must hold even integers >= 2, got {p}")
         if not self.kappa > 0:
             raise ValidationError("sweep spec field 'kappa' must be positive")
-        if not self.grid or any(g <= 0 for g in self.grid):
-            raise ValidationError("sweep spec field 'grid' must list positive values")
+        if not self.grid or not all(0 < g < math.inf for g in self.grid):
+            raise ValidationError("sweep spec field 'grid' must list positive finite values")
         if not self.estimators:
             raise ValidationError("sweep spec field 'estimators' must not be empty")
         for est in self.estimators:
@@ -98,7 +98,10 @@ def _get(section, key, cast, default=None, required=False):
         if required:
             raise ValidationError(f"sweep spec is missing required field '{key}'")
         return default
-    raw = section[key].strip()
+    try:
+        raw = section[key].strip()
+    except configparser.Error as exc:  # e.g. a lone '%' under interpolation
+        raise ValidationError(f"sweep spec field '{key}' is invalid: {exc}") from exc
     try:
         return cast(raw)
     except (ValueError, TypeError) as exc:
@@ -129,7 +132,10 @@ def _bool(raw: str) -> bool:
 def parse_sweep_spec(path) -> SweepSpec:
     """Read and validate an INI sweep spec; errors name the offending field."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed sweep spec file {path!r}: {exc}") from exc
     if not read:
         raise ValidationError(f"cannot read sweep spec file {path!r}")
     if "sweep" not in parser:

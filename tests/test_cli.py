@@ -200,6 +200,30 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["bounds", "--p", "inf", "--flux", "10"], "p="),
+        (["bounds", "--p", "2", "--kappa", "inf", "--flux", "10"], "kappa"),
+        (["bounds", "--spectrum-file", "{two_pole}", "--flux", "nan"], "photon_flux"),
+        (["simulate", "--p", "2", "--flux", "100", "--estimator", "abc", "--cutoff", "nan"], "dampings"),
+        (["simulate", "--p", "2", "--flux", "100", "--estimator", "abc", "--chi", "inf"], "chi"),
+    ],
+    ids=["p-inf", "kappa-inf", "flux-nan", "cutoff-nan", "chi-inf"],
+)
+def test_non_finite_parameter_exits_2(capsys, tmp_path, args, field):
+    two_pole = tmp_path / "spec.csv"
+    w = np.logspace(-3, 3, 61)
+    two_pole.write_text("omega,density\n" + "\n".join(f"{wi},{1 / ((wi**2 + 1) * (wi**2 + 25))}" for wi in w))
+    args = [a.format(two_pole=two_pole) for a in args]
+    if args[0] == "simulate":
+        args += ["--output", str(tmp_path / "x.csv")]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err.startswith("error:") and field in err
+    assert out == ""
+
+
 def _write_spec(path, **overrides):
     base = {
         "p": "2",
@@ -275,14 +299,34 @@ class TestSweep:
             parse_sweep_spec(spec)
 
     @pytest.mark.parametrize(
-        "key, value, field", [("seed", "-5", "'seed'"), ("duration_factor", "inf", "duration")]
+        "key, value, field",
+        [("seed", "-5", "'seed'"), ("duration_factor", "inf", "duration"), ("grid", "nan", "'grid'")],
     )
     def test_bad_seed_or_duration_exits_2(self, capsys, tmp_path, key, value, field):
         spec = tmp_path / "sweep.ini"
-        _write_spec(spec, grid="10", estimators="filter", trials="2", **{key: value})
+        _write_spec(spec, **{"grid": "10", "estimators": "filter", "trials": "2", key: value})
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
         assert code == 2
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("p = 2\nseed = 1\n", "sweep.ini"),
+            ("[sweep]\np = 2\n[sweep]\nseed = 1\n", "sweep.ini"),
+            ("[sweep]\np = 2\np = 4\n", "sweep.ini"),
+            ("[sweep]\np = 2%\ngrid = 10\nestimators = filter\nseed = 1\n", "field 'p'"),
+        ],
+        ids=["no-header", "repeated-section", "repeated-key", "lone-percent"],
+    )
+    def test_malformed_ini_exits_2(self, capsys, tmp_path, text, named):
+        spec = tmp_path / "sweep.ini"
+        spec.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("error:") and named in err
+        with pytest.raises(ValidationError):
+            parse_sweep_spec(spec)
 
     def test_log_grid_form(self, tmp_path):
         spec = tmp_path / "sweep.ini"

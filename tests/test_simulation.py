@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phasetrack.errors import ValidationError
 from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse
@@ -443,13 +444,13 @@ class TestAbc:
 class TestMseStatistics:
     def test_perfect_estimate(self):
         truth = np.random.default_rng(0).normal(size=(3, 100))
-        mse, se = mse_statistics(truth, truth, dt=0.1, burn_in=1.0)
+        mse, se = mse_statistics(truth - truth, dt=0.1, burn_in=1.0)
         assert mse == 0.0
         assert se == 0.0
 
     def test_constant_offset(self):
         truth = np.random.default_rng(0).normal(size=(2, 100))
-        mse, se = mse_statistics(truth, truth + 0.1, dt=0.1, burn_in=1.0)
+        mse, se = mse_statistics((truth + 0.1) - truth, dt=0.1, burn_in=1.0)
         assert mse == pytest.approx(0.01, rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-16)
 
@@ -457,23 +458,23 @@ class TestMseStatistics:
         truth = np.zeros((2, 50))
         est = np.zeros((2, 50))
         est[0] += 1.0  # per-trial means 1.0 and 0.0
-        mse, se = mse_statistics(truth, est, dt=1.0, burn_in=0.0)
+        mse, se = mse_statistics(est - truth, dt=1.0, burn_in=0.0)
         assert mse == pytest.approx(0.5)
         assert se == pytest.approx(abs(1.0 - 0.0) / 2)
 
     def test_wrap_option(self):
         truth = np.zeros((2, 10))
         est = np.full((2, 10), 2 * math.pi)  # a full turn away: no wrapped error
-        mse, _ = mse_statistics(truth, est, dt=1.0, burn_in=0.0, wrap=True)
+        mse, _ = mse_statistics(est - truth, dt=1.0, burn_in=0.0, wrap=True)
         assert mse == pytest.approx(0.0, abs=1e-25)
 
     def test_requires_two_trials(self):
         with pytest.raises(ValidationError):
-            mse_statistics(np.zeros((1, 10)), np.zeros((1, 10)), dt=1.0, burn_in=0.0)
+            mse_statistics(np.zeros((1, 10)), dt=1.0, burn_in=0.0)
 
     def test_empty_window(self):
         with pytest.raises(ValidationError, match="window"):
-            mse_statistics(np.zeros((2, 10)), np.zeros((2, 10)), dt=1.0, burn_in=5.0)
+            mse_statistics(np.zeros((2, 10)), dt=1.0, burn_in=5.0)
 
 
 class TestWindowedMse:
@@ -481,23 +482,33 @@ class TestWindowedMse:
         t = np.arange(1, 2001, dtype=float) * 0.01
         truth = np.zeros((2, 2000))
         est = np.sqrt(t)[None, :] * np.ones((2, 1))  # variance grows linearly
-        wins = windowed_mse(truth, est, dt=0.01, start=0.5, n_windows=4)
+        wins = windowed_mse(est - truth, dt=0.01, start=0.5, n_windows=4)
         assert np.all(np.diff(wins) > 0)
 
     def test_wrap_option(self):
         truth = np.zeros((2, 400))
         est = np.full((2, 400), 0.1)
         est[:, 200:] += 2 * math.pi  # a slip half way: the wrapped error is unchanged
-        wins = windowed_mse(truth, est, dt=0.01, start=0.5, n_windows=4, wrap=True)
+        wins = windowed_mse(est - truth, dt=0.01, start=0.5, n_windows=4, wrap=True)
         assert wins == pytest.approx(np.full(4, 0.01), rel=1e-9)
-        assert windowed_mse(truth, est, dt=0.01, start=0.5, n_windows=4)[-1] > 39.0
+        assert windowed_mse(est - truth, dt=0.01, start=0.5, n_windows=4)[-1] > 39.0
 
     def test_stationary_error_not_flagged(self):
         rng = np.random.default_rng(2)
         truth = np.zeros((4, 4000))
         est = rng.normal(size=(4, 4000))
-        wins = windowed_mse(truth, est, dt=0.01, start=1.0, n_windows=4)
+        wins = windowed_mse(est - truth, dt=0.01, start=1.0, n_windows=4)
         assert not np.all(np.diff(wins) > 0)
+
+    @pytest.mark.parametrize("n_windows", [0, 1])
+    def test_needs_two_windows(self, n_windows):
+        """One window has no trend; np.all over its empty diff would read
+        as strictly increasing and flag every run as diverged."""
+        with pytest.raises(ValidationError, match="n_windows"):
+            windowed_mse(np.ones((2, 400)), dt=0.01, start=0.5, n_windows=n_windows)
+        model, system, config = _setup(p=2, flux=100.0, duration_factor=3.0)
+        with pytest.raises(ValidationError, match="n_windows"):
+            sim.run_abc_trials(model, system, config, 2, math.sqrt(system.mu), n_windows=n_windows)
 
 
 class TestAbcWrappedWindows:
@@ -649,9 +660,13 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
 
     chi = 1.0 / system.time_scale
     rec = run_abc(model, system, config, chi)
-    ens = sim._run_abc_feedback(model, system, config, 3, chi)
-    for name in ("phi", "theta", "y", "phi_abc"):
-        assert np.array_equal(getattr(rec, name)[0], getattr(ens, name)[0]), name
+    phi, est, idt, _ = sim._run_abc_feedback(model, config, 3, chi)
+    y = idt / config.dt
+    y += 2.0 * math.sqrt(config.photon_flux) * est[:, :-1]
+    rows = {"phi": phi, "theta": est[:, :-1], "phi_abc": est[:, 1:], "y": y}
+    for name, path in rows.items():
+        assert np.array_equal(getattr(rec, name)[0], path[0]), name
+    assert y.shape == (3, config.n_steps)
 
 
 def _step_scan(x, m, g_dw, g_db, w, h_dw, dw, db):
@@ -724,6 +739,54 @@ def test_smoother_memory_does_not_grow_with_p(p):
     """Only (trials, steps) scalar paths are stored, so at fixed trials x
     steps the allocation peak is the same for every chain length."""
     assert _smoother_alloc_peak(p) <= 1.15 * _smoother_alloc_peak(2)
+
+
+def test_abc_ensemble_memory_is_three_paths():
+    """run_abc_trials holds at most three (trials, steps) paths at once:
+    the photocurrent is written over the shot noise, the error over the
+    phase, and the reductions square one error path."""
+    model, system = _golden_system(2, 30.0)
+    config = default_config(system, seed=3, duration_factor=20.0)
+    n_trials = 16
+    tracemalloc.start()
+    try:
+        sim.run_abc_trials(model, system, config, n_trials, math.sqrt(system.mu))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * n_trials * config.n_steps * 8
+
+
+_err_arrays = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(2, 5), st.integers(12, 60)),
+    elements=st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(err=_err_arrays, k=st.integers(0, 5))
+def test_mse_statistics_is_interior_mean_of_squares(err, k):
+    """Mean over trials of each trial's interior mean of err^2; the stderr
+    is the sample std of those means over sqrt(trials)."""
+    k = min(k, (err.shape[1] - 1) // 2)
+    per_trial = [np.mean(row[k : len(row) - k] ** 2) for row in err]
+    mse, se = mse_statistics(err, dt=1.0, burn_in=float(k))
+    assert mse == pytest.approx(np.mean(per_trial), rel=1e-12)
+    assert se == pytest.approx(np.std(per_trial, ddof=1) / math.sqrt(len(err)), rel=1e-9, abs=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(err=_err_arrays, data=st.data())
+def test_wrapped_reductions_ignore_whole_turns(err, data):
+    """With wrap=True, adding 2 pi k to any entry (a cycle slip) leaves both
+    reductions unchanged."""
+    turns = data.draw(hnp.arrays(np.int64, err.shape, elements=st.integers(-50, 50)))
+    slipped = err + 2.0 * math.pi * turns
+    mse, se = mse_statistics(err, dt=0.5, burn_in=1.0, wrap=True)
+    assert mse_statistics(slipped, dt=0.5, burn_in=1.0, wrap=True) == pytest.approx((mse, se), abs=1e-9)
+    wins = windowed_mse(err, dt=0.5, start=1.0, n_windows=3, wrap=True)
+    assert windowed_mse(slipped, dt=0.5, start=1.0, n_windows=3, wrap=True) == pytest.approx(wins, abs=1e-9)
 
 
 def _accuracy_ratios(p: int, duration_factor: float, n_trials: int) -> tuple[float, float]:
