@@ -8,7 +8,6 @@ for memory, 3 numerical failure (divergent bound, stalled iteration).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -98,17 +97,25 @@ def cmd_riccati(args) -> int:
     return 0
 
 
-def _record_csv_rows(record):
-    """CSV rows of the record's first trial; absent paths read nan.
+def _record_csv_blocks(record):
+    """CSV text of the record's first trial, _CSV_BLOCK_ROWS rows at a time,
+    each row ended by CRLF; absent paths read nan.
 
-    The csv writer formats each Python float as its repr. Columns become
-    floats a block of rows at a time, so the rows never exist all at once.
+    Each value is the repr of its Python float, the text csv.writer gives
+    it. Columns become floats a block of rows at a time, so the rows never
+    exist all at once. A path in two columns (phi_f is theta) and the nan
+    of absent paths are formatted once per block.
     """
-    nan = np.full(len(record.t), np.nan)
-    paths = (record.phi, record.theta, record.y, record.phi_f, record.phi_s, record.phi_abc)
-    columns = [record.t] + [nan if a is None else a[0] for a in paths]
-    for start in range(0, len(record.t), _CSV_BLOCK_ROWS):
-        yield from zip(*(c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns))
+    paths = (record.t[None], record.phi, record.theta, record.y, record.phi_f, record.phi_s, record.phi_abc)
+    unique = {id(a): a for a in paths}
+    n_rows = len(record.t)
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+        text = {
+            key: ["nan"] * (stop - start) if a is None else list(map(repr, a[0, start:stop].tolist()))
+            for key, a in unique.items()
+        }
+        yield "\r\n".join(map(",".join, zip(*(text[id(a)] for a in paths)))) + "\r\n"
 
 
 def cmd_simulate(args) -> int:
@@ -130,9 +137,8 @@ def cmd_simulate(args) -> int:
         if args.estimator == "filter":
             record.phi_s = None
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phi", "theta", "y", "phi_f", "phi_s", "phi_abc"])
-        writer.writerows(_record_csv_rows(record))
+        fh.write("t,phi,theta,y,phi_f,phi_s,phi_abc\r\n")
+        fh.writelines(_record_csv_blocks(record))
     print(f"wrote {len(record.t)} steps to {args.output}")
     return 0
 

@@ -25,7 +25,10 @@ phi, theta, y and phi_s. Phase is tracked on the real line throughout;
 nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
-phase itself, integrated open-loop before the loop.
+phase itself, integrated open-loop before the loop. It keeps its two
+discounted functionals (a, b) as one stacked (2, trials) array of harmonics
+1 and 2, so one exponential gives both rotations of a step and one complex
+product both Newton derivatives; the floats are those of the per-array form.
 
 Both feedback loops keep one contract: a loop writes what it measured over
 the shot-noise buffer (the residual r, or the photocurrent I dt) and returns
@@ -68,6 +71,7 @@ __all__ = [
 ]
 
 _ABC_HOLD_THRESHOLD = 1e-12
+_HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
 _PARAM_RTOL = 1e-12  # model, system and config parameters must agree to this
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 
@@ -294,16 +298,20 @@ def _error_passes(
     win = interior_slice(n_steps, dt, config.burn_in)
 
     err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
-    e = np.zeros((n_trials, system.n_states))
+    e = np.zeros((n_trials, system.n_states))  # updated in place
+    e_first, e_last = e[:, 0], e[:, -1]
+    sin_gain = two_sqrt_n * dt
     for i in range(n_steps):
-        d = scale * e[:, -1]
+        d = scale * e_last
         err[:, i] = d
+        r = db[:, i]
         if not config.linearized:  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
-            db[:, i] += two_sqrt_n * dt * (d - np.sin(d))
+            r += sin_gain * (d - np.sin(d))
         if error_moment is not None and win.start <= i < win.stop:
             error_moment += e[:, :, None] * e[:, None, :]
-        e = e + e @ closed_t + db[:, i, None] * gain
-        e[:, 0] -= dw[:, i]
+        e += e @ closed_t
+        e += r[:, None] * gain
+        e_first -= dw[:, i]
     if smoothing is None:
         return err, None
 
@@ -330,10 +338,21 @@ def _error_passes(
     return err, proj
 
 
+def _abc_weights(flux: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-harmonic weights of _abc_phase_update at photon flux N: the hold
+    test's (2 sqrt(N), 2N) and, for the (real, imag) parts of the two Newton
+    products, (-2 sqrt(N), -2 sqrt(N)) and (4N, 2N), as the minuend and
+    subtrahend of (curv, slope)."""
+    two_sqrt_n = 2.0 * math.sqrt(flux)
+    hold = np.array([[two_sqrt_n], [2.0 * flux]])
+    newton = np.array([[[-two_sqrt_n, -two_sqrt_n]], [[4.0 * flux, 2.0 * flux]]])
+    return hold, newton
+
+
 def _abc_phase_update(
-    a: np.ndarray, b: np.ndarray, theta: np.ndarray, phasor: np.ndarray, flux: float
+    ab: np.ndarray, theta: np.ndarray, e: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """New phase estimate from the discounted functionals a and b.
+    """New phase estimate from the discounted functionals ab = (a, b).
 
     a and b are sufficient statistics of the recent photocurrent: the
     log-likelihood of a locally constant phase value v is
@@ -341,23 +360,30 @@ def _abc_phase_update(
         ln L(v) = 2 sqrt(N) Re[a* e^(iv)] + N Re[b* e^(2iv)] + const.
 
     The estimate is the maximizer nearest the previous theta (Newton steps
-    seeded there, then continued to the closest 2 pi branch). ``phasor`` is
-    e^(i theta), the first iterate's rotation. Returns the candidate angles
-    and a mask of trials whose statistics are too small to define one (those
-    hold the previous theta).
+    seeded there, then continued to the closest 2 pi branch). ab and e are
+    (2, n_trials), the two harmonics stacked: e holds e^(i theta) and
+    e^(2i theta), the first iterate's rotations, and each iterate takes
+    both harmonics' terms from one product conj(ab) e, whose (real, imag)
+    parts times the weights give curv and slope in one row difference.
+    ``weights`` comes from _abc_weights. Returns the candidate angles and a
+    mask of trials whose statistics are too small to define one (those hold
+    the previous theta).
     """
-    two_sqrt_n = 2.0 * math.sqrt(flux)
-    hold = two_sqrt_n * np.abs(a) + 2.0 * flux * np.abs(b) < _ABC_HOLD_THRESHOLD
-    conj_a, conj_b = np.conj(a), np.conj(b)
+    hold_w, newton_w = weights
+    size = np.abs(ab) * hold_w  # 2 sqrt(N) |a| and 2N |b|
+    hold = size[0] + size[1] < _ABC_HOLD_THRESHOLD
+    conj_ab = np.conj(ab)
     new = theta
     for k in range(3):
-        z1 = conj_a * (np.exp(1j * new) if k else phasor)
-        z2 = conj_b * np.exp(2j * new)
-        slope = -two_sqrt_n * z1.imag - 2.0 * flux * z2.imag
-        curv = -two_sqrt_n * z1.real - 4.0 * flux * z2.real
+        if k:
+            e = np.exp(_HARMONICS * new)
+        terms = (conj_ab * e).view(float).reshape(2, -1, 2) * newton_w
+        diff = terms[0] - terms[1]
+        curv, slope = diff[:, 0], diff[:, 1]
         ok = curv < 0.0  # only step toward a maximum
-        step = np.where(ok, -slope / np.where(ok, curv, 1.0), 0.0)
-        new = new + np.minimum(np.maximum(step, -1.0), 1.0)  # np.clip, less overhead
+        step = np.divide(slope, curv, out=np.zeros(len(theta)), where=ok)
+        # new - clip(slope / curv) is new + clip(-slope / curv), bit for bit
+        new = new - np.minimum(np.maximum(step, -1.0), 1.0)  # np.clip, less overhead
     cand = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
     return cand, hold
 
@@ -365,6 +391,9 @@ def _abc_phase_update(
 def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
     """Exponential-window estimator in the feedback loop, batched over trials.
 
+    The two functionals are one (2, n_trials) array ab = (a, b), updated in
+    place; one exponential gives both harmonics e^(i theta), e^(2i theta) of
+    each step, for the a and b updates and the first Newton iterate.
     Returns (phi, est, idt, held): the (n_trials, T) phase; est, one column
     longer, with est[:, i] the theta fed back at step i and est[:, i + 1]
     the estimate after it; the photocurrent I dt, written over the shot
@@ -376,33 +405,43 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     dt = config.dt
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     decay = math.exp(-chi * dt)
+    weights = _abc_weights(config.photon_flux)
 
     dw, idt = _trial_noise(config.seed, n_trials, n_steps, dt)
     phi = _open_loop_phase(model, dt, dw)
     del dw
     est = np.empty((n_trials, n_steps + 1))
     est[:, 0] = 0.0
-    a = np.zeros(n_trials, dtype=complex)
-    b = np.zeros(n_trials, dtype=complex)
+    ab = np.zeros((2, n_trials), dtype=complex)
+    # rot = (i, e^(i theta), e^(2i theta)). Rows 1-2 are the harmonics;
+    # e^(i theta) times rows 0-1 gives the rotations of the a and b updates,
+    # whose real factors are drive = (I dt, dt). The b update squares
+    # e^(i theta), which can differ from e^(2i theta) in the last bit.
+    rot = np.empty((3, n_trials), dtype=complex)
+    rot[0] = 1j
+    phasor, harmonics, update = rot[1], rot[1:], rot[:2]
+    drive = np.empty((2, n_trials))
+    drive[1] = dt
+    meas = drive[0]
     theta = np.zeros(n_trials)
-    held = 0
+    held = np.zeros(n_trials, dtype=np.int64)
 
     for i in range(n_steps):
         delta = phi[:, i] - theta
-        resp = delta if config.linearized else np.sin(delta)
-        meas = two_sqrt_n * resp * dt + idt[:, i]
+        resp = delta if config.linearized else np.sin(delta, out=delta)
+        np.add(two_sqrt_n * resp * dt, idt[:, i], out=meas)
         idt[:, i] = meas  # I dt, written over dB
 
         # Discounted functionals, phasors taken at the physical oscillator
         # phase theta + pi/2 (the sin() photocurrent is that quadrature).
-        phasor = np.exp(1j * theta)
-        a = a * decay + (1j * phasor) * meas
-        b = b * decay + (phasor * phasor) * dt
-        cand, hold = _abc_phase_update(a, b, theta, phasor, config.photon_flux)
-        held += int(np.count_nonzero(hold))
+        np.exp(_HARMONICS * theta, out=harmonics)
+        ab *= decay
+        ab += phasor * update * drive
+        cand, hold = _abc_phase_update(ab, theta, harmonics, weights)
+        held += hold
         theta = np.where(hold, theta, cand)
         est[:, i + 1] = theta
-    return phi, est, idt, held
+    return phi, est, idt, int(held.sum())
 
 
 def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
@@ -497,6 +536,11 @@ def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = Fals
     return mse, stderr
 
 
+def _check_n_windows(n_windows: int) -> None:
+    if n_windows < 2:
+        raise ValidationError(f"n_windows must be >= 2 to show a trend, got {n_windows}")
+
+
 def windowed_mse(
     err: np.ndarray, dt: float, start: float, n_windows: int = 4, wrap: bool = False
 ) -> np.ndarray:
@@ -507,8 +551,7 @@ def windowed_mse(
     signature of an estimator with no stationary error. ``wrap`` reduces
     the error to (-pi, pi] first, as in mse_statistics.
     """
-    if n_windows < 2:
-        raise ValidationError(f"n_windows must be >= 2 to show a trend, got {n_windows}")
+    _check_n_windows(n_windows)
     err = np.asarray(err, dtype=float)
     n_steps = err.shape[-1]
     t_end = n_steps * dt
@@ -605,6 +648,7 @@ def run_abc_trials(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     _validate_against_system(model, system, config)
+    _check_n_windows(n_windows)
     phi, est, idt, held = _run_abc_feedback(model, config, n_trials, chi)
     del idt
     err = np.subtract(est[:, 1:], phi, out=phi)  # phi_abc - phi, written over phi

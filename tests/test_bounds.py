@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetrack.bounds import (
     BoundQuery,
@@ -95,6 +96,17 @@ class TestQuadratureAgreement:
         q = _query(p, 1.0, n_over_kappa)
         assert qcrb_quadrature(q) == pytest.approx(qcrb_power_law(p, 1.0, n_over_kappa), rel=1e-3)
         assert filter_mse_quadrature(q) == pytest.approx(filter_mse_power_law(p, 1.0, n_over_kappa), rel=1e-3)
+
+    @settings(max_examples=8, deadline=None)
+    @given(p=st.floats(1.5, 8.0), log_kappa=st.floats(-2.0, 2.0), log_n_over_kappa=st.floats(1.0, 4.0))
+    def test_closed_forms_match_quadrature_anywhere(self, p, log_kappa, log_n_over_kappa):
+        """The same agreement at random p in [1.5, 8], kappa and N/kappa in
+        [10, 1e4]."""
+        kappa = 10.0**log_kappa
+        flux = kappa * 10.0**log_n_over_kappa
+        q = _query(p, kappa, flux)
+        assert qcrb_quadrature(q) == pytest.approx(qcrb_power_law(p, kappa, flux), rel=1e-3)
+        assert filter_mse_quadrature(q) == pytest.approx(filter_mse_power_law(p, kappa, flux), rel=1e-3)
 
     def test_quadrature_flux_scaling(self):
         p, c = 3.0, 7.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetrack.bounds import filter_mse_power_law, qcrb_power_law
 from phasetrack.errors import NumericalError, ValidationError
@@ -263,6 +264,16 @@ class TestScaleCovariance:
     def test_rejects_bad_mu(self):
         with pytest.raises(ValidationError):
             scale_covariance(VT_P2, 2, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from(EVEN_P), log_mu=st.floats(-12.0, 12.0))
+    def test_mu_scaling_law(self, p, log_mu):
+        """V[k, l] mu^((k + l + 1)/p) recovers Vt[k, l] for every entry."""
+        mu = 10.0**log_mu
+        vt = solve_filter_covariance(p)
+        v = scale_covariance(vt, p, mu)
+        k = np.arange(p // 2)
+        np.testing.assert_allclose(v * mu ** ((k[:, None] + k[None, :] + 1.0) / p), vt, rtol=1e-12, atol=0)
 
     def test_smoother_mse_matches_qcrb(self):
         sys6 = build_lg_system(6, 2.0, 11.0)
