@@ -99,14 +99,16 @@ def cmd_riccati(args) -> int:
 
 def _record_csv_blocks(record):
     """CSV text of the record's first trial, _CSV_BLOCK_ROWS rows at a time,
-    each row ended by CRLF; absent paths read nan.
+    each row ended by CRLF; absent paths read nan, and phi_f is the theta
+    that a filter-mode record fed back.
 
     Each value is the repr of its Python float, the text csv.writer gives
     it. Columns become floats a block of rows at a time, so the rows never
-    exist all at once. A path in two columns (phi_f is theta) and the nan
-    of absent paths are formatted once per block.
+    exist all at once. A path in two columns and the nan of absent paths
+    are formatted once per block.
     """
-    paths = (record.t[None], record.phi, record.theta, record.y, record.phi_f, record.phi_s, record.phi_abc)
+    phi_f = record.theta if record.phi_abc is None else None
+    paths = (record.t[None], record.phi, record.theta, record.y, phi_f, record.phi_s, record.phi_abc)
     unique = {id(a): a for a in paths}
     n_rows = len(record.t)
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
@@ -131,9 +133,9 @@ def cmd_simulate(args) -> int:
     )
     if args.estimator == "abc":
         model, chi = _abc_setup(args.p, args.kappa, system.mu, args.chi, args.cutoff)
-        record = run_abc(model, system, config, chi)
+        record = run_abc(model, config, chi)
     else:
-        record = simulate_record(PhaseModel(args.p, args.kappa), system, config)
+        record = simulate_record(PhaseModel(args.p, args.kappa), config)
         if args.estimator == "filter":
             record.phi_s = None
     with open(args.output, "w", newline="", encoding="utf-8") as fh:

@@ -30,6 +30,11 @@ discounted functionals (a, b) as one stacked (2, trials) array of harmonics
 1 and 2, so one exponential gives both rotations of a step and one complex
 product both Newton derivatives; the floats are those of the per-array form.
 
+The four entry points take (model, config, ...): p and kappa come from the
+PhaseModel, the photon flux N from the HomodyneConfig, and the
+linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows from them, so a
+run states each parameter once.
+
 Both feedback loops keep one contract: a loop writes what it measured over
 the shot-noise buffer (the residual r, or the photocurrent I dt) and returns
 (trials, steps) paths. Only simulate_record and run_abc assemble a
@@ -53,7 +58,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from .errors import ValidationError
-from .lg import LgSystem, covariance_set, smoother_covariance
+from .lg import LgSystem, build_lg_system, covariance_set, smoother_covariance
 from .phase_process import PhaseModel, _check_damping, chain_stages
 
 __all__ = [
@@ -72,7 +77,6 @@ __all__ = [
 
 _ABC_HOLD_THRESHOLD = 1e-12
 _HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
-_PARAM_RTOL = 1e-12  # model, system and config parameters must agree to this
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 
 
@@ -134,13 +138,11 @@ def default_config(
     )
 
 
-def _validate_against_system(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> None:
-    if model.n != system.n:
-        raise ValidationError(f"model p={model.p} does not match system p={system.p}")
-    if not math.isclose(model.kappa, system.kappa, rel_tol=_PARAM_RTOL):
-        raise ValidationError("model and system kappa differ")
-    if not math.isclose(config.photon_flux, system.photon_flux, rel_tol=_PARAM_RTOL):
-        raise ValidationError("config and system photon flux differ")
+def _run_system(model: PhaseModel, config: HomodyneConfig) -> LgSystem:
+    """Linear-Gaussian system of a run: p and kappa from the model, photon
+    flux from the config. Rejects a grid that does not resolve the
+    closed-loop response time mu^(-1/p) or the model's damping rates."""
+    system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
         if config.dt > 0.01 * tau * (1 + 1e-9):
@@ -152,6 +154,7 @@ def _validate_against_system(model: PhaseModel, system: LgSystem, config: Homody
                 f"burn_in={config.burn_in:.3g} too short: must be >= 20 mu^(-1/p) = {20 * tau:.3g}"
             )
     _check_damping(model, config.dt)
+    return system
 
 
 @dataclass(eq=False)
@@ -162,9 +165,9 @@ class SimulationRecord:
     one-row case. ``y`` is the rescaled signal I + 2 sqrt(N) theta as a
     rate, and ``theta`` is the estimate fed back at each step. Filter-mode
     records are built from the loop's errors: theta = phi + (theta - phi),
-    phi_f is theta, and phi_s = phi + (phi_s - phi) is NaN outside the
+    the causal estimate, and phi_s = phi + (phi_s - phi) is NaN outside the
     interior window (None without a measurement). ABC-mode records carry
-    phi_abc instead of the filter fields.
+    phi_abc, the estimate after each step, instead of phi_s.
     """
 
     config: HomodyneConfig
@@ -172,7 +175,6 @@ class SimulationRecord:
     phi: np.ndarray
     theta: np.ndarray
     y: np.ndarray
-    phi_f: Optional[np.ndarray] = None
     phi_s: Optional[np.ndarray] = None
     phi_abc: Optional[np.ndarray] = None
     abc_indeterminate_steps: int = 0
@@ -444,11 +446,11 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     return phi, est, idt, int(held.sum())
 
 
-def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig) -> SimulationRecord:
+def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
     record. With a measurement (mu > 0) the backward pass runs too and
     phi_s is filled on the interior window."""
-    _validate_against_system(model, system, config)
+    system = _run_system(model, config)
     dw, db = _trial_noise(config.seed, 1, config.n_steps, config.dt)
     if system.mu > 0:
         cov = covariance_set(system)
@@ -467,14 +469,11 @@ def simulate_record(model: PhaseModel, system: LgSystem, config: HomodyneConfig)
         phi,
         theta,
         y,
-        phi_f=theta,
         phi_s=None if s_err is None else phi + s_err,
     )
 
 
-def run_abc(
-    model: PhaseModel, system: LgSystem, config: HomodyneConfig, chi: float
-) -> SimulationRecord:
+def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> SimulationRecord:
     """One trial with the exponential-window estimator in the feedback loop,
     as a one-row record.
 
@@ -485,7 +484,7 @@ def run_abc(
     Steps whose statistics are too small to define a phase hold theta and
     are counted in abc_indeterminate_steps.
     """
-    _validate_against_system(model, system, config)
+    _run_system(model, config)
     phi, est, y, held = _run_abc_feedback(model, config, 1, chi)
     theta = est[:, :-1]
     y /= config.dt  # y dt = I dt + 2 sqrt(N) theta dt
@@ -536,11 +535,6 @@ def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = Fals
     return mse, stderr
 
 
-def _check_n_windows(n_windows: int) -> None:
-    if n_windows < 2:
-        raise ValidationError(f"n_windows must be >= 2 to show a trend, got {n_windows}")
-
-
 def windowed_mse(
     err: np.ndarray, dt: float, start: float, n_windows: int = 4, wrap: bool = False
 ) -> np.ndarray:
@@ -551,7 +545,8 @@ def windowed_mse(
     signature of an estimator with no stationary error. ``wrap`` reduces
     the error to (-pi, pi] first, as in mse_statistics.
     """
-    _check_n_windows(n_windows)
+    if n_windows < 2:
+        raise ValidationError(f"n_windows must be >= 2 to show a trend, got {n_windows}")
     err = np.asarray(err, dtype=float)
     n_steps = err.shape[-1]
     t_end = n_steps * dt
@@ -582,7 +577,6 @@ class FilterTrialResult:
 
 def simulate_filter_trials(
     model: PhaseModel,
-    system: LgSystem,
     config: HomodyneConfig,
     n_trials: int,
     smoother: bool = False,
@@ -596,7 +590,7 @@ def simulate_filter_trials(
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
-    _validate_against_system(model, system, config)
+    system = _run_system(model, config)
     cov = covariance_set(system)
     smoothing = (cov.vr, *_smoothing_weights(cov.vf, cov.vr)) if smoother else None
     moment = np.zeros((n_trials, system.n_states, system.n_states)) if full_state_stats else None
@@ -632,29 +626,26 @@ class AbcTrialResult:
 
 def run_abc_trials(
     model: PhaseModel,
-    system: LgSystem,
     config: HomodyneConfig,
     n_trials: int,
     chi: float,
-    n_windows: int = 4,
     wrap_errors: bool = False,
 ) -> AbcTrialResult:
     """Ensemble of exponential-window feedback trials with divergence check.
 
     ``diverged`` is set when the ensemble windowed MSE increases strictly
-    across all log-spaced windows after burn-in; with ``wrap_errors`` the
+    across four log-spaced windows after burn-in; with ``wrap_errors`` the
     windows square wrapped errors, like the MSE itself.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
-    _validate_against_system(model, system, config)
-    _check_n_windows(n_windows)
+    _run_system(model, config)
     phi, est, idt, held = _run_abc_feedback(model, config, n_trials, chi)
     del idt
     err = np.subtract(est[:, 1:], phi, out=phi)  # phi_abc - phi, written over phi
     del est
     mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
-    wins = windowed_mse(err, config.dt, config.burn_in, n_windows, wrap=wrap_errors)
+    wins = windowed_mse(err, config.dt, config.burn_in, wrap=wrap_errors)
     return AbcTrialResult(
         n_trials=n_trials,
         mse=mse,

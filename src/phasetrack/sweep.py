@@ -3,7 +3,9 @@ and persist tidy CSV rows alongside the analytic predictions.
 
 The sweep spec is a flat INI file (section [sweep], key = value). The grid is
 given in units of (N/kappa)^((p-1)/p), the natural abscissa on which every
-exponent's asymptotic MSE is the same power of the grid value.
+exponent's asymptotic MSE is the same power of the grid value. Unknown keys
+and malformed values are rejected when the spec is parsed, before any output
+is written; the limits relative to the response time are checked per point.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ CSV_HEADER = [
 ]
 
 _KNOWN_ESTIMATORS = ("filter", "smoother", "abc")
+_LOG_GRID_KEYS = ("grid_min", "grid_max", "grid_points")
+_SPEC_KEYS = frozenset({
+    "p", "kappa", "grid", *_LOG_GRID_KEYS, "estimators", "trials", "seed", "linearized",
+    "abc_chi", "abc_cutoff", "dt_factor", "duration_factor", "burn_in_factor", "wrap_errors",
+})
 _FINITE_COLUMNS = ("mse", "stderr", "lg_filter_mse", "qcrb", "wiener_filter_mse")
 
 
@@ -71,8 +78,6 @@ class SweepSpec:
         for p in self.p_values:
             if p % 2 != 0 or p < 2:
                 raise ValidationError(f"sweep spec field 'p' must hold even integers >= 2, got {p}")
-        if not self.kappa > 0:
-            raise ValidationError("sweep spec field 'kappa' must be positive")
         if not self.grid or not all(0 < g < math.inf for g in self.grid):
             raise ValidationError("sweep spec field 'grid' must list positive finite values")
         if not self.estimators:
@@ -87,10 +92,10 @@ class SweepSpec:
             raise ValidationError("sweep spec field 'trials' must be >= 2")
         if self.seed < 0:
             raise ValidationError("sweep spec field 'seed' must be >= 0")
-        if self.abc_chi is not None and not self.abc_chi > 0:
-            raise ValidationError("sweep spec field 'abc_chi' must be positive")
-        if self.abc_cutoff is not None and not self.abc_cutoff > 0:
-            raise ValidationError("sweep spec field 'abc_cutoff' must be positive")
+        for name in ("kappa", "abc_chi", "abc_cutoff", "dt_factor", "duration_factor", "burn_in_factor"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValidationError(f"sweep spec field '{name}' must be positive and finite, got {value}")
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -141,14 +146,20 @@ def parse_sweep_spec(path) -> SweepSpec:
     if "sweep" not in parser:
         raise ValidationError("sweep spec needs a [sweep] section")
     sec = parser["sweep"]
+    unknown = sorted(set(sec) - _SPEC_KEYS)
+    if unknown:
+        raise ValidationError(f"sweep spec has unknown field {', '.join(map(repr, unknown))}")
 
     if "grid" in sec:
+        both = [key for key in _LOG_GRID_KEYS if key in sec]
+        if both:
+            raise ValidationError(f"sweep spec field 'grid' excludes '{both[0]}'")
         grid = _get(sec, "grid", _floats, required=True)
     else:
         gmin = _get(sec, "grid_min", float, required=True)
         gmax = _get(sec, "grid_max", float, required=True)
         gnum = _get(sec, "grid_points", int, required=True)
-        if gnum < 1 or gmin <= 0 or gmax < gmin:
+        if not (gnum >= 1 and 0 < gmin <= gmax < math.inf):
             raise ValidationError("sweep spec fields 'grid_min'/'grid_max'/'grid_points' are inconsistent")
         grid = tuple(np.logspace(math.log10(gmin), math.log10(gmax), gnum))
 
@@ -239,7 +250,7 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
         model = PhaseModel(p, spec.kappa)
         config = point_config(0)
         res = simulate_filter_trials(
-            model, system, config, spec.trials, smoother=want_smoother, wrap_errors=spec.wrap_errors
+            model, config, spec.trials, smoother=want_smoother, wrap_errors=spec.wrap_errors
         )
         if want_filter:
             rows.append(base_row("filter", res.filter_mse, res.filter_stderr, config))
@@ -249,7 +260,7 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     if "abc" in spec.estimators:
         model, chi = _abc_setup(p, spec.kappa, system.mu, spec.abc_chi, spec.abc_cutoff)
         config = point_config(1)
-        res = run_abc_trials(model, system, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
+        res = run_abc_trials(model, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
         name = "abc:diverged" if res.diverged else "abc"
         rows.append(base_row(name, res.mse, res.stderr, config))
     return rows

@@ -143,7 +143,7 @@ def test_criterion_5_linearized_convergence():
         config = default_config(
             system, seed=20240, duration_factor=600.0, dt_factor=0.005, linearized=True
         )
-        res = simulate_filter_trials(model, system, config, 64, smoother=True, full_state_stats=True)
+        res = simulate_filter_trials(model, config, 64, smoother=True, full_state_stats=True)
         assert abs(res.filter_mse - f_target) < 3 * res.filter_stderr
         assert abs(res.filter_mse - f_target) < 0.05 * f_target
         assert abs(res.smoother_mse - s_target) < 3 * res.smoother_stderr
@@ -170,7 +170,7 @@ def test_criterion_6_nonlinear_spike_band():
     model = PhaseModel(2, 1.0)
     system = build_lg_system(2, 1.0, 1.0)  # N/kappa = 1
     config = default_config(system, seed=9905, duration_factor=200.0)
-    res = simulate_filter_trials(model, system, config, 64, wrap_errors=True)
+    res = simulate_filter_trials(model, config, 64, wrap_errors=True)
     prediction = filter_mse_power_law(2, 1.0, 1.0)
     ratio = res.filter_mse / prediction
     assert 1.2 <= ratio <= 2.0
@@ -185,7 +185,7 @@ def test_criterion_7_abc_behavior():
     system = build_lg_system(2, 1.0, flux)
     chi = math.sqrt(system.mu)
     config = default_config(system, seed=7781, duration_factor=400.0)
-    res = run_abc_trials(model, system, config, 24, chi)
+    res = run_abc_trials(model, config, 24, chi)
     asymptote = filter_mse_power_law(2, 1.0, flux)
     assert abs(res.mse - asymptote) < 0.10 * asymptote
 
@@ -193,7 +193,7 @@ def test_criterion_7_abc_behavior():
     model4 = PhaseModel(4, 1.0)
     sys4 = build_lg_system(4, 1.0, 100.0)
     cfg4 = default_config(sys4, seed=7782, duration_factor=400.0)
-    res4 = run_abc_trials(model4, sys4, cfg4, 16, sys4.mu**0.25)
+    res4 = run_abc_trials(model4, cfg4, 16, sys4.mu**0.25)
     assert res4.diverged
     assert np.all(np.diff(res4.window_mse) > 0)
 

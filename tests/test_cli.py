@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phasetrack import cli, sweep
 from phasetrack.cli import main
@@ -117,7 +118,8 @@ class TestSimulate:
         )
         assert code == 0
         (rec,) = records
-        paths = [rec.phi, rec.theta, rec.y, rec.phi_f, rec.phi_s, rec.phi_abc]
+        phi_f = None if estimator == "abc" else rec.theta  # the fed-back causal estimate
+        paths = [rec.phi, rec.theta, rec.y, phi_f, rec.phi_s, rec.phi_abc]
         columns = [rec.t] + [np.full(len(rec.t), np.nan) if a is None else a[0] for a in paths]
         lines = ["t,phi,theta,y,phi_f,phi_s,phi_abc"]
         lines += [",".join(repr(float(v)) for v in values) for values in zip(*columns)]
@@ -240,6 +242,52 @@ def _write_spec(path, **overrides):
     path.write_text("\n".join(lines) + "\n")
 
 
+_VALID_SPEC = {
+    "p": "2",
+    "kappa": "1.0",
+    "grid": "10",
+    "estimators": "filter",
+    "trials": "4",
+    "seed": "1",
+    "linearized": "true",
+    "abc_chi": "2.0",
+    "abc_cutoff": "0.1",
+    "dt_factor": "0.01",
+    "duration_factor": "100",
+    "burn_in_factor": "20",
+    "wrap_errors": "false",
+}
+_LOG_GRID = {"grid": None, "grid_min": "10", "grid_max": "100", "grid_points": "2"}
+
+_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_float_text = st.floats(allow_nan=True, allow_infinity=True).map(repr)  # never an int token
+_not_positive = (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])).map(repr) | _words
+
+
+def _ints_below(bound):
+    return st.integers(max_value=bound - 1).map(str) | _float_text | _words
+
+
+_BOOL_WORDS = {"1", "true", "yes", "on", "0", "false", "no", "off"}
+_not_bool = (st.integers().map(str) | _float_text | _words).filter(lambda tok: tok not in _BOOL_WORDS)
+
+# every [sweep] field with tokens it must reject: non-numeric, nan, +-inf,
+# and 0 and -1 where those are invalid
+_BAD_TOKENS = {
+    **{key: _not_positive for key in (
+        "kappa", "grid", "abc_chi", "abc_cutoff", "dt_factor", "duration_factor", "burn_in_factor",
+        "grid_min", "grid_max",
+    )},
+    "p": _ints_below(2) | st.integers(min_value=1).map(lambda k: str(2 * k + 1)),
+    "trials": _ints_below(2),
+    "seed": _ints_below(0),
+    "grid_points": _ints_below(1),
+    "estimators": (_words | _float_text).filter(lambda tok: tok not in ("filter", "smoother", "abc")),
+    "linearized": _not_bool,
+    "wrap_errors": _not_bool,
+}
+
+
 class TestSweep:
     def test_rows_and_ratios(self, capsys, tmp_path):
         spec = tmp_path / "sweep.ini"
@@ -334,6 +382,35 @@ class TestSweep:
         parsed = parse_sweep_spec(spec)
         assert parsed.grid == pytest.approx((10.0, 100.0, 1000.0))
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(sorted(_BAD_TOKENS)).flatmap(lambda key: _BAD_TOKENS[key].map(lambda tok: (key, tok))))
+    def test_malformed_field_named_at_parse(self, tmp_path, case):
+        key, token = case
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, **{**_VALID_SPEC, **(_LOG_GRID if key.startswith("grid_") else {}), key: token})
+        with pytest.raises(ValidationError) as err:
+            parse_sweep_spec(spec)
+        assert f"'{key}'" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"trails": "2"}, "'trails'"),
+            ({"wrap_error": "true"}, "'wrap_error'"),
+            ({"grid": "30", "grid_points": "3"}, "'grid_points'"),
+            ({"burn_in_factor": "inf"}, "'burn_in_factor'"),
+        ],
+        ids=["unknown-trails", "unknown-wrap_error", "grid-with-grid_points", "burn_in_factor-inf"],
+    )
+    def test_bad_spec_exits_2_before_output(self, capsys, tmp_path, fields, named):
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, **{"grid": "10", "estimators": "filter", "trials": "2", **fields})
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(out))
+        assert code == 2
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+
     def test_unwritable_output(self, capsys, tmp_path):
         spec = tmp_path / "sweep.ini"
         _write_spec(spec, grid="10", estimators="filter")
@@ -414,9 +491,9 @@ class TestSweep:
 
         real = sweep.run_abc_trials
 
-        def nan_at_grid_30(model, system, *args, **kwargs):
-            res = real(model, system, *args, **kwargs)
-            if system.photon_flux > 500:  # N = 900 at grid 30, 100 at grid 10
+        def nan_at_grid_30(model, config, *args, **kwargs):
+            res = real(model, config, *args, **kwargs)
+            if config.photon_flux > 500:  # N = 900 at grid 30, 100 at grid 10
                 res.mse = math.nan
             return res
 

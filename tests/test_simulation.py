@@ -36,14 +36,14 @@ class TestConfig:
         tau = system.time_scale
         bad = HomodyneConfig(photon_flux=100.0, dt=0.05 * tau, duration=100 * tau, burn_in=25 * tau, seed=0)
         with pytest.raises(ValidationError, match="dt"):
-            simulate_record(model, system, bad)
+            simulate_record(model, bad)
 
     def test_rejects_short_burn_in(self):
         model, system, _ = _setup()
         tau = system.time_scale
         bad = HomodyneConfig(photon_flux=100.0, dt=0.01 * tau, duration=100 * tau, burn_in=5 * tau, seed=0)
         with pytest.raises(ValidationError, match="burn_in"):
-            simulate_record(model, system, bad)
+            simulate_record(model, bad)
 
     def test_rejects_empty_interior(self):
         with pytest.raises(ValidationError, match="interior"):
@@ -52,24 +52,32 @@ class TestConfig:
     def test_parameter_rounding_accepted(self):
         model, system, config = _setup(kappa=0.7, flux=100.0, duration_factor=30.0)
         nudged = PhaseModel(2, math.nextafter(0.7, 1.0))  # 1 ulp off: the same kappa
-        rec = simulate_record(nudged, system, config)
+        rec = simulate_record(nudged, config)
         assert len(rec.t) == config.n_steps
 
     @pytest.mark.parametrize("field", ["kappa", "flux"])
     def test_parameter_mismatch_rejected(self, field):
+        """The run's system comes from the model's kappa and the config's flux,
+        so a config built for kappa or N off by 1e-6 either way no longer
+        resolves that system's response time: dt is too coarse or the burn-in
+        too short."""
         model, system, config = _setup(kappa=0.7, flux=100.0, duration_factor=30.0)
-        if field == "kappa":
-            model = PhaseModel(2, 0.7 * (1 + 1e-6))
-        else:
-            config = HomodyneConfig(
-                photon_flux=100.0 * (1 + 1e-6),
-                dt=config.dt,
-                duration=config.duration,
-                burn_in=config.burn_in,
-                seed=config.seed,
-            )
-        with pytest.raises(ValidationError, match=field):
-            simulate_record(model, system, config)
+        for scale in (1 - 1e-6, 1 + 1e-6):
+            if field == "kappa":
+                run_model, run_config = PhaseModel(2, 0.7 * scale), config
+            else:
+                run_model = model
+                run_config = HomodyneConfig(
+                    photon_flux=100.0 * scale,
+                    dt=config.dt,
+                    duration=config.duration,
+                    burn_in=config.burn_in,
+                    seed=config.seed,
+                )
+            with pytest.raises(ValidationError, match="dt|burn_in"):
+                simulate_record(run_model, run_config)
+            with pytest.raises(ValidationError, match="dt|burn_in"):
+                run_abc(run_model, run_config, math.sqrt(system.mu))
 
     def test_unresolved_damping_rejected_like_integrate_chain(self):
         """Both loops that integrate the chain, the filter's and the linearized
@@ -77,7 +85,7 @@ class TestConfig:
         model, system, config = _setup(duration_factor=30.0)
         damped = PhaseModel(2, 1.0, (0.2 / config.dt,))
         with pytest.raises(ValidationError, match="damping") as sim_err:
-            simulate_record(damped, system, config)
+            simulate_record(damped, config)
         with pytest.raises(ValidationError, match="damping") as abc_err:
             sim.run_abc_linearized_trials(damped, 1.0, config.dt, 10.0, 1.0, 0, 2)
         assert str(sim_err.value) == str(abc_err.value)
@@ -87,9 +95,9 @@ class TestConfig:
         model, system, config = _setup(duration_factor=30.0)
         damped = PhaseModel(2, 1.0, (0.5,))
         with pytest.raises(ValidationError, match="undamped"):
-            simulate_record(damped, system, config)
+            simulate_record(damped, config)
         with pytest.raises(ValidationError, match="undamped"):
-            simulate_filter_trials(damped, system, config, 2, smoother=True)
+            simulate_filter_trials(damped, config, 2, smoother=True)
 
     def test_default_config_satisfies_invariants(self):
         _, system, config = _setup()
@@ -101,8 +109,8 @@ class TestConfig:
 class TestSimulateRecord:
     def test_deterministic(self):
         model, system, config = _setup(duration_factor=30.0)
-        a = simulate_record(model, system, config)
-        b = simulate_record(model, system, config)
+        a = simulate_record(model, config)
+        b = simulate_record(model, config)
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.y, b.y)
@@ -110,9 +118,9 @@ class TestSimulateRecord:
 
     def test_single_record_is_one_row(self):
         model, system, config = _setup(duration_factor=30.0)
-        rec = simulate_record(model, system, config)
+        rec = simulate_record(model, config)
         assert rec.t.shape == (config.n_steps,)
-        for path in (rec.phi, rec.theta, rec.y, rec.phi_s, rec.phi_f):
+        for path in (rec.phi, rec.theta, rec.y, rec.phi_s):
             assert path.shape == (1, config.n_steps)
 
     def test_backward_pass_leaves_causal_path_unchanged(self):
@@ -129,21 +137,19 @@ class TestSimulateRecord:
 
     def test_feedback_is_the_causal_estimate(self):
         model, system, config = _setup(duration_factor=30.0)
-        rec = simulate_record(model, system, config)
-        assert np.array_equal(rec.theta, rec.phi_f)
-        assert rec.phi_f[0, 0] == 0.0
+        rec = simulate_record(model, config)
+        assert rec.theta[0, 0] == 0.0
 
     def test_zero_flux_keeps_estimate_at_prior_mean(self):
         model = PhaseModel(2, 1.0)
-        system = build_lg_system(2, 1.0, 0.0)
         config = HomodyneConfig(photon_flux=0.0, dt=0.01, duration=20.0, burn_in=1.0, seed=3)
-        rec = simulate_record(model, system, config)
-        assert np.all(rec.phi_f == 0.0)  # zero gain: the filter never moves
+        rec = simulate_record(model, config)
+        assert np.all(rec.theta == 0.0)  # zero gain: the filter never moves
         assert not np.all(rec.phi == 0.0)
 
     def test_rescaled_signal_definition(self):
         model, system, config = _setup(duration_factor=30.0)
-        rec = simulate_record(model, system, config)
+        rec = simulate_record(model, config)
         two_rn = 2 * math.sqrt(config.photon_flux)
         db = sim._trial_noise(config.seed, 1, config.n_steps, config.dt)[1]
         current = two_rn * (rec.phi - rec.theta) * config.dt + db  # I dt of the linearized loop
@@ -161,8 +167,8 @@ class TestSimulateRecord:
             seed=config.seed,
             linearized=config.linearized,
         )
-        short = simulate_record(model, system, config)
-        full = simulate_record(model, system, longer)
+        short = simulate_record(model, config)
+        full = simulate_record(model, longer)
         n = len(short.t)
         assert np.array_equal(full.theta[:, :n], short.theta)
         assert np.array_equal(full.phi[:, :n], short.phi)
@@ -212,7 +218,7 @@ def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray, vr: np.nd
 class TestFilterPass:
     def test_offline_pass_reproduces_inline_filter(self):
         model, system, config = _setup(duration_factor=30.0)
-        rec = simulate_record(model, system, config)
+        rec = simulate_record(model, config)
         xf = _euler_filter(rec.y[0], system, covariance_set(system).vf, config.dt)
         assert np.max(np.abs(system.phase_scale * xf[:-1, -1] - rec.theta[0])) < 1e-10
 
@@ -247,7 +253,7 @@ class TestFilterPass:
         """Linearized loop: stationary estimate-minus-truth covariance over
         all chain components equals the predicted causal covariance."""
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=21)
-        res = simulate_filter_trials(model, system, config, 24, full_state_stats=True)
+        res = simulate_filter_trials(model, config, 24, full_state_stats=True)
         cov = covariance_set(system)
         dev = np.abs(res.error_cov - cov.vf) / res.error_cov_stderr
         assert np.max(dev) < 3.0
@@ -338,7 +344,7 @@ class TestCombineSmoothed:
         the end of the record is the forward filter's."""
         for p in (2, 4, 6):
             model, system, config = _setup(p=p, duration_factor=60.0)
-            rec = simulate_record(model, system, config)
+            rec = simulate_record(model, config)
             phi_s = rec.phi_s[0]
             k = int(round(config.burn_in / config.dt))
             assert np.all(np.isnan(phi_s[:k]))
@@ -363,7 +369,7 @@ class TestCombineSmoothed:
 
     def test_smoothing_beats_filtering(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=41)
-        res = simulate_filter_trials(model, system, config, 16, smoother=True)
+        res = simulate_filter_trials(model, config, 16, smoother=True)
         assert res.smoother_mse < res.filter_mse
 
 
@@ -371,9 +377,8 @@ class TestAbc:
     def test_no_signal_holds_initial_phase(self):
         # flux 0: the functionals carry no weight, so theta never moves
         model = PhaseModel(2, 1.0)
-        system = build_lg_system(2, 1.0, 0.0)
         config = HomodyneConfig(photon_flux=0.0, dt=0.01, duration=10.0, burn_in=1.0, seed=5)
-        rec = run_abc(model, system, config, chi=2.0)
+        rec = run_abc(model, config, chi=2.0)
         assert np.all(rec.phi_abc == 0.0)
         assert rec.abc_indeterminate_steps == len(rec.t)
 
@@ -396,20 +401,20 @@ class TestAbc:
     def test_deterministic(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=30.0, linearized=False)
         chi = math.sqrt(system.mu)
-        a = run_abc(model, system, config, chi)
-        b = run_abc(model, system, config, chi)
+        a = run_abc(model, config, chi)
+        b = run_abc(model, config, chi)
         assert np.array_equal(a.phi_abc, b.phi_abc)
 
     def test_small_steps_between_updates(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=60.0, linearized=False, seed=9)
-        rec = run_abc(model, system, config, math.sqrt(system.mu))
+        rec = run_abc(model, config, math.sqrt(system.mu))
         jumps = np.abs(np.diff(rec.phi_abc))
         assert np.max(jumps) <= math.pi + 1e-12
 
     def test_tracks_at_high_flux(self):
         model, system, config = _setup(p=2, flux=1.0e4, duration_factor=150.0, linearized=False, seed=13)
         chi = math.sqrt(system.mu)
-        res = sim.run_abc_trials(model, system, config, 8, chi)
+        res = sim.run_abc_trials(model, config, 8, chi)
         from phasetrack.bounds import filter_mse_power_law
 
         assert res.mse == pytest.approx(filter_mse_power_law(2, 1.0, 1.0e4), rel=0.15)
@@ -417,7 +422,7 @@ class TestAbc:
     def test_rejects_bad_chi(self):
         model, system, config = _setup(duration_factor=30.0)
         with pytest.raises(ValidationError):
-            run_abc(model, system, config, chi=0.0)
+            run_abc(model, config, chi=0.0)
 
     @pytest.mark.parametrize("chi, match", [(0.0, "chi"), (-1.0, "chi"), (50.0, "too coarse")])
     def test_linearized_trials_reject_bad_chi(self, chi, match):
@@ -435,10 +440,10 @@ class TestAbc:
 
     def test_record_theta_is_previous_estimate(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=30.0, linearized=False)
-        rec = run_abc(model, system, config, math.sqrt(system.mu))
+        rec = run_abc(model, config, math.sqrt(system.mu))
         assert rec.theta[0, 0] == 0.0
         assert np.array_equal(rec.theta[:, 1:], rec.phi_abc[:, :-1])
-        assert rec.phi_f is None
+        assert rec.phi_s is None
 
 
 def _per_array_phase_update(a, b, theta, phasor, flux):
@@ -545,20 +550,11 @@ class TestWindowedMse:
         assert not np.all(np.diff(wins) > 0)
 
     @pytest.mark.parametrize("n_windows", [0, 1])
-    def test_needs_two_windows(self, n_windows, monkeypatch):
+    def test_needs_two_windows(self, n_windows):
         """One window has no trend; np.all over its empty diff would read
-        as strictly increasing and flag every run as diverged. run_abc_trials
-        rejects it before running the feedback loop."""
+        as strictly increasing and flag every run as diverged."""
         with pytest.raises(ValidationError, match="n_windows"):
             windowed_mse(np.ones((2, 400)), dt=0.01, start=0.5, n_windows=n_windows)
-
-        def no_loop(*args):
-            raise AssertionError("the feedback loop ran before n_windows was checked")
-
-        monkeypatch.setattr(sim, "_run_abc_feedback", no_loop)
-        model, system, config = _setup(p=2, flux=100.0, duration_factor=3.0)
-        with pytest.raises(ValidationError, match="n_windows"):
-            sim.run_abc_trials(model, system, config, 2, math.sqrt(system.mu), n_windows=n_windows)
 
 
 class TestAbcWrappedWindows:
@@ -566,7 +562,7 @@ class TestAbcWrappedWindows:
         """At grid 3 cycle slips inflate unwrapped squares; with wrap_errors
         the divergence windows see the same wrapped errors as the MSE."""
         model, system, config = _setup(p=2, flux=9.0, duration_factor=20.0, linearized=False, seed=8)
-        res = sim.run_abc_trials(model, system, config, 6, math.sqrt(system.mu), wrap_errors=True)
+        res = sim.run_abc_trials(model, config, 6, math.sqrt(system.mu), wrap_errors=True)
         assert np.all(res.window_mse < 4 * res.mse)
         assert not res.diverged
 
@@ -610,7 +606,7 @@ class TestGoldenValues:
         model, system = _golden_system(p, grid)
         config = default_config(system, seed=seed, duration_factor=20.0, linearized=linearized)
         res = simulate_filter_trials(
-            model, system, config, 6, smoother=True, full_state_stats=True, wrap_errors=wrap
+            model, config, 6, smoother=True, full_state_stats=True, wrap_errors=wrap
         )
         assert (res.filter_mse, res.filter_stderr) == (f_mse, f_se)
         assert res.smoother_mse == pytest.approx(s_mse, rel=1e-12)
@@ -622,13 +618,13 @@ class TestGoldenValues:
         grid, wrap, seed, cutoff = key
         model, system = _golden_system(2, grid, (cutoff,) if cutoff else ())
         config = default_config(system, seed=seed, duration_factor=20.0)
-        res = sim.run_abc_trials(model, system, config, 6, math.sqrt(system.mu), wrap_errors=wrap)
+        res = sim.run_abc_trials(model, config, 6, math.sqrt(system.mu), wrap_errors=wrap)
         assert (res.mse, res.stderr, res.indeterminate_steps) == self.ABC[key]
 
     def test_unwrapped_abc_windows(self):
         model, system = _golden_system(2, 30.0)
         config = default_config(system, seed=9, duration_factor=20.0)
-        res = sim.run_abc_trials(model, system, config, 6, math.sqrt(system.mu))
+        res = sim.run_abc_trials(model, config, 6, math.sqrt(system.mu))
         assert res.window_mse.tolist() == [
             0.011136557804413767, 0.017023538812433084, 0.016579618060963936, 0.017125094625108327
         ]
@@ -650,7 +646,7 @@ class TestGoldenRecords:
     def test_filter_record(self):
         model, system = _golden_system(4, 30.0)
         config = default_config(system, seed=12, duration_factor=30.0)
-        rec = simulate_record(model, system, config)
+        rec = simulate_record(model, config)
         assert rec.phi[0, self.IDX].tolist() == [
             0.0, 0.0, 0.40334874302367, 14.452083736328422, 25.93784052828132
         ]
@@ -669,7 +665,7 @@ class TestGoldenRecords:
     def test_abc_record(self):
         model, system = _golden_system(2, 30.0)
         config = default_config(system, seed=13, duration_factor=30.0)
-        rec = run_abc(model, system, config, math.sqrt(system.mu))
+        rec = run_abc(model, config, math.sqrt(system.mu))
         assert rec.phi_abc[0, self.IDX].tolist() == [
             -1.5567445703423068, -1.7857285721236371, -0.410366412488103, -0.8468997000137604,
             -1.251418581706102,
@@ -699,7 +695,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     model, system = _golden_system(p, 30.0)
     config = default_config(system, seed=seed, duration_factor=3.0, linearized=linearized)
     cov = covariance_set(system)
-    rec = simulate_record(model, system, config)
+    rec = simulate_record(model, config)
     dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
     smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
     err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)
@@ -709,7 +705,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     assert _close_to_peak((rec.phi + s_err)[0, win], rec.phi_s[0, win], 1e-12)
 
     chi = 1.0 / system.time_scale
-    rec = run_abc(model, system, config, chi)
+    rec = run_abc(model, config, chi)
     phi, est, idt, _ = sim._run_abc_feedback(model, config, 3, chi)
     y = idt / config.dt
     y += 2.0 * math.sqrt(config.photon_flux) * est[:, :-1]
@@ -777,7 +773,7 @@ def _smoother_alloc_peak(p: int) -> int:
     )
     tracemalloc.start()
     try:
-        simulate_filter_trials(model, system, config, 8, smoother=True)
+        simulate_filter_trials(model, config, 8, smoother=True)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -800,7 +796,7 @@ def test_abc_ensemble_memory_is_three_paths():
     n_trials = 16
     tracemalloc.start()
     try:
-        sim.run_abc_trials(model, system, config, n_trials, math.sqrt(system.mu))
+        sim.run_abc_trials(model, config, n_trials, math.sqrt(system.mu))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -844,7 +840,7 @@ def _accuracy_ratios(p: int, duration_factor: float, n_trials: int) -> tuple[flo
     linearized ensemble at grid 30, seed 1; both tend to 1."""
     model, system = _golden_system(p, 30.0)
     config = default_config(system, seed=1, duration_factor=duration_factor, linearized=True)
-    res = simulate_filter_trials(model, system, config, n_trials, smoother=True)
+    res = simulate_filter_trials(model, config, n_trials, smoother=True)
     lg = lg_filter_mse(system)
     return res.filter_mse / lg, p * res.smoother_mse / lg
 
