@@ -91,8 +91,7 @@ def cmd_riccati(args) -> int:
     _print_matrix("Vt_F (causal)", vf)
     _print_matrix("Vt_R (anticausal)", vr)
     _print_matrix("Vt_S (two-sided)", vs)
-    n = args.p // 2 - 1
-    print(f"recurrence residual = {riccati_residual(vf, n):.3e}")
+    print(f"recurrence residual = {riccati_residual(vf):.3e}")
     print(f"closed-form smoother deviation = {np.max(np.abs(vs - vs_closed)):.3e}")
     return 0
 

@@ -13,9 +13,7 @@ The normalized causal covariance has a closed form. The stationary filter's
 closed-loop poles are lam_k = i e^(i pi (2k-1)/p), k = 1..n+1, the
 left-half-plane Butterworth poles, and Vt_F is an alternating sum of products
 of the Butterworth coefficients a_k (see solve_filter_covariance); its last
-column, the normalized filter gain, is (a_0, ..., a_n). An independent
-route integrates the differential Riccati equation to stationarity and is
-used as a cross-check oracle.
+column, the normalized filter gain, is (a_0, ..., a_n).
 """
 
 from __future__ import annotations
@@ -33,14 +31,12 @@ __all__ = [
     "build_lg_system",
     "solve_filter_covariance",
     "riccati_residual",
-    "solve_filter_covariance_ode",
     "retro_covariance",
     "smoother_covariance",
     "smoother_covariance_closed_form",
     "scale_covariance",
     "covariance_set",
     "lg_filter_mse",
-    "lg_smoother_mse",
 ]
 
 # cond(Vt_F) grows about tenfold per step of p (~1e8 at p = 20), so the float
@@ -111,34 +107,6 @@ def build_lg_system(p, kappa: float, flux: float) -> LgSystem:
     return LgSystem(n=n, a=a, e=e, c=c, mu=mu, kappa=kappa, photon_flux=flux)
 
 
-def solve_gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense linear solve with partial pivoting, preserving the input dtype.
-
-    Runs in extended precision (np.longdouble), which LAPACK-backed numpy
-    solves do not support; the acceptance gate uses it as the reference for
-    the float inverses of the covariances.
-    """
-    a = np.array(a, copy=True)
-    b = np.array(b, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n:
-        raise ValidationError(f"incompatible solve shapes {a.shape}, {b.shape}")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0:
-            raise NumericalError("singular matrix in dense solve")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        f = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= f[:, None] * a[k, k:]
-        b[k + 1 :] -= np.multiply.outer(f, b[k]) if b.ndim > 1 else f * b[k]
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
-
-
 def solve_filter_covariance(p) -> np.ndarray:
     """Normalized stationary covariance of the causal estimator, for even p.
 
@@ -168,56 +136,23 @@ def solve_filter_covariance(p) -> np.ndarray:
     return v
 
 
-def riccati_residual(v_tilde: np.ndarray, n: int) -> float:
+def riccati_residual(v_tilde: np.ndarray) -> float:
     """Max violation of the normalized stationary recurrence
 
         Vt_{k-1,l} + Vt_{k,l-1} + delta_{k0} delta_{l0} - Vt_{k,n} Vt_{n,l} = 0
 
-    with out-of-range indices treated as zero.
+    for the (n+1)x(n+1) matrix Vt, with out-of-range indices treated as zero.
     """
     v = np.asarray(v_tilde, dtype=float)
-    m = n + 1
-    if v.shape != (m, m):
-        raise ValidationError(f"expected shape {(m, m)}, got {v.shape}")
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {v.shape}")
+    m = v.shape[0]
+    n = m - 1
     padded = np.zeros((m + 1, m + 1))
     padded[1:, 1:] = v
     res = padded[:-1, 1:] + padded[1:, :-1] - np.outer(v[:, n], v[n, :])
     res[0, 0] += 1.0
     return float(np.max(np.abs(res)))
-
-
-def solve_filter_covariance_ode(system: LgSystem, tol: float = 1e-12, max_steps: int = 500_000) -> np.ndarray:
-    """Physical stationary covariance by integrating dV/dt = AV + VA^T + EE^T - VC^TCV.
-
-    Classical fixed-step RK4 from V(0) = I mu^(-1/p) until |dV/dt| < tol |V|
-    (Frobenius). Independent of the closed form; used as its oracle after
-    rescaling.
-    """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if system.mu <= 0:
-        raise ValidationError("stationary covariance undefined for mu = 0")
-    a, e, c = system.a, system.e, system.c
-    ee = np.outer(e, e)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        # Assembled so the result is exactly symmetric for symmetric input.
-        g = a @ v
-        vc = v @ c
-        return g + g.T + ee - np.outer(vc, vc)
-
-    tau = system.time_scale
-    h = 0.05 * tau
-    v = np.eye(system.n_states) * tau
-    for _ in range(max_steps):
-        k1 = rhs(v)
-        if np.linalg.norm(k1) < tol * np.linalg.norm(v):
-            return v
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    raise NumericalError(f"riccati-ode-stalled: no stationary point within {max_steps} steps")
 
 
 def retro_covariance(vf_tilde: np.ndarray) -> np.ndarray:
@@ -264,56 +199,37 @@ def smoother_covariance_closed_form(p) -> np.ndarray:
     return vs
 
 
-def scale_covariance(v_tilde: np.ndarray, p, mu: float) -> np.ndarray:
-    """Physical covariance: V_{k,l} = Vt_{k,l} mu^-((k+l+1)/p)."""
-    p_int = _require_even_p(p)
+def scale_covariance(v_tilde: np.ndarray, mu: float) -> np.ndarray:
+    """Physical covariance: V_{k,l} = Vt_{k,l} mu^-((k+l+1)/p), where an
+    m x m matrix Vt belongs to p = 2m."""
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
     v = np.asarray(v_tilde, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {v.shape}")
     idx = np.arange(v.shape[0])
-    expo = -(idx[:, None] + idx[None, :] + 1.0) / p_int
+    expo = -(idx[:, None] + idx[None, :] + 1.0) / (2 * v.shape[0])
     return v * mu**expo
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
-    """Normalized and physical stationary covariances of the three estimators."""
+    """Physical stationary covariances of the causal and anticausal estimators."""
 
-    vf_tilde: np.ndarray
-    vr_tilde: np.ndarray
-    vs_tilde: np.ndarray
     vf: np.ndarray
     vr: np.ndarray
-    vs: np.ndarray
 
 
 def covariance_set(system: LgSystem) -> CovarianceSet:
-    """Solve the causal, anticausal, and combined covariances for one system."""
+    """Solve the causal and anticausal covariances for one system."""
     vf_t = solve_filter_covariance(system.p)
-    vr_t = retro_covariance(vf_t)
-    vs_t = smoother_covariance(vf_t, vr_t)
     return CovarianceSet(
-        vf_tilde=vf_t,
-        vr_tilde=vr_t,
-        vs_tilde=vs_t,
-        vf=scale_covariance(vf_t, system.p, system.mu),
-        vr=scale_covariance(vr_t, system.p, system.mu),
-        vs=scale_covariance(vs_t, system.p, system.mu),
+        vf=scale_covariance(vf_t, system.mu),
+        vr=scale_covariance(retro_covariance(vf_t), system.mu),
     )
 
 
-def _phase_mse(v_tilde: np.ndarray, system: LgSystem) -> float:
-    # MSE on the phase itself: kappa^(2n+1) V_{n,n}
-    n = system.n
-    v_phys = scale_covariance(v_tilde, system.p, system.mu)
-    return system.kappa ** (2 * n + 1) * float(v_phys[n, n])
-
-
 def lg_filter_mse(system: LgSystem) -> float:
-    """Predicted stationary phase MSE of the causal estimator."""
-    return _phase_mse(solve_filter_covariance(system.p), system)
-
-
-def lg_smoother_mse(system: LgSystem) -> float:
-    """Predicted stationary phase MSE of the two-sided estimator."""
-    return _phase_mse(smoother_covariance_closed_form(system.p), system)
+    """Predicted stationary phase MSE of the causal estimator, kappa^(2n+1) V_F[n, n]."""
+    v = scale_covariance(solve_filter_covariance(system.p), system.mu)
+    return system.kappa ** (2 * system.n + 1) * float(v[-1, -1])

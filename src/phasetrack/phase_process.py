@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import lfilter
 
 from .errors import NumericalError, ValidationError
 
 __all__ = [
     "PhaseModel",
     "spectrum",
-    "autocovariance",
-    "chain_stages",
 ]
 
 
@@ -114,52 +109,6 @@ def spectrum(model: PhaseModel, omega):
             raise NumericalError("spectrum-divergent-at-zero: undamped model at omega=0")
         out = model.kappa ** (model.p - 1) / np.abs(w) ** model.p
     return float(out[0]) if scalar else out
-
-
-def autocovariance(model: PhaseModel, tau) -> float | np.ndarray:
-    """Stationary autocovariance of the phase at lag tau.
-
-    Inverse Fourier transform of the spectrum, (1/pi) * int_0^inf S(w) cos(w tau) dw,
-    evaluated with an oscillatory-weight quadrature. Defined only for fully
-    damped models; the undamped chain has no stationary marginal.
-    """
-    lam = model.damping_rates()
-    if not model.is_damped or np.any(lam == 0.0):
-        raise ValidationError(
-            "autocovariance undefined: model has an undamped stage (nonstationary)"
-        )
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty_like(taus)
-    for i, t_lag in enumerate(taus):
-        val, _ = quad(
-            lambda w: spectrum(model, w),
-            0.0,
-            np.inf,
-            weight="cos",
-            wvar=abs(t_lag),
-            limit=400,
-        )
-        out[i] = val / np.pi
-    return float(out[0]) if np.ndim(tau) == 0 else out
-
-
-def chain_stages(model: PhaseModel, dt: float, increments: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the chain stages x_0, ..., x_n driven by explicit noise increments.
-
-    Explicit Euler update from zero: dx_0 = -lambda_0 x_0 dt + dW,
-    dx_{k+1} = (x_k - lambda_{k+1} x_{k+1}) dt. Time runs along the last
-    axis of ``increments``; any leading axes (trials) are carried along.
-    Each yielded stage has the shape of ``increments`` and holds at entry i
-    the value before increment i. Each stage is a first-order linear
-    recurrence in the one before it, evaluated with lfilter, so at most two
-    stages are live at a time.
-    """
-    decay = 1.0 - model.damping_rates() * dt
-    stage = np.asarray(increments, dtype=float)
-    for k, c in enumerate(decay):
-        # x_k[i+1] = (1 - lambda_k dt) x_k[i] + g x_{k-1}[i], g = 1 (dW) or dt
-        stage = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1)
-        yield stage
 
 
 def _check_damping(model: PhaseModel, dt: float) -> None:

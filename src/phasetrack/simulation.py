@@ -59,7 +59,7 @@ from scipy.signal import lfilter
 
 from .errors import ValidationError
 from .lg import LgSystem, build_lg_system, covariance_set, smoother_covariance
-from .phase_process import PhaseModel, _check_damping, chain_stages
+from .phase_process import PhaseModel, _check_damping
 
 __all__ = [
     "HomodyneConfig",
@@ -69,15 +69,16 @@ __all__ = [
     "simulate_filter_trials",
     "run_abc",
     "run_abc_trials",
-    "run_abc_linearized_trials",
     "mse_statistics",
     "windowed_mse",
-    "interior_slice",
 ]
 
 _ABC_HOLD_THRESHOLD = 1e-12
 _HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
+# Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
+_MAX_DT_FACTOR = 0.01
+_MIN_BURN_IN_FACTOR = 20.0
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,15 @@ def _run_system(model: PhaseModel, config: HomodyneConfig) -> LgSystem:
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
-        if config.dt > 0.01 * tau * (1 + 1e-9):
+        if config.dt > _MAX_DT_FACTOR * tau * (1 + 1e-9):
             raise ValidationError(
-                f"dt={config.dt:.3g} too coarse: must be <= 0.01 mu^(-1/p) = {0.01 * tau:.3g}"
+                f"dt={config.dt:.3g} too coarse: must be <= {_MAX_DT_FACTOR} mu^(-1/p) = "
+                f"{_MAX_DT_FACTOR * tau:.3g}"
             )
-        if config.burn_in < 20 * tau * (1 - 1e-9):
+        if config.burn_in < _MIN_BURN_IN_FACTOR * tau * (1 - 1e-9):
             raise ValidationError(
-                f"burn_in={config.burn_in:.3g} too short: must be >= 20 mu^(-1/p) = {20 * tau:.3g}"
+                f"burn_in={config.burn_in:.3g} too short: must be >= {_MIN_BURN_IN_FACTOR:g} mu^(-1/p) = "
+                f"{_MIN_BURN_IN_FACTOR * tau:.3g}"
             )
     _check_damping(model, config.dt)
     return system
@@ -180,7 +183,7 @@ class SimulationRecord:
     abc_indeterminate_steps: int = 0
 
 
-def interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
+def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
     """Index window with burn_in trimmed from both ends of the grid."""
     k = int(round(burn_in / dt))
     if n_steps - 2 * k < 1:
@@ -203,14 +206,20 @@ def _trial_noise(seed: int, n_trials: int, n_steps: int, dt: float):
 
 
 def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray:
-    """True phase path of every trial, (n_trials, T) with entry i at t_i.
+    """True phase path of every trial, (n_trials, T) with entry i at t_i,
+    the value before Wiener increment dw[:, i].
 
     The phase never depends on the estimate, so the chain is integrated
-    open-loop, stage by stage along the trial axis, apart from any feedback
-    loop.
+    open-loop, apart from any feedback loop, by explicit Euler from zero:
+    dx_0 = -lambda_0 x_0 dt + dW, dx_(k+1) = (x_k - lambda_(k+1) x_(k+1)) dt,
+    and phi = kappa^(n+1/2) x_n. Each stage is a first-order linear
+    recurrence in the one before it, run along the time axis with lfilter,
+    so at most two stages are live at a time.
     """
-    for stage in chain_stages(model, dt, dw):
-        pass
+    stage = np.asarray(dw, dtype=float)
+    for k, c in enumerate(1.0 - model.damping_rates() * dt):
+        # x_k[i+1] = (1 - lambda_k dt) x_k[i] + g x_{k-1}[i], g = 1 (dW) or dt
+        stage = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1)
     stage *= model.phase_scale
     return stage
 
@@ -297,7 +306,7 @@ def _error_passes(
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt
-    win = interior_slice(n_steps, dt, config.burn_in)
+    win = _interior_slice(n_steps, dt, config.burn_in)
 
     err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
     e = np.zeros((n_trials, system.n_states))  # updated in place
@@ -528,7 +537,7 @@ def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = Fals
     n_trials = err.shape[0]
     if n_trials < 2:
         raise ValidationError("need at least 2 trials for a standard error")
-    win = interior_slice(err.shape[1], dt, burn_in)
+    win = _interior_slice(err.shape[1], dt, burn_in)
     per_trial = np.mean(_squared_error(err[:, win], wrap), axis=1)
     mse = float(np.mean(per_trial))
     stderr = float(np.std(per_trial, ddof=1) / math.sqrt(n_trials))
@@ -602,7 +611,7 @@ def simulate_filter_trials(
     del err
 
     if full_state_stats:
-        win = interior_slice(config.n_steps, config.dt, config.burn_in)
+        win = _interior_slice(config.n_steps, config.dt, config.burn_in)
         per_trial = moment / (win.stop - win.start)
         result.error_cov = per_trial.mean(axis=0)
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
@@ -654,33 +663,3 @@ def run_abc_trials(
         diverged=bool(np.all(np.diff(wins) > 0)),
         indeterminate_steps=held,
     )
-
-
-def run_abc_linearized_trials(
-    model: PhaseModel, chi: float, dt: float, duration: float, burn_in: float, seed: int, n_trials: int
-) -> tuple[float, float]:
-    """Ensemble stationary MSE of the linearized exponential-window estimator.
-
-    Simulates the error e(t) = int e^(chi(u-t)) [phi(u) - phi(t)] du + h(t)
-    with h an independent Ornstein-Uhlenbeck noise of stationary variance
-    1/(2 chi), the decomposition whose stationary second moment the closed
-    form abc_linearized_mse gives.
-    """
-    if not chi > 0:
-        raise ValidationError(f"chi must be positive, got {chi}")
-    if dt * chi >= 0.1:
-        raise ValidationError(f"dt={dt} too coarse for chi={chi}")
-    _check_damping(model, dt)
-    if n_trials < 2:
-        raise ValidationError("need at least 2 trials")
-    dw, db = _trial_noise(seed, n_trials, int(round(duration / dt)), dt)
-    phi = _open_loop_phase(model, dt, dw)
-    del dw
-    # Both terms are first-order recurrences in time, value before step i at i:
-    # g <- (1 - chi dt) g + phi dt is int e^(chi(u-t)) phi(u) du, and
-    # h <- (1 - chi dt) h + dB an OU noise of stationary variance 1/(2 chi).
-    decay = [1.0, -(1.0 - chi * dt)]
-    err = lfilter([0.0, dt], decay, phi, axis=-1)
-    err -= phi / chi
-    err += lfilter([0.0, 1.0], decay, db, axis=-1)
-    return mse_statistics(err, dt, burn_in)

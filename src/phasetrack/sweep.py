@@ -3,9 +3,10 @@ and persist tidy CSV rows alongside the analytic predictions.
 
 The sweep spec is a flat INI file (section [sweep], key = value). The grid is
 given in units of (N/kappa)^((p-1)/p), the natural abscissa on which every
-exponent's asymptotic MSE is the same power of the grid value. Unknown keys
-and malformed values are rejected when the spec is parsed, before any output
-is written; the limits relative to the response time are checked per point.
+exponent's asymptotic MSE is the same power of the grid value. Other
+sections, [DEFAULT] keys, unknown keys, malformed values, and a dt_factor
+above 0.01 or burn_in_factor below 20 (the limits each run checks) are
+rejected when the spec is parsed, before any output is written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bounds import filter_mse_power_law, qcrb_power_law
 from .errors import NumericalError, ValidationError
 from .lg import build_lg_system, lg_filter_mse
 from .phase_process import PhaseModel
-from .simulation import default_config, run_abc_trials, simulate_filter_trials
+from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, default_config, run_abc_trials, simulate_filter_trials
 
 __all__ = ["SweepSpec", "parse_sweep_spec", "run_sweep", "CSV_HEADER", "derive_seed"]
 
@@ -96,6 +97,12 @@ class SweepSpec:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValidationError(f"sweep spec field '{name}' must be positive and finite, got {value}")
+        if self.dt_factor > _MAX_DT_FACTOR:
+            raise ValidationError(f"sweep spec field 'dt_factor' must be <= {_MAX_DT_FACTOR}, got {self.dt_factor}")
+        if self.burn_in_factor < _MIN_BURN_IN_FACTOR:
+            raise ValidationError(
+                f"sweep spec field 'burn_in_factor' must be >= {_MIN_BURN_IN_FACTOR:g}, got {self.burn_in_factor}"
+            )
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -145,6 +152,10 @@ def parse_sweep_spec(path) -> SweepSpec:
         raise ValidationError(f"cannot read sweep spec file {path!r}")
     if "sweep" not in parser:
         raise ValidationError("sweep spec needs a [sweep] section")
+    other = [f"section [{name}]" for name in parser.sections() if name != "sweep"]
+    other += [f"field '{key}' under [DEFAULT]" for key in parser.defaults()]
+    if other:
+        raise ValidationError(f"sweep spec has {other[0]}; only [sweep] is read")
     sec = parser["sweep"]
     unknown = sorted(set(sec) - _SPEC_KEYS)
     if unknown:

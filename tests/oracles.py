@@ -1,0 +1,159 @@
+"""Reference implementations that the tests check the package against.
+
+The package does not call any of them. Each reaches a quantity that the
+package computes by another route: an extended-precision dense solve, the
+differential Riccati equation integrated to stationarity, the closed-form
+smoother MSE, the autocovariance as an inverse Fourier transform of the
+spectrum, the linearized exponential-window error as two open-loop
+recurrences, and the undamped integrator chain as running sums.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.signal import lfilter
+
+from phasetrack.errors import NumericalError, ValidationError
+from phasetrack.lg import LgSystem, scale_covariance, smoother_covariance_closed_form
+from phasetrack.phase_process import PhaseModel, _check_damping, spectrum
+from phasetrack.simulation import _open_loop_phase, _trial_noise, mse_statistics
+
+
+def solve_gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense linear solve with partial pivoting, preserving the input dtype.
+
+    Runs in extended precision (np.longdouble), which LAPACK-backed numpy
+    solves do not support; the acceptance gate uses it as the reference for
+    the float inverses of the covariances.
+    """
+    a = np.array(a, copy=True)
+    b = np.array(b, copy=True)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape[0] != n:
+        raise ValidationError(f"incompatible solve shapes {a.shape}, {b.shape}")
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[piv, k] == 0:
+            raise NumericalError("singular matrix in dense solve")
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            b[[k, piv]] = b[[piv, k]]
+        f = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k:] -= f[:, None] * a[k, k:]
+        b[k + 1 :] -= np.multiply.outer(f, b[k]) if b.ndim > 1 else f * b[k]
+    x = np.zeros_like(b)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
+
+
+def solve_filter_covariance_ode(system: LgSystem, tol: float = 1e-12, max_steps: int = 500_000) -> np.ndarray:
+    """Physical stationary covariance by integrating dV/dt = AV + VA^T + EE^T - VC^TCV.
+
+    Classical fixed-step RK4 from V(0) = I mu^(-1/p) until |dV/dt| < tol |V|
+    (Frobenius). Independent of the closed form; used as its oracle after
+    rescaling.
+    """
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if system.mu <= 0:
+        raise ValidationError("stationary covariance undefined for mu = 0")
+    a, e, c = system.a, system.e, system.c
+    ee = np.outer(e, e)
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        # Assembled so the result is exactly symmetric for symmetric input.
+        g = a @ v
+        vc = v @ c
+        return g + g.T + ee - np.outer(vc, vc)
+
+    tau = system.time_scale
+    h = 0.05 * tau
+    v = np.eye(system.n_states) * tau
+    for _ in range(max_steps):
+        k1 = rhs(v)
+        if np.linalg.norm(k1) < tol * np.linalg.norm(v):
+            return v
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    raise NumericalError(f"riccati-ode-stalled: no stationary point within {max_steps} steps")
+
+
+def lg_smoother_mse(system: LgSystem) -> float:
+    """Predicted stationary phase MSE of the two-sided estimator, kappa^(2n+1) V_S[n, n]."""
+    v = scale_covariance(smoother_covariance_closed_form(system.p), system.mu)
+    return system.kappa ** (2 * system.n + 1) * float(v[-1, -1])
+
+
+def autocovariance(model: PhaseModel, tau) -> float | np.ndarray:
+    """Stationary autocovariance of the phase at lag tau.
+
+    Inverse Fourier transform of the spectrum, (1/pi) * int_0^inf S(w) cos(w tau) dw,
+    evaluated with an oscillatory-weight quadrature. Defined only for fully
+    damped models; the undamped chain has no stationary marginal.
+    """
+    lam = model.damping_rates()
+    if not model.is_damped or np.any(lam == 0.0):
+        raise ValidationError(
+            "autocovariance undefined: model has an undamped stage (nonstationary)"
+        )
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    out = np.empty_like(taus)
+    for i, t_lag in enumerate(taus):
+        val, _ = quad(
+            lambda w: spectrum(model, w),
+            0.0,
+            np.inf,
+            weight="cos",
+            wvar=abs(t_lag),
+            limit=400,
+        )
+        out[i] = val / np.pi
+    return float(out[0]) if np.ndim(tau) == 0 else out
+
+
+def run_abc_linearized_trials(
+    model: PhaseModel, chi: float, dt: float, duration: float, burn_in: float, seed: int, n_trials: int
+) -> tuple[float, float]:
+    """Ensemble stationary MSE of the linearized exponential-window estimator.
+
+    Simulates the error e(t) = int e^(chi(u-t)) [phi(u) - phi(t)] du + h(t)
+    with h an independent Ornstein-Uhlenbeck noise of stationary variance
+    1/(2 chi), the decomposition whose stationary second moment the closed
+    form abc_linearized_mse gives.
+    """
+    if not chi > 0:
+        raise ValidationError(f"chi must be positive, got {chi}")
+    if dt * chi >= 0.1:
+        raise ValidationError(f"dt={dt} too coarse for chi={chi}")
+    _check_damping(model, dt)
+    if n_trials < 2:
+        raise ValidationError("need at least 2 trials")
+    dw, db = _trial_noise(seed, n_trials, int(round(duration / dt)), dt)
+    phi = _open_loop_phase(model, dt, dw)
+    del dw
+    # Both terms are first-order recurrences in time, value before step i at i:
+    # g <- (1 - chi dt) g + phi dt is int e^(chi(u-t)) phi(u) du, and
+    # h <- (1 - chi dt) h + dB an OU noise of stationary variance 1/(2 chi).
+    decay = [1.0, -(1.0 - chi * dt)]
+    err = lfilter([0.0, dt], decay, phi, axis=-1)
+    err -= phi / chi
+    err += lfilter([0.0, 1.0], decay, db, axis=-1)
+    return mse_statistics(err, dt, burn_in)
+
+
+def chain_cumsum(n_stages: int, dt: float, dw: np.ndarray) -> np.ndarray:
+    """Undamped integrator chain x_0 -> ... -> x_(n_stages-1) driven by the
+    1-D increments dw, by running sums from zero: (T + 1, n_stages), row i
+    the state before increment i and row T the state after the last one.
+    x_0 sums the increments; each later stage sums dt times the stage
+    before it, one step behind."""
+    dw = np.asarray(dw, dtype=float)
+    x = np.zeros((len(dw) + 1, n_stages))
+    x[1:, 0] = np.cumsum(dw)
+    for k in range(1, n_stages):
+        x[1:, k] = np.cumsum(dt * x[:-1, k - 1])
+    return x

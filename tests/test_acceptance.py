@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import run_abc_linearized_trials, solve_gauss
 
 from phasetrack.bounds import (
     BoundQuery,
@@ -28,12 +29,10 @@ from phasetrack.lg import (
     smoother_covariance,
     smoother_covariance_closed_form,
     solve_filter_covariance,
-    solve_gauss,
 )
 from phasetrack.phase_process import PhaseModel
 from phasetrack.simulation import (
     default_config,
-    run_abc_linearized_trials,
     run_abc_trials,
     simulate_filter_trials,
 )
@@ -69,7 +68,7 @@ def test_criterion_2_recurrence_and_retro_relations():
         m = p // 2
         vt = solve_filter_covariance(p)
         vr = retro_covariance(vt)
-        worst_res = max(worst_res, riccati_residual(vt, m - 1))
+        worst_res = max(worst_res, riccati_residual(vt))
         # Inverse relation as the product residual Vt_F Vt_R - I. (The
         # entrywise gap to the true inverse amplifies representation error
         # by |Vt^-1|^2 ~ 1e7 at p = 20, below float64 resolution of the

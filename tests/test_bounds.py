@@ -125,7 +125,7 @@ class TestQuadratureAgreement:
     def test_damped_spectrum_bound_finite_without_flux(self):
         # fully damped spectrum is integrable, so N = 0 gives the prior variance
         q = BoundQuery(PhaseModel(4, 1.0, (1.0, 0.6)), 0.0)
-        from phasetrack.phase_process import autocovariance
+        from oracles import autocovariance
 
         assert smoother_mse_quadrature(q) == pytest.approx(autocovariance(q.spectrum, 0.0), rel=1e-4)
 

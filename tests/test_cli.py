@@ -272,12 +272,13 @@ _BOOL_WORDS = {"1", "true", "yes", "on", "0", "false", "no", "off"}
 _not_bool = (st.integers().map(str) | _float_text | _words).filter(lambda tok: tok not in _BOOL_WORDS)
 
 # every [sweep] field with tokens it must reject: non-numeric, nan, +-inf,
-# and 0 and -1 where those are invalid
+# 0 and -1 where those are invalid, and grid factors outside the run limits
 _BAD_TOKENS = {
     **{key: _not_positive for key in (
-        "kappa", "grid", "abc_chi", "abc_cutoff", "dt_factor", "duration_factor", "burn_in_factor",
-        "grid_min", "grid_max",
+        "kappa", "grid", "abc_chi", "abc_cutoff", "duration_factor", "grid_min", "grid_max",
     )},
+    "dt_factor": _not_positive | st.floats(min_value=0.01, exclude_min=True).map(repr),
+    "burn_in_factor": _not_positive | st.floats(min_value=0.0, max_value=20.0, exclude_max=True).map(repr),
     "p": _ints_below(2) | st.integers(min_value=1).map(lambda k: str(2 * k + 1)),
     "trials": _ints_below(2),
     "seed": _ints_below(0),
@@ -393,18 +394,27 @@ class TestSweep:
         assert f"'{key}'" in str(err.value)
 
     @pytest.mark.parametrize(
-        "fields, named",
+        "fields, tail, named",
         [
-            ({"trails": "2"}, "'trails'"),
-            ({"wrap_error": "true"}, "'wrap_error'"),
-            ({"grid": "30", "grid_points": "3"}, "'grid_points'"),
-            ({"burn_in_factor": "inf"}, "'burn_in_factor'"),
+            ({"trails": "2"}, "", "'trails'"),
+            ({"wrap_error": "true"}, "", "'wrap_error'"),
+            ({"grid": "30", "grid_points": "3"}, "", "'grid_points'"),
+            ({"burn_in_factor": "inf"}, "", "'burn_in_factor'"),
+            ({}, "[Sweep]\ntrials = 8\n", "[Sweep]"),
+            ({}, "[DEFAULT]\ntrials = 8\n", "'trials' under [DEFAULT]"),
+            ({"dt_factor": "0.02"}, "", "'dt_factor'"),
+            ({"burn_in_factor": "10"}, "", "'burn_in_factor'"),
         ],
-        ids=["unknown-trails", "unknown-wrap_error", "grid-with-grid_points", "burn_in_factor-inf"],
+        ids=[
+            "unknown-trails", "unknown-wrap_error", "grid-with-grid_points", "burn_in_factor-inf",
+            "other-section", "default-section-key", "dt_factor-0.02", "burn_in_factor-10",
+        ],
     )
-    def test_bad_spec_exits_2_before_output(self, capsys, tmp_path, fields, named):
+    def test_bad_spec_exits_2_before_output(self, capsys, tmp_path, fields, tail, named):
         spec = tmp_path / "sweep.ini"
         _write_spec(spec, **{"grid": "10", "estimators": "filter", "trials": "2", **fields})
+        with open(spec, "a") as fh:
+            fh.write(tail)
         out = tmp_path / "o.csv"
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(out))
         assert code == 2

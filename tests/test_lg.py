@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import lg_smoother_mse, solve_filter_covariance_ode, solve_gauss
 
 from phasetrack.bounds import filter_mse_power_law, qcrb_power_law
 from phasetrack.errors import NumericalError, ValidationError
@@ -12,15 +13,12 @@ from phasetrack.lg import (
     build_lg_system,
     covariance_set,
     lg_filter_mse,
-    lg_smoother_mse,
     retro_covariance,
     riccati_residual,
     scale_covariance,
     smoother_covariance,
     smoother_covariance_closed_form,
     solve_filter_covariance,
-    solve_filter_covariance_ode,
-    solve_gauss,
 )
 
 EVEN_P = list(range(2, 21, 2))
@@ -64,7 +62,7 @@ class TestFilterCovariance:
     @pytest.mark.parametrize("p", EVEN_P)
     def test_recurrence_residual(self, p):
         vt = solve_filter_covariance(p)
-        assert riccati_residual(vt, p // 2 - 1) <= 1e-9
+        assert riccati_residual(vt) <= 1e-9
 
     @pytest.mark.parametrize("p", EVEN_P)
     def test_bisymmetric(self, p):
@@ -128,21 +126,21 @@ class TestFilterCovariance:
 
 class TestRiccatiResidual:
     def test_known_solution_satisfies(self):
-        assert riccati_residual(VT_P4, 1) <= 1e-12
+        assert riccati_residual(VT_P4) <= 1e-12
 
     def test_identity_violates(self):
-        assert riccati_residual(np.eye(2), 1) >= 1.0
+        assert riccati_residual(np.eye(2)) >= 1.0
 
     def test_sensitive_to_perturbations(self):
         for i in range(2):
             for j in range(2):
                 perturbed = VT_P4.copy()
                 perturbed[i, j] += 0.1
-                assert riccati_residual(perturbed, 1) >= 0.05
+                assert riccati_residual(perturbed) >= 0.05
 
     def test_shape_check(self):
         with pytest.raises(ValidationError):
-            riccati_residual(VT_P4, 2)
+            riccati_residual(VT_P4[:1])
 
 
 class TestOdeOracle:
@@ -154,7 +152,7 @@ class TestOdeOracle:
     def test_p4_matches_eigen_construction(self):
         sys4 = build_lg_system(4, 1.0, 7.0)
         v_ode = solve_filter_covariance_ode(sys4)
-        v_eig = scale_covariance(solve_filter_covariance(4), 4, sys4.mu)
+        v_eig = scale_covariance(solve_filter_covariance(4), sys4.mu)
         assert np.max(np.abs(v_ode - v_eig)) <= 1e-6
 
     def test_symmetry_preserved(self):
@@ -250,7 +248,7 @@ class TestSmootherClosedForm:
 
 class TestScaleCovariance:
     def test_p2(self):
-        assert scale_covariance(VT_P2, 2, 100.0) == pytest.approx(np.array([[0.1]]), rel=1e-12)
+        assert scale_covariance(VT_P2, 100.0) == pytest.approx(np.array([[0.1]]), rel=1e-12)
 
     def test_phase_mse_matches_wiener_oracle(self):
         # 4N/kappa = 100 at kappa = 1
@@ -259,11 +257,16 @@ class TestScaleCovariance:
         assert lg_filter_mse(sys4) == pytest.approx(math.sqrt(2) * 100 ** (-0.75), rel=1e-12)
 
     def test_unit_mu_identity(self):
-        assert scale_covariance(VT_P6, 6, 1.0) == pytest.approx(VT_P6)
+        assert scale_covariance(VT_P6, 1.0) == pytest.approx(VT_P6)
 
     def test_rejects_bad_mu(self):
         with pytest.raises(ValidationError):
-            scale_covariance(VT_P2, 2, 0.0)
+            scale_covariance(VT_P2, 0.0)
+
+    def test_rejects_non_square(self):
+        # p is read off the matrix size, so a non-square one has no p
+        with pytest.raises(ValidationError, match="square"):
+            scale_covariance(np.ones((2, 3)), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from(EVEN_P), log_mu=st.floats(-12.0, 12.0))
@@ -271,7 +274,7 @@ class TestScaleCovariance:
         """V[k, l] mu^((k + l + 1)/p) recovers Vt[k, l] for every entry."""
         mu = 10.0**log_mu
         vt = solve_filter_covariance(p)
-        v = scale_covariance(vt, p, mu)
+        v = scale_covariance(vt, mu)
         k = np.arange(p // 2)
         np.testing.assert_allclose(v * mu ** ((k[:, None] + k[None, :] + 1.0) / p), vt, rtol=1e-12, atol=0)
 
@@ -289,7 +292,7 @@ class TestClosedLoopSpectrum:
         vt = solve_filter_covariance(p)
 
         def closed_eigs(system):
-            v = scale_covariance(vt, p, system.mu)
+            v = scale_covariance(vt, system.mu)
             return np.linalg.eigvals(system.a - v @ np.outer(system.c, system.c))
 
         eig_a = closed_eigs(sys_a)
@@ -321,9 +324,8 @@ class TestCovarianceSet:
     def test_consistent_fields(self):
         sys4 = build_lg_system(4, 1.0, 25.0)
         cov = covariance_set(sys4)
-        assert cov.vf == pytest.approx(scale_covariance(cov.vf_tilde, 4, sys4.mu))
-        assert cov.vr_tilde == pytest.approx(retro_covariance(cov.vf_tilde))
-        assert cov.vs_tilde == pytest.approx(smoother_covariance_closed_form(4), abs=1e-10)
+        assert cov.vf == pytest.approx(scale_covariance(VT_P4, sys4.mu))
+        assert cov.vr == pytest.approx(scale_covariance(retro_covariance(VT_P4), sys4.mu))
 
 
 class TestSolveGauss:

@@ -1,24 +1,29 @@
 """Spectrum and trajectory tests for the integrator-chain phase process."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import autocovariance, chain_cumsum
 from scipy.signal import welch
 
 from phasetrack.errors import NumericalError, ValidationError
-from phasetrack.phase_process import PhaseModel, autocovariance, chain_stages, spectrum
+from phasetrack.phase_process import PhaseModel, spectrum
 from phasetrack.simulation import _open_loop_phase
 
 
-def _chain_path(model, dt, n_steps, seed):
-    """Stages of one chain path driven by n_steps Wiener increments drawn
-    from the seed: (n_steps, n+1), row i the state before increment i."""
+def _phase_and_noise(model, dt, n_steps, seed):
+    """One phase path driven by n_steps Wiener increments drawn from the
+    seed, entry i the phase before increment i, and those increments. At
+    p = 2 and kappa = 1 the phase is the chain stage x_0."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dw = rng.normal(0.0, np.sqrt(dt), size=n_steps)
-    return np.stack(list(chain_stages(model, dt, dw)), axis=-1), dw
+    return _open_loop_phase(model, dt, dw[None])[0], dw
 
 
 def _phase_path(model, dt, n_steps, seed):
-    return model.phase_scale * _chain_path(model, dt, n_steps, seed)[0][:, -1]
+    return _phase_and_noise(model, dt, n_steps, seed)[0]
 
 
 class TestPhaseModel:
@@ -121,26 +126,25 @@ class TestSpectrum:
 class TestTrajectories:
     def test_zero_noise_stays_at_zero(self):
         model = PhaseModel(4, 1.0, (0.3, 0.1))
-        stages = list(chain_stages(model, 0.01, np.zeros(500)))
-        assert len(stages) == 2
-        assert all(np.all(x == 0.0) for x in stages)
-        assert np.all(_open_loop_phase(model, 0.01, np.zeros((1, 500))) == 0.0)
+        phi = _open_loop_phase(model, 0.01, np.zeros((1, 500)))
+        assert phi.shape == (1, 500)
+        assert np.all(phi == 0.0)
 
     def test_determinism(self):
         model = PhaseModel(4, 2.0)
-        a_x, a_dw = _chain_path(model, 0.01, 2000, 123)
-        b_x, b_dw = _chain_path(model, 0.01, 2000, 123)
+        a_x, a_dw = _phase_and_noise(model, 0.01, 2000, 123)
+        b_x, b_dw = _phase_and_noise(model, 0.01, 2000, 123)
         assert np.array_equal(a_x, b_x)
         assert np.array_equal(a_dw, b_dw)
-        c_x, _ = _chain_path(model, 0.01, 2000, 124)
+        c_x, _ = _phase_and_noise(model, 0.01, 2000, 124)
         assert not np.array_equal(a_x, c_x)
 
     def test_wiener_increment_variance(self):
         """Oracle: increments of the driving stage over windows tau have
         variance tau."""
-        x, _ = _chain_path(PhaseModel(2, 1.0), 0.01, 200_000, 3)
+        x = _phase_path(PhaseModel(2, 1.0), 0.01, 200_000, 3)
         tau_steps = 500
-        inc = np.diff(x[::tau_steps, 0])
+        inc = np.diff(x[::tau_steps])
         var = np.var(inc, ddof=1)
         se = var * np.sqrt(2.0 / (len(inc) - 1))
         assert abs(var - tau_steps * 0.01) < 3 * se
@@ -151,8 +155,8 @@ class TestTrajectories:
         dt = 0.005
         per_traj = []
         for seed in range(16):
-            x, _ = _chain_path(model, dt, 100_000, seed + 7)
-            per_traj.append(np.mean(x[int(10 / dt):, 0] ** 2))
+            x = _phase_path(model, dt, 100_000, seed + 7)
+            per_traj.append(np.mean(x[int(10 / dt):] ** 2))
         per_traj = np.asarray(per_traj)
         est = per_traj.mean()
         se = per_traj.std(ddof=1) / 4.0
@@ -160,20 +164,39 @@ class TestTrajectories:
 
     def test_phase_scaling_invariant(self):
         model = PhaseModel(4, 3.0)
-        x, dw = _chain_path(model, 0.01, 100, 5)
-        assert np.allclose(_open_loop_phase(model, 0.01, dw[None]), 3.0**1.5 * x[:, -1])
+        phi, dw = _phase_and_noise(model, 0.01, 100, 5)
+        assert np.allclose(phi, 3.0**1.5 * chain_cumsum(2, 0.01, dw)[:-1, -1])
 
     def test_states_iterable(self):
-        x, _ = _chain_path(PhaseModel(2, 1.0), 0.1, 10, 0)
-        assert x.shape == (10, 1)
-        assert np.all(x[0] == 0.0)
-        trials = list(chain_stages(PhaseModel(4, 1.0), 0.1, np.ones((3, 10))))
-        assert [s.shape for s in trials] == [(3, 10), (3, 10)]
-        assert trials[0][:, 3] == pytest.approx(3.0)  # x_0 before increment 3
+        x = _phase_path(PhaseModel(2, 1.0), 0.1, 10, 0)
+        assert x.shape == (10,)
+        assert x[0] == 0.0
+        trials = _open_loop_phase(PhaseModel(4, 1.0), 0.1, np.ones((3, 10)))
+        assert trials.shape == (3, 10)
+        assert trials[:, 3] == pytest.approx(0.3)  # x_1 = dt (0 + 1 + 2) before increment 3
 
     def test_input_validation(self):
         with pytest.raises(ValidationError, match="chain-requires-even-p"):
-            next(chain_stages(PhaseModel(3, 1.0), 0.01, np.zeros(100)))
+            _open_loop_phase(PhaseModel(3, 1.0), 0.01, np.zeros((1, 100)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from(range(2, 21, 2)),
+        kappa=st.floats(0.1, 10.0),
+        dt=st.floats(1e-4, 0.1),
+        n_steps=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_running_sum_chain(self, p, kappa, dt, n_steps, seed):
+        """The undamped phase is kappa^(n+1/2) times the last stage of the
+        running-sum chain, for a 1-D path and row by row for a batch."""
+        model = PhaseModel(p, kappa)
+        dw = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=(3, n_steps))
+        pairs = [(_open_loop_phase(model, dt, dw[0]), dw[0]), *zip(_open_loop_phase(model, dt, dw), dw)]
+        for phi, row in pairs:
+            ref = model.phase_scale * chain_cumsum(p // 2, dt, row)[:-1, -1]
+            assert phi.shape == (n_steps,)
+            assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestAutocovariance:

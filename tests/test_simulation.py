@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import chain_cumsum, run_abc_linearized_trials
 
 from phasetrack.errors import ValidationError
 from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse
-from phasetrack.phase_process import PhaseModel, chain_stages
+from phasetrack.phase_process import PhaseModel
 from phasetrack import simulation as sim
 from phasetrack.simulation import (
     HomodyneConfig,
@@ -87,7 +88,7 @@ class TestConfig:
         with pytest.raises(ValidationError, match="damping") as sim_err:
             simulate_record(damped, config)
         with pytest.raises(ValidationError, match="damping") as abc_err:
-            sim.run_abc_linearized_trials(damped, 1.0, config.dt, 10.0, 1.0, 0, 2)
+            run_abc_linearized_trials(damped, 1.0, config.dt, 10.0, 1.0, 0, 2)
         assert str(sim_err.value) == str(abc_err.value)
 
     def test_damped_model_rejected_by_filter_loops(self):
@@ -319,7 +320,7 @@ class TestRetrofilterPass:
         dw, db = sim._trial_noise(config.seed, 24, config.n_steps, config.dt)
         smoothing = (cov.vr, np.zeros(1), np.ones(1))
         s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)[1]
-        win = sim.interior_slice(config.n_steps, config.dt, config.burn_in)
+        win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
         err = s_err[:, win] / system.phase_scale
         per_trial = np.mean(err**2, axis=1)
         est = per_trial.mean()
@@ -356,7 +357,7 @@ class TestCombineSmoothed:
             dt, n, m = config.dt, config.n_steps, system.n_states
             xf = _euler_filter(rec.y[0], system, cov.vf, dt)
             dw = sim._trial_noise(config.seed, 1, n, dt)[0][0]
-            x_end = np.array([s[-1] for s in chain_stages(model, dt, np.append(dw, 0.0))])
+            x_end = chain_cumsum(m, dt, dw)[-1]
             back = np.linalg.inv(np.eye(m) + system.a * dt)
             closed_r = back - np.outer(cov.vr @ system.c, system.c) * dt
             xr = np.empty((n, m))
@@ -429,14 +430,14 @@ class TestAbc:
         """chi must be positive and resolved by the grid (dt chi < 0.1)."""
         model = PhaseModel(4, 1.0, (0.3, 0.0))
         with pytest.raises(ValidationError, match=match):
-            sim.run_abc_linearized_trials(model, chi, 0.005, 60.0, 10.0, 11, 6)
+            run_abc_linearized_trials(model, chi, 0.005, 60.0, 10.0, 11, 6)
 
     def test_linearized_trials_reject_unresolved_damping(self):
         """The chain's damping rates must be resolved too (dt lambda < 0.1),
         as in integrate_chain: lambda = 30 at dt 0.005 gives 0.15."""
         model = PhaseModel(4, 1.0, (30.0, 0.0))
         with pytest.raises(ValidationError, match="damping"):
-            sim.run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 4)
+            run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 4)
 
     def test_record_theta_is_previous_estimate(self):
         model, system, config = _setup(p=2, flux=100.0, duration_factor=30.0, linearized=False)
@@ -631,7 +632,7 @@ class TestGoldenValues:
 
     def test_abc_linearized(self):
         model = PhaseModel(4, 1.0, (0.3, 0.0))
-        mse, se = sim.run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 6)
+        mse, se = run_abc_linearized_trials(model, 2.0, 0.005, 60.0, 10.0, 11, 6)
         assert mse == pytest.approx(0.32676991895226487, rel=1e-12)
         assert se == pytest.approx(0.017071769821753353, rel=1e-12)
 
@@ -701,7 +702,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)
     assert err.shape == (3, config.n_steps)
     assert _close_to_peak(rec.phi[0] + err[0], rec.theta[0], 1e-12)
-    win = sim.interior_slice(config.n_steps, config.dt, config.burn_in)
+    win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
     assert _close_to_peak((rec.phi + s_err)[0, win], rec.phi_s[0, win], 1e-12)
 
     chi = 1.0 / system.time_scale
