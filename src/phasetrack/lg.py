@@ -4,10 +4,12 @@ For even p = 2n+2 the phase model is the state-space system
 
     dx = A x dt + E dW,    y = C x + white noise,
 
-with A the (n+1)x(n+1) lower shift, E = e_0, C = sqrt(mu) e_n^T and
-mu = 4 N kappa^(2n+1). All stationary covariances factor as
-V_{k,l} = Vt_{k,l} mu^-((k+l+1)/p) with a mu-independent normalized matrix Vt,
-so everything is solved once per p in normalized form and rescaled.
+with A the (n+1)x(n+1) lower shift, C = sqrt(mu) e_n^T and
+mu = 4 N kappa^(2n+1). The input E = e_0 is the chain's fixed input: the
+noise drives stage 0 for every p, so it is not a field of LgSystem. All
+stationary covariances factor as V_{k,l} = Vt_{k,l} mu^-((k+l+1)/p) with a
+mu-independent normalized matrix Vt, so everything is solved once per p in
+normalized form and rescaled.
 
 The normalized causal covariance has a closed form. The stationary filter's
 closed-loop poles are lam_k = i e^(i pi (2k-1)/p), k = 1..n+1, the
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .phase_process import _chain_stages
 
 __all__ = [
     "LgSystem",
@@ -45,19 +48,12 @@ __all__ = [
 _MAX_P = 20
 
 
-def _require_even_p(p, what: str = "requires-even-p") -> int:
-    if float(p) != int(p) or int(p) % 2 != 0 or int(p) < 2:
-        raise ValidationError(f"{what}: got p={p}")
-    return int(p)
-
-
 @dataclass(frozen=True, eq=False)
 class LgSystem:
     """Standard-form state-space model for even spectral exponent p = 2n+2."""
 
     n: int
     a: np.ndarray
-    e: np.ndarray
     c: np.ndarray
     mu: float
     kappa: float
@@ -72,11 +68,6 @@ class LgSystem:
         return self.n + 1
 
     @property
-    def phase_scale(self) -> float:
-        """kappa^(n+1/2): maps the last state component to the phase."""
-        return self.kappa ** (self.n + 0.5)
-
-    @property
     def time_scale(self) -> float:
         """mu^(-1/p), the closed-loop response time unit."""
         if self.mu <= 0:
@@ -85,26 +76,21 @@ class LgSystem:
 
 
 def build_lg_system(p, kappa: float, flux: float) -> LgSystem:
-    """Assemble A, E, C and mu for exponent p, rate kappa, photon flux N.
+    """Assemble A, C and mu for exponent p, rate kappa, photon flux N.
 
     flux = 0 is allowed and yields C = 0 (measurement carries no signal).
     """
-    p_int = _require_even_p(p)
+    m = _chain_stages(p)
     if not 0 < kappa < math.inf:
         raise ValidationError(f"kappa must be positive and finite, got {kappa}")
     if not 0 <= flux < math.inf:
         raise ValidationError(f"photon_flux must be >= 0 and finite, got {flux}")
-    n = p_int // 2 - 1
-    m = n + 1
-    a = np.zeros((m, m))
-    for j in range(1, m):
-        a[j, j - 1] = 1.0
-    e = np.zeros(m)
-    e[0] = 1.0
+    n = m - 1
+    a = np.eye(m, k=-1)
     mu = 4.0 * flux * kappa ** (2 * n + 1)
     c = np.zeros(m)
     c[n] = math.sqrt(mu)
-    return LgSystem(n=n, a=a, e=e, c=c, mu=mu, kappa=kappa, photon_flux=flux)
+    return LgSystem(n=n, a=a, c=c, mu=mu, kappa=kappa, photon_flux=flux)
 
 
 def solve_filter_covariance(p) -> np.ndarray:
@@ -120,10 +106,10 @@ def solve_filter_covariance(p) -> np.ndarray:
     The result is symmetric, bisymmetric, positive definite, and satisfies
     the quadratic recurrence checked by riccati_residual.
     """
-    p_int = _require_even_p(p)
+    m = _chain_stages(p)
+    p_int = 2 * m
     if p_int > _MAX_P:
         raise ValidationError(f"conditioning-limit: p={p_int} exceeds supported maximum {_MAX_P}")
-    m = p_int // 2
     pi = np.arccos(np.longdouble(-1))
     a = [np.longdouble(1)]
     for k in range(1, m + 1):
@@ -187,10 +173,10 @@ def smoother_covariance_closed_form(p) -> np.ndarray:
         [Vt_S]_{k,l} = (-1)^((k-l)/2) / (p sin(pi (k+l+1)/p))   for k-l even,
                        0                                         otherwise.
     """
-    p_int = _require_even_p(p)
+    m = _chain_stages(p)
+    p_int = 2 * m
     if p_int > _MAX_P:
         raise ValidationError(f"conditioning-limit: p={p_int} exceeds supported maximum {_MAX_P}")
-    m = p_int // 2
     vs = np.zeros((m, m))
     for k in range(m):
         for l in range(m):

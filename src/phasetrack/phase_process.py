@@ -22,8 +22,11 @@ __all__ = [
 ]
 
 
-def _is_even_integer(p: float) -> bool:
-    return float(p) == int(p) and int(p) % 2 == 0
+def _chain_stages(p) -> int:
+    """Number of chain stages, p/2, for a finite even integer p >= 2."""
+    if not (2 <= p < math.inf and p % 2 == 0):
+        raise ValidationError(f"chain-requires-even-p: need an even integer p >= 2, got p={p}")
+    return int(p) // 2
 
 
 @dataclass(frozen=True)
@@ -48,28 +51,16 @@ class PhaseModel:
         object.__setattr__(self, "dampings", tuple(float(d) for d in self.dampings))
         if not all(0 <= d < math.inf for d in self.dampings):
             raise ValidationError(f"dampings must be nonnegative and finite, got {self.dampings}")
-        if self.dampings:
-            if not _is_even_integer(self.p):
-                raise ValidationError(
-                    "chain-requires-even-p: dampings are chain stage rates, "
-                    f"undefined for p={self.p}"
-                )
-            if len(self.dampings) != int(self.p) // 2:
-                raise ValidationError(
-                    f"expected {int(self.p) // 2} damping rates for p={self.p}, "
-                    f"got {len(self.dampings)}"
-                )
-
-    @property
-    def is_even_integer(self) -> bool:
-        return _is_even_integer(self.p)
+        if self.dampings and len(self.dampings) != _chain_stages(self.p):
+            raise ValidationError(
+                f"expected {_chain_stages(self.p)} damping rates for p={self.p}, "
+                f"got {len(self.dampings)}"
+            )
 
     @property
     def n(self) -> int:
         """Chain index: p = 2n + 2."""
-        if not self.is_even_integer:
-            raise ValidationError(f"chain-requires-even-p: got p={self.p}")
-        return int(self.p) // 2 - 1
+        return _chain_stages(self.p) - 1
 
     @property
     def is_damped(self) -> bool:
@@ -77,9 +68,8 @@ class PhaseModel:
 
     def damping_rates(self) -> np.ndarray:
         """Per-stage decay rates as an array of length n+1 (zeros if undamped)."""
-        n_stages = self.n + 1
         if not self.dampings:
-            return np.zeros(n_stages)
+            return np.zeros(_chain_stages(self.p))
         return np.asarray(self.dampings, dtype=float)
 
     @property

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from .errors import ValidationError
@@ -235,24 +234,20 @@ def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
     """(n + 2k, k + n) map from [x_0, dW_0..k-1, r_0..k-1] to
     [out_0..k-1, x_k] over k steps of the recurrence in _block_scan.
 
-    Built from O(k) matrix-vector products: P = [m^j w] carries x_0 to the
-    readouts, and each input g reaches them through the upper-triangular
-    Toeplitz matrix of its impulse response (the direct term, then the
-    Markov parameters g m^j w) and reaches x_k through the rows g m^(k-1-j).
+    Built by stepping that recurrence once on the n + 2k unit inputs: row j
+    of the map is the response to input j set to 1 and all others to 0, so
+    the inputs dW_i and r_i enter only at step i.
     """
     n = m.shape[0]
+    x = np.eye(n + 2 * k, n)
     out = np.empty((n + 2 * k, k + n))
-    out[:n, 0] = w
-    for j in range(1, k):
-        out[:n, j] = m @ out[:n, j - 1]
-    out[:n, k:] = np.linalg.matrix_power(m, k)
-    for g, direct, rows in ((g_dw, h_dw, slice(n, n + k)), (g_db, 0.0, slice(n + k, None))):
-        powers = np.empty((k, n))  # g m^j
-        powers[0] = g
-        for j in range(1, k):
-            powers[j] = powers[j - 1] @ m
-        out[rows, :k] = np.triu(toeplitz(np.r_[direct, powers[:-1] @ w]))
-        out[rows, k:] = powers[::-1]
+    for i in range(k):
+        out[:, i] = x @ w
+        out[n + i, i] += h_dw
+        x = x @ m
+        x[n + i] += g_dw
+        x[n + k + i] += g_db
+    out[:, k:] = x
     return out
 
 
@@ -302,7 +297,7 @@ def _error_passes(
         raise ValidationError("the filter loop needs an undamped phase model")
     n_trials, n_steps = dw.shape
     dt = config.dt
-    scale = system.phase_scale
+    scale = model.phase_scale
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt

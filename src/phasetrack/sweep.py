@@ -18,7 +18,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -48,23 +48,20 @@ CSV_HEADER = [
 
 _KNOWN_ESTIMATORS = ("filter", "smoother", "abc")
 _LOG_GRID_KEYS = ("grid_min", "grid_max", "grid_points")
-_SPEC_KEYS = frozenset({
-    "p", "kappa", "grid", *_LOG_GRID_KEYS, "estimators", "trials", "seed", "linearized",
-    "abc_chi", "abc_cutoff", "dt_factor", "duration_factor", "burn_in_factor", "wrap_errors",
-})
 _FINITE_COLUMNS = ("mse", "stderr", "lg_filter_mse", "qcrb", "wiener_filter_mse")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep description."""
+    """Validated sweep description; each field is the [sweep] key of the
+    same name, and a field without a default is a required key."""
 
-    p_values: tuple[int, ...]
-    kappa: float
+    p: tuple[int, ...]
     grid: tuple[float, ...]  # values of (N/kappa)^((p-1)/p)
     estimators: tuple[str, ...]
-    trials: int
     seed: int
+    kappa: float = 1.0
+    trials: int = 64
     linearized: bool = False
     abc_chi: Optional[float] = None
     abc_cutoff: Optional[float] = None
@@ -74,9 +71,9 @@ class SweepSpec:
     wrap_errors: bool = False
 
     def __post_init__(self):
-        if not self.p_values:
+        if not self.p:
             raise ValidationError("sweep spec field 'p' must list at least one even exponent")
-        for p in self.p_values:
+        for p in self.p:
             if p % 2 != 0 or p < 2:
                 raise ValidationError(f"sweep spec field 'p' must hold even integers >= 2, got {p}")
         if not self.grid or not all(0 < g < math.inf for g in self.grid):
@@ -105,17 +102,13 @@ class SweepSpec:
             )
 
 
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ValidationError(f"sweep spec is missing required field '{key}'")
-        return default
+def _value(section, key):
     try:
         raw = section[key].strip()
     except configparser.Error as exc:  # e.g. a lone '%' under interpolation
         raise ValidationError(f"sweep spec field '{key}' is invalid: {exc}") from exc
     try:
-        return cast(raw)
+        return _PARSERS[key](raw)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"sweep spec field '{key}' is invalid: {raw!r}") from exc
 
@@ -141,6 +134,16 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+# Parser of every [sweep] key: the SweepSpec fields, then the log-spaced grid
+# form that stands in for 'grid'
+_PARSERS = {
+    "p": _ints, "grid": _floats, "estimators": _words, "seed": int, "kappa": float, "trials": int,
+    "linearized": _bool, "abc_chi": float, "abc_cutoff": float, "dt_factor": float,
+    "duration_factor": float, "burn_in_factor": float, "wrap_errors": _bool,
+    "grid_min": float, "grid_max": float, "grid_points": int,
+}
+
+
 def parse_sweep_spec(path) -> SweepSpec:
     """Read and validate an INI sweep spec; errors name the offending field."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -157,38 +160,26 @@ def parse_sweep_spec(path) -> SweepSpec:
     if other:
         raise ValidationError(f"sweep spec has {other[0]}; only [sweep] is read")
     sec = parser["sweep"]
-    unknown = sorted(set(sec) - _SPEC_KEYS)
+    unknown = sorted(set(sec) - set(_PARSERS))
     if unknown:
         raise ValidationError(f"sweep spec has unknown field {', '.join(map(repr, unknown))}")
 
-    if "grid" in sec:
-        both = [key for key in _LOG_GRID_KEYS if key in sec]
-        if both:
-            raise ValidationError(f"sweep spec field 'grid' excludes '{both[0]}'")
-        grid = _get(sec, "grid", _floats, required=True)
-    else:
-        gmin = _get(sec, "grid_min", float, required=True)
-        gmax = _get(sec, "grid_max", float, required=True)
-        gnum = _get(sec, "grid_points", int, required=True)
+    values = {key: _value(sec, key) for key in sec}
+    log_grid = [key for key in _LOG_GRID_KEYS if key in values]
+    if "grid" in values and log_grid:
+        raise ValidationError(f"sweep spec field 'grid' excludes '{log_grid[0]}'")
+    if log_grid:
+        missing = [key for key in _LOG_GRID_KEYS if key not in values]
+        if missing:
+            raise ValidationError(f"sweep spec is missing required field '{missing[0]}'")
+        gmin, gmax, gnum = (values.pop(key) for key in _LOG_GRID_KEYS)
         if not (gnum >= 1 and 0 < gmin <= gmax < math.inf):
             raise ValidationError("sweep spec fields 'grid_min'/'grid_max'/'grid_points' are inconsistent")
-        grid = tuple(np.logspace(math.log10(gmin), math.log10(gmax), gnum))
-
-    return SweepSpec(
-        p_values=_get(sec, "p", _ints, required=True),
-        kappa=_get(sec, "kappa", float, default=1.0),
-        grid=grid,
-        estimators=_get(sec, "estimators", _words, required=True),
-        trials=_get(sec, "trials", int, default=64),
-        seed=_get(sec, "seed", int, required=True),
-        linearized=_get(sec, "linearized", _bool, default=False),
-        abc_chi=_get(sec, "abc_chi", float),
-        abc_cutoff=_get(sec, "abc_cutoff", float),
-        dt_factor=_get(sec, "dt_factor", float, default=0.01),
-        duration_factor=_get(sec, "duration_factor", float, default=1000.0),
-        burn_in_factor=_get(sec, "burn_in_factor", float, default=20.0),
-        wrap_errors=_get(sec, "wrap_errors", _bool, default=False),
-    )
+        values["grid"] = tuple(np.logspace(math.log10(gmin), math.log10(gmax), gnum))
+    missing = [f.name for f in fields(SweepSpec) if f.default is MISSING and f.name not in values]
+    if missing:
+        raise ValidationError(f"sweep spec is missing required field '{missing[0]}'")
+    return SweepSpec(**values)
 
 
 def derive_seed(*parts: int) -> int:
@@ -219,7 +210,7 @@ def _abc_setup(
 
 def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     """All estimator rows for one (p, grid) sweep point."""
-    p = spec.p_values[p_idx]
+    p = spec.p[p_idx]
     grid_val = spec.grid[g_idx]
     n_over_kappa = grid_val ** (p / (p - 1.0))
     flux = spec.kappa * n_over_kappa
@@ -288,7 +279,7 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    p_idx, g_idx = zip(*itertools.product(range(len(spec.p_values)), range(len(spec.grid))))
+    p_idx, g_idx = zip(*itertools.product(range(len(spec.p)), range(len(spec.grid))))
     points = ([spec] * len(p_idx), p_idx, g_idx)
     workers = min(workers, len(p_idx), os.cpu_count() or 1)
     all_rows: list[dict] = []

@@ -59,8 +59,9 @@ def solve_filter_covariance_ode(system: LgSystem, tol: float = 1e-12, max_steps:
         raise ValidationError(f"tol must be positive, got {tol}")
     if system.mu <= 0:
         raise ValidationError("stationary covariance undefined for mu = 0")
-    a, e, c = system.a, system.e, system.c
-    ee = np.outer(e, e)
+    a, c = system.a, system.c
+    ee = np.zeros_like(a)
+    ee[0, 0] = 1.0  # E E^T: the noise drives stage 0
 
     def rhs(v: np.ndarray) -> np.ndarray:
         # Assembled so the result is exactly symmetric for symmetric input.

@@ -20,6 +20,7 @@ from phasetrack.lg import (
     smoother_covariance_closed_form,
     solve_filter_covariance,
 )
+from phasetrack.phase_process import PhaseModel
 
 EVEN_P = list(range(2, 21, 2))
 
@@ -33,14 +34,12 @@ class TestBuildSystem:
     def test_p2(self):
         sys2 = build_lg_system(2, 1.0, 25.0)
         assert sys2.a == pytest.approx(np.array([[0.0]]))
-        assert sys2.e == pytest.approx(np.array([1.0]))
         assert sys2.c == pytest.approx(np.array([10.0]))
         assert sys2.mu == pytest.approx(100.0)
 
     def test_p4(self):
         sys4 = build_lg_system(4, 1.0, 1.0)
         assert sys4.a == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert sys4.e == pytest.approx(np.array([1.0, 0.0]))
         assert sys4.c == pytest.approx(np.array([0.0, 2.0]))
         assert sys4.mu == pytest.approx(4.0)
 
@@ -52,6 +51,35 @@ class TestBuildSystem:
             build_lg_system(3, 1.0, 1.0)
         with pytest.raises(ValidationError, match="requires-even-p"):
             build_lg_system(2.5, 1.0, 1.0)
+
+
+_CHAIN_SOLVES = {
+    "build_lg_system": lambda p: build_lg_system(p, 1.0, 1.0),
+    "solve_filter_covariance": solve_filter_covariance,
+    "smoother_covariance_closed_form": smoother_covariance_closed_form,
+}
+
+
+class TestEvenP:
+    """Every chain entry point rejects p that is not a finite even integer
+    >= 2 with the same error."""
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 2.5, 3, 0, -2])
+    @pytest.mark.parametrize("name", sorted(_CHAIN_SOLVES))
+    def test_bad_p_rejected(self, name, p):
+        with pytest.raises(ValidationError, match="chain-requires-even-p"):
+            _CHAIN_SOLVES[name](p)
+
+    @pytest.mark.parametrize("p", [2.5, 3])
+    def test_phase_model_chain_index(self, p):
+        model = PhaseModel(p, 1.0)  # accepted for spectral bounds
+        with pytest.raises(ValidationError, match="chain-requires-even-p"):
+            model.n
+
+    @pytest.mark.parametrize("name", ["solve_filter_covariance", "smoother_covariance_closed_form"])
+    def test_even_p_above_limit(self, name):
+        with pytest.raises(ValidationError, match="conditioning-limit"):
+            _CHAIN_SOLVES[name](22)
 
 
 class TestFilterCovariance:

@@ -212,7 +212,7 @@ def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray, vr: np.nd
         for states, weights in ((fwd, (unit, zero)), (back, (zero, unit))):
             smoothing = (vr, *weights)
             s_err = sim._error_passes(model, system, config, dw.copy(), r.copy(), vf, smoothing)[1]
-            states[..., k] = s_err / system.phase_scale
+            states[..., k] = s_err / model.phase_scale
     return fwd, back
 
 
@@ -221,7 +221,7 @@ class TestFilterPass:
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, config)
         xf = _euler_filter(rec.y[0], system, covariance_set(system).vf, config.dt)
-        assert np.max(np.abs(system.phase_scale * xf[:-1, -1] - rec.theta[0])) < 1e-10
+        assert np.max(np.abs(model.phase_scale * xf[:-1, -1] - rec.theta[0])) < 1e-10
 
     def test_zero_signal_stays_at_zero(self):
         """Without phase or shot noise the error loop never leaves zero."""
@@ -309,7 +309,7 @@ class TestRetrofilterPass:
         fwd, back = _pass_states(model, system, config, noise[0], noise[1], cov.vr)
         proj = sim._error_passes(model, system, config, noise[0], noise[1], cov.vf, (cov.vr, w_f, w_r))[1]
         assert proj.shape == noise[1].shape
-        assert np.allclose(proj / system.phase_scale, fwd @ w_f + back @ w_r, rtol=1e-12, atol=0.0)
+        assert np.allclose(proj / model.phase_scale, fwd @ w_f + back @ w_r, rtol=1e-12, atol=0.0)
 
     def test_retro_error_variance_p2(self):
         """Stationary anticausal phase error variance matches the predicted
@@ -321,7 +321,7 @@ class TestRetrofilterPass:
         smoothing = (cov.vr, np.zeros(1), np.ones(1))
         s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)[1]
         win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
-        err = s_err[:, win] / system.phase_scale
+        err = s_err[:, win] / model.phase_scale
         per_trial = np.mean(err**2, axis=1)
         est = per_trial.mean()
         se = per_trial.std(ddof=1) / math.sqrt(24)
@@ -365,7 +365,7 @@ class TestCombineSmoothed:
             for i in range(n - 1, 0, -1):
                 xr[i - 1] = closed_r @ xr[i] + cov.vr @ system.c * rec.y[0, i] * dt
             w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
-            reference = system.phase_scale * (xf[:-1] @ w_f + xr @ w_r)[k : n - k]
+            reference = model.phase_scale * (xf[:-1] @ w_f + xr @ w_r)[k : n - k]
             assert np.max(np.abs(inner - reference)) <= 1e-13 * np.max(np.abs(inner)), p
 
     def test_smoothing_beats_filtering(self):
@@ -719,11 +719,27 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
 def _step_scan(x, m, g_dw, g_db, w, h_dw, dw, db):
     """The recurrence of _block_scan one step at a time: its readout and
     final state."""
-    out = np.empty(dw.shape)
+    out = np.empty(dw.shape, dtype=dw.dtype)
     for i in range(dw.shape[1]):
         out[:, i] = x @ w + dw[:, i] * h_dw
         x = x @ m + dw[:, i, None] * g_dw + db[:, i, None] * g_db
     return out, x
+
+
+def _scan_args(p: int, backward: bool):
+    """(m, g_dw, g_db, w, h_dw) of the forward or backward error pass at
+    grid 30, with the state size n and the step dt."""
+    _, system = _golden_system(p, 30.0)
+    cov = covariance_set(system)
+    w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+    n, dt = system.n_states, 0.01 * system.time_scale
+    if backward:
+        back = np.linalg.inv(np.eye(n) + system.a * dt)
+        m = (back - np.outer(cov.vr @ system.c, system.c) * dt).T
+        return (m, back[:, 0] @ m, cov.vr @ system.c, w_r, back[:, 0] @ w_r), n, dt
+    gain = cov.vf @ system.c
+    m = np.eye(n) + (system.a - np.outer(gain, system.c)).T * dt
+    return (m, -np.eye(n)[0], gain, w_f, 0.0), n, dt
 
 
 _K = sim._SCAN_BLOCK
@@ -741,18 +757,7 @@ _K = sim._SCAN_BLOCK
 def test_block_scan_matches_step_loop(p, n_steps, width, backward, reversed_views, seed):
     """Blocks, the partial last block and reversed views all give the
     step-by-step recurrence, on the matrices of both error passes."""
-    _, system = _golden_system(p, 30.0)
-    cov = covariance_set(system)
-    w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
-    n, dt = system.n_states, 0.01 * system.time_scale
-    if backward:
-        back = np.linalg.inv(np.eye(n) + system.a * dt)
-        m = (back - np.outer(cov.vr @ system.c, system.c) * dt).T
-        args = (m, back[:, 0] @ m, cov.vr @ system.c, w_r, back[:, 0] @ w_r)
-    else:
-        gain = cov.vf @ system.c
-        m = np.eye(n) + (system.a - np.outer(gain, system.c)).T * dt
-        args = (m, -np.eye(n)[0], gain, w_f, 0.0)
+    args, n, dt = _scan_args(p, backward)
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(width, n))
     dw, db, out = rng.normal(0.0, math.sqrt(dt), size=(3, width, n_steps))
@@ -763,6 +768,24 @@ def test_block_scan_matches_step_loop(p, n_steps, width, backward, reversed_view
     ref_out, ref_x = _step_scan(x0, *args, dw, db)
     assert _close_to_peak(out - start, ref_out, 1e-12)
     assert _close_to_peak(x, ref_x, 1e-12)
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("p", range(2, 21, 2))
+def test_block_scan_matches_extended_precision_step_loop(p, backward):
+    """The blocked scan of both error passes, over whole blocks and a
+    partial last one, stays within 1e-13 of peak of the same recurrence
+    stepped in np.longdouble on the same float64 inputs."""
+    args, n, dt = _scan_args(p, backward)
+    rng = np.random.default_rng(p)
+    x0 = rng.normal(size=(3, n))
+    dw, db = rng.normal(0.0, math.sqrt(dt), size=(2, 3, 3 * _K + 5))
+    out = np.zeros_like(dw)
+    x = sim._block_scan(x0, *args, dw, db, out)
+    wide = [np.asarray(a, dtype=np.longdouble) for a in (x0, *args, dw, db)]
+    ref_out, ref_x = _step_scan(*wide)
+    assert _close_to_peak(out, ref_out, 1e-13)
+    assert _close_to_peak(x, ref_x, 1e-13)
 
 
 def _smoother_alloc_peak(p: int) -> int:
