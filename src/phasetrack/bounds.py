@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError, ValidationError
 from .phase_process import PhaseModel, spectrum
@@ -165,6 +164,9 @@ def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
 
     else:  # pragma: no cover - internal misuse
         raise ValueError(kind)
+
+    # deferred: importing scipy costs every phasetrack process, most never integrate
+    from scipy.integrate import quad
 
     bulk, bulk_err = quad(integrand, u_lo, u_hi, limit=400, epsabs=1e-14, epsrel=1e-10)
 

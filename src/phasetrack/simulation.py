@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ValidationError
 from .lg import LgSystem, build_lg_system, covariance_set, smoother_covariance
@@ -212,13 +211,25 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray
     open-loop, apart from any feedback loop, by explicit Euler from zero:
     dx_0 = -lambda_0 x_0 dt + dW, dx_(k+1) = (x_k - lambda_(k+1) x_(k+1)) dt,
     and phi = kappa^(n+1/2) x_n. Each stage is a first-order linear
-    recurrence in the one before it, run along the time axis with lfilter,
-    so at most two stages are live at a time.
+    recurrence x_k[i+1] = c x_k[i] + g x_(k-1)[i] from x_k[0] = 0, with
+    c = 1 - lambda_k dt and drive g x_(k-1) = dW (stage 0) or dt x_(k-1),
+    so at most two stages are live at a time. An undamped stage (c == 1) is
+    a cumsum of its drive shifted one step; a damped one steps the
+    recurrence once per time index for all trials. Both round each step as
+    c x_k[i] + (g x_(k-1)[i]), the arithmetic of an order-1 direct-form
+    filter.
     """
     stage = np.asarray(dw, dtype=float)
     for k, c in enumerate(1.0 - model.damping_rates() * dt):
-        # x_k[i+1] = (1 - lambda_k dt) x_k[i] + g x_{k-1}[i], g = 1 (dW) or dt
-        stage = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1)
+        x = np.zeros(stage.shape)
+        np.multiply(stage[..., :-1], 1.0 if k == 0 else dt, out=x[..., 1:])
+        if c == 1.0:
+            np.cumsum(x, axis=-1, out=x)
+        else:
+            steps = x.reshape(-1, x.shape[-1]).T  # a view: steps[i] is x_k[i] of every trial
+            for prev, now in zip(steps, steps[1:]):
+                now += c * prev
+        stage = x
     stage *= model.phase_scale
     return stage
 

@@ -5,7 +5,8 @@ package computes by another route: an extended-precision dense solve, the
 differential Riccati equation integrated to stationarity, the closed-form
 smoother MSE, the autocovariance as an inverse Fourier transform of the
 spectrum, the linearized exponential-window error as two open-loop
-recurrences, and the undamped integrator chain as running sums.
+recurrences, the undamped integrator chain as running sums, and the
+(damped) phase chain through scipy's direct-form linear filter.
 """
 
 from __future__ import annotations
@@ -158,3 +159,13 @@ def chain_cumsum(n_stages: int, dt: float, dw: np.ndarray) -> np.ndarray:
     for k in range(1, n_stages):
         x[1:, k] = np.cumsum(dt * x[:-1, k - 1])
     return x
+
+
+def open_loop_phase_lfilter(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray:
+    """The open-loop phase of _open_loop_phase, each chain stage run as the
+    order-1 filter x_k[i+1] = (1 - lambda_k dt) x_k[i] + g x_(k-1)[i] by
+    lfilter along the time axis, with g = 1 (dW) or dt."""
+    stage = np.asarray(dw, dtype=float)
+    for k, c in enumerate(1.0 - model.damping_rates() * dt):
+        stage = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1)
+    return model.phase_scale * stage

@@ -1,12 +1,16 @@
 """Every exported name resolves: the package and each layer module. The
 package exports only what the CLI, the sweep and the README use. The
 functions the benchmark traces stay public, and the simulation entry points
-keep the parameter names that the benchmark binds."""
+keep the parameter names that the benchmark binds. Importing the package
+loads no scipy module."""
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +99,26 @@ def test_step_counting_parameter_names(name, params):
     entry points' arguments by name; a rename would silently zero it."""
     signature = inspect.signature(getattr(simulation, name))
     assert set(params) <= set(signature.parameters)
+
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, sys
+import phasetrack, phasetrack.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = phasetrack.cli.main(["bounds", "--p", "4", "--flux", "100"])
+print(code, sorted(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
+"""
+
+
+def test_import_loads_no_scipy():
+    """scipy is loaded on first use: importing the package and its CLI loads
+    none of it, and a bounds quadrature loads scipy.integrate without the
+    scipy.signal/scipy.stats import chain. Run in a fresh interpreter, since
+    this test process has imported scipy already."""
+    src = str(Path(phasetrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE], capture_output=True, text=True, env=env, check=True, timeout=120
+    ).stdout.splitlines()
+    assert out == ["[]", "0 []"]

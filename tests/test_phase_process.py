@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import autocovariance, chain_cumsum
+from oracles import autocovariance, chain_cumsum, open_loop_phase_lfilter
 from scipy.signal import welch
 
 from phasetrack.errors import NumericalError, ValidationError
@@ -13,17 +13,28 @@ from phasetrack.phase_process import PhaseModel, spectrum
 from phasetrack.simulation import _open_loop_phase
 
 
+def _noise(dt, n_steps, seeds):
+    """(len(seeds), n_steps) Wiener increments, row j drawn from seeds[j]."""
+    rngs = (np.random.default_rng(np.random.SeedSequence(s)) for s in seeds)
+    return np.stack([rng.normal(0.0, np.sqrt(dt), n_steps) for rng in rngs])
+
+
 def _phase_and_noise(model, dt, n_steps, seed):
     """One phase path driven by n_steps Wiener increments drawn from the
     seed, entry i the phase before increment i, and those increments. At
     p = 2 and kappa = 1 the phase is the chain stage x_0."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dw = rng.normal(0.0, np.sqrt(dt), size=n_steps)
-    return _open_loop_phase(model, dt, dw[None])[0], dw
+    dw = _noise(dt, n_steps, [seed])
+    return _open_loop_phase(model, dt, dw)[0], dw[0]
 
 
 def _phase_path(model, dt, n_steps, seed):
     return _phase_and_noise(model, dt, n_steps, seed)[0]
+
+
+def _phase_paths(model, dt, n_steps, seeds):
+    """The paths of _phase_path for each seed, one row each, run as one
+    batch: a damped stage steps every trial at once."""
+    return _open_loop_phase(model, dt, _noise(dt, n_steps, seeds))
 
 
 class TestPhaseModel:
@@ -71,8 +82,7 @@ class TestSpectrum:
         dt = 0.02
         vals = []
         freq = None
-        for seed in range(8):
-            phi = _phase_path(model, dt, 2**19, seed)
+        for phi in _phase_paths(model, dt, 2**19, range(8)):
             f, pxx = welch(phi, fs=1.0 / dt, nperseg=2**14, detrend="linear")
             k = np.argmin(np.abs(f - 1.0 / (2 * np.pi)))
             freq = 2 * np.pi * f[k]
@@ -154,8 +164,7 @@ class TestTrajectories:
         model = PhaseModel(2, 1.0, (2.0,))
         dt = 0.005
         per_traj = []
-        for seed in range(16):
-            x = _phase_path(model, dt, 100_000, seed + 7)
+        for x in _phase_paths(model, dt, 100_000, range(7, 23)):
             per_traj.append(np.mean(x[int(10 / dt):] ** 2))
         per_traj = np.asarray(per_traj)
         est = per_traj.mean()
@@ -198,6 +207,29 @@ class TestTrajectories:
             assert phi.shape == (n_steps,)
             assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from(range(2, 21, 2)),
+        kappa=st.floats(0.1, 10.0),
+        dt=st.floats(1e-4, 0.1),
+        n_steps=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_direct_form_filter(self, p, kappa, dt, n_steps, seed, data):
+        """Damped, partly damped and undamped chains equal the stage-by-stage
+        lfilter reference bit for bit, signs of zeros included, for a 1-D
+        path and a batch."""
+        rate = st.one_of(st.just(0.0), st.floats(0.0, 0.0999 / dt))  # lambda dt < 0.1, or an undamped stage
+        model = PhaseModel(p, kappa, tuple(data.draw(st.lists(rate, min_size=p // 2, max_size=p // 2))))
+        dw = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=(3, n_steps))
+        dw[1, 0] = -0.0  # x_0[1] is 0 + dw[0]: +0.0 in the filter, not -0.0
+        for noise in (dw, dw[0], dw[1]):
+            phi, ref = _open_loop_phase(model, dt, noise), open_loop_phase_lfilter(model, dt, noise)
+            assert phi.shape == noise.shape
+            assert np.array_equal(phi, ref)
+            assert np.array_equal(np.signbit(phi), np.signbit(ref))
+
 
 class TestAutocovariance:
     def test_rejects_undamped(self):
@@ -216,8 +248,7 @@ class TestAutocovariance:
         burn = int(40 / dt)
         n_keep = 3000
         acfs = []
-        for seed in range(32):
-            phi = _phase_path(model, dt, n_steps, seed + 100)[burn:]
+        for phi in _phase_paths(model, dt, n_steps, range(100, 132))[:, burn:]:
             phi = phi - phi.mean()
             n = len(phi)
             fx = np.fft.rfft(phi, 2 * n)
