@@ -188,13 +188,13 @@ def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
     return value, err
 
 
-def qcrb_quadrature(q: BoundQuery, return_error: bool = False):
+def qcrb_quadrature(q: BoundQuery) -> tuple[float, float]:
     """Lower bound on the stationary mean-square phase error, by quadrature.
 
-    Evaluates (1/2pi) int [1/S_phi(w) + 4N]^-1 dw to <= 1e-4 relative error.
+    Evaluates (1/2pi) int [1/S_phi(w) + 4N]^-1 dw to <= 1e-4 relative error
+    and returns (value, abs_err), the quadrature's error estimate.
     """
-    value, err = _bound_integral(q, "reciprocal")
-    return (value, err) if return_error else value
+    return _bound_integral(q, "reciprocal")
 
 
 # Minimum MSE of the noncausal (two-sided) linear estimator:
@@ -204,14 +204,13 @@ def qcrb_quadrature(q: BoundQuery, return_error: bool = False):
 smoother_mse_quadrature = qcrb_quadrature
 
 
-def filter_mse_quadrature(q: BoundQuery, return_error: bool = False):
+def filter_mse_quadrature(q: BoundQuery) -> tuple[float, float]:
     """Minimum MSE of the causal linear estimator, by quadrature.
 
     S_n (1/2pi) int ln[1 + S_phi(w)/S_n] dw; strictly above qcrb_quadrature
-    for any positive spectrum.
+    for any positive spectrum. Returns (value, abs_err), as qcrb_quadrature.
     """
-    value, err = _bound_integral(q, "log")
-    return (value, err) if return_error else value
+    return _bound_integral(q, "log")
 
 
 def _check_power_law_args(p: float, kappa: float, flux: float) -> None:

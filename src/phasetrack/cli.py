@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .errors import NumericalError, ValidationError
 from .lg import (
-    build_lg_system,
     retro_covariance,
     riccati_residual,
     smoother_covariance,
@@ -53,9 +52,9 @@ def cmd_bounds(args) -> int:
         query = BoundQuery(PhaseModel(args.p, args.kappa), args.flux)
     # quadrature first: divergent inputs surface as a numerical failure
     quad = {
-        "qcrb": qcrb_quadrature(query, return_error=True),
-        "filter": filter_mse_quadrature(query, return_error=True),
-        "smoother": smoother_mse_quadrature(query, return_error=True),
+        "qcrb": qcrb_quadrature(query),
+        "filter": filter_mse_quadrature(query),
+        "smoother": smoother_mse_quadrature(query),
     }
     closed = None
     if not args.spectrum_file:
@@ -122,19 +121,22 @@ def _record_csv_blocks(record):
 def cmd_simulate(args) -> int:
     if not args.flux > 0:
         raise ValidationError("simulate needs --flux > 0")
-    system = build_lg_system(args.p, args.kappa, args.flux)
+    if args.estimator == "abc":
+        model, chi = _abc_setup(args.p, args.kappa, args.flux, args.chi, args.cutoff)
+    else:
+        model = PhaseModel(args.p, args.kappa)
     config = default_config(
-        system,
+        model,
+        args.flux,
         seed=args.seed,
         duration_factor=args.duration_factor,
         dt_factor=args.dt_factor,
         linearized=args.linearized,
     )
     if args.estimator == "abc":
-        model, chi = _abc_setup(args.p, args.kappa, system.mu, args.chi, args.cutoff)
         record = run_abc(model, config, chi)
     else:
-        record = simulate_record(PhaseModel(args.p, args.kappa), config)
+        record = simulate_record(model, config)
         if args.estimator == "filter":
             record.phi_s = None
     with open(args.output, "w", newline="", encoding="utf-8") as fh:

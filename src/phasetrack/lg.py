@@ -57,7 +57,6 @@ class LgSystem:
     c: np.ndarray
     mu: float
     kappa: float
-    photon_flux: float
 
     @property
     def p(self) -> int:
@@ -90,7 +89,7 @@ def build_lg_system(p, kappa: float, flux: float) -> LgSystem:
     mu = 4.0 * flux * kappa ** (2 * n + 1)
     c = np.zeros(m)
     c[n] = math.sqrt(mu)
-    return LgSystem(n=n, a=a, c=c, mu=mu, kappa=kappa, photon_flux=flux)
+    return LgSystem(n=n, a=a, c=c, mu=mu, kappa=kappa)
 
 
 def solve_filter_covariance(p) -> np.ndarray:

@@ -74,6 +74,7 @@ __all__ = [
 _ABC_HOLD_THRESHOLD = 1e-12
 _HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
+_N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
 _MAX_DT_FACTOR = 0.01
 _MIN_BURN_IN_FACTOR = 20.0
@@ -113,22 +114,24 @@ class HomodyneConfig:
 
 
 def default_config(
-    system: LgSystem,
+    model: PhaseModel,
+    flux: float,
     seed: int,
     duration_factor: float = 1000.0,
     dt_factor: float = 0.01,
     burn_in_factor: float = 20.0,
     linearized: bool = False,
 ) -> HomodyneConfig:
-    """Config with all times in units of the closed-loop response time mu^(-1/p).
+    """Config at photon flux N with all times in units of the closed-loop
+    response time mu^(-1/p), mu = 4 N kappa^(p-1) from the model's p and kappa.
 
     dt resolves the fastest filter mode (100 steps per time constant by
     default) and the burn-in covers the startup transient.
     """
-    tau = system.time_scale
+    tau = build_lg_system(model.p, model.kappa, flux).time_scale
     burn = burn_in_factor * tau
     return HomodyneConfig(
-        photon_flux=system.photon_flux,
+        photon_flux=flux,
         dt=dt_factor * tau,
         duration=duration_factor * tau + 2 * burn,
         burn_in=burn,
@@ -550,27 +553,23 @@ def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = Fals
     return mse, stderr
 
 
-def windowed_mse(
-    err: np.ndarray, dt: float, start: float, n_windows: int = 4, wrap: bool = False
-) -> np.ndarray:
+def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -> np.ndarray:
     """Ensemble-mean squared error over logarithmically spaced time windows.
 
-    Splits [start, T] into n_windows >= 2 log-spaced segments and averages
-    err^2 of all trials within each; a strictly increasing result is the
+    Splits [start, T] into four log-spaced segments and averages err^2 of
+    all trials within each; a strictly increasing result is the
     signature of an estimator with no stationary error. ``wrap`` reduces
     the error to (-pi, pi] first, as in mse_statistics.
     """
-    if n_windows < 2:
-        raise ValidationError(f"n_windows must be >= 2 to show a trend, got {n_windows}")
     err = np.asarray(err, dtype=float)
     n_steps = err.shape[-1]
     t_end = n_steps * dt
     if not 0 < start < t_end:
         raise ValidationError(f"window start {start} outside (0, {t_end})")
-    edges = np.exp(np.linspace(math.log(start), math.log(t_end), n_windows + 1))
+    edges = np.exp(np.linspace(math.log(start), math.log(t_end), _N_WINDOWS + 1))
     sq = _squared_error(err, wrap)
-    out = np.empty(n_windows)
-    for k in range(n_windows):
+    out = np.empty(_N_WINDOWS)
+    for k in range(_N_WINDOWS):
         i0 = int(edges[k] / dt)
         i1 = max(int(edges[k + 1] / dt), i0 + 1)
         out[k] = float(np.mean(sq[..., i0:min(i1, n_steps)]))

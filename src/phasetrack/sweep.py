@@ -189,7 +189,7 @@ def derive_seed(*parts: int) -> int:
 
 
 def _abc_setup(
-    p: int, kappa: float, mu: float, chi: Optional[float], cutoff: Optional[float]
+    p: int, kappa: float, flux: float, chi: Optional[float], cutoff: Optional[float]
 ) -> tuple[PhaseModel, float]:
     """Phase model and window rate of the exponential-window (ABC) estimator.
 
@@ -203,7 +203,7 @@ def _abc_setup(
                 f"the ABC window rate is required for p={p}: "
                 "set sweep spec field 'abc_chi' or simulate option --chi"
             )
-        chi = math.sqrt(mu)
+        chi = math.sqrt(build_lg_system(p, kappa, flux).mu)
     dampings = () if cutoff is None else (cutoff,) + (0.0,) * (p // 2 - 1)
     return PhaseModel(p, kappa, dampings), chi
 
@@ -214,9 +214,8 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     grid_val = spec.grid[g_idx]
     n_over_kappa = grid_val ** (p / (p - 1.0))
     flux = spec.kappa * n_over_kappa
-    system = build_lg_system(p, spec.kappa, flux)
     analytic = {
-        "lg_filter_mse": lg_filter_mse(system),
+        "lg_filter_mse": lg_filter_mse(build_lg_system(p, spec.kappa, flux)),
         "qcrb": qcrb_power_law(p, spec.kappa, flux),
         "wiener_filter_mse": filter_mse_power_law(p, spec.kappa, flux),
     }
@@ -235,9 +234,10 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
             **analytic,
         }
 
-    def point_config(kind: int):
+    def point_config(model: PhaseModel, kind: int):
         return default_config(
-            system,
+            model,
+            flux,
             seed=derive_seed(spec.seed, p_idx, g_idx, kind),
             duration_factor=spec.duration_factor,
             dt_factor=spec.dt_factor,
@@ -250,7 +250,7 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     want_smoother = "smoother" in spec.estimators
     if want_filter or want_smoother:
         model = PhaseModel(p, spec.kappa)
-        config = point_config(0)
+        config = point_config(model, 0)
         res = simulate_filter_trials(
             model, config, spec.trials, smoother=want_smoother, wrap_errors=spec.wrap_errors
         )
@@ -260,8 +260,8 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
             rows.append(base_row("smoother", res.smoother_mse, res.smoother_stderr, config))
 
     if "abc" in spec.estimators:
-        model, chi = _abc_setup(p, spec.kappa, system.mu, spec.abc_chi, spec.abc_cutoff)
-        config = point_config(1)
+        model, chi = _abc_setup(p, spec.kappa, flux, spec.abc_chi, spec.abc_cutoff)
+        config = point_config(model, 1)
         res = run_abc_trials(model, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
         name = "abc:diverged" if res.diverged else "abc"
         rows.append(base_row(name, res.mse, res.stderr, config))

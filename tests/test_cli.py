@@ -210,20 +210,30 @@ class TestSimulate:
         (["bounds", "--spectrum-file", "{two_pole}", "--flux", "nan"], "photon_flux"),
         (["simulate", "--p", "2", "--flux", "100", "--estimator", "abc", "--cutoff", "nan"], "dampings"),
         (["simulate", "--p", "2", "--flux", "100", "--estimator", "abc", "--chi", "inf"], "chi"),
+        (["simulate", "--p", "2", "--kappa", "inf", "--flux", "100"], "kappa"),
+        (["simulate", "--p", "2", "--kappa", "inf", "--flux", "100", "--estimator", "abc"], "kappa"),
+        (["simulate", "--p", "2", "--flux", "inf"], "flux"),
+        (["simulate", "--p", "3", "--flux", "100"], "p="),
+        (["simulate", "--p", "3", "--flux", "100", "--estimator", "abc", "--chi", "1"], "p="),
     ],
-    ids=["p-inf", "kappa-inf", "flux-nan", "cutoff-nan", "chi-inf"],
+    ids=[
+        "p-inf", "kappa-inf", "flux-nan", "cutoff-nan", "chi-inf",
+        "simulate-kappa-inf", "simulate-abc-kappa-inf", "simulate-flux-inf", "simulate-odd-p", "simulate-abc-odd-p",
+    ],
 )
 def test_non_finite_parameter_exits_2(capsys, tmp_path, args, field):
     two_pole = tmp_path / "spec.csv"
     w = np.logspace(-3, 3, 61)
     two_pole.write_text("omega,density\n" + "\n".join(f"{wi},{1 / ((wi**2 + 1) * (wi**2 + 25))}" for wi in w))
     args = [a.format(two_pole=two_pole) for a in args]
+    output = tmp_path / "x.csv"
     if args[0] == "simulate":
-        args += ["--output", str(tmp_path / "x.csv")]
+        args += ["--output", str(output)]
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert err.startswith("error:") and field in err
     assert out == ""
+    assert not output.exists()
 
 
 def _write_spec(path, **overrides):

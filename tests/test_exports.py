@@ -1,8 +1,8 @@
 """Every exported name resolves: the package and each layer module. The
 package exports only what the CLI, the sweep and the README use. The
 functions the benchmark traces stay public, and the simulation entry points
-keep the parameter names that the benchmark binds. Importing the package
-loads no scipy module."""
+keep the parameter names that the benchmark binds and take no LgSystem.
+Importing the package loads no scipy module."""
 
 import ast
 import importlib
@@ -11,12 +11,14 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import phasetrack
 from phasetrack import phase_process, simulation
+from phasetrack.lg import LgSystem
 
 LAYERS = ("phase_process", "lg", "bounds", "simulation", "sweep", "cli")
 
@@ -99,6 +101,19 @@ def test_step_counting_parameter_names(name, params):
     entry points' arguments by name; a rename would silently zero it."""
     signature = inspect.signature(getattr(simulation, name))
     assert set(params) <= set(signature.parameters)
+
+
+def test_simulation_functions_take_no_lg_system():
+    """A run is stated by a PhaseModel plus a HomodyneConfig or the photon
+    flux; each simulation function derives the linear-Gaussian system from
+    those, so none takes one."""
+    takes_system = []
+    for name in simulation.__all__:
+        obj = getattr(simulation, name)
+        if inspect.isfunction(obj):
+            hints = typing.get_type_hints(obj)
+            takes_system += [f"{name}({arg})" for arg, hint in hints.items() if arg != "return" and hint is LgSystem]
+    assert takes_system == []
 
 
 _FOOTPRINT_PROBE = """
