@@ -15,6 +15,7 @@ separately so quadrature and closed form can check each other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -86,7 +87,7 @@ def _crossover_frequency(q: BoundQuery) -> float:
         return scale
     s_n = q.noise_density
     grid = scale * np.logspace(-15, 15, 121)
-    vals = np.array([q.density(w) for w in grid])
+    vals = np.array([q.density(w) for w in grid.tolist()])
     above = vals > s_n
     if not np.any(above):
         return scale
@@ -144,23 +145,25 @@ def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
     u_hi = math.log(w_max)
     u_lo = math.log(w_star) - _LOG_SPAN_BELOW
 
-    if kind == "reciprocal":
+    density = q.density
+    if not math.isfinite(s_n):  # no measurement: both integrands degenerate to S
 
         def integrand(u: float) -> float:
             w = math.exp(u)
-            s = q.density(w)
-            if not math.isfinite(s_n):
-                return s * w
-            return w / (1.0 / s + 1.0 / s_n)
+            return density(w) * w
+
+    elif kind == "reciprocal":
+        inv_n = 1.0 / s_n
+
+        def integrand(u: float) -> float:
+            w = math.exp(u)
+            return w / (1.0 / density(w) + inv_n)
 
     elif kind == "log":
 
         def integrand(u: float) -> float:
             w = math.exp(u)
-            s = q.density(w)
-            if not math.isfinite(s_n):
-                return s * w
-            return s_n * math.log1p(s / s_n) * w
+            return s_n * math.log1p(density(w) / s_n) * w
 
     else:  # pragma: no cover - internal misuse
         raise ValueError(kind)
@@ -185,6 +188,8 @@ def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
 
     value = (bulk + tail) / math.pi
     err = (bulk_err + tail_err) / math.pi
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NumericalError(f"bound-not-finite: quadrature gave {value} +- {err}")
     return value, err
 
 
@@ -263,9 +268,10 @@ def abc_linearized_mse(kappa: float, chi: float, lam: float) -> float:
 def tabulated_spectrum(path) -> Callable[[float], float]:
     """Load a two-column CSV (omega, density) as a callable spectrum.
 
-    Interpolates linearly in log-log coordinates and extrapolates both
-    tails with the edge-segment slope, so tabulated power laws are
-    reproduced exactly.
+    The callable takes one nonzero float omega. It interpolates linearly
+    in log-log coordinates and extrapolates both tails with the
+    edge-segment slope, so tabulated power laws are reproduced exactly.
+    Every omega and density must be positive and finite.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -281,22 +287,29 @@ def tabulated_spectrum(path) -> Callable[[float], float]:
             rows.append((w, s))
     if len(rows) < 2:
         raise ValidationError(f"spectrum file {path!r} needs at least two numeric rows")
-    arr = np.array(sorted(rows))
-    w_tab, s_tab = arr[:, 0], arr[:, 1]
-    if np.any(w_tab <= 0) or np.any(s_tab <= 0):
+    if not all(math.isfinite(w) and math.isfinite(s) for w, s in rows):
+        raise ValidationError("spectrum file must have finite omega and density")
+    rows.sort()
+    if any(w <= 0 or s <= 0 for w, s in rows):
         raise ValidationError("spectrum file must have positive omega and density")
-    if np.any(np.diff(w_tab) <= 0):
+    if any(a[0] >= b[0] for a, b in zip(rows, rows[1:])):
         raise ValidationError("spectrum file omega column must be strictly increasing")
-    lw, ls = np.log(w_tab), np.log(s_tab)
-    slope_lo = (ls[1] - ls[0]) / (lw[1] - lw[0])
-    slope_hi = (ls[-1] - ls[-2]) / (lw[-1] - lw[-2])
+    lw = [math.log(w) for w, _ in rows]
+    ls = [math.log(s) for _, s in rows]
+    # slope[j] joins knots j and j+1; the edge slopes extrapolate the tails
+    slope = [(ls[j + 1] - ls[j]) / (lw[j + 1] - lw[j]) for j in range(len(rows) - 1)]
+    last = len(rows) - 1
 
-    def density(omega):
-        x = np.log(np.abs(np.asarray(omega, dtype=float)))
-        y = np.interp(x, lw, ls)
-        y = np.where(x < lw[0], ls[0] + slope_lo * (x - lw[0]), y)
-        y = np.where(x > lw[-1], ls[-1] + slope_hi * (x - lw[-1]), y)
-        out = np.exp(y)
-        return float(out) if np.ndim(omega) == 0 else out
+    def density(omega: float) -> float:
+        # np.interp's arithmetic on the log-log table, one float at a time
+        x = math.log(abs(omega))
+        if x < lw[0]:
+            y = ls[0] + slope[0] * (x - lw[0])
+        elif x > lw[last]:
+            y = ls[last] + slope[-1] * (x - lw[last])
+        else:
+            j = bisect_right(lw, x) - 1
+            y = ls[j] if x == lw[j] else slope[j] * (x - lw[j]) + ls[j]
+        return math.exp(y)
 
     return density

@@ -8,6 +8,7 @@ for memory, 3 numerical failure (divergent bound, stalled iteration).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -160,6 +161,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasetrack",

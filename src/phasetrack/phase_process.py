@@ -84,21 +84,22 @@ def spectrum(model: PhaseModel, omega):
     Undamped: kappa^(p-1)/|w|^p. Damped even-p chain:
     kappa^(p-1) * prod_k 1/(w^2 + lambda_k^2). Even in omega, strictly
     positive; rejects w = 0 whenever any stage is undamped there.
+
+    omega is a float or an ndarray, and both go through the same float
+    arithmetic: a float costs no array work and returns a float. The
+    product over stages runs in np.prod's order.
     """
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    if model.is_damped:
-        lam = model.damping_rates()
-        if np.any(w == 0.0) and np.any(lam == 0.0):
-            raise NumericalError("spectrum-divergent-at-zero: undamped stage at omega=0")
-        w2 = w[:, None] ** 2
-        out = model.kappa ** (model.p - 1) / np.prod(w2 + lam[None, :] ** 2, axis=1)
+    zero = omega == 0.0  # a bool for a float, a bool array for an ndarray
+    if zero is not False and np.any(zero) and (0.0 in model.dampings or not model.dampings):
+        raise NumericalError("spectrum-divergent-at-zero: undamped stage at omega=0")
+    if model.dampings:
+        w2 = omega * omega
+        den = 1.0
+        for lam in model.dampings:
+            den = den * (w2 + lam * lam)
     else:
-        if np.any(w == 0.0):
-            raise NumericalError("spectrum-divergent-at-zero: undamped model at omega=0")
-        out = model.kappa ** (model.p - 1) / np.abs(w) ** model.p
-    return float(out[0]) if scalar else out
+        den = abs(omega) ** model.p
+    return model.kappa ** (model.p - 1) / den
 
 
 def _check_damping(model: PhaseModel, dt: float) -> None:

@@ -198,11 +198,15 @@ def _trial_noise(seed: int, n_trials: int, n_steps: int, dt: float):
     root = np.random.SeedSequence(seed)
     dw = np.empty((n_trials, n_steps))
     db = np.empty((n_trials, n_steps))
-    sd = math.sqrt(dt)
     for i, child in enumerate(root.spawn(n_trials)):
         phase_ss, meas_ss = child.spawn(2)
-        dw[i] = np.random.default_rng(phase_ss).normal(0.0, sd, n_steps)
-        db[i] = np.random.default_rng(meas_ss).normal(0.0, sd, n_steps)
+        np.random.default_rng(phase_ss).standard_normal(out=dw[i])
+        np.random.default_rng(meas_ss).standard_normal(out=db[i])
+    # normal(0, sd) draws the same standard normals and returns 0 + sd z,
+    # which is sd z to the bit for every z != 0
+    sd = math.sqrt(dt)
+    dw *= sd
+    db *= sd
     return dw, db
 
 

@@ -5,11 +5,15 @@ package computes by another route: an extended-precision dense solve, the
 differential Riccati equation integrated to stationarity, the closed-form
 smoother MSE, the autocovariance as an inverse Fourier transform of the
 spectrum, the linearized exponential-window error as two open-loop
-recurrences, the undamped integrator chain as running sums, and the
-(damped) phase chain through scipy's direct-form linear filter.
+recurrences, the undamped integrator chain as running sums, the
+(damped) phase chain through scipy's direct-form linear filter, the trial
+noise as scaled normal draws, and the tabulated spectrum through
+np.interp.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -169,3 +173,30 @@ def open_loop_phase_lfilter(model: PhaseModel, dt: float, dw: np.ndarray) -> np.
     for k, c in enumerate(1.0 - model.damping_rates() * dt):
         stage = lfilter([0.0, 1.0 if k == 0 else dt], [1.0, -c], stage, axis=-1)
     return model.phase_scale * stage
+
+
+def trial_noise_normal(seed: int, n_trials: int, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (phase, measurement) increments of _trial_noise, each trial's rows
+    drawn as normal(0, sqrt(dt), n_steps) from the two child streams of its
+    derived seed."""
+    dw = np.empty((n_trials, n_steps))
+    db = np.empty((n_trials, n_steps))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        phase_ss, meas_ss = child.spawn(2)
+        dw[i] = np.random.default_rng(phase_ss).normal(0.0, math.sqrt(dt), n_steps)
+        db[i] = np.random.default_rng(meas_ss).normal(0.0, math.sqrt(dt), n_steps)
+    return dw, db
+
+
+def tabulated_density_interp(omega_tab: np.ndarray, density_tab: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The tabulated spectrum at the points omega, by np.interp in log-log
+    coordinates, with both tails extrapolated along the edge segments; the
+    table must be sorted by omega."""
+    lw, ls = np.log(omega_tab), np.log(density_tab)
+    slope_lo = (ls[1] - ls[0]) / (lw[1] - lw[0])
+    slope_hi = (ls[-1] - ls[-2]) / (lw[-1] - lw[-2])
+    x = np.log(np.abs(omega))
+    y = np.interp(x, lw, ls)
+    y = np.where(x < lw[0], ls[0] + slope_lo * (x - lw[0]), y)
+    y = np.where(x > lw[-1], ls[-1] + slope_hi * (x - lw[-1]), y)
+    return np.exp(y)

@@ -1,8 +1,11 @@
 """Bound values, quadrature-vs-closed-form agreement, and scaling laws."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import tabulated_density_interp
 
 from phasetrack.bounds import (
     BoundQuery,
@@ -218,6 +221,37 @@ class TestTabulatedSpectrum:
         with pytest.raises(ValidationError):
             tabulated_spectrum(path)  # nonpositive frequency
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        knots=st.lists(
+            st.tuples(st.floats(0.02, 1.0), st.floats(-2.0, 2.0)), min_size=1, max_size=16
+        ),
+        start=st.tuples(st.floats(-8.0, 0.0), st.floats(-10.0, 10.0)),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        beyond=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4),
+    )
+    def test_matches_log_log_interp(self, tmp_path, knots, start, fractions, beyond):
+        # log-omega steps of 0.02 to 1 e-fold and log-log slopes within +-2 keep
+        # |log S| below 46, where one rounding of log S is 7e-15 relative in S
+        lw, ls = [start[0]], [start[1]]
+        for step, slope in knots:
+            lw.append(lw[-1] + step)
+            ls.append(ls[-1] + slope * step)
+        omega_tab, density_tab = np.exp(lw), np.exp(ls)
+        path = tmp_path / "table.csv"
+        path.write_text("".join(f"{w!r},{d!r}\n" for w, d in zip(omega_tab.tolist(), density_tab.tolist())))
+        density = tabulated_spectrum(path)
+        interior = [
+            omega_tab[j] * (omega_tab[j + 1] / omega_tab[j]) ** f
+            for j in range(len(knots))
+            for f in fractions
+        ]
+        edges = [omega_tab[0] * math.exp(-b) for b in beyond] + [omega_tab[-1] * math.exp(b) for b in beyond]
+        points = np.array(omega_tab.tolist() + interior + edges)
+        reference = tabulated_density_interp(omega_tab, density_tab, points)
+        got = np.array([density(w) for w in points.tolist()])
+        assert np.all(np.abs(got / reference - 1.0) <= 1e-14)
+
     def test_out_of_order_rows_are_sorted(self, tmp_path):
         path = tmp_path / "unsorted.csv"
         path.write_text("omega,density\n2.0,0.25\n1.0,1.0\n4.0,0.0625\n")
@@ -233,3 +267,10 @@ class TestBoundQuery:
     def test_rejects_negative_flux(self):
         with pytest.raises(ValidationError):
             BoundQuery(PhaseModel(2, 1.0), -1.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_non_finite_callable_is_a_numerical_error(self):
+        q = BoundQuery(lambda w: math.nan if 2.0 < w < 3.0 else w**-2.0, 10.0)
+        for quadrature in (qcrb_quadrature, filter_mse_quadrature):
+            with pytest.raises(NumericalError, match="bound-not-finite"):
+                quadrature(q)

@@ -55,6 +55,19 @@ class TestBounds:
         assert code == 3
         assert "bound-divergent" in err
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["2.0,nan", "2.0,inf", "inf,0.25"],
+        ids=["density-nan", "density-inf", "omega-inf"],
+    )
+    def test_non_finite_table_exits_2(self, capsys, tmp_path, rows):
+        path = tmp_path / "spec.csv"
+        path.write_text(f"omega,density\n1.0,1.0\n{rows}\n4.0,0.0625\n")
+        code, out, err = run_cli(capsys, "bounds", "--spectrum-file", str(path), "--flux", "10")
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert out == ""
+
 
 class TestRiccati:
     def test_p4_matrix_and_residual(self, capsys):
@@ -82,6 +95,23 @@ class TestRiccati:
         code, _, err = run_cli(capsys, "riccati", "--p", "22")
         assert code == 2
         assert "conditioning-limit" in err
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(capsys, tmp_path):
+    record = str(tmp_path / "r.csv")
+    argvs = [
+        ["riccati", "--p", "4"],
+        ["bounds", "--p", "3", "--flux", "50"],
+        ["simulate", "--p", "2", "--flux", "100", "--duration-factor", "20", "--output", record],
+        ["riccati", "--p", "6"],
+    ]
+    alone = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    in_sequence = [run_cli(capsys, *argv) for argv in argvs]
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0]
 
 
 class TestSimulate:

@@ -123,14 +123,37 @@ class TestSpectrum:
             prev = s
         assert prev == pytest.approx(spectrum(plain, w), rel=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(1.0, 20.0, exclude_min=True),
+        kappa=st.floats(0.05, 20.0),
+        damping=st.lists(st.floats(0.0, 50.0), min_size=10, max_size=10),
+        damped=st.booleans(),
+        w=st.floats(1e-3, 1e3),
+        negative=st.booleans(),
+    )
+    def test_float_and_array_take_the_same_arithmetic(self, p, kappa, damping, damped, w, negative):
+        if damped:
+            p = 2 * max(1, min(10, round(p / 2)))
+            model = PhaseModel(p, kappa, tuple(damping[: p // 2]))
+        else:
+            model = PhaseModel(p, kappa)
+        w = -w if negative else w
+        s = spectrum(model, w)
+        assert type(s) is float
+        assert s == pytest.approx(spectrum(model, np.array([w]))[0], rel=1e-15, abs=0.0)
+
     def test_divergent_at_zero(self):
-        with pytest.raises(NumericalError, match="spectrum-divergent-at-zero"):
-            spectrum(PhaseModel(2, 1.0), 0.0)
-        # a partially damped chain still has an undamped stage at omega = 0
-        with pytest.raises(NumericalError, match="spectrum-divergent-at-zero"):
-            spectrum(PhaseModel(4, 1.0, (1.0, 0.0)), 0.0)
-        # fully damped models are finite there
-        assert np.isfinite(spectrum(PhaseModel(4, 1.0, (1.0, 0.5)), 0.0))
+        # a float, a negative zero and an array holding a zero take one check
+        for omega in (0.0, -0.0, np.array([1.0, 0.0, 2.0])):
+            for model in (PhaseModel(2, 1.0), PhaseModel(1.5, 1.0), PhaseModel(4, 1.0, (0.0, 0.0))):
+                with pytest.raises(NumericalError, match="spectrum-divergent-at-zero"):
+                    spectrum(model, omega)
+            # a partially damped chain still has an undamped stage at omega = 0
+            with pytest.raises(NumericalError, match="spectrum-divergent-at-zero"):
+                spectrum(PhaseModel(4, 1.0, (1.0, 0.0)), omega)
+            # fully damped models are finite there
+            assert np.all(np.isfinite(spectrum(PhaseModel(4, 1.0, (1.0, 0.5)), omega)))
 
 
 class TestTrajectories:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import chain_cumsum, run_abc_linearized_trials
+from oracles import chain_cumsum, run_abc_linearized_trials, trial_noise_normal
 
 from phasetrack.errors import ValidationError
 from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse
@@ -230,6 +230,20 @@ def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray, vr: np.nd
             s_err = sim._error_passes(model, system, config, dw.copy(), r.copy(), vf, smoothing)[1]
             states[..., k] = s_err / model.phase_scale
     return fwd, back
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trials=st.integers(1, 4),
+    n_steps=st.integers(1, 600),
+    dt=st.floats(1e-8, 10.0),
+)
+def test_trial_noise_is_scaled_normal_draws(seed, n_trials, n_steps, dt):
+    noise = sim._trial_noise(seed, n_trials, n_steps, dt)
+    for got, ref in zip(noise, trial_noise_normal(seed, n_trials, n_steps, dt)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestFilterPass:
