@@ -15,14 +15,15 @@ only the chain error e = xf - x,
     r  = I dt - 2 sqrt(N) (phi - theta) dt           (= dB when linearized),
 
 with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
-t^(n+1/2), is never formed. The feedback loop steps only what feeds back:
-theta - phi and, in the sin() loop, the residual r. Given the stored dW and
-r, the forward readout and the anticausal pass (seeded with the forward
-error at the end of the record) are linear recurrences, run as blocked
-scans, and combine into the smoothed error through the information sum
-(the two-filter form). Only records add the open-loop phase back, to write
-phi, theta, y and phi_s. Phase is tracked on the real line throughout;
-nothing is wrapped mod 2 pi.
+t^(n+1/2), is never formed. Only the sin() loop steps one sample at a
+time, since its residual r depends on theta - phi. A linearized run has no
+per-step loop: r = dB is known in advance, so the forward error is one
+blocked scan. Given the stored dW and r, the forward readout and the
+anticausal pass (seeded with the forward error at the end of the record)
+are linear recurrences, run as blocked scans, and combine into the smoothed
+error through the information sum (the two-filter form). Only records add
+the open-loop phase back, to write phi, theta, y and phi_s. Phase is
+tracked on the real line throughout; nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
 phase itself, integrated open-loop before the loop. It keeps its two
@@ -249,36 +250,49 @@ def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
 
 
 def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
-    """(n + 2k, k + n) map from [x_0, dW_0..k-1, r_0..k-1] to
-    [out_0..k-1, x_k] over k steps of the recurrence in _block_scan.
+    """(n + 2k, kq + n) map from [x_0, dW_0..k-1, r_0..k-1] to
+    [out_0..k-1, x_k] over k steps of the recurrence in _block_scan, where
+    out_i holds the q readouts of step i (q = 1 for a vector w).
 
     Built by stepping that recurrence once on the n + 2k unit inputs: row j
     of the map is the response to input j set to 1 and all others to 0, so
     the inputs dW_i and r_i enter only at step i.
     """
     n = m.shape[0]
+    q = np.size(w) // n
     x = np.eye(n + 2 * k, n)
-    out = np.empty((n + 2 * k, k + n))
+    out = np.empty((n + 2 * k, k * q + n))
     for i in range(k):
-        out[:, i] = x @ w
-        out[n + i, i] += h_dw
+        cols = slice(i * q, (i + 1) * q)
+        out[:, cols] = (x @ w).reshape(-1, q)
+        out[n + i, cols] += h_dw
         x = x @ m
         x[n + i] += g_dw
         x[n + k + i] += g_db
-    out[:, k:] = x
+    out[:, k * q :] = x
     return out
 
 
-def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out):
-    """Add x_i . w + dW_i h_dw into out[:, i] along the affine recurrence
+def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0)):
+    """Add x_i w + dW_i h_dw into out[:, i] along the affine recurrence
     x_(i+1) = x_i m + dW_i g_dw + r_i g_db, with r = db; return the final x.
+    With ``moment`` (rows, n, n), also add x_i^T x_i into it for i in ``win``.
 
-    x is (rows, n) and dw, db, out are (rows, T), possibly reversed views.
-    The scan advances _SCAN_BLOCK steps per matrix product (a chunked form of
-    the parallel prefix scan over the affine recurrence); the last partial
-    block uses its own, shorter map.
+    x is (rows, n) and dw, db are (rows, T), possibly reversed views. The
+    readout w is a vector (n,) with out (rows, T), or q of them as columns
+    (n, q) with out (rows, T, q); h_dw is a scalar or one value per readout.
+    The scan advances _SCAN_BLOCK steps per matrix product (a chunked form
+    of the parallel prefix scan over the affine recurrence); the last
+    partial block uses its own, shorter map. A moment reads each block's
+    states out next to the readouts and sums their outer products once per
+    block, so no state path outlives its block.
     """
-    n_steps = dw.shape[1]
+    n = m.shape[0]
+    rows, n_steps = dw.shape
+    q = np.size(w) // n
+    if moment is not None:
+        w = np.column_stack((w, np.eye(n)))
+        h_dw = np.append(np.broadcast_to(h_dw, q), np.zeros(n))
     block = _scan_matrix(m, g_dw, g_db, w, h_dw, _SCAN_BLOCK)
     for start in range(0, n_steps, _SCAN_BLOCK):
         k = min(_SCAN_BLOCK, n_steps - start)
@@ -286,8 +300,13 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out):
             block = _scan_matrix(m, g_dw, g_db, w, h_dw, k)
         span = slice(start, start + k)
         step = np.concatenate((x, dw[:, span], db[:, span]), axis=1) @ block
-        out[:, span] += step[:, :k]
-        x = step[:, k:]
+        reads = step[:, :-n].reshape(rows, k, -1)
+        target = out[:, span]
+        target += reads[..., :q].reshape(target.shape)
+        if moment is not None:
+            states = reads[:, max(win.start - start, 0) : max(win.stop - start, 0), q:]
+            moment += states.transpose(0, 2, 1) @ states
+        x = step[:, -n:]
     return x
 
 
@@ -304,51 +323,63 @@ def _error_passes(
     """Causal estimator in the feedback loop and, with ``smoothing``, the
     backward pass, both on the chain error e = x_hat - x, batched over trials.
 
-    dw and db are the (n_trials, T) phase and shot-noise increments; db is
-    overwritten in place with the residual r = I dt - 2 sqrt(N) (phi - theta) dt,
-    which the linearized loop leaves equal to dB. Returns theta - phi and,
-    with ``smoothing = (V_R, w_f[-1], w_r[-1])``, phi_s - phi (NaN outside
-    the interior window), else None. ``error_moment`` (n_trials, n+1, n+1)
+    dw and db are the (n_trials, T) phase and shot-noise increments; the
+    sin() loop overwrites db in place with the residual
+    r = I dt - 2 sqrt(N) (phi - theta) dt, which a linearized run leaves
+    equal to dB. Returns theta - phi and, with
+    ``smoothing = (V_R, w_f[-1], w_r[-1])``, phi_s - phi (NaN outside the
+    interior window), else None. ``error_moment`` (n_trials, n+1, n+1)
     accumulates the interior sum of e e^T.
+
+    Only the sin() loop steps one sample at a time. Given r, the forward
+    error is the affine recurrence e' = e F^T + r K^T - dW e_0^T with
+    F = I + (A - K C) dt and K = V_F C^T. A linearized run knows r = dB in
+    advance and runs it as one blocked scan, which reads out theta - phi,
+    the smoother's w_f . e and the moments together; after the sin() loop
+    the same scan replays it for w_f . e alone.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
     n_trials, n_steps = dw.shape
+    n = system.n_states
     dt = config.dt
     scale = model.phase_scale
-    two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt
+    forward = (np.zeros((n_trials, n)), np.eye(n) + closed_t, -np.eye(n)[0], gain)
     win = _interior_slice(n_steps, dt, config.burn_in)
 
-    err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
-    e = np.zeros((n_trials, system.n_states))  # updated in place
-    e_first, e_last = e[:, 0], e[:, -1]
-    sin_gain = two_sqrt_n * dt
-    for i in range(n_steps):
-        d = scale * e_last
-        err[:, i] = d
-        r = db[:, i]
-        if not config.linearized:  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
+    if config.linearized:
+        readouts = [scale * np.eye(n)[-1]] + ([smoothing[1]] if smoothing else [])
+        paths = np.zeros(dw.shape + (len(readouts),))
+        e = _block_scan(*forward, np.column_stack(readouts), 0.0, dw, db, paths, error_moment, win)
+        err, proj = paths[..., 0], paths[..., -1]
+    else:
+        err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
+        e = np.zeros((n_trials, n))  # updated in place
+        e_first, e_last = e[:, 0], e[:, -1]
+        sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
+        for i in range(n_steps):
+            d = scale * e_last
+            err[:, i] = d
+            r = db[:, i]  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
             r += sin_gain * (d - np.sin(d))
-        if error_moment is not None and win.start <= i < win.stop:
-            error_moment += e[:, :, None] * e[:, None, :]
-        e += e @ closed_t
-        e += r[:, None] * gain
-        e_first -= dw[:, i]
+            if error_moment is not None and win.start <= i < win.stop:
+                error_moment += e[:, :, None] * e[:, None, :]
+            e += e @ closed_t
+            e += r[:, None] * gain
+            e_first -= dw[:, i]
+        if smoothing is not None:
+            proj = np.zeros_like(dw)
+            _block_scan(*forward, smoothing[1], 0.0, dw, db, proj)
     if smoothing is None:
         return err, None
 
-    # With dW and r known, both readouts are linear recurrences, run as
-    # blocked scans: the forward error above, replayed from zero and read out
-    # as w_f . e; then the backward pass, x_i = B (x_(i+1) - e_0 dW_i) with
-    # B = (I + A dt)^-1, whose anticausal estimate takes in the residual
+    # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
+    # is a blocked scan too: its anticausal estimate takes in the residual
     # r_i = y_i dt - C x_i dt of each sample. It is seeded with the forward
     # error at the end of the record and runs on reversed views.
-    vr, w_f, w_r = smoothing
-    n = system.n_states
-    proj = np.zeros_like(dw)
-    _block_scan(np.zeros_like(e), np.eye(n) + closed_t, -np.eye(n)[0], gain, w_f, 0.0, dw, db, proj)
+    vr, _, w_r = smoothing
     back = np.linalg.inv(np.eye(n) + system.a * dt)
     back_t = (back - np.outer(vr @ system.c, system.c) * dt).T
     drive = back[:, 0]

@@ -7,8 +7,10 @@ smoother MSE, the autocovariance as an inverse Fourier transform of the
 spectrum, the linearized exponential-window error as two open-loop
 recurrences, the undamped integrator chain as running sums, the
 (damped) phase chain through scipy's direct-form linear filter, the trial
-noise as scaled normal draws, and the tabulated spectrum through
-np.interp.
+noise as scaled normal draws, the tabulated spectrum through np.interp,
+the linearized filter error stepped one sample at a time, and the
+stationary covariance of that Euler recurrence as a discrete Lyapunov
+solve.
 """
 
 from __future__ import annotations
@@ -17,12 +19,26 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.signal import lfilter
 
 from phasetrack.errors import NumericalError, ValidationError
-from phasetrack.lg import LgSystem, scale_covariance, smoother_covariance_closed_form
+from phasetrack.lg import (
+    LgSystem,
+    build_lg_system,
+    scale_covariance,
+    smoother_covariance_closed_form,
+    solve_filter_covariance,
+)
 from phasetrack.phase_process import PhaseModel, _check_damping, spectrum
-from phasetrack.simulation import _open_loop_phase, _trial_noise, mse_statistics
+from phasetrack.simulation import (
+    HomodyneConfig,
+    _block_scan,
+    _interior_slice,
+    _open_loop_phase,
+    _trial_noise,
+    mse_statistics,
+)
 
 
 def solve_gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,3 +216,68 @@ def tabulated_density_interp(omega_tab: np.ndarray, density_tab: np.ndarray, ome
     y = np.where(x < lw[0], ls[0] + slope_lo * (x - lw[0]), y)
     y = np.where(x > lw[-1], ls[-1] + slope_hi * (x - lw[-1]), y)
     return np.exp(y)
+
+
+def linearized_error_passes(
+    model: PhaseModel,
+    system: LgSystem,
+    config: HomodyneConfig,
+    dw: np.ndarray,
+    db: np.ndarray,
+    vf: np.ndarray,
+    smoothing: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    error_moment: np.ndarray | None = None,
+):
+    """_error_passes of a linearized run with the forward error stepped one
+    sample at a time: e += e (A - K C)^T dt + dB K^T, then e_0 -= dW, the
+    interior e e^T added before each step. Returns (theta - phi, phi_s - phi
+    or None, the final e); the smoother replays the forward error and runs
+    the backward pass as blocked scans, seeded with that final e."""
+    n_trials, n_steps = dw.shape
+    n = system.n_states
+    dt = config.dt
+    gain = vf @ system.c
+    closed_t = (system.a - np.outer(gain, system.c)).T * dt
+    win = _interior_slice(n_steps, dt, config.burn_in)
+    err = np.empty_like(dw)
+    e = np.zeros((n_trials, n))
+    for i in range(n_steps):
+        err[:, i] = model.phase_scale * e[:, -1]
+        if error_moment is not None and win.start <= i < win.stop:
+            error_moment += e[:, :, None] * e[:, None, :]
+        e += e @ closed_t
+        e += db[:, i, None] * gain
+        e[:, 0] -= dw[:, i]
+    if smoothing is None:
+        return err, None, e
+    vr, w_f, w_r = smoothing
+    proj = np.zeros_like(dw)
+    _block_scan(np.zeros_like(e), np.eye(n) + closed_t, -np.eye(n)[0], gain, w_f, 0.0, dw, db, proj)
+    back = np.linalg.inv(np.eye(n) + system.a * dt)
+    back_t = (back - np.outer(vr @ system.c, system.c) * dt).T
+    drive = back[:, 0]
+    _block_scan(
+        e, back_t, drive @ back_t, vr @ system.c, w_r, drive @ w_r,
+        dw[:, ::-1], db[:, ::-1], proj[:, ::-1],
+    )
+    proj *= model.phase_scale
+    proj[:, : win.start] = np.nan
+    proj[:, win.stop :] = np.nan
+    return err, proj, e
+
+
+def discrete_filter_covariance(p, dt_factor: float) -> np.ndarray:
+    """Normalized stationary covariance of the Euler recurrence that the
+    linearized filter error follows, e' = F e + K dB - e_0 dW with
+    F = I + (A - K C) dt and K = V_F C^T: the solution of
+
+        P = F P F^T + dt (K K^T + e_0 e_0^T)
+
+    at mu = 1, where dt = dt_factor. Like Vt_F, which it tends to as
+    dt_factor -> 0, it scales to physical units with scale_covariance."""
+    system = build_lg_system(p, 1.0, 0.25)  # mu = 4 N kappa^(p-1) = 1
+    gain = solve_filter_covariance(p) @ system.c
+    f = np.eye(system.n_states) + (system.a - np.outer(gain, system.c)) * dt_factor
+    drive = np.outer(gain, gain)
+    drive[0, 0] += 1.0
+    return solve_discrete_lyapunov(f, dt_factor * drive)

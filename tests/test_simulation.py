@@ -1,5 +1,6 @@
 """Feedback-loop simulation, offline passes, smoothing, and MSE statistics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,10 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import chain_cumsum, run_abc_linearized_trials, trial_noise_normal
+from oracles import (
+    chain_cumsum,
+    discrete_filter_covariance,
+    linearized_error_passes,
+    run_abc_linearized_trials,
+    trial_noise_normal,
+)
 
 from phasetrack.errors import ValidationError
-from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse
+from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse, scale_covariance
 from phasetrack.phase_process import PhaseModel
 from phasetrack import simulation as sim
 from phasetrack.simulation import (
@@ -600,7 +607,10 @@ class TestGoldenValues:
     """Ensemble statistics at fixed seeds. Filter and exponential-window MSEs
     must repeat bit for bit; the smoother and the state covariance may only
     reorder floating-point sums. The filter and smoother values were
-    re-captured when the filter loop moved to error coordinates.
+    re-captured when the filter loop moved to error coordinates, and the
+    linearized key again when linearized runs became one blocked scan
+    (test_linearized_step_loop_keeps_earlier_values holds the step loop to
+    the values before that).
 
     Host dependency: the exponential-window values (test_abc,
     test_unwrapped_abc_windows) were captured with numpy's SIMD complex
@@ -620,10 +630,15 @@ class TestGoldenValues:
             (0.1891176535753177,),
         ),
         (6, 100.0, True, False, 7): (
-            0.007415712533124494, 0.0007533531926805919, 0.0011317735141486652, 0.00020476212895835267,
-            (0.6494526284546277, 0.10505557844124445, 0.007415712533124494),
+            0.007415712533124484, 0.0007533531926805906, 0.0011317735141486622, 0.00020476212895835183,
+            (0.6494526284546283, 0.10505557844124465, 0.0074157125331244834),
         ),
     }
+    # The linearized key as the per-step forward loop gave it
+    STEP_LOOP = (
+        0.007415712533124494, 0.0007533531926805919, 0.0011317735141486652, 0.00020476212895835267,
+        (0.6494526284546277, 0.10505557844124445, 0.007415712533124494),
+    )
     ABC = {
         # (grid, wrap, seed, cutoff): (mse, stderr, indeterminate steps)
         (3.0, True, 8, None): (0.3671253784517272, 0.10009497769759486, 0),
@@ -644,6 +659,19 @@ class TestGoldenValues:
         assert res.smoother_mse == pytest.approx(s_mse, rel=1e-12)
         assert res.smoother_stderr == pytest.approx(s_se, rel=1e-12)
         assert np.diag(res.error_cov) == pytest.approx(cov_diag, rel=1e-12)
+
+    def test_linearized_step_loop_keeps_earlier_values(self, monkeypatch):
+        """The oracle loop, run in place of the scan, reproduces the
+        linearized key's values from before the scan bit for bit."""
+        monkeypatch.setattr(sim, "_error_passes", lambda *args: linearized_error_passes(*args)[:2])
+        model, system, flux = _golden_system(6, 100.0)
+        config = default_config(model, flux, seed=7, duration_factor=20.0, linearized=True)
+        res = simulate_filter_trials(model, config, 6, smoother=True, full_state_stats=True)
+        f_mse, f_se, s_mse, s_se, cov_diag = self.STEP_LOOP
+        assert (res.filter_mse, res.filter_stderr) == (f_mse, f_se)
+        assert tuple(np.diag(res.error_cov).tolist()) == cov_diag
+        assert res.smoother_mse == pytest.approx(s_mse, rel=1e-12)
+        assert res.smoother_stderr == pytest.approx(s_se, rel=1e-12)
 
     @pytest.mark.parametrize("key", list(ABC))
     def test_abc(self, key):
@@ -852,16 +880,84 @@ def test_block_scan_matches_extended_precision_step_loop(p, backward):
     assert _close_to_peak(x, ref_x, 1e-13)
 
 
-def _smoother_alloc_peak(p: int) -> int:
-    """tracemalloc peak of an 8-trial, 6000-step sin() smoother ensemble."""
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    n_steps=st.sampled_from([1, _K - 1, _K, _K + 1, 3 * _K + 5]),
+    width=st.sampled_from([1, 3]),
+    burn=st.integers(0, 2 * _K),
+    seed=st.integers(0, 2**16),
+)
+def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
+    """A linearized run's forward error is one blocked scan. Over whole
+    blocks, a partial one and a lone tail, it stays within 1e-13 of peak of
+    the per-step loop in theta - phi, phi_s - phi, the final state that
+    seeds the backward pass, and the interior moment sum, also over a
+    window that may cut any block."""
+    model, system, flux = _golden_system(p, 30.0)
+    cov = covariance_set(system)
+    smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
+    config = _bare_config(flux, n_steps, 0.01 * system.time_scale)  # every sample interior
+    dw, db = sim._trial_noise(seed, width, n_steps, config.dt)
+    dw[:, -1] = 0.0  # so the backward pass's first readout is its seed, unchanged
+    moment, ref_moment = np.zeros((2, width, system.n_states, system.n_states))
+    err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)
+    ref_err, ref_s_err, ref_e = linearized_error_passes(
+        model, system, config, dw, db, cov.vf, smoothing, ref_moment
+    )
+    assert _close_to_peak(err, ref_err, 1e-13)
+    assert _close_to_peak(s_err, ref_s_err, 1e-13)
+    assert _close_to_peak(moment, ref_moment, 1e-13)
+    # With w_f = 0 the smoothed error at the last sample is
+    # kappa^(n+1/2) times the seed read along w_r; held to 1e-13 of the
+    # seed's peak entry, since the read itself may cancel.
+    w_r = np.random.default_rng(seed).normal(size=system.n_states)
+    seed_read = sim._error_passes(model, system, config, dw, db, cov.vf, (cov.vr, 0.0 * w_r, w_r))[1][:, -1]
+    seed_dev = np.abs(seed_read / model.phase_scale - ref_e @ w_r)
+    assert np.all(seed_dev <= 1e-13 * np.max(np.abs(ref_e)) * np.sum(np.abs(w_r)))
+    # A trimmed window's sum, to 1e-13 of the whole record's peak: a short
+    # window's own sum may be far below the squares it adds up.
+    trimmed = dataclasses.replace(config, burn_in=min(burn, (n_steps - 1) // 2) * config.dt)
+    part, ref_part = np.zeros((2,) + moment.shape)
+    sim._error_passes(model, system, trimmed, dw, db, cov.vf, error_moment=part)
+    linearized_error_passes(model, system, trimmed, dw, db, cov.vf, error_moment=ref_part)
+    assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    dt_factor=st.floats(0.0025, 0.01),
+    seed=st.integers(0, 2**16),
+)
+def test_linearized_ensemble_meets_discrete_filter_target(p, dt_factor, seed):
+    """The linearized filter error is an Euler recurrence, whose own
+    stationary covariance exceeds V_F by 0.5 % (p = 2) to 3.3 % (p = 20) at
+    dt_factor 0.01. Ensembles land within 3 SE of that discrete target in
+    the filter MSE and in every diagonal entry of the state covariance."""
+    model, system, flux = _golden_system(p, 30.0)
+    config = default_config(
+        model, flux, seed=seed, duration_factor=400.0, dt_factor=dt_factor, linearized=True
+    )
+    res = simulate_filter_trials(model, config, 32, full_state_stats=True)
+    target = scale_covariance(discrete_filter_covariance(p, dt_factor), system.mu)
+    assert abs(res.filter_mse - model.phase_scale**2 * target[-1, -1]) <= 3.0 * res.filter_stderr
+    dev = np.abs(np.diag(res.error_cov) - np.diag(target))
+    assert np.all(dev <= 3.0 * np.diag(res.error_cov_stderr))
+
+
+def _smoother_alloc_peak(p: int, n_trials: int = 8, n_steps: int = 6000, linearized: bool = False) -> int:
+    """tracemalloc peak of a smoother ensemble: the sin() loop by default;
+    linearized, with the full-state moments too."""
     model, system, flux = _golden_system(p, 30.0)
     dt = 0.01 * system.time_scale
     config = HomodyneConfig(
-        photon_flux=flux, dt=dt, duration=6000 * dt, burn_in=2000 * dt, seed=p
+        photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=n_steps / 3 * dt, seed=p,
+        linearized=linearized,
     )
     tracemalloc.start()
     try:
-        simulate_filter_trials(model, config, 8, smoother=True)
+        simulate_filter_trials(model, config, n_trials, smoother=True, full_state_stats=linearized)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -873,6 +969,16 @@ def test_smoother_memory_does_not_grow_with_p(p):
     """Only (trials, steps) scalar paths are stored, so at fixed trials x
     steps the allocation peak is the same for every chain length."""
     assert _smoother_alloc_peak(p) <= 1.15 * _smoother_alloc_peak(2)
+
+
+@pytest.mark.parametrize("p", [4, 12, 20])
+def test_linearized_moments_do_not_grow_with_p(p):
+    """The linearized scan sums e e^T once per block from that block's
+    states, so no (trials, steps, states) path is stored: at fixed
+    trials x steps the peak stays within 15 % of p = 2's, where the
+    block maps and the per-block states (about 1 MB at p = 20) are small
+    next to the scalar paths."""
+    assert _smoother_alloc_peak(p, 16, 30000, True) <= 1.15 * _smoother_alloc_peak(2, 16, 30000, True)
 
 
 def test_abc_ensemble_memory_is_three_paths():
