@@ -30,6 +30,11 @@ phase itself, integrated open-loop before the loop. It keeps its two
 discounted functionals (a, b) as one stacked (2, trials) array of harmonics
 1 and 2, so one exponential gives both rotations of a step and one complex
 product both Newton derivatives; the floats are those of the per-array form.
+Per step it allocates nothing: its buffers and constant operands are sized
+to the batch at entry, every ufunc writes into one of them, and none takes a
+Python scalar, a broadcast shape or a real factor of a complex product, each
+of which costs numpy a conversion per call. Its floats are bit for bit those
+of the reference loop in tests/oracles.py, which takes such operands.
 
 The four entry points take (model, config, ...): p and kappa come from the
 PhaseModel, the photon flux N from the HomodyneConfig, and the
@@ -73,7 +78,6 @@ __all__ = [
 ]
 
 _ABC_HOLD_THRESHOLD = 1e-12
-_HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -283,7 +287,8 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     (n, q) with out (rows, T, q); h_dw is a scalar or one value per readout.
     The scan advances _SCAN_BLOCK steps per matrix product (a chunked form
     of the parallel prefix scan over the affine recurrence); the last
-    partial block uses its own, shorter map. A moment reads each block's
+    partial block uses its own, shorter map, built after the full one is
+    released. A moment reads each block's
     states out next to the readouts and sums their outer products once per
     block, so no state path outlives its block.
     """
@@ -297,6 +302,7 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     for start in range(0, n_steps, _SCAN_BLOCK):
         k = min(_SCAN_BLOCK, n_steps - start)
         if k < _SCAN_BLOCK:
+            del block  # so the two maps are never held at once
             block = _scan_matrix(m, g_dw, g_db, w, h_dw, k)
         span = slice(start, start + k)
         step = np.concatenate((x, dw[:, span], db[:, span]), axis=1) @ block
@@ -393,21 +399,11 @@ def _error_passes(
     return err, proj
 
 
-def _abc_weights(flux: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-harmonic weights of _abc_phase_update at photon flux N: the hold
-    test's (2 sqrt(N), 2N) and, for the (real, imag) parts of the two Newton
-    products, (-2 sqrt(N), -2 sqrt(N)) and (4N, 2N), as the minuend and
-    subtrahend of (curv, slope)."""
-    two_sqrt_n = 2.0 * math.sqrt(flux)
-    hold = np.array([[two_sqrt_n], [2.0 * flux]])
-    newton = np.array([[[-two_sqrt_n, -two_sqrt_n]], [[4.0 * flux, 2.0 * flux]]])
-    return hold, newton
-
-
-def _abc_phase_update(
-    ab: np.ndarray, theta: np.ndarray, e: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """New phase estimate from the discounted functionals ab = (a, b).
+def _abc_phase_updater(flux: float, n_trials: int):
+    """Newton update of the exponential-window estimate at photon flux N for
+    a batch of n_trials, as a function update(ab, theta, e) -> (cand, hold)
+    that owns every operand it needs: the weights at full width and its
+    scratch buffers, sized here once.
 
     a and b are sufficient statistics of the recent photocurrent: the
     log-likelihood of a locally constant phase value v is
@@ -420,27 +416,71 @@ def _abc_phase_update(
     e^(2i theta), the first iterate's rotations, and each iterate takes
     both harmonics' terms from one product conj(ab) e, whose (real, imag)
     parts times the weights give curv and slope in one row difference.
-    ``weights`` comes from _abc_weights. Returns the candidate angles and a
-    mask of trials whose statistics are too small to define one (those hold
-    the previous theta).
+    update returns its own buffers, overwritten by the next call: the
+    candidate angles and a mask of trials whose statistics are too small to
+    define one (those hold the previous theta).
+
+    Every ufunc writes into those buffers, and no operand is a Python
+    scalar or a broadcast shape. The step slope / curv is divided for every
+    trial and kept only where curv < 0 (a NaN curv takes no step), so
+    update runs under np.errstate(divide="ignore", invalid="ignore").
     """
-    hold_w, newton_w = weights
-    size = np.abs(ab) * hold_w  # 2 sqrt(N) |a| and 2N |b|
-    hold = size[0] + size[1] < _ABC_HOLD_THRESHOLD
-    conj_ab = np.conj(ab)
-    new = theta
-    for k in range(3):
-        if k:
-            e = np.exp(_HARMONICS * new)
-        terms = (conj_ab * e).view(float).reshape(2, -1, 2) * newton_w
-        diff = terms[0] - terms[1]
-        curv, slope = diff[:, 0], diff[:, 1]
-        ok = curv < 0.0  # only step toward a maximum
-        step = np.divide(slope, curv, out=np.zeros(len(theta)), where=ok)
-        # new - clip(slope / curv) is new + clip(-slope / curv), bit for bit
-        new = new - np.minimum(np.maximum(step, -1.0), 1.0)  # np.clip, less overhead
-    cand = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
-    return cand, hold
+    two_sqrt_n = 2.0 * math.sqrt(flux)
+    # hold test: (2 sqrt(N), 2N); Newton: (real, imag) weights (-2 sqrt(N), -2 sqrt(N))
+    # and (4N, 2N), the minuend and subtrahend of (curv, slope)
+    hold_w = np.repeat([[two_sqrt_n], [2.0 * flux]], n_trials, axis=1)
+    newton_w = np.repeat([[[-two_sqrt_n, -two_sqrt_n]], [[4.0 * flux, 2.0 * flux]]], n_trials, axis=1)
+    threshold, zero, lo, hi, pi, two_pi = (
+        np.full(n_trials, v) for v in (_ABC_HOLD_THRESHOLD, 0.0, -1.0, 1.0, math.pi, 2.0 * math.pi)
+    )
+    size = np.empty((2, n_trials))
+    total = np.empty(n_trials)
+    hold = np.empty(n_trials, dtype=bool)
+    ok = np.empty(n_trials, dtype=bool)
+    conj_ab = np.empty((2, n_trials), dtype=complex)
+    prod = np.empty((2, n_trials), dtype=complex)
+    terms = prod.view(float).reshape(2, n_trials, 2)
+    terms_a, terms_b = terms
+    size_a, size_b = size
+    diff = np.empty((n_trials, 2))
+    curv, slope = diff.T
+    step = np.empty(n_trials)
+    cand = np.empty(n_trials)
+    # i (new, 2 new): the iterate lives in the imaginary part of a complex
+    # angle, whose real part stays zero, so one exponential gives both rotations
+    angle = np.zeros((2, n_trials), dtype=complex)
+    new, twice = angle.imag
+    rot = np.empty((2, n_trials), dtype=complex)
+
+    def update(ab, theta, e):
+        np.abs(ab, out=size)
+        np.multiply(size, hold_w, out=size)  # 2 sqrt(N) |a| and 2N |b|
+        np.add(size_a, size_b, out=total)
+        np.less(total, threshold, out=hold)
+        np.conjugate(ab, out=conj_ab)
+        np.copyto(new, theta)
+        for k in range(3):
+            if k:
+                np.add(new, new, out=twice)
+                e = np.exp(angle, out=rot)
+            np.multiply(conj_ab, e, out=prod)
+            np.multiply(terms, newton_w, out=terms)
+            np.subtract(terms_a, terms_b, out=diff)
+            np.less(curv, zero, out=ok)  # only step toward a maximum
+            np.divide(slope, curv, out=step)
+            # np.clip, less overhead; new - clip(slope / curv) where ok, else new
+            np.maximum(step, lo, out=step)
+            np.minimum(step, hi, out=step)
+            np.subtract(new, step, out=step)
+            np.copyto(new, step, where=ok)
+        np.subtract(new, theta, out=cand)
+        np.add(cand, pi, out=cand)
+        np.mod(cand, two_pi, out=cand)
+        np.add(theta, cand, out=cand)
+        np.subtract(cand, pi, out=cand)
+        return cand, hold
+
+    return update
 
 
 def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
@@ -453,14 +493,24 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     longer, with est[:, i] the theta fed back at step i and est[:, i + 1]
     the estimate after it; the photocurrent I dt, written over the shot
     noise dB; and the number of trial-steps that held theta.
+
+    Per-step contract: the loop allocates nothing. Every buffer and
+    constant operand is sized to the batch here, at entry; each ufunc writes
+    into one of them; and no operand is a Python scalar, a broadcast shape
+    or a real factor of a complex product (those products are taken as real
+    products of the float views, which round alike). The floats are bit for
+    bit those of oracles.abc_feedback_reference in the tests, the loop with
+    such operands.
     """
     if not 0 < chi < math.inf:
         raise ValidationError(f"chi must be positive and finite, got {chi}")
     n_steps = config.n_steps
     dt = config.dt
-    two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
-    decay = math.exp(-chi * dt)
-    weights = _abc_weights(config.photon_flux)
+    update = _abc_phase_updater(config.photon_flux, n_trials)
+    gain = np.full(n_trials, 2.0 * math.sqrt(config.photon_flux))
+    dt_row = np.full(n_trials, dt)
+    dt_pairs = np.full((n_trials, 2), dt)  # (real, imag) of each b term
+    decay = np.full((2, n_trials, 2), math.exp(-chi * dt))
 
     dw, idt = _trial_noise(config.seed, n_trials, n_steps, dt)
     phi = _open_loop_phase(model, dt, dw)
@@ -468,35 +518,52 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     est = np.empty((n_trials, n_steps + 1))
     est[:, 0] = 0.0
     ab = np.zeros((2, n_trials), dtype=complex)
-    # rot = (i, e^(i theta), e^(2i theta)). Rows 1-2 are the harmonics;
-    # e^(i theta) times rows 0-1 gives the rotations of the a and b updates,
-    # whose real factors are drive = (I dt, dt). The b update squares
-    # e^(i theta), which can differ from e^(2i theta) in the last bit.
-    rot = np.empty((3, n_trials), dtype=complex)
-    rot[0] = 1j
-    phasor, harmonics, update = rot[1], rot[1:], rot[:2]
-    drive = np.empty((2, n_trials))
-    drive[1] = dt
-    meas = drive[0]
-    theta = np.zeros(n_trials)
-    held = np.zeros(n_trials, dtype=np.int64)
+    ab_f = ab.view(float).reshape(2, n_trials, 2)
+    resp = np.empty(n_trials)
+    # i (theta, 2 theta), real part zero: exp gives the harmonics (e^(i theta), e^(2i theta))
+    angle = np.zeros((2, n_trials), dtype=complex)
+    theta, twice = angle.imag
+    harmonics = np.empty((2, n_trials), dtype=complex)
+    phasor = harmonics[0]
+    # i I dt: e^(i theta) (i I dt) is the a update's e^(i (theta + pi/2)) I dt,
+    # each part one rounded product, as in (i e^(i theta)) I dt
+    i_meas = np.zeros(n_trials, dtype=complex)
+    meas = i_meas.imag
+    # the a and b update terms; the b update squares e^(i theta), which can
+    # differ from e^(2i theta) in the last bit
+    terms = np.empty((2, n_trials), dtype=complex)
+    a_term, b_term = terms
+    terms_f = terms.view(float).reshape(2, n_trials, 2)
+    b_term_f = terms_f[1]
+    held = 0
 
-    for i in range(n_steps):
-        delta = phi[:, i] - theta
-        resp = delta if config.linearized else np.sin(delta, out=delta)
-        np.add(two_sqrt_n * resp * dt, idt[:, i], out=meas)
-        idt[:, i] = meas  # I dt, written over dB
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for phi_i, idt_i, est_i in zip(phi.T, idt.T, est.T[1:]):
+            np.subtract(phi_i, theta, out=resp)
+            if not config.linearized:
+                np.sin(resp, out=resp)
+            np.multiply(resp, gain, out=resp)
+            np.multiply(resp, dt_row, out=resp)
+            np.add(resp, idt_i, out=idt_i)  # I dt, written over dB
+            np.copyto(meas, idt_i)
 
-        # Discounted functionals, phasors taken at the physical oscillator
-        # phase theta + pi/2 (the sin() photocurrent is that quadrature).
-        np.exp(_HARMONICS * theta, out=harmonics)
-        ab *= decay
-        ab += phasor * update * drive
-        cand, hold = _abc_phase_update(ab, theta, harmonics, weights)
-        held += hold
-        theta = np.where(hold, theta, cand)
-        est[:, i + 1] = theta
-    return phi, est, idt, int(held.sum())
+            # Discounted functionals, phasors taken at the physical oscillator
+            # phase theta + pi/2 (the sin() photocurrent is that quadrature).
+            np.add(theta, theta, out=twice)
+            np.exp(angle, out=harmonics)
+            np.multiply(ab_f, decay, out=ab_f)
+            np.multiply(phasor, i_meas, out=a_term)
+            np.multiply(phasor, phasor, out=b_term)
+            np.multiply(b_term_f, dt_pairs, out=b_term_f)
+            np.add(ab_f, terms_f, out=ab_f)
+            cand, hold = update(ab, theta, harmonics)
+            n_held = np.count_nonzero(hold)
+            if n_held:
+                held += n_held
+                np.copyto(cand, theta, where=hold)
+            np.copyto(theta, cand)
+            np.copyto(est_i, cand)
+    return phi, est, idt, held
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:

@@ -8,9 +8,10 @@ spectrum, the linearized exponential-window error as two open-loop
 recurrences, the undamped integrator chain as running sums, the
 (damped) phase chain through scipy's direct-form linear filter, the trial
 noise as scaled normal draws, the tabulated spectrum through np.interp,
-the linearized filter error stepped one sample at a time, and the
+the linearized filter error stepped one sample at a time, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
-solve.
+solve, and the exponential-window feedback loop with scalar and broadcast
+operands.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from phasetrack.lg import (
 from phasetrack.phase_process import PhaseModel, _check_damping, spectrum
 from phasetrack.simulation import (
     HomodyneConfig,
+    _ABC_HOLD_THRESHOLD,
     _block_scan,
     _interior_slice,
     _open_loop_phase,
@@ -281,3 +283,72 @@ def discrete_filter_covariance(p, dt_factor: float) -> np.ndarray:
     drive = np.outer(gain, gain)
     drive[0, 0] += 1.0
     return solve_discrete_lyapunov(f, dt_factor * drive)
+
+
+_HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
+
+
+def _abc_phase_update_stacked(ab, theta, e, flux):
+    """The Newton update of the exponential-window estimate on the stacked
+    (2, n_trials) functionals ab = (a, b), with scalar, per-harmonic (2, 1)
+    and (2, 1, 2) weights broadcast over the trials and a masked divide.
+    e holds e^(i theta) and e^(2i theta). Returns the candidate angles and
+    the mask of trials that hold theta."""
+    two_sqrt_n = 2.0 * math.sqrt(flux)
+    hold_w = np.array([[two_sqrt_n], [2.0 * flux]])
+    newton_w = np.array([[[-two_sqrt_n, -two_sqrt_n]], [[4.0 * flux, 2.0 * flux]]])
+    size = np.abs(ab) * hold_w
+    hold = size[0] + size[1] < _ABC_HOLD_THRESHOLD
+    conj_ab = np.conj(ab)
+    new = theta
+    for k in range(3):
+        if k:
+            e = np.exp(_HARMONICS * new)
+        terms = (conj_ab * e).view(float).reshape(2, -1, 2) * newton_w
+        diff = terms[0] - terms[1]
+        curv, slope = diff[:, 0], diff[:, 1]
+        ok = curv < 0.0
+        step = np.divide(slope, curv, out=np.zeros(len(theta)), where=ok)
+        new = new - np.minimum(np.maximum(step, -1.0), 1.0)
+    cand = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
+    return cand, hold
+
+
+def abc_feedback_reference(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
+    """_run_abc_feedback as a loop that allocates its temporaries each step:
+    the same (phi, est, idt, held), with Python-scalar and broadcast
+    operands and complex products taken against real factors. The a and b
+    updates are one product e^(i theta) (i, e^(i theta)) times the real
+    drive (I dt, dt)."""
+    if not 0 < chi < math.inf:
+        raise ValidationError(f"chi must be positive and finite, got {chi}")
+    n_steps = config.n_steps
+    dt = config.dt
+    two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
+    decay = math.exp(-chi * dt)
+    dw, idt = _trial_noise(config.seed, n_trials, n_steps, dt)
+    phi = _open_loop_phase(model, dt, dw)
+    est = np.empty((n_trials, n_steps + 1))
+    est[:, 0] = 0.0
+    ab = np.zeros((2, n_trials), dtype=complex)
+    rot = np.empty((3, n_trials), dtype=complex)  # (i, e^(i theta), e^(2i theta))
+    rot[0] = 1j
+    phasor, harmonics, update = rot[1], rot[1:], rot[:2]
+    drive = np.empty((2, n_trials))
+    drive[1] = dt
+    meas = drive[0]
+    theta = np.zeros(n_trials)
+    held = np.zeros(n_trials, dtype=np.int64)
+    for i in range(n_steps):
+        delta = phi[:, i] - theta
+        resp = delta if config.linearized else np.sin(delta, out=delta)
+        np.add(two_sqrt_n * resp * dt, idt[:, i], out=meas)
+        idt[:, i] = meas
+        np.exp(_HARMONICS * theta, out=harmonics)
+        ab *= decay
+        ab += phasor * update * drive
+        cand, hold = _abc_phase_update_stacked(ab, theta, harmonics, config.photon_flux)
+        held += hold
+        theta = np.where(hold, theta, cand)
+        est[:, i + 1] = theta
+    return phi, est, idt, int(held.sum())

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
+    abc_feedback_reference,
     chain_cumsum,
     discrete_filter_covariance,
     linearized_error_passes,
@@ -411,6 +412,16 @@ class TestCombineSmoothed:
         assert res.smoother_mse < res.filter_mse
 
 
+def _phase_update(ab, theta, flux):
+    """The feedback loop's Newton update at photon flux N, run as the loop
+    runs it: seeded with e^(i theta), e^(2i theta), under the loop's
+    errstate. Returns copies of its (cand, hold) buffers."""
+    update = sim._abc_phase_updater(flux, len(theta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand, hold = update(ab, theta, np.exp([[1j], [2j]] * theta))
+    return cand.copy(), hold.copy()
+
+
 class TestAbc:
     def test_no_signal_holds_initial_phase(self):
         # flux 0: the functionals carry no weight, so theta never moves
@@ -422,9 +433,7 @@ class TestAbc:
 
     def test_phase_update_holds_on_empty_statistics(self):
         theta = np.array([0.3, -1.0, 2.0])
-        cand, hold = sim._abc_phase_update(
-            np.zeros((2, 3), complex), theta, np.exp(sim._HARMONICS * theta), sim._abc_weights(10.0)
-        )
+        cand, hold = _phase_update(np.zeros((2, 3), complex), theta, 10.0)
         assert np.all(hold)
 
     def test_phase_update_stationary_at_constant_angle(self):
@@ -432,7 +441,7 @@ class TestAbc:
         # likelihood maximum sits exactly at that angle
         theta = np.array([0.7])
         ab = np.stack([np.zeros(1, complex), 0.5 * np.exp(2j * theta)])
-        cand, hold = sim._abc_phase_update(ab, theta, np.exp(sim._HARMONICS * theta), sim._abc_weights(10.0))
+        cand, hold = _phase_update(ab, theta, 10.0)
         assert not hold[0]
         assert cand[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -486,7 +495,7 @@ class TestAbc:
 
 def _per_array_phase_update(a, b, theta, phasor, flux):
     """The exponential-window Newton step on separate a and b arrays, one
-    harmonic at a time: the reference _abc_phase_update matches bit for bit."""
+    harmonic at a time: the loop's stacked update matches bit for bit."""
     two_sqrt_n = 2.0 * math.sqrt(flux)
     hold = two_sqrt_n * np.abs(a) + 2.0 * flux * np.abs(b) < sim._ABC_HOLD_THRESHOLD
     conj_a, conj_b = np.conj(a), np.conj(b)
@@ -521,11 +530,46 @@ def test_stacked_phase_update_matches_per_array_step(n, seed, flux):
     a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
     theta = rng.uniform(-10.0, 10.0, n)
     cand_ref, hold_ref = _per_array_phase_update(a, b, theta, np.exp(1j * theta), flux)
-    cand, hold = sim._abc_phase_update(
-        np.stack([a, b]), theta, np.exp(sim._HARMONICS * theta), sim._abc_weights(flux)
-    )
+    cand, hold = _phase_update(np.stack([a, b]), theta, flux)
     assert np.array_equal(hold, hold_ref)
     assert np.array_equal(cand, cand_ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    width=st.sampled_from([1, 2, 16, 33]),
+    p=st.sampled_from([2, 4]),
+    damped=st.booleans(),
+    linearized=st.booleans(),
+    grid=st.one_of(st.just(0.0), st.floats(3.0, 30.0), st.floats(30.0, 100.0)),
+    n_steps=st.integers(1, 1000),
+    seed=st.integers(0, 2**16),
+)
+def test_abc_feedback_matches_reference_bit_for_bit(width, p, damped, linearized, grid, n_steps, seed):
+    """The feedback loop on preallocated full-width operands returns the
+    reference loop's phase, estimates and photocurrent with the same bit
+    patterns, signed zeros included, and the same held count. Both take
+    numpy's complex products on the same operands in the same order, so
+    this holds on any host, while the ``==`` goldens hold only where those
+    products round like a fused multiply-add. Grid 0 is photon flux 0, where
+    every step holds; a damped model has a cutoff on its first stage."""
+    dampings = (0.5,) + (0.0,) * (p // 2 - 1) if damped else ()
+    if grid:
+        model, system, flux = _golden_system(p, grid, dampings)
+        dt, chi = 0.01 * system.time_scale, 1.0 / system.time_scale
+    else:
+        model, flux, dt, chi = PhaseModel(p, 1.0, dampings), 0.0, 0.01, 2.0
+    config = HomodyneConfig(
+        photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=0.0, seed=seed, linearized=linearized
+    )
+    got = sim._run_abc_feedback(model, config, width, chi)
+    ref = abc_feedback_reference(model, config, width, chi)
+    for name, a, b in zip(("phi", "est", "idt"), got, ref):
+        assert a.shape == b.shape == (width, config.n_steps + (name == "est")), name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert got[3] == ref[3]
+    if not grid:
+        assert got[3] == width * config.n_steps
 
 
 class TestMseStatistics:
@@ -617,7 +661,9 @@ class TestGoldenValues:
     multiply, which rounds like a fused multiply-add on an FMA-capable x86
     host. A numpy build or CPU that takes the baseline two-rounding loop
     gives equally correct but different last bits, and fails these ``==``
-    checks."""
+    checks. test_abc_feedback_matches_reference_bit_for_bit is the
+    host-independent check: it holds the loop to the reference loop in
+    oracles, which takes the same complex products, on any host."""
 
     FILTER = {
         # (p, grid, linearized, wrap, seed): (filter mse, stderr, smoother mse, stderr, error_cov diagonal)
@@ -704,7 +750,9 @@ class TestGoldenRecords:
     Host dependency: test_abc_record's ``==`` values depend on numpy's SIMD
     complex multiply rounding like a fused multiply-add, as in
     TestGoldenValues; a host whose numpy takes the baseline two-rounding
-    loop fails them with equally correct numbers."""
+    loop fails them with equally correct numbers. There,
+    test_abc_feedback_matches_reference_bit_for_bit still pins the loop to
+    the reference loop bit for bit."""
 
     IDX = [0, 1, 999, 3500, 6999]
 
@@ -979,6 +1027,15 @@ def test_linearized_moments_do_not_grow_with_p(p):
     block maps and the per-block states (about 1 MB at p = 20) are small
     next to the scalar paths."""
     assert _smoother_alloc_peak(p, 16, 30000, True) <= 1.15 * _smoother_alloc_peak(2, 16, 30000, True)
+
+
+def test_scan_holds_one_block_map_at_a_time():
+    """At 8 trials x 6000 steps, which ends in a partial block, a p = 20
+    block map with moments (138 x 778 floats, 0.86 MB) is about two scalar
+    paths. Building the last block's shorter map while the full one is
+    still held reached 1.59 x the p = 2 peak; releasing it first gives
+    1.42."""
+    assert _smoother_alloc_peak(20, 8, 6000, True) <= 1.5 * _smoother_alloc_peak(2, 8, 6000, True)
 
 
 def test_abc_ensemble_memory_is_three_paths():
