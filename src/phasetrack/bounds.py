@@ -127,6 +127,19 @@ def _check_origin_integrable(q: BoundQuery, w_star: float) -> None:
 
 
 def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
+    """_bound_quadrature's (value, abs_err), or NumericalError where either
+    is not finite or where a density, crossover or power it evaluates
+    leaves the float range."""
+    try:
+        value, err = _bound_quadrature(q, kind)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"bound-not-finite: {type(exc).__name__} in float arithmetic") from exc
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NumericalError(f"bound-not-finite: quadrature gave {value} +- {err}")
+    return value, err
+
+
+def _bound_quadrature(q: BoundQuery, kind: str) -> tuple[float, float]:
     """Shared quadrature core. kind is 'reciprocal' or 'log'.
 
     reciprocal: (1/2pi) int [1/S + 1/S_n]^-1 dw over the real line
@@ -142,6 +155,8 @@ def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
     if q.photon_flux == 0:
         _check_origin_integrable(q, w_star)
     w_max = _TAIL_FACTOR * w_star
+    if not (0.0 < w_star * math.exp(-_LOG_SPAN_BELOW) and w_max < math.inf):
+        raise NumericalError(f"bound-not-finite: crossover frequency {w_star:.3g} leaves the float range")
     u_hi = math.log(w_max)
     u_lo = math.log(w_star) - _LOG_SPAN_BELOW
 
@@ -186,11 +201,7 @@ def _bound_integral(q: BoundQuery, kind: str) -> tuple[float, float]:
     tail_err = tail * (0.0 if not math.isfinite(s_n) else s_tail / s_n)
     tail_err += tail * abs(p_eff2 - p_eff) / (p_eff - 1.0)
 
-    value = (bulk + tail) / math.pi
-    err = (bulk_err + tail_err) / math.pi
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise NumericalError(f"bound-not-finite: quadrature gave {value} +- {err}")
-    return value, err
+    return (bulk + tail) / math.pi, (bulk_err + tail_err) / math.pi
 
 
 def qcrb_quadrature(q: BoundQuery) -> tuple[float, float]:
@@ -218,13 +229,19 @@ def filter_mse_quadrature(q: BoundQuery) -> tuple[float, float]:
     return _bound_integral(q, "log")
 
 
-def _check_power_law_args(p: float, kappa: float, flux: float) -> None:
+def _power_law_factor(p: float, kappa: float, flux: float) -> float:
+    """(4N/kappa)^-((p-1)/p), the factor of both closed forms, for valid
+    arguments; NumericalError where the power leaves the float range."""
     if not p > 1:
         raise ValidationError(f"exponent-out-of-range: need p > 1, got p={p}")
     if not kappa > 0:
         raise ValidationError(f"kappa must be positive, got {kappa}")
     if not flux > 0:
         raise ValidationError(f"photon_flux must be positive, got {flux}")
+    try:
+        return (4.0 * flux / kappa) ** (-(p - 1.0) / p)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"bound-not-finite: (4N/kappa)^-((p-1)/p) at N/kappa = {flux / kappa:.3g}") from exc
 
 
 def qcrb_power_law(p: float, kappa: float, flux: float) -> float:
@@ -232,8 +249,7 @@ def qcrb_power_law(p: float, kappa: float, flux: float) -> float:
 
     [p sin(pi/p)]^-1 (4N/kappa)^-((p-1)/p).
     """
-    _check_power_law_args(p, kappa, flux)
-    return (4.0 * flux / kappa) ** (-(p - 1.0) / p) / (p * math.sin(math.pi / p))
+    return _power_law_factor(p, kappa, flux) / (p * math.sin(math.pi / p))
 
 
 def filter_mse_power_law(p: float, kappa: float, flux: float) -> float:
@@ -242,8 +258,7 @@ def filter_mse_power_law(p: float, kappa: float, flux: float) -> float:
     [sin(pi/p)]^-1 (4N/kappa)^-((p-1)/p); exceeds the lower bound by the
     factor p.
     """
-    _check_power_law_args(p, kappa, flux)
-    return (4.0 * flux / kappa) ** (-(p - 1.0) / p) / math.sin(math.pi / p)
+    return _power_law_factor(p, kappa, flux) / math.sin(math.pi / p)
 
 
 def abc_linearized_mse(kappa: float, chi: float, lam: float) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -64,6 +65,10 @@ def cmd_bounds(args) -> int:
             "filter": filter_mse_power_law(args.p, args.kappa, args.flux),
             "smoother": qcrb_power_law(args.p, args.kappa, args.flux),
         }
+    base = closed if closed is not None else {k: quad[k][0] for k in quad}
+    ratio = base["filter"] / base["qcrb"] if base["qcrb"] > 0 else math.nan
+    if not math.isfinite(ratio):  # a closed form or quadrature beyond the float range
+        raise NumericalError(f"bound-not-finite: filter/QCRB = {base['filter']} / {base['qcrb']}")
     labels = {"qcrb": "QCRB", "filter": "filter MSE", "smoother": "smoother MSE"}
     for key in ("qcrb", "filter", "smoother"):
         val, err = quad[key]
@@ -72,8 +77,7 @@ def cmd_bounds(args) -> int:
             line += f"{_fmt(closed[key]):>14}"
         line += f"   quadrature {_fmt(val)} +- {err:.2g}"
         print(line)
-    ratio_base = closed if closed is not None else {k: quad[k][0] for k in quad}
-    print(f"{'filter/QCRB':<14}{_fmt(ratio_base['filter'] / ratio_base['qcrb']):>14}")
+    print(f"{'filter/QCRB':<14}{_fmt(ratio):>14}")
     return 0
 
 

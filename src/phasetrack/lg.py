@@ -16,6 +16,10 @@ closed-loop poles are lam_k = i e^(i pi (2k-1)/p), k = 1..n+1, the
 left-half-plane Butterworth poles, and Vt_F is an alternating sum of products
 of the Butterworth coefficients a_k (see solve_filter_covariance); its last
 column, the normalized filter gain, is (a_0, ..., a_n).
+
+Vt_F^-1 = Vt_R (retro_covariance) and the two-sided Vt_S
+(smoother_covariance_closed_form) have closed forms too; the float inverses
+of the information sum live only in smoother_covariance, their cross-check.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ __all__ = [
 ]
 
 # cond(Vt_F) grows about tenfold per step of p (~1e8 at p = 20), so the float
-# inverses of the information sum lose digits; p <= 20 is the range the
+# inverses of smoother_covariance lose digits; p <= 20 is the range the
 # acceptance gate checks.
 _MAX_P = 20
 
@@ -199,19 +203,15 @@ def scale_covariance(v_tilde: np.ndarray, mu: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
-    """Physical stationary covariances of the causal and anticausal estimators."""
+    """Physical stationary covariance of the causal estimator. The anticausal
+    one is retro_covariance(vf), the same bits as scaling Vt_R."""
 
     vf: np.ndarray
-    vr: np.ndarray
 
 
 def covariance_set(system: LgSystem) -> CovarianceSet:
-    """Solve the causal and anticausal covariances for one system."""
-    vf_t = solve_filter_covariance(system.p)
-    return CovarianceSet(
-        vf=scale_covariance(vf_t, system.mu),
-        vr=scale_covariance(retro_covariance(vf_t), system.mu),
-    )
+    """Solve the causal covariance for one system."""
+    return CovarianceSet(vf=scale_covariance(solve_filter_covariance(system.p), system.mu))
 
 
 def lg_filter_mse(system: LgSystem) -> float:

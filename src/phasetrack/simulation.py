@@ -21,9 +21,11 @@ per-step loop: r = dB is known in advance, so the forward error is one
 blocked scan. Given the stored dW and r, the forward readout and the
 anticausal pass (seeded with the forward error at the end of the record)
 are linear recurrences, run as blocked scans, and combine into the smoothed
-error through the information sum (the two-filter form). Only records add
-the open-loop phase back, to write phi, theta, y and phi_s. Phase is
-tracked on the real line throughout; nothing is wrapped mod 2 pi.
+error through the information sum (the two-filter form of Fraser and
+Potter), with weights and backward constants from lg's closed forms and no
+matrix inverse. Only records add the open-loop phase back, to write phi,
+theta, y and phi_s. Phase is tracked on the real line throughout; nothing
+is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
 phase itself, integrated open-loop before the loop. It keeps its two
@@ -62,7 +64,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .lg import LgSystem, build_lg_system, covariance_set, smoother_covariance
+from .lg import LgSystem, build_lg_system, covariance_set, retro_covariance
+from .lg import smoother_covariance_closed_form, solve_filter_covariance
 from .phase_process import PhaseModel, _check_damping
 
 __all__ = [
@@ -246,11 +249,14 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray
     return stage
 
 
-def _smoothing_weights(vf: np.ndarray, vr: np.ndarray):
+def _smoothing_weights(p, mu: float):
     """Last rows (w_f[-1], w_r[-1]) of the information sum xs = w_f xf + w_r xr,
-    with w_f = V_S V_F^-1 and w_r = V_S V_R^-1: the rows that give phi_s."""
-    vs = smoother_covariance(vf, vr)
-    return (vs @ np.linalg.inv(vf))[-1], (vs @ np.linalg.inv(vr))[-1]
+    the rows that give phi_s, from the closed forms Vt_S and Vt_R = Vt_F^-1:
+    w_f = V_S V_F^-1 = D Vt_S Vt_R D^-1 and w_r = D Vt_S Vt_F D^-1, D = diag(mu^-((k+1/2)/p))."""
+    vf = solve_filter_covariance(p)
+    vs_last = smoother_covariance_closed_form(p)[-1]
+    ratio = mu ** (np.arange(1 - len(vf), 1) / p)  # D[n] / D[k] = mu^((k-n)/p)
+    return vs_last @ retro_covariance(vf) * ratio, vs_last @ vf * ratio
 
 
 def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
@@ -323,7 +329,7 @@ def _error_passes(
     dw: np.ndarray,
     db: np.ndarray,
     vf: np.ndarray,
-    smoothing: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    smoothing: Optional[tuple[np.ndarray, np.ndarray]] = None,
     error_moment: Optional[np.ndarray] = None,
 ):
     """Causal estimator in the feedback loop and, with ``smoothing``, the
@@ -333,7 +339,7 @@ def _error_passes(
     sin() loop overwrites db in place with the residual
     r = I dt - 2 sqrt(N) (phi - theta) dt, which a linearized run leaves
     equal to dB. Returns theta - phi and, with
-    ``smoothing = (V_R, w_f[-1], w_r[-1])``, phi_s - phi (NaN outside the
+    ``smoothing = (w_f[-1], w_r[-1])``, phi_s - phi (NaN outside the
     interior window), else None. ``error_moment`` (n_trials, n+1, n+1)
     accumulates the interior sum of e e^T.
 
@@ -342,7 +348,8 @@ def _error_passes(
     F = I + (A - K C) dt and K = V_F C^T. A linearized run knows r = dB in
     advance and runs it as one blocked scan, which reads out theta - phi,
     the smoother's w_f . e and the moments together; after the sin() loop
-    the same scan replays it for w_f . e alone.
+    the same scan replays it for w_f . e alone. The backward pass needs no
+    V_R: its gain V_R C^T is the forward gain, parity-signed.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -356,7 +363,7 @@ def _error_passes(
     win = _interior_slice(n_steps, dt, config.burn_in)
 
     if config.linearized:
-        readouts = [scale * np.eye(n)[-1]] + ([smoothing[1]] if smoothing else [])
+        readouts = [scale * np.eye(n)[-1]] + ([smoothing[0]] if smoothing else [])
         paths = np.zeros(dw.shape + (len(readouts),))
         e = _block_scan(*forward, np.column_stack(readouts), 0.0, dw, db, paths, error_moment, win)
         err, proj = paths[..., 0], paths[..., -1]
@@ -377,20 +384,22 @@ def _error_passes(
             e_first -= dw[:, i]
         if smoothing is not None:
             proj = np.zeros_like(dw)
-            _block_scan(*forward, smoothing[1], 0.0, dw, db, proj)
+            _block_scan(*forward, smoothing[0], 0.0, dw, db, proj)
     if smoothing is None:
         return err, None
 
     # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
-    # is a blocked scan too: its anticausal estimate takes in the residual
-    # r_i = y_i dt - C x_i dt of each sample. It is seeded with the forward
-    # error at the end of the record and runs on reversed views.
-    vr, _, w_r = smoothing
-    back = np.linalg.inv(np.eye(n) + system.a * dt)
-    back_t = (back - np.outer(vr @ system.c, system.c) * dt).T
-    drive = back[:, 0]
+    # (-dt)^k on its k-th subdiagonal, is a blocked scan too: its anticausal
+    # estimate takes in the residual r_i = y_i dt - C x_i dt of each sample
+    # through V_R C^T, the forward gain signed (-1)^(n-k), since V_R is V_F
+    # with signs (-1)^(k+l). It is seeded with the forward error at the end
+    # of the record and runs on reversed views.
+    drive = (-dt) ** np.arange(n)  # B e_0
+    back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
+    retro_gain = gain * (-1.0) ** np.arange(n)[::-1]
+    back_t = (back - np.outer(retro_gain, system.c) * dt).T
     _block_scan(
-        e, back_t, drive @ back_t, vr @ system.c, w_r, drive @ w_r,
+        e, back_t, drive @ back_t, retro_gain, smoothing[1], drive @ smoothing[1],
         dw[:, ::-1], db[:, ::-1], proj[:, ::-1],
     )
     proj *= scale  # w_f + w_r = I, so the sum is the smoothed error
@@ -573,12 +582,10 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationReco
     system = _run_system(model, config)
     dw, db = _trial_noise(config.seed, 1, config.n_steps, config.dt)
     if system.mu > 0:
-        cov = covariance_set(system)
-        smoothing = (cov.vr, *_smoothing_weights(cov.vf, cov.vr))
-        err, s_err = _error_passes(model, system, config, dw, db, cov.vf, smoothing)
+        vf, smoothing = covariance_set(system).vf, _smoothing_weights(model.p, system.mu)
     else:  # no measurement: zero gain, nothing to smooth
-        vf = np.zeros((system.n_states, system.n_states))
-        err, s_err = _error_passes(model, system, config, dw, db, vf)
+        vf, smoothing = np.zeros((system.n_states, system.n_states)), None
+    err, s_err = _error_passes(model, system, config, dw, db, vf, smoothing)
     phi = _open_loop_phase(model, config.dt, dw)
     y = db / config.dt  # y dt = C x dt + r
     y += 2.0 * math.sqrt(config.photon_flux) * phi
@@ -708,7 +715,7 @@ def simulate_filter_trials(
         raise ValidationError("need at least 2 trials")
     system = _run_system(model, config)
     cov = covariance_set(system)
-    smoothing = (cov.vr, *_smoothing_weights(cov.vf, cov.vr)) if smoother else None
+    smoothing = _smoothing_weights(model.p, system.mu) if smoother else None
     moment = np.zeros((n_trials, system.n_states, system.n_states)) if full_state_stats else None
     dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
     err, s_err = _error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)

@@ -9,6 +9,7 @@ recurrences, the undamped integrator chain as running sums, the
 (damped) phase chain through scipy's direct-form linear filter, the trial
 noise as scaled normal draws, the tabulated spectrum through np.interp,
 the linearized filter error stepped one sample at a time, the
+smoothing weights by float inverses of the information sum, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
 solve, and the exponential-window feedback loop with scalar and broadcast
 operands.
@@ -27,7 +28,9 @@ from phasetrack.errors import NumericalError, ValidationError
 from phasetrack.lg import (
     LgSystem,
     build_lg_system,
+    retro_covariance,
     scale_covariance,
+    smoother_covariance,
     smoother_covariance_closed_form,
     solve_filter_covariance,
 )
@@ -227,14 +230,15 @@ def linearized_error_passes(
     dw: np.ndarray,
     db: np.ndarray,
     vf: np.ndarray,
-    smoothing: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    smoothing: tuple[np.ndarray, np.ndarray] | None = None,
     error_moment: np.ndarray | None = None,
 ):
     """_error_passes of a linearized run with the forward error stepped one
     sample at a time: e += e (A - K C)^T dt + dB K^T, then e_0 -= dW, the
     interior e e^T added before each step. Returns (theta - phi, phi_s - phi
     or None, the final e); the smoother replays the forward error and runs
-    the backward pass as blocked scans, seeded with that final e."""
+    the backward pass as blocked scans, seeded with that final e, with
+    B = (I + A dt)^-1 and V_R C^T taken by a float inverse and a product."""
     n_trials, n_steps = dw.shape
     n = system.n_states
     dt = config.dt
@@ -252,7 +256,8 @@ def linearized_error_passes(
         e[:, 0] -= dw[:, i]
     if smoothing is None:
         return err, None, e
-    vr, w_f, w_r = smoothing
+    w_f, w_r = smoothing
+    vr = retro_covariance(vf)
     proj = np.zeros_like(dw)
     _block_scan(np.zeros_like(e), np.eye(n) + closed_t, -np.eye(n)[0], gain, w_f, 0.0, dw, db, proj)
     back = np.linalg.inv(np.eye(n) + system.a * dt)
@@ -266,6 +271,15 @@ def linearized_error_passes(
     proj[:, : win.start] = np.nan
     proj[:, win.stop :] = np.nan
     return err, proj, e
+
+
+def smoothing_weights_inverse(vf: np.ndarray):
+    """Last rows (w_f[-1], w_r[-1]) of the information sum xs = w_f xf + w_r xr
+    for the physical causal covariance vf, by float inverses:
+    w_f = V_S V_F^-1 and w_r = V_S V_R^-1, with V_S = smoother_covariance."""
+    vr = retro_covariance(vf)
+    vs = smoother_covariance(vf, vr)
+    return (vs @ np.linalg.inv(vf))[-1], (vs @ np.linalg.inv(vr))[-1]
 
 
 def discrete_filter_covariance(p, dt_factor: float) -> np.ndarray:

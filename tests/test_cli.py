@@ -55,6 +55,42 @@ class TestBounds:
         assert code == 3
         assert "bound-divergent" in err
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        p=st.floats(1.0, exclude_min=True, allow_infinity=False),
+        kappa=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        flux=st.floats(0.0, allow_infinity=False),
+    )
+    def test_finite_input_prints_finite_values_or_exits_3(self, capsys, p, kappa, flux):
+        """Over the whole finite range, a density, crossover or power beyond
+        the float range is a numerical failure: bounds prints only finite
+        values (exit 0) or nothing (exit 3), never a traceback."""
+        code, out, err = run_cli(capsys, "bounds", "--p", repr(p), "--kappa", repr(kappa), "--flux", repr(flux))
+        if code == 3:
+            assert err.startswith("numerical failure:") and out == ""
+        else:
+            assert code == 0
+            values = [float(tok) for tok in out.split() if tok[0] in "0123456789-in"]  # labels start otherwise
+            assert len(values) == 10 and all(math.isfinite(v) for v in values), out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--p", "32", "--flux", "1"),
+            ("--p", "2", "--flux", "1e300"),
+            ("--p", "8", "--flux", "1e-300"),
+            ("--p", "61.07516243728437", "--kappa", "3.586042066151352e-06", "--flux", "225927353.32633683"),
+            ("--p", "1.0016322596490606", "--kappa", "1.8976573441440942e+270", "--flux", "3.131609715724274e-214"),
+            ("--p", "1.0000000963921511", "--kappa", "2.46153074789355e-204", "--flux", "9.020859727418961e+281"),
+        ],
+        ids=["p32-underflow", "p2-overflow", "p8-low-flux", "crossover-underflow", "closed-form-0-power", "ratio-0-by-0"],
+    )
+    def test_float_range_failure_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: bound-not-finite")
+
     @pytest.mark.parametrize(
         "rows",
         ["2.0,nan", "2.0,inf", "inf,0.25"],

@@ -137,3 +137,19 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", _FOOTPRINT_PROBE], capture_output=True, text=True, env=env, check=True, timeout=120
     ).stdout.splitlines()
     assert out == ["[]", "0 []"]
+
+
+def test_simulation_calls_no_linalg():
+    """The run path takes the smoother's constants from lg's closed forms, so
+    simulation.py calls no np.linalg function and does not import the
+    inverse-based smoother_covariance: float inverses lose digits with
+    cond(Vt_F), about 9.3e7 at p = 20."""
+    tree = ast.parse(Path(simulation.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(ast.unparse(node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            found += [name for name in names if "linalg" in name or name == "smoother_covariance"]
+    assert found == []

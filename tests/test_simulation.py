@@ -14,11 +14,13 @@ from oracles import (
     discrete_filter_covariance,
     linearized_error_passes,
     run_abc_linearized_trials,
+    smoothing_weights_inverse,
     trial_noise_normal,
 )
 
 from phasetrack.errors import ValidationError
-from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse, scale_covariance
+from phasetrack.lg import build_lg_system, covariance_set, lg_filter_mse, retro_covariance, scale_covariance
+from phasetrack.lg import solve_filter_covariance
 from phasetrack.phase_process import PhaseModel
 from phasetrack import simulation as sim
 from phasetrack.simulation import (
@@ -152,7 +154,7 @@ class TestSimulateRecord:
         model, system, config = _setup(duration_factor=30.0)
         cov = covariance_set(system)
         runs = []
-        for smoothing in (None, (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))):
+        for smoothing in (None, sim._smoothing_weights(model.p, system.mu)):
             dw, db = sim._trial_noise(config.seed, 2, config.n_steps, config.dt)
             runs.append((db,) + sim._error_passes(model, system, config, dw, db, cov.vf, smoothing))
         (db_bare, err_bare, s_bare), (db_kept, err_kept, s_kept) = runs
@@ -222,7 +224,7 @@ def _bare_config(flux: float, n_steps: int, dt: float, linearized: bool = True) 
     )
 
 
-def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray, vr: np.ndarray):
+def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray):
     """Full forward and backward error states of _error_passes, one state
     component per run through unit weights. Entry i of the forward states is
     e before step i; entry i of the backward ones is the backward error that
@@ -234,8 +236,7 @@ def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray, vr: np.nd
     zero = np.zeros(m)
     for k, unit in enumerate(np.eye(m)):
         for states, weights in ((fwd, (unit, zero)), (back, (zero, unit))):
-            smoothing = (vr, *weights)
-            s_err = sim._error_passes(model, system, config, dw.copy(), r.copy(), vf, smoothing)[1]
+            s_err = sim._error_passes(model, system, config, dw.copy(), r.copy(), vf, weights)[1]
             states[..., k] = s_err / model.phase_scale
     return fwd, back
 
@@ -304,7 +305,7 @@ class TestRetrofilterPass:
         system = build_lg_system(4, 1.0, 10.0)
         cov = covariance_set(system)
         config = _bare_config(10.0, 100, 1e-4)
-        smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
+        smoothing = sim._smoothing_weights(model.p, system.mu)
         quiet = np.zeros((1, 100))
         s_err = sim._error_passes(model, system, config, quiet, quiet.copy(), cov.vf, smoothing)[1]
         assert np.all(s_err == 0.0)
@@ -322,7 +323,7 @@ class TestRetrofilterPass:
         n_steps, n, m = 300, system.n, system.n_states
         r = np.random.default_rng(4).normal(size=(1, n_steps)) * dt
         config = _bare_config(5.0, n_steps, dt)
-        fwd, back = _pass_states(model, system, config, np.zeros_like(r), r, cov.vr)
+        fwd, back = _pass_states(model, system, config, np.zeros_like(r), r)
         gain = cov.vf @ system.c
         closed = system.a - np.outer(gain, system.c)
         e_end = fwd[0, -1] + closed @ fwd[0, -1] * dt + gain * r[0, -1]
@@ -344,8 +345,8 @@ class TestRetrofilterPass:
         noise = np.random.default_rng(5).normal(0.0, math.sqrt(dt), size=(2, 3, 400))
         w_f, w_r = np.random.default_rng(6).normal(size=(2, system.n_states))
         config = _bare_config(5.0, 400, dt)
-        fwd, back = _pass_states(model, system, config, noise[0], noise[1], cov.vr)
-        proj = sim._error_passes(model, system, config, noise[0], noise[1], cov.vf, (cov.vr, w_f, w_r))[1]
+        fwd, back = _pass_states(model, system, config, noise[0], noise[1])
+        proj = sim._error_passes(model, system, config, noise[0], noise[1], cov.vf, (w_f, w_r))[1]
         assert proj.shape == noise[1].shape
         assert np.allclose(proj / model.phase_scale, fwd @ w_f + back @ w_r, rtol=1e-12, atol=0.0)
 
@@ -356,24 +357,23 @@ class TestRetrofilterPass:
         cov = covariance_set(system)
         # weights (0, 1) keep the backward error alone; p = 2 has one state
         dw, db = sim._trial_noise(config.seed, 24, config.n_steps, config.dt)
-        smoothing = (cov.vr, np.zeros(1), np.ones(1))
+        smoothing = (np.zeros(1), np.ones(1))
         s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)[1]
         win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
         err = s_err[:, win] / model.phase_scale
         per_trial = np.mean(err**2, axis=1)
         est = per_trial.mean()
         se = per_trial.std(ddof=1) / math.sqrt(24)
-        assert abs(est - cov.vr[0, 0]) < 3 * se
+        assert abs(est - retro_covariance(cov.vf)[0, 0]) < 3 * se
 
 
 class TestCombineSmoothed:
     def test_equal_covariances_average(self):
-        """With V_F = V_R the information sum is the plain average, so phi_s
-        reads half of each pass's last state component."""
-        v = np.array([[2.0, 0.1], [0.1, 1.0]])
-        w_f, w_r = sim._smoothing_weights(v, v)
-        assert w_f == pytest.approx([0.0, 0.5], abs=1e-12)
-        assert w_r == pytest.approx([0.0, 0.5], abs=1e-12)
+        """At p = 2, V_F = V_R, so the information sum is the plain average
+        and phi_s reads half of each pass's state, exactly, at any mu."""
+        for mu in (1e-12, 1.0, 4e4, 1e12):
+            w_f, w_r = sim._smoothing_weights(2, mu)
+            assert w_f.tolist() == [0.5] and w_r.tolist() == [0.5], mu
 
     def test_smooth_record_interior_window(self):
         """phi_s is NaN outside the interior window and, inside it, the
@@ -397,12 +397,13 @@ class TestCombineSmoothed:
             dw = sim._trial_noise(config.seed, 1, n, dt)[0][0]
             x_end = chain_cumsum(m, dt, dw)[-1]
             back = np.linalg.inv(np.eye(m) + system.a * dt)
-            closed_r = back - np.outer(cov.vr @ system.c, system.c) * dt
+            vr = retro_covariance(cov.vf)
+            closed_r = back - np.outer(vr @ system.c, system.c) * dt
             xr = np.empty((n, m))
             xr[-1] = back @ x_end + xf[-1] - x_end
             for i in range(n - 1, 0, -1):
-                xr[i - 1] = closed_r @ xr[i] + cov.vr @ system.c * rec.y[0, i] * dt
-            w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+                xr[i - 1] = closed_r @ xr[i] + vr @ system.c * rec.y[0, i] * dt
+            w_f, w_r = sim._smoothing_weights(p, system.mu)
             reference = model.phase_scale * (xf[:-1] @ w_f + xr @ w_r)[k : n - k]
             assert np.max(np.abs(inner - reference)) <= 1e-13 * np.max(np.abs(inner)), p
 
@@ -810,7 +811,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     cov = covariance_set(system)
     rec = simulate_record(model, config)
     dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
-    smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
+    smoothing = sim._smoothing_weights(p, system.mu)
     err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)
     assert err.shape == (3, config.n_steps)
     assert _close_to_peak(rec.phi[0] + err[0], rec.theta[0], 1e-12)
@@ -871,12 +872,13 @@ def _scan_args(p: int, backward: bool):
     grid 30, with the state size n and the step dt."""
     _, system, _ = _golden_system(p, 30.0)
     cov = covariance_set(system)
-    w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+    w_f, w_r = sim._smoothing_weights(p, system.mu)
     n, dt = system.n_states, 0.01 * system.time_scale
     if backward:
         back = np.linalg.inv(np.eye(n) + system.a * dt)
-        m = (back - np.outer(cov.vr @ system.c, system.c) * dt).T
-        return (m, back[:, 0] @ m, cov.vr @ system.c, w_r, back[:, 0] @ w_r), n, dt
+        vr = retro_covariance(cov.vf)
+        m = (back - np.outer(vr @ system.c, system.c) * dt).T
+        return (m, back[:, 0] @ m, vr @ system.c, w_r, back[:, 0] @ w_r), n, dt
     gain = cov.vf @ system.c
     m = np.eye(n) + (system.a - np.outer(gain, system.c)).T * dt
     return (m, -np.eye(n)[0], gain, w_f, 0.0), n, dt
@@ -944,7 +946,7 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     window that may cut any block."""
     model, system, flux = _golden_system(p, 30.0)
     cov = covariance_set(system)
-    smoothing = (cov.vr, *sim._smoothing_weights(cov.vf, cov.vr))
+    smoothing = sim._smoothing_weights(p, system.mu)
     config = _bare_config(flux, n_steps, 0.01 * system.time_scale)  # every sample interior
     dw, db = sim._trial_noise(seed, width, n_steps, config.dt)
     dw[:, -1] = 0.0  # so the backward pass's first readout is its seed, unchanged
@@ -960,7 +962,7 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     # kappa^(n+1/2) times the seed read along w_r; held to 1e-13 of the
     # seed's peak entry, since the read itself may cancel.
     w_r = np.random.default_rng(seed).normal(size=system.n_states)
-    seed_read = sim._error_passes(model, system, config, dw, db, cov.vf, (cov.vr, 0.0 * w_r, w_r))[1][:, -1]
+    seed_read = sim._error_passes(model, system, config, dw, db, cov.vf, (0.0 * w_r, w_r))[1][:, -1]
     seed_dev = np.abs(seed_read / model.phase_scale - ref_e @ w_r)
     assert np.all(seed_dev <= 1e-13 * np.max(np.abs(ref_e)) * np.sum(np.abs(w_r)))
     # A trimmed window's sum, to 1e-13 of the whole record's peak: a short
@@ -1116,8 +1118,57 @@ class TestErrorCoordinates:
         """w_f[-1] + w_r[-1] = e_n, which turns the information sum of the
         two estimates into the same sum of their errors."""
         _, system, _ = _golden_system(p, 30.0)
-        cov = covariance_set(system)
-        w_f, w_r = sim._smoothing_weights(cov.vf, cov.vr)
+        w_f, w_r = sim._smoothing_weights(p, system.mu)
         unit = np.zeros(system.n_states)
         unit[-1] = 1.0
         assert np.max(np.abs(w_f + w_r - unit)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(range(2, 21, 2)), log_mu=st.floats(-12.0, 12.0))
+def test_closed_form_smoothing_weights(p, log_mu):
+    """The weights built from the closed forms Vt_S and Vt_R = Vt_F^-1 sum
+    to e_n within 1e-12 of their peak at every even p <= 20 and mu in
+    10^[-12, 12]; float inverses of the information sum miss by up to
+    1.5e-9. They agree with those inverse-based weights within
+    32 eps cond(Vt_F) of the peak, the inverses' own error scale (the
+    largest ratio seen in 40 000 draws was 20, at p = 6)."""
+    mu = 10.0**log_mu
+    w_f, w_r = sim._smoothing_weights(p, mu)
+    peak = max(np.max(np.abs(w_f)), np.max(np.abs(w_r)))
+    assert np.max(np.abs(w_f + w_r - np.eye(p // 2)[-1])) <= 1e-12 * peak
+    vt = solve_filter_covariance(p)
+    ref_f, ref_r = smoothing_weights_inverse(scale_covariance(vt, mu))
+    tol = 32 * np.finfo(float).eps * np.linalg.cond(vt) * peak
+    assert np.max(np.abs(w_f - ref_f)) <= tol
+    assert np.max(np.abs(w_r - ref_r)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(range(2, 21, 2)), log_dt=st.floats(-8.0, 0.0))
+def test_backward_constants_are_the_inverse_forms(p, log_dt):
+    """The backward pass's scan takes V_R C^T as the forward gain signed
+    (-1)^(n-k), bit for bit retro_covariance(V_F) C^T, and B = (I + A dt)^-1
+    as (-dt)^k on its k-th subdiagonal, within 1e-15 of the float inverse.
+    It scans (B - V_R C^T C dt)^T, and C = sqrt(mu) e_n^T changes only the
+    last column of B, which is e_n, so every other column reads back as B's."""
+    model, system, flux = _golden_system(p, 30.0)
+    dt = 10.0**log_dt
+    vf = covariance_set(system).vf
+    scans = []
+    scan = sim._block_scan
+
+    def recording_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    quiet = np.zeros((1, 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_block_scan", recording_scan)
+        smoothing = sim._smoothing_weights(p, system.mu)
+        sim._error_passes(model, system, _bare_config(flux, 2, dt), quiet, quiet.copy(), vf, smoothing)
+    back_t, _, retro_gain = scans[-1][1:4]
+    assert np.array_equal(retro_gain, retro_covariance(vf) @ system.c)
+    n = system.n_states
+    back = np.linalg.inv(np.eye(n) + system.a * dt)
+    assert np.all(np.abs(back_t.T[:, :-1] - back[:, :-1]) <= 1e-15)
