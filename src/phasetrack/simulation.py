@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .lg import LgSystem, build_lg_system, covariance_set, retro_covariance
+from .lg import LgSystem, build_lg_system, retro_covariance, scale_covariance
 from .lg import smoother_covariance_closed_form, solve_filter_covariance
 from .phase_process import PhaseModel, _check_damping
 
@@ -249,14 +249,14 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray
     return stage
 
 
-def _smoothing_weights(p, mu: float):
-    """Last rows (w_f[-1], w_r[-1]) of the information sum xs = w_f xf + w_r xr,
-    the rows that give phi_s, from the closed forms Vt_S and Vt_R = Vt_F^-1:
-    w_f = V_S V_F^-1 = D Vt_S Vt_R D^-1 and w_r = D Vt_S Vt_F D^-1, D = diag(mu^-((k+1/2)/p))."""
-    vf = solve_filter_covariance(p)
+def _smoothing_weights(vf_tilde: np.ndarray, mu: float):
+    """Last rows (w_f[-1], w_r[-1]) of the information sum xs = w_f xf + w_r xr, which
+    give phi_s, from Vt_F (p = 2 len(Vt_F)) and the closed forms Vt_S and Vt_R = Vt_F^-1:
+    w_f = V_S V_F^-1 = D Vt_S Vt_R D^-1, w_r = D Vt_S Vt_F D^-1, D = diag(mu^-((k+1/2)/p))."""
+    p = 2 * len(vf_tilde)
     vs_last = smoother_covariance_closed_form(p)[-1]
-    ratio = mu ** (np.arange(1 - len(vf), 1) / p)  # D[n] / D[k] = mu^((k-n)/p)
-    return vs_last @ retro_covariance(vf) * ratio, vs_last @ vf * ratio
+    ratio = mu ** (np.arange(1 - len(vf_tilde), 1) / p)  # D[n] / D[k] = mu^((k-n)/p)
+    return vs_last @ retro_covariance(vf_tilde) * ratio, vs_last @ vf_tilde * ratio
 
 
 def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
@@ -389,11 +389,10 @@ def _error_passes(
         return err, None
 
     # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
-    # (-dt)^k on its k-th subdiagonal, is a blocked scan too: its anticausal
-    # estimate takes in the residual r_i = y_i dt - C x_i dt of each sample
-    # through V_R C^T, the forward gain signed (-1)^(n-k), since V_R is V_F
-    # with signs (-1)^(k+l). It is seeded with the forward error at the end
-    # of the record and runs on reversed views.
+    # (-dt)^k on its k-th subdiagonal, is a blocked scan too. Its anticausal
+    # estimate takes in each residual r_i = y_i dt - C x_i dt through V_R C^T,
+    # the forward gain signed (-1)^(n-k) as V_R is V_F signed (-1)^(k+l). It is
+    # seeded with the forward error at the end of the record, on reversed views.
     drive = (-dt) ** np.arange(n)  # B e_0
     back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
     retro_gain = gain * (-1.0) ** np.arange(n)[::-1]
@@ -582,7 +581,8 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationReco
     system = _run_system(model, config)
     dw, db = _trial_noise(config.seed, 1, config.n_steps, config.dt)
     if system.mu > 0:
-        vf, smoothing = covariance_set(system).vf, _smoothing_weights(model.p, system.mu)
+        vf_tilde = solve_filter_covariance(model.p)
+        vf, smoothing = scale_covariance(vf_tilde, system.mu), _smoothing_weights(vf_tilde, system.mu)
     else:  # no measurement: zero gain, nothing to smooth
         vf, smoothing = np.zeros((system.n_states, system.n_states)), None
     err, s_err = _error_passes(model, system, config, dw, db, vf, smoothing)
@@ -714,11 +714,12 @@ def simulate_filter_trials(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     system = _run_system(model, config)
-    cov = covariance_set(system)
-    smoothing = _smoothing_weights(model.p, system.mu) if smoother else None
+    vf_tilde = solve_filter_covariance(model.p)
+    vf = scale_covariance(vf_tilde, system.mu)
+    smoothing = _smoothing_weights(vf_tilde, system.mu) if smoother else None
     moment = np.zeros((n_trials, system.n_states, system.n_states)) if full_state_stats else None
     dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
-    err, s_err = _error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)
+    err, s_err = _error_passes(model, system, config, dw, db, vf, smoothing, moment)
     del dw, db
     mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
     result = FilterTrialResult(n_trials=n_trials, filter_mse=mse, filter_stderr=se)

@@ -154,7 +154,7 @@ class TestSimulateRecord:
         model, system, config = _setup(duration_factor=30.0)
         cov = covariance_set(system)
         runs = []
-        for smoothing in (None, sim._smoothing_weights(model.p, system.mu)):
+        for smoothing in (None, sim._smoothing_weights(solve_filter_covariance(model.p), system.mu)):
             dw, db = sim._trial_noise(config.seed, 2, config.n_steps, config.dt)
             runs.append((db,) + sim._error_passes(model, system, config, dw, db, cov.vf, smoothing))
         (db_bare, err_bare, s_bare), (db_kept, err_kept, s_kept) = runs
@@ -305,7 +305,7 @@ class TestRetrofilterPass:
         system = build_lg_system(4, 1.0, 10.0)
         cov = covariance_set(system)
         config = _bare_config(10.0, 100, 1e-4)
-        smoothing = sim._smoothing_weights(model.p, system.mu)
+        smoothing = sim._smoothing_weights(solve_filter_covariance(model.p), system.mu)
         quiet = np.zeros((1, 100))
         s_err = sim._error_passes(model, system, config, quiet, quiet.copy(), cov.vf, smoothing)[1]
         assert np.all(s_err == 0.0)
@@ -372,7 +372,7 @@ class TestCombineSmoothed:
         """At p = 2, V_F = V_R, so the information sum is the plain average
         and phi_s reads half of each pass's state, exactly, at any mu."""
         for mu in (1e-12, 1.0, 4e4, 1e12):
-            w_f, w_r = sim._smoothing_weights(2, mu)
+            w_f, w_r = sim._smoothing_weights(solve_filter_covariance(2), mu)
             assert w_f.tolist() == [0.5] and w_r.tolist() == [0.5], mu
 
     def test_smooth_record_interior_window(self):
@@ -403,7 +403,7 @@ class TestCombineSmoothed:
             xr[-1] = back @ x_end + xf[-1] - x_end
             for i in range(n - 1, 0, -1):
                 xr[i - 1] = closed_r @ xr[i] + vr @ system.c * rec.y[0, i] * dt
-            w_f, w_r = sim._smoothing_weights(p, system.mu)
+            w_f, w_r = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
             reference = model.phase_scale * (xf[:-1] @ w_f + xr @ w_r)[k : n - k]
             assert np.max(np.abs(inner - reference)) <= 1e-13 * np.max(np.abs(inner)), p
 
@@ -811,7 +811,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     cov = covariance_set(system)
     rec = simulate_record(model, config)
     dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
-    smoothing = sim._smoothing_weights(p, system.mu)
+    smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
     err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)
     assert err.shape == (3, config.n_steps)
     assert _close_to_peak(rec.phi[0] + err[0], rec.theta[0], 1e-12)
@@ -872,7 +872,7 @@ def _scan_args(p: int, backward: bool):
     grid 30, with the state size n and the step dt."""
     _, system, _ = _golden_system(p, 30.0)
     cov = covariance_set(system)
-    w_f, w_r = sim._smoothing_weights(p, system.mu)
+    w_f, w_r = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
     n, dt = system.n_states, 0.01 * system.time_scale
     if backward:
         back = np.linalg.inv(np.eye(n) + system.a * dt)
@@ -946,7 +946,7 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     window that may cut any block."""
     model, system, flux = _golden_system(p, 30.0)
     cov = covariance_set(system)
-    smoothing = sim._smoothing_weights(p, system.mu)
+    smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
     config = _bare_config(flux, n_steps, 0.01 * system.time_scale)  # every sample interior
     dw, db = sim._trial_noise(seed, width, n_steps, config.dt)
     dw[:, -1] = 0.0  # so the backward pass's first readout is its seed, unchanged
@@ -1118,7 +1118,7 @@ class TestErrorCoordinates:
         """w_f[-1] + w_r[-1] = e_n, which turns the information sum of the
         two estimates into the same sum of their errors."""
         _, system, _ = _golden_system(p, 30.0)
-        w_f, w_r = sim._smoothing_weights(p, system.mu)
+        w_f, w_r = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
         unit = np.zeros(system.n_states)
         unit[-1] = 1.0
         assert np.max(np.abs(w_f + w_r - unit)) <= 1e-9
@@ -1134,10 +1134,10 @@ def test_closed_form_smoothing_weights(p, log_mu):
     32 eps cond(Vt_F) of the peak, the inverses' own error scale (the
     largest ratio seen in 40 000 draws was 20, at p = 6)."""
     mu = 10.0**log_mu
-    w_f, w_r = sim._smoothing_weights(p, mu)
+    vt = solve_filter_covariance(p)
+    w_f, w_r = sim._smoothing_weights(vt, mu)
     peak = max(np.max(np.abs(w_f)), np.max(np.abs(w_r)))
     assert np.max(np.abs(w_f + w_r - np.eye(p // 2)[-1])) <= 1e-12 * peak
-    vt = solve_filter_covariance(p)
     ref_f, ref_r = smoothing_weights_inverse(scale_covariance(vt, mu))
     tol = 32 * np.finfo(float).eps * np.linalg.cond(vt) * peak
     assert np.max(np.abs(w_f - ref_f)) <= tol
@@ -1165,7 +1165,7 @@ def test_backward_constants_are_the_inverse_forms(p, log_dt):
     quiet = np.zeros((1, 2))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_block_scan", recording_scan)
-        smoothing = sim._smoothing_weights(p, system.mu)
+        smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
         sim._error_passes(model, system, _bare_config(flux, 2, dt), quiet, quiet.copy(), vf, smoothing)
     back_t, _, retro_gain = scans[-1][1:4]
     assert np.array_equal(retro_gain, retro_covariance(vf) @ system.c)
