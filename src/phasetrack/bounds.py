@@ -15,6 +15,7 @@ separately so quadrature and closed form can check each other.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -231,17 +232,28 @@ def filter_mse_quadrature(q: BoundQuery) -> tuple[float, float]:
 
 def _power_law_factor(p: float, kappa: float, flux: float) -> float:
     """(4N/kappa)^-((p-1)/p), the factor of both closed forms, for valid
-    arguments; NumericalError where the power leaves the float range."""
+    arguments; NumericalError where the power leaves the float range.
+
+    A quotient 4N/kappa that is a normal float is raised to the power
+    directly; one that overflows or underflows takes the power in logs,
+    exp(-(p-1)/p (ln 4 + ln N - ln kappa)), whose result is still ordinary.
+    """
     if not p > 1:
         raise ValidationError(f"exponent-out-of-range: need p > 1, got p={p}")
     if not kappa > 0:
         raise ValidationError(f"kappa must be positive, got {kappa}")
     if not flux > 0:
         raise ValidationError(f"photon_flux must be positive, got {flux}")
+    ratio = 4.0 * flux / kappa
+    if sys.float_info.min <= ratio < math.inf:
+        return ratio ** (-(p - 1.0) / p)
     try:
-        return (4.0 * flux / kappa) ** (-(p - 1.0) / p)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"bound-not-finite: (4N/kappa)^-((p-1)/p) at N/kappa = {flux / kappa:.3g}") from exc
+        factor = math.exp(-(p - 1.0) / p * (math.log(4.0) + math.log(flux) - math.log(kappa)))
+    except OverflowError:
+        factor = math.inf
+    if not 0 < factor < math.inf:
+        raise NumericalError(f"bound-not-finite: (4N/kappa)^-((p-1)/p) at N/kappa = {flux / kappa:.3g}")
+    return factor
 
 
 def qcrb_power_law(p: float, kappa: float, flux: float) -> float:

@@ -82,6 +82,8 @@ def build_lg_system(p, kappa: float, flux: float) -> LgSystem:
     """Assemble A, C and mu for exponent p, rate kappa, photon flux N.
 
     flux = 0 is allowed and yields C = 0 (measurement carries no signal).
+    At positive flux, a mu = 4 N kappa^(p-1) that overflows or underflows to
+    0 is a ValidationError.
     """
     m = _chain_stages(p)
     if not 0 < kappa < math.inf:
@@ -90,7 +92,14 @@ def build_lg_system(p, kappa: float, flux: float) -> LgSystem:
         raise ValidationError(f"photon_flux must be >= 0 and finite, got {flux}")
     n = m - 1
     a = np.eye(m, k=-1)
-    mu = 4.0 * flux * kappa ** (2 * n + 1)
+    try:
+        mu = 4.0 * flux * kappa ** (2 * n + 1) if flux else 0.0
+    except OverflowError:
+        mu = math.inf
+    if flux and not 0 < mu < math.inf:
+        raise ValidationError(
+            f"mu = 4 N kappa^(p-1) leaves the float range at p={2 * m}, kappa={kappa:.6g}, photon_flux={flux:.6g}"
+        )
     c = np.zeros(m)
     c[n] = math.sqrt(mu)
     return LgSystem(n=n, a=a, c=c, mu=mu, kappa=kappa)

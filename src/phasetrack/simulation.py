@@ -16,16 +16,17 @@ only the chain error e = xf - x,
 
 with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
 t^(n+1/2), is never formed. Only the sin() loop steps one sample at a
-time, since its residual r depends on theta - phi. A linearized run has no
-per-step loop: r = dB is known in advance, so the forward error is one
-blocked scan. Given the stored dW and r, the forward readout and the
-anticausal pass (seeded with the forward error at the end of the record)
-are linear recurrences, run as blocked scans, and combine into the smoothed
-error through the information sum (the two-filter form of Fraser and
-Potter), with weights and backward constants from lg's closed forms and no
-matrix inverse. Only records add the open-loop phase back, to write phi,
-theta, y and phi_s. Phase is tracked on the real line throughout; nothing
-is wrapped mod 2 pi.
+time, since its residual r depends on theta - phi, and it computes only r
+and the theta - phi it feeds back. A linearized run has no per-step loop:
+r = dB is known in advance. Given the stored dW and r, the rest is linear,
+in both modes: one forward blocked scan reads out theta - phi (linearized
+runs), the smoother's forward readout and the interior state moments, and
+ends at the forward error that seeds the anticausal pass, a second blocked
+scan. The two readouts combine into the smoothed error through the
+information sum (the two-filter form of Fraser and Potter), with weights
+and backward constants from lg's closed forms and no matrix inverse. Only
+records add the open-loop phase back, to write phi, theta, y and phi_s.
+Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
 phase itself, integrated open-loop before the loop. It keeps its two
@@ -182,7 +183,6 @@ class SimulationRecord:
     phi_abc, the estimate after each step, instead of phi_s.
     """
 
-    config: HomodyneConfig
     t: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
@@ -343,13 +343,15 @@ def _error_passes(
     interior window), else None. ``error_moment`` (n_trials, n+1, n+1)
     accumulates the interior sum of e e^T.
 
-    Only the sin() loop steps one sample at a time. Given r, the forward
-    error is the affine recurrence e' = e F^T + r K^T - dW e_0^T with
-    F = I + (A - K C) dt and K = V_F C^T. A linearized run knows r = dB in
-    advance and runs it as one blocked scan, which reads out theta - phi,
-    the smoother's w_f . e and the moments together; after the sin() loop
-    the same scan replays it for w_f . e alone. The backward pass needs no
-    V_R: its gain V_R C^T is the forward gain, parity-signed.
+    Only the sin() loop steps one sample at a time, and it computes only r
+    and the theta - phi it feeds back; a linearized run knows r = dB in
+    advance. Given r, the forward error is the affine recurrence
+    e' = e F^T + r K^T - dW e_0^T with F = I + (A - K C) dt and K = V_F C^T,
+    and one blocked scan of it reads out everything linear in (dW, r) in
+    both modes: theta - phi (linearized runs only), the smoother's w_f . e,
+    the moments, and the final e that seeds the backward pass. A sin() run
+    with neither a smoother nor moments runs no scan. The backward pass
+    needs no V_R: its gain V_R C^T is the forward gain, parity-signed.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -359,16 +361,10 @@ def _error_passes(
     scale = model.phase_scale
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt
-    forward = (np.zeros((n_trials, n)), np.eye(n) + closed_t, -np.eye(n)[0], gain)
     win = _interior_slice(n_steps, dt, config.burn_in)
 
-    if config.linearized:
-        readouts = [scale * np.eye(n)[-1]] + ([smoothing[0]] if smoothing else [])
-        paths = np.zeros(dw.shape + (len(readouts),))
-        e = _block_scan(*forward, np.column_stack(readouts), 0.0, dw, db, paths, error_moment, win)
-        err, proj = paths[..., 0], paths[..., -1]
-    else:
-        err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n
+    if not config.linearized:
+        err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n, as fed back
         e = np.zeros((n_trials, n))  # updated in place
         e_first, e_last = e[:, 0], e[:, -1]
         sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
@@ -377,16 +373,22 @@ def _error_passes(
             err[:, i] = d
             r = db[:, i]  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
             r += sin_gain * (d - np.sin(d))
-            if error_moment is not None and win.start <= i < win.stop:
-                error_moment += e[:, :, None] * e[:, None, :]
             e += e @ closed_t
             e += r[:, None] * gain
             e_first -= dw[:, i]
-        if smoothing is not None:
-            proj = np.zeros_like(dw)
-            _block_scan(*forward, smoothing[0], 0.0, dw, db, proj)
+    readouts = ([scale * np.eye(n)[-1]] if config.linearized else []) + ([smoothing[0]] if smoothing else [])
+    if readouts or error_moment is not None:
+        paths = np.zeros(dw.shape + (len(readouts),))
+        w = np.column_stack(readouts) if readouts else np.empty((n, 0))
+        e = _block_scan(
+            np.zeros((n_trials, n)), np.eye(n) + closed_t, -np.eye(n)[0], gain, w, 0.0,
+            dw, db, paths, error_moment, win,
+        )
+        if config.linearized:
+            err = paths[..., 0]
     if smoothing is None:
         return err, None
+    proj = paths[..., -1]
 
     # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
     # (-dt)^k on its k-th subdiagonal, is a blocked scan too. Its anticausal
@@ -591,7 +593,6 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationReco
     y += 2.0 * math.sqrt(config.photon_flux) * phi
     theta = phi + err
     return SimulationRecord(
-        config,
         np.arange(config.n_steps) * config.dt,
         phi,
         theta,
@@ -617,7 +618,6 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     y /= config.dt  # y dt = I dt + 2 sqrt(N) theta dt
     y += 2.0 * math.sqrt(config.photon_flux) * theta
     return SimulationRecord(
-        config,
         np.arange(config.n_steps) * config.dt,
         phi,
         theta,
@@ -689,7 +689,6 @@ def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -
 class FilterTrialResult:
     """Ensemble statistics of filter-feedback trials (and optional smoothing)."""
 
-    n_trials: int
     filter_mse: float
     filter_stderr: float
     smoother_mse: Optional[float] = None
@@ -722,7 +721,7 @@ def simulate_filter_trials(
     err, s_err = _error_passes(model, system, config, dw, db, vf, smoothing, moment)
     del dw, db
     mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
-    result = FilterTrialResult(n_trials=n_trials, filter_mse=mse, filter_stderr=se)
+    result = FilterTrialResult(filter_mse=mse, filter_stderr=se)
     del err
 
     if full_state_stats:
@@ -740,7 +739,6 @@ def simulate_filter_trials(
 
 @dataclass(eq=False)
 class AbcTrialResult:
-    n_trials: int
     mse: float
     stderr: float
     window_mse: np.ndarray
@@ -771,7 +769,6 @@ def run_abc_trials(
     mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
     wins = windowed_mse(err, config.dt, config.burn_in, wrap=wrap_errors)
     return AbcTrialResult(
-        n_trials=n_trials,
         mse=mse,
         stderr=se,
         window_mse=wins,

@@ -4,9 +4,10 @@ and persist tidy CSV rows alongside the analytic predictions.
 The sweep spec is a flat INI file (section [sweep], key = value). The grid is
 given in units of (N/kappa)^((p-1)/p), the natural abscissa on which every
 exponent's asymptotic MSE is the same power of the grid value. Other
-sections, [DEFAULT] keys, unknown keys, malformed values, and a dt_factor
-above 0.01 or burn_in_factor below 20 (the limits each run checks) are
-rejected when the spec is parsed, before any output is written.
+sections, [DEFAULT] keys, unknown keys, malformed values, a dt_factor
+above 0.01 or burn_in_factor below 20 (the limits each run checks), and a
+(p, grid) point whose photon flux or mu leaves the float range are rejected
+when the spec is parsed, before any output is written.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class SweepSpec:
             raise ValidationError(
                 f"sweep spec field 'burn_in_factor' must be >= {_MIN_BURN_IN_FACTOR:g}, got {self.burn_in_factor}"
             )
+        for p, grid_val in itertools.product(self.p, self.grid):
+            try:
+                _point_system(p, self.kappa, grid_val)
+            except ValidationError as exc:
+                raise ValidationError(f"sweep spec fields 'p' and 'grid' at p={p}, grid={grid_val:.6g}: {exc}") from exc
 
 
 def _value(section, key):
@@ -175,7 +181,7 @@ def parse_sweep_spec(path) -> SweepSpec:
         gmin, gmax, gnum = (values.pop(key) for key in _LOG_GRID_KEYS)
         if not (gnum >= 1 and 0 < gmin <= gmax < math.inf):
             raise ValidationError("sweep spec fields 'grid_min'/'grid_max'/'grid_points' are inconsistent")
-        values["grid"] = tuple(np.logspace(math.log10(gmin), math.log10(gmax), gnum))
+        values["grid"] = tuple(np.logspace(math.log10(gmin), math.log10(gmax), gnum).tolist())
     missing = [f.name for f in fields(SweepSpec) if f.default is MISSING and f.name not in values]
     if missing:
         raise ValidationError(f"sweep spec is missing required field '{missing[0]}'")
@@ -208,14 +214,25 @@ def _abc_setup(
     return PhaseModel(p, kappa, dampings), chi
 
 
+def _point_system(p: int, kappa: float, grid_val: float):
+    """(N/kappa, N, linear-Gaussian system) of a sweep point; a
+    ValidationError where N or mu = 4 N kappa^(p-1) leaves the float range."""
+    try:
+        n_over_kappa = grid_val ** (p / (p - 1.0))
+    except OverflowError:
+        n_over_kappa = math.inf
+    flux = kappa * n_over_kappa
+    if not 0 < flux < math.inf:
+        raise ValidationError(f"photon flux N = kappa (N/kappa) leaves the float range, got {flux}")
+    return n_over_kappa, flux, build_lg_system(p, kappa, flux)
+
+
 def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     """All estimator rows for one (p, grid) sweep point."""
     p = spec.p[p_idx]
-    grid_val = spec.grid[g_idx]
-    n_over_kappa = grid_val ** (p / (p - 1.0))
-    flux = spec.kappa * n_over_kappa
+    n_over_kappa, flux, system = _point_system(p, spec.kappa, spec.grid[g_idx])
     analytic = {
-        "lg_filter_mse": lg_filter_mse(build_lg_system(p, spec.kappa, flux)),
+        "lg_filter_mse": lg_filter_mse(system),
         "qcrb": qcrb_power_law(p, spec.kappa, flux),
         "wiener_filter_mse": filter_mse_power_law(p, spec.kappa, flux),
     }

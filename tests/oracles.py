@@ -8,8 +8,8 @@ spectrum, the linearized exponential-window error as two open-loop
 recurrences, the undamped integrator chain as running sums, the
 (damped) phase chain through scipy's direct-form linear filter, the trial
 noise as scaled normal draws, the tabulated spectrum through np.interp,
-the linearized filter error stepped one sample at a time, the
-smoothing weights by float inverses of the information sum, the
+the filter error of the sin() and linearized loops stepped one sample
+at a time, the smoothing weights by float inverses of the information sum, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
 solve, and the exponential-window feedback loop with scalar and broadcast
 operands.
@@ -233,26 +233,33 @@ def linearized_error_passes(
     smoothing: tuple[np.ndarray, np.ndarray] | None = None,
     error_moment: np.ndarray | None = None,
 ):
-    """_error_passes of a linearized run with the forward error stepped one
-    sample at a time: e += e (A - K C)^T dt + dB K^T, then e_0 -= dW, the
-    interior e e^T added before each step. Returns (theta - phi, phi_s - phi
-    or None, the final e); the smoother replays the forward error and runs
-    the backward pass as blocked scans, seeded with that final e, with
+    """_error_passes with the forward error stepped one sample at a time,
+    the interior e e^T added before each step: e += e (A - K C)^T dt + r K^T,
+    then e_0 -= dW. A linearized run takes r = dB; the sin() loop writes
+    r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt over db, with
+    theta - phi = kappa^(n+1/2) e_n. Returns (theta - phi, phi_s - phi or
+    None, the final e); the smoother replays the forward error and runs the
+    backward pass as blocked scans, seeded with that final e, with
     B = (I + A dt)^-1 and V_R C^T taken by a float inverse and a product."""
     n_trials, n_steps = dw.shape
     n = system.n_states
     dt = config.dt
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt
+    sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
     win = _interior_slice(n_steps, dt, config.burn_in)
     err = np.empty_like(dw)
     e = np.zeros((n_trials, n))
     for i in range(n_steps):
-        err[:, i] = model.phase_scale * e[:, -1]
+        d = model.phase_scale * e[:, -1]
+        err[:, i] = d
+        r = db[:, i]
+        if not config.linearized:
+            r += sin_gain * (d - np.sin(d))
         if error_moment is not None and win.start <= i < win.stop:
             error_moment += e[:, :, None] * e[:, None, :]
         e += e @ closed_t
-        e += db[:, i, None] * gain
+        e += r[:, None] * gain
         e[:, 0] -= dw[:, i]
     if smoothing is None:
         return err, None, e

@@ -1,14 +1,16 @@
 """Bound values, quadrature-vs-closed-form agreement, and scaling laws."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracles import tabulated_density_interp
 
 from phasetrack.bounds import (
     BoundQuery,
+    _power_law_factor,
     abc_linearized_mse,
     filter_mse_power_law,
     filter_mse_quadrature,
@@ -48,6 +50,37 @@ class TestQcrb:
     def test_closed_form_flux_scaling_exact(self):
         # (4N/kappa)^-((p-1)/p) with p=2: multiplying N by 16 quarters the MSE
         assert qcrb_power_law(2, 1.0, 16 * 25.0) == pytest.approx(qcrb_power_law(2, 1.0, 25.0) / 4, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "p, kappa, flux",
+        [(2.0, 1e-10, 1e300), (1.0016322596490606, 1.8976573441440942e270, 3.131609715724274e-214)],
+        ids=["quotient-overflows", "quotient-underflows"],
+    )
+    def test_closed_forms_past_the_float_range_of_4n_over_kappa(self, p, kappa, flux):
+        """Where 4N/kappa overflows or underflows, the closed forms are
+        still ordinary floats, within 1e-12 of 50-digit values."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            mp_p = mpmath.mpf(p)
+            factor = (4 * mpmath.mpf(flux) / mpmath.mpf(kappa)) ** (-(mp_p - 1) / mp_p)
+            sine = mpmath.sin(mpmath.pi / mp_p)
+            qcrb, wiener = float(factor / (mp_p * sine)), float(factor / sine)
+        assert qcrb_power_law(p, kappa, flux) == pytest.approx(qcrb, rel=1e-12)
+        assert filter_mse_power_law(p, kappa, flux) == pytest.approx(wiener, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1.0, exclude_min=True, allow_infinity=False),
+        kappa=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        flux=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_normal_quotient_keeps_the_direct_power(self, p, kappa, flux):
+        """Wherever 4N/kappa is a normal float, the factor is the direct
+        power of it, bit for bit, so the sweep's analytic columns keep their
+        bytes."""
+        ratio = 4.0 * flux / kappa
+        assume(sys.float_info.min <= ratio < math.inf)
+        assert _power_law_factor(p, kappa, flux) == ratio ** (-(p - 1.0) / p)
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValidationError, match="exponent-out-of-range"):

@@ -308,6 +308,34 @@ def test_non_finite_parameter_exits_2(capsys, tmp_path, args, field):
     assert not output.exists()
 
 
+@pytest.mark.parametrize(
+    "args, spec_fields",
+    [
+        (["simulate", "--p", "4", "--kappa", "1e300", "--flux", "1"], None),
+        (["sweep"], {"p": "4", "kappa": "1e300"}),
+        (["sweep"], {"p": "2", "grid": "1e300"}),
+        (["sweep"], {"p": "2", "grid": None, "grid_min": "1e299", "grid_max": "1e300", "grid_points": "2"}),
+    ],
+    ids=["simulate-kappa-1e300", "sweep-kappa-1e300", "sweep-grid-1e300", "sweep-log-grid-1e300"],
+)
+def test_mu_outside_float_range_exits_2(capsys, tmp_path, args, spec_fields):
+    """Finite inputs whose mu = 4 N kappa^(p-1), or whose N/kappa, leave the
+    float range exit 2 before the output is opened, with no OverflowError;
+    a sweep spec is rejected when it is parsed."""
+    output = tmp_path / "x.csv"
+    if spec_fields is None:
+        args = args + ["--output", str(output)]
+    else:
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, **{"grid": "10", "estimators": "filter", "trials": "2", **spec_fields})
+        args = args + [str(spec), "-o", str(output)]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err.startswith("error:") and "float range" in err
+    assert out == ""
+    assert not output.exists()
+
+
 def _write_spec(path, **overrides):
     base = {
         "p": "2",

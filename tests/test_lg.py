@@ -52,6 +52,23 @@ class TestBuildSystem:
         with pytest.raises(ValidationError, match="requires-even-p"):
             build_lg_system(2.5, 1.0, 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from(range(2, 21, 2)),
+        kappa=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        flux=st.floats(0.0, allow_infinity=False),
+    )
+    def test_mu_finite_or_rejected(self, p, kappa, flux):
+        """Over the whole finite range, mu = 4 N kappa^(p-1) is a finite float,
+        positive at positive flux, or the inputs are a ValidationError;
+        never an OverflowError."""
+        try:
+            mu = build_lg_system(p, kappa, flux).mu
+        except ValidationError as exc:
+            assert "float range" in str(exc)
+        else:
+            assert 0 <= mu < math.inf and (mu > 0) == (flux > 0)
+
 
 _CHAIN_SOLVES = {
     "build_lg_system": lambda p: build_lg_system(p, 1.0, 1.0),

@@ -974,6 +974,71 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    n_steps=st.sampled_from([1, _K - 1, _K, _K + 1, 3 * _K + 5]),
+    width=st.sampled_from([1, 3]),
+    burn=st.integers(0, 2 * _K),
+    seed=st.integers(0, 2**16),
+)
+def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
+    """The sin() loop computes only r and theta - phi; one forward scan then
+    reads out the smoother's w_f . e and the moments and seeds the backward
+    pass. Against the per-step loop that sums e e^T as it goes: the same r
+    and theta - phi bit for bit, and phi_s - phi and the moment sum within
+    1e-13 of their peaks, also over a window that may cut any block."""
+    model, system, flux = _golden_system(p, 30.0)
+    vf = covariance_set(system).vf
+    smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
+    config = _bare_config(flux, n_steps, 0.01 * system.time_scale, linearized=False)  # every sample interior
+    dw, db = sim._trial_noise(seed, width, n_steps, config.dt)
+    r, ref_r = db.copy(), db.copy()
+    moment, ref_moment = np.zeros((2, width, system.n_states, system.n_states))
+    err, s_err = sim._error_passes(model, system, config, dw, r, vf, smoothing, moment)
+    ref_err, ref_s_err, _ = linearized_error_passes(model, system, config, dw, ref_r, vf, smoothing, ref_moment)
+    assert np.array_equal(err, ref_err)
+    assert np.array_equal(r, ref_r)
+    assert _close_to_peak(s_err, ref_s_err, 1e-13)
+    assert _close_to_peak(moment, ref_moment, 1e-13)
+    # A trimmed window's sum with no smoother, so the scan reads out
+    # nothing else; held to the whole record's peak, since a short window's
+    # own sum may be far below the squares it adds up.
+    trimmed = dataclasses.replace(config, burn_in=min(burn, (n_steps - 1) // 2) * config.dt)
+    part, ref_part = np.zeros((2,) + moment.shape)
+    sim._error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=part)
+    linearized_error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=ref_part)
+    assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
+
+
+@pytest.mark.parametrize("moments", [False, True], ids=["no-moments", "moments"])
+@pytest.mark.parametrize("smoother", [False, True], ids=["filter", "smoother"])
+@pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
+def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother, moments):
+    """A run makes one forward scan for theta - phi (linearized runs), the
+    smoother's readout and the moments together, and none when a sin() run
+    wants neither, so the filter-only sin() loop stays free of scans; the
+    smoother adds one backward scan."""
+    p = 4
+    model, system, flux = _golden_system(p, 30.0)
+    config = _bare_config(flux, _K + 1, 0.01 * system.time_scale, linearized)
+    vf = covariance_set(system).vf
+    smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu) if smoother else None
+    moment = np.zeros((2, system.n_states, system.n_states)) if moments else None
+    dw, db = sim._trial_noise(0, 2, config.n_steps, config.dt)
+    calls = []
+    scan = sim._block_scan
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(sim, "_block_scan", counting_scan)
+    sim._error_passes(model, system, config, dw, db, vf, smoothing, moment)
+    forward = 1 if linearized or smoother or moments else 0
+    assert len(calls) == forward + smoother
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(
     p=st.sampled_from(range(2, 21, 2)),
