@@ -53,30 +53,20 @@ def cmd_bounds(args) -> int:
             raise ValidationError("bounds needs either --p or --spectrum-file")
         query = BoundQuery(PhaseModel(args.p, args.kappa), args.flux)
     # quadrature first: divergent inputs surface as a numerical failure
-    quad = {
-        "qcrb": qcrb_quadrature(query),
-        "filter": filter_mse_quadrature(query),
-        "smoother": smoother_mse_quadrature(query),
-    }
-    closed = None
-    if not args.spectrum_file:
-        closed = {
-            "qcrb": qcrb_power_law(args.p, args.kappa, args.flux),
-            "filter": filter_mse_power_law(args.p, args.kappa, args.flux),
-            "smoother": qcrb_power_law(args.p, args.kappa, args.flux),
-        }
-    base = closed if closed is not None else {k: quad[k][0] for k in quad}
-    ratio = base["filter"] / base["qcrb"] if base["qcrb"] > 0 else math.nan
+    quads = (qcrb_quadrature(query), filter_mse_quadrature(query), smoother_mse_quadrature(query))
+    if args.spectrum_file:
+        closed_forms = (None,) * 3
+    else:
+        law = (args.p, args.kappa, args.flux)
+        closed_forms = (qcrb_power_law(*law), filter_mse_power_law(*law), qcrb_power_law(*law))
+    rows = tuple(zip(("QCRB", "filter MSE", "smoother MSE"), quads, closed_forms))
+    qcrb, filt = (quad[0] if closed is None else closed for _, quad, closed in rows[:2])
+    ratio = filt / qcrb if qcrb > 0 else math.nan
     if not math.isfinite(ratio):  # a closed form or quadrature beyond the float range
-        raise NumericalError(f"bound-not-finite: filter/QCRB = {base['filter']} / {base['qcrb']}")
-    labels = {"qcrb": "QCRB", "filter": "filter MSE", "smoother": "smoother MSE"}
-    for key in ("qcrb", "filter", "smoother"):
-        val, err = quad[key]
-        line = f"{labels[key]:<14}"
-        if closed is not None:
-            line += f"{_fmt(closed[key]):>14}"
-        line += f"   quadrature {_fmt(val)} +- {err:.2g}"
-        print(line)
+        raise NumericalError(f"bound-not-finite: filter/QCRB = {filt} / {qcrb}")
+    for label, (val, err), closed in rows:
+        line = f"{label:<14}" + ("" if closed is None else f"{_fmt(closed):>14}")
+        print(f"{line}   quadrature {_fmt(val)} +- {err:.2g}")
     print(f"{'filter/QCRB':<14}{_fmt(ratio):>14}")
     return 0
 

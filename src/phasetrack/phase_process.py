@@ -107,5 +107,5 @@ def _check_damping(model: PhaseModel, dt: float) -> None:
     lam = model.damping_rates()
     if np.max(lam) * dt >= 0.1:
         raise ValidationError(
-            f"dt={dt} too coarse for damping rates {tuple(lam)} (need dt*max < 0.1)"
+            f"dt={dt} too coarse for damping rates {tuple(lam.tolist())} (need dt*max < 0.1)"
         )

@@ -49,7 +49,8 @@ the shot-noise buffer (the residual r, or the photocurrent I dt) and returns
 (trials, steps) paths. Only simulate_record and run_abc assemble a
 SimulationRecord, whose single row is the one-trial case; ensembles reduce
 an error path directly, and mse_statistics and windowed_mse take that one
-error array.
+error array. Filter records and ensembles share one set-up and zero-flux rule:
+at N = 0 the gain is zero, and phi_s and the smoother statistics are None.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -576,18 +577,27 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     return phi, est, idt, held
 
 
+def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, smoother: bool, moment=None):
+    """Set-up and loop of every filter run: the run checked, Vt_F solved once
+    and scaled to V_F, the smoother's weights when asked, and the noise drawn.
+    Returns (dW, r, theta - phi, phi_s - phi or None); ``moment`` is as
+    _error_passes' error_moment. At mu = 0 the gain is zero and phi_s - phi None."""
+    system = _run_system(model, config)
+    if system.mu > 0:
+        vf_tilde = solve_filter_covariance(model.p)
+        vf = scale_covariance(vf_tilde, system.mu)
+        smoothing = _smoothing_weights(vf_tilde, system.mu) if smoother else None
+    else:  # no measurement: zero gain, nothing to smooth
+        vf, smoothing = np.zeros((system.n_states, system.n_states)), None
+    dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
+    return (dw, db) + _error_passes(model, system, config, dw, db, vf, smoothing, moment)
+
+
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
     record. With a measurement (mu > 0) the backward pass runs too and
     phi_s is filled on the interior window."""
-    system = _run_system(model, config)
-    dw, db = _trial_noise(config.seed, 1, config.n_steps, config.dt)
-    if system.mu > 0:
-        vf_tilde = solve_filter_covariance(model.p)
-        vf, smoothing = scale_covariance(vf_tilde, system.mu), _smoothing_weights(vf_tilde, system.mu)
-    else:  # no measurement: zero gain, nothing to smooth
-        vf, smoothing = np.zeros((system.n_states, system.n_states)), None
-    err, s_err = _error_passes(model, system, config, dw, db, vf, smoothing)
+    dw, db, err, s_err = _run_filter_feedback(model, config, 1, smoother=True)
     phi = _open_loop_phase(model, config.dt, dw)
     y = db / config.dt  # y dt = C x dt + r
     y += 2.0 * math.sqrt(config.photon_flux) * phi
@@ -687,7 +697,7 @@ def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -
 
 @dataclass(eq=False)
 class FilterTrialResult:
-    """Ensemble statistics of filter-feedback trials (and optional smoothing)."""
+    """Ensemble statistics of filter-feedback trials (and optional smoothing, None at flux 0)."""
 
     filter_mse: float
     filter_stderr: float
@@ -712,14 +722,8 @@ def simulate_filter_trials(
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
-    system = _run_system(model, config)
-    vf_tilde = solve_filter_covariance(model.p)
-    vf = scale_covariance(vf_tilde, system.mu)
-    smoothing = _smoothing_weights(vf_tilde, system.mu) if smoother else None
-    moment = np.zeros((n_trials, system.n_states, system.n_states)) if full_state_stats else None
-    dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
-    err, s_err = _error_passes(model, system, config, dw, db, vf, smoothing, moment)
-    del dw, db
+    moment = np.zeros((n_trials, model.n + 1, model.n + 1)) if full_state_stats else None
+    err, s_err = _run_filter_feedback(model, config, n_trials, smoother, moment)[2:]  # dW and r released
     mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
     result = FilterTrialResult(filter_mse=mse, filter_stderr=se)
     del err
@@ -730,7 +734,7 @@ def simulate_filter_trials(
         result.error_cov = per_trial.mean(axis=0)
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
 
-    if smoother:
+    if s_err is not None:
         s_mse, s_se = mse_statistics(s_err, config.dt, config.burn_in, wrap=wrap_errors)
         result.smoother_mse = s_mse
         result.smoother_stderr = s_se

@@ -5,9 +5,10 @@ The sweep spec is a flat INI file (section [sweep], key = value). The grid is
 given in units of (N/kappa)^((p-1)/p), the natural abscissa on which every
 exponent's asymptotic MSE is the same power of the grid value. Other
 sections, [DEFAULT] keys, unknown keys, malformed values, a dt_factor
-above 0.01 or burn_in_factor below 20 (the limits each run checks), and a
-(p, grid) point whose photon flux or mu leaves the float range are rejected
-when the spec is parsed, before any output is written.
+above 0.01 or burn_in_factor below 20 (the limits each run checks), a
+(p, grid) point whose photon flux or mu leaves the float range, and, with
+abc, a point whose exponent needs abc_chi or whose run's dt does not resolve
+abc_cutoff are rejected when the spec is parsed, before any output is written.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .bounds import filter_mse_power_law, qcrb_power_law
 from .errors import NumericalError, ValidationError
 from .lg import build_lg_system, lg_filter_mse
-from .phase_process import PhaseModel
+from .phase_process import PhaseModel, _check_damping
 from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, default_config, run_abc_trials, simulate_filter_trials
 
 __all__ = ["SweepSpec", "parse_sweep_spec", "run_sweep", "CSV_HEADER", "derive_seed"]
@@ -103,9 +104,15 @@ class SweepSpec:
             )
         for p, grid_val in itertools.product(self.p, self.grid):
             try:
-                _point_system(p, self.kappa, grid_val)
+                _, flux, system = _point_system(p, self.kappa, grid_val)
             except ValidationError as exc:
                 raise ValidationError(f"sweep spec fields 'p' and 'grid' at p={p}, grid={grid_val:.6g}: {exc}") from exc
+            if "abc" in self.estimators:  # the ABC run's model, and its damping check at the run's dt
+                model = _abc_setup(p, self.kappa, flux, self.abc_chi, self.abc_cutoff)[0]
+                try:
+                    _check_damping(model, self.dt_factor * system.time_scale)
+                except ValidationError as exc:
+                    raise ValidationError(f"sweep spec field 'abc_cutoff' at p={p}, grid={grid_val:.6g}: {exc}") from exc
 
 
 def _value(section, key):
@@ -115,7 +122,7 @@ def _value(section, key):
         raise ValidationError(f"sweep spec field '{key}' is invalid: {exc}") from exc
     try:
         return _PARSERS[key](raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ValidationError(f"sweep spec field '{key}' is invalid: {raw!r}") from exc
 
 
@@ -132,12 +139,7 @@ def _words(raw: str) -> tuple[str, ...]:
 
 
 def _bool(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 # Parser of every [sweep] key: the SweepSpec fields, then the log-spaced grid

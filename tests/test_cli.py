@@ -1,13 +1,14 @@
 """Command-line interface: outputs, exit codes, file formats, determinism."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phasetrack import cli, sweep
+from phasetrack import cli, simulation as sim, sweep
 from phasetrack.cli import main
 from phasetrack.sweep import CSV_HEADER, parse_sweep_spec, run_sweep
 from phasetrack.errors import ValidationError
@@ -273,6 +274,14 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_unresolved_damping_message_prints_plain_floats(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "4", "--flux", "100", "--estimator", "abc", "--chi", "2",
+            "--cutoff", "1e9", "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "damping rates (1000000000.0, 0.0)" in err and "np." not in err
+
 
 @pytest.mark.parametrize(
     "args, field",
@@ -334,6 +343,36 @@ def test_mu_outside_float_range_exits_2(capsys, tmp_path, args, spec_fields):
     assert err.startswith("error:") and "float range" in err
     assert out == ""
     assert not output.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ps=st.lists(st.sampled_from([2, 4, 6]), min_size=1, max_size=2, unique=True),
+    grid=st.lists(st.floats(0.1, 1e4), min_size=1, max_size=2),
+    chi=st.none() | st.floats(1e-3, 1e3).map(repr),
+    cutoff=st.none() | st.floats(1e-3, 1e5).map(repr),
+    dt_factor=st.floats(1e-4, 0.01).map(repr),
+)
+def test_abc_spec_rejected_at_parse_or_every_point_runs(tmp_path_factory, ps, grid, chi, cutoff, dt_factor):
+    """A spec with abc either fails to parse, or every point's ABC model and
+    config pass the checks its run makes before the loop starts; no loop runs."""
+    spec = tmp_path_factory.mktemp("abc") / "sweep.ini"
+    _write_spec(
+        spec, p=" ".join(map(str, ps)), grid=" ".join(map(repr, grid)), estimators="abc",
+        abc_chi=chi, abc_cutoff=cutoff, dt_factor=dt_factor,
+    )
+    try:
+        parsed = parse_sweep_spec(spec)
+    except ValidationError:
+        return
+    for p, grid_val in itertools.product(parsed.p, parsed.grid):
+        _, flux, _ = sweep._point_system(p, parsed.kappa, grid_val)
+        model, _ = sweep._abc_setup(p, parsed.kappa, flux, parsed.abc_chi, parsed.abc_cutoff)
+        config = sim.default_config(
+            model, flux, seed=0, duration_factor=parsed.duration_factor, dt_factor=parsed.dt_factor,
+            burn_in_factor=parsed.burn_in_factor,
+        )
+        sim._run_system(model, config)
 
 
 def _write_spec(path, **overrides):
@@ -514,10 +553,13 @@ class TestSweep:
             ({}, "[DEFAULT]\ntrials = 8\n", "'trials' under [DEFAULT]"),
             ({"dt_factor": "0.02"}, "", "'dt_factor'"),
             ({"burn_in_factor": "10"}, "", "'burn_in_factor'"),
+            ({"p": "2 4", "estimators": "filter abc"}, "", "'abc_chi'"),
+            ({"grid": "30", "estimators": "filter abc", "abc_cutoff": "1e4"}, "", "'abc_cutoff'"),
         ],
         ids=[
             "unknown-trails", "unknown-wrap_error", "grid-with-grid_points", "burn_in_factor-inf",
             "other-section", "default-section-key", "dt_factor-0.02", "burn_in_factor-10",
+            "abc-p4-without-abc_chi", "abc_cutoff-unresolved",
         ],
     )
     def test_bad_spec_exits_2_before_output(self, capsys, tmp_path, fields, tail, named):
@@ -526,9 +568,10 @@ class TestSweep:
         with open(spec, "a") as fh:
             fh.write(tail)
         out = tmp_path / "o.csv"
-        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(out))
+        code, stdout, err = run_cli(capsys, "sweep", str(spec), "-o", str(out))
         assert code == 2
         assert err.startswith("error:") and named in err
+        assert stdout == ""
         assert not out.exists()
 
     def test_unwritable_output(self, capsys, tmp_path):

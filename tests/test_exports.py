@@ -153,3 +153,17 @@ def test_simulation_calls_no_linalg():
             names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
             found += [name for name in names if "linalg" in name or name == "smoother_covariance"]
     assert found == []
+
+
+def test_filter_set_up_has_one_home():
+    """Records and ensembles share one filter set-up: in simulation.py the
+    covariance solve, its scaling and the smoother weights are each called
+    from exactly one function, so the two entry points cannot drift apart."""
+    tree = ast.parse(Path(simulation.__file__).read_text())
+    callers = {"solve_filter_covariance": set(), "scale_covariance": set(), "_smoothing_weights": set()}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in callers:
+                    callers[node.func.id].add(func.name)
+    assert {name: len(funcs) for name, funcs in callers.items()} == dict.fromkeys(callers, 1), callers

@@ -174,6 +174,19 @@ class TestSimulateRecord:
         assert np.all(rec.theta == 0.0)  # zero gain: the filter never moves
         assert not np.all(rec.phi == 0.0)
 
+    def test_zero_flux_ensemble_reports_filter_statistics_only(self):
+        """An ensemble at flux 0 follows the record's rule: zero gain, so
+        theta - phi = -phi, and nothing to smooth."""
+        model = PhaseModel(4, 1.0)
+        config = HomodyneConfig(photon_flux=0.0, dt=0.01, duration=20.0, burn_in=1.0, seed=3)
+        res = simulate_filter_trials(model, config, 4, smoother=True, full_state_stats=True)
+        assert res.smoother_mse is None and res.smoother_stderr is None
+        assert np.all(np.isfinite([res.filter_mse, res.filter_stderr]))
+        assert np.all(np.isfinite(res.error_cov)) and np.all(np.isfinite(res.error_cov_stderr))
+        phi = sim._open_loop_phase(model, config.dt, sim._trial_noise(config.seed, 4, config.n_steps, config.dt)[0])
+        expected = mse_statistics(-phi, config.dt, config.burn_in)
+        assert (res.filter_mse, res.filter_stderr) == pytest.approx(expected, rel=1e-12)
+
     def test_rescaled_signal_definition(self):
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, config)
