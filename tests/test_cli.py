@@ -345,7 +345,7 @@ def test_mu_outside_float_range_exits_2(capsys, tmp_path, args, spec_fields):
     assert not output.exists()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     ps=st.lists(st.sampled_from([2, 4, 6]), min_size=1, max_size=2, unique=True),
     grid=st.lists(st.floats(0.1, 1e4), min_size=1, max_size=2),
@@ -353,10 +353,10 @@ def test_mu_outside_float_range_exits_2(capsys, tmp_path, args, spec_fields):
     cutoff=st.none() | st.floats(1e-3, 1e5).map(repr),
     dt_factor=st.floats(1e-4, 0.01).map(repr),
 )
-def test_abc_spec_rejected_at_parse_or_every_point_runs(tmp_path_factory, ps, grid, chi, cutoff, dt_factor):
+def test_abc_spec_rejected_at_parse_or_every_point_runs(tmp_path, ps, grid, chi, cutoff, dt_factor):
     """A spec with abc either fails to parse, or every point's ABC model and
     config pass the checks its run makes before the loop starts; no loop runs."""
-    spec = tmp_path_factory.mktemp("abc") / "sweep.ini"
+    spec = tmp_path / "sweep.ini"
     _write_spec(
         spec, p=" ".join(map(str, ps)), grid=" ".join(map(repr, grid)), estimators="abc",
         abc_chi=chi, abc_cutoff=cutoff, dt_factor=dt_factor,
