@@ -18,11 +18,13 @@ with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
 t^(n+1/2), is never formed. Only the sin() loop steps one sample at a
 time, since its residual r depends on theta - phi, and it computes only r
 and the theta - phi it feeds back. A linearized run has no per-step loop:
-r = dB is known in advance. Given the stored dW and r, the rest is linear,
-in both modes: one forward blocked scan reads out theta - phi (linearized
-runs), the smoother's forward readout and the interior state moments, and
-ends at the forward error that seeds the anticausal pass, a second blocked
-scan. The two readouts combine into the smoothed error through the
+r = dB is known in advance. Given dW and r, the rest is linear, in both
+modes: one forward blocked scan reads out theta - phi (linearized runs) and
+the interior state moments, and ends at the forward error that seeds the
+anticausal pass, a second blocked scan over the kept dW and r. The
+smoother's forward readout is replayed block by block from the forward
+error at each block's start (read in the forward scan in a one-block
+record). The two readouts combine into the smoothed error through the
 information sum (the two-filter form of Fraser and Potter), with weights
 and backward constants from lg's closed forms and no matrix inverse. Only
 records add the open-loop phase back, to write phi, theta, y and phi_s.
@@ -44,13 +46,22 @@ PhaseModel, the photon flux N from the HomodyneConfig, and the
 linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows from them, so a
 run states each parameter once.
 
-Both feedback loops keep one contract: a loop writes what it measured over
-the shot-noise buffer (the residual r, or the photocurrent I dt) and returns
-(trials, steps) paths. Only simulate_record and run_abc assemble a
-SimulationRecord, whose single row is the one-trial case; ensembles reduce
-an error path directly, and mse_statistics and windowed_mse take that one
-error array. Filter records and ensembles share one set-up and zero-flux rule:
-at N = 0 the gain is zero, and phi_s and the smoother statistics are None.
+Both feedback loops run under one block driver (_error_blocks for the
+filter, _abc_blocks for the exponential window). Per block it draws each
+trial's noise from generators made once per run into buffers made once per
+run, steps the sin() or ABC loop (or the forward scan of a linearized run),
+and yields the block's errors. Ensembles reduce those as they come: running
+per-trial sums of squared error over the interior window and the
+windowed_mse windows, so filter-only and ABC ensembles keep no
+(trials, steps) array and a smoother ensemble keeps only dW and r, which its
+backward sweep needs. Only a record, which runs as one block, keeps
+(trials, steps) paths: simulate_record and run_abc assemble a
+SimulationRecord, whose single row is the one-trial case, and
+mse_statistics and windowed_mse take such an error path. Filter records and
+ensembles share one set-up and zero-flux rule: at N = 0 the gain is zero,
+and phi_s and the smoother statistics are None. Every run times its stages
+(covariance solve, noise, chain, feedback loop, forward scan, backward scan,
+reductions) into a stage_s dict of seconds on its result.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -59,8 +70,11 @@ noise never correlates with the phase increments.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import os
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -84,6 +98,10 @@ __all__ = [
 
 _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
+_STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of a streamed ensemble
+# Memory a run keeps, in float (n_trials, steps) arrays: (whole paths, block buffers)
+_FOOTPRINT = {"record": (8, 0), "abc_record": (5, 0), "smoother": (2, 6), "filter": (0, 6), "abc": (0, 8)}
+_STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
 _MAX_DT_FACTOR = 0.01
@@ -171,6 +189,7 @@ def _run_system(model: PhaseModel, config: HomodyneConfig) -> LgSystem:
     return system
 
 
+
 @dataclass(eq=False)
 class SimulationRecord:
     """Trajectories of one or more trials on a shared 1-D time grid ``t``.
@@ -181,7 +200,8 @@ class SimulationRecord:
     records are built from the loop's errors: theta = phi + (theta - phi),
     the causal estimate, and phi_s = phi + (phi_s - phi) is NaN outside the
     interior window (None without a measurement). ABC-mode records carry
-    phi_abc, the estimate after each step, instead of phi_s.
+    phi_abc, the estimate after each step, instead of phi_s. ``stage_s`` is
+    the run's seconds per stage, keyed as in _STAGES.
     """
 
     t: np.ndarray
@@ -191,6 +211,38 @@ class SimulationRecord:
     phi_s: Optional[np.ndarray] = None
     phi_abc: Optional[np.ndarray] = None
     abc_indeterminate_steps: int = 0
+    stage_s: dict = field(default_factory=dict)
+
+
+class _StageClock:
+    """Seconds per stage of one run: each lap charges the time since the
+    previous lap (or since the clock started) to the stage it names."""
+
+    def __init__(self):
+        self.stage_s = dict.fromkeys(_STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.stage_s[stage] += now - self._last
+        self._last = now
+
+
+def _check_footprint(kind: str, n_trials: int, n_steps: int) -> None:
+    """Reject a run whose estimate of the memory it keeps exceeds physical
+    memory, before anything is allocated: _FOOTPRINT[kind] whole
+    (n_trials, n_steps) float paths plus block buffers of _STREAM_BLOCK steps."""
+    paths, buffers = _FOOTPRINT[kind]
+    need = 8 * n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps))
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no such query on this platform
+        return
+    if need > have:
+        raise ValidationError(
+            f"a {kind} run of {n_trials} trials x {n_steps} steps needs about {need / 2**30:.3g} GiB "
+            f"of memory, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
@@ -201,25 +253,60 @@ def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
     return slice(k, n_steps - k)
 
 
+def _block_spans(n_steps: int, block: int, reverse: bool = False):
+    """Spans of ``block`` steps that cover a run, made one at a time, in
+    order or reversed. When there are several, a partial scan block at the
+    end gets a span of its own, so a scan over the spans, forward or
+    backward, builds its shorter map once."""
+    tail = n_steps % _SCAN_BLOCK if n_steps > block else 0
+    cut = n_steps - tail
+    starts = range(0, cut, max(block, 1))
+    spans = (slice(s, min(s + block, cut)) for s in (reversed(starts) if reverse else starts))
+    ends = [slice(cut, n_steps)] if tail else []
+    return itertools.chain(ends, spans) if reverse else itertools.chain(spans, ends)
+
+
+def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock: _StageClock):
+    """draw(span): the (phase, measurement) Gaussian increments (dW, dB) of
+    the steps in span, as views of kept = (dW, dB), whole (n_trials, T)
+    arrays, or, with kept None, of two buffers of ``longest`` steps that
+    every span reuses. Each trial draws from two independent child streams
+    of its own derived seed, made once here, so spans drawn in order
+    continue one draw of the whole record."""
+    streams = [
+        [np.random.default_rng(ss) for ss in child.spawn(2)]
+        for child in np.random.SeedSequence(seed).spawn(n_trials)
+    ]
+    sd = math.sqrt(dt)
+    buffers = kept or (np.empty((n_trials, longest)), np.empty((n_trials, longest)))
+
+    def draw(span):
+        if kept:
+            pair = tuple(a[:, span] for a in kept)
+        else:
+            pair = tuple(a[:, : span.stop - span.start] for a in buffers)
+        for i, trial_streams in enumerate(streams):
+            for stream, a in zip(trial_streams, pair):
+                stream.standard_normal(out=a[i])
+        # normal(0, sd) draws the same standard normals and returns 0 + sd z,
+        # which is sd z to the bit for every z != 0
+        for a in pair:
+            a *= sd
+        clock.lap("noise")
+        return pair
+
+    return draw
+
+
 def _trial_noise(seed: int, n_trials: int, n_steps: int, dt: float):
     """Per-trial (phase, measurement) Gaussian increment arrays, each trial
     drawn from two independent child streams of its own derived seed."""
-    root = np.random.SeedSequence(seed)
-    dw = np.empty((n_trials, n_steps))
-    db = np.empty((n_trials, n_steps))
-    for i, child in enumerate(root.spawn(n_trials)):
-        phase_ss, meas_ss = child.spawn(2)
-        np.random.default_rng(phase_ss).standard_normal(out=dw[i])
-        np.random.default_rng(meas_ss).standard_normal(out=db[i])
-    # normal(0, sd) draws the same standard normals and returns 0 + sd z,
-    # which is sd z to the bit for every z != 0
-    sd = math.sqrt(dt)
-    dw *= sd
-    db *= sd
-    return dw, db
+    noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps)))
+    _noise_draws(seed, n_trials, dt, n_steps, noise, _StageClock())(slice(0, n_steps))
+    return noise
 
 
-def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray:
+def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Optional[list] = None) -> np.ndarray:
     """True phase path of every trial, (n_trials, T) with entry i at t_i,
     the value before Wiener increment dw[:, i].
 
@@ -234,18 +321,34 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray) -> np.ndarray
     recurrence once per time index for all trials. Both round each step as
     c x_k[i] + (g x_(k-1)[i]), the arithmetic of an order-1 direct-form
     filter.
+
+    With ``carry``, a list, dw continues the increments of the previous
+    call: each stage starts from the (drive, value) pair of that call's
+    last step, read from carry (zero when it is empty) and written back,
+    so a run integrated block by block has the floats of one whole call.
     """
     stage = np.asarray(dw, dtype=float)
+    ends = []
     for k, c in enumerate(1.0 - model.damping_rates() * dt):
-        x = np.zeros(stage.shape)
-        np.multiply(stage[..., :-1], 1.0 if k == 0 else dt, out=x[..., 1:])
+        g = 1.0 if k == 0 else dt
+        x = np.empty(stage.shape)
+        np.multiply(stage[..., :-1], g, out=x[..., 1:])
+        if carry:
+            drive, value = carry[k]
+            x[..., 0] = drive * g + c * value
+        else:
+            x[..., 0] = 0.0
         if c == 1.0:
             np.cumsum(x, axis=-1, out=x)
         else:
             steps = x.reshape(-1, x.shape[-1]).T  # a view: steps[i] is x_k[i] of every trial
             for prev, now in zip(steps, steps[1:]):
                 now += c * prev
+        if carry is not None:
+            ends.append((stage[..., -1].copy(), x[..., -1].copy()))
         stage = x
+    if carry is not None:
+        carry[:] = ends
     stage *= model.phase_scale
     return stage
 
@@ -284,7 +387,7 @@ def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
     return out
 
 
-def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0)):
+def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0), maps=None):
     """Add x_i w + dW_i h_dw into out[:, i] along the affine recurrence
     x_(i+1) = x_i m + dW_i g_dw + r_i g_db, with r = db; return the final x.
     With ``moment`` (rows, n, n), also add x_i^T x_i into it for i in ``win``.
@@ -294,10 +397,12 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     (n, q) with out (rows, T, q); h_dw is a scalar or one value per readout.
     The scan advances _SCAN_BLOCK steps per matrix product (a chunked form
     of the parallel prefix scan over the affine recurrence); the last
-    partial block uses its own, shorter map, built after the full one is
-    released. A moment reads each block's
-    states out next to the readouts and sums their outer products once per
-    block, so no state path outlives its block.
+    partial block uses its own, shorter map. ``maps``, a dict, keeps the
+    map across the calls of a run that scans one recurrence and readout
+    block by block; it holds one map at a time, and a map of another
+    length is built only after the held one is released. A moment reads
+    each block's states out next to the readouts and sums their outer
+    products once per block, so no state path outlives its block.
     """
     n = m.shape[0]
     rows, n_steps = dw.shape
@@ -305,14 +410,14 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     if moment is not None:
         w = np.column_stack((w, np.eye(n)))
         h_dw = np.append(np.broadcast_to(h_dw, q), np.zeros(n))
-    block = _scan_matrix(m, g_dw, g_db, w, h_dw, _SCAN_BLOCK)
+    maps = {} if maps is None else maps
     for start in range(0, n_steps, _SCAN_BLOCK):
         k = min(_SCAN_BLOCK, n_steps - start)
-        if k < _SCAN_BLOCK:
-            del block  # so the two maps are never held at once
-            block = _scan_matrix(m, g_dw, g_db, w, h_dw, k)
+        if k not in maps:
+            maps.clear()  # so two maps are never held at once
+            maps[k] = _scan_matrix(m, g_dw, g_db, w, h_dw, k)
         span = slice(start, start + k)
-        step = np.concatenate((x, dw[:, span], db[:, span]), axis=1) @ block
+        step = np.concatenate((x, dw[:, span], db[:, span]), axis=1) @ maps[k]
         reads = step[:, :-n].reshape(rows, k, -1)
         target = out[:, span]
         target += reads[..., :q].reshape(target.shape)
@@ -321,6 +426,123 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
             moment += states.transpose(0, 2, 1) @ states
         x = step[:, -n:]
     return x
+
+
+def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, clock, error_moment=None, noise=None):
+    """Block driver of the causal estimator in the feedback loop and, with
+    ``smoothing = (w_f[-1], w_r[-1])``, the backward pass, both on the chain
+    error e = x_hat - x, batched over trials.
+
+    draw(span) gives the (dW, dB) of each _block_spans span of a run of
+    ``shape`` (n_trials, n_steps), in order; the sin() loop overwrites dB
+    in place with the residual r = I dt - 2 sqrt(N) (phi - theta) dt, which
+    a linearized run leaves equal to dB. Yields (0, span, theta - phi) for each span in order and
+    then, with smoothing, (1, span, phi_s - phi) for each span in reverse,
+    NaN outside the interior window; each array is valid until the next
+    item. The smoother needs ``noise``, the whole (dW, r) that the spans
+    are views of. ``error_moment`` (n_trials, n+1, n+1) accumulates the
+    interior sum of e e^T.
+
+    Only the sin() loop steps one sample at a time, and it computes only r
+    and the theta - phi it feeds back; a linearized run knows r = dB in
+    advance. Given r, the forward error is the affine recurrence
+    e' = e F^T + r K^T - dW e_0^T with F = I + (A - K C) dt and K = V_F C^T,
+    and one blocked scan of it reads out everything linear in (dW, r) in
+    both modes: theta - phi (linearized runs only), the moments and the
+    final e that seeds the backward pass. A run of one span (a record)
+    reads the smoother's w_f . e there too, into a path. A run of several
+    keeps only the forward error at each span's start, the loop's own e in
+    a sin() run, and its backward sweep replays w_f . e from there, span by
+    span, before the backward scan of the span; so the forward scan,
+    replay and backward scan each build their maps once per run. A sin()
+    run with neither a smoother nor moments runs no forward scan. The
+    backward pass needs no V_R: its gain V_R C^T is the forward gain,
+    parity-signed.
+    """
+    if model.is_damped:
+        raise ValidationError("the filter loop needs an undamped phase model")
+    n = system.n_states
+    dt = config.dt
+    scale = model.phase_scale
+    rows, n_steps = shape
+    longest = min(block, n_steps)
+    gain = vf @ system.c
+    closed_t = (system.a - np.outer(gain, system.c)).T * dt
+    win = _interior_slice(n_steps, dt, config.burn_in)
+    forward = (np.eye(n) + closed_t, -np.eye(n)[0], gain)
+    replay = smoothing is not None and n_steps > block
+    readouts = [scale * np.eye(n)[-1]] if config.linearized else []
+    if smoothing is not None and not replay:
+        readouts.append(smoothing[0])
+    scan = bool(readouts) or error_moment is not None
+    w = np.column_stack(readouts) if readouts else np.empty((n, 0))
+    x = np.zeros((rows, n))  # the forward scan's error
+    e = np.zeros((rows, n))  # the sin() loop's, updated in place
+    e_first, e_last = e[:, 0], e[:, -1]
+    sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
+    err_buf = None if config.linearized else np.empty((rows, longest))
+    read_buf = np.empty((rows, longest, len(readouts))) if scan else None
+    maps, starts = {}, []
+
+    for span in _block_spans(n_steps, block):
+        dw, db = draw(span)
+        k = span.stop - span.start
+        if replay:
+            starts.append((x if config.linearized else e).copy())
+        if not config.linearized:
+            err = err_buf[:, :k]  # theta - phi = kappa^(n+1/2) e_n, as fed back
+            for i in range(k):
+                d = scale * e_last
+                err[:, i] = d
+                r = db[:, i]  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
+                r += sin_gain * (d - np.sin(d))
+                e += e @ closed_t
+                e += r[:, None] * gain
+                e_first -= dw[:, i]
+            clock.lap("loop")
+        if scan:
+            paths = read_buf[:, :k]
+            paths[...] = 0.0
+            block_win = slice(max(win.start - span.start, 0), max(win.stop - span.start, 0))
+            x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, block_win, maps)
+            if config.linearized:
+                err = paths[..., 0]
+            clock.lap("forward_scan")
+        yield 0, span, err
+    if smoothing is None:
+        return
+
+    # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
+    # (-dt)^k on its k-th subdiagonal, is a blocked scan too. Its anticausal
+    # estimate takes in each residual r_i = y_i dt - C x_i dt through V_R C^T,
+    # the forward gain signed (-1)^(n-k) as V_R is V_F signed (-1)^(k+l). It is
+    # seeded with the forward error at the end of the record, on reversed views.
+    w_f, w_r = smoothing
+    drive = (-dt) ** np.arange(n)  # B e_0
+    back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
+    retro_gain = gain * (-1.0) ** np.arange(n)[::-1]
+    back_t = (back - np.outer(retro_gain, system.c) * dt).T
+    err_end = e if replay and not config.linearized else x
+    maps, replay_maps = {}, {}
+    proj_buf = err_buf if err_buf is not None else read_buf[..., 0]  # free once the forward pass is done
+    for span in _block_spans(n_steps, block, reverse=True):
+        dw, db = (a[:, span] for a in noise)
+        if replay:
+            proj = proj_buf[:, : span.stop - span.start]
+            proj[...] = 0.0
+            _block_scan(starts.pop(), *forward, w_f, 0.0, dw, db, proj, None, slice(0), replay_maps)
+            clock.lap("forward_scan")
+        else:
+            proj = paths[..., -1]
+        err_end = _block_scan(
+            err_end, back_t, drive @ back_t, retro_gain, w_r, drive @ w_r,
+            dw[:, ::-1], db[:, ::-1], proj[:, ::-1], None, slice(0), maps,
+        )
+        proj *= scale  # w_f + w_r = I, so the sum is the smoothed error
+        proj[:, : max(win.start - span.start, 0)] = np.nan
+        proj[:, max(win.stop - span.start, 0) :] = np.nan
+        clock.lap("backward_scan")
+        yield 1, span, proj
 
 
 def _error_passes(
@@ -333,81 +555,17 @@ def _error_passes(
     smoothing: Optional[tuple[np.ndarray, np.ndarray]] = None,
     error_moment: Optional[np.ndarray] = None,
 ):
-    """Causal estimator in the feedback loop and, with ``smoothing``, the
-    backward pass, both on the chain error e = x_hat - x, batched over trials.
-
-    dw and db are the (n_trials, T) phase and shot-noise increments; the
-    sin() loop overwrites db in place with the residual
-    r = I dt - 2 sqrt(N) (phi - theta) dt, which a linearized run leaves
-    equal to dB. Returns theta - phi and, with
-    ``smoothing = (w_f[-1], w_r[-1])``, phi_s - phi (NaN outside the
-    interior window), else None. ``error_moment`` (n_trials, n+1, n+1)
-    accumulates the interior sum of e e^T.
-
-    Only the sin() loop steps one sample at a time, and it computes only r
-    and the theta - phi it feeds back; a linearized run knows r = dB in
-    advance. Given r, the forward error is the affine recurrence
-    e' = e F^T + r K^T - dW e_0^T with F = I + (A - K C) dt and K = V_F C^T,
-    and one blocked scan of it reads out everything linear in (dW, r) in
-    both modes: theta - phi (linearized runs only), the smoother's w_f . e,
-    the moments, and the final e that seeds the backward pass. A sin() run
-    with neither a smoother nor moments runs no scan. The backward pass
-    needs no V_R: its gain V_R C^T is the forward gain, parity-signed.
-    """
-    if model.is_damped:
-        raise ValidationError("the filter loop needs an undamped phase model")
-    n_trials, n_steps = dw.shape
-    n = system.n_states
-    dt = config.dt
-    scale = model.phase_scale
-    gain = vf @ system.c
-    closed_t = (system.a - np.outer(gain, system.c)).T * dt
-    win = _interior_slice(n_steps, dt, config.burn_in)
-
-    if not config.linearized:
-        err = np.empty_like(dw)  # theta - phi = kappa^(n+1/2) e_n, as fed back
-        e = np.zeros((n_trials, n))  # updated in place
-        e_first, e_last = e[:, 0], e[:, -1]
-        sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
-        for i in range(n_steps):
-            d = scale * e_last
-            err[:, i] = d
-            r = db[:, i]  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
-            r += sin_gain * (d - np.sin(d))
-            e += e @ closed_t
-            e += r[:, None] * gain
-            e_first -= dw[:, i]
-    readouts = ([scale * np.eye(n)[-1]] if config.linearized else []) + ([smoothing[0]] if smoothing else [])
-    if readouts or error_moment is not None:
-        paths = np.zeros(dw.shape + (len(readouts),))
-        w = np.column_stack(readouts) if readouts else np.empty((n, 0))
-        e = _block_scan(
-            np.zeros((n_trials, n)), np.eye(n) + closed_t, -np.eye(n)[0], gain, w, 0.0,
-            dw, db, paths, error_moment, win,
-        )
-        if config.linearized:
-            err = paths[..., 0]
-    if smoothing is None:
-        return err, None
-    proj = paths[..., -1]
-
-    # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
-    # (-dt)^k on its k-th subdiagonal, is a blocked scan too. Its anticausal
-    # estimate takes in each residual r_i = y_i dt - C x_i dt through V_R C^T,
-    # the forward gain signed (-1)^(n-k) as V_R is V_F signed (-1)^(k+l). It is
-    # seeded with the forward error at the end of the record, on reversed views.
-    drive = (-dt) ** np.arange(n)  # B e_0
-    back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
-    retro_gain = gain * (-1.0) ** np.arange(n)[::-1]
-    back_t = (back - np.outer(retro_gain, system.c) * dt).T
-    _block_scan(
-        e, back_t, drive @ back_t, retro_gain, smoothing[1], drive @ smoothing[1],
-        dw[:, ::-1], db[:, ::-1], proj[:, ::-1],
-    )
-    proj *= scale  # w_f + w_r = I, so the sum is the smoothed error
-    proj[:, : win.start] = np.nan
-    proj[:, win.stop :] = np.nan
-    return err, proj
+    """_error_blocks over given (n_trials, T) increments as one span, the
+    path-keeping form of a record: returns the whole theta - phi and
+    phi_s - phi (None without ``smoothing``); the sin() loop writes r over
+    db."""
+    paths = [None, None]
+    for which, _, values in _error_blocks(
+        model, system, config, vf, smoothing, dw.shape, dw.shape[1], lambda span: (dw, db), _StageClock(),
+        error_moment, (dw, db),
+    ):
+        paths[which] = values
+    return paths[0], paths[1]
 
 
 def _abc_phase_updater(flux: float, n_trials: int):
@@ -494,16 +652,18 @@ def _abc_phase_updater(flux: float, n_trials: int):
     return update
 
 
-def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
-    """Exponential-window estimator in the feedback loop, batched over trials.
+def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
+    """Exponential-window estimator in the feedback loop, batched over
+    trials, as step(phi, idt, est) -> held: it runs the steps of one block
+    of the (n_trials, k) phase, writes the photocurrent I dt over the shot
+    noise dB in idt and the estimate after each step into est (n_trials, k),
+    and returns the number of trial-steps that held theta. The loop's
+    state, the functionals and theta (zero at the start), carries over from
+    one call to the next.
 
     The two functionals are one (2, n_trials) array ab = (a, b), updated in
     place; one exponential gives both harmonics e^(i theta), e^(2i theta) of
     each step, for the a and b updates and the first Newton iterate.
-    Returns (phi, est, idt, held): the (n_trials, T) phase; est, one column
-    longer, with est[:, i] the theta fed back at step i and est[:, i + 1]
-    the estimate after it; the photocurrent I dt, written over the shot
-    noise dB; and the number of trial-steps that held theta.
 
     Per-step contract: the loop allocates nothing. Every buffer and
     constant operand is sized to the batch here, at entry; each ufunc writes
@@ -515,19 +675,12 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     """
     if not 0 < chi < math.inf:
         raise ValidationError(f"chi must be positive and finite, got {chi}")
-    n_steps = config.n_steps
     dt = config.dt
     update = _abc_phase_updater(config.photon_flux, n_trials)
     gain = np.full(n_trials, 2.0 * math.sqrt(config.photon_flux))
     dt_row = np.full(n_trials, dt)
     dt_pairs = np.full((n_trials, 2), dt)  # (real, imag) of each b term
     decay = np.full((2, n_trials, 2), math.exp(-chi * dt))
-
-    dw, idt = _trial_noise(config.seed, n_trials, n_steps, dt)
-    phi = _open_loop_phase(model, dt, dw)
-    del dw
-    est = np.empty((n_trials, n_steps + 1))
-    est[:, 0] = 0.0
     ab = np.zeros((2, n_trials), dtype=complex)
     ab_f = ab.view(float).reshape(2, n_trials, 2)
     resp = np.empty(n_trials)
@@ -546,42 +699,85 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     a_term, b_term = terms
     terms_f = terms.view(float).reshape(2, n_trials, 2)
     b_term_f = terms_f[1]
+
+    def step(phi, idt, est):
+        held = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for phi_i, idt_i, est_i in zip(phi.T, idt.T, est.T):
+                np.subtract(phi_i, theta, out=resp)
+                if not config.linearized:
+                    np.sin(resp, out=resp)
+                np.multiply(resp, gain, out=resp)
+                np.multiply(resp, dt_row, out=resp)
+                np.add(resp, idt_i, out=idt_i)  # I dt, written over dB
+                np.copyto(meas, idt_i)
+
+                # Discounted functionals, phasors taken at the physical oscillator
+                # phase theta + pi/2 (the sin() photocurrent is that quadrature).
+                np.add(theta, theta, out=twice)
+                np.exp(angle, out=harmonics)
+                np.multiply(ab_f, decay, out=ab_f)
+                np.multiply(phasor, i_meas, out=a_term)
+                np.multiply(phasor, phasor, out=b_term)
+                np.multiply(b_term_f, dt_pairs, out=b_term_f)
+                np.add(ab_f, terms_f, out=ab_f)
+                cand, hold = update(ab, theta, harmonics)
+                n_held = np.count_nonzero(hold)
+                if n_held:
+                    held += n_held
+                    np.copyto(cand, theta, where=hold)
+                np.copyto(theta, cand)
+                np.copyto(est_i, cand)
+        return held
+
+    return step
+
+
+def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, clock, block: int):
+    """Block driver of the exponential-window loop: for each span of
+    ``block`` steps, the noise drawn into buffers of one block, the phase
+    integrated on from the previous block, and the loop stepped. Yields
+    (span, phi, est, idt, held): the block's phase, the estimate after
+    each step, the photocurrent I dt and the trial-steps held so far; the
+    arrays are overwritten by the next block."""
+    longest = min(block, config.n_steps)
+    draw = _noise_draws(config.seed, n_trials, config.dt, longest, None, clock)
+    step = _abc_loop(config, n_trials, chi)
+    est = np.empty((n_trials, longest))
+    carry: list = []
     held = 0
+    for span in _block_spans(config.n_steps, block):
+        dw, idt = draw(span)
+        phi = _open_loop_phase(model, config.dt, dw, carry)
+        clock.lap("chain")
+        after = est[:, : span.stop - span.start]
+        held += step(phi, idt, after)
+        clock.lap("loop")
+        yield span, phi, after, idt, held
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for phi_i, idt_i, est_i in zip(phi.T, idt.T, est.T[1:]):
-            np.subtract(phi_i, theta, out=resp)
-            if not config.linearized:
-                np.sin(resp, out=resp)
-            np.multiply(resp, gain, out=resp)
-            np.multiply(resp, dt_row, out=resp)
-            np.add(resp, idt_i, out=idt_i)  # I dt, written over dB
-            np.copyto(meas, idt_i)
 
-            # Discounted functionals, phasors taken at the physical oscillator
-            # phase theta + pi/2 (the sin() photocurrent is that quadrature).
-            np.add(theta, theta, out=twice)
-            np.exp(angle, out=harmonics)
-            np.multiply(ab_f, decay, out=ab_f)
-            np.multiply(phasor, i_meas, out=a_term)
-            np.multiply(phasor, phasor, out=b_term)
-            np.multiply(b_term_f, dt_pairs, out=b_term_f)
-            np.add(ab_f, terms_f, out=ab_f)
-            cand, hold = update(ab, theta, harmonics)
-            n_held = np.count_nonzero(hold)
-            if n_held:
-                held += n_held
-                np.copyto(cand, theta, where=hold)
-            np.copyto(theta, cand)
-            np.copyto(est_i, cand)
+def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, clock=None):
+    """_abc_blocks over the whole record as one block: returns (phi, est,
+    idt, held), the (n_trials, T) phase, est one column longer, with
+    est[:, i] the theta fed back at step i (zero at the start) and
+    est[:, i + 1] the estimate after it, the photocurrent and the held
+    trial-steps."""
+    (_, phi, after, idt, held), = _abc_blocks(model, config, n_trials, chi, clock or _StageClock(), config.n_steps)
+    est = np.zeros((n_trials, config.n_steps + 1))
+    est[:, 1:] = after
     return phi, est, idt, held
 
 
-def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, smoother: bool, moment=None):
-    """Set-up and loop of every filter run: the run checked, Vt_F solved once
-    and scaled to V_F, the smoother's weights when asked, and the noise drawn.
-    Returns (dW, r, theta - phi, phi_s - phi or None); ``moment`` is as
-    _error_passes' error_moment. At mu = 0 the gain is zero and phi_s - phi None."""
+def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, smoother: bool, clock,
+                         moment=None, record: bool = False):
+    """Set-up and block driver of every filter run: the run checked, its
+    memory estimate too, Vt_F solved once and scaled to V_F, the smoother's
+    weights when asked, and the noise drawn block by block into buffers.
+    Returns (noise, blocks): blocks is the _error_blocks iterator; noise is
+    the whole (dW, r) that a record or a smoother keeps, else None. A
+    record runs as one block; an ensemble in blocks of _STREAM_BLOCK steps.
+    ``moment`` is as _error_blocks' error_moment. At mu = 0 the gain is zero
+    and there is nothing to smooth."""
     system = _run_system(model, config)
     if system.mu > 0:
         vf_tilde = solve_filter_covariance(model.p)
@@ -589,26 +785,38 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
         smoothing = _smoothing_weights(vf_tilde, system.mu) if smoother else None
     else:  # no measurement: zero gain, nothing to smooth
         vf, smoothing = np.zeros((system.n_states, system.n_states)), None
-    dw, db = _trial_noise(config.seed, n_trials, config.n_steps, config.dt)
-    return (dw, db) + _error_passes(model, system, config, dw, db, vf, smoothing, moment)
+    n_steps = config.n_steps
+    _check_footprint("record" if record else "smoother" if smoothing else "filter", n_trials, n_steps)
+    clock.lap("covariance")
+    noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps))) if record or smoothing else None
+    block = n_steps if record else _STREAM_BLOCK
+    draw = _noise_draws(config.seed, n_trials, config.dt, min(block, n_steps), noise, clock)
+    return noise, _error_blocks(
+        model, system, config, vf, smoothing, (n_trials, n_steps), block, draw, clock, moment, noise
+    )
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
     record. With a measurement (mu > 0) the backward pass runs too and
     phi_s is filled on the interior window."""
-    dw, db, err, s_err = _run_filter_feedback(model, config, 1, smoother=True)
+    clock = _StageClock()
+    (dw, db), blocks = _run_filter_feedback(model, config, 1, True, clock, record=True)
+    errors = {which: path for which, _, path in blocks}  # one block: whole paths
     phi = _open_loop_phase(model, config.dt, dw)
+    clock.lap("chain")
     y = db / config.dt  # y dt = C x dt + r
     y += 2.0 * math.sqrt(config.photon_flux) * phi
-    theta = phi + err
-    return SimulationRecord(
+    record = SimulationRecord(
         np.arange(config.n_steps) * config.dt,
         phi,
-        theta,
+        phi + errors[0],
         y,
-        phi_s=None if s_err is None else phi + s_err,
+        phi_s=phi + errors[1] if 1 in errors else None,
+        stage_s=clock.stage_s,
     )
+    clock.lap("reductions")
+    return record
 
 
 def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> SimulationRecord:
@@ -622,11 +830,15 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     Steps whose statistics are too small to define a phase hold theta and
     are counted in abc_indeterminate_steps.
     """
+    clock = _StageClock()
     _run_system(model, config)
-    phi, est, y, held = _run_abc_feedback(model, config, 1, chi)
+    _check_footprint("abc_record", 1, config.n_steps)
+    clock.lap("covariance")
+    phi, est, y, held = _run_abc_feedback(model, config, 1, chi, clock)
     theta = est[:, :-1]
     y /= config.dt  # y dt = I dt + 2 sqrt(N) theta dt
     y += 2.0 * math.sqrt(config.photon_flux) * theta
+    clock.lap("reductions")
     return SimulationRecord(
         np.arange(config.n_steps) * config.dt,
         phi,
@@ -634,6 +846,7 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
         y,
         phi_abc=est[:, 1:],
         abc_indeterminate_steps=held,
+        stage_s=clock.stage_s,
     )
 
 
@@ -646,6 +859,26 @@ def _squared_error(err: np.ndarray, wrap: bool) -> np.ndarray:
     np.mod(sq, 2.0 * math.pi, out=sq)
     sq -= math.pi
     return np.square(sq, out=sq)
+
+
+def _trial_statistics(per_trial: np.ndarray) -> tuple[float, float]:
+    """Mean of per-trial values and its standard error from their scatter."""
+    return float(np.mean(per_trial)), float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial)))
+
+
+def _window_slices(n_steps: int, dt: float, start: float) -> list[slice]:
+    """Index windows of windowed_mse: [start, T] split into _N_WINDOWS
+    log-spaced segments."""
+    t_end = n_steps * dt
+    if not 0 < start < t_end:
+        raise ValidationError(f"window start {start} outside (0, {t_end})")
+    edges = np.exp(np.linspace(math.log(start), math.log(t_end), _N_WINDOWS + 1))
+    slices = []
+    for k in range(_N_WINDOWS):
+        i0 = int(edges[k] / dt)
+        i1 = max(int(edges[k + 1] / dt), i0 + 1)
+        slices.append(slice(i0, min(i1, n_steps)))
+    return slices
 
 
 def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = False) -> tuple[float, float]:
@@ -662,14 +895,10 @@ def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = Fals
     err = np.asarray(err, dtype=float)
     if err.ndim != 2:
         raise ValidationError(f"need an (n_trials, T) error array, got shape {err.shape}")
-    n_trials = err.shape[0]
-    if n_trials < 2:
+    if err.shape[0] < 2:
         raise ValidationError("need at least 2 trials for a standard error")
     win = _interior_slice(err.shape[1], dt, burn_in)
-    per_trial = np.mean(_squared_error(err[:, win], wrap), axis=1)
-    mse = float(np.mean(per_trial))
-    stderr = float(np.std(per_trial, ddof=1) / math.sqrt(n_trials))
-    return mse, stderr
+    return _trial_statistics(np.mean(_squared_error(err[:, win], wrap), axis=1))
 
 
 def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -> np.ndarray:
@@ -681,18 +910,37 @@ def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -
     the error to (-pi, pi] first, as in mse_statistics.
     """
     err = np.asarray(err, dtype=float)
-    n_steps = err.shape[-1]
-    t_end = n_steps * dt
-    if not 0 < start < t_end:
-        raise ValidationError(f"window start {start} outside (0, {t_end})")
-    edges = np.exp(np.linspace(math.log(start), math.log(t_end), _N_WINDOWS + 1))
+    windows = _window_slices(err.shape[-1], dt, start)
     sq = _squared_error(err, wrap)
-    out = np.empty(_N_WINDOWS)
-    for k in range(_N_WINDOWS):
-        i0 = int(edges[k] / dt)
-        i1 = max(int(edges[k + 1] / dt), i0 + 1)
-        out[k] = float(np.mean(sq[..., i0:min(i1, n_steps)]))
-    return out
+    return np.array([float(np.mean(sq[..., w])) for w in windows])
+
+
+class _ErrorSums:
+    """The reductions of mse_statistics and, with ``windows``, windowed_mse
+    (started at burn_in), streamed: running per-trial sums of err^2,
+    wrapped with ``wrap``, over the interior window and each window, added
+    block by block in any order."""
+
+    def __init__(self, n_trials: int, config: HomodyneConfig, wrap: bool, windows: bool = False):
+        self.wrap = wrap
+        self.slices = [_interior_slice(config.n_steps, config.dt, config.burn_in)]
+        if windows:
+            self.slices += _window_slices(config.n_steps, config.dt, config.burn_in)
+        self.sums = np.zeros((len(self.slices), n_trials))
+
+    def add(self, start: int, err: np.ndarray) -> None:
+        for total, s in zip(self.sums, self.slices):
+            lo, hi = max(s.start - start, 0), min(s.stop - start, err.shape[1])
+            if lo < hi:
+                total += np.sum(_squared_error(err[:, lo:hi], self.wrap), axis=1)
+
+    def mse_statistics(self) -> tuple[float, float]:
+        win = self.slices[0]
+        return _trial_statistics(self.sums[0] / (win.stop - win.start))
+
+    def windowed_mse(self) -> np.ndarray:
+        counts = np.array([max(s.stop - s.start, 0) for s in self.slices[1:]])
+        return self.sums[1:].sum(axis=1) / (counts * self.sums.shape[1])
 
 
 @dataclass(eq=False)
@@ -705,6 +953,7 @@ class FilterTrialResult:
     smoother_stderr: Optional[float] = None
     error_cov: Optional[np.ndarray] = None  # mean interior-state error covariance
     error_cov_stderr: Optional[np.ndarray] = None
+    stage_s: dict = field(default_factory=dict)  # seconds per stage, keyed as in _STAGES
 
 
 def simulate_filter_trials(
@@ -718,26 +967,30 @@ def simulate_filter_trials(
     """Run an ensemble of feedback trials and reduce to MSE statistics.
 
     Trials are keyed by (config.seed, trial index); rerunning with the same
-    arguments reproduces the ensemble exactly.
+    arguments reproduces the ensemble exactly. The errors are reduced
+    block by block as the driver yields them, so no (trials, steps) path
+    is kept but the smoother's dW and r.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
+    clock = _StageClock()
     moment = np.zeros((n_trials, model.n + 1, model.n + 1)) if full_state_stats else None
-    err, s_err = _run_filter_feedback(model, config, n_trials, smoother, moment)[2:]  # dW and r released
-    mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
-    result = FilterTrialResult(filter_mse=mse, filter_stderr=se)
-    del err
-
+    blocks = _run_filter_feedback(model, config, n_trials, smoother, clock, moment)[1]
+    sums = [_ErrorSums(n_trials, config, wrap_errors) for _ in range(2)]
+    smoothed = False
+    for which, span, err in blocks:
+        sums[which].add(span.start, err)
+        smoothed |= which == 1
+        clock.lap("reductions")
+    result = FilterTrialResult(*sums[0].mse_statistics(), stage_s=clock.stage_s)
+    if smoothed:
+        result.smoother_mse, result.smoother_stderr = sums[1].mse_statistics()
     if full_state_stats:
-        win = _interior_slice(config.n_steps, config.dt, config.burn_in)
+        win = sums[0].slices[0]
         per_trial = moment / (win.stop - win.start)
         result.error_cov = per_trial.mean(axis=0)
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
-
-    if s_err is not None:
-        s_mse, s_se = mse_statistics(s_err, config.dt, config.burn_in, wrap=wrap_errors)
-        result.smoother_mse = s_mse
-        result.smoother_stderr = s_se
+    clock.lap("reductions")
     return result
 
 
@@ -748,6 +1001,7 @@ class AbcTrialResult:
     window_mse: np.ndarray
     diverged: bool
     indeterminate_steps: int
+    stage_s: dict = field(default_factory=dict)  # seconds per stage, keyed as in _STAGES
 
 
 def run_abc_trials(
@@ -761,21 +1015,28 @@ def run_abc_trials(
 
     ``diverged`` is set when the ensemble windowed MSE increases strictly
     across four log-spaced windows after burn-in; with ``wrap_errors`` the
-    windows square wrapped errors, like the MSE itself.
+    windows square wrapped errors, like the MSE itself. The errors are
+    reduced block by block, so no (trials, steps) path is kept.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
+    clock = _StageClock()
     _run_system(model, config)
-    phi, est, idt, held = _run_abc_feedback(model, config, n_trials, chi)
-    del idt
-    err = np.subtract(est[:, 1:], phi, out=phi)  # phi_abc - phi, written over phi
-    del est
-    mse, se = mse_statistics(err, config.dt, config.burn_in, wrap=wrap_errors)
-    wins = windowed_mse(err, config.dt, config.burn_in, wrap=wrap_errors)
+    _check_footprint("abc", n_trials, config.n_steps)
+    sums = _ErrorSums(n_trials, config, wrap_errors, windows=True)
+    clock.lap("covariance")
+    held = 0
+    for span, phi, est, _, held in _abc_blocks(model, config, n_trials, chi, clock, _STREAM_BLOCK):
+        sums.add(span.start, np.subtract(est, phi, out=phi))  # phi_abc - phi, written over phi
+        clock.lap("reductions")
+    wins = sums.windowed_mse()
+    mse, se = sums.mse_statistics()
+    clock.lap("reductions")
     return AbcTrialResult(
         mse=mse,
         stderr=se,
         window_mse=wins,
         diverged=bool(np.all(np.diff(wins) > 0)),
         indeterminate_steps=held,
+        stage_s=clock.stage_s,
     )

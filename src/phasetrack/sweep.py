@@ -6,9 +6,10 @@ given in units of (N/kappa)^((p-1)/p), the natural abscissa on which every
 exponent's asymptotic MSE is the same power of the grid value. Other
 sections, [DEFAULT] keys, unknown keys, malformed values, a dt_factor
 above 0.01 or burn_in_factor below 20 (the limits each run checks), a
-(p, grid) point whose photon flux or mu leaves the float range, and, with
+(p, grid) point whose photon flux or mu leaves the float range, with
 abc, a point whose exponent needs abc_chi or whose run's dt does not resolve
-abc_cutoff are rejected when the spec is parsed, before any output is written.
+abc_cutoff, and a point whose runs would keep more memory than the machine
+has are rejected when the spec is parsed, before any output is written.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .bounds import filter_mse_power_law, qcrb_power_law
 from .errors import NumericalError, ValidationError
 from .lg import build_lg_system, lg_filter_mse
 from .phase_process import PhaseModel, _check_damping
-from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, default_config, run_abc_trials, simulate_filter_trials
+from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, _check_footprint, default_config
+from .simulation import run_abc_trials, simulate_filter_trials
 
 __all__ = ["SweepSpec", "parse_sweep_spec", "run_sweep", "CSV_HEADER", "derive_seed"]
 
@@ -107,6 +109,16 @@ class SweepSpec:
                 _, flux, system = _point_system(p, self.kappa, grid_val)
             except ValidationError as exc:
                 raise ValidationError(f"sweep spec fields 'p' and 'grid' at p={p}, grid={grid_val:.6g}: {exc}") from exc
+            n_steps = default_config(
+                PhaseModel(p, self.kappa), flux, 0, self.duration_factor, self.dt_factor, self.burn_in_factor
+            ).n_steps
+            try:  # each estimator names the kind of run it makes
+                for kind in self.estimators:
+                    _check_footprint(kind, self.trials, n_steps)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"sweep spec fields 'trials' and 'duration_factor' at p={p}, grid={grid_val:.6g}: {exc}"
+                ) from exc
             if "abc" in self.estimators:  # the ABC run's model, and its damping check at the run's dt
                 model = _abc_setup(p, self.kappa, flux, self.abc_chi, self.abc_cutoff)[0]
                 try:

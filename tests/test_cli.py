@@ -457,11 +457,22 @@ class TestSweep:
         assert 0.4 < s_ratio < 0.6
 
     def test_oversized_sweep_exits_2(self, capsys, tmp_path):
+        """A smoother keeps dW and r for its backward pass, so 1e15 steps
+        fail the footprint check at parse time, before the output opens."""
         spec = tmp_path / "sweep.ini"
-        _write_spec(spec, grid="10", estimators="filter", trials="2", duration_factor="1e13")
+        _write_spec(spec, grid="10", estimators="filter smoother", trials="2", duration_factor="1e13")
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
         assert code == 2
         assert err.startswith("error:") and "memory" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_long_filter_only_spec_parses(self, tmp_path):
+        """A filter-only point keeps only block buffers, so its footprint
+        does not grow with the run length and the spec is accepted. It is
+        only parsed: running 1e15 steps would not end."""
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10", estimators="filter", trials="2", duration_factor="1e13")
+        assert parse_sweep_spec(str(spec)).estimators == ("filter",)
 
     def test_analytic_columns_recomputable(self, capsys, tmp_path):
         from phasetrack.bounds import filter_mse_power_law, qcrb_power_law

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -661,6 +662,36 @@ def _golden_system(p, grid, dampings=()):
     return PhaseModel(p, 1.0, dampings), build_lg_system(p, 1.0, flux), flux
 
 
+def _whole_path_statistics(model, config, n_trials, smoother=True, moments=True, wrap=False, passes=None):
+    """simulate_filter_trials' statistics through the records' path-keeping
+    route: _error_passes (or ``passes``, same arguments) on the whole
+    noise of the same trials, then mse_statistics on the paths and the mean
+    moment per interior step. Returns (filter mse, stderr, smoother mse,
+    stderr, error_cov); the smoother's entries are None without it."""
+    system = build_lg_system(model.p, model.kappa, config.photon_flux)
+    vf_tilde = solve_filter_covariance(model.p)
+    smoothing = sim._smoothing_weights(vf_tilde, system.mu) if smoother else None
+    dw, db = sim._trial_noise(config.seed, n_trials, config.n_steps, config.dt)
+    moment = np.zeros((n_trials, system.n_states, system.n_states)) if moments else None
+    err, s_err = (passes or sim._error_passes)(
+        model, system, config, dw, db, scale_covariance(vf_tilde, system.mu), smoothing, moment
+    )[:2]
+    stats = mse_statistics(err, config.dt, config.burn_in, wrap)
+    stats += mse_statistics(s_err, config.dt, config.burn_in, wrap) if smoother else (None, None)
+    win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
+    return stats + ((moment / (win.stop - win.start)).mean(axis=0) if moments else None,)
+
+
+def _whole_path_abc(model, config, n_trials, chi, wrap=False):
+    """run_abc_trials' (mse, stderr, window MSEs, held steps) through the
+    records' path-keeping route: mse_statistics and windowed_mse on the
+    whole error path of _run_abc_feedback."""
+    phi, est, _, held = sim._run_abc_feedback(model, config, n_trials, chi)
+    err = est[:, 1:] - phi
+    mse, se = mse_statistics(err, config.dt, config.burn_in, wrap)
+    return mse, se, windowed_mse(err, config.dt, config.burn_in, wrap), held
+
+
 class TestGoldenValues:
     """Ensemble statistics at fixed seeds. Filter and exponential-window MSEs
     must repeat bit for bit; the smoother and the state covariance may only
@@ -668,7 +699,10 @@ class TestGoldenValues:
     re-captured when the filter loop moved to error coordinates, and the
     linearized key again when linearized runs became one blocked scan
     (test_linearized_step_loop_keeps_earlier_values holds the step loop to
-    the values before that).
+    the values before that). Since ensembles reduce their errors block by
+    block, the earlier values hold through the whole-path route
+    (_whole_path_statistics, _whole_path_abc), and the streamed values,
+    which sum the same squares in another order, are pinned next to them.
 
     Host dependency: the exponential-window values (test_abc,
     test_unwrapped_abc_windows) were captured with numpy's SIMD complex
@@ -694,6 +728,12 @@ class TestGoldenValues:
             (0.6494526284546283, 0.10505557844124465, 0.0074157125331244834),
         ),
     }
+    # The filter (mse, stderr) of simulate_filter_trials, streamed in blocks
+    FILTER_STREAMED = {
+        (4, 30.0, False, False, 5): (0.020609963629765967, 0.0025439650068320215),
+        (2, 3.0, False, True, 6): (0.1891176535753177, 0.026324053903938785),
+        (6, 100.0, True, False, 7): (0.007415712533124484, 0.0007533531926805906),
+    }
     # The linearized key as the per-step forward loop gave it
     STEP_LOOP = (
         0.007415712533124494, 0.0007533531926805919, 0.0011317735141486652, 0.00020476212895835267,
@@ -705,6 +745,11 @@ class TestGoldenValues:
         (30.0, False, 9, None): (0.014174982579802287, 0.0020932054638856936, 0),
         (30.0, True, 10, 0.5): (0.016762315821272186, 0.0013962204138629182, 0),
     }
+    ABC_STREAMED = {
+        (3.0, True, 8, None): (0.3671253784517272, 0.10009497769759484, 0),
+        (30.0, False, 9, None): (0.014174982579802285, 0.0020932054638856936, 0),
+        (30.0, True, 10, 0.5): (0.016762315821272186, 0.0013962204138629189, 0),
+    }
 
     @pytest.mark.parametrize("key", list(FILTER))
     def test_filter_and_smoother(self, key):
@@ -712,42 +757,54 @@ class TestGoldenValues:
         f_mse, f_se, s_mse, s_se, cov_diag = self.FILTER[key]
         model, system, flux = _golden_system(p, grid)
         config = default_config(model, flux, seed=seed, duration_factor=20.0, linearized=linearized)
+        whole = _whole_path_statistics(model, config, 6, wrap=wrap)
         res = simulate_filter_trials(
             model, config, 6, smoother=True, full_state_stats=True, wrap_errors=wrap
         )
-        assert (res.filter_mse, res.filter_stderr) == (f_mse, f_se)
-        assert res.smoother_mse == pytest.approx(s_mse, rel=1e-12)
-        assert res.smoother_stderr == pytest.approx(s_se, rel=1e-12)
-        assert np.diag(res.error_cov) == pytest.approx(cov_diag, rel=1e-12)
+        streamed = (res.filter_mse, res.filter_stderr, res.smoother_mse, res.smoother_stderr, res.error_cov)
+        assert whole[:2] == (f_mse, f_se)
+        assert streamed[:2] == self.FILTER_STREAMED[key]
+        assert streamed[:2] == pytest.approx((f_mse, f_se), rel=1e-13)
+        for values in (whole, streamed):
+            assert values[2] == pytest.approx(s_mse, rel=1e-12)
+            assert values[3] == pytest.approx(s_se, rel=1e-12)
+            assert np.diag(values[4]) == pytest.approx(cov_diag, rel=1e-12)
 
-    def test_linearized_step_loop_keeps_earlier_values(self, monkeypatch):
+    def test_linearized_step_loop_keeps_earlier_values(self):
         """The oracle loop, run in place of the scan, reproduces the
         linearized key's values from before the scan bit for bit."""
-        monkeypatch.setattr(sim, "_error_passes", lambda *args: linearized_error_passes(*args)[:2])
         model, system, flux = _golden_system(6, 100.0)
         config = default_config(model, flux, seed=7, duration_factor=20.0, linearized=True)
-        res = simulate_filter_trials(model, config, 6, smoother=True, full_state_stats=True)
         f_mse, f_se, s_mse, s_se, cov_diag = self.STEP_LOOP
-        assert (res.filter_mse, res.filter_stderr) == (f_mse, f_se)
-        assert tuple(np.diag(res.error_cov).tolist()) == cov_diag
-        assert res.smoother_mse == pytest.approx(s_mse, rel=1e-12)
-        assert res.smoother_stderr == pytest.approx(s_se, rel=1e-12)
+        res = _whole_path_statistics(model, config, 6, passes=linearized_error_passes)
+        assert res[:2] == (f_mse, f_se)
+        assert tuple(np.diag(res[4]).tolist()) == cov_diag
+        assert res[2] == pytest.approx(s_mse, rel=1e-12)
+        assert res[3] == pytest.approx(s_se, rel=1e-12)
 
     @pytest.mark.parametrize("key", list(ABC))
     def test_abc(self, key):
         grid, wrap, seed, cutoff = key
         model, system, flux = _golden_system(2, grid, (cutoff,) if cutoff else ())
         config = default_config(model, flux, seed=seed, duration_factor=20.0)
-        res = sim.run_abc_trials(model, config, 6, math.sqrt(system.mu), wrap_errors=wrap)
-        assert (res.mse, res.stderr, res.indeterminate_steps) == self.ABC[key]
+        chi = math.sqrt(system.mu)
+        mse, se, _, held = _whole_path_abc(model, config, 6, chi, wrap)
+        assert (mse, se, held) == self.ABC[key]
+        res = sim.run_abc_trials(model, config, 6, chi, wrap_errors=wrap)
+        assert (res.mse, res.stderr, res.indeterminate_steps) == self.ABC_STREAMED[key]
+        assert (res.mse, res.stderr) == pytest.approx(self.ABC[key][:2], rel=1e-13)
 
     def test_unwrapped_abc_windows(self):
         model, system, flux = _golden_system(2, 30.0)
         config = default_config(model, flux, seed=9, duration_factor=20.0)
-        res = sim.run_abc_trials(model, config, 6, math.sqrt(system.mu))
+        chi = math.sqrt(system.mu)
+        earlier = [0.011136557804413767, 0.017023538812433084, 0.016579618060963936, 0.017125094625108327]
+        assert _whole_path_abc(model, config, 6, chi)[2].tolist() == earlier
+        res = sim.run_abc_trials(model, config, 6, chi)
         assert res.window_mse.tolist() == [
-            0.011136557804413767, 0.017023538812433084, 0.016579618060963936, 0.017125094625108327
+            0.011136557804413767, 0.017023538812433087, 0.016579618060963933, 0.017125094625108327
         ]
+        assert res.window_mse == pytest.approx(earlier, rel=1e-13)
 
     def test_abc_linearized(self):
         model = PhaseModel(4, 1.0, (0.3, 0.0))
@@ -1111,11 +1168,71 @@ def test_linearized_moments_do_not_grow_with_p(p):
 
 def test_scan_holds_one_block_map_at_a_time():
     """At 8 trials x 6000 steps, which ends in a partial block, a p = 20
-    block map with moments (138 x 778 floats, 0.86 MB) is about two scalar
-    paths. Building the last block's shorter map while the full one is
-    still held reached 1.59 x the p = 2 peak; releasing it first gives
-    1.42."""
-    assert _smoother_alloc_peak(20, 8, 6000, True) <= 1.5 * _smoother_alloc_peak(2, 8, 6000, True)
+    block map with moments (138 x 714 floats, 0.79 MB) is larger than the
+    two paths a smoother keeps (0.38 MB each). The peak stays within the
+    run's own budget: its kept paths, one such map and the block buffers
+    that _FOOTPRINT counts. Building the last block's shorter map (0.46 MB)
+    while the full one is still held, or any (trials, steps, states) array
+    (3.8 MB), exceeds it."""
+    p, n_trials, n_steps, k = 20, 8, 6000, sim._SCAN_BLOCK
+    n = p // 2
+    paths, buffers = sim._FOOTPRINT["smoother"]
+    one_map = (n + 2 * k) * (k * (1 + n) + n) * 8  # readouts theta - phi and the n states
+    budget = 8 * n_trials * (paths * n_steps + buffers * sim._STREAM_BLOCK) + one_map
+    assert _smoother_alloc_peak(p, n_trials, n_steps, True) <= budget
+
+
+def _alloc_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimator", ["filter", "abc"])
+def test_streamed_ensemble_memory_does_not_grow_with_duration(estimator, monkeypatch):
+    """Filter-only and ABC ensembles keep only block buffers, so ten times
+    the run length peaks within 10 % of the shorter run (a kept path of
+    the longer run, 3.3 MB, would be several times the whole peak). To
+    run 104 000 steps in about a second under tracemalloc, the filter runs
+    linearized and the ABC loop body is a stand-in that writes the phase
+    as its estimate; the real body allocates nothing per step
+    (_abc_loop's contract, held bit for bit to the reference loop by
+    test_abc_feedback_matches_reference_bit_for_bit)."""
+    model, system, flux = _golden_system(2 if estimator == "abc" else 4, 30.0)
+    chi = math.sqrt(system.mu)
+
+    def stand_in(phi, idt, est):
+        np.copyto(est, phi)
+        return 0  # trial-steps held
+
+    monkeypatch.setattr(sim, "_abc_loop", lambda config, n_trials, chi: stand_in)
+
+    def peak(duration_factor):
+        config = default_config(model, flux, seed=2, duration_factor=duration_factor, linearized=True)
+        if estimator == "abc":
+            return _alloc_peak(lambda: sim.run_abc_trials(model, config, 4, chi))
+        return _alloc_peak(lambda: simulate_filter_trials(model, config, 4))
+
+    assert peak(1000.0) <= 1.1 * peak(100.0)
+
+
+def test_smoother_memory_grows_by_two_paths():
+    """A smoother ensemble keeps dW and r for its backward pass: from
+    duration_factor 100 to 1000 its peak grows by those two paths and
+    per-block bookkeeping, the forward error at the block's start and its
+    span, under 512 bytes of Python objects a block besides the error."""
+    model, system, flux = _golden_system(4, 30.0)
+    n_trials = 4
+    configs = [
+        default_config(model, flux, seed=2, duration_factor=f, linearized=True) for f in (100.0, 1000.0)
+    ]
+    short, long = (_alloc_peak(lambda: simulate_filter_trials(model, c, n_trials, smoother=True)) for c in configs)
+    added = configs[1].n_steps - configs[0].n_steps
+    checkpoints = (added // sim._STREAM_BLOCK + 1) * (8 * n_trials * system.n_states + 512)
+    assert long - short <= 2 * 8 * n_trials * added + checkpoints
 
 
 def test_abc_ensemble_memory_is_three_paths():
@@ -1132,6 +1249,100 @@ def test_abc_ensemble_memory_is_three_paths():
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * n_trials * config.n_steps * 8
+
+
+_L = 2 * sim._SCAN_BLOCK  # the block length the block-edge property streams with
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    estimator=st.sampled_from(["filter", "abc"]),
+    p=st.sampled_from([2, 4, 6]),
+    linearized=st.booleans(),
+    wrap=st.booleans(),
+    n_steps=st.sampled_from([1, 3, _K - 1, _K, _K + 1, _L - 1, _L, _L + 1, 2 * _L - 1, 2 * _L + 1, 3 * _L - 5, 3 * _L]),
+    n_trials=st.integers(2, 3),
+    data=st.data(),
+)
+def test_streamed_statistics_match_whole_paths(estimator, p, linearized, wrap, n_steps, n_trials, data):
+    """Ensembles reduce their errors block by block. Against mse_statistics
+    and windowed_mse on the whole paths of the same trials (the records'
+    path-keeping route), over 1 to 3 blocks of _L steps, lengths at a
+    block or scan block +- 1 and interior windows that start and end
+    inside a block: the filter, ABC and window MSEs and their standard
+    errors within 1e-13, the smoother's within 1e-12, error_cov within
+    1e-12 of its peak entry, and the same divergence flag. The streamed
+    block length is set to _L, and the run's burn-in floor of 20 response
+    times to zero, so a few hundred steps span three blocks."""
+    if estimator == "abc":  # p = 2, and windows that start after step 0
+        p, n_steps = 2, max(n_steps, 3)
+    burn = data.draw(st.integers(estimator == "abc", (n_steps - 1) // 2), label="burn")
+    model, system, flux = _golden_system(p, 30.0)
+    dt = 0.01 * system.time_scale
+    config = HomodyneConfig(
+        photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=burn * dt,
+        seed=data.draw(st.integers(0, 2**16), label="seed"), linearized=linearized,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_STREAM_BLOCK", _L)
+        patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
+        if estimator == "abc":
+            chi = 1.0 / system.time_scale
+            mse, se, wins, held = _whole_path_abc(model, config, n_trials, chi, wrap)
+            res = sim.run_abc_trials(model, config, n_trials, chi, wrap_errors=wrap)
+            assert (res.mse, res.stderr) == pytest.approx((mse, se), rel=1e-13)
+            assert res.window_mse == pytest.approx(wins, rel=1e-13)
+            assert res.diverged == bool(np.all(np.diff(wins) > 0))
+            assert res.indeterminate_steps == held
+            return
+        whole = _whole_path_statistics(model, config, n_trials, wrap=wrap)
+        res = simulate_filter_trials(model, config, n_trials, smoother=True, full_state_stats=True, wrap_errors=wrap)
+    assert (res.filter_mse, res.filter_stderr) == pytest.approx(whole[:2], rel=1e-13)
+    assert (res.smoother_mse, res.smoother_stderr) == pytest.approx(whole[2:4], rel=1e-12)
+    assert _close_to_peak(res.error_cov, whole[4], 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 4, 6]),
+    damped=st.booleans(),
+    cuts=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_chain_in_blocks_is_one_whole_call(p, damped, cuts, seed):
+    """The phase integrated block by block, each block starting from the
+    carry of the one before, has the floats of one call over the whole
+    record, bit for bit, damped stages included."""
+    model = PhaseModel(p, 1.0, (0.5,) + (0.0,) * (p // 2 - 1) if damped else ())
+    edges = np.cumsum([0] + cuts)
+    dw = np.random.default_rng(seed).normal(0.0, 0.1, size=(3, edges[-1]))
+    carry = []
+    blocks = [sim._open_loop_phase(model, 0.01, dw[:, a:b], carry) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(blocks, axis=1), sim._open_loop_phase(model, 0.01, dw))
+
+
+@pytest.mark.parametrize("run", ["filter", "smoother", "abc", "record", "abc_record"])
+def test_stage_times_cover_the_run(run):
+    """Every result carries stage_s with each stage of _STAGES, all >= 0,
+    and on a run of 6000 steps the stages add up to at least 90 % of the
+    call's wall time."""
+    model, system, flux = _golden_system(2, 30.0)
+    config = default_config(model, flux, seed=4, duration_factor=20.0)
+    assert config.n_steps >= 5000
+    chi = math.sqrt(system.mu)
+    calls = {
+        "filter": lambda: simulate_filter_trials(model, config, 4),
+        "smoother": lambda: simulate_filter_trials(model, config, 4, smoother=True, full_state_stats=True),
+        "abc": lambda: sim.run_abc_trials(model, config, 4, chi),
+        "record": lambda: simulate_record(model, config),
+        "abc_record": lambda: run_abc(model, config, chi),
+    }
+    start = time.perf_counter()
+    res = calls[run]()
+    wall = time.perf_counter() - start
+    assert list(res.stage_s) == list(sim._STAGES)
+    assert all(v >= 0.0 for v in res.stage_s.values())
+    assert sum(res.stage_s.values()) >= 0.9 * wall
 
 
 _err_arrays = hnp.arrays(
