@@ -168,10 +168,14 @@ def default_config(
     )
 
 
-def _run_system(model: PhaseModel, config: HomodyneConfig) -> LgSystem:
-    """Linear-Gaussian system of a run: p and kappa from the model, photon
-    flux from the config. Rejects a grid that does not resolve the
-    closed-loop response time mu^(-1/p) or the model's damping rates."""
+def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int) -> LgSystem:
+    """Linear-Gaussian system of a run of ``kind`` (a _FOOTPRINT key) and
+    n_trials trials: p and kappa from the model, photon flux from the
+    config. The check every run makes before it allocates: rejects a grid
+    that does not resolve the closed-loop response time mu^(-1/p) or the
+    model's damping rates, an empty interior window, and a run that would
+    keep more memory than the machine has. At mu = 0 a smoother run keeps
+    no paths, as there is nothing to smooth."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
@@ -186,6 +190,8 @@ def _run_system(model: PhaseModel, config: HomodyneConfig) -> LgSystem:
                 f"{_MIN_BURN_IN_FACTOR * tau:.3g}"
             )
     _check_damping(model, config.dt)
+    _interior_slice(config.n_steps, config.dt, config.burn_in)
+    _check_footprint("filter" if kind == "smoother" and system.mu == 0 else kind, n_trials, config.n_steps)
     return system
 
 
@@ -770,15 +776,15 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
 
 def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, smoother: bool, clock,
                          moment=None, record: bool = False):
-    """Set-up and block driver of every filter run: the run checked, its
-    memory estimate too, Vt_F solved once and scaled to V_F, the smoother's
-    weights when asked, and the noise drawn block by block into buffers.
+    """Set-up and block driver of every filter run: the run checked, Vt_F
+    solved once and scaled to V_F, the smoother's weights when asked, and
+    the noise drawn block by block into buffers.
     Returns (noise, blocks): blocks is the _error_blocks iterator; noise is
     the whole (dW, r) that a record or a smoother keeps, else None. A
     record runs as one block; an ensemble in blocks of _STREAM_BLOCK steps.
     ``moment`` is as _error_blocks' error_moment. At mu = 0 the gain is zero
     and there is nothing to smooth."""
-    system = _run_system(model, config)
+    system = _run_system(model, config, "record" if record else "smoother" if smoother else "filter", n_trials)
     if system.mu > 0:
         vf_tilde = solve_filter_covariance(model.p)
         vf = scale_covariance(vf_tilde, system.mu)
@@ -786,7 +792,6 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     else:  # no measurement: zero gain, nothing to smooth
         vf, smoothing = np.zeros((system.n_states, system.n_states)), None
     n_steps = config.n_steps
-    _check_footprint("record" if record else "smoother" if smoothing else "filter", n_trials, n_steps)
     clock.lap("covariance")
     noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps))) if record or smoothing else None
     block = n_steps if record else _STREAM_BLOCK
@@ -831,8 +836,7 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     are counted in abc_indeterminate_steps.
     """
     clock = _StageClock()
-    _run_system(model, config)
-    _check_footprint("abc_record", 1, config.n_steps)
+    _run_system(model, config, "abc_record", 1)
     clock.lap("covariance")
     phi, est, y, held = _run_abc_feedback(model, config, 1, chi, clock)
     theta = est[:, :-1]
@@ -1021,8 +1025,7 @@ def run_abc_trials(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     clock = _StageClock()
-    _run_system(model, config)
-    _check_footprint("abc", n_trials, config.n_steps)
+    _run_system(model, config, "abc", n_trials)
     sums = _ErrorSums(n_trials, config, wrap_errors, windows=True)
     clock.lap("covariance")
     held = 0

@@ -4,12 +4,13 @@ and persist tidy CSV rows alongside the analytic predictions.
 The sweep spec is a flat INI file (section [sweep], key = value). The grid is
 given in units of (N/kappa)^((p-1)/p), the natural abscissa on which every
 exponent's asymptotic MSE is the same power of the grid value. Other
-sections, [DEFAULT] keys, unknown keys, malformed values, a dt_factor
-above 0.01 or burn_in_factor below 20 (the limits each run checks), a
-(p, grid) point whose photon flux or mu leaves the float range, with
-abc, a point whose exponent needs abc_chi or whose run's dt does not resolve
-abc_cutoff, and a point whose runs would keep more memory than the machine
-has are rejected when the spec is parsed, before any output is written.
+sections, [DEFAULT] keys, unknown keys, malformed values, and a dt_factor
+above 0.01 or burn_in_factor below 20 (the limits each run checks) are
+rejected when the spec is parsed. So is a spec with a (p, grid) point
+whose photon flux or mu leaves the float range, or whose ABC run lacks
+abc_chi: every run a point would make is built and passes the run's own
+checks (grid limits, damping, interior window, memory) when the spec is
+parsed, before any output is written. _point_rows then runs that plan.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from .bounds import filter_mse_power_law, qcrb_power_law
 from .errors import NumericalError, ValidationError
 from .lg import build_lg_system, lg_filter_mse
-from .phase_process import PhaseModel, _check_damping
-from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, _check_footprint, default_config
+from .phase_process import PhaseModel
+from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, _run_system, default_config
 from .simulation import run_abc_trials, simulate_filter_trials
 
 __all__ = ["SweepSpec", "parse_sweep_spec", "run_sweep", "CSV_HEADER", "derive_seed"]
@@ -104,27 +105,8 @@ class SweepSpec:
             raise ValidationError(
                 f"sweep spec field 'burn_in_factor' must be >= {_MIN_BURN_IN_FACTOR:g}, got {self.burn_in_factor}"
             )
-        for p, grid_val in itertools.product(self.p, self.grid):
-            try:
-                _, flux, system = _point_system(p, self.kappa, grid_val)
-            except ValidationError as exc:
-                raise ValidationError(f"sweep spec fields 'p' and 'grid' at p={p}, grid={grid_val:.6g}: {exc}") from exc
-            n_steps = default_config(
-                PhaseModel(p, self.kappa), flux, 0, self.duration_factor, self.dt_factor, self.burn_in_factor
-            ).n_steps
-            try:  # each estimator names the kind of run it makes
-                for kind in self.estimators:
-                    _check_footprint(kind, self.trials, n_steps)
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"sweep spec fields 'trials' and 'duration_factor' at p={p}, grid={grid_val:.6g}: {exc}"
-                ) from exc
-            if "abc" in self.estimators:  # the ABC run's model, and its damping check at the run's dt
-                model = _abc_setup(p, self.kappa, flux, self.abc_chi, self.abc_cutoff)[0]
-                try:
-                    _check_damping(model, self.dt_factor * system.time_scale)
-                except ValidationError as exc:
-                    raise ValidationError(f"sweep spec field 'abc_cutoff' at p={p}, grid={grid_val:.6g}: {exc}") from exc
+        for p_idx, g_idx in itertools.product(range(len(self.p)), range(len(self.grid))):
+            _plan_point(self, p_idx, g_idx)
 
 
 def _value(section, key):
@@ -241,61 +223,59 @@ def _point_system(p: int, kappa: float, grid_val: float):
     return n_over_kappa, flux, build_lg_system(p, kappa, flux)
 
 
-def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
-    """All estimator rows for one (p, grid) sweep point."""
-    p = spec.p[p_idx]
-    n_over_kappa, flux, system = _point_system(p, spec.kappa, spec.grid[g_idx])
-    analytic = {
-        "lg_filter_mse": lg_filter_mse(system),
-        "qcrb": qcrb_power_law(p, spec.kappa, flux),
-        "wiener_filter_mse": filter_mse_power_law(p, spec.kappa, flux),
-    }
-
-    def base_row(estimator, mse, stderr, config):
-        return {
-            "p": p,
-            "N_over_kappa": n_over_kappa,
-            "estimator": estimator,
-            "mse": mse,
-            "stderr": stderr,
-            "n_trials": spec.trials,
-            "dt": config.dt,
-            "duration": config.duration,
-            "seed": spec.seed,
-            **analytic,
-        }
-
-    def point_config(model: PhaseModel, kind: int):
-        return default_config(
-            model,
-            flux,
-            seed=derive_seed(spec.seed, p_idx, g_idx, kind),
-            duration_factor=spec.duration_factor,
-            dt_factor=spec.dt_factor,
-            burn_in_factor=spec.burn_in_factor,
-            linearized=spec.linearized,
-        )
-
-    rows = []
-    want_filter = "filter" in spec.estimators
-    want_smoother = "smoother" in spec.estimators
-    if want_filter or want_smoother:
-        model = PhaseModel(p, spec.kappa)
-        config = point_config(model, 0)
-        res = simulate_filter_trials(
-            model, config, spec.trials, smoother=want_smoother, wrap_errors=spec.wrap_errors
-        )
-        if want_filter:
-            rows.append(base_row("filter", res.filter_mse, res.filter_stderr, config))
-        if want_smoother:
-            rows.append(base_row("smoother", res.smoother_mse, res.smoother_stderr, config))
-
+def _plan_point(spec: SweepSpec, p_idx: int, g_idx: int):
+    """Plan of one (p, grid) sweep point: (N/kappa, N, linear-Gaussian
+    system, runs). A run is (estimators, model, config, chi): one filter
+    run serves the filter and smoother rows (seed index 0, chi None), one
+    ABC run the abc row (seed index 1). Each run passes the check that it
+    makes itself before it allocates; an error names the spec fields that
+    check reads beyond the run limits that SweepSpec checks alone."""
+    p, grid_val = spec.p[p_idx], spec.grid[g_idx]
+    at = f"at p={p}, grid={grid_val:.6g}"
+    try:
+        n_over_kappa, flux, system = _point_system(p, spec.kappa, grid_val)
+    except ValidationError as exc:
+        raise ValidationError(f"sweep spec fields 'p' and 'grid' {at}: {exc}") from exc
+    runs = []
+    filter_run = tuple(est for est in ("filter", "smoother") if est in spec.estimators)
+    if filter_run:
+        runs.append((filter_run, PhaseModel(p, spec.kappa), None))
     if "abc" in spec.estimators:
-        model, chi = _abc_setup(p, spec.kappa, flux, spec.abc_chi, spec.abc_cutoff)
-        config = point_config(model, 1)
-        res = run_abc_trials(model, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
-        name = "abc:diverged" if res.diverged else "abc"
-        rows.append(base_row(name, res.mse, res.stderr, config))
+        runs.append((("abc",), *_abc_setup(p, spec.kappa, flux, spec.abc_chi, spec.abc_cutoff)))
+    for i, (estimators, model, chi) in enumerate(runs):
+        seed = derive_seed(spec.seed, p_idx, g_idx, int(chi is not None))
+        config = default_config(
+            model, flux, seed, spec.duration_factor, spec.dt_factor, spec.burn_in_factor, spec.linearized
+        )
+        try:  # a run's kind is its last estimator; dt_factor and burn_in_factor are within the run limits
+            _run_system(model, config, estimators[-1], spec.trials)
+        except ValidationError as exc:
+            named = ("'trials', 'duration_factor' and 'abc_cutoff'" if model.is_damped
+                     else "'trials' and 'duration_factor'")
+            raise ValidationError(f"sweep spec fields {named} {at}: {exc}") from exc
+        runs[i] = (estimators, model, config, chi)
+    return n_over_kappa, flux, system, runs
+
+
+def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
+    """All estimator rows for one (p, grid) sweep point: the runs of its plan."""
+    n_over_kappa, flux, system, runs = _plan_point(spec, p_idx, g_idx)
+    p = spec.p[p_idx]
+    analytic = lg_filter_mse(system), qcrb_power_law(p, spec.kappa, flux), filter_mse_power_law(p, spec.kappa, flux)
+    rows = []
+    for estimators, model, config, chi in runs:
+        if chi is None:
+            res = simulate_filter_trials(
+                model, config, spec.trials, smoother="smoother" in estimators, wrap_errors=spec.wrap_errors
+            )
+            stats = {"filter": ("filter", res.filter_mse, res.filter_stderr),
+                     "smoother": ("smoother", res.smoother_mse, res.smoother_stderr)}
+        else:
+            res = run_abc_trials(model, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
+            stats = {"abc": ("abc:diverged" if res.diverged else "abc", res.mse, res.stderr)}
+        for est in estimators:  # the CSV_HEADER columns in order
+            values = (p, n_over_kappa, *stats[est], spec.trials, config.dt, config.duration, spec.seed, *analytic)
+            rows.append(dict(zip(CSV_HEADER, values)))
     return rows
 
 

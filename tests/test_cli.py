@@ -12,6 +12,7 @@ from phasetrack import cli, simulation as sim, sweep
 from phasetrack.cli import main
 from phasetrack.sweep import CSV_HEADER, parse_sweep_spec, run_sweep
 from phasetrack.errors import ValidationError
+from phasetrack.phase_process import PhaseModel
 
 
 def run_cli(capsys, *args):
@@ -255,6 +256,19 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:") and "memory" in err
 
+    @pytest.mark.parametrize("estimator", ["filter", "abc"])
+    def test_empty_window_exits_2(self, capsys, tmp_path, estimator):
+        """A duration that leaves no interior window after the burn-in fails
+        the run's check for records of either loop, before the output opens."""
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "2", "--flux", "100", "--estimator", estimator,
+            "--duration-factor", "1e-6", "--output", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "window empty" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option, value, field",
         [("--seed", "-1", "seed"), ("--duration-factor", "inf", "duration")],
@@ -349,30 +363,48 @@ def test_mu_outside_float_range_exits_2(capsys, tmp_path, args, spec_fields):
 @given(
     ps=st.lists(st.sampled_from([2, 4, 6]), min_size=1, max_size=2, unique=True),
     grid=st.lists(st.floats(0.1, 1e4), min_size=1, max_size=2),
+    estimators=st.sets(st.sampled_from(["filter", "smoother", "abc"]), min_size=1).map(sorted),
     chi=st.none() | st.floats(1e-3, 1e3).map(repr),
     cutoff=st.none() | st.floats(1e-3, 1e5).map(repr),
     dt_factor=st.floats(1e-4, 0.01).map(repr),
+    duration_factor=st.floats(-3.0, -1.0).map(lambda e: repr(10.0**e)),
 )
-def test_abc_spec_rejected_at_parse_or_every_point_runs(tmp_path, ps, grid, chi, cutoff, dt_factor):
-    """A spec with abc either fails to parse, or every point's ABC model and
-    config pass the checks its run makes before the loop starts; no loop runs."""
+def test_abc_spec_rejected_at_parse_or_every_point_runs(
+    tmp_path, ps, grid, estimators, chi, cutoff, dt_factor, duration_factor
+):
+    """A spec parses if and only if every run its points make passes the
+    check that run makes before its loop starts: the filter run (a
+    smoother run with smoother) and, with abc, the ABC run of each point,
+    built here from default_config and _abc_setup. The durations reach
+    down to runs whose interior window is empty; no loop runs."""
     spec = tmp_path / "sweep.ini"
     _write_spec(
-        spec, p=" ".join(map(str, ps)), grid=" ".join(map(repr, grid)), estimators="abc",
-        abc_chi=chi, abc_cutoff=cutoff, dt_factor=dt_factor,
+        spec, p=" ".join(map(str, ps)), grid=" ".join(map(repr, grid)), estimators=" ".join(estimators),
+        abc_chi=chi, abc_cutoff=cutoff, dt_factor=dt_factor, duration_factor=duration_factor,
     )
     try:
-        parsed = parse_sweep_spec(spec)
+        parse_sweep_spec(spec)
+        parses = True
     except ValidationError:
-        return
-    for p, grid_val in itertools.product(parsed.p, parsed.grid):
-        _, flux, _ = sweep._point_system(p, parsed.kappa, grid_val)
-        model, _ = sweep._abc_setup(p, parsed.kappa, flux, parsed.abc_chi, parsed.abc_cutoff)
-        config = sim.default_config(
-            model, flux, seed=0, duration_factor=parsed.duration_factor, dt_factor=parsed.dt_factor,
-            burn_in_factor=parsed.burn_in_factor,
-        )
-        sim._run_system(model, config)
+        parses = False
+    try:
+        for p, grid_val in itertools.product(ps, grid):
+            flux = grid_val ** (p / (p - 1.0))
+            runs = []
+            if {"filter", "smoother"} & set(estimators):
+                runs.append((PhaseModel(p, 1.0), "smoother" if "smoother" in estimators else "filter"))
+            if "abc" in estimators:
+                optional = [None if tok is None else float(tok) for tok in (chi, cutoff)]
+                runs.append((sweep._abc_setup(p, 1.0, flux, *optional)[0], "abc"))
+            for model, kind in runs:
+                config = sim.default_config(
+                    model, flux, seed=0, duration_factor=float(duration_factor), dt_factor=float(dt_factor)
+                )
+                sim._run_system(model, config, kind, 8)
+        runs_pass = True
+    except ValidationError:
+        runs_pass = False
+    assert parses == runs_pass
 
 
 def _write_spec(path, **overrides):
@@ -566,11 +598,12 @@ class TestSweep:
             ({"burn_in_factor": "10"}, "", "'burn_in_factor'"),
             ({"p": "2 4", "estimators": "filter abc"}, "", "'abc_chi'"),
             ({"grid": "30", "estimators": "filter abc", "abc_cutoff": "1e4"}, "", "'abc_cutoff'"),
+            ({"duration_factor": "0.004"}, "", "'duration_factor'"),
         ],
         ids=[
             "unknown-trails", "unknown-wrap_error", "grid-with-grid_points", "burn_in_factor-inf",
             "other-section", "default-section-key", "dt_factor-0.02", "burn_in_factor-10",
-            "abc-p4-without-abc_chi", "abc_cutoff-unresolved",
+            "abc-p4-without-abc_chi", "abc_cutoff-unresolved", "duration_factor-0.004",
         ],
     )
     def test_bad_spec_exits_2_before_output(self, capsys, tmp_path, fields, tail, named):
@@ -584,6 +617,46 @@ class TestSweep:
         assert err.startswith("error:") and named in err
         assert stdout == ""
         assert not out.exists()
+
+    def test_one_step_window_runs(self, capsys, tmp_path):
+        """duration_factor 0.006 leaves an interior window of one step (0.004
+        leaves none and is rejected at parse time), and the point runs."""
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10", estimators="filter", trials="2", duration_factor="0.006")
+        code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
+        assert code == 0, err
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 2
+
+    def test_rows_follow_the_derived_seeds(self, tmp_path):
+        """A point's filter run, which gives its filter and smoother rows, is
+        seeded derive_seed(seed, p_idx, g_idx, 0) and its ABC run index 1:
+        each row's mse and stderr are those of the direct ensemble call
+        with that seed, bit for bit, through the CSV."""
+        spec = tmp_path / "sweep.ini"
+        _write_spec(
+            spec, p="2 4", grid="10 30", estimators="filter smoother abc", abc_chi="3.0", trials="4",
+            duration_factor="50",
+        )
+        out = tmp_path / "o.csv"
+        run_sweep(parse_sweep_spec(spec), out)
+        with open(out) as fh:
+            got = [(float(row["mse"]), float(row["stderr"])) for row in csv.DictReader(fh)]
+        want = []
+        for (p_idx, p), (g_idx, grid_val) in itertools.product(enumerate([2, 4]), enumerate([10.0, 30.0])):
+            model, flux = PhaseModel(p, 1.0), grid_val ** (p / (p - 1.0))
+            configs = [
+                sim.default_config(
+                    model, flux, seed=sweep.derive_seed(1234, p_idx, g_idx, index), duration_factor=50.0,
+                    linearized=True,
+                )
+                for index in (0, 1)
+            ]
+            res = sim.simulate_filter_trials(model, configs[0], 4, smoother=True)
+            abc = sim.run_abc_trials(model, configs[1], 4, 3.0)
+            want += [
+                (res.filter_mse, res.filter_stderr), (res.smoother_mse, res.smoother_stderr), (abc.mse, abc.stderr)
+            ]
+        assert got == want
 
     def test_unwritable_output(self, capsys, tmp_path):
         spec = tmp_path / "sweep.ini"
@@ -617,7 +690,9 @@ class TestSweep:
 
     def test_worker_pool_matches_serial(self, capsys, tmp_path):
         spec = tmp_path / "sweep.ini"
-        _write_spec(spec, grid="10 30", estimators="filter", trials="4", duration_factor="100")
+        _write_spec(
+            spec, grid="10 30", estimators="filter smoother abc", abc_chi="3.0", trials="4", duration_factor="100"
+        )
         out1, out2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
         run_cli(capsys, "sweep", str(spec), "-o", str(out1))
         run_cli(capsys, "sweep", str(spec), "-o", str(out2), "--workers", "2")

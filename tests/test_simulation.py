@@ -127,7 +127,7 @@ class TestConfig:
             model, flux, seed=0, duration_factor=duration_factor, dt_factor=0.01, burn_in_factor=20.0
         )
         tau = build_lg_system(p, model.kappa, flux).time_scale
-        assert sim._run_system(model, config).time_scale == tau
+        assert sim._run_system(model, config, "filter", 2).time_scale == tau
         assert config.photon_flux == flux
         assert config.dt == 0.01 * tau
         assert config.burn_in == 20.0 * tau
@@ -1235,20 +1235,30 @@ def test_smoother_memory_grows_by_two_paths():
     assert long - short <= 2 * 8 * n_trials * added + checkpoints
 
 
-def test_abc_ensemble_memory_is_three_paths():
-    """run_abc_trials holds at most three (trials, steps) paths at once:
-    the photocurrent is written over the shot noise, the error over the
-    phase, and the reductions square one error path."""
+@pytest.mark.parametrize(
+    "kind, linearized",
+    [("filter", False), ("filter", True), ("smoother", False), ("abc", False)],
+    ids=["filter-sin", "filter-linearized", "smoother", "abc"],
+)
+def test_ensemble_peak_within_footprint(kind, linearized):
+    """The memory estimate of the footprint check bounds what an ensemble
+    allocates: _FOOTPRINT[kind] whole (trials, steps) paths plus block
+    buffers of _STREAM_BLOCK steps. A warm-up call first makes the
+    process's one-time allocations, which a first call would count (about
+    twice the estimate for a filter ensemble of 16 trials); after it the
+    peak is 0.7 to 0.9 of the estimate."""
     model, system, flux = _golden_system(2, 30.0)
-    config = default_config(model, flux, seed=3, duration_factor=20.0)
-    n_trials = 16
-    tracemalloc.start()
-    try:
-        sim.run_abc_trials(model, config, n_trials, math.sqrt(system.mu))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * n_trials * config.n_steps * 8
+    config = default_config(model, flux, seed=3, duration_factor=20.0, linearized=linearized)
+    n_trials, n_steps = 16, config.n_steps
+    if kind == "abc":
+        def run():
+            sim.run_abc_trials(model, config, n_trials, math.sqrt(system.mu))
+    else:
+        def run():
+            simulate_filter_trials(model, config, n_trials, smoother=kind == "smoother")
+    run()
+    paths, buffers = sim._FOOTPRINT[kind]
+    assert _alloc_peak(run) <= 8 * n_trials * (paths * n_steps + buffers * min(sim._STREAM_BLOCK, n_steps))
 
 
 _L = 2 * sim._SCAN_BLOCK  # the block length the block-edge property streams with
