@@ -20,14 +20,14 @@ time, since its residual r depends on theta - phi, and it computes only r
 and the theta - phi it feeds back. A linearized run has no per-step loop:
 r = dB is known in advance. Given dW and r, the rest is linear, in both
 modes: one forward blocked scan reads out theta - phi (linearized runs) and
-the interior state moments, and ends at the forward error that seeds the
-anticausal pass, a second blocked scan over the kept dW and r. The
-smoother's forward readout is replayed block by block from the forward
-error at each block's start (read in the forward scan in a one-block
-record). The two readouts combine into the smoothed error through the
-information sum (the two-filter form of Fraser and Potter), with weights
-and backward constants from lg's closed forms and no matrix inverse. Only
-records add the open-loop phase back, to write phi, theta, y and phi_s.
+the interior state moments. The forward error at the end of the record,
+the scan's or the sin() loop's own, seeds the anticausal pass, a second
+blocked scan over the kept dW and r. The smoother's forward readout is
+replayed block by block from the forward error at each block's start. The
+two readouts combine into the smoothed error through the information sum
+(the two-filter form of Fraser and Potter), with weights and backward
+constants from lg's closed forms and no matrix inverse. Only records add
+the open-loop phase back, to write phi, theta, y and phi_s.
 Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
@@ -47,18 +47,19 @@ linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows from them, so a
 run states each parameter once.
 
 Both feedback loops run under one block driver (_error_blocks for the
-filter, _abc_blocks for the exponential window). Per block it draws each
-trial's noise from generators made once per run into buffers made once per
-run, steps the sin() or ABC loop (or the forward scan of a linearized run),
-and yields the block's errors. Ensembles reduce those as they come: running
-per-trial sums of squared error over the interior window and the
-windowed_mse windows, so filter-only and ABC ensembles keep no
-(trials, steps) array and a smoother ensemble keeps only dW and r, which its
-backward sweep needs. Only a record, which runs as one block, keeps
-(trials, steps) paths: simulate_record and run_abc assemble a
-SimulationRecord, whose single row is the one-trial case, and
-mse_statistics and windowed_mse take such an error path. Filter records and
-ensembles share one set-up and zero-flux rule: at N = 0 the gain is zero,
+filter, _abc_blocks for the exponential window), and every run, record or
+ensemble, runs it in blocks of _STREAM_BLOCK steps. Per block it draws each
+trial's noise from generators made once per run, steps the sin() or ABC
+loop (or the forward scan of a linearized run), and yields the block's
+errors. Ensembles reduce those as they come: running per-trial sums of
+squared error over the interior window and the windowed_mse windows, so
+filter-only and ABC ensembles keep no (trials, steps) array and a smoother
+ensemble keeps only dW and r, which its backward sweep needs. A record is
+an ensemble that keeps its paths: it writes each block into whole
+(trials, steps) arrays, from which simulate_record and run_abc assemble a
+SimulationRecord, whose single row is the one-trial case; mse_statistics
+and windowed_mse take such an error path. Filter records and ensembles
+share one set-up and zero-flux rule: at N = 0 the gain is zero,
 and phi_s and the smoother statistics are None. Every run times its stages
 (covariance solve, noise, chain, feedback loop, forward scan, backward scan,
 reductions) into a stage_s dict of seconds on its result.
@@ -98,9 +99,9 @@ __all__ = [
 
 _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
-_STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of a streamed ensemble
+_STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # Memory a run keeps, in float (n_trials, steps) arrays: (whole paths, block buffers)
-_FOOTPRINT = {"record": (8, 0), "abc_record": (5, 0), "smoother": (2, 6), "filter": (0, 6), "abc": (0, 8)}
+_FOOTPRINT = {"record": (6, 2), "abc_record": (4, 2), "smoother": (2, 6), "filter": (0, 6), "abc": (0, 8)}
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -255,19 +256,21 @@ def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
     """Index window with burn_in trimmed from both ends of the grid."""
     k = int(round(burn_in / dt))
     if n_steps - 2 * k < 1:
-        raise ValidationError("window empty after burn-in trimming")
+        raise ValidationError(
+            f"window empty after burn-in trimming: {k} burn-in steps at each end of {n_steps} steps"
+        )
     return slice(k, n_steps - k)
 
 
-def _block_spans(n_steps: int, block: int, reverse: bool = False):
-    """Spans of ``block`` steps that cover a run, made one at a time, in
+def _block_spans(n_steps: int, reverse: bool = False):
+    """Spans of _STREAM_BLOCK steps that cover a run, made one at a time, in
     order or reversed. When there are several, a partial scan block at the
     end gets a span of its own, so a scan over the spans, forward or
     backward, builds its shorter map once."""
-    tail = n_steps % _SCAN_BLOCK if n_steps > block else 0
+    tail = n_steps % _SCAN_BLOCK if n_steps > _STREAM_BLOCK else 0
     cut = n_steps - tail
-    starts = range(0, cut, max(block, 1))
-    spans = (slice(s, min(s + block, cut)) for s in (reversed(starts) if reverse else starts))
+    starts = range(0, cut, _STREAM_BLOCK)
+    spans = (slice(s, min(s + _STREAM_BLOCK, cut)) for s in (reversed(starts) if reverse else starts))
     ends = [slice(cut, n_steps)] if tail else []
     return itertools.chain(ends, spans) if reverse else itertools.chain(spans, ends)
 
@@ -434,7 +437,7 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     return x
 
 
-def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, clock, error_moment=None, noise=None):
+def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, error_moment=None, noise=None):
     """Block driver of the causal estimator in the feedback loop and, with
     ``smoothing = (w_f[-1], w_r[-1])``, the backward pass, both on the chain
     error e = x_hat - x, batched over trials.
@@ -442,28 +445,26 @@ def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, cloc
     draw(span) gives the (dW, dB) of each _block_spans span of a run of
     ``shape`` (n_trials, n_steps), in order; the sin() loop overwrites dB
     in place with the residual r = I dt - 2 sqrt(N) (phi - theta) dt, which
-    a linearized run leaves equal to dB. Yields (0, span, theta - phi) for each span in order and
-    then, with smoothing, (1, span, phi_s - phi) for each span in reverse,
-    NaN outside the interior window; each array is valid until the next
-    item. The smoother needs ``noise``, the whole (dW, r) that the spans
-    are views of. ``error_moment`` (n_trials, n+1, n+1) accumulates the
-    interior sum of e e^T.
+    a linearized run leaves equal to dB. Yields (0, span, theta - phi) for
+    each span in order and then, with smoothing, (1, span, phi_s - phi)
+    for each span in reverse, NaN outside the interior window; each array
+    is valid until the next item. The smoother needs ``noise``, the whole
+    (dW, r) that the spans are views of. ``error_moment``
+    (n_trials, n+1, n+1) accumulates the interior sum of e e^T.
 
     Only the sin() loop steps one sample at a time, and it computes only r
     and the theta - phi it feeds back; a linearized run knows r = dB in
     advance. Given r, the forward error is the affine recurrence
     e' = e F^T + r K^T - dW e_0^T with F = I + (A - K C) dt and K = V_F C^T,
-    and one blocked scan of it reads out everything linear in (dW, r) in
-    both modes: theta - phi (linearized runs only), the moments and the
-    final e that seeds the backward pass. A run of one span (a record)
-    reads the smoother's w_f . e there too, into a path. A run of several
-    keeps only the forward error at each span's start, the loop's own e in
-    a sin() run, and its backward sweep replays w_f . e from there, span by
-    span, before the backward scan of the span; so the forward scan,
-    replay and backward scan each build their maps once per run. A sin()
-    run with neither a smoother nor moments runs no forward scan. The
-    backward pass needs no V_R: its gain V_R C^T is the forward gain,
-    parity-signed.
+    and one blocked scan of it reads out theta - phi (linearized runs only)
+    and the moments. A sin() run with no moments runs no forward scan. With
+    smoothing, the driver keeps the forward error at each span's start (the
+    scan's in a linearized run, the loop's own e in a sin() run), and the
+    backward sweep, seeded with the forward error at the end, replays
+    w_f . e from there, span by span, before the backward scan of the span;
+    so the forward scan, replay and backward scan each build their maps
+    once per run. The backward pass needs no V_R: its gain V_R C^T is the
+    forward gain, parity-signed.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -471,30 +472,27 @@ def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, cloc
     dt = config.dt
     scale = model.phase_scale
     rows, n_steps = shape
-    longest = min(block, n_steps)
+    longest = min(_STREAM_BLOCK, n_steps)
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt
     win = _interior_slice(n_steps, dt, config.burn_in)
     forward = (np.eye(n) + closed_t, -np.eye(n)[0], gain)
-    replay = smoothing is not None and n_steps > block
-    readouts = [scale * np.eye(n)[-1]] if config.linearized else []
-    if smoothing is not None and not replay:
-        readouts.append(smoothing[0])
-    scan = bool(readouts) or error_moment is not None
-    w = np.column_stack(readouts) if readouts else np.empty((n, 0))
+    scan = config.linearized or error_moment is not None
+    w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
     x = np.zeros((rows, n))  # the forward scan's error
     e = np.zeros((rows, n))  # the sin() loop's, updated in place
     e_first, e_last = e[:, 0], e[:, -1]
+    err_end = x if config.linearized else e
     sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
     err_buf = None if config.linearized else np.empty((rows, longest))
-    read_buf = np.empty((rows, longest, len(readouts))) if scan else None
+    read_buf = np.empty((rows, longest, w.shape[1])) if scan else None
     maps, starts = {}, []
 
-    for span in _block_spans(n_steps, block):
+    for span in _block_spans(n_steps):
         dw, db = draw(span)
         k = span.stop - span.start
-        if replay:
-            starts.append((x if config.linearized else e).copy())
+        if smoothing is not None:
+            starts.append(err_end.copy())
         if not config.linearized:
             err = err_buf[:, :k]  # theta - phi = kappa^(n+1/2) e_n, as fed back
             for i in range(k):
@@ -512,7 +510,7 @@ def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, cloc
             block_win = slice(max(win.start - span.start, 0), max(win.stop - span.start, 0))
             x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, block_win, maps)
             if config.linearized:
-                err = paths[..., 0]
+                err, err_end = paths[..., 0], x
             clock.lap("forward_scan")
         yield 0, span, err
     if smoothing is None:
@@ -528,18 +526,14 @@ def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, cloc
     back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
     retro_gain = gain * (-1.0) ** np.arange(n)[::-1]
     back_t = (back - np.outer(retro_gain, system.c) * dt).T
-    err_end = e if replay and not config.linearized else x
     maps, replay_maps = {}, {}
-    proj_buf = err_buf if err_buf is not None else read_buf[..., 0]  # free once the forward pass is done
-    for span in _block_spans(n_steps, block, reverse=True):
+    proj_buf = read_buf[..., 0] if config.linearized else err_buf  # free once the forward pass is done
+    for span in _block_spans(n_steps, reverse=True):
         dw, db = (a[:, span] for a in noise)
-        if replay:
-            proj = proj_buf[:, : span.stop - span.start]
-            proj[...] = 0.0
-            _block_scan(starts.pop(), *forward, w_f, 0.0, dw, db, proj, None, slice(0), replay_maps)
-            clock.lap("forward_scan")
-        else:
-            proj = paths[..., -1]
+        proj = proj_buf[:, : span.stop - span.start]
+        proj[...] = 0.0
+        _block_scan(starts.pop(), *forward, w_f, 0.0, dw, db, proj, None, slice(0), replay_maps)
+        clock.lap("forward_scan")
         err_end = _block_scan(
             err_end, back_t, drive @ back_t, retro_gain, w_r, drive @ w_r,
             dw[:, ::-1], db[:, ::-1], proj[:, ::-1], None, slice(0), maps,
@@ -551,27 +545,28 @@ def _error_blocks(model, system, config, vf, smoothing, shape, block, draw, cloc
         yield 1, span, proj
 
 
-def _error_passes(
-    model: PhaseModel,
-    system: LgSystem,
-    config: HomodyneConfig,
-    dw: np.ndarray,
-    db: np.ndarray,
-    vf: np.ndarray,
-    smoothing: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    error_moment: Optional[np.ndarray] = None,
-):
-    """_error_blocks over given (n_trials, T) increments as one span, the
-    path-keeping form of a record: returns the whole theta - phi and
-    phi_s - phi (None without ``smoothing``); the sin() loop writes r over
-    db."""
+def _collect_errors(blocks, shape) -> tuple:
+    """The blocks of _error_blocks written into whole ``shape`` paths:
+    (theta - phi, phi_s - phi), the second None without a smoother."""
     paths = [None, None]
-    for which, _, values in _error_blocks(
-        model, system, config, vf, smoothing, dw.shape, dw.shape[1], lambda span: (dw, db), _StageClock(),
-        error_moment, (dw, db),
-    ):
-        paths[which] = values
-    return paths[0], paths[1]
+    for which, span, values in blocks:
+        if paths[which] is None:
+            paths[which] = np.empty(shape)
+        paths[which][:, span] = values
+    return tuple(paths)
+
+
+def _error_passes(model: PhaseModel, system: LgSystem, config: HomodyneConfig, dw: np.ndarray, db: np.ndarray,
+                  vf: np.ndarray, smoothing: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                  error_moment: Optional[np.ndarray] = None):
+    """_error_blocks over given (n_trials, T) increments, collected into
+    whole paths as a record's are: returns theta - phi and phi_s - phi
+    (None without ``smoothing``); the sin() loop writes r over db."""
+    blocks = _error_blocks(
+        model, system, config, vf, smoothing, dw.shape, lambda span: (dw[:, span], db[:, span]),
+        _StageClock(), error_moment, (dw, db),
+    )
+    return _collect_errors(blocks, dw.shape)
 
 
 def _abc_phase_updater(flux: float, n_trials: int):
@@ -739,20 +734,20 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     return step
 
 
-def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, clock, block: int):
-    """Block driver of the exponential-window loop: for each span of
-    ``block`` steps, the noise drawn into buffers of one block, the phase
-    integrated on from the previous block, and the loop stepped. Yields
+def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, clock):
+    """Block driver of the exponential-window loop: for each _block_spans
+    span, the noise drawn into buffers of one block, the phase integrated
+    on from the previous block, and the loop stepped. Yields
     (span, phi, est, idt, held): the block's phase, the estimate after
     each step, the photocurrent I dt and the trial-steps held so far; the
     arrays are overwritten by the next block."""
-    longest = min(block, config.n_steps)
+    longest = min(_STREAM_BLOCK, config.n_steps)
     draw = _noise_draws(config.seed, n_trials, config.dt, longest, None, clock)
     step = _abc_loop(config, n_trials, chi)
     est = np.empty((n_trials, longest))
     carry: list = []
     held = 0
-    for span in _block_spans(config.n_steps, block):
+    for span in _block_spans(config.n_steps):
         dw, idt = draw(span)
         phi = _open_loop_phase(model, config.dt, dw, carry)
         clock.lap("chain")
@@ -763,14 +758,16 @@ def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: f
 
 
 def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, clock=None):
-    """_abc_blocks over the whole record as one block: returns (phi, est,
-    idt, held), the (n_trials, T) phase, est one column longer, with
-    est[:, i] the theta fed back at step i (zero at the start) and
-    est[:, i + 1] the estimate after it, the photocurrent and the held
-    trial-steps."""
-    (_, phi, after, idt, held), = _abc_blocks(model, config, n_trials, chi, clock or _StageClock(), config.n_steps)
+    """_abc_blocks collected into whole paths: returns (phi, est, idt,
+    held), the (n_trials, T) phase, est one column longer, with est[:, i]
+    the theta fed back at step i (zero at the start) and est[:, i + 1] the
+    estimate after it, the photocurrent and the held trial-steps."""
+    phi, idt = np.empty((n_trials, config.n_steps)), np.empty((n_trials, config.n_steps))
     est = np.zeros((n_trials, config.n_steps + 1))
-    est[:, 1:] = after
+    blocks = _abc_blocks(model, config, n_trials, chi, clock or _StageClock())
+    for span, block_phi, after, block_idt, held in blocks:
+        phi[:, span], idt[:, span] = block_phi, block_idt
+        est[:, span.start + 1 : span.stop + 1] = after
     return phi, est, idt, held
 
 
@@ -778,10 +775,9 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
                          moment=None, record: bool = False):
     """Set-up and block driver of every filter run: the run checked, Vt_F
     solved once and scaled to V_F, the smoother's weights when asked, and
-    the noise drawn block by block into buffers.
+    the noise drawn block by block.
     Returns (noise, blocks): blocks is the _error_blocks iterator; noise is
-    the whole (dW, r) that a record or a smoother keeps, else None. A
-    record runs as one block; an ensemble in blocks of _STREAM_BLOCK steps.
+    the whole (dW, r) that a record or a smoother keeps, else None.
     ``moment`` is as _error_blocks' error_moment. At mu = 0 the gain is zero
     and there is nothing to smooth."""
     system = _run_system(model, config, "record" if record else "smoother" if smoother else "filter", n_trials)
@@ -794,11 +790,8 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     n_steps = config.n_steps
     clock.lap("covariance")
     noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps))) if record or smoothing else None
-    block = n_steps if record else _STREAM_BLOCK
-    draw = _noise_draws(config.seed, n_trials, config.dt, min(block, n_steps), noise, clock)
-    return noise, _error_blocks(
-        model, system, config, vf, smoothing, (n_trials, n_steps), block, draw, clock, moment, noise
-    )
+    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), noise, clock)
+    return noise, _error_blocks(model, system, config, vf, smoothing, (n_trials, n_steps), draw, clock, moment, noise)
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
@@ -807,19 +800,17 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationReco
     phi_s is filled on the interior window."""
     clock = _StageClock()
     (dw, db), blocks = _run_filter_feedback(model, config, 1, True, clock, record=True)
-    errors = {which: path for which, _, path in blocks}  # one block: whole paths
+    theta, phi_s = _collect_errors(blocks, dw.shape)
     phi = _open_loop_phase(model, config.dt, dw)
     clock.lap("chain")
-    y = db / config.dt  # y dt = C x dt + r
-    y += 2.0 * math.sqrt(config.photon_flux) * phi
-    record = SimulationRecord(
-        np.arange(config.n_steps) * config.dt,
-        phi,
-        phi + errors[0],
-        y,
-        phi_s=phi + errors[1] if 1 in errors else None,
-        stage_s=clock.stage_s,
-    )
+    y = np.divide(db, config.dt, out=db)  # y dt = C x dt + r, written over r
+    y += np.multiply(phi, 2.0 * math.sqrt(config.photon_flux), out=dw)  # over dW, spent once phi is formed
+    for path in (theta, phi_s):  # theta = phi + (theta - phi), and the same for phi_s
+        if path is not None:
+            path += phi
+    t = np.arange(float(config.n_steps))
+    t *= config.dt  # in place: an integer range times dt would take a second path and a cast buffer
+    record = SimulationRecord(t, phi, theta, y, phi_s=phi_s, stage_s=clock.stage_s)
     clock.lap("reductions")
     return record
 
@@ -842,9 +833,11 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     theta = est[:, :-1]
     y /= config.dt  # y dt = I dt + 2 sqrt(N) theta dt
     y += 2.0 * math.sqrt(config.photon_flux) * theta
+    t = np.arange(float(config.n_steps))
+    t *= config.dt  # in place, as in simulate_record
     clock.lap("reductions")
     return SimulationRecord(
-        np.arange(config.n_steps) * config.dt,
+        t,
         phi,
         theta,
         y,
@@ -1029,7 +1022,7 @@ def run_abc_trials(
     sums = _ErrorSums(n_trials, config, wrap_errors, windows=True)
     clock.lap("covariance")
     held = 0
-    for span, phi, est, _, held in _abc_blocks(model, config, n_trials, chi, clock, _STREAM_BLOCK):
+    for span, phi, est, _, held in _abc_blocks(model, config, n_trials, chi, clock):
         sums.add(span.start, np.subtract(est, phi, out=phi))  # phi_abc - phi, written over phi
         clock.lap("reductions")
     wins = sums.windowed_mse()

@@ -259,7 +259,9 @@ class TestSimulate:
     @pytest.mark.parametrize("estimator", ["filter", "abc"])
     def test_empty_window_exits_2(self, capsys, tmp_path, estimator):
         """A duration that leaves no interior window after the burn-in fails
-        the run's check for records of either loop, before the output opens."""
+        the run's check for records of either loop, before the output opens;
+        the message names the step count and the burn-in steps trimmed at
+        each end."""
         out = tmp_path / "x.csv"
         code, _, err = run_cli(
             capsys, "simulate", "--p", "2", "--flux", "100", "--estimator", estimator,
@@ -267,6 +269,7 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:") and "window empty" in err
+        assert "2000 burn-in steps at each end of 4000 steps" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

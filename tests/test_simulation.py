@@ -899,6 +899,30 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     assert y.shape == (3, config.n_steps)
 
 
+@pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_record_is_an_ensemble_that_keeps_its_paths(p, linearized):
+    """A record runs the ensembles' block driver and keeps what it yields.
+    Over a run of several blocks, the blocks of a 3-trial smoother run,
+    written into whole paths, are _error_passes over the same trials' noise
+    bit for bit, NaNs included, and so is the residual r it writes over dB."""
+    model, system, flux = _golden_system(p, 30.0)
+    config = default_config(model, flux, seed=p, duration_factor=3.0, linearized=linearized)
+    assert config.n_steps > sim._STREAM_BLOCK
+    (_, r), blocks = sim._run_filter_feedback(model, config, 3, True, sim._StageClock())
+    paths = [np.full((3, config.n_steps), -1.0) for _ in range(2)]
+    for which, span, values in blocks:
+        paths[which][:, span] = values
+    vf_tilde = solve_filter_covariance(p)
+    dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
+    passes = sim._error_passes(
+        model, system, config, dw, db, scale_covariance(vf_tilde, system.mu),
+        sim._smoothing_weights(vf_tilde, system.mu),
+    )
+    for got, expected in zip(paths + [r], passes + (db,)):
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     p=st.sampled_from([2, 4]),
@@ -1053,11 +1077,12 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     seed=st.integers(0, 2**16),
 )
 def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
-    """The sin() loop computes only r and theta - phi; one forward scan then
-    reads out the smoother's w_f . e and the moments and seeds the backward
-    pass. Against the per-step loop that sums e e^T as it goes: the same r
-    and theta - phi bit for bit, and phi_s - phi and the moment sum within
-    1e-13 of their peaks, also over a window that may cut any block."""
+    """The sin() loop computes only r and theta - phi; forward scans then
+    read out the moments and replay the smoother's w_f . e, and the loop's
+    own e seeds the backward pass. Against the per-step loop that sums
+    e e^T as it goes: the same r and theta - phi bit for bit, and
+    phi_s - phi and the moment sum within 1e-13 of their peaks, also over a
+    window that may cut any block."""
     model, system, flux = _golden_system(p, 30.0)
     vf = covariance_set(system).vf
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
@@ -1085,10 +1110,11 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
 @pytest.mark.parametrize("smoother", [False, True], ids=["filter", "smoother"])
 @pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
 def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother, moments):
-    """A run makes one forward scan for theta - phi (linearized runs), the
-    smoother's readout and the moments together, and none when a sin() run
-    wants neither, so the filter-only sin() loop stays free of scans; the
-    smoother adds one backward scan."""
+    """A run makes one forward scan for theta - phi (linearized runs) and
+    the moments together, and none when a sin() run wants neither, so the
+    filter-only sin() loop stays free of scans. The smoother adds a forward
+    scan that replays its readout w_f . e, and one backward scan, the one
+    that runs on reversed views."""
     p = 4
     model, system, flux = _golden_system(p, 30.0)
     config = _bare_config(flux, _K + 1, 0.01 * system.time_scale, linearized)
@@ -1105,8 +1131,9 @@ def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother
 
     monkeypatch.setattr(sim, "_block_scan", counting_scan)
     sim._error_passes(model, system, config, dw, db, vf, smoothing, moment)
-    forward = 1 if linearized or smoother or moments else 0
-    assert len(calls) == forward + smoother
+    backward = sum(args[6].strides[1] < 0 for args in calls)
+    assert len(calls) - backward == (linearized or moments) + smoother
+    assert backward == smoother
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -1237,22 +1264,35 @@ def test_smoother_memory_grows_by_two_paths():
 
 @pytest.mark.parametrize(
     "kind, linearized",
-    [("filter", False), ("filter", True), ("smoother", False), ("abc", False)],
-    ids=["filter-sin", "filter-linearized", "smoother", "abc"],
+    [
+        ("filter", False), ("filter", True), ("smoother", False), ("abc", False),
+        ("record", False), ("record", True), ("abc_record", False),
+    ],
+    ids=["filter-sin", "filter-linearized", "smoother", "abc", "record-sin", "record-linearized", "abc_record"],
 )
 def test_ensemble_peak_within_footprint(kind, linearized):
     """The memory estimate of the footprint check bounds what an ensemble
-    allocates: _FOOTPRINT[kind] whole (trials, steps) paths plus block
-    buffers of _STREAM_BLOCK steps. A warm-up call first makes the
-    process's one-time allocations, which a first call would count (about
-    twice the estimate for a filter ensemble of 16 trials); after it the
-    peak is 0.7 to 0.9 of the estimate."""
+    or a record allocates: _FOOTPRINT[kind] whole (trials, steps) paths
+    plus block buffers of _STREAM_BLOCK steps. A warm-up call first makes
+    the process's one-time allocations, which a first call would count
+    (about twice the estimate for a filter ensemble of 16 trials); after it
+    an ensemble peaks at 0.7 to 0.9 of the estimate and a record at 0.99.
+    A record, one trial, runs simulate's default 24 000 steps: the two
+    block maps of its smoother, a fixed 0.15 MB, weigh under one of its
+    paths there, as in an ensemble, but three at 6000 steps."""
     model, system, flux = _golden_system(2, 30.0)
-    config = default_config(model, flux, seed=3, duration_factor=20.0, linearized=linearized)
-    n_trials, n_steps = 16, config.n_steps
+    record = kind in ("record", "abc_record")
+    config = default_config(model, flux, seed=3, duration_factor=200.0 if record else 20.0, linearized=linearized)
+    n_trials, n_steps = 1 if record else 16, config.n_steps
     if kind == "abc":
         def run():
             sim.run_abc_trials(model, config, n_trials, math.sqrt(system.mu))
+    elif kind == "abc_record":
+        def run():
+            run_abc(model, config, math.sqrt(system.mu))
+    elif kind == "record":
+        def run():
+            simulate_record(model, config)
     else:
         def run():
             simulate_filter_trials(model, config, n_trials, smoother=kind == "smoother")
