@@ -18,6 +18,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -71,6 +72,11 @@ class BoundQuery:
         if isinstance(self.spectrum, PhaseModel):
             return spectrum(self.spectrum, omega)
         return self.spectrum(omega)
+
+    @cached_property
+    def _crossover(self) -> float:
+        """_crossover_frequency, searched once per query for all its quadratures."""
+        return _crossover_frequency(self)
 
 
 def _crossover_frequency(q: BoundQuery) -> float:
@@ -152,7 +158,7 @@ def _bound_quadrature(q: BoundQuery, kind: str) -> tuple[float, float]:
     term of either integrand once S << S_n.
     """
     s_n = q.noise_density
-    w_star = _crossover_frequency(q)
+    w_star = q._crossover
     if q.photon_flux == 0:
         _check_origin_integrable(q, w_star)
     w_max = _TAIL_FACTOR * w_star

@@ -41,6 +41,14 @@ Python scalar, a broadcast shape or a real factor of a complex product, each
 of which costs numpy a conversion per call. Its floats are bit for bit those
 of the reference loop in tests/oracles.py, which takes such operands.
 
+At tens of trials a numpy call costs its dispatch more than its
+arithmetic, so both per-step loops bind their ufuncs to local names once
+per run and pass each output positionally, except to np.maximum and
+np.minimum, whose positional output numpy deprecates; plain copies are
+np.positive. The sin() loop, like this one, runs on full-width operands and
+buffers sized once per run. The operands and their order are those of the
+plain expressions, so the floats are too.
+
 The four entry points take (model, config, ...): p and kappa come from the
 PhaseModel, the photon flux N from the HomodyneConfig, and the
 linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows from them, so a
@@ -101,7 +109,9 @@ _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # Memory a run keeps, in float (n_trials, steps) arrays: (whole paths, block buffers)
-_FOOTPRINT = {"record": (6, 2), "abc_record": (4, 2), "smoother": (2, 6), "filter": (0, 6), "abc": (0, 8)}
+_FOOTPRINT = {"record": (6, 3), "abc_record": (4, 2), "smoother": (2, 7), "filter": (0, 7), "abc": (0, 8)}
+# _block_scan maps of one readout that a run holds at once
+_SCAN_MAPS = {"record": 2, "smoother": 2, "filter": 1}
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -192,7 +202,8 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
             )
     _check_damping(model, config.dt)
     _interior_slice(config.n_steps, config.dt, config.burn_in)
-    _check_footprint("filter" if kind == "smoother" and system.mu == 0 else kind, n_trials, config.n_steps)
+    kind = "filter" if kind == "smoother" and system.mu == 0 else kind
+    _check_footprint(kind, n_trials, config.n_steps, system.n_states)
     return system
 
 
@@ -235,21 +246,28 @@ class _StageClock:
         self._last = now
 
 
-def _check_footprint(kind: str, n_trials: int, n_steps: int) -> None:
+def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int) -> int:
     """Reject a run whose estimate of the memory it keeps exceeds physical
-    memory, before anything is allocated: _FOOTPRINT[kind] whole
-    (n_trials, n_steps) float paths plus block buffers of _STREAM_BLOCK steps."""
+    memory, before anything is allocated; return the estimate, in bytes:
+    _FOOTPRINT[kind] whole (n_trials, n_steps) float paths, block buffers
+    of _STREAM_BLOCK steps, and _SCAN_MAPS[kind] scan maps of one readout,
+    (n_states + 2 _SCAN_BLOCK) x (_SCAN_BLOCK + n_states) floats each. Not
+    counted: full-state moments widen a forward scan's map n_states + 1
+    times, a fixed size that no run path grows with."""
     paths, buffers = _FOOTPRINT[kind]
-    need = 8 * n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps))
+    one_map = (n_states + 2 * _SCAN_BLOCK) * (_SCAN_BLOCK + n_states)
+    floats = n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + _SCAN_MAPS.get(kind, 0) * one_map
+    need = 8 * floats
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
-        return
+        return need
     if need > have:
         raise ValidationError(
             f"a {kind} run of {n_trials} trials x {n_steps} steps needs about {need / 2**30:.3g} GiB "
             f"of memory, more than the {have / 2**30:.3g} GiB of physical memory"
         )
+    return need
 
 
 def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
@@ -454,7 +472,12 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
 
     Only the sin() loop steps one sample at a time, and it computes only r
     and the theta - phi it feeds back; a linearized run knows r = dB in
-    advance. Given r, the forward error is the affine recurrence
+    advance. The loop's ufuncs are bound to local names once per run, and
+    each writes its output, passed positionally, into a buffer sized here:
+    theta - phi goes into contiguous rows of a time-major block, copied
+    once per span into the C-ordered block that is yielded, whose row sums
+    the reductions take in the order of a whole path's. Given r, the
+    forward error is the affine recurrence
     e' = e F^T + r K^T - dW e_0^T with F = I + (A - K C) dt and K = V_F C^T,
     and one blocked scan of it reads out theta - phi (linearized runs only)
     and the moments. A sin() run with no moments runs no forward scan. With
@@ -481,12 +504,20 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
     x = np.zeros((rows, n))  # the forward scan's error
     e = np.zeros((rows, n))  # the sin() loop's, updated in place
-    e_first, e_last = e[:, 0], e[:, -1]
     err_end = x if config.linearized else e
-    sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
     err_buf = None if config.linearized else np.empty((rows, longest))
     read_buf = np.empty((rows, longest, w.shape[1])) if scan else None
     maps, starts = {}, []
+    if not config.linearized:
+        # the sin() loop's full-width constants and buffers
+        e_first, e_last = e[:, 0], e[:, -1]
+        scale_row = np.full(rows, scale)
+        sin_gain = np.full(rows, 2.0 * math.sqrt(config.photon_flux) * dt)
+        gain_rows = np.tile(gain, (rows, 1))
+        fed_back = np.empty((longest, rows))
+        s = np.empty(rows)
+        m = np.empty((rows, n))
+        add, subtract, multiply, matmul, sin = np.add, np.subtract, np.multiply, np.matmul, np.sin
 
     for span in _block_spans(n_steps):
         dw, db = draw(span)
@@ -494,15 +525,23 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
         if smoothing is not None:
             starts.append(err_end.copy())
         if not config.linearized:
-            err = err_buf[:, :k]  # theta - phi = kappa^(n+1/2) e_n, as fed back
-            for i in range(k):
-                d = scale * e_last
-                err[:, i] = d
-                r = db[:, i]  # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt
-                r += sin_gain * (d - np.sin(d))
-                e += e @ closed_t
-                e += r[:, None] * gain
-                e_first -= dw[:, i]
+            # d = theta - phi = kappa^(n+1/2) e_n, as fed back, and
+            # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, over dB;
+            # r_col is r as a (rows, 1) column, whose product with the gain
+            # rows is the outer product r K^T
+            for d, r, r_col, dw_i in zip(fed_back[:k], db.T, db.T[..., None], dw.T):
+                multiply(scale_row, e_last, d)
+                sin(d, s)
+                subtract(d, s, s)
+                multiply(sin_gain, s, s)
+                add(r, s, r)
+                matmul(e, closed_t, m)
+                add(e, m, e)
+                multiply(r_col, gain_rows, m)
+                add(e, m, e)
+                subtract(e_first, dw_i, e_first)
+            err = err_buf[:, :k]
+            np.positive(fed_back[:k].T, err)
             clock.lap("loop")
         if scan:
             paths = read_buf[:, :k]
@@ -591,7 +630,9 @@ def _abc_phase_updater(flux: float, n_trials: int):
     define one (those hold the previous theta).
 
     Every ufunc writes into those buffers, and no operand is a Python
-    scalar or a broadcast shape. The step slope / curv is divided for every
+    scalar or a broadcast shape. The ufuncs are bound to local names once
+    per run, and outputs are passed positionally, except to np.maximum and
+    np.minimum, which take out= (numpy deprecates their positional output). The step slope / curv is divided for every
     trial and kept only where curv < 0 (a NaN curv takes no step), so
     update runs under np.errstate(divide="ignore", invalid="ignore").
     """
@@ -622,32 +663,38 @@ def _abc_phase_updater(flux: float, n_trials: int):
     new, twice = angle.imag
     rot = np.empty((2, n_trials), dtype=complex)
 
+    absolute, add, conjugate, copyto, divide, exp = np.abs, np.add, np.conjugate, np.copyto, np.divide, np.exp
+    less, maximum, minimum, mod, multiply, positive, subtract = (
+        np.less, np.maximum, np.minimum, np.mod, np.multiply, np.positive, np.subtract
+    )
+
     def update(ab, theta, e):
-        np.abs(ab, out=size)
-        np.multiply(size, hold_w, out=size)  # 2 sqrt(N) |a| and 2N |b|
-        np.add(size_a, size_b, out=total)
-        np.less(total, threshold, out=hold)
-        np.conjugate(ab, out=conj_ab)
-        np.copyto(new, theta)
+        absolute(ab, size)
+        multiply(size, hold_w, size)  # 2 sqrt(N) |a| and 2N |b|
+        add(size_a, size_b, total)
+        less(total, threshold, hold)
+        conjugate(ab, conj_ab)
+        positive(theta, new)
         for k in range(3):
             if k:
-                np.add(new, new, out=twice)
-                e = np.exp(angle, out=rot)
-            np.multiply(conj_ab, e, out=prod)
-            np.multiply(terms, newton_w, out=terms)
-            np.subtract(terms_a, terms_b, out=diff)
-            np.less(curv, zero, out=ok)  # only step toward a maximum
-            np.divide(slope, curv, out=step)
-            # np.clip, less overhead; new - clip(slope / curv) where ok, else new
-            np.maximum(step, lo, out=step)
-            np.minimum(step, hi, out=step)
-            np.subtract(new, step, out=step)
-            np.copyto(new, step, where=ok)
-        np.subtract(new, theta, out=cand)
-        np.add(cand, pi, out=cand)
-        np.mod(cand, two_pi, out=cand)
-        np.add(theta, cand, out=cand)
-        np.subtract(cand, pi, out=cand)
+                add(new, new, twice)
+                e = exp(angle, rot)
+            multiply(conj_ab, e, prod)
+            multiply(terms, newton_w, terms)
+            subtract(terms_a, terms_b, diff)
+            less(curv, zero, ok)  # only step toward a maximum
+            divide(slope, curv, step)
+            # np.clip, less overhead; new - clip(slope / curv) where ok, else new.
+            # out= by keyword: numpy deprecates a third positional argument here
+            maximum(step, lo, out=step)
+            minimum(step, hi, out=step)
+            subtract(new, step, step)
+            copyto(new, step, where=ok)
+        subtract(new, theta, cand)
+        add(cand, pi, cand)
+        mod(cand, two_pi, cand)
+        add(theta, cand, cand)
+        subtract(cand, pi, cand)
         return cand, hold
 
     return update
@@ -667,8 +714,9 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     each step, for the a and b updates and the first Newton iterate.
 
     Per-step contract: the loop allocates nothing. Every buffer and
-    constant operand is sized to the batch here, at entry; each ufunc writes
-    into one of them; and no operand is a Python scalar, a broadcast shape
+    constant operand is sized to the batch here, at entry; each ufunc, bound
+    to a local name here, writes into one of them, passed positionally (a
+    plain copy is np.positive); and no operand is a Python scalar, a broadcast shape
     or a real factor of a complex product (those products are taken as real
     products of the float views, which round alike). The floats are bit for
     bit those of oracles.abc_feedback_reference in the tests, the loop with
@@ -701,34 +749,39 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     terms_f = terms.view(float).reshape(2, n_trials, 2)
     b_term_f = terms_f[1]
 
+    add, copyto, count_nonzero, exp, multiply, positive, sin, subtract = (
+        np.add, np.copyto, np.count_nonzero, np.exp, np.multiply, np.positive, np.sin, np.subtract
+    )
+    linearized = config.linearized
+
     def step(phi, idt, est):
         held = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             for phi_i, idt_i, est_i in zip(phi.T, idt.T, est.T):
-                np.subtract(phi_i, theta, out=resp)
-                if not config.linearized:
-                    np.sin(resp, out=resp)
-                np.multiply(resp, gain, out=resp)
-                np.multiply(resp, dt_row, out=resp)
-                np.add(resp, idt_i, out=idt_i)  # I dt, written over dB
-                np.copyto(meas, idt_i)
+                subtract(phi_i, theta, resp)
+                if not linearized:
+                    sin(resp, resp)
+                multiply(resp, gain, resp)
+                multiply(resp, dt_row, resp)
+                add(resp, idt_i, idt_i)  # I dt, written over dB
+                positive(idt_i, meas)
 
                 # Discounted functionals, phasors taken at the physical oscillator
                 # phase theta + pi/2 (the sin() photocurrent is that quadrature).
-                np.add(theta, theta, out=twice)
-                np.exp(angle, out=harmonics)
-                np.multiply(ab_f, decay, out=ab_f)
-                np.multiply(phasor, i_meas, out=a_term)
-                np.multiply(phasor, phasor, out=b_term)
-                np.multiply(b_term_f, dt_pairs, out=b_term_f)
-                np.add(ab_f, terms_f, out=ab_f)
+                add(theta, theta, twice)
+                exp(angle, harmonics)
+                multiply(ab_f, decay, ab_f)
+                multiply(phasor, i_meas, a_term)
+                multiply(phasor, phasor, b_term)
+                multiply(b_term_f, dt_pairs, b_term_f)
+                add(ab_f, terms_f, ab_f)
                 cand, hold = update(ab, theta, harmonics)
-                n_held = np.count_nonzero(hold)
+                n_held = count_nonzero(hold)
                 if n_held:
                     held += n_held
-                    np.copyto(cand, theta, where=hold)
-                np.copyto(theta, cand)
-                np.copyto(est_i, cand)
+                    copyto(cand, theta, where=hold)
+                positive(cand, theta)
+                positive(cand, est_i)
         return held
 
     return step

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phasetrack import cli, simulation as sim, sweep
+from phasetrack import bounds, cli, simulation as sim, sweep
 from phasetrack.cli import main
 from phasetrack.sweep import CSV_HEADER, parse_sweep_spec, run_sweep
 from phasetrack.errors import ValidationError
@@ -56,6 +56,39 @@ class TestBounds:
         value = float(qcrb_line.split()[2])
         closed = (4 * 10.0) ** (-0.5) / (2 * math.sin(math.pi / 2))
         assert value == pytest.approx(closed, rel=5e-3)
+
+    def test_spectrum_file_searches_the_crossover_once(self, capsys, tmp_path, monkeypatch):
+        """The three quadratures of one bounds query share one crossover
+        search: the tabulated density is called as often as in one search
+        plus the same command given the crossover for free, and the table
+        printed is the same."""
+        path = tmp_path / "spec.csv"
+        w = np.logspace(-4, 4, 161)
+        path.write_text("omega,density\n" + "\n".join(f"{wi},{1 / wi**2}" for wi in w))
+        calls = []
+        load = cli.tabulated_spectrum
+
+        def counted_table(table_path):
+            density = load(table_path)
+
+            def counted(omega):
+                calls.append(omega)
+                return density(omega)
+
+            return counted
+
+        monkeypatch.setattr(cli, "tabulated_spectrum", counted_table)
+        argv = ("bounds", "--spectrum-file", str(path), "--flux", "10")
+        code, out, _ = run_cli(capsys, *argv)
+        total = len(calls)
+        calls.clear()
+        w_star = bounds._crossover_frequency(bounds.BoundQuery(counted_table(path), 10.0))
+        search = len(calls)
+        calls.clear()
+        monkeypatch.setattr(bounds, "_crossover_frequency", lambda q: w_star)
+        free_code, free_out, _ = run_cli(capsys, *argv)
+        assert code == free_code == 0 and out == free_out
+        assert search > 0 and total == len(calls) + search
 
     def test_validation_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--p", "0.5", "--flux", "25")

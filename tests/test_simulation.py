@@ -557,7 +557,7 @@ def test_stacked_phase_update_matches_per_array_step(n, seed, flux):
     damped=st.booleans(),
     linearized=st.booleans(),
     grid=st.one_of(st.just(0.0), st.floats(3.0, 30.0), st.floats(30.0, 100.0)),
-    n_steps=st.integers(1, 1000),
+    n_steps=st.one_of(st.integers(1, 1000), st.sampled_from([sim._STREAM_BLOCK + 65, 2 * sim._STREAM_BLOCK + 5])),
     seed=st.integers(0, 2**16),
 )
 def test_abc_feedback_matches_reference_bit_for_bit(width, p, damped, linearized, grid, n_steps, seed):
@@ -1071,8 +1071,8 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.sampled_from(range(2, 21, 2)),
-    n_steps=st.sampled_from([1, _K - 1, _K, _K + 1, 3 * _K + 5]),
-    width=st.sampled_from([1, 3]),
+    n_steps=st.sampled_from([1, _K - 1, _K, _K + 1, 3 * _K + 5, sim._STREAM_BLOCK + _K + 1, 2 * sim._STREAM_BLOCK + 5]),
+    width=st.sampled_from([1, 3, 16, 64]),
     burn=st.integers(0, 2 * _K),
     seed=st.integers(0, 2**16),
 )
@@ -1263,26 +1263,30 @@ def test_smoother_memory_grows_by_two_paths():
 
 
 @pytest.mark.parametrize(
-    "kind, linearized",
+    "kind, linearized, p, duration_factor",
     [
-        ("filter", False), ("filter", True), ("smoother", False), ("abc", False),
-        ("record", False), ("record", True), ("abc_record", False),
+        ("filter", False, 2, 20.0), ("filter", True, 2, 20.0), ("smoother", False, 2, 20.0), ("abc", False, 2, 20.0),
+        ("record", False, 2, 200.0), ("record", True, 2, 200.0), ("abc_record", False, 2, 200.0),
+        ("record", False, 2, 20.0), ("record", True, 2, 20.0), ("record", False, 20, 20.0), ("record", True, 20, 20.0),
     ],
-    ids=["filter-sin", "filter-linearized", "smoother", "abc", "record-sin", "record-linearized", "abc_record"],
+    ids=[
+        "filter-sin", "filter-linearized", "smoother", "abc", "record-sin", "record-linearized", "abc_record",
+        "record-sin-6000-p2", "record-linearized-6000-p2", "record-sin-6000-p20", "record-linearized-6000-p20",
+    ],
 )
-def test_ensemble_peak_within_footprint(kind, linearized):
+def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor):
     """The memory estimate of the footprint check bounds what an ensemble
-    or a record allocates: _FOOTPRINT[kind] whole (trials, steps) paths
-    plus block buffers of _STREAM_BLOCK steps. A warm-up call first makes
-    the process's one-time allocations, which a first call would count
-    (about twice the estimate for a filter ensemble of 16 trials); after it
-    an ensemble peaks at 0.7 to 0.9 of the estimate and a record at 0.99.
-    A record, one trial, runs simulate's default 24 000 steps: the two
-    block maps of its smoother, a fixed 0.15 MB, weigh under one of its
-    paths there, as in an ensemble, but three at 6000 steps."""
-    model, system, flux = _golden_system(2, 30.0)
+    or a record allocates: _FOOTPRINT[kind] whole (trials, steps) paths,
+    block buffers of _STREAM_BLOCK steps and the scan maps a run holds at
+    once. A warm-up call first makes the process's one-time allocations,
+    which a first call would count (about twice the estimate for a filter
+    ensemble of 16 trials). Ensembles run 16 trials of 6000 steps, records
+    one trial of simulate's default 24 000 steps and of 6000 steps, where
+    the two block maps of a record's smoother, a fixed 0.13 MB at p = 2
+    and 0.16 MB at p = 20, weigh about three of its paths."""
+    model, system, flux = _golden_system(p, 30.0)
     record = kind in ("record", "abc_record")
-    config = default_config(model, flux, seed=3, duration_factor=200.0 if record else 20.0, linearized=linearized)
+    config = default_config(model, flux, seed=3, duration_factor=duration_factor, linearized=linearized)
     n_trials, n_steps = 1 if record else 16, config.n_steps
     if kind == "abc":
         def run():
@@ -1297,8 +1301,7 @@ def test_ensemble_peak_within_footprint(kind, linearized):
         def run():
             simulate_filter_trials(model, config, n_trials, smoother=kind == "smoother")
     run()
-    paths, buffers = sim._FOOTPRINT[kind]
-    assert _alloc_peak(run) <= 8 * n_trials * (paths * n_steps + buffers * min(sim._STREAM_BLOCK, n_steps))
+    assert _alloc_peak(run) <= sim._check_footprint(kind, n_trials, n_steps, system.n_states)
 
 
 _L = 2 * sim._SCAN_BLOCK  # the block length the block-edge property streams with
