@@ -22,12 +22,13 @@ r = dB is known in advance. Given dW and r, the rest is linear, in both
 modes: one forward blocked scan reads out theta - phi (linearized runs) and
 the interior state moments. The forward error at the end of the record,
 the scan's or the sin() loop's own, seeds the anticausal pass, a second
-blocked scan over the kept dW and r. The smoother's forward readout is
-replayed block by block from the forward error at each block's start. The
-two readouts combine into the smoothed error through the information sum
-(the two-filter form of Fraser and Potter), with weights and backward
-constants from lg's closed forms and no matrix inverse. Only records add
-the open-loop phase back, to write phi, theta, y and phi_s.
+blocked scan over the kept r and the dW drawn again. The smoother's
+forward readout is replayed block by block from the forward error at each
+block's start. The two readouts combine into the smoothed error through
+the information sum (the two-filter form of Fraser and Potter), with
+weights and backward constants from lg's closed forms and no matrix
+inverse. Only records add the open-loop phase back, to write phi, theta, y
+and phi_s.
 Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
@@ -62,15 +63,17 @@ loop (or the forward scan of a linearized run), and yields the block's
 errors. Ensembles reduce those as they come: running per-trial sums of
 squared error over the interior window and the windowed_mse windows, so
 filter-only and ABC ensembles keep no (trials, steps) array and a smoother
-ensemble keeps only dW and r, which its backward sweep needs. A record is
-an ensemble that keeps its paths: it writes each block into whole
-(trials, steps) arrays, from which simulate_record and run_abc assemble a
-SimulationRecord, whose single row is the one-trial case; mse_statistics
-and windowed_mse take such an error path. Filter records and ensembles
-share one set-up and zero-flux rule: at N = 0 the gain is zero,
-and phi_s and the smoother statistics are None. Every run times its stages
-(covariance solve, noise, chain, feedback loop, forward scan, backward scan,
-reductions) into a stage_s dict of seconds on its result.
+ensemble keeps only r, which its backward sweep needs: it draws each
+block's dW again there, the same bits, from each trial's dW stream state
+saved at the block's start. A record is an ensemble that keeps its paths:
+it writes each block into whole (trials, steps) arrays, from which
+simulate_record and run_abc assemble a SimulationRecord, whose single row
+is the one-trial case; mse_statistics and windowed_mse take such an error
+path. Filter records and ensembles share one set-up and zero-flux rule: at
+N = 0 the gain is zero, and phi_s and the smoother statistics are None.
+Every run times its stages (covariance solve, noise, chain, feedback loop,
+forward scan, backward scan, reductions) into a stage_s dict of seconds on
+its result.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -108,10 +111,14 @@ __all__ = [
 _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
-# Memory a run keeps, in float (n_trials, steps) arrays: (whole paths, block buffers)
-_FOOTPRINT = {"record": (6, 3), "abc_record": (4, 2), "smoother": (2, 7), "filter": (0, 7), "abc": (0, 8)}
-# _block_scan maps of one readout that a run holds at once
-_SCAN_MAPS = {"record": 2, "smoother": 2, "filter": 1}
+# Memory a run keeps: (whole paths, block buffers), in float (n_trials, steps)
+# arrays, and the _block_scan maps of one readout that it holds at once
+_FOOTPRINT = {
+    "record": (6, 3, 2), "abc_record": (4, 2, 0), "smoother": (1, 8, 2), "filter": (0, 7, 1), "abc": (0, 8, 0)
+}
+# Per trial and block, a smoother's saved dW stream state (525 B of Python
+# objects) and its share of the block's lists (up to 110 B at 2 trials)
+_CHECKPOINT_BYTES = 640
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -179,14 +186,15 @@ def default_config(
     )
 
 
-def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int) -> LgSystem:
+def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int, moments=False) -> LgSystem:
     """Linear-Gaussian system of a run of ``kind`` (a _FOOTPRINT key) and
-    n_trials trials: p and kappa from the model, photon flux from the
-    config. The check every run makes before it allocates: rejects a grid
-    that does not resolve the closed-loop response time mu^(-1/p) or the
-    model's damping rates, an empty interior window, and a run that would
-    keep more memory than the machine has. At mu = 0 a smoother run keeps
-    no paths, as there is nothing to smooth."""
+    n_trials trials, with full-state ``moments`` or not: p and kappa from
+    the model, photon flux from the config. The check every run makes
+    before it allocates: rejects a grid that does not resolve the
+    closed-loop response time mu^(-1/p) or the model's damping rates, an
+    empty interior window, and a run that would keep more memory than the
+    machine has. At mu = 0 a smoother run keeps no paths, as there is
+    nothing to smooth."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
@@ -203,7 +211,7 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
     _check_damping(model, config.dt)
     _interior_slice(config.n_steps, config.dt, config.burn_in)
     kind = "filter" if kind == "smoother" and system.mu == 0 else kind
-    _check_footprint(kind, n_trials, config.n_steps, system.n_states)
+    _check_footprint(kind, n_trials, config.n_steps, system.n_states, moments)
     return system
 
 
@@ -246,18 +254,22 @@ class _StageClock:
         self._last = now
 
 
-def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int) -> int:
+def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, moments: bool = False) -> int:
     """Reject a run whose estimate of the memory it keeps exceeds physical
     memory, before anything is allocated; return the estimate, in bytes:
     _FOOTPRINT[kind] whole (n_trials, n_steps) float paths, block buffers
-    of _STREAM_BLOCK steps, and _SCAN_MAPS[kind] scan maps of one readout,
-    (n_states + 2 _SCAN_BLOCK) x (_SCAN_BLOCK + n_states) floats each. Not
-    counted: full-state moments widen a forward scan's map n_states + 1
-    times, a fixed size that no run path grows with."""
-    paths, buffers = _FOOTPRINT[kind]
-    one_map = (n_states + 2 * _SCAN_BLOCK) * (_SCAN_BLOCK + n_states)
-    floats = n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + _SCAN_MAPS.get(kind, 0) * one_map
-    need = 8 * floats
+    of _STREAM_BLOCK steps and scan maps, and a smoother's checkpoints, the
+    forward error and _CHECKPOINT_BYTES per trial and block. A map of q
+    readouts is (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states)
+    floats. With full-state ``moments`` the forward scan holds one of
+    n_states + 1 readouts, released before a backward sweep builds its two
+    of one readout: the larger count is taken."""
+    paths, buffers, maps = _FOOTPRINT[kind]
+    widths = maps * (_SCAN_BLOCK + n_states), moments * (_SCAN_BLOCK * (n_states + 1) + n_states)
+    maps = (n_states + 2 * _SCAN_BLOCK) * max(widths)
+    need = 8 * (n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + maps)
+    if kind == "smoother":  # at most one span more than the whole blocks: a partial scan block's own
+        need += (-(-n_steps // _STREAM_BLOCK) + 1) * n_trials * (8 * n_states + _CHECKPOINT_BYTES)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
@@ -295,42 +307,48 @@ def _block_spans(n_steps: int, reverse: bool = False):
 
 def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock: _StageClock):
     """draw(span): the (phase, measurement) Gaussian increments (dW, dB) of
-    the steps in span, as views of kept = (dW, dB), whole (n_trials, T)
-    arrays, or, with kept None, of two buffers of ``longest`` steps that
-    every span reuses. Each trial draws from two independent child streams
-    of its own derived seed, made once here, so spans drawn in order
-    continue one draw of the whole record."""
+    the steps in span, each a view of its whole (n_trials, T) array in
+    kept = (dW, dB) or, where kept holds None, of a buffer of ``longest``
+    steps. Each trial draws from two independent child streams of its own
+    derived seed, made once here, so spans drawn in order continue one draw
+    of the whole record. A run that keeps a path draws its spans again, in
+    its backward sweep: the kept arrays come back as they are (the sin()
+    loop writes r over dB), and the buffered streams are drawn again, the
+    same bits, from their states saved at the span's start, unless the
+    buffers still hold the span, as they do the last one."""
     streams = [
         [np.random.default_rng(ss) for ss in child.spawn(2)]
         for child in np.random.SeedSequence(seed).spawn(n_trials)
     ]
     sd = math.sqrt(dt)
-    buffers = kept or (np.empty((n_trials, longest)), np.empty((n_trials, longest)))
+    buffered = [j for j, a in enumerate(kept) if a is None]
+    arrays = [np.empty((n_trials, longest)) if a is None else a for a in kept]
+    redrawn = [trial[j] for trial in streams for j in buffered] if len(buffered) < 2 else []  # if a path is kept
+    states, drawn_to, held = {}, 0, None
 
     def draw(span):
-        if kept:
-            pair = tuple(a[:, span] for a in kept)
+        nonlocal drawn_to, held
+        pair = tuple(a[:, : span.stop - span.start] if k is None else a[:, span] for a, k in zip(arrays, kept))
+        if span.start >= drawn_to:  # a first draw
+            drawn_to, fresh = span.stop, (0, 1)
+            if redrawn:
+                states[span.start] = [stream.bit_generator.state for stream in redrawn]
         else:
-            pair = tuple(a[:, : span.stop - span.start] for a in buffers)
-        for i, trial_streams in enumerate(streams):
-            for stream, a in zip(trial_streams, pair):
-                stream.standard_normal(out=a[i])
-        # normal(0, sd) draws the same standard normals and returns 0 + sd z,
-        # which is sd z to the bit for every z != 0
-        for a in pair:
-            a *= sd
+            fresh = buffered if span != held else ()
+            for stream, state in zip(redrawn, states.pop(span.start) if fresh else ()):
+                stream.bit_generator.state = state
+        held = span
+        for j in fresh:
+            block = pair[j]
+            for trial, row in zip(streams, block):
+                trial[j].standard_normal(out=row)
+            # normal(0, sd) draws the same standard normals and returns 0 + sd z,
+            # which is sd z to the bit for every z != 0
+            block *= sd
         clock.lap("noise")
         return pair
 
     return draw
-
-
-def _trial_noise(seed: int, n_trials: int, n_steps: int, dt: float):
-    """Per-trial (phase, measurement) Gaussian increment arrays, each trial
-    drawn from two independent child streams of its own derived seed."""
-    noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps)))
-    _noise_draws(seed, n_trials, dt, n_steps, noise, _StageClock())(slice(0, n_steps))
-    return noise
 
 
 def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Optional[list] = None) -> np.ndarray:
@@ -455,7 +473,7 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     return x
 
 
-def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, error_moment=None, noise=None):
+def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, error_moment=None):
     """Block driver of the causal estimator in the feedback loop and, with
     ``smoothing = (w_f[-1], w_r[-1])``, the backward pass, both on the chain
     error e = x_hat - x, batched over trials.
@@ -466,14 +484,13 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     a linearized run leaves equal to dB. Yields (0, span, theta - phi) for
     each span in order and then, with smoothing, (1, span, phi_s - phi)
     for each span in reverse, NaN outside the interior window; each array
-    is valid until the next item. The smoother needs ``noise``, the whole
-    (dW, r) that the spans are views of. ``error_moment``
-    (n_trials, n+1, n+1) accumulates the interior sum of e e^T.
+    is valid until the next item. The backward sweep draws each span again
+    and needs the same dW and the r that the forward pass left.
+    ``error_moment`` (n_trials, n+1, n+1) accumulates the interior sum of e e^T.
 
     Only the sin() loop steps one sample at a time, and it computes only r
     and the theta - phi it feeds back; a linearized run knows r = dB in
-    advance. The loop's ufuncs are bound to local names once per run, and
-    each writes its output, passed positionally, into a buffer sized here:
+    advance. Each of the loop's ufuncs writes into a buffer sized here:
     theta - phi goes into contiguous rows of a time-major block, copied
     once per span into the C-ordered block that is yielded, whose row sums
     the reductions take in the order of a whole path's. Given r, the
@@ -568,7 +585,7 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     maps, replay_maps = {}, {}
     proj_buf = read_buf[..., 0] if config.linearized else err_buf  # free once the forward pass is done
     for span in _block_spans(n_steps, reverse=True):
-        dw, db = (a[:, span] for a in noise)
+        dw, db = draw(span)
         proj = proj_buf[:, : span.stop - span.start]
         proj[...] = 0.0
         _block_scan(starts.pop(), *forward, w_f, 0.0, dw, db, proj, None, slice(0), replay_maps)
@@ -595,19 +612,6 @@ def _collect_errors(blocks, shape) -> tuple:
     return tuple(paths)
 
 
-def _error_passes(model: PhaseModel, system: LgSystem, config: HomodyneConfig, dw: np.ndarray, db: np.ndarray,
-                  vf: np.ndarray, smoothing: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                  error_moment: Optional[np.ndarray] = None):
-    """_error_blocks over given (n_trials, T) increments, collected into
-    whole paths as a record's are: returns theta - phi and phi_s - phi
-    (None without ``smoothing``); the sin() loop writes r over db."""
-    blocks = _error_blocks(
-        model, system, config, vf, smoothing, dw.shape, lambda span: (dw[:, span], db[:, span]),
-        _StageClock(), error_moment, (dw, db),
-    )
-    return _collect_errors(blocks, dw.shape)
-
-
 def _abc_phase_updater(flux: float, n_trials: int):
     """Newton update of the exponential-window estimate at photon flux N for
     a batch of n_trials, as a function update(ab, theta, e) -> (cand, hold)
@@ -629,12 +633,9 @@ def _abc_phase_updater(flux: float, n_trials: int):
     candidate angles and a mask of trials whose statistics are too small to
     define one (those hold the previous theta).
 
-    Every ufunc writes into those buffers, and no operand is a Python
-    scalar or a broadcast shape. The ufuncs are bound to local names once
-    per run, and outputs are passed positionally, except to np.maximum and
-    np.minimum, which take out= (numpy deprecates their positional output). The step slope / curv is divided for every
-    trial and kept only where curv < 0 (a NaN curv takes no step), so
-    update runs under np.errstate(divide="ignore", invalid="ignore").
+    Every ufunc writes into those buffers. The step slope / curv is divided
+    for every trial and kept only where curv < 0 (a NaN curv takes no step),
+    so update runs under np.errstate(divide="ignore", invalid="ignore").
     """
     two_sqrt_n = 2.0 * math.sqrt(flux)
     # hold test: (2 sqrt(N), 2N); Newton: (real, imag) weights (-2 sqrt(N), -2 sqrt(N))
@@ -713,14 +714,12 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     place; one exponential gives both harmonics e^(i theta), e^(2i theta) of
     each step, for the a and b updates and the first Newton iterate.
 
-    Per-step contract: the loop allocates nothing. Every buffer and
-    constant operand is sized to the batch here, at entry; each ufunc, bound
-    to a local name here, writes into one of them, passed positionally (a
-    plain copy is np.positive); and no operand is a Python scalar, a broadcast shape
-    or a real factor of a complex product (those products are taken as real
-    products of the float views, which round alike). The floats are bit for
-    bit those of oracles.abc_feedback_reference in the tests, the loop with
-    such operands.
+    Per step the loop allocates nothing (see the module docstring): every
+    buffer and constant operand is sized to the batch here, and a complex
+    product with a real factor is taken as real products of the float
+    views, which round alike. The floats are bit for bit those of
+    oracles.abc_feedback_reference in the tests, the loop with scalar and
+    broadcast operands.
     """
     if not 0 < chi < math.inf:
         raise ValidationError(f"chi must be positive and finite, got {chi}")
@@ -795,7 +794,7 @@ def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: f
     each step, the photocurrent I dt and the trial-steps held so far; the
     arrays are overwritten by the next block."""
     longest = min(_STREAM_BLOCK, config.n_steps)
-    draw = _noise_draws(config.seed, n_trials, config.dt, longest, None, clock)
+    draw = _noise_draws(config.seed, n_trials, config.dt, longest, (None, None), clock)
     step = _abc_loop(config, n_trials, chi)
     est = np.empty((n_trials, longest))
     carry: list = []
@@ -828,12 +827,13 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
                          moment=None, record: bool = False):
     """Set-up and block driver of every filter run: the run checked, Vt_F
     solved once and scaled to V_F, the smoother's weights when asked, and
-    the noise drawn block by block.
-    Returns (noise, blocks): blocks is the _error_blocks iterator; noise is
-    the whole (dW, r) that a record or a smoother keeps, else None.
+    the noise drawn block by block. Returns (kept, blocks), the whole (dW, r)
+    or None where the run keeps no such path (a smoother keeps r, a record
+    both), and the _error_blocks iterator.
     ``moment`` is as _error_blocks' error_moment. At mu = 0 the gain is zero
     and there is nothing to smooth."""
-    system = _run_system(model, config, "record" if record else "smoother" if smoother else "filter", n_trials)
+    kind = "record" if record else "smoother" if smoother else "filter"
+    system = _run_system(model, config, kind, n_trials, moment is not None)
     if system.mu > 0:
         vf_tilde = solve_filter_covariance(model.p)
         vf = scale_covariance(vf_tilde, system.mu)
@@ -842,9 +842,9 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
         vf, smoothing = np.zeros((system.n_states, system.n_states)), None
     n_steps = config.n_steps
     clock.lap("covariance")
-    noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps))) if record or smoothing else None
-    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), noise, clock)
-    return noise, _error_blocks(model, system, config, vf, smoothing, (n_trials, n_steps), draw, clock, moment, noise)
+    kept = tuple(np.empty((n_trials, n_steps)) if keep else None for keep in (record, record or smoothing))
+    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), kept, clock)
+    return kept, _error_blocks(model, system, config, vf, smoothing, (n_trials, n_steps), draw, clock, moment)
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
@@ -1019,7 +1019,8 @@ def simulate_filter_trials(
     Trials are keyed by (config.seed, trial index); rerunning with the same
     arguments reproduces the ensemble exactly. The errors are reduced
     block by block as the driver yields them, so no (trials, steps) path
-    is kept but the smoother's dW and r.
+    is kept but the smoother's r; its backward sweep draws dW again, block
+    by block, from saved generator states.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")

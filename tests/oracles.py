@@ -13,6 +13,11 @@ at a time, the smoothing weights by float inverses of the information sum, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
 solve, and the exponential-window feedback loop with scalar and broadcast
 operands.
+
+Two are seams instead, which run the package's own code on whole arrays
+for the references and the tests to compare with: trial_noise, the noise
+of a run's trials as its block driver draws it, and error_passes, the
+filter and smoother errors over given noise, collected as a record's are.
 """
 
 from __future__ import annotations
@@ -38,10 +43,13 @@ from phasetrack.phase_process import PhaseModel, _check_damping, spectrum
 from phasetrack.simulation import (
     HomodyneConfig,
     _ABC_HOLD_THRESHOLD,
+    _StageClock,
     _block_scan,
+    _collect_errors,
+    _error_blocks,
     _interior_slice,
+    _noise_draws,
     _open_loop_phase,
-    _trial_noise,
     mse_statistics,
 )
 
@@ -159,7 +167,7 @@ def run_abc_linearized_trials(
     _check_damping(model, dt)
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
-    dw, db = _trial_noise(seed, n_trials, int(round(duration / dt)), dt)
+    dw, db = trial_noise(seed, n_trials, int(round(duration / dt)), dt)
     phi = _open_loop_phase(model, dt, dw)
     del dw
     # Both terms are first-order recurrences in time, value before step i at i:
@@ -196,8 +204,36 @@ def open_loop_phase_lfilter(model: PhaseModel, dt: float, dw: np.ndarray) -> np.
     return model.phase_scale * stage
 
 
+def trial_noise(seed: int, n_trials: int, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (phase, measurement) Gaussian increment arrays, each trial
+    drawn from two independent child streams of its own derived seed."""
+    noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps)))
+    _noise_draws(seed, n_trials, dt, n_steps, noise, _StageClock())(slice(0, n_steps))
+    return noise
+
+
+def error_passes(
+    model: PhaseModel,
+    system: LgSystem,
+    config: HomodyneConfig,
+    dw: np.ndarray,
+    db: np.ndarray,
+    vf: np.ndarray,
+    smoothing: tuple[np.ndarray, np.ndarray] | None = None,
+    error_moment: np.ndarray | None = None,
+):
+    """_error_blocks over given (n_trials, T) increments, collected into
+    whole paths as a record's are: returns theta - phi and phi_s - phi
+    (None without ``smoothing``); the sin() loop writes r over db."""
+    blocks = _error_blocks(
+        model, system, config, vf, smoothing, dw.shape, lambda span: (dw[:, span], db[:, span]),
+        _StageClock(), error_moment,
+    )
+    return _collect_errors(blocks, dw.shape)
+
+
 def trial_noise_normal(seed: int, n_trials: int, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (phase, measurement) increments of _trial_noise, each trial's rows
+    """The (phase, measurement) increments of trial_noise, each trial's rows
     drawn as normal(0, sqrt(dt), n_steps) from the two child streams of its
     derived seed."""
     dw = np.empty((n_trials, n_steps))
@@ -233,7 +269,7 @@ def linearized_error_passes(
     smoothing: tuple[np.ndarray, np.ndarray] | None = None,
     error_moment: np.ndarray | None = None,
 ):
-    """_error_passes with the forward error stepped one sample at a time,
+    """error_passes with the forward error stepped one sample at a time,
     the interior e e^T added before each step: e += e (A - K C)^T dt + r K^T,
     then e_0 -= dW. A linearized run takes r = dB; the sin() loop writes
     r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt over db, with
@@ -347,7 +383,7 @@ def abc_feedback_reference(model: PhaseModel, config: HomodyneConfig, n_trials: 
     dt = config.dt
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     decay = math.exp(-chi * dt)
-    dw, idt = _trial_noise(config.seed, n_trials, n_steps, dt)
+    dw, idt = trial_noise(config.seed, n_trials, n_steps, dt)
     phi = _open_loop_phase(model, dt, dw)
     est = np.empty((n_trials, n_steps + 1))
     est[:, 0] = 0.0

@@ -525,8 +525,8 @@ class TestSweep:
         assert 0.4 < s_ratio < 0.6
 
     def test_oversized_sweep_exits_2(self, capsys, tmp_path):
-        """A smoother keeps dW and r for its backward pass, so 1e15 steps
-        fail the footprint check at parse time, before the output opens."""
+        """A smoother keeps r for its backward pass, so 1e15 steps fail the
+        footprint check at parse time, before the output opens."""
         spec = tmp_path / "sweep.ini"
         _write_spec(spec, grid="10", estimators="filter smoother", trials="2", duration_factor="1e13")
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))

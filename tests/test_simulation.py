@@ -13,9 +13,11 @@ from oracles import (
     abc_feedback_reference,
     chain_cumsum,
     discrete_filter_covariance,
+    error_passes,
     linearized_error_passes,
     run_abc_linearized_trials,
     smoothing_weights_inverse,
+    trial_noise,
     trial_noise_normal,
 )
 
@@ -156,8 +158,8 @@ class TestSimulateRecord:
         cov = covariance_set(system)
         runs = []
         for smoothing in (None, sim._smoothing_weights(solve_filter_covariance(model.p), system.mu)):
-            dw, db = sim._trial_noise(config.seed, 2, config.n_steps, config.dt)
-            runs.append((db,) + sim._error_passes(model, system, config, dw, db, cov.vf, smoothing))
+            dw, db = trial_noise(config.seed, 2, config.n_steps, config.dt)
+            runs.append((db,) + error_passes(model, system, config, dw, db, cov.vf, smoothing))
         (db_bare, err_bare, s_bare), (db_kept, err_kept, s_kept) = runs
         assert s_bare is None and s_kept.shape == (2, config.n_steps)
         assert np.array_equal(err_kept, err_bare)
@@ -184,7 +186,7 @@ class TestSimulateRecord:
         assert res.smoother_mse is None and res.smoother_stderr is None
         assert np.all(np.isfinite([res.filter_mse, res.filter_stderr]))
         assert np.all(np.isfinite(res.error_cov)) and np.all(np.isfinite(res.error_cov_stderr))
-        phi = sim._open_loop_phase(model, config.dt, sim._trial_noise(config.seed, 4, config.n_steps, config.dt)[0])
+        phi = sim._open_loop_phase(model, config.dt, trial_noise(config.seed, 4, config.n_steps, config.dt)[0])
         expected = mse_statistics(-phi, config.dt, config.burn_in)
         assert (res.filter_mse, res.filter_stderr) == pytest.approx(expected, rel=1e-12)
 
@@ -192,7 +194,7 @@ class TestSimulateRecord:
         model, system, config = _setup(duration_factor=30.0)
         rec = simulate_record(model, config)
         two_rn = 2 * math.sqrt(config.photon_flux)
-        db = sim._trial_noise(config.seed, 1, config.n_steps, config.dt)[1]
+        db = trial_noise(config.seed, 1, config.n_steps, config.dt)[1]
         current = two_rn * (rec.phi - rec.theta) * config.dt + db  # I dt of the linearized loop
         assert rec.y == pytest.approx(current / config.dt + two_rn * rec.theta, rel=1e-12)
 
@@ -239,7 +241,7 @@ def _bare_config(flux: float, n_steps: int, dt: float, linearized: bool = True) 
 
 
 def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray):
-    """Full forward and backward error states of _error_passes, one state
+    """Full forward and backward error states of error_passes, one state
     component per run through unit weights. Entry i of the forward states is
     e before step i; entry i of the backward ones is the backward error that
     sample i adds to the smoothed error."""
@@ -250,7 +252,7 @@ def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray):
     zero = np.zeros(m)
     for k, unit in enumerate(np.eye(m)):
         for states, weights in ((fwd, (unit, zero)), (back, (zero, unit))):
-            s_err = sim._error_passes(model, system, config, dw.copy(), r.copy(), vf, weights)[1]
+            s_err = error_passes(model, system, config, dw.copy(), r.copy(), vf, weights)[1]
             states[..., k] = s_err / model.phase_scale
     return fwd, back
 
@@ -263,7 +265,7 @@ def _pass_states(model, system, config, dw: np.ndarray, r: np.ndarray):
     dt=st.floats(1e-8, 10.0),
 )
 def test_trial_noise_is_scaled_normal_draws(seed, n_trials, n_steps, dt):
-    noise = sim._trial_noise(seed, n_trials, n_steps, dt)
+    noise = trial_noise(seed, n_trials, n_steps, dt)
     for got, ref in zip(noise, trial_noise_normal(seed, n_trials, n_steps, dt)):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -284,7 +286,7 @@ class TestFilterPass:
         for linearized in (True, False):
             config = _bare_config(10.0, 100, 1e-4, linearized)
             quiet = np.zeros((1, 100))
-            err = sim._error_passes(model, system, config, quiet, quiet.copy(), cov.vf)[0]
+            err = error_passes(model, system, config, quiet, quiet.copy(), cov.vf)[0]
             assert np.all(err == 0.0)
 
     def test_impulse_decay_rate_p2(self):
@@ -296,7 +298,7 @@ class TestFilterPass:
         r = np.zeros((1, 4000))
         r[0, 0] = 1.0  # a unit impulse in the residual y dt
         config = _bare_config(25.0, 4000, dt)
-        err = sim._error_passes(model, system, config, np.zeros_like(r), r, cov.vf)[0][0]
+        err = error_passes(model, system, config, np.zeros_like(r), r, cov.vf)[0][0]
         # log-linear fit over a window clear of the impulse itself
         i0, i1 = 100, 3000
         t = np.arange(r.shape[1]) * dt
@@ -321,7 +323,7 @@ class TestRetrofilterPass:
         config = _bare_config(10.0, 100, 1e-4)
         smoothing = sim._smoothing_weights(solve_filter_covariance(model.p), system.mu)
         quiet = np.zeros((1, 100))
-        s_err = sim._error_passes(model, system, config, quiet, quiet.copy(), cov.vf, smoothing)[1]
+        s_err = error_passes(model, system, config, quiet, quiet.copy(), cov.vf, smoothing)[1]
         assert np.all(s_err == 0.0)
 
     @pytest.mark.parametrize("p", [2, 4, 6, 8, 12, 20])
@@ -360,7 +362,7 @@ class TestRetrofilterPass:
         w_f, w_r = np.random.default_rng(6).normal(size=(2, system.n_states))
         config = _bare_config(5.0, 400, dt)
         fwd, back = _pass_states(model, system, config, noise[0], noise[1])
-        proj = sim._error_passes(model, system, config, noise[0], noise[1], cov.vf, (w_f, w_r))[1]
+        proj = error_passes(model, system, config, noise[0], noise[1], cov.vf, (w_f, w_r))[1]
         assert proj.shape == noise[1].shape
         assert np.allclose(proj / model.phase_scale, fwd @ w_f + back @ w_r, rtol=1e-12, atol=0.0)
 
@@ -370,9 +372,9 @@ class TestRetrofilterPass:
         model, system, config = _setup(p=2, flux=100.0, duration_factor=300.0, seed=31)
         cov = covariance_set(system)
         # weights (0, 1) keep the backward error alone; p = 2 has one state
-        dw, db = sim._trial_noise(config.seed, 24, config.n_steps, config.dt)
+        dw, db = trial_noise(config.seed, 24, config.n_steps, config.dt)
         smoothing = (np.zeros(1), np.ones(1))
-        s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)[1]
+        s_err = error_passes(model, system, config, dw, db, cov.vf, smoothing)[1]
         win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
         err = s_err[:, win] / model.phase_scale
         per_trial = np.mean(err**2, axis=1)
@@ -408,7 +410,7 @@ class TestCombineSmoothed:
             cov = covariance_set(system)
             dt, n, m = config.dt, config.n_steps, system.n_states
             xf = _euler_filter(rec.y[0], system, cov.vf, dt)
-            dw = sim._trial_noise(config.seed, 1, n, dt)[0][0]
+            dw = trial_noise(config.seed, 1, n, dt)[0][0]
             x_end = chain_cumsum(m, dt, dw)[-1]
             back = np.linalg.inv(np.eye(m) + system.a * dt)
             vr = retro_covariance(cov.vf)
@@ -664,16 +666,16 @@ def _golden_system(p, grid, dampings=()):
 
 def _whole_path_statistics(model, config, n_trials, smoother=True, moments=True, wrap=False, passes=None):
     """simulate_filter_trials' statistics through the records' path-keeping
-    route: _error_passes (or ``passes``, same arguments) on the whole
+    route: error_passes (or ``passes``, same arguments) on the whole
     noise of the same trials, then mse_statistics on the paths and the mean
     moment per interior step. Returns (filter mse, stderr, smoother mse,
     stderr, error_cov); the smoother's entries are None without it."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     vf_tilde = solve_filter_covariance(model.p)
     smoothing = sim._smoothing_weights(vf_tilde, system.mu) if smoother else None
-    dw, db = sim._trial_noise(config.seed, n_trials, config.n_steps, config.dt)
+    dw, db = trial_noise(config.seed, n_trials, config.n_steps, config.dt)
     moment = np.zeros((n_trials, system.n_states, system.n_states)) if moments else None
-    err, s_err = (passes or sim._error_passes)(
+    err, s_err = (passes or error_passes)(
         model, system, config, dw, db, scale_covariance(vf_tilde, system.mu), smoothing, moment
     )[:2]
     stats = mse_statistics(err, config.dt, config.burn_in, wrap)
@@ -880,9 +882,9 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     config = default_config(model, flux, seed=seed, duration_factor=3.0, linearized=linearized)
     cov = covariance_set(system)
     rec = simulate_record(model, config)
-    dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
+    dw, db = trial_noise(config.seed, 3, config.n_steps, config.dt)
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
-    err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing)
+    err, s_err = error_passes(model, system, config, dw, db, cov.vf, smoothing)
     assert err.shape == (3, config.n_steps)
     assert _close_to_peak(rec.phi[0] + err[0], rec.theta[0], 1e-12)
     win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
@@ -904,7 +906,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
 def test_record_is_an_ensemble_that_keeps_its_paths(p, linearized):
     """A record runs the ensembles' block driver and keeps what it yields.
     Over a run of several blocks, the blocks of a 3-trial smoother run,
-    written into whole paths, are _error_passes over the same trials' noise
+    written into whole paths, are error_passes over the same trials' noise
     bit for bit, NaNs included, and so is the residual r it writes over dB."""
     model, system, flux = _golden_system(p, 30.0)
     config = default_config(model, flux, seed=p, duration_factor=3.0, linearized=linearized)
@@ -914,8 +916,8 @@ def test_record_is_an_ensemble_that_keeps_its_paths(p, linearized):
     for which, span, values in blocks:
         paths[which][:, span] = values
     vf_tilde = solve_filter_covariance(p)
-    dw, db = sim._trial_noise(config.seed, 3, config.n_steps, config.dt)
-    passes = sim._error_passes(
+    dw, db = trial_noise(config.seed, 3, config.n_steps, config.dt)
+    passes = error_passes(
         model, system, config, dw, db, scale_covariance(vf_tilde, system.mu),
         sim._smoothing_weights(vf_tilde, system.mu),
     )
@@ -1042,10 +1044,10 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     cov = covariance_set(system)
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
     config = _bare_config(flux, n_steps, 0.01 * system.time_scale)  # every sample interior
-    dw, db = sim._trial_noise(seed, width, n_steps, config.dt)
+    dw, db = trial_noise(seed, width, n_steps, config.dt)
     dw[:, -1] = 0.0  # so the backward pass's first readout is its seed, unchanged
     moment, ref_moment = np.zeros((2, width, system.n_states, system.n_states))
-    err, s_err = sim._error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)
+    err, s_err = error_passes(model, system, config, dw, db, cov.vf, smoothing, moment)
     ref_err, ref_s_err, ref_e = linearized_error_passes(
         model, system, config, dw, db, cov.vf, smoothing, ref_moment
     )
@@ -1056,14 +1058,14 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     # kappa^(n+1/2) times the seed read along w_r; held to 1e-13 of the
     # seed's peak entry, since the read itself may cancel.
     w_r = np.random.default_rng(seed).normal(size=system.n_states)
-    seed_read = sim._error_passes(model, system, config, dw, db, cov.vf, (0.0 * w_r, w_r))[1][:, -1]
+    seed_read = error_passes(model, system, config, dw, db, cov.vf, (0.0 * w_r, w_r))[1][:, -1]
     seed_dev = np.abs(seed_read / model.phase_scale - ref_e @ w_r)
     assert np.all(seed_dev <= 1e-13 * np.max(np.abs(ref_e)) * np.sum(np.abs(w_r)))
     # A trimmed window's sum, to 1e-13 of the whole record's peak: a short
     # window's own sum may be far below the squares it adds up.
     trimmed = dataclasses.replace(config, burn_in=min(burn, (n_steps - 1) // 2) * config.dt)
     part, ref_part = np.zeros((2,) + moment.shape)
-    sim._error_passes(model, system, trimmed, dw, db, cov.vf, error_moment=part)
+    error_passes(model, system, trimmed, dw, db, cov.vf, error_moment=part)
     linearized_error_passes(model, system, trimmed, dw, db, cov.vf, error_moment=ref_part)
     assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
 
@@ -1087,10 +1089,10 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     vf = covariance_set(system).vf
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
     config = _bare_config(flux, n_steps, 0.01 * system.time_scale, linearized=False)  # every sample interior
-    dw, db = sim._trial_noise(seed, width, n_steps, config.dt)
+    dw, db = trial_noise(seed, width, n_steps, config.dt)
     r, ref_r = db.copy(), db.copy()
     moment, ref_moment = np.zeros((2, width, system.n_states, system.n_states))
-    err, s_err = sim._error_passes(model, system, config, dw, r, vf, smoothing, moment)
+    err, s_err = error_passes(model, system, config, dw, r, vf, smoothing, moment)
     ref_err, ref_s_err, _ = linearized_error_passes(model, system, config, dw, ref_r, vf, smoothing, ref_moment)
     assert np.array_equal(err, ref_err)
     assert np.array_equal(r, ref_r)
@@ -1101,7 +1103,7 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     # own sum may be far below the squares it adds up.
     trimmed = dataclasses.replace(config, burn_in=min(burn, (n_steps - 1) // 2) * config.dt)
     part, ref_part = np.zeros((2,) + moment.shape)
-    sim._error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=part)
+    error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=part)
     linearized_error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=ref_part)
     assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
 
@@ -1121,7 +1123,7 @@ def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother
     vf = covariance_set(system).vf
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu) if smoother else None
     moment = np.zeros((2, system.n_states, system.n_states)) if moments else None
-    dw, db = sim._trial_noise(0, 2, config.n_steps, config.dt)
+    dw, db = trial_noise(0, 2, config.n_steps, config.dt)
     calls = []
     scan = sim._block_scan
 
@@ -1130,7 +1132,7 @@ def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother
         return scan(*args)
 
     monkeypatch.setattr(sim, "_block_scan", counting_scan)
-    sim._error_passes(model, system, config, dw, db, vf, smoothing, moment)
+    error_passes(model, system, config, dw, db, vf, smoothing, moment)
     backward = sum(args[6].strides[1] < 0 for args in calls)
     assert len(calls) - backward == (linearized or moments) + smoother
     assert backward == smoother
@@ -1186,26 +1188,24 @@ def test_smoother_memory_does_not_grow_with_p(p):
 @pytest.mark.parametrize("p", [4, 12, 20])
 def test_linearized_moments_do_not_grow_with_p(p):
     """The linearized scan sums e e^T once per block from that block's
-    states, so no (trials, steps, states) path is stored: at fixed
-    trials x steps the peak stays within 15 % of p = 2's, where the
-    block maps and the per-block states (about 1 MB at p = 20) are small
-    next to the scalar paths."""
-    assert _smoother_alloc_peak(p, 16, 30000, True) <= 1.15 * _smoother_alloc_peak(2, 16, 30000, True)
+    states, so no (trials, steps, states) path is stored (42 MB at p = 20
+    and 16 trials x 30000 steps): at each p the peak stays within the
+    footprint check's estimate for the run, which counts its one scalar
+    path, block buffers, checkpoints and the moments' wide map."""
+    n_states = _golden_system(p, 30.0)[1].n_states
+    budget = sim._check_footprint("smoother", 16, 30000, n_states, moments=True)
+    assert _smoother_alloc_peak(p, 16, 30000, True) <= budget
 
 
 def test_scan_holds_one_block_map_at_a_time():
     """At 8 trials x 6000 steps, which ends in a partial block, a p = 20
     block map with moments (138 x 714 floats, 0.79 MB) is larger than the
-    two paths a smoother keeps (0.38 MB each). The peak stays within the
-    run's own budget: its kept paths, one such map and the block buffers
-    that _FOOTPRINT counts. Building the last block's shorter map (0.46 MB)
-    while the full one is still held, or any (trials, steps, states) array
-    (3.8 MB), exceeds it."""
-    p, n_trials, n_steps, k = 20, 8, 6000, sim._SCAN_BLOCK
-    n = p // 2
-    paths, buffers = sim._FOOTPRINT["smoother"]
-    one_map = (n + 2 * k) * (k * (1 + n) + n) * 8  # readouts theta - phi and the n states
-    budget = 8 * n_trials * (paths * n_steps + buffers * sim._STREAM_BLOCK) + one_map
+    path a smoother keeps (0.38 MB). The peak stays within the footprint
+    check's estimate for the run, which counts one such map. Building the
+    last block's shorter map (0.46 MB) while the full one is still held,
+    or any (trials, steps, states) array (3.8 MB), exceeds it."""
+    p, n_trials, n_steps = 20, 8, 6000
+    budget = sim._check_footprint("smoother", n_trials, n_steps, p // 2, moments=True)
     assert _smoother_alloc_peak(p, n_trials, n_steps, True) <= budget
 
 
@@ -1260,6 +1260,59 @@ def test_smoother_memory_grows_by_two_paths():
     added = configs[1].n_steps - configs[0].n_steps
     checkpoints = (added // sim._STREAM_BLOCK + 1) * (8 * n_trials * system.n_states + 512)
     assert long - short <= 2 * 8 * n_trials * added + checkpoints
+
+
+def test_smoother_memory_grows_by_one_path():
+    """A smoother ensemble keeps only r whole and draws dW again in its
+    backward sweep, from each trial's dW stream state saved at every block
+    start: from duration_factor 100 to 1000 its peak grows by one path and
+    the checkpoints that the footprint check counts, the forward error and
+    _CHECKPOINT_BYTES per trial and block. Keeping dW too would add 3 MB."""
+    model, system, flux = _golden_system(4, 30.0)
+    n_trials = 4
+    configs = [
+        default_config(model, flux, seed=2, duration_factor=f, linearized=True) for f in (100.0, 1000.0)
+    ]
+    short, long = (_alloc_peak(lambda: simulate_filter_trials(model, c, n_trials, smoother=True)) for c in configs)
+    added = configs[1].n_steps - configs[0].n_steps
+    checkpoints = (added // sim._STREAM_BLOCK + 1) * n_trials * (8 * system.n_states + sim._CHECKPOINT_BYTES)
+    assert long - short <= 8 * n_trials * added + checkpoints
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 4, 8]),
+    linearized=st.booleans(),
+    n_trials=st.integers(2, 3),
+    n_steps=st.one_of(
+        st.integers(1, sim._STREAM_BLOCK),
+        st.sampled_from([sim._STREAM_BLOCK + d for d in (-1, 1, 65, sim._STREAM_BLOCK + 5)]),
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_smoother_redraws_dw_bit_for_bit(p, linearized, n_trials, n_steps, seed):
+    """A smoother ensemble draws each span's dW again in its backward sweep
+    from the stream states saved at the span's start. Its statistics equal
+    those of the same run with dW kept whole, bit for bit: over one span,
+    a span +- 1 step, a partial last span (+ 65) and two spans and a
+    partial scan block, which has a span of its own (2 spans + 5)."""
+    model, system, flux = _golden_system(p, 30.0)
+    dt = 0.01 * system.time_scale
+    config = HomodyneConfig(
+        photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=n_steps // 4 * dt, seed=seed, linearized=linearized
+    )
+    draws = sim._noise_draws
+
+    def keeping_dw(seed, n_trials, dt, longest, kept, clock):
+        return draws(seed, n_trials, dt, longest, (np.empty_like(kept[1]), kept[1]), clock)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
+        res = simulate_filter_trials(model, config, n_trials, smoother=True)
+        patch.setattr(sim, "_noise_draws", keeping_dw)
+        ref = simulate_filter_trials(model, config, n_trials, smoother=True)
+    assert (res.filter_mse, res.filter_stderr) == (ref.filter_mse, ref.filter_stderr)
+    assert (res.smoother_mse, res.smoother_stderr) == (ref.smoother_mse, ref.smoother_stderr)
 
 
 @pytest.mark.parametrize(
@@ -1508,7 +1561,7 @@ def test_backward_constants_are_the_inverse_forms(p, log_dt):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_block_scan", recording_scan)
         smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
-        sim._error_passes(model, system, _bare_config(flux, 2, dt), quiet, quiet.copy(), vf, smoothing)
+        error_passes(model, system, _bare_config(flux, 2, dt), quiet, quiet.copy(), vf, smoothing)
     back_t, _, retro_gain = scans[-1][1:4]
     assert np.array_equal(retro_gain, retro_covariance(vf) @ system.c)
     n = system.n_states
