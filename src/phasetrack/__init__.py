@@ -36,12 +36,10 @@ from .simulation import (
     HomodyneConfig,
     SimulationRecord,
     default_config,
-    mse_statistics,
     run_abc,
     run_abc_trials,
     simulate_filter_trials,
     simulate_record,
-    windowed_mse,
 )
 from .sweep import SweepSpec, parse_sweep_spec, run_sweep
 
@@ -60,7 +58,6 @@ __all__ = [
     "filter_mse_power_law",
     "filter_mse_quadrature",
     "lg_filter_mse",
-    "mse_statistics",
     "parse_sweep_spec",
     "qcrb_power_law",
     "qcrb_quadrature",
@@ -76,5 +73,4 @@ __all__ = [
     "smoother_mse_quadrature",
     "solve_filter_covariance",
     "tabulated_spectrum",
-    "windowed_mse",
 ]

@@ -16,64 +16,57 @@ only the chain error e = xf - x,
 
 with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
 t^(n+1/2), is never formed. Only the sin() loop steps one sample at a
-time, since its residual r depends on theta - phi, and it computes only r
-and the theta - phi it feeds back. A linearized run has no per-step loop:
-r = dB is known in advance. Given dW and r, the rest is linear, in both
-modes: one forward blocked scan reads out theta - phi (linearized runs) and
-the interior state moments. The forward error at the end of the record,
-the scan's or the sin() loop's own, seeds the anticausal pass, a second
-blocked scan over the kept r and the dW drawn again. The smoother's
-forward readout is replayed block by block from the forward error at each
-block's start. The two readouts combine into the smoothed error through
-the information sum (the two-filter form of Fraser and Potter), with
-weights and backward constants from lg's closed forms and no matrix
-inverse. Only records add the open-loop phase back, to write phi, theta, y
-and phi_s.
-Phase is tracked on the real line throughout; nothing is wrapped mod 2 pi.
+time, since its r depends on theta - phi; a linearized run knows r = dB in
+advance. Given dW and r the rest is linear: a forward blocked scan reads
+out theta - phi (linearized runs) and the interior state moments, and the
+forward error at the end of the record seeds the anticausal pass, a
+backward blocked scan over the kept r and the dW drawn again. The
+smoother's forward readout is replayed block by block, and the two
+readouts combine through the information sum (the two-filter form of
+Fraser and Potter), with weights and backward constants from lg's closed
+forms and no matrix inverse. Only records add the open-loop phase back, to
+write phi, theta, y and phi_s. Phase is tracked on the real line
+throughout; only the reductions, with wrap_errors, wrap errors mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
 phase itself, integrated open-loop before the loop. It keeps its two
 discounted functionals (a, b) as one stacked (2, trials) array of harmonics
 1 and 2, so one exponential gives both rotations of a step and one complex
-product both Newton derivatives; the floats are those of the per-array form.
-Per step it allocates nothing: its buffers and constant operands are sized
-to the batch at entry, every ufunc writes into one of them, and none takes a
-Python scalar, a broadcast shape or a real factor of a complex product, each
-of which costs numpy a conversion per call. Its floats are bit for bit those
-of the reference loop in tests/oracles.py, which takes such operands.
+product both Newton derivatives.
 
-At tens of trials a numpy call costs its dispatch more than its
-arithmetic, so both per-step loops bind their ufuncs to local names once
-per run and pass each output positionally, except to np.maximum and
-np.minimum, whose positional output numpy deprecates; plain copies are
-np.positive. The sin() loop, like this one, runs on full-width operands and
-buffers sized once per run. The operands and their order are those of the
-plain expressions, so the floats are too.
+The per-step rule of both loops, the sin() loop and the exponential
+window: at tens of trials a numpy call costs its dispatch more than its
+arithmetic, so neither allocates per step. Buffers and constant operands
+are sized to the full batch once per run, each loop binds its ufuncs to
+local names once per run, and every ufunc writes into a buffer passed
+positionally, except to np.maximum and np.minimum, whose positional output
+numpy deprecates; plain copies are np.positive. The exponential window
+also gives no ufunc a Python scalar, a broadcast shape or a real factor of
+a complex product, each of which costs numpy a conversion per call: such a
+product is taken as real products of the float views, which round alike.
+The operands and their order are those of the plain expressions, so the
+floats are too: the exponential window's are bit for bit those of the
+reference loop in tests/oracles.py.
 
 The four entry points take (model, config, ...): p and kappa come from the
 PhaseModel, the photon flux N from the HomodyneConfig, and the
 linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows from them, so a
 run states each parameter once.
 
-Both feedback loops run under one block driver (_error_blocks for the
-filter, _abc_blocks for the exponential window), and every run, record or
-ensemble, runs it in blocks of _STREAM_BLOCK steps. Per block it draws each
-trial's noise from generators made once per run, steps the sin() or ABC
-loop (or the forward scan of a linearized run), and yields the block's
-errors. Ensembles reduce those as they come: running per-trial sums of
-squared error over the interior window and the windowed_mse windows, so
-filter-only and ABC ensembles keep no (trials, steps) array and a smoother
-ensemble keeps only r, which its backward sweep needs: it draws each
-block's dW again there, the same bits, from each trial's dW stream state
-saved at the block's start. A record is an ensemble that keeps its paths:
-it writes each block into whole (trials, steps) arrays, from which
-simulate_record and run_abc assemble a SimulationRecord, whose single row
-is the one-trial case; mse_statistics and windowed_mse take such an error
-path. Filter records and ensembles share one set-up and zero-flux rule: at
-N = 0 the gain is zero, and phi_s and the smoother statistics are None.
-Every run times its stages (covariance solve, noise, chain, feedback loop,
-forward scan, backward scan, reductions) into a stage_s dict of seconds on
-its result.
+Every run, record or ensemble, runs one block driver (_error_blocks for the
+filter, _abc_blocks for the exponential window) in blocks of _STREAM_BLOCK
+steps: per block it draws each trial's noise from generators made once per
+run, steps the loop (or the forward scan of a linearized run) and yields
+the block's errors. Ensembles reduce those as they come, into per-trial
+sums of squared error (_ErrorSums), so filter-only and ABC ensembles keep
+no (trials, steps) array, and a smoother ensemble keeps only r: its
+backward sweep draws each block's dW again, the same bits, from each
+trial's dW stream state saved at the block's start. A record is an
+ensemble that keeps its paths, in a SimulationRecord whose single row is
+the one-trial case. Filter records and ensembles share one set-up and
+zero-flux rule: at N = 0 the gain is zero, and phi_s and the smoother
+statistics are None. Every run times its stages into a stage_s dict of
+seconds on its result, keyed as in _STAGES.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -104,8 +97,6 @@ __all__ = [
     "simulate_filter_trials",
     "run_abc",
     "run_abc_trials",
-    "mse_statistics",
-    "windowed_mse",
 ]
 
 _ABC_HOLD_THRESHOLD = 1e-12
@@ -120,7 +111,7 @@ _FOOTPRINT = {
 # objects) and its share of the block's lists (up to 110 B at 2 trials)
 _CHECKPOINT_BYTES = 640
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
-_N_WINDOWS = 4  # log-spaced windows of windowed_mse and the ABC divergence check
+_N_WINDOWS = 4  # log-spaced windows of the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
 _MAX_DT_FACTOR = 0.01
 _MIN_BURN_IN_FACTOR = 20.0
@@ -169,11 +160,9 @@ def default_config(
     linearized: bool = False,
 ) -> HomodyneConfig:
     """Config at photon flux N with all times in units of the closed-loop
-    response time mu^(-1/p), mu = 4 N kappa^(p-1) from the model's p and kappa.
-
-    dt resolves the fastest filter mode (100 steps per time constant by
-    default) and the burn-in covers the startup transient.
-    """
+    response time mu^(-1/p): dt resolves the fastest filter mode (100 steps
+    per time constant by default) and the burn-in covers the startup
+    transient."""
     tau = build_lg_system(model.p, model.kappa, flux).time_scale
     burn = burn_in_factor * tau
     return HomodyneConfig(
@@ -188,13 +177,11 @@ def default_config(
 
 def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int, moments=False) -> LgSystem:
     """Linear-Gaussian system of a run of ``kind`` (a _FOOTPRINT key) and
-    n_trials trials, with full-state ``moments`` or not: p and kappa from
-    the model, photon flux from the config. The check every run makes
-    before it allocates: rejects a grid that does not resolve the
-    closed-loop response time mu^(-1/p) or the model's damping rates, an
+    n_trials trials, with full-state ``moments`` or not, after the check
+    every run makes before it allocates: rejects a grid that does not
+    resolve the response time mu^(-1/p) or the model's damping rates, an
     empty interior window, and a run that would keep more memory than the
-    machine has. At mu = 0 a smoother run keeps no paths, as there is
-    nothing to smooth."""
+    machine has. At mu = 0 a smoother run keeps no paths."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
@@ -215,19 +202,14 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
     return system
 
 
-
 @dataclass(eq=False)
 class SimulationRecord:
-    """Trajectories of one or more trials on a shared 1-D time grid ``t``.
-
-    Every path is (n_trials, T), one row per trial; a single record is the
-    one-row case. ``y`` is the rescaled signal I + 2 sqrt(N) theta as a
-    rate, and ``theta`` is the estimate fed back at each step. Filter-mode
-    records are built from the loop's errors: theta = phi + (theta - phi),
-    the causal estimate, and phi_s = phi + (phi_s - phi) is NaN outside the
-    interior window (None without a measurement). ABC-mode records carry
-    phi_abc, the estimate after each step, instead of phi_s. ``stage_s`` is
-    the run's seconds per stage, keyed as in _STAGES.
+    """Trajectories of one or more trials on a shared 1-D time grid ``t``,
+    every path (n_trials, T). ``y`` is the rescaled signal as a rate and
+    ``theta`` the estimate fed back at each step. Filter records carry the
+    smoothed phi_s, NaN outside the interior window (None without a
+    measurement); exponential-window records carry phi_abc, the estimate
+    after each step. ``stage_s`` is keyed as in _STAGES.
     """
 
     t: np.ndarray
@@ -306,16 +288,15 @@ def _block_spans(n_steps: int, reverse: bool = False):
 
 
 def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock: _StageClock):
-    """draw(span): the (phase, measurement) Gaussian increments (dW, dB) of
-    the steps in span, each a view of its whole (n_trials, T) array in
-    kept = (dW, dB) or, where kept holds None, of a buffer of ``longest``
-    steps. Each trial draws from two independent child streams of its own
-    derived seed, made once here, so spans drawn in order continue one draw
-    of the whole record. A run that keeps a path draws its spans again, in
-    its backward sweep: the kept arrays come back as they are (the sin()
-    loop writes r over dB), and the buffered streams are drawn again, the
-    same bits, from their states saved at the span's start, unless the
-    buffers still hold the span, as they do the last one."""
+    """draw(span): the (dW, dB) Gaussian increments of the steps in span,
+    each a view of its whole (n_trials, T) array in kept = (dW, dB) or,
+    where kept holds None, of a buffer of ``longest`` steps. The streams
+    are made once here, so spans drawn in order continue one draw of the
+    whole record. A run that keeps a path draws its spans again in its
+    backward sweep: kept arrays come back as they are (the sin() loop
+    writes r over dB), and buffered streams are drawn again, the same bits,
+    from their states saved at the span's start, unless the buffers still
+    hold the span, as they do the last one."""
     streams = [
         [np.random.default_rng(ss) for ss in child.spawn(2)]
         for child in np.random.SeedSequence(seed).spawn(n_trials)
@@ -352,25 +333,19 @@ def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock:
 
 
 def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Optional[list] = None) -> np.ndarray:
-    """True phase path of every trial, (n_trials, T) with entry i at t_i,
-    the value before Wiener increment dw[:, i].
-
-    The phase never depends on the estimate, so the chain is integrated
-    open-loop, apart from any feedback loop, by explicit Euler from zero:
+    """True phase of every trial, (n_trials, T) with entry i at t_i, the
+    value before Wiener increment dw[:, i], integrated open-loop (the phase
+    never depends on the estimate) by explicit Euler from zero:
     dx_0 = -lambda_0 x_0 dt + dW, dx_(k+1) = (x_k - lambda_(k+1) x_(k+1)) dt,
-    and phi = kappa^(n+1/2) x_n. Each stage is a first-order linear
-    recurrence x_k[i+1] = c x_k[i] + g x_(k-1)[i] from x_k[0] = 0, with
-    c = 1 - lambda_k dt and drive g x_(k-1) = dW (stage 0) or dt x_(k-1),
-    so at most two stages are live at a time. An undamped stage (c == 1) is
-    a cumsum of its drive shifted one step; a damped one steps the
-    recurrence once per time index for all trials. Both round each step as
-    c x_k[i] + (g x_(k-1)[i]), the arithmetic of an order-1 direct-form
-    filter.
+    phi = kappa^(n+1/2) x_n. Stage k is x_k[i+1] = c x_k[i] + g x_(k-1)[i]
+    with c = 1 - lambda_k dt and g x_(k-1) = dW (stage 0) or dt x_(k-1),
+    rounded as an order-1 direct-form filter: a cumsum of the shifted drive
+    where c == 1, else one step per time index for all trials.
 
-    With ``carry``, a list, dw continues the increments of the previous
-    call: each stage starts from the (drive, value) pair of that call's
-    last step, read from carry (zero when it is empty) and written back,
-    so a run integrated block by block has the floats of one whole call.
+    With ``carry``, a list, dw continues the previous call's increments:
+    each stage starts from the (drive, value) pair that call left in carry
+    (zero when empty) and writes its own back, so a run integrated block by
+    block has the floats of one whole call.
     """
     stage = np.asarray(dw, dtype=float)
     ends = []
@@ -440,14 +415,11 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     x is (rows, n) and dw, db are (rows, T), possibly reversed views. The
     readout w is a vector (n,) with out (rows, T), or q of them as columns
     (n, q) with out (rows, T, q); h_dw is a scalar or one value per readout.
-    The scan advances _SCAN_BLOCK steps per matrix product (a chunked form
-    of the parallel prefix scan over the affine recurrence); the last
-    partial block uses its own, shorter map. ``maps``, a dict, keeps the
-    map across the calls of a run that scans one recurrence and readout
-    block by block; it holds one map at a time, and a map of another
-    length is built only after the held one is released. A moment reads
-    each block's states out next to the readouts and sums their outer
-    products once per block, so no state path outlives its block.
+    Each matrix product advances _SCAN_BLOCK steps (a chunked prefix scan);
+    a last partial block uses its own, shorter map. ``maps``, a dict, keeps
+    the map across the block-by-block calls of one recurrence and readout,
+    one map at a time. A moment reads each block's states out next to the
+    readouts, so no state path outlives its block.
     """
     n = m.shape[0]
     rows, n_steps = dw.shape
@@ -475,36 +447,25 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
 
 def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, error_moment=None):
     """Block driver of the causal estimator in the feedback loop and, with
-    ``smoothing = (w_f[-1], w_r[-1])``, the backward pass, both on the chain
-    error e = x_hat - x, batched over trials.
+    ``smoothing = (w_f[-1], w_r[-1])``, the backward pass, on the chain
+    error e of a run of ``shape`` (n_trials, n_steps).
 
-    draw(span) gives the (dW, dB) of each _block_spans span of a run of
-    ``shape`` (n_trials, n_steps), in order; the sin() loop overwrites dB
-    in place with the residual r = I dt - 2 sqrt(N) (phi - theta) dt, which
-    a linearized run leaves equal to dB. Yields (0, span, theta - phi) for
-    each span in order and then, with smoothing, (1, span, phi_s - phi)
-    for each span in reverse, NaN outside the interior window; each array
-    is valid until the next item. The backward sweep draws each span again
-    and needs the same dW and the r that the forward pass left.
-    ``error_moment`` (n_trials, n+1, n+1) accumulates the interior sum of e e^T.
+    draw(span) gives the (dW, dB) of each _block_spans span in order, then
+    again in reverse for the backward sweep, which needs the same dW and
+    the r that the forward pass left: the sin() loop overwrites dB in place
+    with r. Yields (0, span, theta - phi) for each span in order and then,
+    with smoothing, (1, span, phi_s - phi) for each span in reverse, NaN
+    outside the interior window; each array is valid until the next item.
+    ``error_moment`` (n_trials, n_states, n_states) accumulates the
+    interior sum of e e^T.
 
-    Only the sin() loop steps one sample at a time, and it computes only r
-    and the theta - phi it feeds back; a linearized run knows r = dB in
-    advance. Each of the loop's ufuncs writes into a buffer sized here:
-    theta - phi goes into contiguous rows of a time-major block, copied
-    once per span into the C-ordered block that is yielded, whose row sums
-    the reductions take in the order of a whole path's. Given r, the
-    forward error is the affine recurrence
-    e' = e F^T + r K^T - dW e_0^T with F = I + (A - K C) dt and K = V_F C^T,
-    and one blocked scan of it reads out theta - phi (linearized runs only)
-    and the moments. A sin() run with no moments runs no forward scan. With
-    smoothing, the driver keeps the forward error at each span's start (the
-    scan's in a linearized run, the loop's own e in a sin() run), and the
-    backward sweep, seeded with the forward error at the end, replays
-    w_f . e from there, span by span, before the backward scan of the span;
-    so the forward scan, replay and backward scan each build their maps
-    once per run. The backward pass needs no V_R: its gain V_R C^T is the
-    forward gain, parity-signed.
+    The forward error is e' = e F^T + r K^T - dW e_0^T, F = I + (A - K C) dt
+    and K = V_F C^T; its blocked scan reads out theta - phi (linearized runs
+    only) and the moments, so a sin() run without moments scans nothing
+    forward. With smoothing the driver keeps the forward error at each
+    span's start, and the backward sweep, seeded with the one at the end,
+    replays w_f . e from there before each span's backward scan; each scan
+    builds its maps once per run.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -558,6 +519,8 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
                 add(e, m, e)
                 subtract(e_first, dw_i, e_first)
             err = err_buf[:, :k]
+            # from the loop's time-major rows into C order, so the reductions
+            # sum each row in the order of a whole path's
             np.positive(fed_back[:k].T, err)
             clock.lap("loop")
         if scan:
@@ -614,28 +577,25 @@ def _collect_errors(blocks, shape) -> tuple:
 
 def _abc_phase_updater(flux: float, n_trials: int):
     """Newton update of the exponential-window estimate at photon flux N for
-    a batch of n_trials, as a function update(ab, theta, e) -> (cand, hold)
-    that owns every operand it needs: the weights at full width and its
-    scratch buffers, sized here once.
+    a batch of n_trials, as update(ab, theta, e) -> (cand, hold), with its
+    weights and scratch buffers sized here once.
 
     a and b are sufficient statistics of the recent photocurrent: the
     log-likelihood of a locally constant phase value v is
 
         ln L(v) = 2 sqrt(N) Re[a* e^(iv)] + N Re[b* e^(2iv)] + const.
 
-    The estimate is the maximizer nearest the previous theta (Newton steps
-    seeded there, then continued to the closest 2 pi branch). ab and e are
-    (2, n_trials), the two harmonics stacked: e holds e^(i theta) and
-    e^(2i theta), the first iterate's rotations, and each iterate takes
-    both harmonics' terms from one product conj(ab) e, whose (real, imag)
-    parts times the weights give curv and slope in one row difference.
-    update returns its own buffers, overwritten by the next call: the
-    candidate angles and a mask of trials whose statistics are too small to
-    define one (those hold the previous theta).
-
-    Every ufunc writes into those buffers. The step slope / curv is divided
-    for every trial and kept only where curv < 0 (a NaN curv takes no step),
-    so update runs under np.errstate(divide="ignore", invalid="ignore").
+    From the previous theta, update takes exactly three Newton steps on
+    ln L, each clipped to +-1 rad and taken only where the curvature is
+    negative (elsewhere, a NaN curvature included, the iterate stays), then
+    moves the result by whole turns to within pi of theta. So the candidate
+    need not be a maximizer: it may end unconverged, or where the curvature
+    is >= 0. ab and e are (2, n_trials), the harmonics stacked, e holding
+    e^(i theta) and e^(2i theta). update returns its own buffers,
+    overwritten by the next call: the candidates and a mask of trials whose
+    statistics are too small to define a phase (those hold theta). It
+    divides for every trial, so it must run under
+    np.errstate(divide="ignore", invalid="ignore").
     """
     two_sqrt_n = 2.0 * math.sqrt(flux)
     # hold test: (2 sqrt(N), 2N); Newton: (real, imag) weights (-2 sqrt(N), -2 sqrt(N))
@@ -685,8 +645,7 @@ def _abc_phase_updater(flux: float, n_trials: int):
             subtract(terms_a, terms_b, diff)
             less(curv, zero, ok)  # only step toward a maximum
             divide(slope, curv, step)
-            # np.clip, less overhead; new - clip(slope / curv) where ok, else new.
-            # out= by keyword: numpy deprecates a third positional argument here
+            # np.clip, less overhead; new - clip(slope / curv) where ok, else new
             maximum(step, lo, out=step)
             minimum(step, hi, out=step)
             subtract(new, step, step)
@@ -703,23 +662,17 @@ def _abc_phase_updater(flux: float, n_trials: int):
 
 def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     """Exponential-window estimator in the feedback loop, batched over
-    trials, as step(phi, idt, est) -> held: it runs the steps of one block
-    of the (n_trials, k) phase, writes the photocurrent I dt over the shot
-    noise dB in idt and the estimate after each step into est (n_trials, k),
-    and returns the number of trial-steps that held theta. The loop's
-    state, the functionals and theta (zero at the start), carries over from
-    one call to the next.
+    trials, as step(phi, idt, est) -> held: over one block of the
+    (n_trials, k) phase it writes the photocurrent I dt over the shot noise
+    dB in idt and the estimate after each step into est, and returns the
+    number of trial-steps that held theta. Per step the functionals, one
+    (2, n_trials) array ab = (a, b) updated in place, discount and add
 
-    The two functionals are one (2, n_trials) array ab = (a, b), updated in
-    place; one exponential gives both harmonics e^(i theta), e^(2i theta) of
-    each step, for the a and b updates and the first Newton iterate.
+        a <- a e^(-chi dt) + e^(i Phi) I dt,  b <- b e^(-chi dt) - e^(2i Phi) dt
 
-    Per step the loop allocates nothing (see the module docstring): every
-    buffer and constant operand is sized to the batch here, and a complex
-    product with a real factor is taken as real products of the float
-    views, which round alike. The floats are bit for bit those of
-    oracles.abc_feedback_reference in the tests, the loop with scalar and
-    broadcast operands.
+    with Phi = theta + pi/2 the oscillator phase, and theta takes
+    _abc_phase_updater's candidate. ab and theta (zero at the start) carry
+    over from one call to the next.
     """
     if not 0 < chi < math.inf:
         raise ValidationError(f"chi must be positive and finite, got {chi}")
@@ -765,8 +718,7 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
                 add(resp, idt_i, idt_i)  # I dt, written over dB
                 positive(idt_i, meas)
 
-                # Discounted functionals, phasors taken at the physical oscillator
-                # phase theta + pi/2 (the sin() photocurrent is that quadrature).
+                # the functionals, at the oscillator phase whose quadrature is the photocurrent
                 add(theta, theta, twice)
                 exp(angle, harmonics)
                 multiply(ab_f, decay, ab_f)
@@ -829,9 +781,8 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     solved once and scaled to V_F, the smoother's weights when asked, and
     the noise drawn block by block. Returns (kept, blocks), the whole (dW, r)
     or None where the run keeps no such path (a smoother keeps r, a record
-    both), and the _error_blocks iterator.
-    ``moment`` is as _error_blocks' error_moment. At mu = 0 the gain is zero
-    and there is nothing to smooth."""
+    both), and the _error_blocks iterator, to which ``moment`` goes as
+    error_moment."""
     kind = "record" if record else "smoother" if smoother else "filter"
     system = _run_system(model, config, kind, n_trials, moment is not None)
     if system.mu > 0:
@@ -869,15 +820,10 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationReco
 
 
 def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> SimulationRecord:
-    """One trial with the exponential-window estimator in the feedback loop,
-    as a one-row record.
-
-    Per step the two discounted photocurrent functionals update as
-    a <- a e^(-chi dt) + e^(i Phi) I dt and b <- b e^(-chi dt) - e^(2 i Phi) dt
-    with Phi = theta + pi/2 the oscillator phase, and the new theta is the
-    likelihood maximizer nearest the previous one (see _abc_phase_update).
-    Steps whose statistics are too small to define a phase hold theta and
-    are counted in abc_indeterminate_steps.
+    """One trial with the exponential-window estimator at window rate chi
+    in the feedback loop (_abc_loop), as a one-row record. Steps whose
+    statistics are too small to define a phase hold theta and are counted
+    in abc_indeterminate_steps.
     """
     clock = _StageClock()
     _run_system(model, config, "abc_record", 1)
@@ -900,25 +846,13 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     )
 
 
-def _squared_error(err: np.ndarray, wrap: bool) -> np.ndarray:
-    """err^2 in one new array; with ``wrap`` the error is first reduced to
-    (-pi, pi]."""
-    if not wrap:
-        return np.square(err)
-    sq = err + math.pi
-    np.mod(sq, 2.0 * math.pi, out=sq)
-    sq -= math.pi
-    return np.square(sq, out=sq)
-
-
 def _trial_statistics(per_trial: np.ndarray) -> tuple[float, float]:
     """Mean of per-trial values and its standard error from their scatter."""
     return float(np.mean(per_trial)), float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial)))
 
 
 def _window_slices(n_steps: int, dt: float, start: float) -> list[slice]:
-    """Index windows of windowed_mse: [start, T] split into _N_WINDOWS
-    log-spaced segments."""
+    """Index windows of [start, T] split into _N_WINDOWS log-spaced segments."""
     t_end = n_steps * dt
     if not 0 < start < t_end:
         raise ValidationError(f"window start {start} outside (0, {t_end})")
@@ -931,45 +865,13 @@ def _window_slices(n_steps: int, dt: float, start: float) -> list[slice]:
     return slices
 
 
-def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = False) -> tuple[float, float]:
-    """Ensemble MSE of an estimation error: time average of err^2 per trial
-    over the interior window, mean across trials, standard error from
-    inter-trial scatter.
-
-    err is (n_trials, T) with n_trials >= 2. With ``wrap=True`` the error is
-    reduced to (-pi, pi] before squaring, the slip-insensitive metric for
-    low-flux runs where the feedback loop hops between physically equivalent
-    lock points 2 pi apart (on the real line those hops make the long-run
-    average grow without bound).
-    """
-    err = np.asarray(err, dtype=float)
-    if err.ndim != 2:
-        raise ValidationError(f"need an (n_trials, T) error array, got shape {err.shape}")
-    if err.shape[0] < 2:
-        raise ValidationError("need at least 2 trials for a standard error")
-    win = _interior_slice(err.shape[1], dt, burn_in)
-    return _trial_statistics(np.mean(_squared_error(err[:, win], wrap), axis=1))
-
-
-def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -> np.ndarray:
-    """Ensemble-mean squared error over logarithmically spaced time windows.
-
-    Splits [start, T] into four log-spaced segments and averages err^2 of
-    all trials within each; a strictly increasing result is the
-    signature of an estimator with no stationary error. ``wrap`` reduces
-    the error to (-pi, pi] first, as in mse_statistics.
-    """
-    err = np.asarray(err, dtype=float)
-    windows = _window_slices(err.shape[-1], dt, start)
-    sq = _squared_error(err, wrap)
-    return np.array([float(np.mean(sq[..., w])) for w in windows])
-
-
 class _ErrorSums:
-    """The reductions of mse_statistics and, with ``windows``, windowed_mse
-    (started at burn_in), streamed: running per-trial sums of err^2,
-    wrapped with ``wrap``, over the interior window and each window, added
-    block by block in any order."""
+    """Per-trial sums of err^2 over the interior window and, with
+    ``windows``, each window from burn_in to the end, added block by block
+    in any order; with ``wrap`` the error is reduced to (-pi, pi] first.
+    Each block is squared once, whole, and every window sums its slice.
+    mse_statistics gives the interior MSE and its standard error over
+    trials, windowed_mse the ensemble MSE of each window."""
 
     def __init__(self, n_trials: int, config: HomodyneConfig, wrap: bool, windows: bool = False):
         self.wrap = wrap
@@ -979,10 +881,17 @@ class _ErrorSums:
         self.sums = np.zeros((len(self.slices), n_trials))
 
     def add(self, start: int, err: np.ndarray) -> None:
+        if self.wrap:
+            sq = err + math.pi
+            np.mod(sq, 2.0 * math.pi, out=sq)
+            sq -= math.pi
+            np.square(sq, out=sq)
+        else:
+            sq = np.square(err)
         for total, s in zip(self.sums, self.slices):
             lo, hi = max(s.start - start, 0), min(s.stop - start, err.shape[1])
             if lo < hi:
-                total += np.sum(_squared_error(err[:, lo:hi], self.wrap), axis=1)
+                total += np.sum(sq[:, lo:hi], axis=1)
 
     def mse_statistics(self) -> tuple[float, float]:
         win = self.slices[0]
@@ -1014,13 +923,12 @@ def simulate_filter_trials(
     full_state_stats: bool = False,
     wrap_errors: bool = False,
 ) -> FilterTrialResult:
-    """Run an ensemble of feedback trials and reduce to MSE statistics.
-
-    Trials are keyed by (config.seed, trial index); rerunning with the same
-    arguments reproduces the ensemble exactly. The errors are reduced
-    block by block as the driver yields them, so no (trials, steps) path
-    is kept but the smoother's r; its backward sweep draws dW again, block
-    by block, from saved generator states.
+    """Ensemble of n_trials filter-feedback trials reduced to the interior
+    MSE and its standard error, with ``smoother`` the smoother's too, and
+    with ``full_state_stats`` the mean interior state error covariance.
+    ``wrap_errors`` reduces errors to (-pi, pi] before squaring, the
+    slip-insensitive metric at low flux. Trial i's noise depends only on
+    (config.seed, i), so a rerun reproduces the ensemble exactly.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
@@ -1062,12 +970,10 @@ def run_abc_trials(
     chi: float,
     wrap_errors: bool = False,
 ) -> AbcTrialResult:
-    """Ensemble of exponential-window feedback trials with divergence check.
-
-    ``diverged`` is set when the ensemble windowed MSE increases strictly
-    across four log-spaced windows after burn-in; with ``wrap_errors`` the
-    windows square wrapped errors, like the MSE itself. The errors are
-    reduced block by block, so no (trials, steps) path is kept.
+    """Ensemble of n_trials exponential-window feedback trials at window
+    rate chi, reduced as in simulate_filter_trials. ``diverged`` is set when
+    the ensemble MSE increases strictly across the _N_WINDOWS log-spaced
+    windows after burn-in, which square wrapped errors with ``wrap_errors``.
     """
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")

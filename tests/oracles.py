@@ -11,8 +11,9 @@ noise as scaled normal draws, the tabulated spectrum through np.interp,
 the filter error of the sin() and linearized loops stepped one sample
 at a time, the smoothing weights by float inverses of the information sum, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
-solve, and the exponential-window feedback loop with scalar and broadcast
-operands.
+solve, the exponential-window feedback loop with scalar and broadcast
+operands, and the ensemble MSE and windowed MSE reduced over whole error
+paths (mse_statistics, windowed_mse), which every run sums block by block.
 
 Two are seams instead, which run the package's own code on whole arrays
 for the references and the tests to compare with: trial_noise, the noise
@@ -50,7 +51,8 @@ from phasetrack.simulation import (
     _interior_slice,
     _noise_draws,
     _open_loop_phase,
-    mse_statistics,
+    _trial_statistics,
+    _window_slices,
 )
 
 
@@ -148,6 +150,51 @@ def autocovariance(model: PhaseModel, tau) -> float | np.ndarray:
         )
         out[i] = val / np.pi
     return float(out[0]) if np.ndim(tau) == 0 else out
+
+
+def _squared_error(err: np.ndarray, wrap: bool) -> np.ndarray:
+    """err^2 in one new array; with ``wrap`` the error is first reduced to
+    (-pi, pi]."""
+    if not wrap:
+        return np.square(err)
+    sq = err + math.pi
+    np.mod(sq, 2.0 * math.pi, out=sq)
+    sq -= math.pi
+    return np.square(sq, out=sq)
+
+
+def mse_statistics(err: np.ndarray, dt: float, burn_in: float, wrap: bool = False) -> tuple[float, float]:
+    """Ensemble MSE of an estimation error: time average of err^2 per trial
+    over the interior window, mean across trials, standard error from
+    inter-trial scatter.
+
+    err is (n_trials, T) with n_trials >= 2. With ``wrap=True`` the error is
+    reduced to (-pi, pi] before squaring, the slip-insensitive metric for
+    low-flux runs where the feedback loop hops between physically equivalent
+    lock points 2 pi apart (on the real line those hops make the long-run
+    average grow without bound).
+    """
+    err = np.asarray(err, dtype=float)
+    if err.ndim != 2:
+        raise ValidationError(f"need an (n_trials, T) error array, got shape {err.shape}")
+    if err.shape[0] < 2:
+        raise ValidationError("need at least 2 trials for a standard error")
+    win = _interior_slice(err.shape[1], dt, burn_in)
+    return _trial_statistics(np.mean(_squared_error(err[:, win], wrap), axis=1))
+
+
+def windowed_mse(err: np.ndarray, dt: float, start: float, wrap: bool = False) -> np.ndarray:
+    """Ensemble-mean squared error over logarithmically spaced time windows.
+
+    Splits [start, T] into four log-spaced segments and averages err^2 of
+    all trials within each; a strictly increasing result is the
+    signature of an estimator with no stationary error. ``wrap`` reduces
+    the error to (-pi, pi] first, as in mse_statistics.
+    """
+    err = np.asarray(err, dtype=float)
+    windows = _window_slices(err.shape[-1], dt, start)
+    sq = _squared_error(err, wrap)
+    return np.array([float(np.mean(sq[..., w])) for w in windows])
 
 
 def run_abc_linearized_trials(

@@ -25,7 +25,7 @@ LAYERS = ("phase_process", "lg", "bounds", "simulation", "sweep", "cli")
 # perfbench/spans.py wraps only the functions a layer lists in __all__
 TRACED = {
     "simulation": (
-        "simulate_filter_trials", "run_abc_trials", "simulate_record", "run_abc", "mse_statistics", "windowed_mse",
+        "simulate_filter_trials", "run_abc_trials", "simulate_record", "run_abc",
     ),
     "lg": ("covariance_set", "solve_filter_covariance", "retro_covariance", "smoother_covariance", "scale_covariance"),
     "phase_process": ("spectrum",),

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     abc_feedback_reference,
@@ -15,10 +15,12 @@ from oracles import (
     discrete_filter_covariance,
     error_passes,
     linearized_error_passes,
+    mse_statistics,
     run_abc_linearized_trials,
     smoothing_weights_inverse,
     trial_noise,
     trial_noise_normal,
+    windowed_mse,
 )
 
 from phasetrack.errors import ValidationError
@@ -29,11 +31,9 @@ from phasetrack import simulation as sim
 from phasetrack.simulation import (
     HomodyneConfig,
     default_config,
-    mse_statistics,
     run_abc,
     simulate_filter_trials,
     simulate_record,
-    windowed_mse,
 )
 
 
@@ -1034,6 +1034,7 @@ def test_block_scan_matches_extended_precision_step_loop(p, backward):
     burn=st.integers(0, 2 * _K),
     seed=st.integers(0, 2**16),
 )
+@example(p=2, n_steps=3 * _K + 5, width=1, burn=0, seed=10961)  # final state at a zero crossing
 def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     """A linearized run's forward error is one blocked scan. Over whole
     blocks, a partial one and a lone tail, it stays within 1e-13 of peak of
@@ -1054,13 +1055,22 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     assert _close_to_peak(err, ref_err, 1e-13)
     assert _close_to_peak(s_err, ref_s_err, 1e-13)
     assert _close_to_peak(moment, ref_moment, 1e-13)
-    # With w_f = 0 the smoothed error at the last sample is
-    # kappa^(n+1/2) times the seed read along w_r; held to 1e-13 of the
-    # seed's peak entry, since the read itself may cancel.
+    # The backward pass reads its seed, the scan's own final state: with
+    # w_f = 0 the smoothed error at the last sample is kappa^(n+1/2) times
+    # the seed read along w_r, and unit reads give the seed exactly. Its
+    # theta - phi entry is held to 1e-13 of the forward path's peak, end
+    # included, since the final state may sit at a zero crossing; the read
+    # along w_r to 1e-13 of the seed's peak entry, since it may cancel.
+    def seed_read(w_r):
+        smoothed = error_passes(model, system, config, dw, db, cov.vf, (0.0 * w_r, w_r))[1]
+        return smoothed[:, -1] / model.phase_scale
+
+    seed_state = np.column_stack([seed_read(unit) for unit in np.eye(system.n_states)])
+    path_peak = max(np.max(np.abs(ref_err)), np.max(np.abs(ref_e[:, -1])) * model.phase_scale)
+    assert np.max(np.abs(seed_state[:, -1] - ref_e[:, -1])) * model.phase_scale <= 1e-13 * path_peak
     w_r = np.random.default_rng(seed).normal(size=system.n_states)
-    seed_read = error_passes(model, system, config, dw, db, cov.vf, (0.0 * w_r, w_r))[1][:, -1]
-    seed_dev = np.abs(seed_read / model.phase_scale - ref_e @ w_r)
-    assert np.all(seed_dev <= 1e-13 * np.max(np.abs(ref_e)) * np.sum(np.abs(w_r)))
+    seed_dev = np.abs(seed_read(w_r) - seed_state @ w_r)
+    assert np.all(seed_dev <= 1e-13 * np.max(np.abs(seed_state), axis=1) * np.sum(np.abs(w_r)))
     # A trimmed window's sum, to 1e-13 of the whole record's peak: a short
     # window's own sum may be far below the squares it adds up.
     trimmed = dataclasses.replace(config, burn_in=min(burn, (n_steps - 1) // 2) * config.dt)
@@ -1406,6 +1416,58 @@ def test_streamed_statistics_match_whole_paths(estimator, p, linearized, wrap, n
     assert (res.filter_mse, res.filter_stderr) == pytest.approx(whole[:2], rel=1e-13)
     assert (res.smoother_mse, res.smoother_stderr) == pytest.approx(whole[2:4], rel=1e-12)
     assert _close_to_peak(res.error_cov, whole[4], 1e-12)
+
+
+def _per_slice_sums(slices, blocks, n_trials, wrap):
+    """Per-trial sums of err^2 over each slice, each slice that a block
+    overlaps squaring its own copy of that part of the block."""
+    sums = np.zeros((len(slices), n_trials))
+    for start, err in blocks:
+        for total, s in zip(sums, slices):
+            lo, hi = max(s.start - start, 0), min(s.stop - start, err.shape[1])
+            if lo < hi:
+                part = err[:, lo:hi]
+                if wrap:
+                    part = part + math.pi
+                    np.mod(part, 2.0 * math.pi, out=part)
+                    part -= math.pi
+                total += np.sum(np.square(part), axis=1)
+    return sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cuts=st.lists(st.integers(1, 90), min_size=1, max_size=3),
+    n_trials=st.integers(2, 3),
+    wrap=st.booleans(),
+    windows=st.booleans(),
+    reverse=st.booleans(),
+    scale=st.sampled_from([0.1, 10.0]),
+    data=st.data(),
+)
+def test_error_sums_square_each_block_once(cuts, n_trials, wrap, windows, reverse, scale, data):
+    """_ErrorSums squares each block once and sums every slice from that
+    array. Over 1 to 3 blocks, fed in order or reversed as views into a
+    wider NaN buffer, wrapped or not, with the interior and log-spaced
+    window edges anywhere in a block, its sums == those of squaring each
+    slice's own copy of the block."""
+    cuts[-1] += max(3 - sum(cuts), 0)  # room for a burn-in step at each end
+    n_steps = sum(cuts)
+    burn = data.draw(st.integers(1, (n_steps - 1) // 2), label="burn")
+    config = HomodyneConfig(photon_flux=1.0, dt=1.0, duration=float(n_steps), burn_in=float(burn), seed=0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    err = rng.normal(0.0, scale, size=(n_trials, n_steps))
+    edges = np.cumsum([0] + cuts)
+    blocks = []
+    for a, b in zip(edges, edges[1:]):
+        wide = np.full((n_trials, max(cuts) + 3), np.nan)  # a driver's block buffer
+        wide[:, : b - a] = err[:, a:b]
+        blocks.append((a, wide[:, : b - a]))
+    blocks = blocks[::-1] if reverse else blocks
+    sums = sim._ErrorSums(n_trials, config, wrap, windows)
+    for start, block in blocks:
+        sums.add(start, block)
+    assert np.array_equal(sums.sums, _per_slice_sums(sums.slices, blocks, n_trials, wrap))
 
 
 @settings(max_examples=30, deadline=None)
