@@ -81,6 +81,8 @@ class BoundQuery:
 
 def _crossover_frequency(q: BoundQuery) -> float:
     """Frequency where the phase spectrum crosses the shot-noise floor."""
+    if isinstance(q.spectrum, _LogLogTable):
+        return math.exp(_table_crossing(q.spectrum, q.noise_density))
     model = q.spectrum if isinstance(q.spectrum, PhaseModel) else None
     if model is not None and not model.is_damped:
         # kappa^(p-1)/w^p = s_n  =>  w = (4 N kappa^(p-1))^(1/p)
@@ -109,6 +111,27 @@ def _crossover_frequency(q: BoundQuery) -> float:
         else:
             hi = mid
     return math.sqrt(lo * hi)
+
+
+def _table_crossing(table: _LogLogTable, s_n: float) -> float:
+    """ln omega where the table's ln S last falls through ln s_n, solved on
+    its interpolant and edge slopes; where S never exceeds s_n (N = 0
+    included), the ln omega of the knot where S * omega peaks."""
+    lw, ls = table.knots
+    if math.isfinite(s_n):
+        d = ls - math.log(s_n)
+        top = table.slope[-1]
+        if top > 0 or (top == 0 and d[-1] > 0):
+            raise NumericalError("bound-divergent: spectrum exceeds the noise floor at high frequency")
+        if d[-1] > 0:
+            return float(lw[-1] - d[-1] / top)
+        above = np.flatnonzero(d > 0)
+        if above.size:
+            j = int(above[-1])  # d[j] > 0 >= d[j + 1]
+            return float(lw[j] + (lw[j + 1] - lw[j]) * (d[j] / (d[j] - d[j + 1])))
+        if table.slope[0] < 0:
+            return float(lw[0] - d[0] / table.slope[0])
+    return float(lw[np.argmax(lw + ls)])
 
 
 def _tail_exponent(q: BoundQuery, omega: float) -> float:
@@ -155,7 +178,8 @@ def _bound_quadrature(q: BoundQuery, kind: str) -> tuple[float, float]:
     Both integrands are even, so integrate [0, W] in log frequency
     (smooth there, bounded by S_n near 0) and close with the analytic
     power-law tail int_W^inf S dw ~ S(W) W / (p_eff - 1), the leading
-    term of either integrand once S << S_n.
+    term of either integrand once S << S_n. A tabulated spectrum's bulk
+    takes fixed rules piece by piece (_table_bulk), any other QUADPACK.
     """
     s_n = q.noise_density
     w_star = q._crossover
@@ -167,7 +191,30 @@ def _bound_quadrature(q: BoundQuery, kind: str) -> tuple[float, float]:
     u_hi = math.log(w_max)
     u_lo = math.log(w_star) - _LOG_SPAN_BELOW
 
-    density = q.density
+    if isinstance(q.spectrum, _LogLogTable):
+        bulk, bulk_err = _table_bulk(q.spectrum, kind, s_n, u_lo, u_hi)
+    else:
+        bulk, bulk_err = _quad_bulk(q.density, kind, s_n, u_lo, u_hi)
+
+    p_eff = _tail_exponent(q, w_max)
+    if p_eff <= 1.0 + 1e-9:
+        raise NumericalError(
+            f"bound-divergent: tail decay exponent {p_eff:.4f} <= 1 at omega={w_max:.3g}"
+        )
+    s_tail = q.density(w_max)
+    tail = s_tail * w_max / (p_eff - 1.0)
+    # Error budget: first neglected correction (relative size S(W)/S_n) plus
+    # drift of the local exponent over the next e-fold.
+    p_eff2 = _tail_exponent(q, w_max * math.e)
+    tail_err = tail * (0.0 if not math.isfinite(s_n) else s_tail / s_n)
+    tail_err += tail * abs(p_eff2 - p_eff) / (p_eff - 1.0)
+
+    return (bulk + tail) / math.pi, (bulk_err + tail_err) / math.pi
+
+
+def _quad_bulk(density, kind: str, s_n: float, u_lo: float, u_hi: float) -> tuple[float, float]:
+    """The bulk integral over [u_lo, u_hi] in u = ln w, and its error, by
+    QUADPACK over scalar density calls."""
     if not math.isfinite(s_n):  # no measurement: both integrands degenerate to S
 
         def integrand(u: float) -> float:
@@ -193,22 +240,78 @@ def _bound_quadrature(q: BoundQuery, kind: str) -> tuple[float, float]:
     # deferred: importing scipy costs every phasetrack process, most never integrate
     from scipy.integrate import quad
 
-    bulk, bulk_err = quad(integrand, u_lo, u_hi, limit=400, epsabs=1e-14, epsrel=1e-10)
+    return quad(integrand, u_lo, u_hi, limit=400, epsabs=1e-14, epsrel=1e-10)
 
-    p_eff = _tail_exponent(q, w_max)
-    if p_eff <= 1.0 + 1e-9:
-        raise NumericalError(
-            f"bound-divergent: tail decay exponent {p_eff:.4f} <= 1 at omega={w_max:.3g}"
-        )
-    s_tail = q.density(w_max)
-    tail = s_tail * w_max / (p_eff - 1.0)
-    # Error budget: first neglected correction (relative size S(W)/S_n) plus
-    # drift of the local exponent over the next e-fold.
-    p_eff2 = _tail_exponent(q, w_max * math.e)
-    tail_err = tail * (0.0 if not math.isfinite(s_n) else s_tail / s_n)
-    tail_err += tail * abs(p_eff2 - p_eff) / (p_eff - 1.0)
 
-    return (bulk + tail) / math.pi, (bulk_err + tail_err) / math.pi
+# Gauss-Legendre rules on [-1, 1], 8 points then 4, and their weights.
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+    -0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526,
+])
+_GAUSS_WEIGHTS_8 = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
+_GAUSS_WEIGHTS_4 = np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357])
+_PIECE_WIDTH = 0.25  # e-folds: the widest piece one rule spans
+_ROUNDING = 50.0 * sys.float_info.epsilon
+_PIECES_PER_BLOCK = 2048  # pieces evaluated at once, so a long table's nodes never exist all at once
+
+
+def _table_bulk(table: _LogLogTable, kind: str, s_n: float, u_lo: float, u_hi: float) -> tuple[float, float]:
+    """The bulk integral over [u_lo, u_hi] in u = ln w, and its error, for a
+    tabulated spectrum.
+
+    ln S is linear in u between knots, so each integrand is analytic on a
+    piece that crosses no knot. The pieces are cut at every knot inside the
+    range and at most 1/4 e-fold wide; each takes an 8-point Gauss-Legendre
+    rule, and the sum of |8-point - 4-point| per piece is the bulk's error.
+    The error also counts the integral over [0, w = e^u_lo], left out of
+    the bulk, bounded from ln S and its slope at u_lo as if they held below:
+    s_n w (softplus(ln(S/s_n)) + max(-slope, 0)) for the log integrand, the
+    same or s_n w, whichever is less, for the reciprocal one (it is the
+    smaller integrand and at most s_n), and S w / (1 + slope) without
+    measurement.
+    """
+    lw = table.knots[0]
+    grid = np.linspace(u_lo, u_hi, math.ceil((u_hi - u_lo) / _PIECE_WIDTH) + 1)
+    cuts = np.union1d(grid, lw[(lw > u_lo) & (lw < u_hi)])
+    bulk = bulk_err = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is reported by _bound_integral
+        for start in range(0, len(cuts) - 1, _PIECES_PER_BLOCK):
+            edges = cuts[start : start + _PIECES_PER_BLOCK + 1]
+            half = 0.5 * np.diff(edges)
+            u = (edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES
+            f = _table_integrand(kind, table.log_density(u), u, s_n)
+            rule_8 = half * (f[:, :8] @ _GAUSS_WEIGHTS_8)
+            rule_4 = half * (f[:, 8:] @ _GAUSS_WEIGHTS_4)
+            bulk += float(np.sum(rule_8))
+            # QUADPACK's floor on a piece's error, 50 ulps of its integral, covers rounding
+            bulk_err += float(np.sum(np.maximum(np.abs(rule_8 - rule_4), _ROUNDING * rule_8)))
+    j = min(max(bisect_right(table.lw, u_lo) - 1, 0), len(table.slope) - 1)
+    slope, ln_s = table.slope[j], float(table.log_density(u_lo))
+    if not math.isfinite(s_n):
+        low = math.exp(u_lo + ln_s) / (1.0 + slope) if slope > -1.0 else math.inf
+    else:
+        log_low = float(np.logaddexp(0.0, ln_s - math.log(s_n))) + max(-slope, 0.0)
+        low = s_n * math.exp(u_lo) * (log_low if kind == "log" else min(log_low, 1.0))
+    return bulk, bulk_err + low
+
+
+def _table_integrand(kind: str, ln_s: np.ndarray, u: np.ndarray, s_n: float) -> np.ndarray:
+    """The bulk integrand at u = ln w from ln S, in the log ratio
+    rho = ln(S/s_n): s_n w / (1 + e^-rho) and s_n w ln(1 + e^rho), or S w
+    without measurement."""
+    if not math.isfinite(s_n):
+        return np.exp(u + ln_s)
+    ln_n = math.log(s_n)
+    rho = ln_s - ln_n
+    if kind == "reciprocal":
+        return np.exp(u + ln_n - np.logaddexp(0.0, -rho))
+    if kind == "log":
+        return np.exp(u + ln_n) * np.logaddexp(0.0, rho)
+    raise ValueError(kind)  # pragma: no cover - internal misuse
 
 
 def qcrb_quadrature(q: BoundQuery) -> tuple[float, float]:
@@ -327,22 +430,34 @@ def tabulated_spectrum(path) -> Callable[[float], float]:
         raise ValidationError("spectrum file must have positive omega and density")
     if any(a[0] >= b[0] for a, b in zip(rows, rows[1:])):
         raise ValidationError("spectrum file omega column must be strictly increasing")
-    lw = [math.log(w) for w, _ in rows]
-    ls = [math.log(s) for _, s in rows]
-    # slope[j] joins knots j and j+1; the edge slopes extrapolate the tails
-    slope = [(ls[j + 1] - ls[j]) / (lw[j + 1] - lw[j]) for j in range(len(rows) - 1)]
-    last = len(rows) - 1
+    return _LogLogTable([math.log(w) for w, _ in rows], [math.log(s) for _, s in rows])
 
-    def density(omega: float) -> float:
+
+class _LogLogTable:
+    """A tabulated spectrum: ln S linear in ln omega between knots, and along
+    the edge segments beyond them. Calling it gives S at one nonzero omega."""
+
+    def __init__(self, lw: list[float], ls: list[float]):
+        self.lw, self.ls = lw, ls
+        self.knots = np.array([lw, ls])
+        # slope[j] joins knots j and j+1; the edge slopes extrapolate the tails
+        self.slope = [(ls[j + 1] - ls[j]) / (lw[j + 1] - lw[j]) for j in range(len(lw) - 1)]
+
+    def __call__(self, omega: float) -> float:
         # np.interp's arithmetic on the log-log table, one float at a time
+        lw, ls, slope = self.lw, self.ls, self.slope
         x = math.log(abs(omega))
         if x < lw[0]:
             y = ls[0] + slope[0] * (x - lw[0])
-        elif x > lw[last]:
-            y = ls[last] + slope[-1] * (x - lw[last])
+        elif x > lw[-1]:
+            y = ls[-1] + slope[-1] * (x - lw[-1])
         else:
             j = bisect_right(lw, x) - 1
             y = ls[j] if x == lw[j] else slope[j] * (x - lw[j]) + ls[j]
         return math.exp(y)
 
-    return density
+    def log_density(self, u):
+        """ln S at ln omega = u, elementwise."""
+        lw, ls = self.knots
+        edges = self.slope[0] * np.minimum(u - lw[0], 0.0) + self.slope[-1] * np.maximum(u - lw[-1], 0.0)
+        return np.interp(u, lw, ls) + edges

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracles import tabulated_density_interp
 
+from phasetrack import bounds
 from phasetrack.bounds import (
     BoundQuery,
     _power_law_factor,
@@ -232,15 +233,23 @@ class TestAbcLinearizedMse:
 
 
 class TestTabulatedSpectrum:
-    def test_power_law_table_matches_closed_form(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kappa, lo, hi, rows",
+        [(1.0, -4.0, 4.0, 161), (1e40, 18.0, 22.0, 81), (1e-40, -22.0, -18.0, 81)],
+        ids=["within-1e15", "above-1e15", "below-1e-15"],
+    )
+    def test_power_law_table_matches_closed_form(self, tmp_path, kappa, lo, hi, rows):
+        """A table kappa/w^2 at flux 10 crosses the floor at sqrt(40 kappa),
+        also where every row lies beyond 1e15 or below 1e-15 rad/s."""
         path = tmp_path / "spec.csv"
-        w = np.logspace(-4, 4, 161)
-        lines = ["omega,density"] + [f"{wi},{1.0 / wi**2}" for wi in w]
+        w = np.logspace(lo, hi, rows)
+        lines = ["omega,density"] + [f"{wi},{kappa / wi**2}" for wi in w]
         path.write_text("\n".join(lines) + "\n")
         density = tabulated_spectrum(path)
         q = BoundQuery(density, 10.0)
-        assert qcrb_quadrature(q)[0] == pytest.approx(qcrb_power_law(2, 1.0, 10.0), rel=5e-3)
-        assert filter_mse_quadrature(q)[0] == pytest.approx(filter_mse_power_law(2, 1.0, 10.0), rel=5e-3)
+        assert q._crossover == pytest.approx(math.sqrt(40.0 * kappa), rel=1e-12, abs=0.0)
+        assert qcrb_quadrature(q)[0] == pytest.approx(qcrb_power_law(2, kappa, 10.0), rel=5e-3)
+        assert filter_mse_quadrature(q)[0] == pytest.approx(filter_mse_power_law(2, kappa, 10.0), rel=5e-3)
 
     def test_rejects_bad_tables(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -284,6 +293,48 @@ class TestTabulatedSpectrum:
         reference = tabulated_density_interp(omega_tab, density_tab, points)
         got = np.array([density(w) for w in points.tolist()])
         assert np.all(np.abs(got / reference - 1.0) <= 1e-14)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        p=st.floats(1.5, 8.0),
+        log_flux=st.floats(-2.0, 8.0),
+        decades_below=st.floats(2.0, 6.0),
+        decades_above=st.floats(2.0, 6.0),
+        per_decade=st.integers(5, 40),
+    )
+    def test_error_covers_the_closed_form(self, tmp_path, p, log_flux, decades_below, decades_above, per_decade):
+        """On an exact power-law table 1/w^p whose rows reach at least two
+        decades past the crossover on each side, each quadrature lies within
+        its own error estimate of the closed form."""
+        flux = 10.0**log_flux
+        centre = math.log10(4.0 * flux) / p  # the crossover, S = 1/(4N)
+        n_rows = math.ceil((decades_below + decades_above) * per_decade) + 1
+        omega = np.logspace(centre - decades_below, centre + decades_above, n_rows)
+        path = tmp_path / "power_law.csv"
+        path.write_text("".join(f"{w!r},{w**-p!r}\n" for w in omega.tolist()))
+        q = BoundQuery(tabulated_spectrum(path), flux)
+        for quadrature, closed in ((qcrb_quadrature, qcrb_power_law), (filter_mse_quadrature, filter_mse_power_law)):
+            value, err = quadrature(q)
+            assert abs(value - closed(p, 1.0, flux)) <= err, (quadrature.__name__, value, err)
+
+    @pytest.mark.parametrize("flux", [0.0, 1e-9])
+    def test_table_below_the_floor_everywhere(self, tmp_path, flux):
+        """A table 1e-6 / (1 + (w/1e10)^4) that never crosses the floor is
+        integrated around its own frequencies: both bounds are its prior
+        variance 1e-6 * 1e10 / (2 sqrt 2)."""
+        omega = np.logspace(6.0, 14.0, 201)
+        path = tmp_path / "faint.csv"
+        path.write_text("".join(f"{w!r},{1e-6 / (1.0 + (w / 1e10) ** 4)!r}\n" for w in omega.tolist()))
+        q = BoundQuery(tabulated_spectrum(path), flux)
+        for quadrature in (qcrb_quadrature, filter_mse_quadrature):
+            assert quadrature(q)[0] == pytest.approx(1e4 / (2.0 * math.sqrt(2.0)), rel=5e-3)
+
+    def test_gauss_legendre_literals(self):
+        nodes = bounds._GAUSS_NODES
+        for x, w in ((nodes[:8], bounds._GAUSS_WEIGHTS_8), (nodes[8:], bounds._GAUSS_WEIGHTS_4)):
+            ref_x, ref_w = np.polynomial.legendre.leggauss(len(x))
+            np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=4e-16)
+            np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=4e-16)
 
     def test_out_of_order_rows_are_sorted(self, tmp_path):
         path = tmp_path / "unsorted.csv"

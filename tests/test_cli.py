@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ class TestBounds:
         free_code, free_out, _ = run_cli(capsys, *argv)
         assert code == free_code == 0 and out == free_out
         assert search > 0 and total == len(calls) + search
+
+    @pytest.mark.parametrize("table", ["found-reproducer", "bench-two-pole"])
+    def test_table_prints_no_warning(self, capsys, tmp_path, table):
+        """Two-pole tables 1/((w^2 + a^2)(w^2 + b^2)) exit 0 and warn of
+        nothing: 200 rows over [1e-3, 1e3] with a = 0.1, b = 2, and the
+        561-row table of the analytic_tables benchmark at seed 11."""
+        if table == "found-reproducer":
+            a, b, flux = 0.1, 2.0, 10.0
+            omega = np.logspace(-3.0, 3.0, 200)
+        else:
+            a = float(10.0 ** np.random.default_rng(11).uniform(-1.0, 1.0))
+            b, flux = 5.0 * a, 1e4 * a**4
+            omega = np.logspace(math.log10(a) - 6.0, math.log10(b) + 8.0, 561)
+        density = 1.0 / ((omega**2 + a * a) * (omega**2 + b * b))
+        path = tmp_path / "two_pole.csv"
+        path.write_text("".join(f"{w!r},{s!r}\n" for w, s in zip(omega.tolist(), density.tolist())))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "bounds", "--spectrum-file", str(path), "--flux", repr(flux))
+        assert code == 0 and err == "" and caught == [], (err, [str(w.message) for w in caught])
+        assert len(out.splitlines()) == 4
 
     def test_validation_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--p", "0.5", "--flux", "25")
