@@ -96,21 +96,42 @@ def _crossover_frequency(q: BoundQuery) -> float:
         return scale
     s_n = q.noise_density
     grid = scale * np.logspace(-15, 15, 121)
-    vals = np.array([q.density(w) for w in grid.tolist()])
-    above = vals > s_n
-    if not np.any(above):
-        return scale
-    if np.all(above):
-        raise NumericalError("bound-divergent: spectrum exceeds noise floor everywhere probed")
-    k = int(np.nonzero(above)[0][-1])  # last grid point above the floor
-    lo, hi = grid[k], grid[min(k + 1, len(grid) - 1)]
+    above = np.array([q.density(w) > s_n for w in grid.tolist()])
+    if above[-1]:
+        bracket = _widened_bracket(q, grid[-1], up=True)
+        if bracket is None:
+            raise NumericalError("bound-divergent: spectrum exceeds noise floor at every float frequency")
+    elif np.any(above):
+        k = int(np.nonzero(above)[0][-1])  # last grid point above the floor
+        bracket = grid[k], grid[k + 1]
+    else:
+        bracket = _widened_bracket(q, grid[0], up=False)
+        if bracket is None:
+            return scale
+    lo, hi = bracket
     for _ in range(120):
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may leave the float range
         if q.density(mid) > s_n:
             lo = mid
         else:
             hi = mid
-    return math.sqrt(lo * hi)
+    return math.sqrt(lo) * math.sqrt(hi)
+
+
+def _widened_bracket(q: BoundQuery, edge: float, up: bool):
+    """(lo, hi) around a crossing of the noise floor beyond a probe grid's
+    ``edge``, with density(lo) > s_n >= density(hi): probes step away from
+    the edge by 1e15, then by its square, and so on, the last one at the
+    end of the float range. None where the density stays on the edge's
+    side of the floor up to there."""
+    end, factor = (sys.float_info.max, 1e15) if up else (sys.float_info.min, 1e-15)
+    w = float(edge)
+    while w != end:
+        last, w = w, min(w * factor, end) if up else max(w * factor, end)
+        factor *= factor
+        if (q.density(w) > q.noise_density) != up:
+            return (last, w) if up else (w, last)
+    return None
 
 
 def _table_crossing(table: _LogLogTable, s_n: float) -> float:
@@ -240,7 +261,7 @@ def _quad_bulk(density, kind: str, s_n: float, u_lo: float, u_hi: float) -> tupl
     # deferred: importing scipy costs every phasetrack process, most never integrate
     from scipy.integrate import quad
 
-    return quad(integrand, u_lo, u_hi, limit=400, epsabs=1e-14, epsrel=1e-10)
+    return quad(integrand, u_lo, u_hi, limit=400, epsabs=0.0, epsrel=1e-10)
 
 
 # Gauss-Legendre rules on [-1, 1], 8 points then 4, and their weights.

@@ -37,16 +37,21 @@ product both Newton derivatives.
 The per-step rule of both loops, the sin() loop and the exponential
 window: at tens of trials a numpy call costs its dispatch more than its
 arithmetic, so neither allocates per step. Buffers and constant operands
-are sized to the full batch once per run, each loop binds its ufuncs to
-local names once per run, and every ufunc writes into a buffer passed
-positionally, except to np.maximum and np.minimum, whose positional output
-numpy deprecates; plain copies are np.positive. The exponential window
-also gives no ufunc a Python scalar, a broadcast shape or a real factor of
-a complex product, each of which costs numpy a conversion per call: such a
-product is taken as real products of the float views, which round alike.
-The operands and their order are those of the plain expressions, so the
-floats are too: the exponential window's are bit for bit those of the
-reference loop in tests/oracles.py.
+are sized once per run, each loop binds its numpy functions to local names
+once per run, and every call writes into a buffer passed positionally,
+except to np.maximum and np.minimum, whose positional output numpy
+deprecates; plain copies are np.positive. The sin() loop makes two calls a
+step, in the innovation form e' = e (I + A dt)^T + I dt K^T - dW e_0^T with
+I dt = dB - 2 sqrt(N) sin(theta - phi) dt: np.sin of theta - phi, and one
+product of the rows [e D | sin | dB | dW] with a fixed matrix, where
+D = diag(1, ..., 1, kappa^(n+1/2)) makes the last state theta - phi. Its
+floats differ from the closed-loop form's in the last bits. The exponential
+window also gives no ufunc a Python scalar, a broadcast shape or a real
+factor of a complex product, each of which costs numpy a conversion per
+call: such a product is taken as real products of the float views, which
+round alike. Its operands and their order are those of the plain
+expressions, so its floats are bit for bit those of the reference loop in
+tests/oracles.py.
 
 The four entry points take (model, config, ...): p and kappa come from the
 PhaseModel, the photon flux N from the HomodyneConfig, and the
@@ -105,11 +110,13 @@ _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # Memory a run keeps: (whole paths, block buffers), in float (n_trials, steps)
 # arrays, and the _block_scan maps of one readout that it holds at once
 _FOOTPRINT = {
-    "record": (6, 3, 2), "abc_record": (4, 2, 0), "smoother": (1, 8, 2), "filter": (0, 7, 1), "abc": (0, 8, 0)
+    "record": (6, 2, 2), "abc_record": (4, 2, 0), "smoother": (1, 7, 2), "filter": (0, 6, 1), "abc": (0, 8, 0)
 }
 # Per trial and block, a smoother's saved dW stream state (525 B of Python
 # objects) and its share of the block's lists (up to 110 B at 2 trials)
 _CHECKPOINT_BYTES = 640
+# Per step of a chunk, the sin() loop's four array views (570 B of Python objects)
+_STEP_VIEW_BYTES = 600
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -240,16 +247,21 @@ def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, mome
     """Reject a run whose estimate of the memory it keeps exceeds physical
     memory, before anything is allocated; return the estimate, in bytes:
     _FOOTPRINT[kind] whole (n_trials, n_steps) float paths, block buffers
-    of _STREAM_BLOCK steps and scan maps, and a smoother's checkpoints, the
-    forward error and _CHECKPOINT_BYTES per trial and block. A map of q
-    readouts is (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states)
-    floats. With full-state ``moments`` the forward scan holds one of
-    n_states + 1 readouts, released before a backward sweep builds its two
-    of one readout: the larger count is taken."""
+    of _STREAM_BLOCK steps and scan maps, a filter run's sin() loop chunk,
+    _SCAN_BLOCK + 1 rows of n_states + 3 floats per trial and
+    _STEP_VIEW_BYTES per step, and a smoother's checkpoints, the forward
+    error and _CHECKPOINT_BYTES per trial and block. A map of q readouts is
+    (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states) floats. With
+    full-state ``moments`` the forward scan holds one of n_states + 1
+    readouts, released before a backward sweep builds its two of one
+    readout: the larger count is taken."""
     paths, buffers, maps = _FOOTPRINT[kind]
     widths = maps * (_SCAN_BLOCK + n_states), moments * (_SCAN_BLOCK * (n_states + 1) + n_states)
     maps = (n_states + 2 * _SCAN_BLOCK) * max(widths)
     need = 8 * (n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + maps)
+    if kind in ("record", "smoother", "filter"):
+        chunk = min(_SCAN_BLOCK, n_steps)
+        need += 8 * n_trials * (chunk + 1) * (n_states + 3) + chunk * _STEP_VIEW_BYTES
     if kind == "smoother":  # at most one span more than the whole blocks: a partial scan block's own
         need += (-(-n_steps // _STREAM_BLOCK) + 1) * n_trials * (8 * n_states + _CHECKPOINT_BYTES)
     try:
@@ -462,10 +474,12 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     The forward error is e' = e F^T + r K^T - dW e_0^T, F = I + (A - K C) dt
     and K = V_F C^T; its blocked scan reads out theta - phi (linearized runs
     only) and the moments, so a sin() run without moments scans nothing
-    forward. With smoothing the driver keeps the forward error at each
-    span's start, and the backward sweep, seeded with the one at the end,
-    replays w_f . e from there before each span's backward scan; each scan
-    builds its maps once per run.
+    forward. The sin() loop steps the same error in the innovation form,
+    where r's term linear in theta - phi cancels -K C dt, and forms r from
+    each chunk's theta - phi afterwards. With smoothing the driver keeps the
+    forward error at each span's start, and the backward sweep, seeded with
+    the one at the end, replays w_f . e from there before each span's
+    backward scan; each scan builds its maps once per run.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -481,47 +495,50 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     scan = config.linearized or error_moment is not None
     w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
     x = np.zeros((rows, n))  # the forward scan's error
-    e = np.zeros((rows, n))  # the sin() loop's, updated in place
-    err_end = x if config.linearized else e
-    err_buf = None if config.linearized else np.empty((rows, longest))
     read_buf = np.empty((rows, longest, w.shape[1])) if scan else None
     maps, starts = {}, []
     if not config.linearized:
-        # the sin() loop's full-width constants and buffers
-        e_first, e_last = e[:, 0], e[:, -1]
-        scale_row = np.full(rows, scale)
-        sin_gain = np.full(rows, 2.0 * math.sqrt(config.photon_flux) * dt)
-        gain_rows = np.tile(gain, (rows, 1))
-        fed_back = np.empty((longest, rows))
-        s = np.empty(rows)
-        m = np.empty((rows, n))
-        add, subtract, multiply, matmul, sin = np.add, np.subtract, np.multiply, np.matmul, np.sin
+        # The sin() loop steps e^ = e D, D = diag(1, ..., 1, kappa^(n+1/2)),
+        # whose last entry is d = theta - phi, by one product per step:
+        # z[i] holds the rows [e^ | sin d | dB | dW] before step i, time-major
+        # over a chunk of _SCAN_BLOCK steps, and e^' = z[i] G.
+        chunk = min(_SCAN_BLOCK, n_steps)
+        d_scale = np.ones(n)
+        d_scale[-1] = scale
+        sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
+        step_g = np.vstack((
+            (np.eye(n) + system.a * dt).T * d_scale / d_scale[:, None],  # D^-1 (I + A dt)^T D
+            -sin_gain * gain * d_scale,
+            gain * d_scale,
+            -np.eye(n)[0] * d_scale,
+        ))
+        z = np.zeros((chunk + 1, rows, n + 3))
+        steps = list(zip(z[:-1, :, n - 1], z[:-1, :, n], z[:-1], z[1:, :, :n]))
+        err_buf = np.empty((rows, longest))
+        sin, matmul = np.sin, np.matmul
 
     for span in _block_spans(n_steps):
         dw, db = draw(span)
         k = span.stop - span.start
         if smoothing is not None:
-            starts.append(err_end.copy())
+            starts.append(x.copy() if config.linearized else z[0, :, :n] / d_scale)
         if not config.linearized:
-            # d = theta - phi = kappa^(n+1/2) e_n, as fed back, and
-            # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, over dB;
-            # r_col is r as a (rows, 1) column, whose product with the gain
-            # rows is the outer product r K^T
-            for d, r, r_col, dw_i in zip(fed_back[:k], db.T, db.T[..., None], dw.T):
-                multiply(scale_row, e_last, d)
-                sin(d, s)
-                subtract(d, s, s)
-                multiply(sin_gain, s, s)
-                add(r, s, r)
-                matmul(e, closed_t, m)
-                add(e, m, e)
-                multiply(r_col, gain_rows, m)
-                add(e, m, e)
-                subtract(e_first, dw_i, e_first)
             err = err_buf[:, :k]
-            # from the loop's time-major rows into C order, so the reductions
-            # sum each row in the order of a whole path's
-            np.positive(fed_back[:k].T, err)
+            for c in range(0, k, chunk):
+                j = min(chunk, k - c)
+                cols = slice(c, c + j)
+                z[:j, :, n + 1] = db[:, cols].T
+                z[:j, :, n + 2] = dw[:, cols].T
+                for d, sin_d, row, after in steps[:j]:
+                    sin(d, sin_d)
+                    matmul(row, step_g, after)
+                d, sin_d = z[:j, :, n - 1].T, z[:j, :, n].T
+                err[:, cols] = d  # in C order, so the reductions sum each row as a whole path's
+                # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, over dB
+                np.subtract(d, sin_d, out=sin_d)
+                sin_d *= sin_gain
+                db[:, cols] += sin_d
+                z[0, :, :n] = z[j, :, :n]
             clock.lap("loop")
         if scan:
             paths = read_buf[:, :k]
@@ -529,7 +546,7 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
             block_win = slice(max(win.start - span.start, 0), max(win.stop - span.start, 0))
             x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, block_win, maps)
             if config.linearized:
-                err, err_end = paths[..., 0], x
+                err = paths[..., 0]
             clock.lap("forward_scan")
         yield 0, span, err
     if smoothing is None:
@@ -541,6 +558,7 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     # the forward gain signed (-1)^(n-k) as V_R is V_F signed (-1)^(k+l). It is
     # seeded with the forward error at the end of the record, on reversed views.
     w_f, w_r = smoothing
+    err_end = x if config.linearized else z[0, :, :n] / d_scale
     drive = (-dt) ** np.arange(n)  # B e_0
     back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
     retro_gain = gain * (-1.0) ** np.arange(n)[::-1]

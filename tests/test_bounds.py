@@ -145,6 +145,16 @@ class TestQuadratureAgreement:
         assert qcrb_quadrature(q)[0] == pytest.approx(qcrb_power_law(p, kappa, flux), rel=1e-3)
         assert filter_mse_quadrature(q)[0] == pytest.approx(filter_mse_power_law(p, kappa, flux), rel=1e-3)
 
+    def test_tiny_bounds_keep_their_relative_accuracy(self):
+        """QUADPACK's tolerance is relative only, so a bound far below 1 (here
+        2.5e-156 at N = 1e300, kappa = 1e-10) still meets its closed form,
+        with an error estimate far below the value."""
+        q = _query(2, 1e-10, 1e300)
+        for quadrature, closed_form in ((qcrb_quadrature, qcrb_power_law), (filter_mse_quadrature, filter_mse_power_law)):
+            value, err = quadrature(q)
+            assert value == pytest.approx(closed_form(2, 1e-10, 1e300), rel=1e-8, abs=0.0)
+            assert err <= 1e-8 * value
+
     def test_quadrature_flux_scaling(self):
         p, c = 3.0, 7.0
         base = qcrb_quadrature(_query(p, 1.0, 40.0))[0]
@@ -351,6 +361,22 @@ class TestBoundQuery:
     def test_rejects_negative_flux(self):
         with pytest.raises(ValidationError):
             BoundQuery(PhaseModel(2, 1.0), -1.0)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e40, 1e-40], ids=["within-1e15", "above-1e15", "below-1e-15"])
+    def test_power_law_callable_matches_closed_form(self, kappa):
+        """A callable kappa/w^2 at flux 10 crosses the floor at sqrt(40 kappa),
+        also beyond the probe grid's 1e+-15 rad/s, where the bracket widens
+        until the density crosses; both quadratures then give the closed
+        forms, whatever the size of the integrals."""
+        q = BoundQuery(lambda w: kappa / w**2, 10.0)
+        assert q._crossover == pytest.approx(math.sqrt(40.0 * kappa), rel=1e-12, abs=0.0)
+        assert qcrb_quadrature(q)[0] == pytest.approx(qcrb_power_law(2, kappa, 10.0), rel=1e-8, abs=0.0)
+        assert filter_mse_quadrature(q)[0] == pytest.approx(filter_mse_power_law(2, kappa, 10.0), rel=1e-8, abs=0.0)
+
+    def test_callable_above_the_floor_at_every_frequency_is_divergent(self):
+        q = BoundQuery(lambda w: 1.0, 10.0)
+        with pytest.raises(NumericalError, match="bound-divergent"):
+            qcrb_quadrature(q)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_non_finite_callable_is_a_numerical_error(self):

@@ -706,6 +706,10 @@ class TestGoldenValues:
     (_whole_path_statistics, _whole_path_abc), and the streamed values,
     which sum the same squares in another order, are pinned next to them.
 
+    The sin() keys were re-captured when the sin() loop moved to the
+    innovation form; the per-step loop in oracles, run in place of it,
+    keeps their earlier values (test_sin_step_loop_keeps_earlier_values).
+
     Host dependency: the exponential-window values (test_abc,
     test_unwrapped_abc_windows) were captured with numpy's SIMD complex
     multiply, which rounds like a fused multiply-add on an FMA-capable x86
@@ -713,17 +717,20 @@ class TestGoldenValues:
     gives equally correct but different last bits, and fails these ``==``
     checks. test_abc_feedback_matches_reference_bit_for_bit is the
     host-independent check: it holds the loop to the reference loop in
-    oracles, which takes the same complex products, on any host."""
+    oracles, which takes the same complex products, on any host. The sin()
+    values rest on one BLAS gemm per step, e^ G: a BLAS kernel that sums its
+    products in another order, or without fused multiply-adds, gives equally
+    correct but different last bits."""
 
     FILTER = {
         # (p, grid, linearized, wrap, seed): (filter mse, stderr, smoother mse, stderr, error_cov diagonal)
         (4, 30.0, False, False, 5): (
-            0.020609963629765967, 0.0025439650068320215, 0.003804005410285655, 0.0005871294568978777,
-            (0.40181317999885596, 0.02060996362976596),
+            0.020609963629765974, 0.0025439650068320237, 0.003804005410285667, 0.0005871294568978799,
+            (0.40181317999885663, 0.020609963629766057),
         ),
         (2, 3.0, False, True, 6): (
-            0.1891176535753177, 0.026324053903938785, 0.08093454912555417, 0.012173578159771159,
-            (0.1891176535753177,),
+            0.18911765357531773, 0.026324053903938785, 0.08093454912555412, 0.012173578159771157,
+            (0.18911765357531748,),
         ),
         (6, 100.0, True, False, 7): (
             0.007415712533124484, 0.0007533531926805906, 0.0011317735141486622, 0.00020476212895835183,
@@ -732,9 +739,21 @@ class TestGoldenValues:
     }
     # The filter (mse, stderr) of simulate_filter_trials, streamed in blocks
     FILTER_STREAMED = {
-        (4, 30.0, False, False, 5): (0.020609963629765967, 0.0025439650068320215),
-        (2, 3.0, False, True, 6): (0.1891176535753177, 0.026324053903938785),
+        (4, 30.0, False, False, 5): (0.020609963629765974, 0.0025439650068320233),
+        (2, 3.0, False, True, 6): (0.18911765357531773, 0.026324053903938785),
         (6, 100.0, True, False, 7): (0.007415712533124484, 0.0007533531926805906),
+    }
+    # The sin() keys as the loop gave them before the innovation form, whole
+    # and streamed alike: (filter mse, stderr, smoother mse, stderr, error_cov diagonal)
+    SIN_STEP_LOOP = {
+        (4, 30.0, False, False, 5): (
+            0.020609963629765967, 0.0025439650068320215, 0.003804005410285655, 0.0005871294568978777,
+            (0.40181317999885596, 0.02060996362976596),
+        ),
+        (2, 3.0, False, True, 6): (
+            0.1891176535753177, 0.026324053903938785, 0.08093454912555417, 0.012173578159771159,
+            (0.1891176535753177,),
+        ),
     }
     # The linearized key as the per-step forward loop gave it
     STEP_LOOP = (
@@ -784,6 +803,20 @@ class TestGoldenValues:
         assert res[2] == pytest.approx(s_mse, rel=1e-12)
         assert res[3] == pytest.approx(s_se, rel=1e-12)
 
+    @pytest.mark.parametrize("key", list(SIN_STEP_LOOP))
+    def test_sin_step_loop_keeps_earlier_values(self, key):
+        """The oracle loop, run in place of the innovation form, reproduces
+        the sin() keys' values from before it bit for bit."""
+        p, grid, linearized, wrap, seed = key
+        f_mse, f_se, s_mse, s_se, cov_diag = self.SIN_STEP_LOOP[key]
+        model, system, flux = _golden_system(p, grid)
+        config = default_config(model, flux, seed=seed, duration_factor=20.0, linearized=linearized)
+        res = _whole_path_statistics(model, config, 6, wrap=wrap, passes=linearized_error_passes)
+        assert res[:2] == (f_mse, f_se)
+        assert res[2] == pytest.approx(s_mse, rel=1e-12)
+        assert res[3] == pytest.approx(s_se, rel=1e-12)
+        assert np.diag(res[4]) == pytest.approx(cov_diag, rel=1e-12)
+
     @pytest.mark.parametrize("key", list(ABC))
     def test_abc(self, key):
         grid, wrap, seed, cutoff = key
@@ -818,35 +851,54 @@ class TestGoldenValues:
 class TestGoldenRecords:
     """Single records at fixed seeds: the loop paths repeat bit for bit,
     phi_s to 1e-14 of its peak. The filter record was re-captured when the
-    filter loop moved to error coordinates.
+    filter loop moved to error coordinates, and its theta again when the
+    sin() loop moved to the innovation form; the per-step loop in oracles,
+    run in place of it, keeps the earlier values.
 
     Host dependency: test_abc_record's ``==`` values depend on numpy's SIMD
     complex multiply rounding like a fused multiply-add, as in
     TestGoldenValues; a host whose numpy takes the baseline two-rounding
     loop fails them with equally correct numbers. There,
     test_abc_feedback_matches_reference_bit_for_bit still pins the loop to
-    the reference loop bit for bit."""
+    the reference loop bit for bit. The filter record's theta rests on the
+    sin() loop's BLAS gemm, as TestGoldenValues' sin() keys do."""
 
     IDX = [0, 1, 999, 3500, 6999]
+    PHI = [0.0, 0.0, 0.40334874302367, 14.452083736328422, 25.93784052828132]
+    Y = [-11.267044836684741, -22.463563655072928, 3.0769558399630093, 283.2274324278396, 503.0951133778633]
+    PHI_S_PEAK = 21.64976327098816
+    PHI_S = [4.016862919930709, 14.493465368849296, 21.648633343639403]
+
+    def _check_filter_record(self, phi, theta, y, phi_s, expected_theta):
+        assert phi[0, self.IDX].tolist() == self.PHI
+        assert theta[0, self.IDX].tolist() == expected_theta
+        assert y[0, self.IDX].tolist() == self.Y
+        peak = self.PHI_S_PEAK
+        assert np.nanmax(np.abs(phi_s[0])) == pytest.approx(peak, abs=1e-14 * peak)
+        assert np.max(np.abs(phi_s[0, [2000, 3500, 4999]] - self.PHI_S)) <= 1e-14 * peak
 
     def test_filter_record(self):
         model, system, flux = _golden_system(4, 30.0)
         config = default_config(model, flux, seed=12, duration_factor=30.0)
         rec = simulate_record(model, config)
-        assert rec.phi[0, self.IDX].tolist() == [
-            0.0, 0.0, 0.40334874302367, 14.452083736328422, 25.93784052828132
-        ]
-        assert rec.theta[0, self.IDX].tolist() == [
-            0.0, -0.00825177773570956, 0.43778110871708636, 14.45560362744147, 25.943367283045347
-        ]
-        assert rec.y[0, self.IDX].tolist() == [
-            -11.267044836684741, -22.463563655072928, 3.0769558399630093, 283.2274324278396, 503.0951133778633
-        ]
-        phi_s = rec.phi_s[0]
-        peak = 21.64976327098816
-        assert np.nanmax(np.abs(phi_s)) == pytest.approx(peak, abs=1e-14 * peak)
-        expected = [4.016862919930709, 14.493465368849296, 21.648633343639403]
-        assert np.max(np.abs(phi_s[[2000, 3500, 4999]] - expected)) <= 1e-14 * peak
+        theta = [0.0, -0.00825177773570956, 0.4377811087170864, 14.45560362744147, 25.943367283045347]
+        self._check_filter_record(rec.phi, rec.theta, rec.y, rec.phi_s, theta)
+
+    def test_filter_record_step_loop_keeps_earlier_values(self):
+        """The record formed from the oracle loop's paths, as simulate_record
+        forms it, has the values from before the innovation form bit for bit."""
+        model, system, flux = _golden_system(4, 30.0)
+        config = default_config(model, flux, seed=12, duration_factor=30.0)
+        vf_tilde = solve_filter_covariance(4)
+        dw, r = trial_noise(config.seed, 1, config.n_steps, config.dt)
+        err, s_err, _ = linearized_error_passes(
+            model, system, config, dw, r, scale_covariance(vf_tilde, system.mu),
+            sim._smoothing_weights(vf_tilde, system.mu),
+        )
+        phi = sim._open_loop_phase(model, config.dt, dw)
+        y = r / config.dt + phi * (2.0 * math.sqrt(flux))
+        theta = [0.0, -0.00825177773570956, 0.43778110871708636, 14.45560362744147, 25.943367283045347]
+        self._check_filter_record(phi, err + phi, y, s_err + phi, theta)
 
     def test_abc_record(self):
         model, system, flux = _golden_system(2, 30.0)
@@ -1092,9 +1144,10 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     """The sin() loop computes only r and theta - phi; forward scans then
     read out the moments and replay the smoother's w_f . e, and the loop's
     own e seeds the backward pass. Against the per-step loop that sums
-    e e^T as it goes: the same r and theta - phi bit for bit, and
-    phi_s - phi and the moment sum within 1e-13 of their peaks, also over a
-    window that may cut any block."""
+    e e^T as it goes, which steps e with the closed-loop matrix where the
+    loop takes the innovation form: r, theta - phi, phi_s - phi and the
+    moment sum within 1e-13 of their peaks, also over a window that may cut
+    any block."""
     model, system, flux = _golden_system(p, 30.0)
     vf = covariance_set(system).vf
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
@@ -1104,8 +1157,8 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     moment, ref_moment = np.zeros((2, width, system.n_states, system.n_states))
     err, s_err = error_passes(model, system, config, dw, r, vf, smoothing, moment)
     ref_err, ref_s_err, _ = linearized_error_passes(model, system, config, dw, ref_r, vf, smoothing, ref_moment)
-    assert np.array_equal(err, ref_err)
-    assert np.array_equal(r, ref_r)
+    assert _close_to_peak(err, ref_err, 1e-13)
+    assert _close_to_peak(r, ref_r, 1e-13)
     assert _close_to_peak(s_err, ref_s_err, 1e-13)
     assert _close_to_peak(moment, ref_moment, 1e-13)
     # A trimmed window's sum with no smoother, so the scan reads out
@@ -1116,6 +1169,95 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=part)
     linearized_error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=ref_part)
     assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
+
+
+def _sin_step_loop_wide(model, system, config, dw, db, vf):
+    """The sin() loop stepped one sample at a time in np.longdouble on the
+    same float64 inputs, with the closed-loop matrix: e' = e F^T + r K^T -
+    dW e_0^T. Returns theta - phi, r, the final e and the peak of each
+    state component over the run."""
+    wide = np.longdouble
+    c, gain = system.c.astype(wide), vf.astype(wide) @ system.c.astype(wide)
+    dt = wide(config.dt)
+    step_t = np.eye(system.n_states, dtype=wide) + (system.a - np.outer(gain, c)).T * dt
+    sin_gain = 2 * np.sqrt(wide(config.photon_flux)) * dt
+    scale = wide(model.phase_scale)
+    e = np.zeros((dw.shape[0], system.n_states), dtype=wide)
+    err, r = np.empty(dw.shape, dtype=wide), db.astype(wide)
+    peak = np.zeros(system.n_states, dtype=wide)
+    for i in range(dw.shape[1]):
+        d = scale * e[:, -1]
+        err[:, i] = d
+        r[:, i] += sin_gain * (d - np.sin(d))
+        e = e @ step_t + r[:, i, None] * gain
+        e[:, 0] -= dw[:, i]
+        peak = np.maximum(peak, np.max(np.abs(e), axis=0))
+    return err, r, e, peak
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    n_steps=st.sampled_from([1, _K - 1, _K + 1, sim._STREAM_BLOCK + 65, 2 * sim._STREAM_BLOCK + 5]),
+    width=st.sampled_from([1, 3, 16, 64]),
+    seed=st.integers(0, 2**16),
+)
+def test_sin_loop_matches_extended_precision_step_loop(p, n_steps, width, seed):
+    """The sin() loop's innovation form, one product of the [e^ | sin d |
+    dB | dW] rows per step, stays within 1e-13 of peak of the closed-loop
+    recurrence stepped in np.longdouble: in theta - phi, in r, and in each
+    component of the final state, the backward pass's seed (read exactly
+    through unit weights w_r, with the last dW zero), against that
+    component's peak over the run. 1e-13 is the level the blocked scan
+    keeps to the same kind of reference
+    (test_block_scan_matches_extended_precision_step_loop)."""
+    model, system, flux = _golden_system(p, 30.0)
+    vf = covariance_set(system).vf
+    config = _bare_config(flux, n_steps, 0.01 * system.time_scale, linearized=False)
+    dw, db = trial_noise(seed, width, n_steps, config.dt)
+    dw[:, -1] = 0.0  # so the backward pass's first readout is its seed
+    r = db.copy()
+    err = error_passes(model, system, config, dw, r, vf)[0]
+    ref_err, ref_r, ref_e, peak = _sin_step_loop_wide(model, system, config, dw, db, vf)
+    assert _close_to_peak(err, ref_err, 1e-13)
+    assert _close_to_peak(r, ref_r, 1e-13)
+    zero = np.zeros(system.n_states)
+    for k, unit in enumerate(np.eye(system.n_states)):
+        s_err = error_passes(model, system, config, dw, db.copy(), vf, (zero, unit))[1]
+        assert np.max(np.abs(s_err[:, -1] / model.phase_scale - ref_e[:, k])) <= 1e-13 * peak[k]
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Patch np.<name> with a wrapper that counts its calls; returns the
+    one-item list that holds the count."""
+    calls, original = [0], getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 8])
+def test_sin_loop_makes_one_sin_and_one_matmul_per_step(monkeypatch, p):
+    """A sin() filter-only run binds np.sin and np.matmul when it starts and
+    calls each once per step: over runs of 1 step, a scan block + 1 and a
+    stream block + 65 steps, each count exceeds n_steps by the same number,
+    the calls its set-up makes, so no per-step or per-chunk call was added."""
+    model, system, flux = _golden_system(p, 30.0)
+    dt = 0.01 * system.time_scale
+    extra = set()
+    for n_steps in (1, _K + 1, sim._STREAM_BLOCK + 65):
+        config = _bare_config(flux, n_steps, dt, linearized=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
+            sins, matmuls = _count_calls(patch, "sin"), _count_calls(patch, "matmul")
+            simulate_filter_trials(model, config, 3)
+        extra.add((sins[0] - n_steps, matmuls[0] - n_steps))
+    assert len(extra) == 1
+    assert min(extra.pop()) >= 0
 
 
 @pytest.mark.parametrize("moments", [False, True], ids=["no-moments", "moments"])
