@@ -806,7 +806,8 @@ class TestGoldenValues:
     @pytest.mark.parametrize("key", list(SIN_STEP_LOOP))
     def test_sin_step_loop_keeps_earlier_values(self, key):
         """The oracle loop, run in place of the innovation form, reproduces
-        the sin() keys' values from before it bit for bit."""
+        the sin() keys' values from before it: the filter (mse, stderr) bit
+        for bit, the smoother and the covariance to 1e-12, as pinned."""
         p, grid, linearized, wrap, seed = key
         f_mse, f_se, s_mse, s_se, cov_diag = self.SIN_STEP_LOOP[key]
         model, system, flux = _golden_system(p, grid)
