@@ -430,28 +430,28 @@ def tabulated_spectrum(path) -> Callable[[float], float]:
     edge-segment slope, so tabulated power laws are reproduced exactly.
     Every omega and density must be positive and finite.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                w, s = float(parts[0]), float(parts[1])
-            except (IndexError, ValueError):
-                continue  # header or malformed line
-            rows.append((w, s))
-    if len(rows) < 2:
+        text = fh.read()
+    values = []
+    for line in text.replace(",", " ").split("\n"):
+        parts = line.split()
+        try:
+            w, s = float(parts[0]), float(parts[1])
+        except (IndexError, ValueError):
+            continue  # a header, comment, blank or malformed line
+        values += w, s
+    if len(values) < 4:
         raise ValidationError(f"spectrum file {path!r} needs at least two numeric rows")
-    if not all(math.isfinite(w) and math.isfinite(s) for w, s in rows):
+    table = np.array(values).reshape(-1, 2)
+    if not np.isfinite(table).all():
         raise ValidationError("spectrum file must have finite omega and density")
-    rows.sort()
-    if any(w <= 0 or s <= 0 for w, s in rows):
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    if (table <= 0.0).any():
         raise ValidationError("spectrum file must have positive omega and density")
-    if any(a[0] >= b[0] for a, b in zip(rows, rows[1:])):
+    if (np.diff(table[:, 0]) <= 0.0).any():
         raise ValidationError("spectrum file omega column must be strictly increasing")
-    return _LogLogTable([math.log(w) for w, _ in rows], [math.log(s) for _, s in rows])
+    # math.log, not np.log, whose last bit differs on a few floats
+    return _LogLogTable(*(list(map(math.log, col)) for col in table.T.tolist()))
 
 
 class _LogLogTable:

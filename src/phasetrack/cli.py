@@ -32,7 +32,7 @@ from .lg import (
     solve_filter_covariance,
 )
 from .phase_process import PhaseModel
-from .simulation import default_config, run_abc, simulate_record
+from .simulation import _filter_record, default_config, run_abc, simulate_record
 from .sweep import _abc_setup, parse_sweep_spec, run_sweep
 
 __all__ = ["main"]
@@ -130,10 +130,10 @@ def cmd_simulate(args) -> int:
     )
     if args.estimator == "abc":
         record = run_abc(model, config, chi)
-    else:
+    elif args.estimator == "smoother":
         record = simulate_record(model, config)
-        if args.estimator == "filter":
-            record.phi_s = None
+    else:  # a filter record, which skips the backward pass
+        record = _filter_record(model, config, False)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,phi,theta,y,phi_f,phi_s,phi_abc\r\n")
         fh.writelines(_record_csv_blocks(record))

@@ -18,15 +18,18 @@ with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
 t^(n+1/2), is never formed. Only the sin() loop steps one sample at a
 time, since its r depends on theta - phi; a linearized run knows r = dB in
 advance. Given dW and r the rest is linear: a forward blocked scan reads
-out theta - phi (linearized runs) and the interior state moments, and the
-forward error at the end of the record seeds the anticausal pass, a
-backward blocked scan over the kept r and the dW drawn again. The
-smoother's forward readout is replayed block by block, and the two
-readouts combine through the information sum (the two-filter form of
+out theta - phi and the smoother's w_f . e (linearized runs) and the
+interior state moments, and the anticausal pass, seeded with the forward
+error at the end of the record, is a backward blocked scan. The smoother
+combines the two through the information sum (the two-filter form of
 Fraser and Potter), with weights and backward constants from lg's closed
-forms and no matrix inverse. Only records add the open-loop phase back, to
-write phi, theta, y and phi_s. Phase is tracked on the real line
-throughout; only the reductions, with wrap_errors, wrap errors mod 2 pi.
+forms and no matrix inverse. The backward pass is linear in its seed, so
+each block is scanned from a zero seed while the forward pass still holds
+its dW and r, and one sweep back over the blocks adds the seed's share
+once the forward error at the end is known (_BackwardPass). Only records
+add the open-loop phase back, to write phi, theta, y and phi_s. Phase is
+tracked on the real line throughout; only the reductions, with
+wrap_errors, wrap errors mod 2 pi.
 
 The exponential-window loop is not linear in the state and runs on the
 phase itself, integrated open-loop before the loop. It keeps its two
@@ -61,17 +64,18 @@ run states each parameter once.
 Every run, record or ensemble, runs one block driver (_error_blocks for the
 filter, _abc_blocks for the exponential window) in blocks of _STREAM_BLOCK
 steps: per block it draws each trial's noise from generators made once per
-run, steps the loop (or the forward scan of a linearized run) and yields
-the block's errors. Ensembles reduce those as they come, into per-trial
-sums of squared error (_ErrorSums), so filter-only and ABC ensembles keep
-no (trials, steps) array, and a smoother ensemble keeps only r: its
-backward sweep draws each block's dW again, the same bits, from each
-trial's dW stream state saved at the block's start. A record is an
-ensemble that keeps its paths, in a SimulationRecord whose single row is
-the one-trial case. Filter records and ensembles share one set-up and
-zero-flux rule: at N = 0 the gain is zero, and phi_s and the smoother
-statistics are None. Every run times its stages into a stage_s dict of
-seconds on its result, keyed as in _STAGES.
+run, each normal once, steps the loop (or the forward scan of a linearized
+run), scans the block backward for a smoother and yields the block's
+errors. Ensembles reduce those as they come, into per-trial sums of
+squared error (_ErrorSums, _SmoothedSums), so filter-only, smoother and ABC
+ensembles keep no (trials, steps) array: a smoother keeps 2 n + 1 floats
+per trial and block, the sums of a quadratic in the block's seed, except
+with wrap_errors, where it keeps its partial smoothed error whole. A
+record is an ensemble that keeps its paths, in a SimulationRecord whose
+single row is the one-trial case. Filter records and ensembles share one
+set-up and zero-flux rule: at N = 0 the gain is zero, and phi_s and the
+smoother statistics are None. Every run times its stages into a stage_s
+dict of seconds on its result, keyed as in _STAGES.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -108,13 +112,14 @@ _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # Memory a run keeps: (whole paths, block buffers), in float (n_trials, steps)
-# arrays, and the _block_scan maps of one readout that it holds at once
+# arrays, and the one-readout _block_scan maps that it holds at once
 _FOOTPRINT = {
-    "record": (6, 2, 2), "abc_record": (4, 2, 0), "smoother": (1, 7, 2), "filter": (0, 6, 1), "abc": (0, 8, 0)
+    "record": (6, 2, 3), "abc_record": (4, 2, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 7, 3),
+    "filter": (0, 6, 1), "abc": (0, 8, 0),
 }
-# Per trial and block, a smoother's saved dW stream state (525 B of Python
-# objects) and its share of the block's lists (up to 110 B at 2 trials)
-_CHECKPOINT_BYTES = 640
+# Per block, the Python objects that a backward pass keeps besides its
+# arrays: the block's span, a slice and its list slot
+_CHECKPOINT_BYTES = 64
 # Per step of a chunk, the sin() loop's four array views (570 B of Python objects)
 _STEP_VIEW_BYTES = 600
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
@@ -188,7 +193,7 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
     every run makes before it allocates: rejects a grid that does not
     resolve the response time mu^(-1/p) or the model's damping rates, an
     empty interior window, and a run that would keep more memory than the
-    machine has. At mu = 0 a smoother run keeps no paths."""
+    machine has. At mu = 0 a smoother run is a filter run."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
@@ -204,7 +209,7 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
             )
     _check_damping(model, config.dt)
     _interior_slice(config.n_steps, config.dt, config.burn_in)
-    kind = "filter" if kind == "smoother" and system.mu == 0 else kind
+    kind = "filter" if kind.endswith("smoother") and system.mu == 0 else kind
     _check_footprint(kind, n_trials, config.n_steps, system.n_states, moments)
     return system
 
@@ -247,23 +252,22 @@ def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, mome
     """Reject a run whose estimate of the memory it keeps exceeds physical
     memory, before anything is allocated; return the estimate, in bytes:
     _FOOTPRINT[kind] whole (n_trials, n_steps) float paths, block buffers
-    of _STREAM_BLOCK steps and scan maps, a filter run's sin() loop chunk,
-    _SCAN_BLOCK + 1 rows of n_states + 3 floats per trial and
-    _STEP_VIEW_BYTES per step, and a smoother's checkpoints, the forward
-    error and _CHECKPOINT_BYTES per trial and block. A map of q readouts is
-    (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states) floats. With
-    full-state ``moments`` the forward scan holds one of n_states + 1
-    readouts, released before a backward sweep builds its two of one
-    readout: the larger count is taken."""
+    of _STREAM_BLOCK steps and one-readout scan maps, a filter run's sin()
+    loop chunk, _SCAN_BLOCK + 1 rows of n_states + 3 floats per trial and
+    _STEP_VIEW_BYTES per step, and what a backward pass keeps per block:
+    2 n_states + 1 floats per trial and _CHECKPOINT_BYTES. A map of q
+    readouts is (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states)
+    floats; full-state ``moments`` add n_states readouts to the forward
+    scan's, which the backward scan's map is held beside."""
     paths, buffers, maps = _FOOTPRINT[kind]
-    widths = maps * (_SCAN_BLOCK + n_states), moments * (_SCAN_BLOCK * (n_states + 1) + n_states)
-    maps = (n_states + 2 * _SCAN_BLOCK) * max(widths)
+    width = maps * (_SCAN_BLOCK + n_states) + moments * _SCAN_BLOCK * n_states
+    maps = (n_states + 2 * _SCAN_BLOCK) * width
     need = 8 * (n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + maps)
-    if kind in ("record", "smoother", "filter"):
+    if kind not in ("abc", "abc_record"):
         chunk = min(_SCAN_BLOCK, n_steps)
         need += 8 * n_trials * (chunk + 1) * (n_states + 3) + chunk * _STEP_VIEW_BYTES
-    if kind == "smoother":  # at most one span more than the whole blocks: a partial scan block's own
-        need += (-(-n_steps // _STREAM_BLOCK) + 1) * n_trials * (8 * n_states + _CHECKPOINT_BYTES)
+    if kind in ("record", "smoother", "wrapped_smoother"):  # one span more at most: a partial scan block's own
+        need += (-(-n_steps // _STREAM_BLOCK) + 1) * (8 * n_trials * (2 * n_states + 1) + _CHECKPOINT_BYTES)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
@@ -286,17 +290,14 @@ def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
     return slice(k, n_steps - k)
 
 
-def _block_spans(n_steps: int, reverse: bool = False):
-    """Spans of _STREAM_BLOCK steps that cover a run, made one at a time, in
-    order or reversed. When there are several, a partial scan block at the
-    end gets a span of its own, so a scan over the spans, forward or
-    backward, builds its shorter map once."""
+def _block_spans(n_steps: int):
+    """Spans of _STREAM_BLOCK steps that cover a run, made one at a time.
+    When there are several, a partial scan block at the end gets a span of
+    its own, so a scan over the spans builds its shorter map once."""
     tail = n_steps % _SCAN_BLOCK if n_steps > _STREAM_BLOCK else 0
     cut = n_steps - tail
-    starts = range(0, cut, _STREAM_BLOCK)
-    spans = (slice(s, min(s + _STREAM_BLOCK, cut)) for s in (reversed(starts) if reverse else starts))
-    ends = [slice(cut, n_steps)] if tail else []
-    return itertools.chain(ends, spans) if reverse else itertools.chain(spans, ends)
+    spans = (slice(s, min(s + _STREAM_BLOCK, cut)) for s in range(0, cut, _STREAM_BLOCK))
+    return itertools.chain(spans, [slice(cut, n_steps)] if tail else [])
 
 
 def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock: _StageClock):
@@ -304,35 +305,17 @@ def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock:
     each a view of its whole (n_trials, T) array in kept = (dW, dB) or,
     where kept holds None, of a buffer of ``longest`` steps. The streams
     are made once here, so spans drawn in order continue one draw of the
-    whole record. A run that keeps a path draws its spans again in its
-    backward sweep: kept arrays come back as they are (the sin() loop
-    writes r over dB), and buffered streams are drawn again, the same bits,
-    from their states saved at the span's start, unless the buffers still
-    hold the span, as they do the last one."""
+    whole record, and each normal is drawn once."""
     streams = [
         [np.random.default_rng(ss) for ss in child.spawn(2)]
         for child in np.random.SeedSequence(seed).spawn(n_trials)
     ]
     sd = math.sqrt(dt)
-    buffered = [j for j, a in enumerate(kept) if a is None]
     arrays = [np.empty((n_trials, longest)) if a is None else a for a in kept]
-    redrawn = [trial[j] for trial in streams for j in buffered] if len(buffered) < 2 else []  # if a path is kept
-    states, drawn_to, held = {}, 0, None
 
     def draw(span):
-        nonlocal drawn_to, held
         pair = tuple(a[:, : span.stop - span.start] if k is None else a[:, span] for a, k in zip(arrays, kept))
-        if span.start >= drawn_to:  # a first draw
-            drawn_to, fresh = span.stop, (0, 1)
-            if redrawn:
-                states[span.start] = [stream.bit_generator.state for stream in redrawn]
-        else:
-            fresh = buffered if span != held else ()
-            for stream, state in zip(redrawn, states.pop(span.start) if fresh else ()):
-                stream.bit_generator.state = state
-        held = span
-        for j in fresh:
-            block = pair[j]
+        for j, block in enumerate(pair):
             for trial, row in zip(streams, block):
                 trial[j].standard_normal(out=row)
             # normal(0, sd) draws the same standard normals and returns 0 + sd z,
@@ -419,19 +402,22 @@ def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
     return out
 
 
-def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0), maps=None):
+def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0), maps=None, also=None):
     """Add x_i w + dW_i h_dw into out[:, i] along the affine recurrence
     x_(i+1) = x_i m + dW_i g_dw + r_i g_db, with r = db; return the final x.
     With ``moment`` (rows, n, n), also add x_i^T x_i into it for i in ``win``.
+    With ``also`` = (w2, out2), w2 (n,) and out2 (rows, T), also add x_i w2
+    into out2[:, i], by a map of its own from the same inputs, so the
+    readouts of w and the final x keep the floats they have without it.
 
     x is (rows, n) and dw, db are (rows, T), possibly reversed views. The
     readout w is a vector (n,) with out (rows, T), or q of them as columns
     (n, q) with out (rows, T, q); h_dw is a scalar or one value per readout.
     Each matrix product advances _SCAN_BLOCK steps (a chunked prefix scan);
     a last partial block uses its own, shorter map. ``maps``, a dict, keeps
-    the map across the block-by-block calls of one recurrence and readout,
-    one map at a time. A moment reads each block's states out next to the
-    readouts, so no state path outlives its block.
+    the maps across the block-by-block calls of one recurrence and readout,
+    those of one block length at a time. A moment reads each block's states
+    out next to the readouts, so no state path outlives its block.
     """
     n = m.shape[0]
     rows, n_steps = dw.shape
@@ -443,43 +429,46 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
     for start in range(0, n_steps, _SCAN_BLOCK):
         k = min(_SCAN_BLOCK, n_steps - start)
         if k not in maps:
-            maps.clear()  # so two maps are never held at once
-            maps[k] = _scan_matrix(m, g_dw, g_db, w, h_dw, k)
+            maps.clear()  # so the maps of two block lengths are never held at once
+            maps[k] = [_scan_matrix(m, g_dw, g_db, w, h_dw, k)]
+            if also is not None:
+                maps[k].append(_scan_matrix(m, g_dw, g_db, also[0], 0.0, k)[:, :k])
         span = slice(start, start + k)
-        step = np.concatenate((x, dw[:, span], db[:, span]), axis=1) @ maps[k]
+        inputs = np.concatenate((x, dw[:, span], db[:, span]), axis=1)
+        step = inputs @ maps[k][0]
         reads = step[:, :-n].reshape(rows, k, -1)
         target = out[:, span]
         target += reads[..., :q].reshape(target.shape)
         if moment is not None:
             states = reads[:, max(win.start - start, 0) : max(win.stop - start, 0), q:]
             moment += states.transpose(0, 2, 1) @ states
+        if also is not None:
+            also[1][:, span] += inputs @ maps[k][1]
         x = step[:, -n:]
     return x
 
 
-def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, error_moment=None):
+def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_moment=None):
     """Block driver of the causal estimator in the feedback loop and, with
-    ``smoothing = (w_f[-1], w_r[-1])``, the backward pass, on the chain
-    error e of a run of ``shape`` (n_trials, n_steps).
+    ``back`` (a _BackwardPass), the smoother's backward pass over each
+    block, on the chain error e of a run of ``shape`` (n_trials, n_steps).
 
-    draw(span) gives the (dW, dB) of each _block_spans span in order, then
-    again in reverse for the backward sweep, which needs the same dW and
-    the r that the forward pass left: the sin() loop overwrites dB in place
-    with r. Yields (0, span, theta - phi) for each span in order and then,
-    with smoothing, (1, span, phi_s - phi) for each span in reverse, NaN
-    outside the interior window; each array is valid until the next item.
-    ``error_moment`` (n_trials, n_states, n_states) accumulates the
-    interior sum of e e^T.
+    draw(span) gives the (dW, dB) of each _block_spans span in order; the
+    sin() loop overwrites dB in place with r. Yields (span, theta - phi, s)
+    for each span, s the span's partial smoothed error from back.block
+    (None without back); each array is valid until the next item. Once
+    the last item is taken, back.seed is the forward error at the end of
+    the record. ``error_moment`` (n_trials, n_states, n_states) accumulates
+    the interior sum of e e^T.
 
     The forward error is e' = e F^T + r K^T - dW e_0^T, F = I + (A - K C) dt
     and K = V_F C^T; its blocked scan reads out theta - phi (linearized runs
-    only) and the moments, so a sin() run without moments scans nothing
-    forward. The sin() loop steps the same error in the innovation form,
-    where r's term linear in theta - phi cancels -K C dt, and forms r from
-    each chunk's theta - phi afterwards. With smoothing the driver keeps the
-    forward error at each span's start, and the backward sweep, seeded with
-    the one at the end, replays w_f . e from there before each span's
-    backward scan; each scan builds its maps once per run.
+    only), the smoother's forward readout w_f . e and the moments, so a
+    sin() run without moments scans nothing forward. The sin() loop steps
+    the same error in the innovation form, where r's term linear in
+    theta - phi cancels -K C dt, forms r from each chunk's theta - phi
+    afterwards and reads w_f . e from the chunk's states. While a block's
+    dW and r are at hand, back.block runs its backward scan.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -496,7 +485,8 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
     w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
     x = np.zeros((rows, n))  # the forward scan's error
     read_buf = np.empty((rows, longest, w.shape[1])) if scan else None
-    maps, starts = {}, []
+    smoothed_buf = np.empty((rows, longest)) if back is not None else None
+    maps = {}
     if not config.linearized:
         # The sin() loop steps e^ = e D, D = diag(1, ..., 1, kappa^(n+1/2)),
         # whose last entry is d = theta - phi, by one product per step:
@@ -516,12 +506,13 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
         steps = list(zip(z[:-1, :, n - 1], z[:-1, :, n], z[:-1], z[1:, :, :n]))
         err_buf = np.empty((rows, longest))
         sin, matmul = np.sin, np.matmul
+        if back is not None:
+            forward_read = back.w_f / d_scale  # w_f . e = e^ . (w_f / D)
 
     for span in _block_spans(n_steps):
         dw, db = draw(span)
         k = span.stop - span.start
-        if smoothing is not None:
-            starts.append(x.copy() if config.linearized else z[0, :, :n] / d_scale)
+        smoothed = None if back is None else smoothed_buf[:, :k]
         if not config.linearized:
             err = err_buf[:, :k]
             for c in range(0, k, chunk):
@@ -532,6 +523,8 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
                 for d, sin_d, row, after in steps[:j]:
                     sin(d, sin_d)
                     matmul(row, step_g, after)
+                if back is not None:  # one product over the chunk's rows of e^, time-major
+                    smoothed[:, cols] = (z[:j].reshape(-1, n + 3)[:, :n] @ forward_read).reshape(j, rows).T
                 d, sin_d = z[:j, :, n - 1].T, z[:j, :, n].T
                 err[:, cols] = d  # in C order, so the reductions sum each row as a whole path's
                 # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, over dB
@@ -543,54 +536,132 @@ def _error_blocks(model, system, config, vf, smoothing, shape, draw, clock, erro
         if scan:
             paths = read_buf[:, :k]
             paths[...] = 0.0
+            also = None
+            if back is not None and config.linearized:
+                smoothed[...] = 0.0
+                also = back.w_f, smoothed
             block_win = slice(max(win.start - span.start, 0), max(win.stop - span.start, 0))
-            x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, block_win, maps)
+            x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, block_win, maps, also)
             if config.linearized:
                 err = paths[..., 0]
             clock.lap("forward_scan")
-        yield 0, span, err
-    if smoothing is None:
-        return
-
-    # The backward pass, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
-    # (-dt)^k on its k-th subdiagonal, is a blocked scan too. Its anticausal
-    # estimate takes in each residual r_i = y_i dt - C x_i dt through V_R C^T,
-    # the forward gain signed (-1)^(n-k) as V_R is V_F signed (-1)^(k+l). It is
-    # seeded with the forward error at the end of the record, on reversed views.
-    w_f, w_r = smoothing
-    err_end = x if config.linearized else z[0, :, :n] / d_scale
-    drive = (-dt) ** np.arange(n)  # B e_0
-    back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
-    retro_gain = gain * (-1.0) ** np.arange(n)[::-1]
-    back_t = (back - np.outer(retro_gain, system.c) * dt).T
-    maps, replay_maps = {}, {}
-    proj_buf = read_buf[..., 0] if config.linearized else err_buf  # free once the forward pass is done
-    for span in _block_spans(n_steps, reverse=True):
-        dw, db = draw(span)
-        proj = proj_buf[:, : span.stop - span.start]
-        proj[...] = 0.0
-        _block_scan(starts.pop(), *forward, w_f, 0.0, dw, db, proj, None, slice(0), replay_maps)
-        clock.lap("forward_scan")
-        err_end = _block_scan(
-            err_end, back_t, drive @ back_t, retro_gain, w_r, drive @ w_r,
-            dw[:, ::-1], db[:, ::-1], proj[:, ::-1], None, slice(0), maps,
-        )
-        proj *= scale  # w_f + w_r = I, so the sum is the smoothed error
-        proj[:, : max(win.start - span.start, 0)] = np.nan
-        proj[:, max(win.stop - span.start, 0) :] = np.nan
-        clock.lap("backward_scan")
-        yield 1, span, proj
+        if back is not None:
+            back.block(span, dw, db, smoothed)
+            clock.lap("backward_scan")
+        yield span, err, smoothed
+    if back is not None:
+        back.seed = x if config.linearized else z[0, :, :n] / d_scale
 
 
-def _collect_errors(blocks, shape) -> tuple:
+class _BackwardPass:
+    """The smoother's backward pass, block by block, combined with the
+    forward error through the information sum phi_s - phi = kappa^(n+1/2)
+    (w_f . e + w_r . x_b) (the two-filter form of Fraser and Potter), with
+    weights ``weights`` = (w_f[-1], w_r[-1]) from _smoothing_weights.
+
+    The backward error, x_i = B (x_(i+1) - e_0 dW_i) with B = (I + A dt)^-1,
+    (-dt)^k on its k-th subdiagonal, takes in each residual r_i through
+    V_R C^T, the forward gain signed (-1)^(n-k) as V_R is V_F signed
+    (-1)^(k+l), and is seeded with the forward error at the end of the
+    record. It is linear in its seed, dW and r, so block(), run while the
+    forward pass holds a block's dW and r, scans the block backward from a
+    zero seed: its readouts complete the block's partial smoothed error s
+    and its end state is the partial state x0 at the block's start. The
+    seed's share is homogeneous: a seed x at the block's end adds x h to s
+    and x Phi to the end state, so each block is an affine map of its seed,
+    the element of the parallel-in-time smoother of Sarkka and
+    Garcia-Fernandez (IEEE TAC 2021), applied here in sequence by sweep().
+    h and Phi are those of the block's scan blocks in turn, each built once
+    per scan-block length by _block_scan itself, from an identity seed over
+    zero inputs, so no (n, _STREAM_BLOCK) array is kept. Per block the
+    pass keeps its span and x0, n floats for each of ``n_trials`` trials.
+    """
+
+    def __init__(self, model: PhaseModel, system: LgSystem, config: HomodyneConfig, vf, weights, n_trials: int,
+                 clock):
+        n, dt = system.n_states, config.dt
+        self.w_f, w_r = weights
+        drive = (-dt) ** np.arange(n)  # B e_0
+        back = sum(c * np.eye(n, k=-k) for k, c in enumerate(drive))
+        retro_gain = (vf @ system.c) * (-1.0) ** np.arange(n)[::-1]
+        back_t = (back - np.outer(retro_gain, system.c) * dt).T
+        self.scan = (back_t, drive @ back_t, retro_gain, w_r, drive @ w_r)
+        self.scale = model.phase_scale
+        self.win = _interior_slice(config.n_steps, dt, config.burn_in)
+        self.n_blocks = sum(1 for _ in _block_spans(config.n_steps))
+        self.ends = np.empty((self.n_blocks, n_trials, n))
+        self.clock = clock
+        self.maps, self.units, self.spans = {}, {}, []
+        self.seed = None  # the forward error at the end of the record, set by _error_blocks
+
+    def block(self, span: slice, dw: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
+        """Complete s, which holds w_f . e over the block's steps, to the
+        block's partial smoothed error in phase units, NaN outside the
+        interior window, and keep the block's partial end state."""
+        x0 = self.ends[len(self.spans)]
+        x0[...] = _block_scan(np.zeros_like(x0), *self.scan, dw[:, ::-1], r[:, ::-1], s[:, ::-1], None, slice(0),
+                              self.maps)
+        s *= self.scale  # w_f + w_r = e_n, so the sum is the smoothed error
+        s[:, : max(self.win.start - span.start, 0)] = np.nan
+        s[:, max(self.win.stop - span.start, 0) :] = np.nan
+        self.spans.append(span)
+
+    def _unit(self, j: int) -> np.ndarray:
+        """[h | Phi] (n, j + n) of a scan block of j steps: the phase
+        readouts and the end state of the backward scan from a unit seed."""
+        if j not in self.units:
+            n = len(self.w_f)
+            h, zero = np.zeros((n, j)), np.broadcast_to(0.0, (n, j))
+            phi = _block_scan(np.eye(n), *self.scan, zero, zero, h[:, ::-1], None, slice(0), self.maps)
+            h *= self.scale
+            self.units[j] = np.hstack((h, phi))
+        return self.units[j]
+
+    def seed_share(self, k: int, lo: int, hi: int):
+        """h of a block of k steps over its columns [lo, hi), the phase
+        readouts that a unit seed at the block's end adds to them, as
+        (cols, h[:, cols]) per scan block, from the block's end back."""
+        p = np.eye(len(self.w_f))  # Phi of the scan blocks after this one
+        for stop in range(k, 0, -_SCAN_BLOCK):
+            j = min(_SCAN_BLOCK, stop)
+            share = p @ self._unit(j)
+            a, b = max(stop - j, lo), min(stop, hi)
+            if a < b:
+                yield slice(a, b), share[:, a - stop + j : b - stop + j]
+            p = share[:, j:]
+
+    def sweep(self, paths: Optional[np.ndarray] = None):
+        """(i, span, x) for block i of each span in reverse, x the backward
+        state at the block's end, so the block's smoothed error is s + x h.
+        With ``paths`` (n_trials, n_steps), which hold the blocks' s, x h is
+        added into them before the block is yielded."""
+        x = self.seed
+        for i in reversed(range(len(self.spans))):
+            span, y = self.spans[i], x
+            for stop in range(span.stop - span.start, 0, -_SCAN_BLOCK):
+                j = min(_SCAN_BLOCK, stop)
+                share = y @ self._unit(j)
+                if paths is not None:
+                    paths[:, span.start + stop - j : span.start + stop] += share[:, :j]
+                y = share[:, j:]
+            yield i, span, x
+            x = y + self.ends[i]
+        self.clock.lap("backward_scan")
+
+
+def _collect_errors(blocks, shape, back) -> tuple:
     """The blocks of _error_blocks written into whole ``shape`` paths:
-    (theta - phi, phi_s - phi), the second None without a smoother."""
-    paths = [None, None]
-    for which, span, values in blocks:
-        if paths[which] is None:
-            paths[which] = np.empty(shape)
-        paths[which][:, span] = values
-    return tuple(paths)
+    (theta - phi, phi_s - phi), the second None without ``back``, whose
+    sweep adds each block's seed share to it."""
+    err, smoothed = np.empty(shape), None if back is None else np.empty(shape)
+    for span, values, s in blocks:
+        err[:, span] = values
+        if s is not None:
+            smoothed[:, span] = s
+    if back is not None:
+        for _ in back.sweep(smoothed):
+            pass
+    return err, smoothed
 
 
 def _abc_phase_updater(flux: float, n_trials: int):
@@ -793,36 +864,42 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     return phi, est, idt, held
 
 
-def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, smoother: bool, clock,
-                         moment=None, record: bool = False):
-    """Set-up and block driver of every filter run: the run checked, Vt_F
-    solved once and scaled to V_F, the smoother's weights when asked, and
-    the noise drawn block by block. Returns (kept, blocks), the whole (dW, r)
-    or None where the run keeps no such path (a smoother keeps r, a record
-    both), and the _error_blocks iterator, to which ``moment`` goes as
-    error_moment."""
-    kind = "record" if record else "smoother" if smoother else "filter"
+def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, kind: str, smoother: bool, clock,
+                         moment=None):
+    """Set-up and block driver of every filter run of ``kind``, a _FOOTPRINT
+    key: the run checked, Vt_F solved once and scaled to V_F, the
+    smoother's backward pass when asked, and the noise drawn block by
+    block. Returns (kept, back, blocks): the whole (dW, r) of a record
+    (None each for an ensemble), the _BackwardPass (None without a smoother
+    or at mu = 0) and the _error_blocks iterator, to which ``moment`` goes
+    as error_moment."""
     system = _run_system(model, config, kind, n_trials, moment is not None)
     if system.mu > 0:
         vf_tilde = solve_filter_covariance(model.p)
         vf = scale_covariance(vf_tilde, system.mu)
-        smoothing = _smoothing_weights(vf_tilde, system.mu) if smoother else None
+        weights = _smoothing_weights(vf_tilde, system.mu) if smoother else None
+        back = _BackwardPass(model, system, config, vf, weights, n_trials, clock) if smoother else None
     else:  # no measurement: zero gain, nothing to smooth
-        vf, smoothing = np.zeros((system.n_states, system.n_states)), None
+        vf, back = np.zeros((system.n_states, system.n_states)), None
     n_steps = config.n_steps
     clock.lap("covariance")
-    kept = tuple(np.empty((n_trials, n_steps)) if keep else None for keep in (record, record or smoothing))
+    kept = tuple(np.empty((n_trials, n_steps)) if kind == "record" else None for _ in range(2))
     draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), kept, clock)
-    return kept, _error_blocks(model, system, config, vf, smoothing, (n_trials, n_steps), draw, clock, moment)
+    return kept, back, _error_blocks(model, system, config, vf, back, (n_trials, n_steps), draw, clock, moment)
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
     record. With a measurement (mu > 0) the backward pass runs too and
     phi_s is filled on the interior window."""
+    return _filter_record(model, config, True)
+
+
+def _filter_record(model: PhaseModel, config: HomodyneConfig, smoother: bool) -> SimulationRecord:
+    """simulate_record, with the backward pass and phi_s only if ``smoother``."""
     clock = _StageClock()
-    (dw, db), blocks = _run_filter_feedback(model, config, 1, True, clock, record=True)
-    theta, phi_s = _collect_errors(blocks, dw.shape)
+    (dw, db), back, blocks = _run_filter_feedback(model, config, 1, "record", smoother, clock)
+    theta, phi_s = _collect_errors(blocks, dw.shape, back)
     phi = _open_loop_phase(model, config.dt, dw)
     clock.lap("chain")
     y = np.divide(db, config.dt, out=db)  # y dt = C x dt + r, written over r
@@ -933,6 +1010,57 @@ class FilterTrialResult:
     stage_s: dict = field(default_factory=dict)  # seconds per stage, keyed as in _STAGES
 
 
+class _SmoothedSums:
+    """Per-trial interior sums of the smoothed error squared, from the
+    partial blocks s of a _BackwardPass and then its sweep, reduced as in
+    _ErrorSums. Unwrapped, a block's interior sum is a quadratic in its
+    seed x: sum (s + x h)^2 = q0 + 2 x . q1 + x Q2 x^T, with q0 (n_trials,)
+    and q1 (n_trials, n) kept per block and Q2 (n, n) per block length and
+    interior slice, so no path is kept.
+    A wrapped error is not quadratic in x, so with ``wrap`` s is kept whole
+    and s + x h reduced in the sweep."""
+
+    def __init__(self, n_trials: int, config: HomodyneConfig, wrap: bool, back: _BackwardPass):
+        self.sums = _ErrorSums(n_trials, config, wrap)
+        self.back = back
+        if wrap:
+            self.path = np.empty((n_trials, config.n_steps))
+        else:
+            self.q0 = np.zeros((back.n_blocks, n_trials))
+            self.q1 = np.zeros((back.n_blocks, n_trials, len(back.w_f)))
+            self.q2, self.path = {}, None
+
+    def _interior(self, span: slice) -> tuple:
+        """(lo, hi): the interior window's columns in the block of span."""
+        win = self.sums.slices[0]
+        return max(win.start - span.start, 0), min(win.stop - span.start, span.stop - span.start)
+
+    def add(self, i: int, span: slice, s: np.ndarray) -> None:
+        """Take block i, the partial smoothed error s over span."""
+        if self.path is not None:
+            self.path[:, span] = s
+            return
+        k, (lo, hi) = s.shape[1], self._interior(span)
+        if lo < hi:
+            self.q0[i] = np.sum(np.square(s[:, lo:hi]), axis=1)
+            q2 = np.zeros((len(self.back.w_f),) * 2)
+            for cols, h in self.back.seed_share(k, lo, hi):
+                self.q1[i] += s[:, cols] @ h.T
+                q2 += h @ h.T
+            self.q2.setdefault((k, lo, hi), q2)
+
+    def mse_statistics(self) -> tuple[float, float]:
+        total = self.sums.sums[0]
+        for i, span, x in self.back.sweep(self.path):
+            k, (lo, hi) = span.stop - span.start, self._interior(span)
+            if self.path is not None:
+                self.sums.add(span.start, self.path[:, span])
+            elif lo < hi:
+                quadratic = np.sum((x @ self.q2[k, lo, hi]) * x, axis=1)
+                total += self.q0[i] + 2.0 * np.sum(x * self.q1[i], axis=1) + quadratic
+        return self.sums.mse_statistics()
+
+
 def simulate_filter_trials(
     model: PhaseModel,
     config: HomodyneConfig,
@@ -952,18 +1080,20 @@ def simulate_filter_trials(
         raise ValidationError("need at least 2 trials")
     clock = _StageClock()
     moment = np.zeros((n_trials, model.n + 1, model.n + 1)) if full_state_stats else None
-    blocks = _run_filter_feedback(model, config, n_trials, smoother, clock, moment)[1]
-    sums = [_ErrorSums(n_trials, config, wrap_errors) for _ in range(2)]
-    smoothed = False
-    for which, span, err in blocks:
-        sums[which].add(span.start, err)
-        smoothed |= which == 1
+    kind = ("wrapped_smoother" if wrap_errors else "smoother") if smoother else "filter"
+    _, back, blocks = _run_filter_feedback(model, config, n_trials, kind, smoother, clock, moment)
+    sums = _ErrorSums(n_trials, config, wrap_errors)
+    smoothed = None if back is None else _SmoothedSums(n_trials, config, wrap_errors, back)
+    for i, (span, err, s) in enumerate(blocks):
+        sums.add(span.start, err)
+        if smoothed is not None:
+            smoothed.add(i, span, s)
         clock.lap("reductions")
-    result = FilterTrialResult(*sums[0].mse_statistics(), stage_s=clock.stage_s)
-    if smoothed:
-        result.smoother_mse, result.smoother_stderr = sums[1].mse_statistics()
+    result = FilterTrialResult(*sums.mse_statistics(), stage_s=clock.stage_s)
+    if smoothed is not None:
+        result.smoother_mse, result.smoother_stderr = smoothed.mse_statistics()
     if full_state_stats:
-        win = sums[0].slices[0]
+        win = sums.slices[0]
         per_trial = moment / (win.stop - win.start)
         result.error_cov = per_trial.mean(axis=0)
         result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)

@@ -12,8 +12,11 @@ the filter error of the sin() and linearized loops stepped one sample
 at a time, the smoothing weights by float inverses of the information sum, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
 solve, the exponential-window feedback loop with scalar and broadcast
-operands, and the ensemble MSE and windowed MSE reduced over whole error
-paths (mse_statistics, windowed_mse), which every run sums block by block.
+operands, the ensemble MSE and windowed MSE reduced over whole error
+paths (mse_statistics, windowed_mse), which every run sums block by block,
+and the smoother's backward pass as a second sweep over the blocks that
+replays the forward readout (two_pass_error_passes), which every run folds
+into its forward pass.
 
 Two are seams instead, which run the package's own code on whole arrays
 for the references and the tests to compare with: trial_noise, the noise
@@ -23,6 +26,7 @@ filter and smoother errors over given noise, collected as a record's are.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,8 +48,10 @@ from phasetrack.phase_process import PhaseModel, _check_damping, spectrum
 from phasetrack.simulation import (
     HomodyneConfig,
     _ABC_HOLD_THRESHOLD,
+    _BackwardPass,
     _StageClock,
     _block_scan,
+    _block_spans,
     _collect_errors,
     _error_blocks,
     _interior_slice,
@@ -271,12 +277,67 @@ def error_passes(
 ):
     """_error_blocks over given (n_trials, T) increments, collected into
     whole paths as a record's are: returns theta - phi and phi_s - phi
-    (None without ``smoothing``); the sin() loop writes r over db."""
+    (None without ``smoothing``, the weights (w_f[-1], w_r[-1])); the sin()
+    loop writes r over db."""
+    return _error_passes(model, system, config, dw, db, vf, smoothing, error_moment)[:2]
+
+
+def _error_passes(model, system, config, dw, db, vf, smoothing=None, error_moment=None):
+    """error_passes and, last, its _BackwardPass (None without smoothing)."""
+    clock = _StageClock()
+    back = None if smoothing is None else _BackwardPass(model, system, config, vf, smoothing, len(dw), clock)
     blocks = _error_blocks(
-        model, system, config, vf, smoothing, dw.shape, lambda span: (dw[:, span], db[:, span]),
-        _StageClock(), error_moment,
+        model, system, config, vf, back, dw.shape, lambda span: (dw[:, span], db[:, span]), clock, error_moment
     )
-    return _collect_errors(blocks, dw.shape)
+    return _collect_errors(blocks, dw.shape, back) + (back,)
+
+
+def two_pass_error_passes(
+    model: PhaseModel,
+    system: LgSystem,
+    config: HomodyneConfig,
+    dw: np.ndarray,
+    db: np.ndarray,
+    vf: np.ndarray,
+    smoothing: tuple[np.ndarray, np.ndarray],
+    error_moment: np.ndarray | None = None,
+):
+    """error_passes with the smoother's backward pass as the package ran it
+    before the pass was folded into the forward one: a second sweep over the
+    spans in reverse, which per span replays w_f . e by a forward scan from
+    the forward error at the span's start and then scans backward, seeded
+    with the forward error at the end of the record and carried from span
+    to span. The forward error at a span's start is that of the driver run
+    over the steps before it, which steps the same chunks and scan blocks
+    as the whole run, so it has the whole run's floats. Returns
+    (theta - phi, phi_s - phi); the sin() loop writes r over db."""
+    n_trials, n_steps = dw.shape
+    n, dt = system.n_states, config.dt
+    spans = list(_block_spans(n_steps))
+
+    def forward_error(stop):
+        prefix = dataclasses.replace(config, duration=stop * dt, burn_in=0.0)
+        moment = None if error_moment is None else np.zeros_like(error_moment)
+        return _error_passes(model, system, prefix, dw[:, :stop], db[:, :stop].copy(), vf, smoothing, moment)[2].seed
+
+    starts = [np.zeros((n_trials, n))] + [forward_error(span.start) for span in spans[1:]]
+    err, _, back = _error_passes(model, system, config, dw, db, vf, smoothing, error_moment)
+    gain = vf @ system.c
+    forward = (np.eye(n) + (system.a - np.outer(gain, system.c)).T * dt, -np.eye(n)[0], gain)
+    win = _interior_slice(n_steps, dt, config.burn_in)
+    smoothed = np.empty_like(dw)
+    x, maps, replay_maps = back.seed, {}, {}
+    for span, start in zip(spans[::-1], starts[::-1]):
+        proj = np.zeros((n_trials, span.stop - span.start))
+        _block_scan(start, *forward, smoothing[0], 0.0, dw[:, span], db[:, span], proj, None, slice(0), replay_maps)
+        x = _block_scan(
+            x, *back.scan, dw[:, span][:, ::-1], db[:, span][:, ::-1], proj[:, ::-1], None, slice(0), maps
+        )
+        proj *= model.phase_scale
+        proj[:, : max(win.start - span.start, 0)] = np.nan
+        proj[:, max(win.stop - span.start, 0) :] = np.nan
+        smoothed[:, span] = proj
+    return err, smoothed
 
 
 def trial_noise_normal(seed: int, n_trials: int, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -273,6 +273,37 @@ class TestTabulatedSpectrum:
         with pytest.raises(ValidationError):
             tabulated_spectrum(path)  # nonpositive frequency
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,1.0\n", "needs at least two numeric rows"),
+            ("1.0,1.0\nnan,2.0\n3.0,0.5\n", "must have finite omega and density"),
+            ("1.0,1.0\n3.0,inf\n", "must have finite omega and density"),
+            ("3.0,0.5\n-1.0,1.0\n", "must have positive omega and density"),
+            ("1.0,1.0\n3.0,0.0\n", "must have positive omega and density"),
+            ("3.0,0.5\n1.0,1.0\n1.0,2.0\n", "omega column must be strictly increasing"),
+        ],
+        ids=["one-row", "nan", "inf", "negative-omega", "zero-density", "duplicate-omega"],
+    )
+    def test_bad_table_errors_name_their_rule(self, tmp_path, body, message):
+        """Each rule a table breaks has its own message; a header, comments,
+        blank and malformed lines are skipped before any rule is checked."""
+        path = tmp_path / "bad.csv"
+        path.write_text("omega,density\n# a comment\n\n1.0\nnot,a number\n" + body)
+        with pytest.raises(ValidationError, match=message):
+            tabulated_spectrum(path)
+
+    def test_table_rows_in_any_order(self, tmp_path):
+        """Rows are sorted by omega before the table is built, so a shuffled
+        file gives the same density, to the bit."""
+        w = np.logspace(-2.0, 3.0, 41)
+        rows = [f"{wi!r},{1.0 / (1.0 + wi**2)!r}" for wi in w.tolist()]
+        ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+        ordered.write_text("\n".join(rows) + "\n")
+        shuffled.write_text("\n".join(np.random.default_rng(1).permutation(rows)) + "\n")
+        points = np.logspace(-3.0, 4.0, 97)
+        assert [tabulated_spectrum(ordered)(x) for x in points] == [tabulated_spectrum(shuffled)(x) for x in points]
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         knots=st.lists(

@@ -20,6 +20,7 @@ from oracles import (
     smoothing_weights_inverse,
     trial_noise,
     trial_noise_normal,
+    two_pass_error_passes,
     windowed_mse,
 )
 
@@ -152,6 +153,18 @@ class TestSimulateRecord:
         assert rec.t.shape == (config.n_steps,)
         for path in (rec.phi, rec.theta, rec.y, rec.phi_s):
             assert path.shape == (1, config.n_steps)
+
+    @pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
+    def test_filter_record_skips_the_backward_pass(self, linearized):
+        """A filter record, which simulate --estimator filter writes, runs no
+        backward pass: phi_s is None and no time goes to the backward scan,
+        and its other paths are the smoother record's bit for bit."""
+        model, system, config = _setup(duration_factor=30.0, linearized=linearized)
+        smoothed = simulate_record(model, config)
+        rec = sim._filter_record(model, config, False)
+        assert rec.phi_s is None and rec.stage_s["backward_scan"] == 0.0
+        for name in ("t", "phi", "theta", "y"):
+            assert np.array_equal(getattr(rec, name), getattr(smoothed, name)), name
 
     def test_backward_pass_leaves_causal_path_unchanged(self):
         model, system, config = _setup(duration_factor=30.0)
@@ -709,6 +722,10 @@ class TestGoldenValues:
     The sin() keys were re-captured when the sin() loop moved to the
     innovation form; the per-step loop in oracles, run in place of it,
     keeps their earlier values (test_sin_step_loop_keeps_earlier_values).
+    The smoother values moved again, within their 1e-12, when the backward
+    pass was folded into the forward one; the two-pass backward sweep in
+    oracles, run in place of it, keeps the values from before
+    (test_two_pass_smoother_keeps_earlier_values).
 
     Host dependency: the exponential-window values (test_abc,
     test_unwrapped_abc_windows) were captured with numpy's SIMD complex
@@ -754,6 +771,13 @@ class TestGoldenValues:
             0.1891176535753177, 0.026324053903938785, 0.08093454912555417, 0.012173578159771159,
             (0.1891176535753177,),
         ),
+    }
+    # The whole-path smoother (mse, stderr) of each key as the two-pass
+    # backward sweep gave it, before the sweep was folded into the forward pass
+    TWO_PASS = {
+        (4, 30.0, False, False, 5): (0.003804005410285667, 0.0005871294568978799),
+        (2, 3.0, False, True, 6): (0.08093454912555412, 0.012173578159771157),
+        (6, 100.0, True, False, 7): (0.0011317735141486622, 0.0002047621289583519),
     }
     # The linearized key as the per-step forward loop gave it
     STEP_LOOP = (
@@ -802,6 +826,18 @@ class TestGoldenValues:
         assert tuple(np.diag(res[4]).tolist()) == cov_diag
         assert res[2] == pytest.approx(s_mse, rel=1e-12)
         assert res[3] == pytest.approx(s_se, rel=1e-12)
+
+    @pytest.mark.parametrize("key", list(TWO_PASS))
+    def test_two_pass_smoother_keeps_earlier_values(self, key):
+        """The two-pass backward sweep in oracles, run in place of the
+        folded one, reproduces each key's whole-path values from before the
+        fold bit for bit: the smoother (mse, stderr) as pinned in TWO_PASS,
+        and the filter (mse, stderr), which the fold leaves as they were."""
+        p, grid, linearized, wrap, seed = key
+        model, system, flux = _golden_system(p, grid)
+        config = default_config(model, flux, seed=seed, duration_factor=20.0, linearized=linearized)
+        res = _whole_path_statistics(model, config, 6, wrap=wrap, passes=two_pass_error_passes)
+        assert res[:4] == self.FILTER[key][:2] + self.TWO_PASS[key]
 
     @pytest.mark.parametrize("key", list(SIN_STEP_LOOP))
     def test_sin_step_loop_keeps_earlier_values(self, key):
@@ -958,16 +994,15 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
 @pytest.mark.parametrize("p", [2, 4, 8])
 def test_record_is_an_ensemble_that_keeps_its_paths(p, linearized):
     """A record runs the ensembles' block driver and keeps what it yields.
-    Over a run of several blocks, the blocks of a 3-trial smoother run,
-    written into whole paths, are error_passes over the same trials' noise
-    bit for bit, NaNs included, and so is the residual r it writes over dB."""
+    Over a run of several blocks, the paths of a 3-trial smoother record,
+    its blocks written into whole paths and completed by the backward
+    sweep, are error_passes over the same trials' noise bit for bit, NaNs
+    included, and so is the residual r it writes over dB."""
     model, system, flux = _golden_system(p, 30.0)
     config = default_config(model, flux, seed=p, duration_factor=3.0, linearized=linearized)
     assert config.n_steps > sim._STREAM_BLOCK
-    (_, r), blocks = sim._run_filter_feedback(model, config, 3, True, sim._StageClock())
-    paths = [np.full((3, config.n_steps), -1.0) for _ in range(2)]
-    for which, span, values in blocks:
-        paths[which][:, span] = values
+    (_, r), back, blocks = sim._run_filter_feedback(model, config, 3, "record", True, sim._StageClock())
+    paths = list(sim._collect_errors(blocks, (3, config.n_steps), back))
     vf_tilde = solve_filter_covariance(p)
     dw, db = trial_noise(config.seed, 3, config.n_steps, config.dt)
     passes = error_passes(
@@ -1265,30 +1300,91 @@ def test_sin_loop_makes_one_sin_and_one_matmul_per_step(monkeypatch, p):
 @pytest.mark.parametrize("smoother", [False, True], ids=["filter", "smoother"])
 @pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
 def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother, moments):
-    """A run makes one forward scan for theta - phi (linearized runs) and
-    the moments together, and none when a sin() run wants neither, so the
-    filter-only sin() loop stays free of scans. The smoother adds a forward
-    scan that replays its readout w_f . e, and one backward scan, the one
-    that runs on reversed views."""
-    p = 4
+    """A run makes one forward scan for theta - phi and the smoother's
+    w_f . e (linearized runs) and the moments together, and none when a
+    sin() run wants no moments: the sin() loop reads w_f . e from its own
+    states, so no second forward scan replays it. The smoother's backward
+    scans, over a run of one block of _K + 1 steps: one over the block's
+    trials from a zero seed, and one from an identity seed per scan-block
+    length (_K and 1) for the seed's share."""
+    p, n_trials = 4, 3
     model, system, flux = _golden_system(p, 30.0)
     config = _bare_config(flux, _K + 1, 0.01 * system.time_scale, linearized)
     vf = covariance_set(system).vf
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu) if smoother else None
-    moment = np.zeros((2, system.n_states, system.n_states)) if moments else None
-    dw, db = trial_noise(0, 2, config.n_steps, config.dt)
+    moment = np.zeros((n_trials, system.n_states, system.n_states)) if moments else None
+    dw, db = trial_noise(0, n_trials, config.n_steps, config.dt)
     calls = []
     scan = sim._block_scan
 
-    def counting_scan(*args):
+    def counting_scan(*args, **kwargs):
         calls.append(args)
-        return scan(*args)
+        return scan(*args, **kwargs)
 
     monkeypatch.setattr(sim, "_block_scan", counting_scan)
     error_passes(model, system, config, dw, db, vf, smoothing, moment)
-    backward = sum(args[6].strides[1] < 0 for args in calls)
-    assert len(calls) - backward == (linearized or moments) + smoother
-    assert backward == smoother
+    gain = vf @ system.c
+    forward_m = np.eye(system.n_states) + (system.a - np.outer(gain, system.c)).T * config.dt
+    forward = [args for args in calls if np.array_equal(args[1], forward_m)]
+    assert len(forward) == (linearized or moments)
+    backward = sorted((len(args[0]), args[6].shape[1]) for args in calls if not np.array_equal(args[1], forward_m))
+    n = system.n_states
+    assert backward == ([(n, 1), (n, _K), (n_trials, _K + 1)] if smoother else [])
+
+
+_S = sim._STREAM_BLOCK
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    linearized=st.booleans(),
+    wrap=st.booleans(),
+    n_steps=st.sampled_from([1, _K - 1, _K, _K + 1, _S - 1, _S, _S + 1, _S + _K + 1, 2 * _S + 5]),
+    n_trials=st.integers(2, 3),
+    data=st.data(),
+)
+def test_folded_backward_pass_matches_two_pass_references(p, linearized, wrap, n_steps, n_trials, data):
+    """The backward pass folded into the forward one (each block scanned
+    from a zero seed while its dW and r are at hand, the seed's share added
+    in one sweep back) against the whole-path two-pass reference, whose
+    forward error is stepped one sample at a time (linearized_error_passes),
+    and the two-pass sweep it replaces (two_pass_error_passes): even
+    p <= 20, the sin() and linearized loops, lengths at the scan-block and
+    stream-block edges and an interior window that may start and end in any
+    block. theta - phi is the two-pass route's bit for bit; phi_s - phi is
+    NaN where theirs is and elsewhere within 1e-13 of the larger of their
+    peak and theta - phi's: a short window's own peak may be far below the
+    errors whose floats its values come from. The
+    ensemble, which keeps no path unwrapped and the partial smoothed error
+    wrapped, has the smoother MSE and standard error of the two-pass paths
+    within 1e-12, wrapped or not. The run's burn-in floor of 20 response
+    times is set to zero, so a window can start anywhere."""
+    burn = data.draw(st.integers(0, (n_steps - 1) // 2), label="burn")
+    model, system, flux = _golden_system(p, 30.0)
+    dt = 0.01 * system.time_scale
+    config = HomodyneConfig(
+        photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=burn * dt,
+        seed=data.draw(st.integers(0, 2**16), label="seed"), linearized=linearized,
+    )
+    vf_tilde = solve_filter_covariance(p)
+    vf = scale_covariance(vf_tilde, system.mu)
+    smoothing = sim._smoothing_weights(vf_tilde, system.mu)
+    dw, db = trial_noise(config.seed, n_trials, n_steps, dt)
+    err, s_err = error_passes(model, system, config, dw, db.copy(), vf, smoothing)
+    old_err, old_s_err = two_pass_error_passes(model, system, config, dw, db.copy(), vf, smoothing)
+    ref_s_err = linearized_error_passes(model, system, config, dw, db.copy(), vf, smoothing)[1]
+    assert np.array_equal(err, old_err)
+    win = sim._interior_slice(n_steps, dt, config.burn_in)
+    for ref in (old_s_err, ref_s_err):
+        assert np.array_equal(np.isnan(s_err), np.isnan(ref))
+        peak = max(np.max(np.abs(ref[:, win])), np.max(np.abs(err)))
+        assert np.max(np.abs(s_err[:, win] - ref[:, win])) <= 1e-13 * peak
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
+        res = simulate_filter_trials(model, config, n_trials, smoother=True, wrap_errors=wrap)
+    expected = mse_statistics(old_s_err, dt, config.burn_in, wrap)
+    assert (res.smoother_mse, res.smoother_stderr) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -1333,8 +1429,10 @@ def _smoother_alloc_peak(p: int, n_trials: int = 8, n_steps: int = 6000, lineari
 @settings(max_examples=4, deadline=None)
 @given(p=st.sampled_from([4, 8, 12, 16, 20]))
 def test_smoother_memory_does_not_grow_with_p(p):
-    """Only (trials, steps) scalar paths are stored, so at fixed trials x
-    steps the allocation peak is the same for every chain length."""
+    """Only scalar (trials, steps) arrays, block buffers, are stored, so at
+    fixed trials x steps the allocation peak grows with the chain length
+    only by the per-run arrays of n states: the loop's chunk, the scan map
+    and the seed's share of one scan block."""
     assert _smoother_alloc_peak(p) <= 1.15 * _smoother_alloc_peak(2)
 
 
@@ -1343,8 +1441,9 @@ def test_linearized_moments_do_not_grow_with_p(p):
     """The linearized scan sums e e^T once per block from that block's
     states, so no (trials, steps, states) path is stored (42 MB at p = 20
     and 16 trials x 30000 steps): at each p the peak stays within the
-    footprint check's estimate for the run, which counts its one scalar
-    path, block buffers, checkpoints and the moments' wide map."""
+    footprint check's estimate for the run, which counts its block
+    buffers, its per-block sums and the maps, the moments' wide one among
+    them."""
     n_states = _golden_system(p, 30.0)[1].n_states
     budget = sim._check_footprint("smoother", 16, 30000, n_states, moments=True)
     assert _smoother_alloc_peak(p, 16, 30000, True) <= budget
@@ -1352,9 +1451,10 @@ def test_linearized_moments_do_not_grow_with_p(p):
 
 def test_scan_holds_one_block_map_at_a_time():
     """At 8 trials x 6000 steps, which ends in a partial block, a p = 20
-    block map with moments (138 x 714 floats, 0.79 MB) is larger than the
-    path a smoother keeps (0.38 MB). The peak stays within the footprint
-    check's estimate for the run, which counts one such map. Building the
+    block map with moments (138 x 714 floats, 0.79 MB) is the largest array
+    a linearized smoother holds. The peak stays within the footprint
+    check's estimate for the run, which counts one such map beside the
+    backward scan's and that of the second forward readout. Building the
     last block's shorter map (0.46 MB) while the full one is still held,
     or any (trials, steps, states) array (3.8 MB), exceeds it."""
     p, n_trials, n_steps = 20, 8, 6000
@@ -1395,6 +1495,23 @@ def test_streamed_ensemble_memory_does_not_grow_with_duration(estimator, monkeyp
         if estimator == "abc":
             return _alloc_peak(lambda: sim.run_abc_trials(model, config, 4, chi))
         return _alloc_peak(lambda: simulate_filter_trials(model, config, 4))
+
+    assert peak(1000.0) <= 1.1 * peak(100.0)
+
+
+def test_unwrapped_smoother_memory_does_not_grow_with_duration():
+    """An unwrapped smoother ensemble keeps no path: per block of
+    _STREAM_BLOCK steps only its span, the backward state x0 and the sums
+    q0 and q1, 2 n + 1 floats per trial, so ten times the run length peaks
+    within 10 % of the shorter run (a kept path of the longer run, 2.9 MB,
+    would be several times the whole peak). It runs linearized, as the
+    filter-only case of test_streamed_ensemble_memory_does_not_grow_with_duration
+    does, to keep 104 000 steps under tracemalloc to about a second."""
+    model, system, flux = _golden_system(4, 30.0)
+
+    def peak(duration_factor):
+        config = default_config(model, flux, seed=2, duration_factor=duration_factor, linearized=True)
+        return _alloc_peak(lambda: simulate_filter_trials(model, config, 4, smoother=True))
 
     assert peak(1000.0) <= 1.1 * peak(100.0)
 
@@ -1443,27 +1560,37 @@ def test_smoother_memory_grows_by_one_path():
     ),
     seed=st.integers(0, 2**16),
 )
-def test_smoother_redraws_dw_bit_for_bit(p, linearized, n_trials, n_steps, seed):
-    """A smoother ensemble draws each span's dW again in its backward sweep
-    from the stream states saved at the span's start. Its statistics equal
-    those of the same run with dW kept whole, bit for bit: over one span,
-    a span +- 1 step, a partial last span (+ 65) and two spans and a
-    partial scan block, which has a span of its own (2 spans + 5)."""
+def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, seed):
+    """A smoother ensemble keeps no noise path: each block's dW and r live
+    in block buffers, and its backward scan runs while the forward pass
+    holds them, so it draws each span's noise once, in order. Its
+    statistics equal those of the same run with dW and dB (over which the
+    loop writes r) kept whole, bit for bit: over one span, a span +- 1
+    step, a partial last span (+ 65) and two spans and a partial scan
+    block, which has a span of its own (2 spans + 5)."""
     model, system, flux = _golden_system(p, 30.0)
     dt = 0.01 * system.time_scale
     config = HomodyneConfig(
         photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=n_steps // 4 * dt, seed=seed, linearized=linearized
     )
-    draws = sim._noise_draws
+    draws, drawn = sim._noise_draws, []
 
-    def keeping_dw(seed, n_trials, dt, longest, kept, clock):
-        return draws(seed, n_trials, dt, longest, (np.empty_like(kept[1]), kept[1]), clock)
+    def keeping_noise(seed, n_trials, dt, longest, kept, clock):
+        assert kept == (None, None)
+        draw = draws(seed, n_trials, dt, longest, tuple(np.empty((n_trials, n_steps)) for _ in kept), clock)
+
+        def logged(span):
+            drawn.append(span)
+            return draw(span)
+
+        return logged
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
         res = simulate_filter_trials(model, config, n_trials, smoother=True)
-        patch.setattr(sim, "_noise_draws", keeping_dw)
+        patch.setattr(sim, "_noise_draws", keeping_noise)
         ref = simulate_filter_trials(model, config, n_trials, smoother=True)
+    assert drawn == list(sim._block_spans(n_steps))
     assert (res.filter_mse, res.filter_stderr) == (ref.filter_mse, ref.filter_stderr)
     assert (res.smoother_mse, res.smoother_stderr) == (ref.smoother_mse, ref.smoother_stderr)
 
