@@ -247,8 +247,10 @@ def _plan_point(spec: SweepSpec, p_idx: int, g_idx: int):
         config = default_config(
             model, flux, seed, spec.duration_factor, spec.dt_factor, spec.burn_in_factor, spec.linearized
         )
-        try:  # a run's kind is its last estimator; dt_factor and burn_in_factor are within the run limits
-            _run_system(model, config, estimators[-1], spec.trials)
+        # a run's kind is its last estimator, a smoother's wrapped with wrap_errors
+        kind = "wrapped_smoother" if estimators[-1] == "smoother" and spec.wrap_errors else estimators[-1]
+        try:  # dt_factor and burn_in_factor are within the run limits
+            _run_system(model, config, kind, spec.trials)
         except ValidationError as exc:
             named = ("'trials', 'duration_factor' and 'abc_cutoff'" if model.is_damped
                      else "'trials' and 'duration_factor'")

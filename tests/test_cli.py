@@ -547,8 +547,9 @@ class TestSweep:
         assert 0.4 < s_ratio < 0.6
 
     def test_oversized_sweep_exits_2(self, capsys, tmp_path):
-        """A smoother keeps r for its backward pass, so 1e15 steps fail the
-        footprint check at parse time, before the output opens."""
+        """A smoother keeps 2 n + 1 floats per trial and block of 1024 steps
+        for its backward pass, so 1e15 steps fail the footprint check at
+        parse time, before the output opens."""
         spec = tmp_path / "sweep.ini"
         _write_spec(spec, grid="10", estimators="filter smoother", trials="2", duration_factor="1e13")
         code, _, err = run_cli(capsys, "sweep", str(spec), "-o", str(tmp_path / "o.csv"))
@@ -563,6 +564,26 @@ class TestSweep:
         spec = tmp_path / "sweep.ini"
         _write_spec(spec, grid="10", estimators="filter", trials="2", duration_factor="1e13")
         assert parse_sweep_spec(str(spec)).estimators == ("filter",)
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["unwrapped", "wrapped"])
+    def test_wrapped_smoother_spec_counts_its_path(self, tmp_path, monkeypatch, wrap):
+        """A wrapped smoother keeps its partial smoothed error whole, an
+        unwrapped one only per-block sums, and the spec is checked for the
+        run it makes: with physical memory taken as 1 GiB, 64 trials of
+        about 2.1e6 steps (a 1.1 GB path) fail the wrapped spec at parse time
+        and pass the unwrapped one."""
+        pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(sim.os, "sysconf", pages.__getitem__)
+        spec = tmp_path / "sweep.ini"
+        _write_spec(
+            spec, grid="10", estimators="filter smoother", trials="64", duration_factor="21000",
+            wrap_errors=str(wrap).lower(),
+        )
+        if wrap:
+            with pytest.raises(ValidationError, match="memory"):
+                parse_sweep_spec(str(spec))
+        else:
+            assert parse_sweep_spec(str(spec)).wrap_errors is False
 
     def test_analytic_columns_recomputable(self, capsys, tmp_path):
         from phasetrack.bounds import filter_mse_power_law, qcrb_power_law
