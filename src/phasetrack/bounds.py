@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -310,7 +309,7 @@ def _table_bulk(table: _LogLogTable, kind: str, s_n: float, u_lo: float, u_hi: f
             bulk += float(np.sum(rule_8))
             # QUADPACK's floor on a piece's error, 50 ulps of its integral, covers rounding
             bulk_err += float(np.sum(np.maximum(np.abs(rule_8 - rule_4), _ROUNDING * rule_8)))
-    j = min(max(bisect_right(table.lw, u_lo) - 1, 0), len(table.slope) - 1)
+    j = min(max(int(np.searchsorted(lw, u_lo, side="right")) - 1, 0), len(table.slope) - 1)
     slope, ln_s = table.slope[j], float(table.log_density(u_lo))
     if not math.isfinite(s_n):
         low = math.exp(u_lo + ln_s) / (1.0 + slope) if slope > -1.0 else math.inf
@@ -459,23 +458,12 @@ class _LogLogTable:
     the edge segments beyond them. Calling it gives S at one nonzero omega."""
 
     def __init__(self, lw: list[float], ls: list[float]):
-        self.lw, self.ls = lw, ls
         self.knots = np.array([lw, ls])
         # slope[j] joins knots j and j+1; the edge slopes extrapolate the tails
         self.slope = [(ls[j + 1] - ls[j]) / (lw[j + 1] - lw[j]) for j in range(len(lw) - 1)]
 
     def __call__(self, omega: float) -> float:
-        # np.interp's arithmetic on the log-log table, one float at a time
-        lw, ls, slope = self.lw, self.ls, self.slope
-        x = math.log(abs(omega))
-        if x < lw[0]:
-            y = ls[0] + slope[0] * (x - lw[0])
-        elif x > lw[-1]:
-            y = ls[-1] + slope[-1] * (x - lw[-1])
-        else:
-            j = bisect_right(lw, x) - 1
-            y = ls[j] if x == lw[j] else slope[j] * (x - lw[j]) + ls[j]
-        return math.exp(y)
+        return math.exp(float(self.log_density(math.log(abs(omega)))))
 
     def log_density(self, u):
         """ln S at ln omega = u, elementwise."""

@@ -67,10 +67,11 @@ steps: per block it draws each trial's noise from generators made once per
 run, each normal once, steps the loop (or the forward scan of a linearized
 run), scans the block backward for a smoother and yields the block's
 errors. Ensembles reduce those as they come, into per-trial sums of
-squared error (_ErrorSums, _SmoothedSums), so filter-only, smoother and ABC
-ensembles keep no (trials, steps) array: a smoother keeps 2 n + 1 floats
-per trial and block, the sums of a quadratic in the block's seed, except
-with wrap_errors, where it keeps its partial smoothed error whole. A
+squared error (_ErrorSums), so filter-only, smoother and ABC ensembles
+keep no (trials, steps) array. The smoother's _BackwardPass reduces its
+own: it keeps 2 n + 1 floats per trial and block, the sums of a quadratic
+in the block's seed, except with wrap_errors, where it keeps its smoothed
+error whole, as a record does. A
 record is an ensemble that keeps its paths, in a SimulationRecord whose
 single row is the one-trial case. Filter records and ensembles share one
 set-up and zero-flux rule: at N = 0 the gain is zero, and phi_s and the
@@ -112,14 +113,17 @@ _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # Memory a run keeps: (whole paths, block buffers), in float (n_trials, steps)
-# arrays, and the one-readout _block_scan maps that it holds at once
+# arrays, and the one-readout _block_scan maps that it holds at once; a
+# smoother's three maps are a linearized run's, a sin() smoother holds one
 _FOOTPRINT = {
-    "record": (6, 2, 3), "abc_record": (4, 2, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 7, 3),
+    "record": (6, 1, 3), "abc_record": (4, 2, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
     "filter": (0, 6, 1), "abc": (0, 8, 0),
 }
-# Per block, the Python objects that a backward pass keeps besides its
-# arrays: the block's span, a slice and its list slot
-_CHECKPOINT_BYTES = 64
+# Per block, the Python objects that tracemalloc sees a backward pass keep
+# besides its arrays: the block's span (a slice and its two ints, 120 B) and
+# its list slot, and a 56 B tuple that CPython's free list holds per block
+# until a full collection (in every streamed run)
+_SPAN_BYTES = 192
 # Per step of a chunk, the sin() loop's four array views (570 B of Python objects)
 _STEP_VIEW_BYTES = 600
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
@@ -255,7 +259,7 @@ def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, mome
     of _STREAM_BLOCK steps and one-readout scan maps, a filter run's sin()
     loop chunk, _SCAN_BLOCK + 1 rows of n_states + 3 floats per trial and
     _STEP_VIEW_BYTES per step, and what a backward pass keeps per block:
-    2 n_states + 1 floats per trial and _CHECKPOINT_BYTES. A map of q
+    2 n_states + 1 floats per trial and _SPAN_BYTES. A map of q
     readouts is (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states)
     floats; full-state ``moments`` add n_states readouts to the forward
     scan's, which the backward scan's map is held beside."""
@@ -267,7 +271,7 @@ def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, mome
         chunk = min(_SCAN_BLOCK, n_steps)
         need += 8 * n_trials * (chunk + 1) * (n_states + 3) + chunk * _STEP_VIEW_BYTES
     if kind in ("record", "smoother", "wrapped_smoother"):  # one span more at most: a partial scan block's own
-        need += (-(-n_steps // _STREAM_BLOCK) + 1) * (8 * n_trials * (2 * n_states + 1) + _CHECKPOINT_BYTES)
+        need += (-(-n_steps // _STREAM_BLOCK) + 1) * (8 * n_trials * (2 * n_states + 1) + _SPAN_BYTES)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
@@ -454,12 +458,12 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     block, on the chain error e of a run of ``shape`` (n_trials, n_steps).
 
     draw(span) gives the (dW, dB) of each _block_spans span in order; the
-    sin() loop overwrites dB in place with r. Yields (span, theta - phi, s)
-    for each span, s the span's partial smoothed error from back.block
-    (None without back); each array is valid until the next item. Once
-    the last item is taken, back.seed is the forward error at the end of
-    the record. ``error_moment`` (n_trials, n_states, n_states) accumulates
-    the interior sum of e e^T.
+    sin() loop overwrites dB in place with r. Yields (span, theta - phi)
+    for each span, valid until the next item. The forward pass writes the
+    smoother's w_f . e into back.partial(span), and once the last item is
+    taken, back is swept from the forward error at the end of the record.
+    ``error_moment`` (n_trials, n_states, n_states) accumulates the
+    interior sum of e e^T.
 
     The forward error is e' = e F^T + r K^T - dW e_0^T, F = I + (A - K C) dt
     and K = V_F C^T; its blocked scan reads out theta - phi (linearized runs
@@ -485,7 +489,6 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
     x = np.zeros((rows, n))  # the forward scan's error
     read_buf = np.empty((rows, longest, w.shape[1])) if scan else None
-    smoothed_buf = np.empty((rows, longest)) if back is not None else None
     maps = {}
     if not config.linearized:
         # The sin() loop steps e^ = e D, D = diag(1, ..., 1, kappa^(n+1/2)),
@@ -512,7 +515,7 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     for span in _block_spans(n_steps):
         dw, db = draw(span)
         k = span.stop - span.start
-        smoothed = None if back is None else smoothed_buf[:, :k]
+        smoothed = None if back is None else back.partial(span)
         if not config.linearized:
             err = err_buf[:, :k]
             for c in range(0, k, chunk):
@@ -547,10 +550,9 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
             clock.lap("forward_scan")
         if back is not None:
             back.block(span, dw, db, smoothed)
-            clock.lap("backward_scan")
-        yield span, err, smoothed
+        yield span, err
     if back is not None:
-        back.seed = x if config.linearized else z[0, :, :n] / d_scale
+        back.sweep(x if config.linearized else z[0, :, :n] / d_scale)
 
 
 class _BackwardPass:
@@ -573,12 +575,24 @@ class _BackwardPass:
     Garcia-Fernandez (IEEE TAC 2021), applied here in sequence by sweep().
     h and Phi are those of the block's scan blocks in turn, each built once
     per scan-block length by _block_scan itself, from an identity seed over
-    zero inputs, so no (n, _STREAM_BLOCK) array is kept. Per block the
-    pass keeps its span and x0, n floats for each of ``n_trials`` trials.
+    zero inputs, so no (n, _STREAM_BLOCK) array is kept.
+
+    What the pass keeps follows from the run's ``kind``, a _FOOTPRINT key.
+    A record or a wrapped smoother keeps the smoothed error whole, in
+    ``path`` (n_trials, n_steps), into which the forward pass writes each
+    block's w_f . e (partial()) and sweep() adds x h. Any other smoother
+    writes w_f . e into a block buffer and keeps, per block, the interior
+    sum of (s + x h)^2 as a quadratic in the seed x: q0 + 2 x . q1 +
+    x Q2 x^T, with q0 (n_trials,) and q1 (n_trials, n) per block and Q2
+    (n, n) per block length and interior slice, so it keeps no path. Per
+    block the pass also keeps its span and x0, n floats for each of
+    ``n_trials`` trials. After the sweep, an ensemble's ``sums`` (an
+    _ErrorSums, wrapped for a wrapped smoother) hold the per-trial
+    interior sums of the smoothed error squared.
     """
 
     def __init__(self, model: PhaseModel, system: LgSystem, config: HomodyneConfig, vf, weights, n_trials: int,
-                 clock):
+                 clock, kind: str):
         n, dt = system.n_states, config.dt
         self.w_f, w_r = weights
         drive = (-dt) ** np.arange(n)  # B e_0
@@ -588,23 +602,51 @@ class _BackwardPass:
         self.scan = (back_t, drive @ back_t, retro_gain, w_r, drive @ w_r)
         self.scale = model.phase_scale
         self.win = _interior_slice(config.n_steps, dt, config.burn_in)
-        self.n_blocks = sum(1 for _ in _block_spans(config.n_steps))
-        self.ends = np.empty((self.n_blocks, n_trials, n))
+        n_blocks = sum(1 for _ in _block_spans(config.n_steps))
+        self.ends = np.empty((n_blocks, n_trials, n))
         self.clock = clock
         self.maps, self.units, self.spans = {}, {}, []
-        self.seed = None  # the forward error at the end of the record, set by _error_blocks
+        self.sums = None if kind == "record" else _ErrorSums(n_trials, config, kind == "wrapped_smoother")
+        if kind == "smoother":
+            self.path, self.buf = None, np.empty((n_trials, min(_STREAM_BLOCK, config.n_steps)))
+            self.q0, self.q1, self.q2 = np.zeros((n_blocks, n_trials)), np.zeros((n_blocks, n_trials, n)), {}
+        else:
+            self.path = np.empty((n_trials, config.n_steps))
+
+    def partial(self, span: slice) -> np.ndarray:
+        """Where the forward pass writes w_f . e over span, for block()."""
+        return self.buf[:, : span.stop - span.start] if self.path is None else self.path[:, span]
 
     def block(self, span: slice, dw: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
         """Complete s, which holds w_f . e over the block's steps, to the
         block's partial smoothed error in phase units, NaN outside the
-        interior window, and keep the block's partial end state."""
-        x0 = self.ends[len(self.spans)]
+        interior window, and keep the block's partial end state and,
+        without a path, its quadratic."""
+        i, k = len(self.spans), span.stop - span.start
+        x0 = self.ends[i]
         x0[...] = _block_scan(np.zeros_like(x0), *self.scan, dw[:, ::-1], r[:, ::-1], s[:, ::-1], None, slice(0),
                               self.maps)
         s *= self.scale  # w_f + w_r = e_n, so the sum is the smoothed error
         s[:, : max(self.win.start - span.start, 0)] = np.nan
         s[:, max(self.win.stop - span.start, 0) :] = np.nan
         self.spans.append(span)
+        self.clock.lap("backward_scan")
+        lo, hi = self._interior(span)
+        if self.path is None and lo < hi:
+            self.q0[i] = np.sum(np.square(s[:, lo:hi]), axis=1)
+            q2 = np.zeros((len(self.w_f),) * 2)
+            for cols, h, _ in self._walk(np.eye(len(self.w_f)), k):
+                a, b = max(cols.start, lo), min(cols.stop, hi)
+                if a < b:
+                    h = h[:, a - cols.start : b - cols.start]
+                    self.q1[i] += s[:, a:b] @ h.T
+                    q2 += h @ h.T
+            self.q2.setdefault((k, lo, hi), q2)
+            self.clock.lap("reductions")
+
+    def _interior(self, span: slice) -> tuple:
+        """(lo, hi): the interior window's columns in the block of span."""
+        return max(self.win.start - span.start, 0), min(self.win.stop - span.start, span.stop - span.start)
 
     def _unit(self, j: int) -> np.ndarray:
         """[h | Phi] (n, j + n) of a scan block of j steps: the phase
@@ -617,51 +659,45 @@ class _BackwardPass:
             self.units[j] = np.hstack((h, phi))
         return self.units[j]
 
-    def seed_share(self, k: int, lo: int, hi: int):
-        """h of a block of k steps over its columns [lo, hi), the phase
-        readouts that a unit seed at the block's end adds to them, as
-        (cols, h[:, cols]) per scan block, from the block's end back."""
-        p = np.eye(len(self.w_f))  # Phi of the scan blocks after this one
+    def _walk(self, x: np.ndarray, k: int):
+        """The share of a seed x (rows, n) at the end of a block of k steps,
+        per scan block from the block's end back: (cols, x h, x Phi), the
+        scan block's columns, the phase readouts the seed adds over them and
+        its state at the scan block's start, which seeds the next."""
         for stop in range(k, 0, -_SCAN_BLOCK):
             j = min(_SCAN_BLOCK, stop)
-            share = p @ self._unit(j)
-            a, b = max(stop - j, lo), min(stop, hi)
-            if a < b:
-                yield slice(a, b), share[:, a - stop + j : b - stop + j]
-            p = share[:, j:]
+            share = x @ self._unit(j)
+            x = share[:, j:]
+            yield slice(stop - j, stop), share[:, :j], x
 
-    def sweep(self, paths: Optional[np.ndarray] = None):
-        """(i, span, x) for block i of each span in reverse, x the backward
-        state at the block's end, so the block's smoothed error is s + x h.
-        With ``paths`` (n_trials, n_steps), which hold the blocks' s, x h is
-        added into them before the block is yielded."""
-        x = self.seed
+    def sweep(self, x: np.ndarray) -> None:
+        """Complete the pass from its seed x, the forward error at the end
+        of the record, block by block in reverse: add x h to the path, and
+        reduce each block into sums, through its quadratic without a path."""
         for i in reversed(range(len(self.spans))):
-            span, y = self.spans[i], x
-            for stop in range(span.stop - span.start, 0, -_SCAN_BLOCK):
-                j = min(_SCAN_BLOCK, stop)
-                share = y @ self._unit(j)
-                if paths is not None:
-                    paths[:, span.start + stop - j : span.start + stop] += share[:, :j]
-                y = share[:, j:]
-            yield i, span, x
+            span = self.spans[i]
+            k, (lo, hi) = span.stop - span.start, self._interior(span)
+            for cols, h, y in self._walk(x, k):
+                if self.path is not None:
+                    self.path[:, span.start + cols.start : span.start + cols.stop] += h
+            if self.path is None:
+                if lo < hi:
+                    quadratic = np.sum((x @ self.q2[k, lo, hi]) * x, axis=1)
+                    self.sums.sums[0] += self.q0[i] + 2.0 * np.sum(x * self.q1[i], axis=1) + quadratic
+            elif self.sums is not None:
+                self.sums.add(span.start, self.path[:, span])
             x = y + self.ends[i]
         self.clock.lap("backward_scan")
 
 
 def _collect_errors(blocks, shape, back) -> tuple:
-    """The blocks of _error_blocks written into whole ``shape`` paths:
-    (theta - phi, phi_s - phi), the second None without ``back``, whose
-    sweep adds each block's seed share to it."""
-    err, smoothed = np.empty(shape), None if back is None else np.empty(shape)
-    for span, values, s in blocks:
+    """The blocks of _error_blocks written into a whole ``shape`` path:
+    (theta - phi, phi_s - phi), the second back's swept path, None without
+    ``back``."""
+    err = np.empty(shape)
+    for span, values in blocks:
         err[:, span] = values
-        if s is not None:
-            smoothed[:, span] = s
-    if back is not None:
-        for _ in back.sweep(smoothed):
-            pass
-    return err, smoothed
+    return err, None if back is None else back.path
 
 
 def _abc_phase_updater(flux: float, n_trials: int):
@@ -870,15 +906,15 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     key: the run checked, Vt_F solved once and scaled to V_F, the
     smoother's backward pass when asked, and the noise drawn block by
     block. Returns (kept, back, blocks): the whole (dW, r) of a record
-    (None each for an ensemble), the _BackwardPass (None without a smoother
-    or at mu = 0) and the _error_blocks iterator, to which ``moment`` goes
-    as error_moment."""
+    (None each for an ensemble), the _BackwardPass of ``kind`` (None
+    without a smoother or at mu = 0) and the _error_blocks iterator, to
+    which ``moment`` goes as error_moment."""
     system = _run_system(model, config, kind, n_trials, moment is not None)
     if system.mu > 0:
         vf_tilde = solve_filter_covariance(model.p)
         vf = scale_covariance(vf_tilde, system.mu)
         weights = _smoothing_weights(vf_tilde, system.mu) if smoother else None
-        back = _BackwardPass(model, system, config, vf, weights, n_trials, clock) if smoother else None
+        back = _BackwardPass(model, system, config, vf, weights, n_trials, clock, kind) if smoother else None
     else:  # no measurement: zero gain, nothing to smooth
         vf, back = np.zeros((system.n_states, system.n_states)), None
     n_steps = config.n_steps
@@ -1010,57 +1046,6 @@ class FilterTrialResult:
     stage_s: dict = field(default_factory=dict)  # seconds per stage, keyed as in _STAGES
 
 
-class _SmoothedSums:
-    """Per-trial interior sums of the smoothed error squared, from the
-    partial blocks s of a _BackwardPass and then its sweep, reduced as in
-    _ErrorSums. Unwrapped, a block's interior sum is a quadratic in its
-    seed x: sum (s + x h)^2 = q0 + 2 x . q1 + x Q2 x^T, with q0 (n_trials,)
-    and q1 (n_trials, n) kept per block and Q2 (n, n) per block length and
-    interior slice, so no path is kept.
-    A wrapped error is not quadratic in x, so with ``wrap`` s is kept whole
-    and s + x h reduced in the sweep."""
-
-    def __init__(self, n_trials: int, config: HomodyneConfig, wrap: bool, back: _BackwardPass):
-        self.sums = _ErrorSums(n_trials, config, wrap)
-        self.back = back
-        if wrap:
-            self.path = np.empty((n_trials, config.n_steps))
-        else:
-            self.q0 = np.zeros((back.n_blocks, n_trials))
-            self.q1 = np.zeros((back.n_blocks, n_trials, len(back.w_f)))
-            self.q2, self.path = {}, None
-
-    def _interior(self, span: slice) -> tuple:
-        """(lo, hi): the interior window's columns in the block of span."""
-        win = self.sums.slices[0]
-        return max(win.start - span.start, 0), min(win.stop - span.start, span.stop - span.start)
-
-    def add(self, i: int, span: slice, s: np.ndarray) -> None:
-        """Take block i, the partial smoothed error s over span."""
-        if self.path is not None:
-            self.path[:, span] = s
-            return
-        k, (lo, hi) = s.shape[1], self._interior(span)
-        if lo < hi:
-            self.q0[i] = np.sum(np.square(s[:, lo:hi]), axis=1)
-            q2 = np.zeros((len(self.back.w_f),) * 2)
-            for cols, h in self.back.seed_share(k, lo, hi):
-                self.q1[i] += s[:, cols] @ h.T
-                q2 += h @ h.T
-            self.q2.setdefault((k, lo, hi), q2)
-
-    def mse_statistics(self) -> tuple[float, float]:
-        total = self.sums.sums[0]
-        for i, span, x in self.back.sweep(self.path):
-            k, (lo, hi) = span.stop - span.start, self._interior(span)
-            if self.path is not None:
-                self.sums.add(span.start, self.path[:, span])
-            elif lo < hi:
-                quadratic = np.sum((x @ self.q2[k, lo, hi]) * x, axis=1)
-                total += self.q0[i] + 2.0 * np.sum(x * self.q1[i], axis=1) + quadratic
-        return self.sums.mse_statistics()
-
-
 def simulate_filter_trials(
     model: PhaseModel,
     config: HomodyneConfig,
@@ -1083,15 +1068,12 @@ def simulate_filter_trials(
     kind = ("wrapped_smoother" if wrap_errors else "smoother") if smoother else "filter"
     _, back, blocks = _run_filter_feedback(model, config, n_trials, kind, smoother, clock, moment)
     sums = _ErrorSums(n_trials, config, wrap_errors)
-    smoothed = None if back is None else _SmoothedSums(n_trials, config, wrap_errors, back)
-    for i, (span, err, s) in enumerate(blocks):
+    for span, err in blocks:
         sums.add(span.start, err)
-        if smoothed is not None:
-            smoothed.add(i, span, s)
         clock.lap("reductions")
     result = FilterTrialResult(*sums.mse_statistics(), stage_s=clock.stage_s)
-    if smoothed is not None:
-        result.smoother_mse, result.smoother_stderr = smoothed.mse_statistics()
+    if back is not None:
+        result.smoother_mse, result.smoother_stderr = back.sums.mse_statistics()
     if full_state_stats:
         win = sums.slices[0]
         per_trial = moment / (win.stop - win.start)

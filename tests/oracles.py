@@ -283,13 +283,25 @@ def error_passes(
 
 
 def _error_passes(model, system, config, dw, db, vf, smoothing=None, error_moment=None):
-    """error_passes and, last, its _BackwardPass (None without smoothing)."""
+    """error_passes and, last, its backward pass (None without smoothing),
+    which keeps the seed of its sweep, the forward error at the end of the
+    record, as ``seed``."""
     clock = _StageClock()
-    back = None if smoothing is None else _BackwardPass(model, system, config, vf, smoothing, len(dw), clock)
+    back = None
+    if smoothing is not None:
+        back = _SeedKeepingPass(model, system, config, vf, smoothing, len(dw), clock, "record")
     blocks = _error_blocks(
         model, system, config, vf, back, dw.shape, lambda span: (dw[:, span], db[:, span]), clock, error_moment
     )
     return _collect_errors(blocks, dw.shape, back) + (back,)
+
+
+class _SeedKeepingPass(_BackwardPass):
+    """A record's _BackwardPass that keeps the seed its sweep starts from."""
+
+    def sweep(self, x):
+        self.seed = x
+        super().sweep(x)
 
 
 def two_pass_error_passes(

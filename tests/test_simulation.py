@@ -1,6 +1,7 @@
 """Feedback-loop simulation, offline passes, smoothing, and MSE statistics."""
 
 import dataclasses
+import gc
 import math
 import time
 import tracemalloc
@@ -167,16 +168,23 @@ class TestSimulateRecord:
             assert np.array_equal(getattr(rec, name), getattr(smoothed, name)), name
 
     def test_backward_pass_leaves_causal_path_unchanged(self):
-        model, system, config = _setup(duration_factor=30.0)
-        cov = covariance_set(system)
-        runs = []
-        for smoothing in (None, sim._smoothing_weights(solve_filter_covariance(model.p), system.mu)):
-            dw, db = trial_noise(config.seed, 2, config.n_steps, config.dt)
-            runs.append((db,) + error_passes(model, system, config, dw, db, cov.vf, smoothing))
-        (db_bare, err_bare, s_bare), (db_kept, err_kept, s_kept) = runs
-        assert s_bare is None and s_kept.shape == (2, config.n_steps)
-        assert np.array_equal(err_kept, err_bare)
-        assert np.array_equal(db_kept, db_bare)
+        """theta - phi and the residual are bit for bit the same with and
+        without a smoother, on both loops, at 2 rows and at 64 and 128,
+        the widths at which one map of both forward readouts would pick
+        another BLAS kernel than the one-readout map: a linearized run reads
+        w_f . e through its own map (_block_scan's ``also``) for that."""
+        for linearized in (False, True):
+            model, system, config = _setup(duration_factor=30.0, linearized=linearized)
+            cov = covariance_set(system)
+            for rows in (2, 64, 128):
+                runs = []
+                for smoothing in (None, sim._smoothing_weights(solve_filter_covariance(model.p), system.mu)):
+                    dw, db = trial_noise(config.seed, rows, config.n_steps, config.dt)
+                    runs.append((db,) + error_passes(model, system, config, dw, db, cov.vf, smoothing))
+                (db_bare, err_bare, s_bare), (db_kept, err_kept, s_kept) = runs
+                assert s_bare is None and s_kept.shape == (rows, config.n_steps)
+                assert np.array_equal(err_kept, err_bare), (linearized, rows)
+                assert np.array_equal(db_kept, db_bare), (linearized, rows)
 
     def test_feedback_is_the_causal_estimate(self):
         model, system, config = _setup(duration_factor=30.0)
@@ -1463,6 +1471,10 @@ def test_scan_holds_one_block_map_at_a_time():
 
 
 def _alloc_peak(run) -> int:
+    """tracemalloc peak of run(). A full collection first empties CPython's
+    free lists, so the objects the run frees into them count alike whatever
+    ran earlier in the process."""
+    gc.collect()
     tracemalloc.start()
     try:
         run()
@@ -1516,39 +1528,6 @@ def test_unwrapped_smoother_memory_does_not_grow_with_duration():
     assert peak(1000.0) <= 1.1 * peak(100.0)
 
 
-def test_smoother_memory_grows_by_two_paths():
-    """A smoother ensemble keeps dW and r for its backward pass: from
-    duration_factor 100 to 1000 its peak grows by those two paths and
-    per-block bookkeeping, the forward error at the block's start and its
-    span, under 512 bytes of Python objects a block besides the error."""
-    model, system, flux = _golden_system(4, 30.0)
-    n_trials = 4
-    configs = [
-        default_config(model, flux, seed=2, duration_factor=f, linearized=True) for f in (100.0, 1000.0)
-    ]
-    short, long = (_alloc_peak(lambda: simulate_filter_trials(model, c, n_trials, smoother=True)) for c in configs)
-    added = configs[1].n_steps - configs[0].n_steps
-    checkpoints = (added // sim._STREAM_BLOCK + 1) * (8 * n_trials * system.n_states + 512)
-    assert long - short <= 2 * 8 * n_trials * added + checkpoints
-
-
-def test_smoother_memory_grows_by_one_path():
-    """A smoother ensemble keeps only r whole and draws dW again in its
-    backward sweep, from each trial's dW stream state saved at every block
-    start: from duration_factor 100 to 1000 its peak grows by one path and
-    the checkpoints that the footprint check counts, the forward error and
-    _CHECKPOINT_BYTES per trial and block. Keeping dW too would add 3 MB."""
-    model, system, flux = _golden_system(4, 30.0)
-    n_trials = 4
-    configs = [
-        default_config(model, flux, seed=2, duration_factor=f, linearized=True) for f in (100.0, 1000.0)
-    ]
-    short, long = (_alloc_peak(lambda: simulate_filter_trials(model, c, n_trials, smoother=True)) for c in configs)
-    added = configs[1].n_steps - configs[0].n_steps
-    checkpoints = (added // sim._STREAM_BLOCK + 1) * n_trials * (8 * system.n_states + sim._CHECKPOINT_BYTES)
-    assert long - short <= 8 * n_trials * added + checkpoints
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     p=st.sampled_from([2, 4, 8]),
@@ -1596,31 +1575,35 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
 
 
 @pytest.mark.parametrize(
-    "kind, linearized, p, duration_factor",
+    "kind, linearized, p, duration_factor, n_trials",
     [
-        ("filter", False, 2, 20.0), ("filter", True, 2, 20.0), ("smoother", False, 2, 20.0), ("abc", False, 2, 20.0),
-        ("record", False, 2, 200.0), ("record", True, 2, 200.0), ("abc_record", False, 2, 200.0),
-        ("record", False, 2, 20.0), ("record", True, 2, 20.0), ("record", False, 20, 20.0), ("record", True, 20, 20.0),
+        ("filter", False, 2, 20.0, 16), ("filter", True, 2, 20.0, 16), ("smoother", False, 2, 20.0, 16),
+        ("smoother", True, 2, 20.0, 16), ("wrapped_smoother", False, 2, 20.0, 16), ("smoother", True, 4, 6000.0, 2),
+        ("abc", False, 2, 20.0, 16), ("record", False, 2, 200.0, 1), ("record", True, 2, 200.0, 1),
+        ("abc_record", False, 2, 200.0, 1), ("record", False, 2, 20.0, 1), ("record", True, 2, 20.0, 1),
+        ("record", False, 20, 20.0, 1), ("record", True, 20, 20.0, 1),
     ],
     ids=[
-        "filter-sin", "filter-linearized", "smoother", "abc", "record-sin", "record-linearized", "abc_record",
+        "filter-sin", "filter-linearized", "smoother", "smoother-linearized", "wrapped_smoother",
+        "smoother-linearized-604000", "abc", "record-sin", "record-linearized", "abc_record",
         "record-sin-6000-p2", "record-linearized-6000-p2", "record-sin-6000-p20", "record-linearized-6000-p20",
     ],
 )
-def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor):
+def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_trials):
     """The memory estimate of the footprint check bounds what an ensemble
     or a record allocates: _FOOTPRINT[kind] whole (trials, steps) paths,
-    block buffers of _STREAM_BLOCK steps and the scan maps a run holds at
-    once. A warm-up call first makes the process's one-time allocations,
-    which a first call would count (about twice the estimate for a filter
-    ensemble of 16 trials). Ensembles run 16 trials of 6000 steps, records
-    one trial of simulate's default 24 000 steps and of 6000 steps, where
-    the two block maps of a record's smoother, a fixed 0.13 MB at p = 2
-    and 0.16 MB at p = 20, weigh about three of its paths."""
+    block buffers of _STREAM_BLOCK steps, the scan maps a run holds at
+    once and what a backward pass keeps per block. A warm-up call first
+    makes the process's one-time allocations, which a first call would
+    count (about twice the estimate for a filter ensemble of 16 trials).
+    Ensembles run 16 trials of 6000 steps, and a smoother 2 trials of
+    604 000, where the per-block term outweighs the fixed ones. Records
+    run one trial of simulate's default 24 000 steps and of 6000 steps,
+    where the two block maps of a record's smoother, a fixed 0.13 MB at
+    p = 2 and 0.16 MB at p = 20, weigh about three of its paths."""
     model, system, flux = _golden_system(p, 30.0)
-    record = kind in ("record", "abc_record")
     config = default_config(model, flux, seed=3, duration_factor=duration_factor, linearized=linearized)
-    n_trials, n_steps = 1 if record else 16, config.n_steps
+    n_steps = config.n_steps
     if kind == "abc":
         def run():
             sim.run_abc_trials(model, config, n_trials, math.sqrt(system.mu))
@@ -1632,7 +1615,9 @@ def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor):
             simulate_record(model, config)
     else:
         def run():
-            simulate_filter_trials(model, config, n_trials, smoother=kind == "smoother")
+            simulate_filter_trials(
+                model, config, n_trials, smoother=kind != "filter", wrap_errors=kind == "wrapped_smoother"
+            )
     run()
     assert _alloc_peak(run) <= sim._check_footprint(kind, n_trials, n_steps, system.n_states)
 
