@@ -26,8 +26,7 @@ Fraser and Potter), with weights and backward constants from lg's closed
 forms and no matrix inverse. The backward pass is linear in its seed, so
 each block is scanned from a zero seed while the forward pass still holds
 its dW and r, and one sweep back over the blocks adds the seed's share
-once the forward error at the end is known (_BackwardPass). Only records
-add the open-loop phase back, to write phi, theta, y and phi_s. Phase is
+once the forward error at the end is known (_BackwardPass). Phase is
 tracked on the real line throughout; only the reductions, with
 wrap_errors, wrap errors mod 2 pi.
 
@@ -63,17 +62,19 @@ run states each parameter once.
 
 Every run, record or ensemble, runs one block driver (_error_blocks for the
 filter, _abc_blocks for the exponential window) in blocks of _STREAM_BLOCK
-steps: per block it draws each trial's noise from generators made once per
-run, each normal once, steps the loop (or the forward scan of a linearized
-run), scans the block backward for a smoother and yields the block's
-errors. Ensembles reduce those as they come, into per-trial sums of
-squared error (_ErrorSums), so filter-only, smoother and ABC ensembles
-keep no (trials, steps) array. The smoother's _BackwardPass reduces its
-own: it keeps 2 n + 1 floats per trial and block, the sums of a quadratic
-in the block's seed, except with wrap_errors, where it keeps its smoothed
-error whole, as a record does. A
-record is an ensemble that keeps its paths, in a SimulationRecord whose
-single row is the one-trial case. Filter records and ensembles share one
+steps: per block it draws each trial's noise into two block buffers, from
+generators made once per run, each normal once, steps the loop (or the
+forward scan of a linearized run), scans the block backward for a
+smoother and yields the block's errors beside its noise. Ensembles reduce
+the errors as they come, into per-trial sums of squared error
+(_ErrorSums). The smoother's _BackwardPass reduces its own: it keeps
+2 n + 1 floats per trial and block, the sums of a quadratic in the
+block's seed, except with wrap_errors, where it keeps its smoothed error
+whole, as a record does. A record is an ensemble that keeps its outputs,
+in a SimulationRecord whose single row is the one-trial case: per block
+it integrates the open-loop phase on from the previous block and writes
+phi, theta and y, and it adds phi to the swept phi_s - phi, so no run
+keeps a (trials, steps) noise array. Filter records and ensembles share one
 set-up and zero-flux rule: at N = 0 the gain is zero, and phi_s and the
 smoother statistics are None. Every run times its stages into a stage_s
 dict of seconds on its result, keyed as in _STAGES.
@@ -116,7 +117,7 @@ _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # arrays, and the one-readout _block_scan maps that it holds at once; a
 # smoother's three maps are a linearized run's, a sin() smoother holds one
 _FOOTPRINT = {
-    "record": (6, 1, 3), "abc_record": (4, 2, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
+    "record": (5, 3, 3), "abc_record": (4, 2, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
     "filter": (0, 6, 1), "abc": (0, 8, 0),
 }
 # Per block, the Python objects that tracemalloc sees a backward pass keep
@@ -191,6 +192,11 @@ def default_config(
     )
 
 
+def _filter_kind(smoother: bool, wrap_errors: bool) -> str:
+    """The _FOOTPRINT kind of a filter ensemble with these arguments."""
+    return ("wrapped_smoother" if wrap_errors else "smoother") if smoother else "filter"
+
+
 def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int, moments=False) -> LgSystem:
     """Linear-Gaussian system of a run of ``kind`` (a _FOOTPRINT key) and
     n_trials trials, with full-state ``moments`` or not, after the check
@@ -222,10 +228,11 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
 class SimulationRecord:
     """Trajectories of one or more trials on a shared 1-D time grid ``t``,
     every path (n_trials, T). ``y`` is the rescaled signal as a rate and
-    ``theta`` the estimate fed back at each step. Filter records carry the
-    smoothed phi_s, NaN outside the interior window (None without a
-    measurement); exponential-window records carry phi_abc, the estimate
-    after each step. ``stage_s`` is keyed as in _STAGES.
+    ``theta`` the estimate fed back at each step. Smoother records carry
+    the smoothed phi_s, NaN outside the interior window; it is None without
+    a measurement and in a filter record (simulate --estimator filter).
+    Exponential-window records carry phi_abc, the estimate after each
+    step. ``stage_s`` is keyed as in _STAGES.
     """
 
     t: np.ndarray
@@ -304,21 +311,20 @@ def _block_spans(n_steps: int):
     return itertools.chain(spans, [slice(cut, n_steps)] if tail else [])
 
 
-def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, kept, clock: _StageClock):
+def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, clock: _StageClock):
     """draw(span): the (dW, dB) Gaussian increments of the steps in span,
-    each a view of its whole (n_trials, T) array in kept = (dW, dB) or,
-    where kept holds None, of a buffer of ``longest`` steps. The streams
-    are made once here, so spans drawn in order continue one draw of the
-    whole record, and each normal is drawn once."""
+    views of two buffers of ``longest`` steps that the next call
+    overwrites. The streams are made once here, so spans drawn in order
+    continue one draw of the whole record, and each normal is drawn once."""
     streams = [
         [np.random.default_rng(ss) for ss in child.spawn(2)]
         for child in np.random.SeedSequence(seed).spawn(n_trials)
     ]
     sd = math.sqrt(dt)
-    arrays = [np.empty((n_trials, longest)) if a is None else a for a in kept]
+    buffers = (np.empty((n_trials, longest)), np.empty((n_trials, longest)))
 
     def draw(span):
-        pair = tuple(a[:, : span.stop - span.start] if k is None else a[:, span] for a, k in zip(arrays, kept))
+        pair = tuple(a[:, : span.stop - span.start] for a in buffers)
         for j, block in enumerate(pair):
             for trial, row in zip(streams, block):
                 trial[j].standard_normal(out=row)
@@ -457,11 +463,12 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     ``back`` (a _BackwardPass), the smoother's backward pass over each
     block, on the chain error e of a run of ``shape`` (n_trials, n_steps).
 
-    draw(span) gives the (dW, dB) of each _block_spans span in order; the
-    sin() loop overwrites dB in place with r. Yields (span, theta - phi)
-    for each span, valid until the next item. The forward pass writes the
-    smoother's w_f . e into back.partial(span), and once the last item is
-    taken, back is swept from the forward error at the end of the record.
+    draw(span) gives the (dW, dB) of each _block_spans span in order, in a
+    run the block buffers of _noise_draws; the sin() loop overwrites dB in
+    place with r. Yields (span, theta - phi, dW, r) for each span, valid
+    until the next item. The forward pass writes the smoother's w_f . e
+    into back.partial(span), and once the last item is taken, back is
+    swept from the forward error at the end of the record.
     ``error_moment`` (n_trials, n_states, n_states) accumulates the
     interior sum of e e^T.
 
@@ -550,7 +557,7 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
             clock.lap("forward_scan")
         if back is not None:
             back.block(span, dw, db, smoothed)
-        yield span, err
+        yield span, err, dw, db
     if back is not None:
         back.sweep(x if config.linearized else z[0, :, :n] / d_scale)
 
@@ -688,16 +695,6 @@ class _BackwardPass:
                 self.sums.add(span.start, self.path[:, span])
             x = y + self.ends[i]
         self.clock.lap("backward_scan")
-
-
-def _collect_errors(blocks, shape, back) -> tuple:
-    """The blocks of _error_blocks written into a whole ``shape`` path:
-    (theta - phi, phi_s - phi), the second back's swept path, None without
-    ``back``."""
-    err = np.empty(shape)
-    for span, values in blocks:
-        err[:, span] = values
-    return err, None if back is None else back.path
 
 
 def _abc_phase_updater(flux: float, n_trials: int):
@@ -871,7 +868,7 @@ def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: f
     each step, the photocurrent I dt and the trial-steps held so far; the
     arrays are overwritten by the next block."""
     longest = min(_STREAM_BLOCK, config.n_steps)
-    draw = _noise_draws(config.seed, n_trials, config.dt, longest, (None, None), clock)
+    draw = _noise_draws(config.seed, n_trials, config.dt, longest, clock)
     step = _abc_loop(config, n_trials, chi)
     est = np.empty((n_trials, longest))
     carry: list = []
@@ -905,8 +902,7 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     """Set-up and block driver of every filter run of ``kind``, a _FOOTPRINT
     key: the run checked, Vt_F solved once and scaled to V_F, the
     smoother's backward pass when asked, and the noise drawn block by
-    block. Returns (kept, back, blocks): the whole (dW, r) of a record
-    (None each for an ensemble), the _BackwardPass of ``kind`` (None
+    block. Returns (back, blocks): the _BackwardPass of ``kind`` (None
     without a smoother or at mu = 0) and the _error_blocks iterator, to
     which ``moment`` goes as error_moment."""
     system = _run_system(model, config, kind, n_trials, moment is not None)
@@ -919,9 +915,8 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
         vf, back = np.zeros((system.n_states, system.n_states)), None
     n_steps = config.n_steps
     clock.lap("covariance")
-    kept = tuple(np.empty((n_trials, n_steps)) if kind == "record" else None for _ in range(2))
-    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), kept, clock)
-    return kept, back, _error_blocks(model, system, config, vf, back, (n_trials, n_steps), draw, clock, moment)
+    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), clock)
+    return back, _error_blocks(model, system, config, vf, back, (n_trials, n_steps), draw, clock, moment)
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
@@ -932,17 +927,23 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationReco
 
 
 def _filter_record(model: PhaseModel, config: HomodyneConfig, smoother: bool) -> SimulationRecord:
-    """simulate_record, with the backward pass and phi_s only if ``smoother``."""
+    """simulate_record, with the backward pass and phi_s only if ``smoother``.
+    Per block, phi is integrated on from the previous block, theta = phi +
+    (theta - phi) and y = r / dt + 2 sqrt(N) phi; phi_s = phi + (phi_s - phi)."""
     clock = _StageClock()
-    (dw, db), back, blocks = _run_filter_feedback(model, config, 1, "record", smoother, clock)
-    theta, phi_s = _collect_errors(blocks, dw.shape, back)
-    phi = _open_loop_phase(model, config.dt, dw)
-    clock.lap("chain")
-    y = np.divide(db, config.dt, out=db)  # y dt = C x dt + r, written over r
-    y += np.multiply(phi, 2.0 * math.sqrt(config.photon_flux), out=dw)  # over dW, spent once phi is formed
-    for path in (theta, phi_s):  # theta = phi + (theta - phi), and the same for phi_s
-        if path is not None:
-            path += phi
+    back, blocks = _run_filter_feedback(model, config, 1, "record", smoother, clock)
+    phi, theta, y = (np.empty((1, config.n_steps)) for _ in range(3))
+    two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
+    carry: list = []
+    for span, err, dw, r in blocks:
+        block_phi = _open_loop_phase(model, config.dt, dw, carry)
+        clock.lap("chain")
+        phi[:, span] = block_phi
+        np.add(err, block_phi, out=theta[:, span])
+        block_y = np.divide(r, config.dt, out=y[:, span])
+        block_y += np.multiply(block_phi, two_sqrt_n, out=block_phi)
+        clock.lap("reductions")
+    phi_s = None if back is None else np.add(back.path, phi, out=back.path)
     t = np.arange(float(config.n_steps))
     t *= config.dt  # in place: an integer range times dt would take a second path and a cast buffer
     record = SimulationRecord(t, phi, theta, y, phi_s=phi_s, stage_s=clock.stage_s)
@@ -1065,10 +1066,10 @@ def simulate_filter_trials(
         raise ValidationError("need at least 2 trials")
     clock = _StageClock()
     moment = np.zeros((n_trials, model.n + 1, model.n + 1)) if full_state_stats else None
-    kind = ("wrapped_smoother" if wrap_errors else "smoother") if smoother else "filter"
-    _, back, blocks = _run_filter_feedback(model, config, n_trials, kind, smoother, clock, moment)
+    kind = _filter_kind(smoother, wrap_errors)
+    back, blocks = _run_filter_feedback(model, config, n_trials, kind, smoother, clock, moment)
     sums = _ErrorSums(n_trials, config, wrap_errors)
-    for span, err in blocks:
+    for span, err, _, _ in blocks:
         sums.add(span.start, err)
         clock.lap("reductions")
     result = FilterTrialResult(*sums.mse_statistics(), stage_s=clock.stage_s)

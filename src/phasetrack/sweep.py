@@ -31,7 +31,7 @@ from .bounds import filter_mse_power_law, qcrb_power_law
 from .errors import NumericalError, ValidationError
 from .lg import build_lg_system, lg_filter_mse
 from .phase_process import PhaseModel
-from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, _run_system, default_config
+from .simulation import _MAX_DT_FACTOR, _MIN_BURN_IN_FACTOR, _filter_kind, _run_system, default_config
 from .simulation import run_abc_trials, simulate_filter_trials
 
 __all__ = ["SweepSpec", "parse_sweep_spec", "run_sweep", "CSV_HEADER", "derive_seed"]
@@ -247,8 +247,7 @@ def _plan_point(spec: SweepSpec, p_idx: int, g_idx: int):
         config = default_config(
             model, flux, seed, spec.duration_factor, spec.dt_factor, spec.burn_in_factor, spec.linearized
         )
-        # a run's kind is its last estimator, a smoother's wrapped with wrap_errors
-        kind = "wrapped_smoother" if estimators[-1] == "smoother" and spec.wrap_errors else estimators[-1]
+        kind = "abc" if chi is not None else _filter_kind("smoother" in estimators, spec.wrap_errors)
         try:  # dt_factor and burn_in_factor are within the run limits
             _run_system(model, config, kind, spec.trials)
         except ValidationError as exc:

@@ -21,7 +21,7 @@ into its forward pass.
 Two are seams instead, which run the package's own code on whole arrays
 for the references and the tests to compare with: trial_noise, the noise
 of a run's trials as its block driver draws it, and error_passes, the
-filter and smoother errors over given noise, collected as a record's are.
+filter and smoother errors over given noise, collected into whole paths.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from phasetrack.simulation import (
     _StageClock,
     _block_scan,
     _block_spans,
-    _collect_errors,
     _error_blocks,
     _interior_slice,
     _noise_draws,
@@ -259,10 +258,9 @@ def open_loop_phase_lfilter(model: PhaseModel, dt: float, dw: np.ndarray) -> np.
 
 def trial_noise(seed: int, n_trials: int, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (phase, measurement) Gaussian increment arrays, each trial
-    drawn from two independent child streams of its own derived seed."""
-    noise = (np.empty((n_trials, n_steps)), np.empty((n_trials, n_steps)))
-    _noise_draws(seed, n_trials, dt, n_steps, noise, _StageClock())(slice(0, n_steps))
-    return noise
+    drawn from two independent child streams of its own derived seed: the
+    runs' _noise_draws over one span of n_steps."""
+    return _noise_draws(seed, n_trials, dt, n_steps, _StageClock())(slice(0, n_steps))
 
 
 def error_passes(
@@ -275,8 +273,8 @@ def error_passes(
     smoothing: tuple[np.ndarray, np.ndarray] | None = None,
     error_moment: np.ndarray | None = None,
 ):
-    """_error_blocks over given (n_trials, T) increments, collected into
-    whole paths as a record's are: returns theta - phi and phi_s - phi
+    """_error_blocks over given (n_trials, T) increments, its errors
+    collected into whole paths: returns theta - phi and phi_s - phi
     (None without ``smoothing``, the weights (w_f[-1], w_r[-1])); the sin()
     loop writes r over db."""
     return _error_passes(model, system, config, dw, db, vf, smoothing, error_moment)[:2]
@@ -293,7 +291,10 @@ def _error_passes(model, system, config, dw, db, vf, smoothing=None, error_momen
     blocks = _error_blocks(
         model, system, config, vf, back, dw.shape, lambda span: (dw[:, span], db[:, span]), clock, error_moment
     )
-    return _collect_errors(blocks, dw.shape, back) + (back,)
+    err = np.empty(dw.shape)
+    for span, values, _, _ in blocks:
+        err[:, span] = values
+    return err, None if back is None else back.path, back
 
 
 class _SeedKeepingPass(_BackwardPass):

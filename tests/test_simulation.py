@@ -1001,24 +1001,27 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
 @pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
 @pytest.mark.parametrize("p", [2, 4, 8])
 def test_record_is_an_ensemble_that_keeps_its_paths(p, linearized):
-    """A record runs the ensembles' block driver and keeps what it yields.
-    Over a run of several blocks, the paths of a 3-trial smoother record,
-    its blocks written into whole paths and completed by the backward
-    sweep, are error_passes over the same trials' noise bit for bit, NaNs
-    included, and so is the residual r it writes over dB."""
+    """A record runs the ensembles' block driver and keeps what it yields,
+    its phase integrated block by block. Over a run of several blocks, a
+    smoother record's paths are those of the whole-path routes over the
+    same trial's noise, bit for bit, NaNs included: phi is _open_loop_phase
+    over the whole dW, theta and phi_s are phi plus the errors of
+    error_passes, and y is r / dt + 2 sqrt(N) phi, with the r that
+    error_passes writes over dB."""
     model, system, flux = _golden_system(p, 30.0)
     config = default_config(model, flux, seed=p, duration_factor=3.0, linearized=linearized)
     assert config.n_steps > sim._STREAM_BLOCK
-    (_, r), back, blocks = sim._run_filter_feedback(model, config, 3, "record", True, sim._StageClock())
-    paths = list(sim._collect_errors(blocks, (3, config.n_steps), back))
+    rec = simulate_record(model, config)
     vf_tilde = solve_filter_covariance(p)
-    dw, db = trial_noise(config.seed, 3, config.n_steps, config.dt)
-    passes = error_passes(
+    dw, db = trial_noise(config.seed, 1, config.n_steps, config.dt)
+    err, smoothed = error_passes(
         model, system, config, dw, db, scale_covariance(vf_tilde, system.mu),
         sim._smoothing_weights(vf_tilde, system.mu),
     )
-    for got, expected in zip(paths + [r], passes + (db,)):
-        assert np.array_equal(got, expected, equal_nan=True)
+    phi = sim._open_loop_phase(model, config.dt, dw)
+    y = db / config.dt + 2.0 * math.sqrt(config.photon_flux) * phi
+    for name, path in {"phi": phi, "theta": err + phi, "phi_s": smoothed + phi, "y": y}.items():
+        assert np.array_equal(getattr(rec, name), path, equal_nan=True), name
 
 
 @settings(max_examples=10, deadline=None)
@@ -1426,12 +1429,9 @@ def _smoother_alloc_peak(p: int, n_trials: int = 8, n_steps: int = 6000, lineari
         photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=n_steps / 3 * dt, seed=p,
         linearized=linearized,
     )
-    tracemalloc.start()
-    try:
-        simulate_filter_trials(model, config, n_trials, smoother=True, full_state_stats=linearized)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _alloc_peak(
+        lambda: simulate_filter_trials(model, config, n_trials, smoother=True, full_state_stats=linearized)
+    )
 
 
 @settings(max_examples=4, deadline=None)
@@ -1554,9 +1554,8 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
     )
     draws, drawn = sim._noise_draws, []
 
-    def keeping_noise(seed, n_trials, dt, longest, kept, clock):
-        assert kept == (None, None)
-        draw = draws(seed, n_trials, dt, longest, tuple(np.empty((n_trials, n_steps)) for _ in kept), clock)
+    def logged_noise(seed, n_trials, dt, longest, clock):
+        draw = draws(seed, n_trials, dt, longest, clock)
 
         def logged(span):
             drawn.append(span)
@@ -1564,10 +1563,15 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
 
         return logged
 
+    def kept_noise(seed, n_trials, dt, longest, clock):
+        whole = draws(seed, n_trials, dt, n_steps, clock)(slice(0, n_steps))
+        return lambda span: tuple(a[:, span] for a in whole)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
+        patch.setattr(sim, "_noise_draws", logged_noise)
         res = simulate_filter_trials(model, config, n_trials, smoother=True)
-        patch.setattr(sim, "_noise_draws", keeping_noise)
+        patch.setattr(sim, "_noise_draws", kept_noise)
         ref = simulate_filter_trials(model, config, n_trials, smoother=True)
     assert drawn == list(sim._block_spans(n_steps))
     assert (res.filter_mse, res.filter_stderr) == (ref.filter_mse, ref.filter_stderr)
@@ -1581,12 +1585,13 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
         ("smoother", True, 2, 20.0, 16), ("wrapped_smoother", False, 2, 20.0, 16), ("smoother", True, 4, 6000.0, 2),
         ("abc", False, 2, 20.0, 16), ("record", False, 2, 200.0, 1), ("record", True, 2, 200.0, 1),
         ("abc_record", False, 2, 200.0, 1), ("record", False, 2, 20.0, 1), ("record", True, 2, 20.0, 1),
-        ("record", False, 20, 20.0, 1), ("record", True, 20, 20.0, 1),
+        ("record", False, 20, 20.0, 1), ("record", True, 20, 20.0, 1), ("record", True, 2, 1000.0, 1),
     ],
     ids=[
         "filter-sin", "filter-linearized", "smoother", "smoother-linearized", "wrapped_smoother",
         "smoother-linearized-604000", "abc", "record-sin", "record-linearized", "abc_record",
         "record-sin-6000-p2", "record-linearized-6000-p2", "record-sin-6000-p20", "record-linearized-6000-p20",
+        "record-linearized-104000",
     ],
 )
 def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_trials):
@@ -1598,9 +1603,11 @@ def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_
     count (about twice the estimate for a filter ensemble of 16 trials).
     Ensembles run 16 trials of 6000 steps, and a smoother 2 trials of
     604 000, where the per-block term outweighs the fixed ones. Records
-    run one trial of simulate's default 24 000 steps and of 6000 steps,
+    run one trial of simulate's default 24 000 steps; of 6000 steps,
     where the two block maps of a record's smoother, a fixed 0.13 MB at
-    p = 2 and 0.16 MB at p = 20, weigh about three of its paths."""
+    p = 2 and 0.16 MB at p = 20, weigh about three of its paths; and of
+    a default sweep point's 104 000 steps, where its paths outweigh the
+    rest."""
     model, system, flux = _golden_system(p, 30.0)
     config = default_config(model, flux, seed=3, duration_factor=duration_factor, linearized=linearized)
     n_steps = config.n_steps
