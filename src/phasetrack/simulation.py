@@ -697,36 +697,38 @@ class _BackwardPass:
         self.clock.lap("backward_scan")
 
 
-def _abc_phase_updater(flux: float, n_trials: int):
-    """Newton update of the exponential-window estimate at photon flux N for
-    a batch of n_trials, as update(ab, theta, e) -> (cand, hold), with its
-    weights and scratch buffers sized here once.
+def _abc_phase_updater(flux: float, angle: np.ndarray, e: np.ndarray):
+    """Newton update of the exponential-window estimate at photon flux N, in
+    place, as update(ab) -> (hold, n_held), with its weights and scratch
+    buffers sized here once. angle is the loop's (2, n_trials) complex
+    i (theta, 2 theta), real part zero, and e its exponential, the harmonics
+    (e^(i theta), e^(2i theta)).
 
     a and b are sufficient statistics of the recent photocurrent: the
     log-likelihood of a locally constant phase value v is
 
         ln L(v) = 2 sqrt(N) Re[a* e^(iv)] + N Re[b* e^(2iv)] + const.
 
-    From the previous theta, update takes exactly three Newton steps on
-    ln L, each clipped to +-1 rad and taken only where the curvature is
-    negative (elsewhere, a NaN curvature included, the iterate stays), then
-    moves the result by whole turns to within pi of theta. So the candidate
-    need not be a maximizer: it may end unconverged, or where the curvature
-    is >= 0. ab and e are (2, n_trials), the harmonics stacked, e holding
-    e^(i theta) and e^(2i theta). update returns its own buffers,
-    overwritten by the next call: the candidates and a mask of trials whose
-    statistics are too small to define a phase (those hold theta). It
-    divides for every trial, so it must run under
+    update takes exactly three Newton steps on ln L, each written over theta
+    in angle, clipped to +-1 rad and taken only where the curvature is
+    negative (elsewhere, a NaN curvature included, the iterate stays). So
+    theta moves by at most 3 rad, less than half a turn, and needs no
+    moving by whole turns. It need not end at a maximizer: it may end
+    unconverged, or where the curvature is >= 0. Trials whose statistics are
+    too small to define a phase hold theta, restored from a copy taken only
+    on a step where one holds. 2 theta is formed once, after the last step;
+    e is left at the second iterate. update returns its own hold mask,
+    overwritten by the next call, and its count. It divides for every trial,
+    so it must run under
     np.errstate(divide="ignore", invalid="ignore").
     """
+    n_trials = angle.shape[1]
     two_sqrt_n = 2.0 * math.sqrt(flux)
     # hold test: (2 sqrt(N), 2N); Newton: (real, imag) weights (-2 sqrt(N), -2 sqrt(N))
     # and (4N, 2N), the minuend and subtrahend of (curv, slope)
     hold_w = np.repeat([[two_sqrt_n], [2.0 * flux]], n_trials, axis=1)
     newton_w = np.repeat([[[-two_sqrt_n, -two_sqrt_n]], [[4.0 * flux, 2.0 * flux]]], n_trials, axis=1)
-    threshold, zero, lo, hi, pi, two_pi = (
-        np.full(n_trials, v) for v in (_ABC_HOLD_THRESHOLD, 0.0, -1.0, 1.0, math.pi, 2.0 * math.pi)
-    )
+    threshold, zero, lo, hi = (np.full(n_trials, v) for v in (_ABC_HOLD_THRESHOLD, 0.0, -1.0, 1.0))
     size = np.empty((2, n_trials))
     total = np.empty(n_trials)
     hold = np.empty(n_trials, dtype=bool)
@@ -739,45 +741,46 @@ def _abc_phase_updater(flux: float, n_trials: int):
     diff = np.empty((n_trials, 2))
     curv, slope = diff.T
     step = np.empty(n_trials)
-    cand = np.empty(n_trials)
-    # i (new, 2 new): the iterate lives in the imaginary part of a complex
-    # angle, whose real part stays zero, so one exponential gives both rotations
-    angle = np.zeros((2, n_trials), dtype=complex)
-    new, twice = angle.imag
-    rot = np.empty((2, n_trials), dtype=complex)
+    kept = np.empty(n_trials)
+    theta, twice = angle.imag
 
-    absolute, add, conjugate, copyto, divide, exp = np.abs, np.add, np.conjugate, np.copyto, np.divide, np.exp
-    less, maximum, minimum, mod, multiply, positive, subtract = (
-        np.less, np.maximum, np.minimum, np.mod, np.multiply, np.positive, np.subtract
+    absolute, add, conjugate, copyto, count_nonzero, divide, exp, less, maximum, minimum, multiply, subtract = (
+        np.abs, np.add, np.conjugate, np.copyto, np.count_nonzero, np.divide, np.exp, np.less, np.maximum,
+        np.minimum, np.multiply, np.subtract,
     )
 
-    def update(ab, theta, e):
+    def newton():
+        multiply(conj_ab, e, prod)
+        multiply(terms, newton_w, terms)
+        subtract(terms_a, terms_b, diff)
+        less(curv, zero, ok)  # only step toward a maximum
+        divide(slope, curv, step)
+        # np.clip, less overhead; theta - clip(slope / curv) where ok, else theta
+        maximum(step, lo, out=step)
+        minimum(step, hi, out=step)
+        subtract(theta, step, step)
+        copyto(theta, step, where=ok)
+
+    def update(ab):
         absolute(ab, size)
         multiply(size, hold_w, size)  # 2 sqrt(N) |a| and 2N |b|
         add(size_a, size_b, total)
         less(total, threshold, hold)
+        n_held = count_nonzero(hold)
+        if n_held:
+            copyto(kept, theta)
         conjugate(ab, conj_ab)
-        positive(theta, new)
-        for k in range(3):
-            if k:
-                add(new, new, twice)
-                e = exp(angle, rot)
-            multiply(conj_ab, e, prod)
-            multiply(terms, newton_w, terms)
-            subtract(terms_a, terms_b, diff)
-            less(curv, zero, ok)  # only step toward a maximum
-            divide(slope, curv, step)
-            # np.clip, less overhead; new - clip(slope / curv) where ok, else new
-            maximum(step, lo, out=step)
-            minimum(step, hi, out=step)
-            subtract(new, step, step)
-            copyto(new, step, where=ok)
-        subtract(new, theta, cand)
-        add(cand, pi, cand)
-        mod(cand, two_pi, cand)
-        add(theta, cand, cand)
-        subtract(cand, pi, cand)
-        return cand, hold
+        newton()
+        add(theta, theta, twice)
+        exp(angle, e)
+        newton()
+        add(theta, theta, twice)
+        exp(angle, e)
+        newton()
+        if n_held:
+            copyto(theta, kept, where=hold)
+        add(theta, theta, twice)
+        return hold, n_held
 
     return update
 
@@ -792,16 +795,14 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
 
         a <- a e^(-chi dt) + e^(i Phi) I dt,  b <- b e^(-chi dt) - e^(2i Phi) dt
 
-    with Phi = theta + pi/2 the oscillator phase, and theta takes
-    _abc_phase_updater's candidate. ab and theta (zero at the start) carry
-    over from one call to the next.
+    with Phi = theta + pi/2 the oscillator phase, and _abc_phase_updater
+    moves theta in place, by at most 3 rad. ab and theta (zero at the
+    start) carry over from one call to the next.
     """
     if not 0 < chi < math.inf:
         raise ValidationError(f"chi must be positive and finite, got {chi}")
     dt = config.dt
-    update = _abc_phase_updater(config.photon_flux, n_trials)
-    gain = np.full(n_trials, 2.0 * math.sqrt(config.photon_flux))
-    dt_row = np.full(n_trials, dt)
+    gain = np.full(n_trials, 2.0 * math.sqrt(config.photon_flux) * dt)  # 2 sqrt(N) dt, one rounding per step
     dt_pairs = np.full((n_trials, 2), dt)  # (real, imag) of each b term
     decay = np.full((2, n_trials, 2), math.exp(-chi * dt))
     ab = np.zeros((2, n_trials), dtype=complex)
@@ -809,9 +810,10 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     resp = np.empty(n_trials)
     # i (theta, 2 theta), real part zero: exp gives the harmonics (e^(i theta), e^(2i theta))
     angle = np.zeros((2, n_trials), dtype=complex)
-    theta, twice = angle.imag
+    theta = angle.imag[0]
     harmonics = np.empty((2, n_trials), dtype=complex)
     phasor = harmonics[0]
+    update = _abc_phase_updater(config.photon_flux, angle, harmonics)
     # i I dt: e^(i theta) (i I dt) is the a update's e^(i (theta + pi/2)) I dt,
     # each part one rounded product, as in (i e^(i theta)) I dt
     i_meas = np.zeros(n_trials, dtype=complex)
@@ -823,9 +825,7 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     terms_f = terms.view(float).reshape(2, n_trials, 2)
     b_term_f = terms_f[1]
 
-    add, copyto, count_nonzero, exp, multiply, positive, sin, subtract = (
-        np.add, np.copyto, np.count_nonzero, np.exp, np.multiply, np.positive, np.sin, np.subtract
-    )
+    add, exp, multiply, positive, sin, subtract = np.add, np.exp, np.multiply, np.positive, np.sin, np.subtract
     linearized = config.linearized
 
     def step(phi, idt, est):
@@ -836,26 +836,19 @@ def _abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
                 if not linearized:
                     sin(resp, resp)
                 multiply(resp, gain, resp)
-                multiply(resp, dt_row, resp)
                 add(resp, idt_i, idt_i)  # I dt, written over dB
                 positive(idt_i, meas)
 
                 # the functionals, at the oscillator phase whose quadrature is the photocurrent
-                add(theta, theta, twice)
                 exp(angle, harmonics)
                 multiply(ab_f, decay, ab_f)
                 multiply(phasor, i_meas, a_term)
                 multiply(phasor, phasor, b_term)
                 multiply(b_term_f, dt_pairs, b_term_f)
                 add(ab_f, terms_f, ab_f)
-                cand, hold = update(ab, theta, harmonics)
-                n_held = count_nonzero(hold)
-                if n_held:
-                    held += n_held
-                    copyto(cand, theta, where=hold)
-                positive(cand, theta)
-                positive(cand, est_i)
-        return held
+                held += update(ab)[1]
+                positive(theta, est_i)
+        return int(held)
 
     return step
 

@@ -466,12 +466,13 @@ def discrete_filter_covariance(p, dt_factor: float) -> np.ndarray:
 _HARMONICS = np.array([[1j], [2j]])  # exp(_HARMONICS * theta) = (e^(i theta), e^(2i theta))
 
 
-def _abc_phase_update_stacked(ab, theta, e, flux):
+def _abc_phase_update_stacked(ab, theta, e, flux, wrap=False):
     """The Newton update of the exponential-window estimate on the stacked
     (2, n_trials) functionals ab = (a, b), with scalar, per-harmonic (2, 1)
     and (2, 1, 2) weights broadcast over the trials and a masked divide.
-    e holds e^(i theta) and e^(2i theta). Returns the candidate angles and
-    the mask of trials that hold theta."""
+    e holds e^(i theta) and e^(2i theta). Returns the last Newton iterate,
+    moved with ``wrap`` by whole turns to within pi of theta, and the mask
+    of trials that hold theta."""
     two_sqrt_n = 2.0 * math.sqrt(flux)
     hold_w = np.array([[two_sqrt_n], [2.0 * flux]])
     newton_w = np.array([[[-two_sqrt_n, -two_sqrt_n]], [[4.0 * flux, 2.0 * flux]]])
@@ -488,26 +489,24 @@ def _abc_phase_update_stacked(ab, theta, e, flux):
         ok = curv < 0.0
         step = np.divide(slope, curv, out=np.zeros(len(theta)), where=ok)
         new = new - np.minimum(np.maximum(step, -1.0), 1.0)
-    cand = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
-    return cand, hold
+    if wrap:
+        new = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
+    return new, hold
 
 
-def abc_feedback_reference(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
-    """_run_abc_feedback as a loop that allocates its temporaries each step:
-    the same (phi, est, idt, held), with Python-scalar and broadcast
-    operands and complex products taken against real factors. The a and b
-    updates are one product e^(i theta) (i, e^(i theta)) times the real
-    drive (I dt, dt)."""
+def _abc_reference_loop(config: HomodyneConfig, n_trials: int, chi: float, earlier: bool = False):
+    """_abc_loop's step(phi, idt, est) -> held on operands allocated each
+    step, Python-scalar and broadcast, with complex products taken against
+    real factors: the a and b updates are one product e^(i theta) (i,
+    e^(i theta)) times the real drive (I dt, dt). With ``earlier``, the
+    loop as the package stepped it before its Newton steps moved theta in
+    place: the response gain in two roundings, (sin(phi - theta) 2 sqrt(N))
+    dt, and each new theta moved by whole turns to within pi of the last."""
     if not 0 < chi < math.inf:
         raise ValidationError(f"chi must be positive and finite, got {chi}")
-    n_steps = config.n_steps
     dt = config.dt
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     decay = math.exp(-chi * dt)
-    dw, idt = trial_noise(config.seed, n_trials, n_steps, dt)
-    phi = _open_loop_phase(model, dt, dw)
-    est = np.empty((n_trials, n_steps + 1))
-    est[:, 0] = 0.0
     ab = np.zeros((2, n_trials), dtype=complex)
     rot = np.empty((3, n_trials), dtype=complex)  # (i, e^(i theta), e^(2i theta))
     rot[0] = 1j
@@ -516,17 +515,42 @@ def abc_feedback_reference(model: PhaseModel, config: HomodyneConfig, n_trials: 
     drive[1] = dt
     meas = drive[0]
     theta = np.zeros(n_trials)
-    held = np.zeros(n_trials, dtype=np.int64)
-    for i in range(n_steps):
-        delta = phi[:, i] - theta
-        resp = delta if config.linearized else np.sin(delta, out=delta)
-        np.add(two_sqrt_n * resp * dt, idt[:, i], out=meas)
-        idt[:, i] = meas
-        np.exp(_HARMONICS * theta, out=harmonics)
-        ab *= decay
-        ab += phasor * update * drive
-        cand, hold = _abc_phase_update_stacked(ab, theta, harmonics, config.photon_flux)
-        held += hold
-        theta = np.where(hold, theta, cand)
-        est[:, i + 1] = theta
-    return phi, est, idt, int(held.sum())
+
+    def step(phi, idt, est):
+        nonlocal ab, theta
+        held = 0
+        for i in range(phi.shape[1]):
+            delta = phi[:, i] - theta
+            resp = delta if config.linearized else np.sin(delta, out=delta)
+            np.add(two_sqrt_n * resp * dt if earlier else resp * (two_sqrt_n * dt), idt[:, i], out=meas)
+            idt[:, i] = meas
+            np.exp(_HARMONICS * theta, out=harmonics)
+            ab *= decay
+            ab += phasor * update * drive
+            cand, hold = _abc_phase_update_stacked(ab, theta, harmonics, config.photon_flux, earlier)
+            held += int(hold.sum())
+            theta = np.where(hold, theta, cand)
+            est[:, i] = theta
+        return held
+
+    return step
+
+
+def earlier_abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
+    """The exponential-window loop as the package stepped it before its
+    Newton steps moved theta in place (_abc_reference_loop with
+    ``earlier``), in _abc_loop's protocol: run in place of _abc_loop, it
+    gives the values from before that change bit for bit."""
+    return _abc_reference_loop(config, n_trials, chi, earlier=True)
+
+
+def abc_feedback_reference(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
+    """_run_abc_feedback through _abc_reference_loop over the whole run: the
+    same (phi, est, idt, held)."""
+    step = _abc_reference_loop(config, n_trials, chi)
+    dw, idt = trial_noise(config.seed, n_trials, config.n_steps, config.dt)
+    phi = _open_loop_phase(model, config.dt, dw)
+    est = np.empty((n_trials, config.n_steps + 1))
+    est[:, 0] = 0.0
+    held = step(phi, idt, est[:, 1:])
+    return phi, est, idt, held

@@ -14,6 +14,7 @@ from oracles import (
     abc_feedback_reference,
     chain_cumsum,
     discrete_filter_covariance,
+    earlier_abc_loop,
     error_passes,
     linearized_error_passes,
     mse_statistics,
@@ -452,12 +453,17 @@ class TestCombineSmoothed:
 
 def _phase_update(ab, theta, flux):
     """The feedback loop's Newton update at photon flux N, run as the loop
-    runs it: seeded with e^(i theta), e^(2i theta), under the loop's
-    errstate. Returns copies of its (cand, hold) buffers."""
-    update = sim._abc_phase_updater(flux, len(theta))
+    runs it: on the angle buffer i (theta, 2 theta) and its exponential,
+    under the loop's errstate. Returns copies of theta after the update and
+    of its hold mask."""
+    angle = np.zeros((2, len(theta)), dtype=complex)
+    angle.imag = theta, theta + theta
+    update = sim._abc_phase_updater(flux, angle, np.exp(angle))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand, hold = update(ab, theta, np.exp([[1j], [2j]] * theta))
-    return cand.copy(), hold.copy()
+        hold, n_held = update(ab)
+    assert n_held == np.count_nonzero(hold)
+    assert np.array_equal(angle.imag[1], angle.imag[0] + angle.imag[0])
+    return angle.imag[0].copy(), hold.copy()
 
 
 class TestAbc:
@@ -546,31 +552,57 @@ def _per_array_phase_update(a, b, theta, phasor, flux):
         ok = curv < 0.0
         step = np.where(ok, -slope / np.where(ok, curv, 1.0), 0.0)
         new = new + np.minimum(np.maximum(step, -1.0), 1.0)
-    cand = theta + np.mod(new - theta + np.pi, 2.0 * np.pi) - np.pi
-    return cand, hold
+    return np.where(hold, theta, new), hold
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def _random_statistics(n, seed):
+    """n trials of (a, b, theta): parts uniform in +-5 with some exact zeros,
+    some trials with a = b = 0, some with statistics too small to define a
+    phase at any flux up to 1e4 but large enough for a Newton step to move
+    theta, and theta uniform in +-10."""
+    rng = np.random.default_rng(seed)
+    parts = rng.uniform(-5.0, 5.0, (4, n)) * (rng.random((4, n)) < 0.8)  # some exact zeros
+    parts[:, rng.random(n) < 0.1] = 0.0  # and some a = b = 0
+    parts[:, rng.random(n) < 0.1] *= 1e-18  # and some that hold
+    return parts[0] + 1j * parts[1], parts[2] + 1j * parts[3], rng.uniform(-10.0, 10.0, n)
+
+
+_PHASE_UPDATE_CASES = dict(
     n=st.sampled_from([1, 2, 3, 7, 4096]),
     seed=st.integers(0, 2**32 - 1),
     flux=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_PHASE_UPDATE_CASES)
 def test_stacked_phase_update_matches_per_array_step(n, seed, flux):
-    """The stacked Newton step gives the per-array step's candidates and hold
+    """The stacked Newton step gives the per-array step's new theta and hold
     mask exactly: on trials that hold, that meet curv >= 0 (no step), and
     whose steps are clipped at +-1. A wide batch is needed to see a one-ulp
     change: swapping the operands of the complex product, which differ
     under fused multiply-add, moved 36 of 100 000 candidates at flux 10."""
-    rng = np.random.default_rng(seed)
-    parts = rng.uniform(-5.0, 5.0, (4, n)) * (rng.random((4, n)) < 0.8)  # some exact zeros
-    parts[:, rng.random(n) < 0.1] = 0.0  # and some a = b = 0
-    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
-    theta = rng.uniform(-10.0, 10.0, n)
-    cand_ref, hold_ref = _per_array_phase_update(a, b, theta, np.exp(1j * theta), flux)
-    cand, hold = _phase_update(np.stack([a, b]), theta, flux)
+    a, b, theta = _random_statistics(n, seed)
+    theta_ref, hold_ref = _per_array_phase_update(a, b, theta, np.exp(1j * theta), flux)
+    new, hold = _phase_update(np.stack([a, b]), theta, flux)
     assert np.array_equal(hold, hold_ref)
-    assert np.array_equal(cand, cand_ref)
+    assert np.array_equal(new, theta_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_PHASE_UPDATE_CASES)
+def test_phase_update_moves_theta_less_than_half_a_turn(n, seed, flux):
+    """Three Newton steps, each clipped to +-1 rad, move a trial's theta by
+    at most 3 rad < pi, plus rounding, so no result needs moving by whole
+    turns back to within pi of theta. A trial that holds keeps its theta bit
+    for bit, and at photon flux 0 every trial holds."""
+    a, b, theta = _random_statistics(n, seed)
+    new, hold = _phase_update(np.stack([a, b]), theta, flux)
+    bound = 3.0 + 4.0 * np.spacing(np.abs(theta) + 3.0)  # three steps, each rounded once
+    assert np.all((np.abs(new - theta) <= bound)[~hold])
+    assert np.array_equal(new[hold].view(np.uint64), theta[hold].view(np.uint64))
+    if flux == 0.0:
+        assert np.all(hold)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -733,7 +765,12 @@ class TestGoldenValues:
     The smoother values moved again, within their 1e-12, when the backward
     pass was folded into the forward one; the two-pass backward sweep in
     oracles, run in place of it, keeps the values from before
-    (test_two_pass_smoother_keeps_earlier_values).
+    (test_two_pass_smoother_keeps_earlier_values). The exponential-window
+    values moved in their last digits when the loop's Newton steps began to
+    move theta in place, without the wrap by whole turns, and the response
+    gain became one rounded factor; oracles' earlier_abc_loop, run in place
+    of the loop, keeps the values from before (test_abc_keeps_earlier_values,
+    test_unwrapped_abc_windows_keep_earlier_values).
 
     Host dependency: the exponential-window values (test_abc,
     test_unwrapped_abc_windows) were captured with numpy's SIMD complex
@@ -794,11 +831,23 @@ class TestGoldenValues:
     )
     ABC = {
         # (grid, wrap, seed, cutoff): (mse, stderr, indeterminate steps)
+        (3.0, True, 8, None): (0.36712537845172727, 0.10009497769759494, 0),
+        (30.0, False, 9, None): (0.014174982579802283, 0.0020932054638856936, 0),
+        (30.0, True, 10, 0.5): (0.016762315821272186, 0.0013962204138629184, 0),
+    }
+    ABC_STREAMED = {
+        (3.0, True, 8, None): (0.36712537845172727, 0.10009497769759494, 0),
+        (30.0, False, 9, None): (0.014174982579802283, 0.0020932054638856936, 0),
+        (30.0, True, 10, 0.5): (0.016762315821272182, 0.001396220413862918, 0),
+    }
+    # The ABC keys as the loop gave them before its Newton steps moved theta
+    # in place, whole-path and streamed
+    ABC_EARLIER = {
         (3.0, True, 8, None): (0.3671253784517272, 0.10009497769759486, 0),
         (30.0, False, 9, None): (0.014174982579802287, 0.0020932054638856936, 0),
         (30.0, True, 10, 0.5): (0.016762315821272186, 0.0013962204138629182, 0),
     }
-    ABC_STREAMED = {
+    ABC_EARLIER_STREAMED = {
         (3.0, True, 8, None): (0.3671253784517272, 0.10009497769759484, 0),
         (30.0, False, 9, None): (0.014174982579802285, 0.0020932054638856936, 0),
         (30.0, True, 10, 0.5): (0.016762315821272186, 0.0013962204138629189, 0),
@@ -862,29 +911,50 @@ class TestGoldenValues:
         assert res[3] == pytest.approx(s_se, rel=1e-12)
         assert np.diag(res[4]) == pytest.approx(cov_diag, rel=1e-12)
 
-    @pytest.mark.parametrize("key", list(ABC))
-    def test_abc(self, key):
+    def _check_abc(self, key, whole, streamed):
         grid, wrap, seed, cutoff = key
         model, system, flux = _golden_system(2, grid, (cutoff,) if cutoff else ())
         config = default_config(model, flux, seed=seed, duration_factor=20.0)
         chi = math.sqrt(system.mu)
         mse, se, _, held = _whole_path_abc(model, config, 6, chi, wrap)
-        assert (mse, se, held) == self.ABC[key]
+        assert (mse, se, held) == whole
         res = sim.run_abc_trials(model, config, 6, chi, wrap_errors=wrap)
-        assert (res.mse, res.stderr, res.indeterminate_steps) == self.ABC_STREAMED[key]
-        assert (res.mse, res.stderr) == pytest.approx(self.ABC[key][:2], rel=1e-13)
+        assert (res.mse, res.stderr, res.indeterminate_steps) == streamed
+        assert (res.mse, res.stderr) == pytest.approx(whole[:2], rel=1e-13)
 
-    def test_unwrapped_abc_windows(self):
+    @pytest.mark.parametrize("key", list(ABC))
+    def test_abc(self, key):
+        self._check_abc(key, self.ABC[key], self.ABC_STREAMED[key])
+
+    @pytest.mark.parametrize("key", list(ABC_EARLIER))
+    def test_abc_keeps_earlier_values(self, key, monkeypatch):
+        """earlier_abc_loop, run in place of the loop, gives each key's
+        values from before the loop moved theta in place bit for bit, whole
+        and streamed."""
+        monkeypatch.setattr(sim, "_abc_loop", earlier_abc_loop)
+        self._check_abc(key, self.ABC_EARLIER[key], self.ABC_EARLIER_STREAMED[key])
+
+    def _check_unwrapped_abc_windows(self, whole, streamed):
         model, system, flux = _golden_system(2, 30.0)
         config = default_config(model, flux, seed=9, duration_factor=20.0)
         chi = math.sqrt(system.mu)
-        earlier = [0.011136557804413767, 0.017023538812433084, 0.016579618060963936, 0.017125094625108327]
-        assert _whole_path_abc(model, config, 6, chi)[2].tolist() == earlier
+        assert _whole_path_abc(model, config, 6, chi)[2].tolist() == whole
         res = sim.run_abc_trials(model, config, 6, chi)
-        assert res.window_mse.tolist() == [
-            0.011136557804413767, 0.017023538812433087, 0.016579618060963933, 0.017125094625108327
-        ]
-        assert res.window_mse == pytest.approx(earlier, rel=1e-13)
+        assert res.window_mse.tolist() == streamed
+        assert res.window_mse == pytest.approx(whole, rel=1e-13)
+
+    def test_unwrapped_abc_windows(self):
+        self._check_unwrapped_abc_windows(
+            [0.011136557804413768, 0.017023538812433084, 0.01657961806096393, 0.017125094625108323],
+            [0.011136557804413768, 0.017023538812433087, 0.01657961806096393, 0.01712509462510832],
+        )
+
+    def test_unwrapped_abc_windows_keep_earlier_values(self, monkeypatch):
+        monkeypatch.setattr(sim, "_abc_loop", earlier_abc_loop)
+        self._check_unwrapped_abc_windows(
+            [0.011136557804413767, 0.017023538812433084, 0.016579618060963936, 0.017125094625108327],
+            [0.011136557804413767, 0.017023538812433087, 0.016579618060963933, 0.017125094625108327],
+        )
 
     def test_abc_linearized(self):
         model = PhaseModel(4, 1.0, (0.3, 0.0))
@@ -906,7 +976,10 @@ class TestGoldenRecords:
     loop fails them with equally correct numbers. There,
     test_abc_feedback_matches_reference_bit_for_bit still pins the loop to
     the reference loop bit for bit. The filter record's theta rests on the
-    sin() loop's BLAS gemm, as TestGoldenValues' sin() keys do."""
+    sin() loop's BLAS gemm, as TestGoldenValues' sin() keys do. The ABC
+    record moved in its last digits when the loop began to move theta in
+    place; earlier_abc_loop, run in place of the loop, keeps the values from
+    before (test_abc_record_keeps_earlier_values)."""
 
     IDX = [0, 1, 999, 3500, 6999]
     PHI = [0.0, 0.0, 0.40334874302367, 14.452083736328422, 25.93784052828132]
@@ -945,22 +1018,33 @@ class TestGoldenRecords:
         theta = [0.0, -0.00825177773570956, 0.43778110871708636, 14.45560362744147, 25.943367283045347]
         self._check_filter_record(phi, err + phi, y, s_err + phi, theta)
 
-    def test_abc_record(self):
+    def _check_abc_record(self, phi_abc, theta, y):
         model, system, flux = _golden_system(2, 30.0)
         config = default_config(model, flux, seed=13, duration_factor=30.0)
         rec = run_abc(model, config, math.sqrt(system.mu))
-        assert rec.phi_abc[0, self.IDX].tolist() == [
-            -1.5567445703423068, -1.7857285721236371, -0.410366412488103, -0.8468997000137604,
-            -1.251418581706102,
-        ]
-        assert rec.theta[0, self.IDX].tolist() == [
-            0.0, -1.5567445703423068, -0.4105273206702482, -0.8574740168916337, -1.25712633434016
-        ]
-        assert rec.y[0, self.IDX].tolist() == [
-            -81.41052507597831, -111.96549169660658, -23.658267117720595, 11.578312793809673,
-            -41.23183609900512,
-        ]
+        assert rec.phi_abc[0, self.IDX].tolist() == phi_abc
+        assert rec.theta[0, self.IDX].tolist() == theta
+        assert rec.y[0, self.IDX].tolist() == y
         assert rec.abc_indeterminate_steps == 0
+
+    def test_abc_record(self):
+        self._check_abc_record(
+            [-1.5567445703423068, -1.785728572123637, -0.41036641248810307, -0.8468997000137606,
+             -1.2514185817061023],
+            [0.0, -1.5567445703423068, -0.41052732067024816, -0.8574740168916338, -1.25712633434016],
+            [-81.41052507597831, -111.96549169660656, -23.658267117720595, 11.57831279380968,
+             -41.23183609900512],
+        )
+
+    def test_abc_record_keeps_earlier_values(self, monkeypatch):
+        monkeypatch.setattr(sim, "_abc_loop", earlier_abc_loop)
+        self._check_abc_record(
+            [-1.5567445703423068, -1.7857285721236371, -0.410366412488103, -0.8468997000137604,
+             -1.251418581706102],
+            [0.0, -1.5567445703423068, -0.4105273206702482, -0.8574740168916337, -1.25712633434016],
+            [-81.41052507597831, -111.96549169660658, -23.658267117720595, 11.578312793809673,
+             -41.23183609900512],
+        )
 
 
 def _close_to_peak(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
@@ -1305,6 +1389,28 @@ def test_sin_loop_makes_one_sin_and_one_matmul_per_step(monkeypatch, p):
         extra.add((sins[0] - n_steps, matmuls[0] - n_steps))
     assert len(extra) == 1
     assert min(extra.pop()) >= 0
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_abc_loop_makes_three_exps_and_no_mod_per_step(monkeypatch, width):
+    """An ABC run binds np.exp and np.mod when it starts and makes three
+    complex exponentials per step, one for the step's harmonics and one
+    before each of the second and third Newton steps, and no np.mod: over
+    runs of 1 step, a stream block + 65 and 65 steps, the exp count exceeds
+    3 n_steps by the same number, the calls its set-up makes, so theta moves
+    without a wrap by whole turns and no per-step exponential was added."""
+    model, system, flux = _golden_system(2, 30.0)
+    dt = 0.01 * system.time_scale
+    extra = set()
+    for n_steps in (1, sim._STREAM_BLOCK + 65, 65):
+        config = _bare_config(flux, n_steps, dt, linearized=False)
+        with monkeypatch.context() as patch:
+            exps, mods = _count_calls(patch, "exp"), _count_calls(patch, "mod")
+            sim._run_abc_feedback(model, config, width, 1.0 / system.time_scale)
+        assert mods[0] == 0
+        extra.add(exps[0] - 3 * n_steps)
+    assert len(extra) == 1
+    assert extra.pop() >= 0
 
 
 @pytest.mark.parametrize("moments", [False, True], ids=["no-moments", "moments"])
