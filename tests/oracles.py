@@ -12,7 +12,8 @@ the filter error of the sin() and linearized loops stepped one sample
 at a time, the smoothing weights by float inverses of the information sum, the
 stationary covariance of that Euler recurrence as a discrete Lyapunov
 solve, the exponential-window feedback loop with scalar and broadcast
-operands, the ensemble MSE and windowed MSE reduced over whole error
+operands, also as stepped before its Newton steps moved theta in place
+(earlier_abc_loop), the ensemble MSE and windowed MSE reduced over whole error
 paths (mse_statistics, windowed_mse), which every run sums block by block,
 and the smoother's backward pass as a second sweep over the blocks that
 replays the forward readout (two_pass_error_passes), which every run folds

@@ -772,12 +772,12 @@ class TestGoldenValues:
     of the loop, keeps the values from before (test_abc_keeps_earlier_values,
     test_unwrapped_abc_windows_keep_earlier_values).
 
-    Host dependency: the exponential-window values (test_abc,
-    test_unwrapped_abc_windows) were captured with numpy's SIMD complex
-    multiply, which rounds like a fused multiply-add on an FMA-capable x86
-    host. A numpy build or CPU that takes the baseline two-rounding loop
-    gives equally correct but different last bits, and fails these ``==``
-    checks. test_abc_feedback_matches_reference_bit_for_bit is the
+    Host dependency: the exponential-window values, new and earlier
+    (test_abc, test_unwrapped_abc_windows and their earlier-value twins),
+    were captured with numpy's SIMD complex multiply, which rounds like a
+    fused multiply-add on an FMA-capable x86 host. A numpy build or CPU that
+    takes the baseline two-rounding loop gives equally correct but different
+    last bits, and fails these ``==`` checks. test_abc_feedback_matches_reference_bit_for_bit is the
     host-independent check: it holds the loop to the reference loop in
     oracles, which takes the same complex products, on any host. The sin()
     values rest on one BLAS gemm per step, e^ G: a BLAS kernel that sums its
@@ -970,10 +970,10 @@ class TestGoldenRecords:
     sin() loop moved to the innovation form; the per-step loop in oracles,
     run in place of it, keeps the earlier values.
 
-    Host dependency: test_abc_record's ``==`` values depend on numpy's SIMD
-    complex multiply rounding like a fused multiply-add, as in
-    TestGoldenValues; a host whose numpy takes the baseline two-rounding
-    loop fails them with equally correct numbers. There,
+    Host dependency: the ABC record's ``==`` values, new and earlier,
+    depend on numpy's SIMD complex multiply rounding like a fused
+    multiply-add, as in TestGoldenValues; a host whose numpy takes the
+    baseline two-rounding loop fails them with equally correct numbers. There,
     test_abc_feedback_matches_reference_bit_for_bit still pins the loop to
     the reference loop bit for bit. The filter record's theta rests on the
     sin() loop's BLAS gemm, as TestGoldenValues' sin() keys do. The ABC
