@@ -70,12 +70,15 @@ the errors as they come, into per-trial sums of squared error
 (_ErrorSums). The smoother's _BackwardPass reduces its own: it keeps
 2 n + 1 floats per trial and block, the sums of a quadratic in the
 block's seed, except with wrap_errors, where it keeps its smoothed error
-whole, as a record does. A record is an ensemble that keeps its outputs,
-in a SimulationRecord whose single row is the one-trial case: per block
-it integrates the open-loop phase on from the previous block and writes
-phi, theta and y, and it adds phi to the swept phi_s - phi, so no run
-keeps a (trials, steps) noise array. Filter records and ensembles share one
-set-up and zero-flux rule: at N = 0 the gain is zero, and phi_s and the
+whole, as a record does. Each loop checks its runs, before they allocate,
+in one set-up home that hands out its block iterator (_run_filter_feedback,
+_run_abc_feedback). A record is an ensemble that keeps
+its outputs, in a SimulationRecord whose single row is the one-trial
+case, built one way for both loops: per block it writes phi (the filter
+integrates it on from the previous block), the estimate and y, from the
+block's I dt (or r), and it ends on one time grid (_record). A filter
+record adds phi to the swept phi_s - phi, so no run keeps a (trials,
+steps) noise array. At N = 0 the filter gain is zero, and phi_s and the
 smoother statistics are None. Every run times its stages into a stage_s
 dict of seconds on its result, keyed as in _STAGES.
 
@@ -115,9 +118,11 @@ _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # Memory a run keeps: (whole paths, block buffers), in float (n_trials, steps)
 # arrays, and the one-readout _block_scan maps that it holds at once; a
-# smoother's three maps are a linearized run's, a sin() smoother holds one
+# smoother's three maps are a linearized run's, a sin() smoother holds one.
+# An exponential-window record peaks as it forms t, with its last block's
+# I dt, estimates and phase, and Python objects of about 200 B per block
 _FOOTPRINT = {
-    "record": (5, 3, 3), "abc_record": (4, 2, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
+    "record": (5, 3, 3), "abc_record": (4, 5, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
     "filter": (0, 6, 1), "abc": (0, 8, 0),
 }
 # Per block, the Python objects that tracemalloc sees a backward pass keep
@@ -228,11 +233,11 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
 class SimulationRecord:
     """Trajectories of one or more trials on a shared 1-D time grid ``t``,
     every path (n_trials, T). ``y`` is the rescaled signal as a rate and
-    ``theta`` the estimate fed back at each step. Smoother records carry
-    the smoothed phi_s, NaN outside the interior window; it is None without
-    a measurement and in a filter record (simulate --estimator filter).
-    Exponential-window records carry phi_abc, the estimate after each
-    step. ``stage_s`` is keyed as in _STAGES.
+    ``theta`` the estimate fed back at each step. simulate_record's records
+    carry the smoothed phi_s, NaN outside the interior window; it is None
+    without a measurement and with smoother=False (simulate --estimator
+    filter). run_abc's carry phi_abc, the estimate after each step, a view
+    of theta's path. ``stage_s`` is keyed as in _STAGES.
     """
 
     t: np.ndarray
@@ -299,6 +304,14 @@ def _interior_slice(n_steps: int, dt: float, burn_in: float) -> slice:
             f"window empty after burn-in trimming: {k} burn-in steps at each end of {n_steps} steps"
         )
     return slice(k, n_steps - k)
+
+
+def _columns(window: slice, span: slice) -> slice:
+    """The steps of ``window`` that fall in the block of ``span``, as the
+    block's own columns: both ends clamped to [0, k] for a block of k steps,
+    so the slice is empty when the two do not meet."""
+    k = span.stop - span.start
+    return slice(min(max(window.start - span.start, 0), k), min(max(window.stop - span.start, 0), k))
 
 
 def _block_spans(n_steps: int):
@@ -450,7 +463,7 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
         target = out[:, span]
         target += reads[..., :q].reshape(target.shape)
         if moment is not None:
-            states = reads[:, max(win.start - start, 0) : max(win.stop - start, 0), q:]
+            states = reads[:, _columns(win, span), q:]
             moment += states.transpose(0, 2, 1) @ states
         if also is not None:
             also[1][:, span] += inputs @ maps[k][1]
@@ -550,8 +563,7 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
             if back is not None and config.linearized:
                 smoothed[...] = 0.0
                 also = back.w_f, smoothed
-            block_win = slice(max(win.start - span.start, 0), max(win.stop - span.start, 0))
-            x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, block_win, maps, also)
+            x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, _columns(win, span), maps, also)
             if config.linearized:
                 err = paths[..., 0]
             clock.lap("forward_scan")
@@ -629,31 +641,28 @@ class _BackwardPass:
         block's partial smoothed error in phase units, NaN outside the
         interior window, and keep the block's partial end state and,
         without a path, its quadratic."""
-        i, k = len(self.spans), span.stop - span.start
+        i, k, n = len(self.spans), span.stop - span.start, len(self.w_f)
         x0 = self.ends[i]
         x0[...] = _block_scan(np.zeros_like(x0), *self.scan, dw[:, ::-1], r[:, ::-1], s[:, ::-1], None, slice(0),
                               self.maps)
         s *= self.scale  # w_f + w_r = e_n, so the sum is the smoothed error
-        s[:, : max(self.win.start - span.start, 0)] = np.nan
-        s[:, max(self.win.stop - span.start, 0) :] = np.nan
+        inner = _columns(self.win, span)
+        s[:, : inner.start] = np.nan
+        s[:, inner.stop :] = np.nan
         self.spans.append(span)
         self.clock.lap("backward_scan")
-        lo, hi = self._interior(span)
-        if self.path is None and lo < hi:
-            self.q0[i] = np.sum(np.square(s[:, lo:hi]), axis=1)
-            q2 = np.zeros((len(self.w_f),) * 2)
-            for cols, h, _ in self._walk(np.eye(len(self.w_f)), k):
-                a, b = max(cols.start, lo), min(cols.stop, hi)
-                if a < b:
-                    h = h[:, a - cols.start : b - cols.start]
-                    self.q1[i] += s[:, a:b] @ h.T
-                    q2 += h @ h.T
-            self.q2.setdefault((k, lo, hi), q2)
+        if self.path is None and inner.start < inner.stop:
+            self.q0[i] = np.sum(np.square(s[:, inner]), axis=1)
+            key = (k, inner.start, inner.stop)  # Q2 is built once per block length and interior
+            q2 = None if key in self.q2 else self.q2.setdefault(key, np.zeros((n, n)))
+            for cols, h, _ in self._walk(np.eye(n), k):
+                part = _columns(inner, cols)
+                if part.start < part.stop:
+                    h = h[:, part]
+                    self.q1[i] += s[:, cols][:, part] @ h.T
+                    if q2 is not None:
+                        q2 += h @ h.T
             self.clock.lap("reductions")
-
-    def _interior(self, span: slice) -> tuple:
-        """(lo, hi): the interior window's columns in the block of span."""
-        return max(self.win.start - span.start, 0), min(self.win.stop - span.start, span.stop - span.start)
 
     def _unit(self, j: int) -> np.ndarray:
         """[h | Phi] (n, j + n) of a scan block of j steps: the phase
@@ -683,13 +692,13 @@ class _BackwardPass:
         reduce each block into sums, through its quadratic without a path."""
         for i in reversed(range(len(self.spans))):
             span = self.spans[i]
-            k, (lo, hi) = span.stop - span.start, self._interior(span)
+            k, inner = span.stop - span.start, _columns(self.win, span)
             for cols, h, y in self._walk(x, k):
                 if self.path is not None:
                     self.path[:, span.start + cols.start : span.start + cols.stop] += h
             if self.path is None:
-                if lo < hi:
-                    quadratic = np.sum((x @ self.q2[k, lo, hi]) * x, axis=1)
+                if inner.start < inner.stop:
+                    quadratic = np.sum((x @ self.q2[k, inner.start, inner.stop]) * x, axis=1)
                     self.sums.sums[0] += self.q0[i] + 2.0 * np.sum(x * self.q1[i], axis=1) + quadratic
             elif self.sums is not None:
                 self.sums.add(span.start, self.path[:, span])
@@ -714,7 +723,11 @@ def _abc_phase_updater(flux: float, angle: np.ndarray, e: np.ndarray):
     negative (elsewhere, a NaN curvature included, the iterate stays). So
     theta moves by at most 3 rad, less than half a turn, and needs no
     moving by whole turns. It need not end at a maximizer: it may end
-    unconverged, or where the curvature is >= 0. Trials whose statistics are
+    unconverged, or where the curvature is >= 0. In a run's first few dozen
+    steps, while the statistics are young, theta can jump by 1.5 rad a step
+    and rounding is amplified about 100 times (p = 2, grid 30, seed 6: 7e-14
+    of the peak against a long-double loop, where other seeds stay within
+    5e-15). Trials whose statistics are
     too small to define a phase hold theta, restored from a copy taken only
     on a step where one holds. 2 theta is formed once, after the last step;
     e is left at the second iterate. update returns its own hold mask,
@@ -876,18 +889,13 @@ def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: f
         yield span, phi, after, idt, held
 
 
-def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, clock=None):
-    """_abc_blocks collected into whole paths: returns (phi, est, idt,
-    held), the (n_trials, T) phase, est one column longer, with est[:, i]
-    the theta fed back at step i (zero at the start) and est[:, i + 1] the
-    estimate after it, the photocurrent and the held trial-steps."""
-    phi, idt = np.empty((n_trials, config.n_steps)), np.empty((n_trials, config.n_steps))
-    est = np.zeros((n_trials, config.n_steps + 1))
-    blocks = _abc_blocks(model, config, n_trials, chi, clock or _StageClock())
-    for span, block_phi, after, block_idt, held in blocks:
-        phi[:, span], idt[:, span] = block_phi, block_idt
-        est[:, span.start + 1 : span.stop + 1] = after
-    return phi, est, idt, held
+def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, kind: str, clock):
+    """Set-up of every exponential-window run of ``kind``, a _FOOTPRINT
+    key, as _run_filter_feedback is the filter's: the run checked, then
+    the _abc_blocks iterator returned."""
+    _run_system(model, config, kind, n_trials)
+    clock.lap("covariance")
+    return _abc_blocks(model, config, n_trials, chi, clock)
 
 
 def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, kind: str, smoother: bool, clock,
@@ -906,21 +914,24 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
         back = _BackwardPass(model, system, config, vf, weights, n_trials, clock, kind) if smoother else None
     else:  # no measurement: zero gain, nothing to smooth
         vf, back = np.zeros((system.n_states, system.n_states)), None
-    n_steps = config.n_steps
     clock.lap("covariance")
-    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, n_steps), clock)
-    return back, _error_blocks(model, system, config, vf, back, (n_trials, n_steps), draw, clock, moment)
+    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, config.n_steps), clock)
+    return back, _error_blocks(model, system, config, vf, back, (n_trials, config.n_steps), draw, clock, moment)
 
 
-def simulate_record(model: PhaseModel, config: HomodyneConfig) -> SimulationRecord:
+def _record(config: HomodyneConfig, clock: _StageClock, phi, theta, y, **paths) -> SimulationRecord:
+    """The record of a run's whole paths, on the time grid t_i = i dt."""
+    t = np.arange(float(config.n_steps))
+    t *= config.dt  # in place: an integer range times dt would take a second path and a cast buffer
+    record = SimulationRecord(t, phi, theta, y, stage_s=clock.stage_s, **paths)
+    clock.lap("reductions")
+    return record
+
+
+def simulate_record(model: PhaseModel, config: HomodyneConfig, smoother: bool = True) -> SimulationRecord:
     """One trial with the causal estimator in the feedback loop, as a one-row
-    record. With a measurement (mu > 0) the backward pass runs too and
-    phi_s is filled on the interior window."""
-    return _filter_record(model, config, True)
-
-
-def _filter_record(model: PhaseModel, config: HomodyneConfig, smoother: bool) -> SimulationRecord:
-    """simulate_record, with the backward pass and phi_s only if ``smoother``.
+    record. With ``smoother`` and a measurement (mu > 0) the backward pass
+    runs too and phi_s is filled on the interior window; else phi_s is None.
     Per block, phi is integrated on from the previous block, theta = phi +
     (theta - phi) and y = r / dt + 2 sqrt(N) phi; phi_s = phi + (phi_s - phi)."""
     clock = _StageClock()
@@ -937,38 +948,28 @@ def _filter_record(model: PhaseModel, config: HomodyneConfig, smoother: bool) ->
         block_y += np.multiply(block_phi, two_sqrt_n, out=block_phi)
         clock.lap("reductions")
     phi_s = None if back is None else np.add(back.path, phi, out=back.path)
-    t = np.arange(float(config.n_steps))
-    t *= config.dt  # in place: an integer range times dt would take a second path and a cast buffer
-    record = SimulationRecord(t, phi, theta, y, phi_s=phi_s, stage_s=clock.stage_s)
-    clock.lap("reductions")
-    return record
+    return _record(config, clock, phi, theta, y, phi_s=phi_s)
 
 
 def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> SimulationRecord:
     """One trial with the exponential-window estimator at window rate chi
     in the feedback loop (_abc_loop), as a one-row record. Steps whose
     statistics are too small to define a phase hold theta and are counted
-    in abc_indeterminate_steps.
-    """
+    in abc_indeterminate_steps. Per block it writes phi, the estimates and
+    y = I dt / dt + 2 sqrt(N) theta, theta the estimate fed back."""
     clock = _StageClock()
-    _run_system(model, config, "abc_record", 1)
-    clock.lap("covariance")
-    phi, est, y, held = _run_abc_feedback(model, config, 1, chi, clock)
-    theta = est[:, :-1]
-    y /= config.dt  # y dt = I dt + 2 sqrt(N) theta dt
-    y += 2.0 * math.sqrt(config.photon_flux) * theta
-    t = np.arange(float(config.n_steps))
-    t *= config.dt  # in place, as in simulate_record
-    clock.lap("reductions")
-    return SimulationRecord(
-        t,
-        phi,
-        theta,
-        y,
-        phi_abc=est[:, 1:],
-        abc_indeterminate_steps=held,
-        stage_s=clock.stage_s,
-    )
+    blocks = _run_abc_feedback(model, config, 1, chi, "abc_record", clock)
+    phi, y = np.empty((1, config.n_steps)), np.empty((1, config.n_steps))
+    est = np.zeros((1, config.n_steps + 1))  # est[:, i] is the theta of step i, est[:, i + 1] the estimate after it
+    two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
+    held = 0
+    for span, block_phi, after, idt, held in blocks:
+        phi[:, span] = block_phi
+        est[:, span.start + 1 : span.stop + 1] = after
+        block_y = np.divide(idt, config.dt, out=y[:, span])  # as in simulate_record, from I dt and theta
+        block_y += np.multiply(est[:, span], two_sqrt_n, out=block_phi)
+        clock.lap("reductions")
+    return _record(config, clock, phi, est[:, :-1], y, phi_abc=est[:, 1:], abc_indeterminate_steps=held)
 
 
 def _trial_statistics(per_trial: np.ndarray) -> tuple[float, float]:
@@ -1013,10 +1014,11 @@ class _ErrorSums:
             np.square(sq, out=sq)
         else:
             sq = np.square(err)
+        span = slice(start, start + err.shape[1])
         for total, s in zip(self.sums, self.slices):
-            lo, hi = max(s.start - start, 0), min(s.stop - start, err.shape[1])
-            if lo < hi:
-                total += np.sum(sq[:, lo:hi], axis=1)
+            cols = _columns(s, span)
+            if cols.start < cols.stop:
+                total += np.sum(sq[:, cols], axis=1)
 
     def mse_statistics(self) -> tuple[float, float]:
         win = self.slices[0]
@@ -1102,11 +1104,10 @@ def run_abc_trials(
     if n_trials < 2:
         raise ValidationError("need at least 2 trials")
     clock = _StageClock()
-    _run_system(model, config, "abc", n_trials)
+    blocks = _run_abc_feedback(model, config, n_trials, chi, "abc", clock)
     sums = _ErrorSums(n_trials, config, wrap_errors, windows=True)
-    clock.lap("covariance")
     held = 0
-    for span, phi, est, _, held in _abc_blocks(model, config, n_trials, chi, clock):
+    for span, phi, est, _, held in blocks:
         sums.add(span.start, np.subtract(est, phi, out=phi))  # phi_abc - phi, written over phi
         clock.lap("reductions")
     wins = sums.windowed_mse()

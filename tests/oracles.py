@@ -19,10 +19,12 @@ and the smoother's backward pass as a second sweep over the blocks that
 replays the forward readout (two_pass_error_passes), which every run folds
 into its forward pass.
 
-Two are seams instead, which run the package's own code on whole arrays
+Three are seams instead, which run the package's own code on whole arrays
 for the references and the tests to compare with: trial_noise, the noise
-of a run's trials as its block driver draws it, and error_passes, the
-filter and smoother errors over given noise, collected into whole paths.
+of a run's trials as the run draws it block by block, error_passes, the filter
+and smoother errors over given noise, and abc_paths, the
+exponential-window loop's phase, estimates and photocurrent, each
+collected into whole paths.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from phasetrack.simulation import (
     _ABC_HOLD_THRESHOLD,
     _BackwardPass,
     _StageClock,
+    _abc_blocks,
     _block_scan,
     _block_spans,
     _error_blocks,
@@ -545,9 +548,24 @@ def earlier_abc_loop(config: HomodyneConfig, n_trials: int, chi: float):
     return _abc_reference_loop(config, n_trials, chi, earlier=True)
 
 
+def abc_paths(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
+    """_abc_blocks collected into whole paths, without the run check:
+    returns (phi, est, idt, held), the (n_trials, T) phase, est one column
+    longer, with est[:, i] the theta fed back at step i (zero at the start)
+    and est[:, i + 1] the estimate after it, the photocurrent and the held
+    trial-steps."""
+    phi, idt = np.empty((n_trials, config.n_steps)), np.empty((n_trials, config.n_steps))
+    est = np.zeros((n_trials, config.n_steps + 1))
+    held = 0
+    for span, block_phi, after, block_idt, held in _abc_blocks(model, config, n_trials, chi, _StageClock()):
+        phi[:, span], idt[:, span] = block_phi, block_idt
+        est[:, span.start + 1 : span.stop + 1] = after
+    return phi, est, idt, held
+
+
 def abc_feedback_reference(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float):
-    """_run_abc_feedback through _abc_reference_loop over the whole run: the
-    same (phi, est, idt, held)."""
+    """abc_paths through _abc_reference_loop over the whole run: the same
+    (phi, est, idt, held)."""
     step = _abc_reference_loop(config, n_trials, chi)
     dw, idt = trial_noise(config.seed, n_trials, config.n_steps, config.dt)
     phi = _open_loop_phase(model, config.dt, dw)

@@ -226,15 +226,16 @@ class TestSimulate:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("estimator", ["smoother", "abc"])
+    @pytest.mark.parametrize("estimator", ["filter", "smoother", "abc"])
     def test_record_bytes_are_repr_of_each_value(self, capsys, tmp_path, monkeypatch, estimator):
         """The CSV holds repr(float) of every value, nan for absent paths and
-        for phi_s outside the interior window."""
+        for phi_s outside the interior window. Every record comes from a
+        public entry point."""
         records = []
 
         def keep(fn):
-            def wrapped(*args):
-                records.append(fn(*args))
+            def wrapped(*args, **kwargs):
+                records.append(fn(*args, **kwargs))
                 return records[-1]
             return wrapped
 

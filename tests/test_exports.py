@@ -1,8 +1,9 @@
 """Every exported name resolves: the package and each layer module. The
-package exports only what the CLI, the sweep and the README use. The
-functions the benchmark traces stay public, and the simulation entry points
-keep the parameter names that the benchmark binds and take no LgSystem.
-Importing the package loads no scipy module."""
+package exports only what the CLI, the sweep and the README use, and the
+README's library example runs. The functions the benchmark traces stay
+public, the CLI reaches simulation through them alone, and the simulation
+entry points keep the parameter names that the benchmark binds and take no
+LgSystem. Importing the package loads no scipy module."""
 
 import ast
 import importlib
@@ -155,15 +156,55 @@ def test_simulation_calls_no_linalg():
     assert found == []
 
 
-def test_filter_set_up_has_one_home():
-    """Records and ensembles share one filter set-up: in simulation.py the
-    covariance solve, its scaling and the smoother weights are each called
-    from exactly one function, so the two entry points cannot drift apart."""
+def _simulation_callers(*names) -> dict:
+    """The top-level functions of simulation.py that call each of names."""
     tree = ast.parse(Path(simulation.__file__).read_text())
-    callers = {"solve_filter_covariance": set(), "scale_covariance": set(), "_smoothing_weights": set()}
+    callers = {name: set() for name in names}
     for func in tree.body:
         if isinstance(func, ast.FunctionDef):
             for node in ast.walk(func):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in callers:
                     callers[node.func.id].add(func.name)
+    return callers
+
+
+def test_filter_set_up_has_one_home():
+    """Records and ensembles share one filter set-up: in simulation.py the
+    covariance solve, its scaling and the smoother weights are each called
+    from exactly one function, so the two entry points cannot drift apart."""
+    callers = _simulation_callers("solve_filter_covariance", "scale_covariance", "_smoothing_weights")
     assert {name: len(funcs) for name, funcs in callers.items()} == dict.fromkeys(callers, 1), callers
+
+
+def test_run_check_has_one_home_per_loop():
+    """Every run is checked by its loop's set-up: in simulation.py only the
+    filter's and the exponential window's set-up homes call _run_system,
+    and the entry points of each loop, records and ensembles, call its home."""
+    assert _simulation_callers("_run_system") == {"_run_system": {"_run_filter_feedback", "_run_abc_feedback"}}
+    assert _simulation_callers("_run_filter_feedback", "_run_abc_feedback") == {
+        "_run_filter_feedback": {"simulate_record", "simulate_filter_trials"},
+        "_run_abc_feedback": {"run_abc", "run_abc_trials"},
+    }
+
+
+def test_cli_imports_no_private_simulation_name():
+    """The CLI builds every record through simulation's public entry
+    points, the ones the benchmark traces."""
+    tree = ast.parse((Path(phasetrack.__file__).parent / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "simulation"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as written and prints its two
+    lines, so the calls it documents stay valid."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"## Library example\s+```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     abc_feedback_reference,
+    abc_paths,
     chain_cumsum,
     discrete_filter_covariance,
     earlier_abc_loop,
@@ -163,7 +164,7 @@ class TestSimulateRecord:
         and its other paths are the smoother record's bit for bit."""
         model, system, config = _setup(duration_factor=30.0, linearized=linearized)
         smoothed = simulate_record(model, config)
-        rec = sim._filter_record(model, config, False)
+        rec = simulate_record(model, config, smoother=False)
         assert rec.phi_s is None and rec.stage_s["backward_scan"] == 0.0
         for name in ("t", "phi", "theta", "y"):
             assert np.array_equal(getattr(rec, name), getattr(smoothed, name)), name
@@ -632,7 +633,7 @@ def test_abc_feedback_matches_reference_bit_for_bit(width, p, damped, linearized
     config = HomodyneConfig(
         photon_flux=flux, dt=dt, duration=n_steps * dt, burn_in=0.0, seed=seed, linearized=linearized
     )
-    got = sim._run_abc_feedback(model, config, width, chi)
+    got = abc_paths(model, config, width, chi)
     ref = abc_feedback_reference(model, config, width, chi)
     for name, a, b in zip(("phi", "est", "idt"), got, ref):
         assert a.shape == b.shape == (width, config.n_steps + (name == "est")), name
@@ -740,8 +741,8 @@ def _whole_path_statistics(model, config, n_trials, smoother=True, moments=True,
 def _whole_path_abc(model, config, n_trials, chi, wrap=False):
     """run_abc_trials' (mse, stderr, window MSEs, held steps) through the
     records' path-keeping route: mse_statistics and windowed_mse on the
-    whole error path of _run_abc_feedback."""
-    phi, est, _, held = sim._run_abc_feedback(model, config, n_trials, chi)
+    whole error path of abc_paths."""
+    phi, est, _, held = abc_paths(model, config, n_trials, chi)
     err = est[:, 1:] - phi
     mse, se = mse_statistics(err, config.dt, config.burn_in, wrap)
     return mse, se, windowed_mse(err, config.dt, config.burn_in, wrap), held
@@ -1073,7 +1074,7 @@ def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
 
     chi = 1.0 / system.time_scale
     rec = run_abc(model, config, chi)
-    phi, est, idt, _ = sim._run_abc_feedback(model, config, 3, chi)
+    phi, est, idt, _ = abc_paths(model, config, 3, chi)
     y = idt / config.dt
     y += 2.0 * math.sqrt(config.photon_flux) * est[:, :-1]
     rows = {"phi": phi, "theta": est[:, :-1], "phi_abc": est[:, 1:], "y": y}
@@ -1406,7 +1407,7 @@ def test_abc_loop_makes_three_exps_and_no_mod_per_step(monkeypatch, width):
         config = _bare_config(flux, n_steps, dt, linearized=False)
         with monkeypatch.context() as patch:
             exps, mods = _count_calls(patch, "exp"), _count_calls(patch, "mod")
-            sim._run_abc_feedback(model, config, width, 1.0 / system.time_scale)
+            abc_paths(model, config, width, 1.0 / system.time_scale)
         assert mods[0] == 0
         extra.add(exps[0] - 3 * n_steps)
     assert len(extra) == 1
@@ -1733,6 +1734,25 @@ def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_
             )
     run()
     assert _alloc_peak(run) <= sim._check_footprint(kind, n_trials, n_steps, system.n_states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window=st.tuples(st.integers(0, 70), st.integers(0, 70)),
+    start=st.integers(0, 50),
+    k=st.integers(1, 20),
+)
+def test_columns_are_the_window_within_the_block(window, start, k):
+    """_columns, which every run uses to find an interior or a window in a
+    block, picks out of a block of k steps the columns that a boolean mask
+    of the window over the whole run marks, empty windows included, as a
+    slice whose ends lie in [0, k]."""
+    win, span = slice(*window), slice(start, start + k)
+    mask = np.zeros(80, dtype=bool)
+    mask[win] = True
+    cols = sim._columns(win, span)
+    assert 0 <= cols.start <= k and 0 <= cols.stop <= k
+    assert np.array_equal(np.arange(k)[cols], np.flatnonzero(mask[span]))
 
 
 _L = 2 * sim._SCAN_BLOCK  # the block length the block-edge property streams with
