@@ -1,8 +1,9 @@
 """Command-line front end: bound tables, steady-state covariances, single
 simulation records, and flux sweeps with CSV output.
 
-Exit codes: 0 success, 2 invalid parameters or spec, or a run too large
-for memory, 3 numerical failure (divergent bound, stalled iteration).
+Exit codes: 0 success, 2 invalid parameters or spec, a run too large for
+memory, or a sweep worker that died, 3 numerical failure (divergent bound,
+stalled iteration).
 """
 
 from __future__ import annotations

@@ -80,7 +80,12 @@ block's I dt (or r), and it ends on one time grid (_record). A filter
 record adds phi to the swept phi_s - phi, so no run keeps a (trials,
 steps) noise array. At N = 0 the filter gain is zero, and phi_s and the
 smoother statistics are None. Every run times its stages into a stage_s
-dict of seconds on its result, keyed as in _STAGES.
+dict of seconds on its result, keyed as in _STAGES, and puts what it
+counts beyond its paths or statistics into a diagnostics dict of named
+counts (so far an exponential-window run's indeterminate_steps). Every
+ensemble, of either loop, returns one EnsembleResult, which _ErrorSums
+states from its sums: the MSE and its standard error, and the window MSEs
+and divergence verdict of the exponential window.
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -120,7 +125,7 @@ _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # arrays, and the one-readout _block_scan maps that it holds at once; a
 # smoother's three maps are a linearized run's, a sin() smoother holds one.
 # An exponential-window record peaks as it forms t, with its last block's
-# I dt, estimates and phase, and Python objects of about 200 B per block
+# I dt, estimates and phase, and _ABC_BLOCK_BYTES per block
 _FOOTPRINT = {
     "record": (5, 3, 3), "abc_record": (4, 5, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
     "filter": (0, 6, 1), "abc": (0, 8, 0),
@@ -130,6 +135,11 @@ _FOOTPRINT = {
 # its list slot, and a 56 B tuple that CPython's free list holds per block
 # until a full collection (in every streamed run)
 _SPAN_BYTES = 192
+# Per block, the Python objects that tracemalloc sees an exponential-window
+# record keep, charged to the phase's cumsum and the noise draw's loop: about
+# 200 B a block over its first hundred blocks, then less (66 B a block on
+# average over 982)
+_ABC_BLOCK_BYTES = 192
 # Per step of a chunk, the sin() loop's four array views (570 B of Python objects)
 _STEP_VIEW_BYTES = 600
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
@@ -237,7 +247,8 @@ class SimulationRecord:
     carry the smoothed phi_s, NaN outside the interior window; it is None
     without a measurement and with smoother=False (simulate --estimator
     filter). run_abc's carry phi_abc, the estimate after each step, a view
-    of theta's path. ``stage_s`` is keyed as in _STAGES.
+    of theta's path, and the held trial-steps in
+    diagnostics["indeterminate_steps"]. ``stage_s`` is keyed as in _STAGES.
     """
 
     t: np.ndarray
@@ -246,22 +257,24 @@ class SimulationRecord:
     y: np.ndarray
     phi_s: Optional[np.ndarray] = None
     phi_abc: Optional[np.ndarray] = None
-    abc_indeterminate_steps: int = 0
+    diagnostics: dict = field(default_factory=dict)
     stage_s: dict = field(default_factory=dict)
 
 
 class _StageClock:
     """Seconds per stage of one run: each lap charges the time since the
-    previous lap (or since the clock started) to the stage it names."""
+    previous lap (or since the clock started) to the stage it names and
+    returns the stage_s dict, so a result takes it from its last lap."""
 
     def __init__(self):
         self.stage_s = dict.fromkeys(_STAGES, 0.0)
         self._last = time.perf_counter()
 
-    def lap(self, stage: str) -> None:
+    def lap(self, stage: str) -> dict:
         now = time.perf_counter()
         self.stage_s[stage] += now - self._last
         self._last = now
+        return self.stage_s
 
 
 def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, moments: bool = False) -> int:
@@ -271,7 +284,8 @@ def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, mome
     of _STREAM_BLOCK steps and one-readout scan maps, a filter run's sin()
     loop chunk, _SCAN_BLOCK + 1 rows of n_states + 3 floats per trial and
     _STEP_VIEW_BYTES per step, and what a backward pass keeps per block:
-    2 n_states + 1 floats per trial and _SPAN_BYTES. A map of q
+    2 n_states + 1 floats per trial and _SPAN_BYTES, or an exponential-window
+    record's _ABC_BLOCK_BYTES. A map of q
     readouts is (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states)
     floats; full-state ``moments`` add n_states readouts to the forward
     scan's, which the backward scan's map is held beside."""
@@ -279,11 +293,14 @@ def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, mome
     width = maps * (_SCAN_BLOCK + n_states) + moments * _SCAN_BLOCK * n_states
     maps = (n_states + 2 * _SCAN_BLOCK) * width
     need = 8 * (n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + maps)
+    n_blocks = -(-n_steps // _STREAM_BLOCK)
     if kind not in ("abc", "abc_record"):
         chunk = min(_SCAN_BLOCK, n_steps)
         need += 8 * n_trials * (chunk + 1) * (n_states + 3) + chunk * _STEP_VIEW_BYTES
     if kind in ("record", "smoother", "wrapped_smoother"):  # one span more at most: a partial scan block's own
-        need += (-(-n_steps // _STREAM_BLOCK) + 1) * (8 * n_trials * (2 * n_states + 1) + _SPAN_BYTES)
+        need += (n_blocks + 1) * (8 * n_trials * (2 * n_states + 1) + _SPAN_BYTES)
+    if kind == "abc_record":
+        need += n_blocks * _ABC_BLOCK_BYTES
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
@@ -727,12 +744,11 @@ def _abc_phase_updater(flux: float, angle: np.ndarray, e: np.ndarray):
     steps, while the statistics are young, theta can jump by 1.5 rad a step
     and rounding is amplified about 100 times (p = 2, grid 30, seed 6: 7e-14
     of the peak against a long-double loop, where other seeds stay within
-    5e-15). Trials whose statistics are
-    too small to define a phase hold theta, restored from a copy taken only
-    on a step where one holds. 2 theta is formed once, after the last step;
-    e is left at the second iterate. update returns its own hold mask,
-    overwritten by the next call, and its count. It divides for every trial,
-    so it must run under
+    5e-15). Trials whose statistics are too small to define a phase hold
+    theta, restored from a copy taken only on a step where one holds.
+    2 theta is formed once, after the last step; e is left at the second
+    iterate. update returns its own hold mask, overwritten by the next call,
+    and its count. It divides for every trial, so it must run under
     np.errstate(divide="ignore", invalid="ignore").
     """
     n_trials = angle.shape[1]
@@ -923,9 +939,7 @@ def _record(config: HomodyneConfig, clock: _StageClock, phi, theta, y, **paths) 
     """The record of a run's whole paths, on the time grid t_i = i dt."""
     t = np.arange(float(config.n_steps))
     t *= config.dt  # in place: an integer range times dt would take a second path and a cast buffer
-    record = SimulationRecord(t, phi, theta, y, stage_s=clock.stage_s, **paths)
-    clock.lap("reductions")
-    return record
+    return SimulationRecord(t, phi, theta, y, stage_s=clock.lap("reductions"), **paths)
 
 
 def simulate_record(model: PhaseModel, config: HomodyneConfig, smoother: bool = True) -> SimulationRecord:
@@ -955,8 +969,9 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     """One trial with the exponential-window estimator at window rate chi
     in the feedback loop (_abc_loop), as a one-row record. Steps whose
     statistics are too small to define a phase hold theta and are counted
-    in abc_indeterminate_steps. Per block it writes phi, the estimates and
-    y = I dt / dt + 2 sqrt(N) theta, theta the estimate fed back."""
+    in diagnostics["indeterminate_steps"]. Per block it writes phi, the
+    estimates and y = I dt / dt + 2 sqrt(N) theta, theta the estimate fed
+    back."""
     clock = _StageClock()
     blocks = _run_abc_feedback(model, config, 1, chi, "abc_record", clock)
     phi, y = np.empty((1, config.n_steps)), np.empty((1, config.n_steps))
@@ -969,7 +984,7 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
         block_y = np.divide(idt, config.dt, out=y[:, span])  # as in simulate_record, from I dt and theta
         block_y += np.multiply(est[:, span], two_sqrt_n, out=block_phi)
         clock.lap("reductions")
-    return _record(config, clock, phi, est[:, :-1], y, phi_abc=est[:, 1:], abc_indeterminate_steps=held)
+    return _record(config, clock, phi, est[:, :-1], y, phi_abc=est[:, 1:], diagnostics={"indeterminate_steps": held})
 
 
 def _trial_statistics(per_trial: np.ndarray) -> tuple[float, float]:
@@ -996,10 +1011,12 @@ class _ErrorSums:
     ``windows``, each window from burn_in to the end, added block by block
     in any order; with ``wrap`` the error is reduced to (-pi, pi] first.
     Each block is squared once, whole, and every window sums its slice.
-    mse_statistics gives the interior MSE and its standard error over
-    trials, windowed_mse the ensemble MSE of each window."""
+    statistics() gives the interior MSE and its standard error over trials,
+    result() the run's EnsembleResult."""
 
     def __init__(self, n_trials: int, config: HomodyneConfig, wrap: bool, windows: bool = False):
+        if n_trials < 2:
+            raise ValidationError("need at least 2 trials")
         self.wrap = wrap
         self.slices = [_interior_slice(config.n_steps, config.dt, config.burn_in)]
         if windows:
@@ -1020,26 +1037,53 @@ class _ErrorSums:
             if cols.start < cols.stop:
                 total += np.sum(sq[:, cols], axis=1)
 
-    def mse_statistics(self) -> tuple[float, float]:
+    def statistics(self) -> tuple[float, float]:
         win = self.slices[0]
         return _trial_statistics(self.sums[0] / (win.stop - win.start))
 
-    def windowed_mse(self) -> np.ndarray:
-        counts = np.array([max(s.stop - s.start, 0) for s in self.slices[1:]])
-        return self.sums[1:].sum(axis=1) / (counts * self.sums.shape[1])
+    def result(self, clock: _StageClock, **fields) -> EnsembleResult:
+        """The run's EnsembleResult, with ``fields`` besides the interior
+        statistics; with windows, the ensemble MSE of each window and the
+        verdict: the run diverged if that MSE increases strictly across them."""
+        if len(self.slices) > 1:
+            counts = np.array([max(s.stop - s.start, 0) for s in self.slices[1:]])
+            wins = self.sums[1:].sum(axis=1) / (counts * self.sums.shape[1])
+            fields.update(window_mse=wins, diverged=bool(np.all(np.diff(wins) > 0)))
+        return EnsembleResult(*self.statistics(), stage_s=clock.lap("reductions"), **fields)
 
 
 @dataclass(eq=False)
-class FilterTrialResult:
-    """Ensemble statistics of filter-feedback trials (and optional smoothing, None at flux 0)."""
+class EnsembleResult:
+    """Statistics of one ensemble run: the interior MSE of its causal
+    estimator (the filter or the exponential window) and its standard error
+    over trials; the smoother's, None without a smoother or a measurement;
+    with full-state statistics, the mean interior state error covariance;
+    for the exponential window, the ensemble MSE of each of the _N_WINDOWS
+    log-spaced windows after burn-in and whether the run diverged.
+    ``diagnostics`` holds the run's named counts, as a record's does;
+    ``stage_s`` is keyed as in _STAGES."""
 
-    filter_mse: float
-    filter_stderr: float
+    mse: float
+    stderr: float
     smoother_mse: Optional[float] = None
     smoother_stderr: Optional[float] = None
-    error_cov: Optional[np.ndarray] = None  # mean interior-state error covariance
+    error_cov: Optional[np.ndarray] = None
     error_cov_stderr: Optional[np.ndarray] = None
-    stage_s: dict = field(default_factory=dict)  # seconds per stage, keyed as in _STAGES
+    window_mse: Optional[np.ndarray] = None
+    diverged: bool = False
+    stage_s: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
+    # a filter run's statistics by the filter's name, and the held count that perfbench/spans.py reads
+    filter_mse = property(lambda self: self.mse)
+    filter_stderr = property(lambda self: self.stderr)
+    indeterminate_steps = property(lambda self: self.diagnostics.get("indeterminate_steps", 0))
+
+    def row(self, estimator: str) -> tuple[str, float, float]:
+        """(name, MSE, stderr) of the smoother or of the run's causal
+        ``estimator``, whose name gains ":diverged" if the run diverged."""
+        if estimator == "smoother":
+            return estimator, self.smoother_mse, self.smoother_stderr
+        return estimator + ":diverged" * self.diverged, self.mse, self.stderr
 
 
 def simulate_filter_trials(
@@ -1049,7 +1093,7 @@ def simulate_filter_trials(
     smoother: bool = False,
     full_state_stats: bool = False,
     wrap_errors: bool = False,
-) -> FilterTrialResult:
+) -> EnsembleResult:
     """Ensemble of n_trials filter-feedback trials reduced to the interior
     MSE and its standard error, with ``smoother`` the smoother's too, and
     with ``full_state_stats`` the mean interior state error covariance.
@@ -1057,8 +1101,6 @@ def simulate_filter_trials(
     slip-insensitive metric at low flux. Trial i's noise depends only on
     (config.seed, i), so a rerun reproduces the ensemble exactly.
     """
-    if n_trials < 2:
-        raise ValidationError("need at least 2 trials")
     clock = _StageClock()
     moment = np.zeros((n_trials, model.n + 1, model.n + 1)) if full_state_stats else None
     kind = _filter_kind(smoother, wrap_errors)
@@ -1067,26 +1109,14 @@ def simulate_filter_trials(
     for span, err, _, _ in blocks:
         sums.add(span.start, err)
         clock.lap("reductions")
-    result = FilterTrialResult(*sums.mse_statistics(), stage_s=clock.stage_s)
+    fields = {}
     if back is not None:
-        result.smoother_mse, result.smoother_stderr = back.sums.mse_statistics()
+        fields["smoother_mse"], fields["smoother_stderr"] = back.sums.statistics()
     if full_state_stats:
         win = sums.slices[0]
-        per_trial = moment / (win.stop - win.start)
-        result.error_cov = per_trial.mean(axis=0)
-        result.error_cov_stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(n_trials)
-    clock.lap("reductions")
-    return result
-
-
-@dataclass(eq=False)
-class AbcTrialResult:
-    mse: float
-    stderr: float
-    window_mse: np.ndarray
-    diverged: bool
-    indeterminate_steps: int
-    stage_s: dict = field(default_factory=dict)  # seconds per stage, keyed as in _STAGES
+        cov = moment / (win.stop - win.start)
+        fields.update(error_cov=cov.mean(axis=0), error_cov_stderr=cov.std(axis=0, ddof=1) / math.sqrt(n_trials))
+    return sums.result(clock, **fields)
 
 
 def run_abc_trials(
@@ -1095,14 +1125,13 @@ def run_abc_trials(
     n_trials: int,
     chi: float,
     wrap_errors: bool = False,
-) -> AbcTrialResult:
+) -> EnsembleResult:
     """Ensemble of n_trials exponential-window feedback trials at window
-    rate chi, reduced as in simulate_filter_trials. ``diverged`` is set when
-    the ensemble MSE increases strictly across the _N_WINDOWS log-spaced
-    windows after burn-in, which square wrapped errors with ``wrap_errors``.
+    rate chi, reduced as in simulate_filter_trials, and over the
+    _N_WINDOWS log-spaced windows after burn-in, which square wrapped
+    errors with ``wrap_errors``. Held trial-steps are counted in
+    diagnostics["indeterminate_steps"].
     """
-    if n_trials < 2:
-        raise ValidationError("need at least 2 trials")
     clock = _StageClock()
     blocks = _run_abc_feedback(model, config, n_trials, chi, "abc", clock)
     sums = _ErrorSums(n_trials, config, wrap_errors, windows=True)
@@ -1110,14 +1139,4 @@ def run_abc_trials(
     for span, phi, est, _, held in blocks:
         sums.add(span.start, np.subtract(est, phi, out=phi))  # phi_abc - phi, written over phi
         clock.lap("reductions")
-    wins = sums.windowed_mse()
-    mse, se = sums.mse_statistics()
-    clock.lap("reductions")
-    return AbcTrialResult(
-        mse=mse,
-        stderr=se,
-        window_mse=wins,
-        diverged=bool(np.all(np.diff(wins) > 0)),
-        indeterminate_steps=held,
-        stage_s=clock.stage_s,
-    )
+    return sums.result(clock, diagnostics={"indeterminate_steps": held})

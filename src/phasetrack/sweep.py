@@ -22,6 +22,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
@@ -266,16 +267,12 @@ def _point_rows(spec: SweepSpec, p_idx: int, g_idx: int) -> list[dict]:
     rows = []
     for estimators, model, config, chi in runs:
         if chi is None:
-            res = simulate_filter_trials(
-                model, config, spec.trials, smoother="smoother" in estimators, wrap_errors=spec.wrap_errors
-            )
-            stats = {"filter": ("filter", res.filter_mse, res.filter_stderr),
-                     "smoother": ("smoother", res.smoother_mse, res.smoother_stderr)}
+            smoother = "smoother" in estimators
+            res = simulate_filter_trials(model, config, spec.trials, smoother=smoother, wrap_errors=spec.wrap_errors)
         else:
             res = run_abc_trials(model, config, spec.trials, chi, wrap_errors=spec.wrap_errors)
-            stats = {"abc": ("abc:diverged" if res.diverged else "abc", res.mse, res.stderr)}
         for est in estimators:  # the CSV_HEADER columns in order
-            values = (p, n_over_kappa, *stats[est], spec.trials, config.dt, config.duration, spec.seed, *analytic)
+            values = (p, n_over_kappa, *res.row(est), spec.trials, config.dt, config.duration, spec.seed, *analytic)
             rows.append(dict(zip(CSV_HEADER, values)))
     return rows
 
@@ -287,7 +284,9 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
     processes when that exceeds 1; rows are written in deterministic point
     order and flushed per point, so an interrupted sweep leaves a valid
     prefix of the full file. A row with a non-finite MSE, standard error or
-    analytic value raises NumericalError before it is written.
+    analytic value raises NumericalError before it is written, and a worker
+    that dies (killed, say, by the out-of-memory killer) ChildProcessError,
+    an OSError that names the first point whose rows were lost.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -305,7 +304,12 @@ def run_sweep(spec: SweepSpec, output_path, workers: int = 1) -> list[dict]:
             results = pool.map(_point_rows, *points, chunksize=1)
         else:
             results = map(_point_rows, *points)
-        for rows in results:
+        for i, j in zip(p_idx, g_idx):
+            try:
+                rows = next(results)
+            except BrokenProcessPool as exc:
+                at = f"p={spec.p[i]}, grid={spec.grid[j]:.6g}"
+                raise ChildProcessError(f"a sweep worker died: the rows from the point at {at} on are lost") from exc
             for row in rows:
                 bad = [key for key in _FINITE_COLUMNS if not math.isfinite(row[key])]
                 if bad:

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -833,3 +834,29 @@ class TestSweep:
         assert "non-finite mse" in err and "abc" in err
         # header, both rows of the first point, the filter row of the second
         assert out.read_text().splitlines() == clean.read_text().splitlines()[:4]
+
+    def test_dead_worker_exits_2(self, capfd, tmp_path, monkeypatch):
+        """A worker that dies (os._exit, as after the out-of-memory killer's
+        SIGKILL) while running the grid-30 point ends the sweep with exit 2
+        and one error line that names the first point whose rows were lost:
+        no traceback, and the CSV holds a prefix of the clean run's rows."""
+        spec = tmp_path / "sweep.ini"
+        _write_spec(spec, grid="10 30", estimators="filter", trials="4", duration_factor="100")
+        clean = tmp_path / "clean.csv"
+        assert run_cli(capfd, "sweep", str(spec), "-o", str(clean))[0] == 0
+        real = sweep.simulate_filter_trials
+
+        def dies_at_grid_30(model, config, *args, **kwargs):
+            if config.photon_flux > 500:  # N = 900 at grid 30, 100 at grid 10
+                os._exit(9)
+            return real(model, config, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "simulate_filter_trials", dies_at_grid_30)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capfd, "sweep", str(spec), "-o", str(out), "--workers", "2")
+        assert code == 2 and stdout == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        lines = out.read_text().splitlines()
+        assert lines == clean.read_text().splitlines()[: len(lines)]
+        lost = ("grid=10", "grid=30")[len(lines) - 1]  # one row per point after the header
+        assert err.startswith("error: ") and "worker" in err and f"p=2, {lost} " in err

@@ -104,6 +104,17 @@ def test_step_counting_parameter_names(name, params):
     assert set(params) <= set(signature.parameters)
 
 
+def test_abc_ensemble_result_keeps_the_held_count_the_benchmark_reads():
+    """perfbench/spans.py reads result.indeterminate_steps from each
+    run_abc_trials result for simulation.abc_held_frac: on a 2-trial
+    ensemble at flux 0, where every trial-step holds, it is the integer
+    count in the result's diagnostics."""
+    config = simulation.HomodyneConfig(photon_flux=0.0, dt=0.01, duration=10.0, burn_in=1.0, seed=5)
+    res = simulation.run_abc_trials(phase_process.PhaseModel(2, 1.0), config, 2, chi=2.0)
+    assert res.indeterminate_steps == res.diagnostics["indeterminate_steps"] == 2 * config.n_steps
+    assert isinstance(res.indeterminate_steps, int)
+
+
 def test_simulation_functions_take_no_lg_system():
     """A run is stated by a PhaseModel plus a HomodyneConfig or the photon
     flux; each simulation function derives the linear-Gaussian system from

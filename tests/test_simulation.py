@@ -117,6 +117,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match="undamped"):
             simulate_filter_trials(damped, config, 2, smoother=True)
 
+    @pytest.mark.parametrize("estimator", ["filter", "smoother", "abc"])
+    def test_ensembles_need_two_trials(self, estimator):
+        """An ensemble's standard error is taken over trials, so each
+        ensemble entry point rejects a single trial."""
+        model, system, config = _setup(duration_factor=30.0)
+        with pytest.raises(ValidationError, match="at least 2 trials"):
+            if estimator == "abc":
+                sim.run_abc_trials(model, config, 1, math.sqrt(system.mu))
+            else:
+                simulate_filter_trials(model, config, 1, smoother=estimator == "smoother")
+
     @settings(max_examples=60, deadline=None)
     @given(
         p=st.sampled_from(range(2, 21, 2)),
@@ -468,13 +479,20 @@ def _phase_update(ab, theta, flux):
 
 
 class TestAbc:
-    def test_no_signal_holds_initial_phase(self):
-        # flux 0: the functionals carry no weight, so theta never moves
+    @pytest.mark.parametrize("n_trials", [None, 3], ids=["run_abc", "run_abc_trials"])
+    def test_no_signal_holds_initial_phase(self, n_trials):
+        """At flux 0 the functionals carry no weight, so theta never moves
+        and every trial-step holds: a record and a 3-trial ensemble each
+        count trials x steps in diagnostics["indeterminate_steps"]."""
         model = PhaseModel(2, 1.0)
         config = HomodyneConfig(photon_flux=0.0, dt=0.01, duration=10.0, burn_in=1.0, seed=5)
-        rec = run_abc(model, config, chi=2.0)
-        assert np.all(rec.phi_abc == 0.0)
-        assert rec.abc_indeterminate_steps == len(rec.t)
+        if n_trials is None:
+            res = run_abc(model, config, chi=2.0)
+            assert np.all(res.phi_abc == 0.0)
+        else:
+            res = sim.run_abc_trials(model, config, n_trials, chi=2.0)
+        assert config.n_steps == 1000
+        assert res.diagnostics["indeterminate_steps"] == (n_trials or 1) * config.n_steps
 
     def test_phase_update_holds_on_empty_statistics(self):
         theta = np.array([0.3, -1.0, 2.0])
@@ -1026,7 +1044,7 @@ class TestGoldenRecords:
         assert rec.phi_abc[0, self.IDX].tolist() == phi_abc
         assert rec.theta[0, self.IDX].tolist() == theta
         assert rec.y[0, self.IDX].tolist() == y
-        assert rec.abc_indeterminate_steps == 0
+        assert rec.diagnostics["indeterminate_steps"] == 0
 
     def test_abc_record(self):
         self._check_abc_record(
@@ -1693,12 +1711,13 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
         ("abc", False, 2, 20.0, 16), ("record", False, 2, 200.0, 1), ("record", True, 2, 200.0, 1),
         ("abc_record", False, 2, 200.0, 1), ("record", False, 2, 20.0, 1), ("record", True, 2, 20.0, 1),
         ("record", False, 20, 20.0, 1), ("record", True, 20, 20.0, 1), ("record", True, 2, 1000.0, 1),
+        ("abc_record", False, 2, 1000.0, 1),
     ],
     ids=[
         "filter-sin", "filter-linearized", "smoother", "smoother-linearized", "wrapped_smoother",
         "smoother-linearized-604000", "abc", "record-sin", "record-linearized", "abc_record",
         "record-sin-6000-p2", "record-linearized-6000-p2", "record-sin-6000-p20", "record-linearized-6000-p20",
-        "record-linearized-104000",
+        "record-linearized-104000", "abc_record-104000",
     ],
 )
 def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_trials):
@@ -1714,7 +1733,8 @@ def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_
     where the two block maps of a record's smoother, a fixed 0.13 MB at
     p = 2 and 0.16 MB at p = 20, weigh about three of its paths; and of
     a default sweep point's 104 000 steps, where its paths outweigh the
-    rest."""
+    rest, and an exponential-window record's Python objects per block
+    would overrun an estimate without them."""
     model, system, flux = _golden_system(p, 30.0)
     config = default_config(model, flux, seed=3, duration_factor=duration_factor, linearized=linearized)
     n_steps = config.n_steps
