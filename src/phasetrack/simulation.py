@@ -55,37 +55,24 @@ round alike. Its operands and their order are those of the plain
 expressions, so its floats are bit for bit those of the reference loop in
 tests/oracles.py.
 
-The four entry points take (model, config, ...): p and kappa come from the
-PhaseModel, the photon flux N from the HomodyneConfig, and the
-linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows from them, so a
-run states each parameter once.
+The four entry points take (model, config, ...), from which the
+linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows, so a run
+states each parameter once.
 
 Every run, record or ensemble, runs one block driver (_error_blocks for the
 filter, _abc_blocks for the exponential window) in blocks of _STREAM_BLOCK
-steps: per block it draws each trial's noise into two block buffers, from
-generators made once per run, each normal once, steps the loop (or the
+steps: per block it draws each trial's noise, steps the loop (or the
 forward scan of a linearized run), scans the block backward for a
 smoother and yields the block's errors beside its noise. Ensembles reduce
-the errors as they come, into per-trial sums of squared error
-(_ErrorSums). The smoother's _BackwardPass reduces its own: it keeps
-2 n + 1 floats per trial and block, the sums of a quadratic in the
-block's seed, except with wrap_errors, where it keeps its smoothed error
-whole, as a record does. Each loop checks its runs, before they allocate,
-in one set-up home that hands out its block iterator (_run_filter_feedback,
-_run_abc_feedback). A record is an ensemble that keeps
-its outputs, in a SimulationRecord whose single row is the one-trial
-case, built one way for both loops: per block it writes phi (the filter
-integrates it on from the previous block), the estimate and y, from the
-block's I dt (or r), and it ends on one time grid (_record). A filter
-record adds phi to the swept phi_s - phi, so no run keeps a (trials,
-steps) noise array. At N = 0 the filter gain is zero, and phi_s and the
-smoother statistics are None. Every run times its stages into a stage_s
-dict of seconds on its result, keyed as in _STAGES, and puts what it
-counts beyond its paths or statistics into a diagnostics dict of named
-counts (so far an exponential-window run's indeterminate_steps). Every
-ensemble, of either loop, returns one EnsembleResult, which _ErrorSums
-states from its sums: the MSE and its standard error, and the window MSEs
-and divergence verdict of the exponential window.
+them as they come (_ErrorSums) into one EnsembleResult; the smoother's
+_BackwardPass keeps 2 n + 1 floats per trial and block, or with
+wrap_errors its smoothed error whole, as a record does. Each loop checks
+its runs before they allocate, in one set-up home (_run_filter_feedback,
+_run_abc_feedback), against the arrays that _peak_arrays declares and the
+runs allocate. A record keeps its outputs in a one-row SimulationRecord:
+per block it writes phi, the estimate and y, and a filter record adds phi
+to the swept phi_s - phi. Runs time their stages into stage_s and count
+what they see into diagnostics (so far indeterminate_steps).
 
 Noise streams: each trial owns one seed; the phase's Wiener increments and
 the shot noise come from two independent child streams of it, so measurement
@@ -121,27 +108,12 @@ __all__ = [
 _ABC_HOLD_THRESHOLD = 1e-12
 _SCAN_BLOCK = 64  # steps per matrix product in _block_scan
 _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
-# Memory a run keeps: (whole paths, block buffers), in float (n_trials, steps)
-# arrays, and the one-readout _block_scan maps that it holds at once; a
-# smoother's three maps are a linearized run's, a sin() smoother holds one.
-# An exponential-window record peaks as it forms t, with its last block's
-# I dt, estimates and phase, and _ABC_BLOCK_BYTES per block
-_FOOTPRINT = {
-    "record": (5, 3, 3), "abc_record": (4, 5, 0), "smoother": (0, 7, 3), "wrapped_smoother": (1, 6, 3),
-    "filter": (0, 6, 1), "abc": (0, 8, 0),
-}
-# Per block, the Python objects that tracemalloc sees a backward pass keep
-# besides its arrays: the block's span (a slice and its two ints, 120 B) and
-# its list slot, and a 56 B tuple that CPython's free list holds per block
-# until a full collection (in every streamed run)
-_SPAN_BYTES = 192
-# Per block, the Python objects that tracemalloc sees an exponential-window
-# record keep, charged to the phase's cumsum and the noise draw's loop: about
-# 200 B a block over its first hundred blocks, then less (66 B a block on
-# average over 982)
-_ABC_BLOCK_BYTES = 192
-# Per step of a chunk, the sin() loop's four array views (570 B of Python objects)
-_STEP_VIEW_BYTES = 600
+# What tracemalloc counts of a run beyond the arrays of _peak_arrays (p = 2,
+# grid 30, warm-up call first): per trial 2.4 KB, the slope over 2 to 16
+# exponential-window trials (two generators, the loops' small arrays); per run
+# up to 24.4 KB (two-trial smoothers: closures, views, uncollected garbage)
+_RUN_BYTES = 24 * 1024
+_TRIAL_BYTES = 2560
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -208,12 +180,12 @@ def default_config(
 
 
 def _filter_kind(smoother: bool, wrap_errors: bool) -> str:
-    """The _FOOTPRINT kind of a filter ensemble with these arguments."""
+    """The _peak_arrays kind of a filter ensemble with these arguments."""
     return ("wrapped_smoother" if wrap_errors else "smoother") if smoother else "filter"
 
 
 def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int, moments=False) -> LgSystem:
-    """Linear-Gaussian system of a run of ``kind`` (a _FOOTPRINT key) and
+    """Linear-Gaussian system of a run of ``kind`` (see _peak_arrays) and
     n_trials trials, with full-state ``moments`` or not, after the check
     every run makes before it allocates: rejects a grid that does not
     resolve the response time mu^(-1/p) or the model's damping rates, an
@@ -277,30 +249,48 @@ class _StageClock:
         return self.stage_s
 
 
+def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, moments: bool = False) -> dict:
+    """The float arrays a run holds at its peak, as shapes by name, for the
+    filter's one-trial "record", the exponential window's "abc_record" and
+    the ensembles "filter", "smoother", "wrapped_smoother" and "abc". The
+    sites that allocate a run's arrays take their shapes from here (a block
+    driver its loop's ensemble's) and _check_footprint sums them. Helpers
+    that tests call too allocate the rest, declared at the most a run holds
+    at once: the chain stages before the last, _block_scan's maps,
+    (n + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n) floats for q readouts, its
+    inputs and product, and a block's square in a reduction."""
+    rows, n = n_trials, n_states
+    block, chunk = min(_STREAM_BLOCK, n_steps), min(_SCAN_BLOCK, n_steps)
+    blocks = -(-n_steps // _STREAM_BLOCK) + 1  # one more at most: a partial scan block's own
+    arrays = {"noise": (2, rows, block)}  # dW and dB (then r or I dt) of one block
+    stages = (min(n - 1, 2), rows, block)  # the chain's, but the last, in records and the exponential window
+    if kind.startswith("abc"):
+        arrays.update(phase=(rows, block), est=(rows, block), stages=stages)
+    else:  # the sin() loop's rows [e^ | sin | dB | dW], and the forward scan's readouts and moments
+        q = 1 + moments * n
+        arrays.update(errors=(rows, block), loop=(chunk + 1, rows, n + 3), forward_map=(n + 2 * chunk, q * chunk + n))
+        arrays["scan"] = (rows, 2 * (n + 2 * chunk) + q * chunk + n)
+    if kind in ("record", "smoother", "wrapped_smoother"):  # the backward map, and a second forward readout's
+        arrays.update(back_maps=(2, n + 2 * chunk, chunk + n), ends=(blocks, rows, n))
+        arrays["smoothed"] = (rows, block if kind == "smoother" else n_steps)
+    if kind == "smoother":  # per block, the sums q0 and q1 of its quadratic
+        arrays["sums"] = (blocks, rows, n + 1)
+    if kind == "abc_record":  # one column longer than its paths
+        arrays["estimates"] = (rows, n_steps + 1)
+    if kind.endswith("record"):  # phi, theta and y, or phi and y, then t
+        arrays.update(paths=(2 + (kind == "record"), rows, n_steps), t=(n_steps,), stages=stages)
+    else:
+        arrays["square"] = (rows, block)
+    return arrays
+
+
 def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, moments: bool = False) -> int:
     """Reject a run whose estimate of the memory it keeps exceeds physical
     memory, before anything is allocated; return the estimate, in bytes:
-    _FOOTPRINT[kind] whole (n_trials, n_steps) float paths, block buffers
-    of _STREAM_BLOCK steps and one-readout scan maps, a filter run's sin()
-    loop chunk, _SCAN_BLOCK + 1 rows of n_states + 3 floats per trial and
-    _STEP_VIEW_BYTES per step, and what a backward pass keeps per block:
-    2 n_states + 1 floats per trial and _SPAN_BYTES, or an exponential-window
-    record's _ABC_BLOCK_BYTES. A map of q
-    readouts is (n_states + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n_states)
-    floats; full-state ``moments`` add n_states readouts to the forward
-    scan's, which the backward scan's map is held beside."""
-    paths, buffers, maps = _FOOTPRINT[kind]
-    width = maps * (_SCAN_BLOCK + n_states) + moments * _SCAN_BLOCK * n_states
-    maps = (n_states + 2 * _SCAN_BLOCK) * width
-    need = 8 * (n_trials * (paths * n_steps + buffers * min(_STREAM_BLOCK, n_steps)) + maps)
-    n_blocks = -(-n_steps // _STREAM_BLOCK)
-    if kind not in ("abc", "abc_record"):
-        chunk = min(_SCAN_BLOCK, n_steps)
-        need += 8 * n_trials * (chunk + 1) * (n_states + 3) + chunk * _STEP_VIEW_BYTES
-    if kind in ("record", "smoother", "wrapped_smoother"):  # one span more at most: a partial scan block's own
-        need += (n_blocks + 1) * (8 * n_trials * (2 * n_states + 1) + _SPAN_BYTES)
-    if kind == "abc_record":
-        need += n_blocks * _ABC_BLOCK_BYTES
+    the floats of the arrays that _peak_arrays declares for the run, and
+    the Python objects of _RUN_BYTES and _TRIAL_BYTES per trial."""
+    floats = sum(math.prod(shape) for shape in _peak_arrays(kind, n_trials, n_steps, n_states, moments).values())
+    need = 8 * floats + _RUN_BYTES + n_trials * _TRIAL_BYTES
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
@@ -331,30 +321,38 @@ def _columns(window: slice, span: slice) -> slice:
     return slice(min(max(window.start - span.start, 0), k), min(max(window.stop - span.start, 0), k))
 
 
-def _block_spans(n_steps: int):
-    """Spans of _STREAM_BLOCK steps that cover a run, made one at a time.
-    When there are several, a partial scan block at the end gets a span of
-    its own, so a scan over the spans builds its shorter map once."""
+def _block_spans(n_steps: int, reverse: bool = False):
+    """Spans of _STREAM_BLOCK steps that cover a run, made one at a time,
+    last first with ``reverse``. A partial scan block at the end of several
+    gets a span of its own, so a scan builds its shorter map once."""
     tail = n_steps % _SCAN_BLOCK if n_steps > _STREAM_BLOCK else 0
     cut = n_steps - tail
-    spans = (slice(s, min(s + _STREAM_BLOCK, cut)) for s in range(0, cut, _STREAM_BLOCK))
-    return itertools.chain(spans, [slice(cut, n_steps)] if tail else [])
+    starts = range(0, cut, _STREAM_BLOCK)
+    spans = (slice(s, min(s + _STREAM_BLOCK, cut)) for s in (reversed(starts) if reverse else starts))
+    last = [slice(cut, n_steps)] if tail else []
+    return itertools.chain(last, spans) if reverse else itertools.chain(spans, last)
+
+
+def _packed(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first floats of ``buffer`` as a C-contiguous array of ``shape``:
+    numpy takes buffers of its own for a ufunc over a strided view."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, clock: _StageClock):
-    """draw(span): the (dW, dB) Gaussian increments of the steps in span,
-    views of two buffers of ``longest`` steps that the next call
-    overwrites. The streams are made once here, so spans drawn in order
-    continue one draw of the whole record, and each normal is drawn once."""
+    """draw(span): the (dW, dB) Gaussian increments of the steps in span, a
+    _packed buffer of ``longest`` steps that the next call overwrites. The
+    streams are made once here, so spans drawn in order continue one draw
+    of the whole record, and each normal is drawn once."""
     streams = [
         [np.random.default_rng(ss) for ss in child.spawn(2)]
         for child in np.random.SeedSequence(seed).spawn(n_trials)
     ]
     sd = math.sqrt(dt)
-    buffers = (np.empty((n_trials, longest)), np.empty((n_trials, longest)))
+    buffer = np.empty((2, n_trials, longest))
 
     def draw(span):
-        pair = tuple(a[:, : span.stop - span.start] for a in buffers)
+        pair = _packed(buffer, 2, n_trials, span.stop - span.start)
         for j, block in enumerate(pair):
             for trial, row in zip(streams, block):
                 trial[j].standard_normal(out=row)
@@ -367,7 +365,8 @@ def _noise_draws(seed: int, n_trials: int, dt: float, longest: int, clock: _Stag
     return draw
 
 
-def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Optional[list] = None) -> np.ndarray:
+def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Optional[list] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """True phase of every trial, (n_trials, T) with entry i at t_i, the
     value before Wiener increment dw[:, i], integrated open-loop (the phase
     never depends on the estimate) by explicit Euler from zero:
@@ -375,7 +374,8 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Option
     phi = kappa^(n+1/2) x_n. Stage k is x_k[i+1] = c x_k[i] + g x_(k-1)[i]
     with c = 1 - lambda_k dt and g x_(k-1) = dW (stage 0) or dt x_(k-1),
     rounded as an order-1 direct-form filter: a cumsum of the shifted drive
-    where c == 1, else one step per time index for all trials.
+    where c == 1, else one step per time index for all trials. The last
+    stage is written into ``out`` when given.
 
     With ``carry``, a list, dw continues the previous call's increments:
     each stage starts from the (drive, value) pair that call left in carry
@@ -386,15 +386,14 @@ def _open_loop_phase(model: PhaseModel, dt: float, dw: np.ndarray, carry: Option
     ends = []
     for k, c in enumerate(1.0 - model.damping_rates() * dt):
         g = 1.0 if k == 0 else dt
-        x = np.empty(stage.shape)
-        np.multiply(stage[..., :-1], g, out=x[..., 1:])
+        x = out if out is not None and k == model.n else np.empty(stage.shape)
+        x[..., 0], x[..., 1:] = 0.0, stage[..., :-1]
+        x *= g  # whole: numpy takes buffers of its own for a product over shifted views
         if carry:
             drive, value = carry[k]
             x[..., 0] = drive * g + c * value
-        else:
-            x[..., 0] = 0.0
         if c == 1.0:
-            np.cumsum(x, axis=-1, out=x)
+            x.cumsum(axis=-1, out=x)  # np.cumsum's wrapper leaves ~100 B a call in free lists
         else:
             steps = x.reshape(-1, x.shape[-1]).T  # a view: steps[i] is x_k[i] of every trial
             for prev, now in zip(steps, steps[1:]):
@@ -517,7 +516,8 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     dt = config.dt
     scale = model.phase_scale
     rows, n_steps = shape
-    longest = min(_STREAM_BLOCK, n_steps)
+    arrays = _peak_arrays("filter", rows, n_steps, n, error_moment is not None)
+    errors = np.empty(arrays["errors"])  # theta - phi of a block: the sin() loop's, or the scan's readout
     gain = vf @ system.c
     closed_t = (system.a - np.outer(gain, system.c)).T * dt
     win = _interior_slice(n_steps, dt, config.burn_in)
@@ -525,7 +525,6 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     scan = config.linearized or error_moment is not None
     w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
     x = np.zeros((rows, n))  # the forward scan's error
-    read_buf = np.empty((rows, longest, w.shape[1])) if scan else None
     maps = {}
     if not config.linearized:
         # The sin() loop steps e^ = e D, D = diag(1, ..., 1, kappa^(n+1/2)),
@@ -542,9 +541,8 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
             gain * d_scale,
             -np.eye(n)[0] * d_scale,
         ))
-        z = np.zeros((chunk + 1, rows, n + 3))
+        z = np.zeros(arrays["loop"])
         steps = list(zip(z[:-1, :, n - 1], z[:-1, :, n], z[:-1], z[1:, :, :n]))
-        err_buf = np.empty((rows, longest))
         sin, matmul = np.sin, np.matmul
         if back is not None:
             forward_read = back.w_f / d_scale  # w_f . e = e^ . (w_f / D)
@@ -554,7 +552,7 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
         k = span.stop - span.start
         smoothed = None if back is None else back.partial(span)
         if not config.linearized:
-            err = err_buf[:, :k]
+            err = _packed(errors, rows, k)
             for c in range(0, k, chunk):
                 j = min(chunk, k - c)
                 cols = slice(c, c + j)
@@ -574,7 +572,7 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
                 z[0, :, :n] = z[j, :, :n]
             clock.lap("loop")
         if scan:
-            paths = read_buf[:, :k]
+            paths = _packed(errors, rows, k, w.shape[1])
             paths[...] = 0.0
             also = None
             if back is not None and config.linearized:
@@ -613,18 +611,19 @@ class _BackwardPass:
     per scan-block length by _block_scan itself, from an identity seed over
     zero inputs, so no (n, _STREAM_BLOCK) array is kept.
 
-    What the pass keeps follows from the run's ``kind``, a _FOOTPRINT key.
-    A record or a wrapped smoother keeps the smoothed error whole, in
-    ``path`` (n_trials, n_steps), into which the forward pass writes each
-    block's w_f . e (partial()) and sweep() adds x h. Any other smoother
-    writes w_f . e into a block buffer and keeps, per block, the interior
-    sum of (s + x h)^2 as a quadratic in the seed x: q0 + 2 x . q1 +
-    x Q2 x^T, with q0 (n_trials,) and q1 (n_trials, n) per block and Q2
+    What the pass keeps follows from the run's ``kind``, in the shapes of
+    _peak_arrays. A record or a wrapped smoother keeps the smoothed error
+    whole, in ``path`` (n_trials, n_steps), into which the forward pass
+    writes each block's w_f . e (partial()) and sweep() adds x h. Any other
+    smoother writes w_f . e into a block buffer and keeps, per block, the
+    interior sum of (s + x h)^2 as a quadratic in the seed x: q0 + 2 x . q1
+    + x Q2 x^T, with q0 (n_trials,) and q1 (n_trials, n) per block and Q2
     (n, n) per block length and interior slice, so it keeps no path. Per
-    block the pass also keeps its span and x0, n floats for each of
-    ``n_trials`` trials. After the sweep, an ensemble's ``sums`` (an
-    _ErrorSums, wrapped for a wrapped smoother) hold the per-trial
-    interior sums of the smoothed error squared.
+    block the pass also keeps x0, n floats for each of ``n_trials`` trials,
+    and no Python object: sweep() makes the spans again, last first. After
+    the sweep, an ensemble's ``sums`` (an _ErrorSums, wrapped for a wrapped
+    smoother) hold the per-trial interior sums of the smoothed error
+    squared.
     """
 
     def __init__(self, model: PhaseModel, system: LgSystem, config: HomodyneConfig, vf, weights, n_trials: int,
@@ -638,35 +637,36 @@ class _BackwardPass:
         self.scan = (back_t, drive @ back_t, retro_gain, w_r, drive @ w_r)
         self.scale = model.phase_scale
         self.win = _interior_slice(config.n_steps, dt, config.burn_in)
-        n_blocks = sum(1 for _ in _block_spans(config.n_steps))
-        self.ends = np.empty((n_blocks, n_trials, n))
+        self.n_steps, self.blocks = config.n_steps, 0
+        arrays = _peak_arrays(kind, n_trials, config.n_steps, n)
+        self.ends = np.empty(arrays["ends"])
         self.clock = clock
-        self.maps, self.units, self.spans = {}, {}, []
+        self.maps, self.units = {}, {}
         self.sums = None if kind == "record" else _ErrorSums(n_trials, config, kind == "wrapped_smoother")
-        if kind == "smoother":
-            self.path, self.buf = None, np.empty((n_trials, min(_STREAM_BLOCK, config.n_steps)))
-            self.q0, self.q1, self.q2 = np.zeros((n_blocks, n_trials)), np.zeros((n_blocks, n_trials, n)), {}
-        else:
-            self.path = np.empty((n_trials, config.n_steps))
+        self.path = None if kind == "smoother" else np.empty(arrays["smoothed"])
+        if kind == "smoother":  # a block's w_f . e, and per block q0 and q1 of its quadratic
+            self.buf, sums, self.q2 = np.empty(arrays["smoothed"]), np.zeros(arrays["sums"]), {}
+            self.q0, self.q1 = sums[..., 0], sums[..., 1:]
 
     def partial(self, span: slice) -> np.ndarray:
         """Where the forward pass writes w_f . e over span, for block()."""
-        return self.buf[:, : span.stop - span.start] if self.path is None else self.path[:, span]
+        return _packed(self.buf, len(self.buf), span.stop - span.start) if self.path is None else self.path[:, span]
 
     def block(self, span: slice, dw: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
         """Complete s, which holds w_f . e over the block's steps, to the
         block's partial smoothed error in phase units, NaN outside the
         interior window, and keep the block's partial end state and,
         without a path, its quadratic."""
-        i, k, n = len(self.spans), span.stop - span.start, len(self.w_f)
+        i, k, n = self.blocks, span.stop - span.start, len(self.w_f)
+        self.blocks += 1
         x0 = self.ends[i]
         x0[...] = _block_scan(np.zeros_like(x0), *self.scan, dw[:, ::-1], r[:, ::-1], s[:, ::-1], None, slice(0),
                               self.maps)
-        s *= self.scale  # w_f + w_r = e_n, so the sum is the smoothed error
+        for row in s:  # w_f + w_r = e_n, so the sum is the smoothed error; by rows, as a path's are strided
+            row *= self.scale
         inner = _columns(self.win, span)
         s[:, : inner.start] = np.nan
         s[:, inner.stop :] = np.nan
-        self.spans.append(span)
         self.clock.lap("backward_scan")
         if self.path is None and inner.start < inner.stop:
             self.q0[i] = np.sum(np.square(s[:, inner]), axis=1)
@@ -707,8 +707,7 @@ class _BackwardPass:
         """Complete the pass from its seed x, the forward error at the end
         of the record, block by block in reverse: add x h to the path, and
         reduce each block into sums, through its quadratic without a path."""
-        for i in reversed(range(len(self.spans))):
-            span = self.spans[i]
+        for i, span in zip(reversed(range(self.blocks)), _block_spans(self.n_steps, reverse=True)):
             k, inner = span.stop - span.start, _columns(self.win, span)
             for cols, h, y in self._walk(x, k):
                 if self.path is not None:
@@ -889,26 +888,26 @@ def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: f
     (span, phi, est, idt, held): the block's phase, the estimate after
     each step, the photocurrent I dt and the trial-steps held so far; the
     arrays are overwritten by the next block."""
-    longest = min(_STREAM_BLOCK, config.n_steps)
-    draw = _noise_draws(config.seed, n_trials, config.dt, longest, clock)
+    arrays = _peak_arrays("abc", n_trials, config.n_steps, model.n + 1)
+    draw = _noise_draws(config.seed, n_trials, config.dt, arrays["noise"][-1], clock)
     step = _abc_loop(config, n_trials, chi)
-    est = np.empty((n_trials, longest))
+    phase, est = np.empty(arrays["phase"]), np.empty(arrays["est"])
     carry: list = []
     held = 0
     for span in _block_spans(config.n_steps):
         dw, idt = draw(span)
-        phi = _open_loop_phase(model, config.dt, dw, carry)
+        phi = _open_loop_phase(model, config.dt, dw, carry, _packed(phase, *dw.shape))
         clock.lap("chain")
-        after = est[:, : span.stop - span.start]
+        after = _packed(est, *dw.shape)
         held += step(phi, idt, after)
         clock.lap("loop")
         yield span, phi, after, idt, held
 
 
 def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: float, kind: str, clock):
-    """Set-up of every exponential-window run of ``kind``, a _FOOTPRINT
-    key, as _run_filter_feedback is the filter's: the run checked, then
-    the _abc_blocks iterator returned."""
+    """Set-up of every exponential-window run of ``kind`` (see
+    _peak_arrays), as _run_filter_feedback is the filter's: the run
+    checked, then the _abc_blocks iterator returned."""
     _run_system(model, config, kind, n_trials)
     clock.lap("covariance")
     return _abc_blocks(model, config, n_trials, chi, clock)
@@ -916,10 +915,10 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
 
 def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, kind: str, smoother: bool, clock,
                          moment=None):
-    """Set-up and block driver of every filter run of ``kind``, a _FOOTPRINT
-    key: the run checked, Vt_F solved once and scaled to V_F, the
-    smoother's backward pass when asked, and the noise drawn block by
-    block. Returns (back, blocks): the _BackwardPass of ``kind`` (None
+    """Set-up and block driver of every filter run of ``kind`` (see
+    _peak_arrays): the run checked, Vt_F solved once and scaled to V_F, the
+    smoother's backward pass when asked, and the noise drawn into the buffer
+    the kind declares. Returns (back, blocks): the _BackwardPass (None
     without a smoother or at mu = 0) and the _error_blocks iterator, to
     which ``moment`` goes as error_moment."""
     system = _run_system(model, config, kind, n_trials, moment is not None)
@@ -931,13 +930,14 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     else:  # no measurement: zero gain, nothing to smooth
         vf, back = np.zeros((system.n_states, system.n_states)), None
     clock.lap("covariance")
-    draw = _noise_draws(config.seed, n_trials, config.dt, min(_STREAM_BLOCK, config.n_steps), clock)
+    longest = _peak_arrays(kind, n_trials, config.n_steps, system.n_states)["noise"][-1]
+    draw = _noise_draws(config.seed, n_trials, config.dt, longest, clock)
     return back, _error_blocks(model, system, config, vf, back, (n_trials, config.n_steps), draw, clock, moment)
 
 
 def _record(config: HomodyneConfig, clock: _StageClock, phi, theta, y, **paths) -> SimulationRecord:
-    """The record of a run's whole paths, on the time grid t_i = i dt."""
-    t = np.arange(float(config.n_steps))
+    """The record of a run's whole paths, on their time grid t_i = i dt."""
+    t = np.arange(float(phi.shape[1]))
     t *= config.dt  # in place: an integer range times dt would take a second path and a cast buffer
     return SimulationRecord(t, phi, theta, y, stage_s=clock.lap("reductions"), **paths)
 
@@ -950,16 +950,16 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig, smoother: bool = 
     (theta - phi) and y = r / dt + 2 sqrt(N) phi; phi_s = phi + (phi_s - phi)."""
     clock = _StageClock()
     back, blocks = _run_filter_feedback(model, config, 1, "record", smoother, clock)
-    phi, theta, y = (np.empty((1, config.n_steps)) for _ in range(3))
+    arrays = _peak_arrays("record", 1, config.n_steps, model.n + 1)
+    phi, theta, y = np.empty(arrays["paths"])
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     carry: list = []
     for span, err, dw, r in blocks:
-        block_phi = _open_loop_phase(model, config.dt, dw, carry)
+        block_phi = _open_loop_phase(model, config.dt, dw, carry, phi[:, span])
         clock.lap("chain")
-        phi[:, span] = block_phi
         np.add(err, block_phi, out=theta[:, span])
-        block_y = np.divide(r, config.dt, out=y[:, span])
-        block_y += np.multiply(block_phi, two_sqrt_n, out=block_phi)
+        block_y = np.multiply(block_phi, two_sqrt_n, out=y[:, span])
+        block_y += np.divide(r, config.dt, out=r)
         clock.lap("reductions")
     phi_s = None if back is None else np.add(back.path, phi, out=back.path)
     return _record(config, clock, phi, theta, y, phi_s=phi_s)
@@ -974,8 +974,9 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     back."""
     clock = _StageClock()
     blocks = _run_abc_feedback(model, config, 1, chi, "abc_record", clock)
-    phi, y = np.empty((1, config.n_steps)), np.empty((1, config.n_steps))
-    est = np.zeros((1, config.n_steps + 1))  # est[:, i] is the theta of step i, est[:, i + 1] the estimate after it
+    arrays = _peak_arrays("abc_record", 1, config.n_steps, model.n + 1)
+    phi, y = np.empty(arrays["paths"])
+    est = np.zeros(arrays["estimates"])  # est[:, i] is the theta of step i, est[:, i + 1] the estimate after it
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     held = 0
     for span, block_phi, after, idt, held in blocks:
@@ -1024,13 +1025,12 @@ class _ErrorSums:
         self.sums = np.zeros((len(self.slices), n_trials))
 
     def add(self, start: int, err: np.ndarray) -> None:
+        sq = np.array(err)  # contiguous: numpy takes buffers of its own for a ufunc over a strided view
         if self.wrap:
-            sq = err + math.pi
+            sq += math.pi
             np.mod(sq, 2.0 * math.pi, out=sq)
             sq -= math.pi
-            np.square(sq, out=sq)
-        else:
-            sq = np.square(err)
+        np.square(sq, out=sq)
         span = slice(start, start + err.shape[1])
         for total, s in zip(self.sums, self.slices):
             cols = _columns(s, span)

@@ -168,14 +168,16 @@ def test_simulation_calls_no_linalg():
 
 
 def _simulation_callers(*names) -> dict:
-    """The top-level functions of simulation.py that call each of names."""
+    """The top-level functions and the methods (as Class.method) of
+    simulation.py that call each of names."""
     tree = ast.parse(Path(simulation.__file__).read_text())
     callers = {name: set() for name in names}
-    for func in tree.body:
+    methods = [(f"{cls.name}.", f) for cls in tree.body if isinstance(cls, ast.ClassDef) for f in cls.body]
+    for prefix, func in [("", f) for f in tree.body] + methods:
         if isinstance(func, ast.FunctionDef):
             for node in ast.walk(func):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in callers:
-                    callers[node.func.id].add(func.name)
+                    callers[node.func.id].add(prefix + func.name)
     return callers
 
 
@@ -196,6 +198,19 @@ def test_run_check_has_one_home_per_loop():
         "_run_filter_feedback": {"simulate_record", "simulate_filter_trials"},
         "_run_abc_feedback": {"run_abc", "run_abc_trials"},
     }
+
+
+def test_memory_declaration_is_read_where_runs_allocate():
+    """The arrays a run holds at its peak are declared once, in
+    _peak_arrays: _check_footprint sums the declaration, and only the sites
+    that allocate a run's arrays read it, each for the shapes it allocates
+    (the filter's set-up home for the noise buffers that _noise_draws
+    makes, and each run's record or block driver for the rest). A buffer
+    allocated elsewhere would bypass the estimate."""
+    assert _simulation_callers("_peak_arrays") == {"_peak_arrays": {
+        "_check_footprint", "_run_filter_feedback", "_error_blocks", "_BackwardPass.__init__", "_abc_blocks",
+        "simulate_record", "run_abc",
+    }}
 
 
 def test_cli_imports_no_private_simulation_name():

@@ -1703,6 +1703,20 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
     assert (res.smoother_mse, res.smoother_stderr) == (ref.smoother_mse, ref.smoother_stderr)
 
 
+@pytest.fixture(autouse=True)
+def abc_stand_in(request, monkeypatch):
+    """A case marked abc_stand_in runs the exponential-window loop with the
+    stand-in body of test_streamed_ensemble_memory_does_not_grow_with_duration,
+    which writes the phase as its estimate."""
+
+    def stand_in(phi, idt, est):
+        np.copyto(est, phi)
+        return 0  # trial-steps held
+
+    if request.node.get_closest_marker("abc_stand_in"):
+        monkeypatch.setattr(sim, "_abc_loop", lambda config, n_trials, chi: stand_in)
+
+
 @pytest.mark.parametrize(
     "kind, linearized, p, duration_factor, n_trials",
     [
@@ -1711,30 +1725,34 @@ def test_streamed_smoother_matches_kept_noise(p, linearized, n_trials, n_steps, 
         ("abc", False, 2, 20.0, 16), ("record", False, 2, 200.0, 1), ("record", True, 2, 200.0, 1),
         ("abc_record", False, 2, 200.0, 1), ("record", False, 2, 20.0, 1), ("record", True, 2, 20.0, 1),
         ("record", False, 20, 20.0, 1), ("record", True, 20, 20.0, 1), ("record", True, 2, 1000.0, 1),
-        ("abc_record", False, 2, 1000.0, 1),
+        ("abc_record", False, 2, 1000.0, 1), ("filter", True, 2, 25000.0, 2),
+        pytest.param("abc", False, 2, 10000.0, 2, marks=pytest.mark.abc_stand_in),
     ],
     ids=[
         "filter-sin", "filter-linearized", "smoother", "smoother-linearized", "wrapped_smoother",
         "smoother-linearized-604000", "abc", "record-sin", "record-linearized", "abc_record",
         "record-sin-6000-p2", "record-linearized-6000-p2", "record-sin-6000-p20", "record-linearized-6000-p20",
-        "record-linearized-104000", "abc_record-104000",
+        "record-linearized-104000", "abc_record-104000", "filter-linearized-2504000", "abc-stand-in-1004000",
     ],
 )
 def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_trials):
     """The memory estimate of the footprint check bounds what an ensemble
-    or a record allocates: _FOOTPRINT[kind] whole (trials, steps) paths,
-    block buffers of _STREAM_BLOCK steps, the scan maps a run holds at
-    once and what a backward pass keeps per block. A warm-up call first
-    makes the process's one-time allocations, which a first call would
-    count (about twice the estimate for a filter ensemble of 16 trials).
+    or a record allocates: the arrays that _peak_arrays declares for the
+    run (its whole paths, block buffers of _STREAM_BLOCK steps, the scan
+    maps it holds at once and what a backward pass keeps per block) and
+    the Python objects per run and per trial. A warm-up call first makes
+    the process's one-time allocations, which a first call would count
+    (about twice the estimate for a filter ensemble of 16 trials).
     Ensembles run 16 trials of 6000 steps, and a smoother 2 trials of
-    604 000, where the per-block term outweighs the fixed ones. Records
+    604 000, where the per-block arrays outweigh the fixed ones. Records
     run one trial of simulate's default 24 000 steps; of 6000 steps,
     where the two block maps of a record's smoother, a fixed 0.13 MB at
     p = 2 and 0.16 MB at p = 20, weigh about three of its paths; and of
     a default sweep point's 104 000 steps, where its paths outweigh the
-    rest, and an exponential-window record's Python objects per block
-    would overrun an estimate without them."""
+    rest. Two-trial filter and exponential-window ensembles of 2 504 000
+    and 1 004 000 steps would overrun the estimate if a block left Python
+    objects behind; the exponential window's runs the stand-in loop body
+    (abc_stand_in), since those objects would come from the block driver."""
     model, system, flux = _golden_system(p, 30.0)
     config = default_config(model, flux, seed=3, duration_factor=duration_factor, linearized=linearized)
     n_steps = config.n_steps
@@ -1754,6 +1772,49 @@ def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_
             )
     run()
     assert _alloc_peak(run) <= sim._check_footprint(kind, n_trials, n_steps, system.n_states)
+
+
+@st.composite
+def _footprint_runs(draw):
+    """A run that the run checks accept, built through default_config, as
+    (kind, p, n_trials, duration_factor, dt_factor, linearized, moments,
+    option): every kind, the filter's at p in {2, 4, 8, 12, 20} and the
+    exponential window's at p = 2, ensembles of 2, 3, 4 or 16 trials and
+    one-trial records. ``moments`` are a filter ensemble's full-state
+    statistics; ``option`` is wrap_errors of an exponential-window
+    ensemble and smoother=False of a filter record."""
+    kind = draw(st.sampled_from(["filter", "smoother", "wrapped_smoother", "abc", "record", "abc_record"]))
+    p = 2 if kind.startswith("abc") else draw(st.sampled_from([2, 4, 8, 12, 20]))
+    n_trials = 1 if kind.endswith("record") else draw(st.sampled_from([2, 3, 4, 16]))
+    duration_factor, dt_factor = draw(st.sampled_from([0.5, 3.0, 20.0])), draw(st.sampled_from([0.01, 0.005]))
+    linearized = draw(st.booleans()) and kind != "abc_record"
+    moments = draw(st.booleans()) and kind in ("filter", "smoother", "wrapped_smoother")
+    return kind, p, n_trials, duration_factor, dt_factor, linearized, moments, draw(st.booleans())
+
+
+@settings(max_examples=12, deadline=None)
+@example(run=("abc", 2, 3, 20.0, 0.01, False, False, False))
+@given(run=_footprint_runs())
+def test_run_peak_within_footprint(run):
+    """The footprint check's estimate bounds what any run it accepts
+    allocates, as tracemalloc counts it after a warm-up call, whatever the
+    kind, p, trials and grid. The example, a 3-trial exponential-window
+    ensemble of 6000 steps, needs the chain's temporaries and the Python
+    objects per run and per trial in the estimate."""
+    kind, p, n_trials, duration_factor, dt_factor, linearized, moments, option = run
+    model, system, flux = _golden_system(p, 30.0)
+    config = default_config(model, flux, 3, duration_factor, dt_factor, linearized=linearized)
+    chi = math.sqrt(system.mu)
+    calls = {
+        "abc": lambda: sim.run_abc_trials(model, config, n_trials, chi, wrap_errors=option),
+        "abc_record": lambda: run_abc(model, config, chi),
+        "record": lambda: simulate_record(model, config, smoother=not option),
+    }
+    call = calls.get(kind, lambda: simulate_filter_trials(
+        model, config, n_trials, kind != "filter", full_state_stats=moments, wrap_errors=kind == "wrapped_smoother"
+    ))
+    call()
+    assert _alloc_peak(call) <= sim._check_footprint(kind, n_trials, config.n_steps, system.n_states, moments)
 
 
 @settings(max_examples=300, deadline=None)
