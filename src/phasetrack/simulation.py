@@ -16,11 +16,11 @@ only the chain error e = xf - x,
 
 with theta - phi = kappa^(n+1/2) e_n; the chain state x, which grows like
 t^(n+1/2), is never formed. Only the sin() loop steps one sample at a
-time, since its r depends on theta - phi; a linearized run knows r = dB in
-advance. Given dW and r the rest is linear: a forward blocked scan reads
-out theta - phi and the smoother's w_f . e (linearized runs) and the
-interior state moments, and the anticausal pass, seeded with the forward
-error at the end of the record, is a backward blocked scan. The smoother
+time, since its r depends on theta - phi, and it reads the smoother's
+w_f . e and the interior state moments from its own states. A linearized
+run knows r = dB in advance, so a forward blocked scan reads out all
+three. Given dW and r, the anticausal pass, seeded with the forward error
+at the end of the record, is a backward blocked scan. The smoother
 combines the two through the information sum (the two-filter form of
 Fraser and Potter), with weights and backward constants from lg's closed
 forms and no matrix inverse. The backward pass is linear in its seed, so
@@ -114,6 +114,7 @@ _STREAM_BLOCK = 16 * _SCAN_BLOCK  # steps per block of every run
 # up to 24.4 KB (two-trial smoothers: closures, views, uncollected garbage)
 _RUN_BYTES = 24 * 1024
 _TRIAL_BYTES = 2560
+_VIEW_BYTES = 144  # an array view, as tracemalloc counts the sin() loop's 256 step views (143.5 B each)
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of the ABC divergence check
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
@@ -186,11 +187,11 @@ def _filter_kind(smoother: bool, wrap_errors: bool) -> str:
 
 def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: int, moments=False) -> LgSystem:
     """Linear-Gaussian system of a run of ``kind`` (see _peak_arrays) and
-    n_trials trials, with full-state ``moments`` or not, after the check
-    every run makes before it allocates: rejects a grid that does not
-    resolve the response time mu^(-1/p) or the model's damping rates, an
-    empty interior window, and a run that would keep more memory than the
-    machine has. At mu = 0 a smoother run is a filter run."""
+    n_trials trials in config's loop, with full-state ``moments`` or not,
+    after the check every run makes before it allocates: rejects a grid
+    that does not resolve the response time mu^(-1/p) or the model's
+    damping rates, an empty interior window, and a run that would keep more
+    memory than the machine has. At mu = 0 a smoother run is a filter run."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
@@ -207,7 +208,7 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
     _check_damping(model, config.dt)
     _interior_slice(config.n_steps, config.dt, config.burn_in)
     kind = "filter" if kind.endswith("smoother") and system.mu == 0 else kind
-    _check_footprint(kind, n_trials, config.n_steps, system.n_states, moments)
+    _check_footprint(kind, n_trials, config.n_steps, system.n_states, config.linearized, moments)
     return system
 
 
@@ -249,30 +250,41 @@ class _StageClock:
         return self.stage_s
 
 
-def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, moments: bool = False) -> dict:
+def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, linearized: bool, moments=False) -> dict:
     """The float arrays a run holds at its peak, as shapes by name, for the
     filter's one-trial "record", the exponential window's "abc_record" and
-    the ensembles "filter", "smoother", "wrapped_smoother" and "abc". The
-    sites that allocate a run's arrays take their shapes from here (a block
-    driver its loop's ensemble's) and _check_footprint sums them. Helpers
-    that tests call too allocate the rest, declared at the most a run holds
-    at once: the chain stages before the last, _block_scan's maps,
-    (n + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n) floats for q readouts, its
-    inputs and product, and a block's square in a reduction."""
+    the ensembles "filter", "smoother", "wrapped_smoother" and "abc", with
+    the filter's ``linearized`` loop or its sin() loop, each with only the
+    arrays it builds. The sites that allocate a run's arrays take their
+    shapes from here (a block driver its loop's ensemble's) and
+    _check_footprint sums them. Helpers that tests call too allocate the
+    rest, declared at the most a run holds at once: the chain stages before
+    the last; _block_scan's maps, (n + 2 _SCAN_BLOCK) x (q _SCAN_BLOCK + n)
+    floats for q readouts, a map's build, the scan's inputs, its product
+    and the one before, and the buffers numpy takes to add a readout over
+    strided views; and a block's square in a reduction."""
     rows, n = n_trials, n_states
     block, chunk = min(_STREAM_BLOCK, n_steps), min(_SCAN_BLOCK, n_steps)
     blocks = -(-n_steps // _STREAM_BLOCK) + 1  # one more at most: a partial scan block's own
     arrays = {"noise": (2, rows, block)}  # dW and dB (then r or I dt) of one block
     stages = (min(n - 1, 2), rows, block)  # the chain's, but the last, in records and the exponential window
+    q = 1 + (linearized and moments) * n  # a scan's readouts: with moments, the forward scan reads the states
     if kind.startswith("abc"):
         arrays.update(phase=(rows, block), est=(rows, block), stages=stages)
-    else:  # the sin() loop's rows [e^ | sin | dB | dW], and the forward scan's readouts and moments
-        q = 1 + moments * n
-        arrays.update(errors=(rows, block), loop=(chunk + 1, rows, n + 3), forward_map=(n + 2 * chunk, q * chunk + n))
-        arrays["scan"] = (rows, 2 * (n + 2 * chunk) + q * chunk + n)
-    if kind in ("record", "smoother", "wrapped_smoother"):  # the backward map, and a second forward readout's
-        arrays.update(back_maps=(2, n + 2 * chunk, chunk + n), ends=(blocks, rows, n))
+    elif linearized:  # theta - phi of a block, and the forward scan's map
+        arrays.update(errors=(rows, block), forward_map=(n + 2 * chunk, q * chunk + n))
+    else:  # theta - phi of a block, the sin() loop's rows [e^ | sin | dB | dW] and its step views, as floats
+        arrays.update(errors=(rows, block), loop=(chunk + 1, rows, n + 3), views=(chunk, 4, _VIEW_BYTES // 8))
+    if moments:  # the interior sum of e e^T, and a block's or a chunk's product
+        arrays["moments"] = (2, rows, n, n)
+    if kind in ("record", "smoother", "wrapped_smoother"):  # the backward map, and a linearized second readout's
+        arrays.update(back_maps=(1 + linearized, n + 2 * chunk, chunk + n), ends=(blocks, rows, n))
         arrays["smoothed"] = (rows, block if kind == "smoother" else n_steps)
+    if "forward_map" in arrays or "back_maps" in arrays:  # a scan's inputs, two products and numpy's buffers,
+        arrays.update(  # and a map's build: its unit states, their next step and a step's readouts
+            scan=(rows, n + 2 * chunk + 2 * (q * chunk + n)), buffers=(3, min(rows * chunk, np.getbufsize())),
+            build=(n + 2 * chunk, 2 * n + q),
+        )
     if kind == "smoother":  # per block, the sums q0 and q1 of its quadratic
         arrays["sums"] = (blocks, rows, n + 1)
     if kind == "abc_record":  # one column longer than its paths
@@ -284,12 +296,13 @@ def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, moments:
     return arrays
 
 
-def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, moments: bool = False) -> int:
+def _check_footprint(kind: str, n_trials: int, n_steps: int, n_states: int, linearized: bool, moments=False) -> int:
     """Reject a run whose estimate of the memory it keeps exceeds physical
     memory, before anything is allocated; return the estimate, in bytes:
     the floats of the arrays that _peak_arrays declares for the run, and
     the Python objects of _RUN_BYTES and _TRIAL_BYTES per trial."""
-    floats = sum(math.prod(shape) for shape in _peak_arrays(kind, n_trials, n_steps, n_states, moments).values())
+    arrays = _peak_arrays(kind, n_trials, n_steps, n_states, linearized, moments)
+    floats = sum(math.prod(shape) for shape in arrays.values())
     need = 8 * floats + _RUN_BYTES + n_trials * _TRIAL_BYTES
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -442,28 +455,26 @@ def _scan_matrix(m, g_dw, g_db, w, h_dw, k: int) -> np.ndarray:
 
 
 def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0), maps=None, also=None):
-    """Add x_i w + dW_i h_dw into out[:, i] along the affine recurrence
+    """Add x_i . w + dW_i h_dw into out[:, i] along the affine recurrence
     x_(i+1) = x_i m + dW_i g_dw + r_i g_db, with r = db; return the final x.
-    With ``moment`` (rows, n, n), also add x_i^T x_i into it for i in ``win``.
-    With ``also`` = (w2, out2), w2 (n,) and out2 (rows, T), also add x_i w2
-    into out2[:, i], by a map of its own from the same inputs, so the
-    readouts of w and the final x keep the floats they have without it.
+    With ``moment`` (rows, n, n), also add x_i^T x_i into it for i in ``win``:
+    the map reads each block's states out next to the readout, so no state
+    path outlives its block. With ``also`` = (w2, out2), w2 (n,) and out2
+    (rows, T), also add x_i . w2 into out2[:, i], by a map of its own from
+    the same inputs, so the readout of w and the final x keep the floats
+    they have without it.
 
-    x is (rows, n) and dw, db are (rows, T), possibly reversed views. The
-    readout w is a vector (n,) with out (rows, T), or q of them as columns
-    (n, q) with out (rows, T, q); h_dw is a scalar or one value per readout.
-    Each matrix product advances _SCAN_BLOCK steps (a chunked prefix scan);
-    a last partial block uses its own, shorter map. ``maps``, a dict, keeps
-    the maps across the block-by-block calls of one recurrence and readout,
-    those of one block length at a time. A moment reads each block's states
-    out next to the readouts, so no state path outlives its block.
+    x is (rows, n), w (n,), h_dw a scalar, and dw, db and out (rows, T),
+    possibly reversed views. Each matrix product advances _SCAN_BLOCK steps
+    (a chunked prefix scan); a last partial block uses its own, shorter map.
+    ``maps``, a dict, keeps the maps across the block-by-block calls of one
+    recurrence and readout, those of one block length at a time.
     """
     n = m.shape[0]
     rows, n_steps = dw.shape
-    q = np.size(w) // n
     if moment is not None:
         w = np.column_stack((w, np.eye(n)))
-        h_dw = np.append(np.broadcast_to(h_dw, q), np.zeros(n))
+        h_dw = np.append(h_dw, np.zeros(n))
     maps = {} if maps is None else maps
     for start in range(0, n_steps, _SCAN_BLOCK):
         k = min(_SCAN_BLOCK, n_steps - start)
@@ -476,14 +487,13 @@ def _block_scan(x, m, g_dw, g_db, w, h_dw, dw, db, out, moment=None, win=slice(0
         inputs = np.concatenate((x, dw[:, span], db[:, span]), axis=1)
         step = inputs @ maps[k][0]
         reads = step[:, :-n].reshape(rows, k, -1)
-        target = out[:, span]
-        target += reads[..., :q].reshape(target.shape)
+        out[:, span] += reads[..., 0]
         if moment is not None:
-            states = reads[:, _columns(win, span), q:]
+            states = reads[:, _columns(win, span), 1:]
             moment += states.transpose(0, 2, 1) @ states
         if also is not None:
             also[1][:, span] += inputs @ maps[k][1]
-        x = step[:, -n:]
+        x = step[:, -n:].copy()  # a view would keep the whole product alive between calls
     return x
 
 
@@ -496,19 +506,18 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     run the block buffers of _noise_draws; the sin() loop overwrites dB in
     place with r. Yields (span, theta - phi, dW, r) for each span, valid
     until the next item. The forward pass writes the smoother's w_f . e
-    into back.partial(span), and once the last item is taken, back is
-    swept from the forward error at the end of the record.
-    ``error_moment`` (n_trials, n_states, n_states) accumulates the
-    interior sum of e e^T.
+    into back.partial(span). Once the last item is taken, back is swept
+    from the forward error at the end of the record, and ``error_moment``
+    (n_trials, n_states, n_states) holds the interior sum of e e^T.
 
     The forward error is e' = e F^T + r K^T - dW e_0^T, F = I + (A - K C) dt
-    and K = V_F C^T; its blocked scan reads out theta - phi (linearized runs
-    only), the smoother's forward readout w_f . e and the moments, so a
-    sin() run without moments scans nothing forward. The sin() loop steps
-    the same error in the innovation form, where r's term linear in
-    theta - phi cancels -K C dt, forms r from each chunk's theta - phi
-    afterwards and reads w_f . e from the chunk's states. While a block's
-    dW and r are at hand, back.block runs its backward scan.
+    and K = V_F C^T. A linearized run knows r = dB, so one forward scan per
+    block reads out theta - phi, the smoother's w_f . e and the moments.
+    The sin() loop steps the same error in the innovation form, where r's
+    term linear in theta - phi cancels -K C dt, and per chunk reads all
+    three from the chunk's states and forms r from its theta - phi, so it
+    scans nothing forward. While a block's dW and r are at hand, back.block
+    runs its backward scan.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -516,17 +525,15 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     dt = config.dt
     scale = model.phase_scale
     rows, n_steps = shape
-    arrays = _peak_arrays("filter", rows, n_steps, n, error_moment is not None)
+    arrays = _peak_arrays("filter", rows, n_steps, n, config.linearized, error_moment is not None)
     errors = np.empty(arrays["errors"])  # theta - phi of a block: the sin() loop's, or the scan's readout
     gain = vf @ system.c
-    closed_t = (system.a - np.outer(gain, system.c)).T * dt
     win = _interior_slice(n_steps, dt, config.burn_in)
-    forward = (np.eye(n) + closed_t, -np.eye(n)[0], gain)
-    scan = config.linearized or error_moment is not None
-    w = scale * np.eye(n)[:, -1:] if config.linearized else np.empty((n, 0))
-    x = np.zeros((rows, n))  # the forward scan's error
-    maps = {}
-    if not config.linearized:
+    if config.linearized:
+        forward = (np.eye(n) + (system.a - np.outer(gain, system.c)).T * dt, -np.eye(n)[0], gain, scale * np.eye(n)[-1])
+        x = np.zeros((rows, n))  # the forward scan's error
+        maps = {}
+    else:
         # The sin() loop steps e^ = e D, D = diag(1, ..., 1, kappa^(n+1/2)),
         # whose last entry is d = theta - phi, by one product per step:
         # z[i] holds the rows [e^ | sin d | dB | dW] before step i, time-major
@@ -550,9 +557,18 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     for span in _block_spans(n_steps):
         dw, db = draw(span)
         k = span.stop - span.start
+        err = _packed(errors, rows, k)
         smoothed = None if back is None else back.partial(span)
-        if not config.linearized:
-            err = _packed(errors, rows, k)
+        inner = _columns(win, span)
+        if config.linearized:
+            err[...] = 0.0
+            also = None
+            if back is not None:
+                smoothed[...] = 0.0
+                also = back.w_f, smoothed
+            x = _block_scan(x, *forward, 0.0, dw, db, err, error_moment, inner, maps, also)
+            clock.lap("forward_scan")
+        else:
             for c in range(0, k, chunk):
                 j = min(chunk, k - c)
                 cols = slice(c, c + j)
@@ -563,30 +579,26 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
                     matmul(row, step_g, after)
                 if back is not None:  # one product over the chunk's rows of e^, time-major
                     smoothed[:, cols] = (z[:j].reshape(-1, n + 3)[:, :n] @ forward_read).reshape(j, rows).T
-                d, sin_d = z[:j, :, n - 1].T, z[:j, :, n].T
+                if error_moment is not None:  # summed in e^ = e D; the end divides by D D
+                    e_hat = z[_columns(inner, cols), :, :n]
+                    error_moment += e_hat.transpose(1, 2, 0) @ e_hat.transpose(1, 0, 2)
+                d, sin_d, db_t = z[:j, :, n - 1].T, z[:j, :, n].T, z[:j, :, n + 1].T
                 err[:, cols] = d  # in C order, so the reductions sum each row as a whole path's
-                # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, over dB
+                # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, formed in the
+                # rows' layout, where numpy takes no buffers of its own, then copied over dB
                 np.subtract(d, sin_d, out=sin_d)
                 sin_d *= sin_gain
-                db[:, cols] += sin_d
+                sin_d += db_t
+                db[:, cols] = sin_d
                 z[0, :, :n] = z[j, :, :n]
             clock.lap("loop")
-        if scan:
-            paths = _packed(errors, rows, k, w.shape[1])
-            paths[...] = 0.0
-            also = None
-            if back is not None and config.linearized:
-                smoothed[...] = 0.0
-                also = back.w_f, smoothed
-            x = _block_scan(x, *forward, w, 0.0, dw, db, paths, error_moment, _columns(win, span), maps, also)
-            if config.linearized:
-                err = paths[..., 0]
-            clock.lap("forward_scan")
         if back is not None:
             back.block(span, dw, db, smoothed)
         yield span, err, dw, db
     if back is not None:
         back.sweep(x if config.linearized else z[0, :, :n] / d_scale)
+    if error_moment is not None and not config.linearized:
+        error_moment /= np.outer(d_scale, d_scale)
 
 
 class _BackwardPass:
@@ -638,7 +650,7 @@ class _BackwardPass:
         self.scale = model.phase_scale
         self.win = _interior_slice(config.n_steps, dt, config.burn_in)
         self.n_steps, self.blocks = config.n_steps, 0
-        arrays = _peak_arrays(kind, n_trials, config.n_steps, n)
+        arrays = _peak_arrays(kind, n_trials, config.n_steps, n, config.linearized)
         self.ends = np.empty(arrays["ends"])
         self.clock = clock
         self.maps, self.units = {}, {}
@@ -660,8 +672,7 @@ class _BackwardPass:
         i, k, n = self.blocks, span.stop - span.start, len(self.w_f)
         self.blocks += 1
         x0 = self.ends[i]
-        x0[...] = _block_scan(np.zeros_like(x0), *self.scan, dw[:, ::-1], r[:, ::-1], s[:, ::-1], None, slice(0),
-                              self.maps)
+        x0[...] = _block_scan(np.zeros_like(x0), *self.scan, dw[:, ::-1], r[:, ::-1], s[:, ::-1], maps=self.maps)
         for row in s:  # w_f + w_r = e_n, so the sum is the smoothed error; by rows, as a path's are strided
             row *= self.scale
         inner = _columns(self.win, span)
@@ -687,7 +698,7 @@ class _BackwardPass:
         if j not in self.units:
             n = len(self.w_f)
             h, zero = np.zeros((n, j)), np.broadcast_to(0.0, (n, j))
-            phi = _block_scan(np.eye(n), *self.scan, zero, zero, h[:, ::-1], None, slice(0), self.maps)
+            phi = _block_scan(np.eye(n), *self.scan, zero, zero, h[:, ::-1], maps=self.maps)
             h *= self.scale
             self.units[j] = np.hstack((h, phi))
         return self.units[j]
@@ -888,7 +899,7 @@ def _abc_blocks(model: PhaseModel, config: HomodyneConfig, n_trials: int, chi: f
     (span, phi, est, idt, held): the block's phase, the estimate after
     each step, the photocurrent I dt and the trial-steps held so far; the
     arrays are overwritten by the next block."""
-    arrays = _peak_arrays("abc", n_trials, config.n_steps, model.n + 1)
+    arrays = _peak_arrays("abc", n_trials, config.n_steps, model.n + 1, config.linearized)
     draw = _noise_draws(config.seed, n_trials, config.dt, arrays["noise"][-1], clock)
     step = _abc_loop(config, n_trials, chi)
     phase, est = np.empty(arrays["phase"]), np.empty(arrays["est"])
@@ -930,7 +941,7 @@ def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: in
     else:  # no measurement: zero gain, nothing to smooth
         vf, back = np.zeros((system.n_states, system.n_states)), None
     clock.lap("covariance")
-    longest = _peak_arrays(kind, n_trials, config.n_steps, system.n_states)["noise"][-1]
+    longest = _peak_arrays(kind, n_trials, config.n_steps, system.n_states, config.linearized)["noise"][-1]
     draw = _noise_draws(config.seed, n_trials, config.dt, longest, clock)
     return back, _error_blocks(model, system, config, vf, back, (n_trials, config.n_steps), draw, clock, moment)
 
@@ -950,7 +961,7 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig, smoother: bool = 
     (theta - phi) and y = r / dt + 2 sqrt(N) phi; phi_s = phi + (phi_s - phi)."""
     clock = _StageClock()
     back, blocks = _run_filter_feedback(model, config, 1, "record", smoother, clock)
-    arrays = _peak_arrays("record", 1, config.n_steps, model.n + 1)
+    arrays = _peak_arrays("record", 1, config.n_steps, model.n + 1, config.linearized)
     phi, theta, y = np.empty(arrays["paths"])
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     carry: list = []
@@ -974,7 +985,7 @@ def run_abc(model: PhaseModel, config: HomodyneConfig, chi: float) -> Simulation
     back."""
     clock = _StageClock()
     blocks = _run_abc_feedback(model, config, 1, chi, "abc_record", clock)
-    arrays = _peak_arrays("abc_record", 1, config.n_steps, model.n + 1)
+    arrays = _peak_arrays("abc_record", 1, config.n_steps, model.n + 1, config.linearized)
     phi, y = np.empty(arrays["paths"])
     est = np.zeros(arrays["estimates"])  # est[:, i] is the theta of step i, est[:, i + 1] the estimate after it
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)

@@ -346,10 +346,8 @@ def two_pass_error_passes(
     x, maps, replay_maps = back.seed, {}, {}
     for span, start in zip(spans[::-1], starts[::-1]):
         proj = np.zeros((n_trials, span.stop - span.start))
-        _block_scan(start, *forward, smoothing[0], 0.0, dw[:, span], db[:, span], proj, None, slice(0), replay_maps)
-        x = _block_scan(
-            x, *back.scan, dw[:, span][:, ::-1], db[:, span][:, ::-1], proj[:, ::-1], None, slice(0), maps
-        )
+        _block_scan(start, *forward, smoothing[0], 0.0, dw[:, span], db[:, span], proj, maps=replay_maps)
+        x = _block_scan(x, *back.scan, dw[:, span][:, ::-1], db[:, span][:, ::-1], proj[:, ::-1], maps=maps)
         proj *= model.phase_scale
         proj[:, : max(win.start - span.start, 0)] = np.nan
         proj[:, max(win.stop - span.start, 0) :] = np.nan

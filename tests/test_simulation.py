@@ -1291,13 +1291,12 @@ def test_linearized_scan_matches_step_loop(p, n_steps, width, burn, seed):
     seed=st.integers(0, 2**16),
 )
 def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
-    """The sin() loop computes only r and theta - phi; forward scans then
-    read out the moments and replay the smoother's w_f . e, and the loop's
-    own e seeds the backward pass. Against the per-step loop that sums
-    e e^T as it goes, which steps e with the closed-loop matrix where the
-    loop takes the innovation form: r, theta - phi, phi_s - phi and the
-    moment sum within 1e-13 of their peaks, also over a window that may cut
-    any block."""
+    """The sin() loop computes r and theta - phi and reads the moments and
+    the smoother's w_f . e from its own states, which also seed the
+    backward pass. Against the per-step loop that sums e e^T as it goes,
+    which steps e with the closed-loop matrix where the loop takes the
+    innovation form: r, theta - phi, phi_s - phi and the moment sum within
+    1e-13 of their peaks, also over a window that may cut any block."""
     model, system, flux = _golden_system(p, 30.0)
     vf = covariance_set(system).vf
     smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
@@ -1311,9 +1310,9 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     assert _close_to_peak(r, ref_r, 1e-13)
     assert _close_to_peak(s_err, ref_s_err, 1e-13)
     assert _close_to_peak(moment, ref_moment, 1e-13)
-    # A trimmed window's sum with no smoother, so the scan reads out
-    # nothing else; held to the whole record's peak, since a short window's
-    # own sum may be far below the squares it adds up.
+    # A trimmed window's sum with no smoother; held to the whole record's
+    # peak, since a short window's own sum may be far below the squares it
+    # adds up.
     trimmed = dataclasses.replace(config, burn_in=min(burn, (n_steps - 1) // 2) * config.dt)
     part, ref_part = np.zeros((2,) + moment.shape)
     error_passes(model, system, trimmed, dw, db.copy(), vf, error_moment=part)
@@ -1436,13 +1435,13 @@ def test_abc_loop_makes_three_exps_and_no_mod_per_step(monkeypatch, width):
 @pytest.mark.parametrize("smoother", [False, True], ids=["filter", "smoother"])
 @pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
 def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother, moments):
-    """A run makes one forward scan for theta - phi and the smoother's
-    w_f . e (linearized runs) and the moments together, and none when a
-    sin() run wants no moments: the sin() loop reads w_f . e from its own
-    states, so no second forward scan replays it. The smoother's backward
-    scans, over a run of one block of _K + 1 steps: one over the block's
-    trials from a zero seed, and one from an identity seed per scan-block
-    length (_K and 1) for the seed's share."""
+    """A linearized run makes one forward scan for theta - phi, the
+    smoother's w_f . e and the moments together, and a sin() run none: the
+    sin() loop reads w_f . e and the moments from its own states, so no
+    forward scan replays it. The smoother's backward scans, over a run of
+    one block of _K + 1 steps: one over the block's trials from a zero
+    seed, and one from an identity seed per scan-block length (_K and 1)
+    for the seed's share."""
     p, n_trials = 4, 3
     model, system, flux = _golden_system(p, 30.0)
     config = _bare_config(flux, _K + 1, 0.01 * system.time_scale, linearized)
@@ -1462,7 +1461,7 @@ def test_one_forward_scan_serves_every_readout(monkeypatch, linearized, smoother
     gain = vf @ system.c
     forward_m = np.eye(system.n_states) + (system.a - np.outer(gain, system.c)).T * config.dt
     forward = [args for args in calls if np.array_equal(args[1], forward_m)]
-    assert len(forward) == (linearized or moments)
+    assert len(forward) == linearized
     backward = sorted((len(args[0]), args[6].shape[1]) for args in calls if not np.array_equal(args[1], forward_m))
     n = system.n_states
     assert backward == ([(n, 1), (n, _K), (n_trials, _K + 1)] if smoother else [])
@@ -1569,6 +1568,28 @@ def test_smoother_memory_does_not_grow_with_p(p):
     assert _smoother_alloc_peak(p) <= 1.15 * _smoother_alloc_peak(2)
 
 
+@pytest.mark.parametrize("smoother", [False, True], ids=["filter", "smoother"])
+@pytest.mark.parametrize("p", [4, 12, 20])
+def test_sin_moments_cost_no_forward_scan(p, smoother):
+    """A sin() run reads the moments from its own loop rows, a chunk of
+    _SCAN_BLOCK steps at a time, so they cost it per trial the n x n sum
+    and a chunk's product, not a forward scan and its map of n + 1
+    readouts (138 x 714 floats at p = 20, 0.79 MB). A 2-trial run of 4300
+    steps, after a warm-up call, peaks with moments within 1.3 times its
+    peak without them; such a scan made it 1.65 to 6.56."""
+    model, system, flux = _golden_system(p, 30.0)
+    config = default_config(model, flux, seed=3, duration_factor=3.0)
+
+    def peak(moments):
+        def run():
+            simulate_filter_trials(model, config, 2, smoother, full_state_stats=moments)
+
+        run()
+        return _alloc_peak(run)
+
+    assert peak(True) <= 1.3 * peak(False)
+
+
 @pytest.mark.parametrize("p", [4, 12, 20])
 def test_linearized_moments_do_not_grow_with_p(p):
     """The linearized scan sums e e^T once per block from that block's
@@ -1578,7 +1599,7 @@ def test_linearized_moments_do_not_grow_with_p(p):
     buffers, its per-block sums and the maps, the moments' wide one among
     them."""
     n_states = _golden_system(p, 30.0)[1].n_states
-    budget = sim._check_footprint("smoother", 16, 30000, n_states, moments=True)
+    budget = sim._check_footprint("smoother", 16, 30000, n_states, True, moments=True)
     assert _smoother_alloc_peak(p, 16, 30000, True) <= budget
 
 
@@ -1591,7 +1612,7 @@ def test_scan_holds_one_block_map_at_a_time():
     last block's shorter map (0.46 MB) while the full one is still held,
     or any (trials, steps, states) array (3.8 MB), exceeds it."""
     p, n_trials, n_steps = 20, 8, 6000
-    budget = sim._check_footprint("smoother", n_trials, n_steps, p // 2, moments=True)
+    budget = sim._check_footprint("smoother", n_trials, n_steps, p // 2, True, moments=True)
     assert _smoother_alloc_peak(p, n_trials, n_steps, True) <= budget
 
 
@@ -1771,7 +1792,7 @@ def test_ensemble_peak_within_footprint(kind, linearized, p, duration_factor, n_
                 model, config, n_trials, smoother=kind != "filter", wrap_errors=kind == "wrapped_smoother"
             )
     run()
-    assert _alloc_peak(run) <= sim._check_footprint(kind, n_trials, n_steps, system.n_states)
+    assert _alloc_peak(run) <= sim._check_footprint(kind, n_trials, n_steps, system.n_states, linearized)
 
 
 @st.composite
@@ -1814,7 +1835,8 @@ def test_run_peak_within_footprint(run):
         model, config, n_trials, kind != "filter", full_state_stats=moments, wrap_errors=kind == "wrapped_smoother"
     ))
     call()
-    assert _alloc_peak(call) <= sim._check_footprint(kind, n_trials, config.n_steps, system.n_states, moments)
+    estimate = sim._check_footprint(kind, n_trials, config.n_steps, system.n_states, linearized, moments)
+    assert _alloc_peak(call) <= estimate
 
 
 @settings(max_examples=300, deadline=None)
@@ -2084,9 +2106,9 @@ def test_backward_constants_are_the_inverse_forms(p, log_dt):
     scans = []
     scan = sim._block_scan
 
-    def recording_scan(*args):
+    def recording_scan(*args, **kwargs):
         scans.append(args)
-        return scan(*args)
+        return scan(*args, **kwargs)
 
     quiet = np.zeros((1, 2))
     with pytest.MonkeyPatch.context() as patch:
