@@ -45,15 +45,18 @@ except to np.maximum and np.minimum, whose positional output numpy
 deprecates; plain copies are np.positive. The sin() loop makes two calls a
 step, in the innovation form e' = e (I + A dt)^T + I dt K^T - dW e_0^T with
 I dt = dB - 2 sqrt(N) sin(theta - phi) dt: np.sin of theta - phi, and one
-product of the rows [e D | sin | dB | dW] with a fixed matrix, where
-D = diag(1, ..., 1, kappa^(n+1/2)) makes the last state theta - phi. Its
-floats differ from the closed-loop form's in the last bits. The exponential
-window also gives no ufunc a Python scalar, a broadcast shape or a real
-factor of a complex product, each of which costs numpy a conversion per
-call: such a product is taken as real products of the float views, which
-round alike. Its operands and their order are those of the plain
-expressions, so its floats are bit for bit those of the reference loop in
-tests/oracles.py.
+np.dot of a fixed matrix with the features [e D | sin | dB | dW] of every
+trial, where D = diag(1, ..., 1, kappa^(n+1/2)) makes the last state
+theta - phi. The features are kept feature-major, one contiguous row of
+trials each, so np.sin reads and writes contiguous rows and np.dot writes
+the next e D as a C-contiguous block, by its two-dimensional BLAS path
+rather than matmul's per-call dispatch. Its floats differ from the
+closed-loop form's in the last bits. The exponential window also gives no
+ufunc a Python scalar, a broadcast shape or a real factor of a complex
+product, each of which costs numpy a conversion per call: such a product
+is taken as real products of the float views, which round alike. Its
+operands and their order are those of the plain expressions, so its
+floats are bit for bit those of the reference loop in tests/oracles.py.
 
 The four entry points take (model, config, ...), from which the
 linear-Gaussian system (A, C, mu = 4 N kappa^(p-1)) follows, so a run
@@ -117,6 +120,7 @@ _TRIAL_BYTES = 2560
 _VIEW_BYTES = 144  # an array view, as tracemalloc counts the sin() loop's 256 step views (143.5 B each)
 _STAGES = ("covariance", "noise", "chain", "loop", "forward_scan", "backward_scan", "reductions")
 _N_WINDOWS = 4  # log-spaced windows of the ABC divergence check
+_SMOOTHER_KINDS = ("record", "smoother", "wrapped_smoother")  # the _peak_arrays kinds with a backward pass
 # Grid limits in units of the response time mu^(-1/p), for runs and sweep specs
 _MAX_DT_FACTOR = 0.01
 _MIN_BURN_IN_FACTOR = 20.0
@@ -191,7 +195,8 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
     after the check every run makes before it allocates: rejects a grid
     that does not resolve the response time mu^(-1/p) or the model's
     damping rates, an empty interior window, and a run that would keep more
-    memory than the machine has. At mu = 0 a smoother run is a filter run."""
+    memory than the machine has. At mu = 0 a smoother run is a filter run
+    and a record a filter record."""
     system = build_lg_system(model.p, model.kappa, config.photon_flux)
     if system.mu > 0:
         tau = system.time_scale
@@ -207,7 +212,8 @@ def _run_system(model: PhaseModel, config: HomodyneConfig, kind: str, n_trials: 
             )
     _check_damping(model, config.dt)
     _interior_slice(config.n_steps, config.dt, config.burn_in)
-    kind = "filter" if kind.endswith("smoother") and system.mu == 0 else kind
+    if system.mu == 0:
+        kind = {"smoother": "filter", "wrapped_smoother": "filter", "record": "filter_record"}.get(kind, kind)
     _check_footprint(kind, n_trials, config.n_steps, system.n_states, config.linearized, moments)
     return system
 
@@ -252,10 +258,11 @@ class _StageClock:
 
 def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, linearized: bool, moments=False) -> dict:
     """The float arrays a run holds at its peak, as shapes by name, for the
-    filter's one-trial "record", the exponential window's "abc_record" and
-    the ensembles "filter", "smoother", "wrapped_smoother" and "abc", with
-    the filter's ``linearized`` loop or its sin() loop, each with only the
-    arrays it builds. The sites that allocate a run's arrays take their
+    filter's one-trial "record" (with the smoother) and "filter_record",
+    the exponential window's "abc_record" and the ensembles "filter",
+    "smoother", "wrapped_smoother" and "abc", with the filter's
+    ``linearized`` loop or its sin() loop, each with only the arrays it
+    builds. The sites that allocate a run's arrays take their
     shapes from here (a block driver its loop's ensemble's) and
     _check_footprint sums them. Helpers that tests call too allocate the
     rest, declared at the most a run holds at once: the chain stages before
@@ -273,11 +280,11 @@ def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, lineariz
         arrays.update(phase=(rows, block), est=(rows, block), stages=stages)
     elif linearized:  # theta - phi of a block, and the forward scan's map
         arrays.update(errors=(rows, block), forward_map=(n + 2 * chunk, q * chunk + n))
-    else:  # theta - phi of a block, the sin() loop's rows [e^ | sin | dB | dW] and its step views, as floats
-        arrays.update(errors=(rows, block), loop=(chunk + 1, rows, n + 3), views=(chunk, 4, _VIEW_BYTES // 8))
+    else:  # theta - phi of a block, the sin() loop's feature-major [e^ | sin | dB | dW] and its step views, as floats
+        arrays.update(errors=(rows, block), loop=(chunk + 1, n + 3, rows), views=(chunk, 4, _VIEW_BYTES // 8))
     if moments:  # the interior sum of e e^T, and a block's or a chunk's product
         arrays["moments"] = (2, rows, n, n)
-    if kind in ("record", "smoother", "wrapped_smoother"):  # the backward map, and a linearized second readout's
+    if kind in _SMOOTHER_KINDS:  # the backward map, and a linearized second readout's
         arrays.update(back_maps=(1 + linearized, n + 2 * chunk, chunk + n), ends=(blocks, rows, n))
         arrays["smoothed"] = (rows, block if kind == "smoother" else n_steps)
     if "forward_map" in arrays or "back_maps" in arrays:  # a scan's inputs, two products and numpy's buffers,
@@ -290,7 +297,7 @@ def _peak_arrays(kind: str, n_trials: int, n_steps: int, n_states: int, lineariz
     if kind == "abc_record":  # one column longer than its paths
         arrays["estimates"] = (rows, n_steps + 1)
     if kind.endswith("record"):  # phi, theta and y, or phi and y, then t
-        arrays.update(paths=(2 + (kind == "record"), rows, n_steps), t=(n_steps,), stages=stages)
+        arrays.update(paths=(2 + (kind != "abc_record"), rows, n_steps), t=(n_steps,), stages=stages)
     else:
         arrays["square"] = (rows, block)
     return arrays
@@ -514,10 +521,11 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
     and K = V_F C^T. A linearized run knows r = dB, so one forward scan per
     block reads out theta - phi, the smoother's w_f . e and the moments.
     The sin() loop steps the same error in the innovation form, where r's
-    term linear in theta - phi cancels -K C dt, and per chunk reads all
-    three from the chunk's states and forms r from its theta - phi, so it
-    scans nothing forward. While a block's dW and r are at hand, back.block
-    runs its backward scan.
+    term linear in theta - phi cancels -K C dt, on feature-major states
+    (n_states, n_trials) per step, and per chunk reads all three from the
+    chunk's states and forms r from its theta - phi, so it scans nothing
+    forward. While a block's dW and r are at hand, back.block runs its
+    backward scan.
     """
     if model.is_damped:
         raise ValidationError("the filter loop needs an undamped phase model")
@@ -535,22 +543,24 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
         maps = {}
     else:
         # The sin() loop steps e^ = e D, D = diag(1, ..., 1, kappa^(n+1/2)),
-        # whose last entry is d = theta - phi, by one product per step:
-        # z[i] holds the rows [e^ | sin d | dB | dW] before step i, time-major
-        # over a chunk of _SCAN_BLOCK steps, and e^' = z[i] G.
+        # whose last entry is d = theta - phi, by one product per step over
+        # a chunk of _SCAN_BLOCK steps: z[i] holds the features [e^ | sin d |
+        # dB | dW] before step i feature-major, z[i, f] feature f of every
+        # trial as one contiguous row, and the next e^ is G^T z[i], one
+        # np.dot into the C-contiguous block z[i + 1, :n].
         chunk = min(_SCAN_BLOCK, n_steps)
         d_scale = np.ones(n)
         d_scale[-1] = scale
         sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
-        step_g = np.vstack((
-            (np.eye(n) + system.a * dt).T * d_scale / d_scale[:, None],  # D^-1 (I + A dt)^T D
+        step_gt = np.column_stack((
+            (np.eye(n) + system.a * dt) * d_scale[:, None] / d_scale,  # D (I + A dt) D^-1
             -sin_gain * gain * d_scale,
             gain * d_scale,
             -np.eye(n)[0] * d_scale,
         ))
         z = np.zeros(arrays["loop"])
-        steps = list(zip(z[:-1, :, n - 1], z[:-1, :, n], z[:-1], z[1:, :, :n]))
-        sin, matmul = np.sin, np.matmul
+        steps = list(zip(z[:-1, n - 1], z[:-1, n], z[:-1], z[1:, :n]))
+        sin, dot = np.sin, np.dot
         if back is not None:
             forward_read = back.w_f / d_scale  # w_f . e = e^ . (w_f / D)
 
@@ -572,31 +582,32 @@ def _error_blocks(model, system, config, vf, back, shape, draw, clock, error_mom
             for c in range(0, k, chunk):
                 j = min(chunk, k - c)
                 cols = slice(c, c + j)
-                z[:j, :, n + 1] = db[:, cols].T
-                z[:j, :, n + 2] = dw[:, cols].T
-                for d, sin_d, row, after in steps[:j]:
+                z[:j, n + 1] = db[:, cols].T
+                z[:j, n + 2] = dw[:, cols].T
+                for d, sin_d, features, after in steps[:j]:
                     sin(d, sin_d)
-                    matmul(row, step_g, after)
-                if back is not None:  # one product over the chunk's rows of e^, time-major
-                    smoothed[:, cols] = (z[:j].reshape(-1, n + 3)[:, :n] @ forward_read).reshape(j, rows).T
+                    dot(step_gt, features, after)
+                if back is not None:  # one product over the chunk's e^, (j, n, rows)
+                    smoothed[:, cols] = (forward_read @ z[:j, :n]).T
                 if error_moment is not None:  # summed in e^ = e D; the end divides by D D
-                    e_hat = z[_columns(inner, cols), :, :n]
-                    error_moment += e_hat.transpose(1, 2, 0) @ e_hat.transpose(1, 0, 2)
-                d, sin_d, db_t = z[:j, :, n - 1].T, z[:j, :, n].T, z[:j, :, n + 1].T
-                err[:, cols] = d  # in C order, so the reductions sum each row as a whole path's
+                    e_hat = z[_columns(inner, cols), :n]
+                    error_moment += e_hat.transpose(2, 1, 0) @ e_hat.transpose(2, 0, 1)
+                d, sin_d, db_t = z[:j, n - 1], z[:j, n], z[:j, n + 1]
+                err[:, cols] = d.T  # in C order, so the reductions sum each row as a whole path's
                 # r = dB + 2 sqrt(N) (sin(phi - theta) - (phi - theta)) dt, formed in the
-                # rows' layout, where numpy takes no buffers of its own, then copied over dB
+                # features' (j, rows) layout, where numpy takes no buffers of its own,
+                # then copied over dB
                 np.subtract(d, sin_d, out=sin_d)
                 sin_d *= sin_gain
                 sin_d += db_t
-                db[:, cols] = sin_d
-                z[0, :, :n] = z[j, :, :n]
+                db[:, cols] = sin_d.T
+                z[0, :n] = z[j, :n]
             clock.lap("loop")
         if back is not None:
             back.block(span, dw, db, smoothed)
         yield span, err, dw, db
     if back is not None:
-        back.sweep(x if config.linearized else z[0, :, :n] / d_scale)
+        back.sweep(x if config.linearized else z[0, :n].T / d_scale)
     if error_moment is not None and not config.linearized:
         error_moment /= np.outer(d_scale, d_scale)
 
@@ -924,15 +935,15 @@ def _run_abc_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, 
     return _abc_blocks(model, config, n_trials, chi, clock)
 
 
-def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, kind: str, smoother: bool, clock,
-                         moment=None):
+def _run_filter_feedback(model: PhaseModel, config: HomodyneConfig, n_trials: int, kind: str, clock, moment=None):
     """Set-up and block driver of every filter run of ``kind`` (see
     _peak_arrays): the run checked, Vt_F solved once and scaled to V_F, the
-    smoother's backward pass when asked, and the noise drawn into the buffer
-    the kind declares. Returns (back, blocks): the _BackwardPass (None
-    without a smoother or at mu = 0) and the _error_blocks iterator, to
-    which ``moment`` goes as error_moment."""
+    smoother's backward pass for a kind that declares one, and the noise
+    drawn into the buffer the kind declares. Returns (back, blocks): the
+    _BackwardPass (None without a smoother or at mu = 0) and the
+    _error_blocks iterator, to which ``moment`` goes as error_moment."""
     system = _run_system(model, config, kind, n_trials, moment is not None)
+    smoother = kind in _SMOOTHER_KINDS
     if system.mu > 0:
         vf_tilde = solve_filter_covariance(model.p)
         vf = scale_covariance(vf_tilde, system.mu)
@@ -960,8 +971,9 @@ def simulate_record(model: PhaseModel, config: HomodyneConfig, smoother: bool = 
     Per block, phi is integrated on from the previous block, theta = phi +
     (theta - phi) and y = r / dt + 2 sqrt(N) phi; phi_s = phi + (phi_s - phi)."""
     clock = _StageClock()
-    back, blocks = _run_filter_feedback(model, config, 1, "record", smoother, clock)
-    arrays = _peak_arrays("record", 1, config.n_steps, model.n + 1, config.linearized)
+    kind = "record" if smoother else "filter_record"
+    back, blocks = _run_filter_feedback(model, config, 1, kind, clock)
+    arrays = _peak_arrays(kind, 1, config.n_steps, model.n + 1, config.linearized)
     phi, theta, y = np.empty(arrays["paths"])
     two_sqrt_n = 2.0 * math.sqrt(config.photon_flux)
     carry: list = []
@@ -1115,7 +1127,7 @@ def simulate_filter_trials(
     clock = _StageClock()
     moment = np.zeros((n_trials, model.n + 1, model.n + 1)) if full_state_stats else None
     kind = _filter_kind(smoother, wrap_errors)
-    back, blocks = _run_filter_feedback(model, config, n_trials, kind, smoother, clock, moment)
+    back, blocks = _run_filter_feedback(model, config, n_trials, kind, clock, moment)
     sums = _ErrorSums(n_trials, config, wrap_errors)
     for span, err, _, _ in blocks:
         sums.add(span.start, err)

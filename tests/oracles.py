@@ -9,10 +9,12 @@ recurrences, the undamped integrator chain as running sums, the
 (damped) phase chain through scipy's direct-form linear filter, the trial
 noise as scaled normal draws, the tabulated spectrum through np.interp,
 the filter error of the sin() and linearized loops stepped one sample
-at a time, the smoothing weights by float inverses of the information sum, the
-stationary covariance of that Euler recurrence as a discrete Lyapunov
-solve, the exponential-window feedback loop with scalar and broadcast
-operands, also as stepped before its Newton steps moved theta in place
+at a time, the sin() loop with one row of features per trial, as the
+package stepped it before its buffer went feature-major
+(row_major_error_blocks), the smoothing weights by float inverses of the
+information sum, the stationary covariance of that Euler recurrence as a
+discrete Lyapunov solve, the exponential-window feedback loop with
+scalar and broadcast operands, also as stepped before its Newton steps moved theta in place
 (earlier_abc_loop), the ensemble MSE and windowed MSE reduced over whole error
 paths (mse_statistics, windowed_mse), which every run sums block by block,
 and the smoother's backward pass as a second sweep over the blocks that
@@ -37,6 +39,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.signal import lfilter
 
+from phasetrack import simulation
 from phasetrack.errors import NumericalError, ValidationError
 from phasetrack.lg import (
     LgSystem,
@@ -51,15 +54,19 @@ from phasetrack.phase_process import PhaseModel, _check_damping, spectrum
 from phasetrack.simulation import (
     HomodyneConfig,
     _ABC_HOLD_THRESHOLD,
+    _SCAN_BLOCK,
+    _STREAM_BLOCK,
     _BackwardPass,
     _StageClock,
     _abc_blocks,
     _block_scan,
     _block_spans,
+    _columns,
     _error_blocks,
     _interior_slice,
     _noise_draws,
     _open_loop_phase,
+    _packed,
     _trial_statistics,
     _window_slices,
 )
@@ -287,12 +294,13 @@ def error_passes(
 def _error_passes(model, system, config, dw, db, vf, smoothing=None, error_moment=None):
     """error_passes and, last, its backward pass (None without smoothing),
     which keeps the seed of its sweep, the forward error at the end of the
-    record, as ``seed``."""
+    record, as ``seed``. The block driver is looked up in the package when
+    called, so a driver patched in its place runs here too."""
     clock = _StageClock()
     back = None
     if smoothing is not None:
         back = _SeedKeepingPass(model, system, config, vf, smoothing, len(dw), clock, "record")
-    blocks = _error_blocks(
+    blocks = simulation._error_blocks(
         model, system, config, vf, back, dw.shape, lambda span: (dw[:, span], db[:, span]), clock, error_moment
     )
     err = np.empty(dw.shape)
@@ -307,6 +315,71 @@ class _SeedKeepingPass(_BackwardPass):
     def sweep(self, x):
         self.seed = x
         super().sweep(x)
+
+
+def row_major_error_blocks(model, system, config, vf, back, shape, draw, clock, error_moment=None):
+    """_error_blocks as the package ran it before the sin() loop went
+    feature-major: its chunk buffer z is (_SCAN_BLOCK + 1, n_trials, n + 3),
+    z[i] one row [e^ | sin d | dB | dW] per trial, and each step is np.sin
+    and np.matmul of those rows with the fixed G into the strided (n_trials,
+    n) slice z[i + 1, :, :n]. The chunk's readouts, moments and r, and the
+    sweep's seed, are read from that layout. Run in place of _error_blocks,
+    it gives the values from before that change bit for bit; a linearized
+    run goes to the package's own driver, which that change left alone."""
+    if config.linearized:
+        yield from _error_blocks(model, system, config, vf, back, shape, draw, clock, error_moment)
+        return
+    n, dt, scale = system.n_states, config.dt, model.phase_scale
+    rows, n_steps = shape
+    errors = np.empty((rows, min(_STREAM_BLOCK, n_steps)))
+    gain = vf @ system.c
+    win = _interior_slice(n_steps, dt, config.burn_in)
+    chunk = min(_SCAN_BLOCK, n_steps)
+    d_scale = np.ones(n)
+    d_scale[-1] = scale
+    sin_gain = 2.0 * math.sqrt(config.photon_flux) * dt
+    step_g = np.vstack((
+        (np.eye(n) + system.a * dt).T * d_scale / d_scale[:, None],  # D^-1 (I + A dt)^T D
+        -sin_gain * gain * d_scale,
+        gain * d_scale,
+        -np.eye(n)[0] * d_scale,
+    ))
+    z = np.zeros((chunk + 1, rows, n + 3))
+    steps = list(zip(z[:-1, :, n - 1], z[:-1, :, n], z[:-1], z[1:, :, :n]))
+    forward_read = None if back is None else back.w_f / d_scale
+    for span in _block_spans(n_steps):
+        dw, db = draw(span)
+        k = span.stop - span.start
+        err = _packed(errors, rows, k)
+        smoothed = None if back is None else back.partial(span)
+        inner = _columns(win, span)
+        for c in range(0, k, chunk):
+            j = min(chunk, k - c)
+            cols = slice(c, c + j)
+            z[:j, :, n + 1] = db[:, cols].T
+            z[:j, :, n + 2] = dw[:, cols].T
+            for d, sin_d, row, after in steps[:j]:
+                np.sin(d, sin_d)
+                np.matmul(row, step_g, after)
+            if back is not None:
+                smoothed[:, cols] = (z[:j].reshape(-1, n + 3)[:, :n] @ forward_read).reshape(j, rows).T
+            if error_moment is not None:
+                e_hat = z[_columns(inner, cols), :, :n]
+                error_moment += e_hat.transpose(1, 2, 0) @ e_hat.transpose(1, 0, 2)
+            d, sin_d, db_t = z[:j, :, n - 1].T, z[:j, :, n].T, z[:j, :, n + 1].T
+            err[:, cols] = d
+            np.subtract(d, sin_d, out=sin_d)
+            sin_d *= sin_gain
+            sin_d += db_t
+            db[:, cols] = sin_d
+            z[0, :, :n] = z[j, :, :n]
+        if back is not None:
+            back.block(span, dw, db, smoothed)
+        yield span, err, dw, db
+    if back is not None:
+        back.sweep(z[0, :, :n] / d_scale)
+    if error_moment is not None:
+        error_moment /= np.outer(d_scale, d_scale)
 
 
 def two_pass_error_passes(

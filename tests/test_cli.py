@@ -4,6 +4,8 @@ import csv
 import itertools
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -860,3 +862,33 @@ class TestSweep:
         assert lines == clean.read_text().splitlines()[: len(lines)]
         lost = ("grid=10", "grid=30")[len(lines) - 1]  # one row per point after the header
         assert err.startswith("error: ") and "worker" in err and f"p=2, {lost} " in err
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The sin() loop steps by one np.dot per step and the scans by matrix
+    products, BLAS calls whose threading OpenBLAS chooses from
+    OPENBLAS_NUM_THREADS. A p = 4 sin() filter and smoother sweep of 64
+    trials and a sin() smoother record, each run in a child process with
+    that variable set to 1 and with it unset (the parent's environment is
+    left as it is), write byte-identical CSVs."""
+    spec = tmp_path / "sweep.ini"
+    _write_spec(spec, p="4", grid="30", trials="64", duration_factor="20", linearized="false")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = {}
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        sweep_csv, record_csv = tmp_path / f"sweep-{threads}.csv", tmp_path / f"record-{threads}.csv"
+        for args in (
+            ["sweep", str(spec), "-o", str(sweep_csv)],
+            ["simulate", "--p", "4", "--flux", "93", "--estimator", "smoother", "--seed", "5",
+             "--duration-factor", "30", "--output", str(record_csv)],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "phasetrack.cli", *args], env=env, capture_output=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+        outputs[threads] = (sweep_csv.read_bytes(), record_csv.read_bytes())
+    assert outputs["1"] == outputs[None]

@@ -19,6 +19,7 @@ from oracles import (
     error_passes,
     linearized_error_passes,
     mse_statistics,
+    row_major_error_blocks,
     run_abc_linearized_trials,
     smoothing_weights_inverse,
     trial_noise,
@@ -789,7 +790,15 @@ class TestGoldenValues:
     move theta in place, without the wrap by whole turns, and the response
     gain became one rounded factor; oracles' earlier_abc_loop, run in place
     of the loop, keeps the values from before (test_abc_keeps_earlier_values,
-    test_unwrapped_abc_windows_keep_earlier_values).
+    test_unwrapped_abc_windows_keep_earlier_values). The wrapped sin() key
+    (2, 3.0, False, True, 6) moved in its last digits when the sin() loop's
+    buffer went feature-major: each step's np.dot computes G^T z[i] where
+    the matmul computed z[i] G, the same products, which BLAS sums in
+    another order. Its filter stderr, whole and streamed, moved by 4 ulp
+    (5.3e-16) and its two-pass smoother mse by 1 ulp; the p = 4 key and the
+    filter record did not move. oracles' row_major_error_blocks, run in
+    place of the block driver, keeps the values from before
+    (test_row_major_loop_keeps_earlier_values).
 
     Host dependency: the exponential-window values, new and earlier
     (test_abc, test_unwrapped_abc_windows and their earlier-value twins),
@@ -799,9 +808,10 @@ class TestGoldenValues:
     last bits, and fails these ``==`` checks. test_abc_feedback_matches_reference_bit_for_bit is the
     host-independent check: it holds the loop to the reference loop in
     oracles, which takes the same complex products, on any host. The sin()
-    values rest on one BLAS gemm per step, e^ G: a BLAS kernel that sums its
-    products in another order, or without fused multiply-adds, gives equally
-    correct but different last bits."""
+    values rest on one BLAS product per step, G^T z[i] over the features of
+    every trial: a BLAS kernel that sums its products in another order, or
+    without fused multiply-adds, gives equally correct but different last
+    bits."""
 
     FILTER = {
         # (p, grid, linearized, wrap, seed): (filter mse, stderr, smoother mse, stderr, error_cov diagonal)
@@ -810,7 +820,7 @@ class TestGoldenValues:
             (0.40181317999885663, 0.020609963629766057),
         ),
         (2, 3.0, False, True, 6): (
-            0.18911765357531773, 0.026324053903938785, 0.08093454912555412, 0.012173578159771157,
+            0.18911765357531773, 0.02632405390393877, 0.08093454912555412, 0.012173578159771157,
             (0.18911765357531748,),
         ),
         (6, 100.0, True, False, 7): (
@@ -821,7 +831,7 @@ class TestGoldenValues:
     # The filter (mse, stderr) of simulate_filter_trials, streamed in blocks
     FILTER_STREAMED = {
         (4, 30.0, False, False, 5): (0.020609963629765974, 0.0025439650068320233),
-        (2, 3.0, False, True, 6): (0.18911765357531773, 0.026324053903938785),
+        (2, 3.0, False, True, 6): (0.18911765357531773, 0.02632405390393877),
         (6, 100.0, True, False, 7): (0.007415712533124484, 0.0007533531926805906),
     }
     # The sin() keys as the loop gave them before the innovation form, whole
@@ -840,8 +850,17 @@ class TestGoldenValues:
     # backward sweep gave it, before the sweep was folded into the forward pass
     TWO_PASS = {
         (4, 30.0, False, False, 5): (0.003804005410285667, 0.0005871294568978799),
-        (2, 3.0, False, True, 6): (0.08093454912555412, 0.012173578159771157),
+        (2, 3.0, False, True, 6): (0.08093454912555413, 0.012173578159771157),
         (6, 100.0, True, False, 7): (0.0011317735141486622, 0.0002047621289583519),
+    }
+    # The wrapped sin() key as the row-major loop gave it, before the loop's
+    # buffer went feature-major: the filter (mse, stderr) whole and streamed,
+    # and the two-pass smoother (mse, stderr)
+    ROW_MAJOR = {
+        (2, 3.0, False, True, 6): (
+            (0.18911765357531773, 0.026324053903938785), (0.18911765357531773, 0.026324053903938785),
+            (0.08093454912555412, 0.012173578159771157),
+        ),
     }
     # The linearized key as the per-step forward loop gave it
     STEP_LOOP = (
@@ -914,6 +933,22 @@ class TestGoldenValues:
         config = default_config(model, flux, seed=seed, duration_factor=20.0, linearized=linearized)
         res = _whole_path_statistics(model, config, 6, wrap=wrap, passes=two_pass_error_passes)
         assert res[:4] == self.FILTER[key][:2] + self.TWO_PASS[key]
+
+    @pytest.mark.parametrize("key", list(ROW_MAJOR))
+    def test_row_major_loop_keeps_earlier_values(self, key, monkeypatch):
+        """row_major_error_blocks, run in place of the block driver, gives
+        the key's values from before the sin() loop's buffer went
+        feature-major bit for bit: the filter (mse, stderr), whole and
+        streamed, and the two-pass smoother's."""
+        monkeypatch.setattr(sim, "_error_blocks", row_major_error_blocks)
+        whole, streamed, two_pass = self.ROW_MAJOR[key]
+        p, grid, linearized, wrap, seed = key
+        model, system, flux = _golden_system(p, grid)
+        config = default_config(model, flux, seed=seed, duration_factor=20.0, linearized=linearized)
+        assert _whole_path_statistics(model, config, 6, wrap=wrap)[:2] == whole
+        res = simulate_filter_trials(model, config, 6, smoother=True, full_state_stats=True, wrap_errors=wrap)
+        assert (res.filter_mse, res.filter_stderr) == streamed
+        assert _whole_path_statistics(model, config, 6, wrap=wrap, passes=two_pass_error_passes)[:4] == whole + two_pass
 
     @pytest.mark.parametrize("key", list(SIN_STEP_LOOP))
     def test_sin_step_loop_keeps_earlier_values(self, key):
@@ -995,7 +1030,8 @@ class TestGoldenRecords:
     baseline two-rounding loop fails them with equally correct numbers. There,
     test_abc_feedback_matches_reference_bit_for_bit still pins the loop to
     the reference loop bit for bit. The filter record's theta rests on the
-    sin() loop's BLAS gemm, as TestGoldenValues' sin() keys do. The ABC
+    sin() loop's BLAS product per step, G^T z[i], as TestGoldenValues' sin()
+    keys do; it kept its bits when the loop went feature-major. The ABC
     record moved in its last digits when the loop began to move theta in
     place; earlier_abc_loop, run in place of the loop, keeps the values from
     before (test_abc_record_keeps_earlier_values)."""
@@ -1075,7 +1111,7 @@ def _close_to_peak(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
 def test_single_record_is_row_zero_of_an_ensemble(p, linearized, seed):
     """A trial's noise depends only on (seed, trial index), so simulate_record
     and run_abc are row 0 of a 3-trial run of the same loop. Elementwise paths
-    match exactly; the filter's matmul at batch width 3 may reorder sums. The
+    match exactly; the filter's np.dot at batch width 3 may reorder sums. The
     record adds the phase to the loop's errors, so they are compared in its
     terms: theta = phi + (theta - phi), and the same for phi_s."""
     model, system, flux = _golden_system(p, 30.0)
@@ -1320,6 +1356,34 @@ def test_sin_passes_match_step_loop(p, n_steps, width, burn, seed):
     assert np.max(np.abs(part - ref_part)) <= 1e-13 * np.max(np.abs(ref_moment))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from(range(2, 21, 2)),
+    width=st.integers(1, 64),
+    grid=st.floats(3.0, 300.0),
+    seed=st.integers(0, 2**16),
+)
+def test_sin_loop_matches_row_major_loop(p, width, grid, seed):
+    """The feature-major sin() loop takes the same products per step as
+    the row-major loop before it, which oracles keeps
+    (row_major_error_blocks); only BLAS's order of summing them differs.
+    Over a default grid of several blocks at any even p, batch width and
+    flux, theta - phi and the smoothed error phi_s - phi stay within 1e-14
+    of their peaks of that loop's (measured: within 2.6e-15)."""
+    model, system, flux = _golden_system(p, grid)
+    config = default_config(model, flux, seed=seed, duration_factor=3.0)
+    vf = covariance_set(system).vf
+    smoothing = sim._smoothing_weights(solve_filter_covariance(p), system.mu)
+    dw, db = trial_noise(seed, width, config.n_steps, config.dt)
+    err, s_err = error_passes(model, system, config, dw, db.copy(), vf, smoothing)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_error_blocks", row_major_error_blocks)
+        ref_err, ref_s_err = error_passes(model, system, config, dw, db.copy(), vf, smoothing)
+    win = sim._interior_slice(config.n_steps, config.dt, config.burn_in)
+    assert _close_to_peak(err, ref_err, 1e-14)
+    assert _close_to_peak(s_err[:, win], ref_s_err[:, win], 1e-14)
+
+
 def _sin_step_loop_wide(model, system, config, dw, db, vf):
     """The sin() loop stepped one sample at a time in np.longdouble on the
     same float64 inputs, with the closed-loop matrix: e' = e F^T + r K^T -
@@ -1390,8 +1454,8 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 @pytest.mark.parametrize("p", [2, 8])
-def test_sin_loop_makes_one_sin_and_one_matmul_per_step(monkeypatch, p):
-    """A sin() filter-only run binds np.sin and np.matmul when it starts and
+def test_sin_loop_makes_one_sin_and_one_dot_per_step(monkeypatch, p):
+    """A sin() filter-only run binds np.sin and np.dot when it starts and
     calls each once per step: over runs of 1 step, a scan block + 1 and a
     stream block + 65 steps, each count exceeds n_steps by the same number,
     the calls its set-up makes, so no per-step or per-chunk call was added."""
@@ -1402,9 +1466,9 @@ def test_sin_loop_makes_one_sin_and_one_matmul_per_step(monkeypatch, p):
         config = _bare_config(flux, n_steps, dt, linearized=False)
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_MIN_BURN_IN_FACTOR", 0.0)
-            sins, matmuls = _count_calls(patch, "sin"), _count_calls(patch, "matmul")
+            sins, dots = _count_calls(patch, "sin"), _count_calls(patch, "dot")
             simulate_filter_trials(model, config, 3)
-        extra.add((sins[0] - n_steps, matmuls[0] - n_steps))
+        extra.add((sins[0] - n_steps, dots[0] - n_steps))
     assert len(extra) == 1
     assert min(extra.pop()) >= 0
 
@@ -1803,8 +1867,10 @@ def _footprint_runs(draw):
     exponential window's at p = 2, ensembles of 2, 3, 4 or 16 trials and
     one-trial records. ``moments`` are a filter ensemble's full-state
     statistics; ``option`` is wrap_errors of an exponential-window
-    ensemble and smoother=False of a filter record."""
-    kind = draw(st.sampled_from(["filter", "smoother", "wrapped_smoother", "abc", "record", "abc_record"]))
+    ensemble."""
+    kind = draw(st.sampled_from(
+        ["filter", "smoother", "wrapped_smoother", "abc", "record", "filter_record", "abc_record"]
+    ))
     p = 2 if kind.startswith("abc") else draw(st.sampled_from([2, 4, 8, 12, 20]))
     n_trials = 1 if kind.endswith("record") else draw(st.sampled_from([2, 3, 4, 16]))
     duration_factor, dt_factor = draw(st.sampled_from([0.5, 3.0, 20.0])), draw(st.sampled_from([0.01, 0.005]))
@@ -1829,7 +1895,8 @@ def test_run_peak_within_footprint(run):
     calls = {
         "abc": lambda: sim.run_abc_trials(model, config, n_trials, chi, wrap_errors=option),
         "abc_record": lambda: run_abc(model, config, chi),
-        "record": lambda: simulate_record(model, config, smoother=not option),
+        "record": lambda: simulate_record(model, config),
+        "filter_record": lambda: simulate_record(model, config, smoother=False),
     }
     call = calls.get(kind, lambda: simulate_filter_trials(
         model, config, n_trials, kind != "filter", full_state_stats=moments, wrap_errors=kind == "wrapped_smoother"
@@ -1837,6 +1904,25 @@ def test_run_peak_within_footprint(run):
     call()
     estimate = sim._check_footprint(kind, n_trials, config.n_steps, system.n_states, linearized, moments)
     assert _alloc_peak(call) <= estimate
+
+
+@pytest.mark.parametrize("linearized", [False, True], ids=["sin", "linearized"])
+def test_filter_record_declares_only_its_own_arrays(linearized):
+    """A filter record, simulate_record with smoother=False, builds no
+    backward pass, so its check declares no backward maps, per-block ends
+    or smoothed path: a record of simulate's default 24 000 steps, after a
+    warm-up call, peaks within its estimate and at 0.8 of it or more
+    (measured: 0.94 sin(), 0.90 linearized). Checked as a smoother record,
+    it read 0.72 and 0.66."""
+    model, system, flux = _golden_system(2, 30.0)
+    config = default_config(model, flux, seed=3, duration_factor=200.0, linearized=linearized)
+
+    def run():
+        simulate_record(model, config, smoother=False)
+
+    run()
+    estimate = sim._check_footprint("filter_record", 1, config.n_steps, system.n_states, linearized)
+    assert 0.8 * estimate <= _alloc_peak(run) <= estimate
 
 
 @settings(max_examples=300, deadline=None)
